@@ -315,15 +315,21 @@ def builtin(name, params=None) -> AlgebraDocument:
             raise LiepsError(f"builtin {name!r} got unexpected parameters {sorted(params)}")
         return doc
 
+    def size():
+        n = int(params.pop("n"))
+        if n <= 0:
+            raise DocumentError("n", "must be a positive integer")
+        return n
+
     try:
         if name == "abelian":
-            return done(abelian(int(params.pop("n"))))
+            return done(abelian(size()))
         if name == "heisenberg":
-            return done(heisenberg(int(params.pop("n"))))
+            return done(heisenberg(size()))
         if name == "iso11":
             return done(iso11())
         if name == "gl_sym":
-            return done(gl_sym(int(params.pop("n"))))
+            return done(gl_sym(size()))
         if name == "so4_grassmann":
             return done(so4_grassmann())
         if name == "double":

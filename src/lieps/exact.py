@@ -49,7 +49,9 @@ def dot(a, b) -> Fraction:
     assert len(a) == len(b)
     acc = Fraction(0)
     for x, y in zip(a, b):
-        acc += x * y
+        # most entries on the hot path are zero; skip their products
+        if x and y:
+            acc += x * y
     return acc
 
 
@@ -81,15 +83,18 @@ class Mat:
     ----------
     entries : iterable of rows
         Row-major grid; every entry is coerced to Fraction.
+    cols : int, optional
+        Column count; needed only when there are no rows, so that a 0 x n
+        matrix keeps its shape.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries):
+    def __init__(self, entries, cols=None):
         rows = tuple(vec(r) for r in entries)
         self.entries = rows
         self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
+        self.cols = len(rows[0]) if rows else (cols or 0)
         for r in rows:
             if len(r) != self.cols:
                 raise ValueError("ragged rows")
@@ -100,13 +105,14 @@ class Mat:
 
     @classmethod
     def zero(cls, r, c) -> "Mat":
-        return cls([[Fraction(0)] * c for _ in range(r)])
+        return cls([[Fraction(0)] * c for _ in range(r)], c)
 
     @classmethod
-    def from_cols(cls, cols) -> "Mat":
+    def from_cols(cls, cols, rows=None) -> "Mat":
+        """Matrix with the given columns; rows sizes an empty column list."""
         cols = [vec(c) for c in cols]
         if not cols:
-            return cls([])
+            return cls([[] for _ in range(rows or 0)])
         n = len(cols[0])
         return cls([[c[i] for c in cols] for i in range(n)])
 
@@ -121,7 +127,9 @@ class Mat:
 
     @property
     def T(self) -> "Mat":
-        return Mat([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Mat(
+            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)], self.rows
+        )
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.entries == other.entries
@@ -131,23 +139,23 @@ class Mat:
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Mat([vadd(a, b) for a, b in zip(self.entries, other.entries)])
+        return Mat([vadd(a, b) for a, b in zip(self.entries, other.entries)], self.cols)
 
     def __sub__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Mat([vsub(a, b) for a, b in zip(self.entries, other.entries)])
+        return Mat([vsub(a, b) for a, b in zip(self.entries, other.entries)], self.cols)
 
     def __neg__(self):
-        return Mat([vscale(-1, r) for r in self.entries])
+        return Mat([vscale(-1, r) for r in self.entries], self.cols)
 
     def scale(self, c) -> "Mat":
-        return Mat([vscale(c, r) for r in self.entries])
+        return Mat([vscale(c, r) for r in self.entries], self.cols)
 
     def __matmul__(self, other):
         if isinstance(other, Mat):
             assert self.cols == other.rows, "shape mismatch"
             cols = [other.col(j) for j in range(other.cols)]
-            return Mat([[dot(r, c) for c in cols] for r in self.entries])
+            return Mat([[dot(r, c) for c in cols] for r in self.entries], other.cols)
         # vector on the right
         v = vec(other)
         assert self.cols == len(v), "shape mismatch"

@@ -194,8 +194,8 @@ def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement
     # columns: h basis first, then the complement standard vectors
     P = Mat.from_cols([list(v) for v in h.basis] + [e[j] for j in complement_indices])
     Pinv = inverse(P)
-    q_matrix = Mat(Pinv.entries[h.dim :])
-    s_matrix = Mat.from_cols([e[j] for j in complement_indices])
+    q_matrix = Mat(Pinv.entries[h.dim :], n)
+    s_matrix = Mat.from_cols([e[j] for j in complement_indices], n)
 
     ann = kernel(Mat(h.basis)) if h.dim > 0 else Subspace.full(n)
 

@@ -46,8 +46,8 @@ class Bivector:
 
     def __post_init__(self):
         n = self.iso.quotient_dim
-        assert self.r_mat.rows == n and self.r_mat.cols == n
-        assert self.r_mat.is_skew(), "bivector matrix must be skew"
+        if self.r_mat.rows != n or not self.r_mat.is_skew():
+            raise ValueError(f"bivector matrix must be skew {n} x {n}")
 
     @property
     def coords(self) -> tuple:
@@ -65,7 +65,9 @@ class Lift:
 
     def __post_init__(self):
         iso = self.bivector.iso
-        assert self.rt_mat.is_skew(), "lift matrix must be skew"
+        n = iso.L.dim
+        if self.rt_mat.rows != n or not self.rt_mat.is_skew():
+            raise ValueError(f"lift matrix must be skew {n} x {n}")
         projected = iso.q_matrix @ self.rt_mat @ iso.q_matrix.T
         if projected != self.bivector.r_mat:
             raise ValueError("not a lift: q rt q^T differs from r")
@@ -96,6 +98,11 @@ def hcirc_bracket(lift: Lift, eta, xi) -> tuple:
     _require_ann(iso, xi, "xi")
     ad_eta = ad_matrix(iso.L, sharp(lift, eta))
     ad_xi = ad_matrix(iso.L, sharp(lift, xi))
+    return _hcirc(eta, xi, ad_eta, ad_xi)
+
+
+def _hcirc(eta, xi, ad_eta, ad_xi) -> tuple:
+    # ad(xi^#)^T eta - ad(eta^#)^T xi, given the two ad-matrices
     return vsub(ad_xi.apply_T(eta), ad_eta.apply_T(xi))
 
 
@@ -135,27 +142,41 @@ def yang_baxter_tensor(r: Bivector, lift: Lift = None) -> YBTensor:
     """[[r,r]](eta,xi,eps) = <eps, (hcirc(eta,xi))^# - [eta^#, xi^#]>.
 
     Computed over the canonical h° basis; the canonical lift is used unless
-    one is supplied, and the result is lift-independent.
+    one is supplied, and the result is lift-independent on invariant r.
+
+    One pass: each basis covector eta_t is checked against h° once, and its
+    sharp x_t and ad(x_t) are built once.  Only the C(n,3) entries with
+    a < b < c are evaluated; the other five orderings of each triple are
+    filled by sign and entries with a repeated index are zero.  The fill is
+    exact for every skew lift, invariant or not: skewness gives
+    <eps, hcirc(eta,xi)^#> = -<hcirc(eta,xi), eps^#>, so each entry equals
+    the cyclic Schouten sum
+
+        -<eta,[xi^#,eps^#]> - <xi,[eps^#,eta^#]> - <eps,[eta^#,xi^#]>,
+
+    which is totally antisymmetric.  schouten_oracle keeps evaluating all n^3
+    entries of that sum on purpose, so it stays an independent check.
     """
     iso = r.iso
     if lift is None:
         lift = canonical_lift(r)
     etas = _ann_basis_vectors(iso)
     n = len(etas)
+    for eta in etas:
+        _require_ann(iso, eta, "eta")
     xs = [sharp(lift, eta) for eta in etas]
-    hc = {}
+    ads = [ad_matrix(iso.L, x) for x in xs]
+    zero = Fraction(0)
+    values = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
-        for b in range(n):
-            hc[(a, b)] = sharp(lift, hcirc_bracket(lift, etas[a], etas[b]))
-    br = {(a, b): bracket(iso.L, xs[a], xs[b]) for a in range(n) for b in range(n)}
-    values = tuple(
-        tuple(
-            tuple(dot(etas[c], vsub(hc[(a, b)], br[(a, b)])) for c in range(n))
-            for b in range(n)
-        )
-        for a in range(n)
-    )
-    return YBTensor(values)
+        for b in range(a + 1, n):
+            hc = _hcirc(etas[a], etas[b], ads[a], ads[b])
+            d = vsub(sharp(lift, hc), bracket(iso.L, xs[a], xs[b]))
+            for c in range(b + 1, n):
+                v = dot(etas[c], d)
+                values[a][b][c] = values[b][c][a] = values[c][a][b] = v
+                values[b][a][c] = values[a][c][b] = values[c][b][a] = -v
+    return YBTensor(tuple(tuple(tuple(row) for row in plane) for plane in values))
 
 
 def schouten_oracle(lift: Lift) -> YBTensor:

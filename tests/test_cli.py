@@ -276,6 +276,30 @@ def test_example_without_required_param_is_domain_error():
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [["heisenberg", "--n", "-1"], ["abelian", "--n", "0"]])
+def test_example_rejects_non_positive_size(argv):
+    code, out, err = run_cli(["example"] + argv)
+    assert code == 2
+    assert out == ""
+    assert "parse error: n: must be a positive integer" in err
+
+
+# ---------------------------------------------------------------------------
+# degenerate documents
+
+WHOLE_ALGEBRA_IS_H = '{"dim":3,"brackets":[],"subalgebra":[[1,0,0],[0,1,0],[0,0,1]]}'
+
+
+def test_isotropy_equal_to_whole_algebra():
+    code, out, err = run_cli(["validate", "-"], stdin_text=WHOLE_ALGEBRA_IS_H)
+    assert (code, err) == (0, "")
+    assert "ok: true" in out
+    code, out, err = run_cli(["invariants", "-"], stdin_text=WHOLE_ALGEBRA_IS_H)
+    assert (code, out, err) == (0, "dim 0\n", "")
+    code, out, err = run_cli(["scan", "-"], stdin_text=WHOLE_ALGEBRA_IS_H)
+    assert (code, out, err) == (0, "0 candidates\n", "")
+
+
 def test_output_is_deterministic():
     first = run_cli(["scan", "-", "--json"], stdin_text=_doc_text("so4_grassmann"))
     second = run_cli(["scan", "-", "--json"], stdin_text=_doc_text("so4_grassmann"))

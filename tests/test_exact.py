@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieps.errors import NoSolution
-from lieps.exact import Mat, Subspace, inverse, kernel, rref, solve
+from lieps.exact import Mat, Subspace, dot, inverse, kernel, rref, solve
 
 
 def gauss_jordan_oracle(rows):
@@ -87,6 +87,28 @@ def test_inverse():
     assert inverse(m) @ m == Mat.identity(2)
     with pytest.raises(ValueError):
         inverse(Mat([[1, 1], [1, 1]]))
+
+
+def test_empty_matrices_keep_their_shape():
+    wide = Mat([], 3)  # 0 x 3
+    tall = Mat.from_cols([], 3)  # 3 x 0
+    assert (wide.rows, wide.cols) == (0, 3)
+    assert (tall.rows, tall.cols) == (3, 0)
+    assert (wide.T.rows, wide.T.cols) == (3, 0)
+    assert (tall.T.rows, tall.T.cols) == (0, 3)
+    assert ((wide @ tall).rows, (wide @ tall).cols) == (0, 0)
+    assert ((tall @ wide).rows, (tall @ wide).cols) == (3, 3)
+    assert (tall @ wide).is_zero()
+    assert wide @ (1, 2, 3) == ()
+    assert Mat.zero(0, 2).cols == 2
+    assert (wide + wide).cols == (-wide).cols == (wide - wide).cols == wide.scale(2).cols == 3
+
+
+def test_dot_skips_zeros_and_stays_exact():
+    out = dot((F(0), F(1, 3), F(2), F(-1)), (F(5), F(3, 2), F(0), F(1, 4)))
+    assert out == F(1, 4)
+    assert isinstance(out, F)
+    assert isinstance(dot((F(0),), (F(0),)), F)
 
 
 def test_subspace_equality_is_basis_equality():

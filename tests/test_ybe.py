@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as QQ
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +20,7 @@ from lieps.exact import Mat
 from lieps.invariants import bivector_coords_from_matrix, invariant_bivectors
 from lieps.liecore import make_isotropy, make_lie_algebra, validate
 from lieps.ybe import (
+    Bivector,
     Lift,
     canonical_lift,
     fixed_space_lie_algebra,
@@ -148,6 +153,34 @@ def test_tensor_is_totally_antisymmetric():
         assert t[(c, b, a)] == -base
 
 
+_QUOTIENTS = [
+    ("heisenberg-2/u1", make_isotropy(instance("heisenberg", {"n": 2})[0], [V(1, 0, 0, 0, 0)])),
+    ("so4-grassmann", instance("so4_grassmann")[1]),
+    ("double-heisenberg-1", instance("double", {"of": "heisenberg", "n": 1})[1]),
+    # every proper subalgebra of iso(1,1) leaves a 2-dim quotient, where
+    # each entry repeats an index; h = 0 keeps a nonzero 3-form in play
+    ("iso11", instance("iso11")[1]),
+]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_tensor_matches_oracle_off_the_invariant_space(data):
+    # arbitrary skew coordinates, mostly non-invariant: the antisymmetric
+    # fill in yang_baxter_tensor must still agree with the dense cyclic sum
+    tag, iso = data.draw(st.sampled_from(_QUOTIENTS))
+    m = iso.quotient_dim
+    coords = data.draw(
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+            min_size=m * (m - 1) // 2,
+            max_size=m * (m - 1) // 2,
+        )
+    )
+    r = make_bivector(iso, coords)
+    assert yang_baxter_tensor(r).values == schouten_oracle(canonical_lift(r)).values, tag
+
+
 def test_lift_independence_on_catalog():
     rng = random.Random(20260819)
     for tag, L, iso, r in [
@@ -166,6 +199,45 @@ def test_lift_must_project_to_r():
     bad = Mat(((QQ(0), QQ(1), QQ(0)), (QQ(-1), QQ(0), QQ(0)), (QQ(0), QQ(0), QQ(0))))
     with pytest.raises(ValueError):
         Lift(s, bad)
+
+
+def test_bivector_must_be_skew():
+    _, iso = instance("heisenberg", {"n": 1})
+    bad = Mat(((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(0), QQ(0)), (QQ(0), QQ(0), QQ(0))))
+    with pytest.raises(ValueError, match="skew"):
+        Bivector(iso, bad)
+
+
+def test_lift_must_be_skew():
+    # s r s^T plus a symmetric part that q kills: it projects to r, but it
+    # is not skew
+    _, iso = instance("double", {"of": "heisenberg", "n": 1})
+    r = make_bivector(iso, V(1, 0, 0))
+    rt = [list(row) for row in canonical_lift(r).rt_mat.entries]
+    rt[0][0] += 1  # d_u1 spans part of h, so q rt q^T is unchanged
+    with pytest.raises(ValueError, match="skew"):
+        Lift(r, Mat(rt))
+
+
+def test_bivector_skew_check_survives_optimize_flag():
+    # python -O strips asserts; the skew check must not be one
+    script = (
+        "from lieps.catalog import builtin, realize\n"
+        "from lieps.exact import Mat\n"
+        "from lieps.ybe import Bivector\n"
+        "_, iso = realize(builtin('heisenberg', {'n': 1}))\n"
+        "try:\n"
+        "    Bivector(iso, Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    src = str(Path(__import__("lieps").__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected"
 
 
 def test_canonical_lift_supported_on_complement_coordinates():

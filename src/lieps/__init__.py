@@ -1,7 +1,7 @@
 """Exact-arithmetic engine for invariant Poisson structures on homogeneous spaces."""
 
-from .exact import BACKEND, QQ, Mat, Subspace, kernel, rref, solve
+from .exact import QQ, Mat, Subspace, kernel, rref, solve
 
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "QQ", "Mat", "Subspace", "kernel", "rref", "solve", "__version__"]
+__all__ = ["QQ", "Mat", "Subspace", "kernel", "rref", "solve", "__version__"]

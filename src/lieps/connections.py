@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAnFConnection, NotAnRMatrix, NotReductive
+from .errors import ClosureFailure, NotAnFConnection, NotAnRMatrix, NotReductive
 from .exact import (
     Mat,
     Subspace,
@@ -34,16 +34,12 @@ from .liecore import (
     LieAlgebra,
     ad_matrix,
     bracket,
+    greedy_complement,
     induced_ad_bar,
     induced_map,
     is_reductive_complement,
 )
 from .ybe import Bivector, is_r_matrix
-
-
-def check_reductive(L: LieAlgebra, iso: IsotropyModel) -> bool:
-    """True when the declared complement satisfies [h, m] ⊆ m."""
-    return is_reductive_complement(iso)
 
 
 @dataclass(frozen=True)
@@ -265,20 +261,6 @@ def is_f_connection(b: ConnectionMap, r: Bivector) -> bool:
     return True
 
 
-def _greedy_complement_of(space: Subspace, ambient) -> tuple:
-    """Standard-basis indices completing `space` to the ambient, greedily."""
-    e = Mat.identity(ambient).entries
-    chosen = []
-    span = space
-    for j in range(ambient):
-        if span.dim == ambient:
-            break
-        if not span.contains(e[j]):
-            chosen.append(j)
-            span = span.sum(Subspace.from_vectors(ambient, [e[j]]))
-    return tuple(chosen)
-
-
 def _projector_onto(space: Subspace, complement_indices) -> Mat:
     """Projection of the ambient space onto `space` along the complement."""
     ambient = space.ambient
@@ -324,7 +306,7 @@ def f_connection_to_nomizu(b: ConnectionMap, r: Bivector) -> NomizuMap:
     pair = b.pair
     n = pair.dim_m
     im = column_space(r.r_mat)
-    vidx = _greedy_complement_of(im, n)
+    vidx = greedy_complement(im)
     proj = _projector_onto(im, vidx)
     e = Mat.identity(n).entries
     psi = []
@@ -387,7 +369,7 @@ def induced_leaf_connection(
     im = column_space(r.r_mat)
     d = im.dim
     if complement_indices is None:
-        complement_indices = _greedy_complement_of(im, n)
+        complement_indices = greedy_complement(im)
     else:
         complement_indices = tuple(complement_indices)
         span = Subspace.from_vectors(
@@ -415,7 +397,8 @@ def induced_leaf_connection(
     )
     for row in br:
         for val in row:
-            assert im.contains(val), "b^r must land in the leaf direction"
+            if not im.contains(val):
+                raise ClosureFailure("b^r must land in the leaf direction")
 
     def m_bracket(x, y):
         return iso.q_matrix @ bracket(pair.L, iso.s_matrix @ x, iso.s_matrix @ y)

@@ -5,33 +5,22 @@ canonical normal form, subspaces stored by their RREF bases so equality is a
 syntactic check.  Everything is immutable and deterministic; there is no
 floating point anywhere.
 
-The elimination kernel runs fraction-free over integers.  A compiled twin is
-used when available; set LIEPS_PURE=1 to force the pure-python kernel.
+Elimination runs on sparse integer rows: each rational row is scaled by the
+lcm of its denominators into a {column: int} dict of its nonzeros and handed
+to the fraction-free kernel in `_rref_py`, whose cost follows the nonzeros,
+not the shape.  `kernel_of_rows` takes such rows directly, so a constraint
+system assembled from its nonzeros never becomes a dense matrix.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd
 
+from ._rref_py import rref_int_rows as _rref_int_rows
 from .errors import NoSolution
 
 QQ = Fraction
-
-if os.environ.get("LIEPS_PURE"):
-    from ._rref_py import rref_int_rows as _rref_int_rows
-
-    BACKEND = "python"
-else:
-    try:
-        from ._rref_c import rref_int_rows as _rref_int_rows
-
-        BACKEND = "c"
-    except ImportError:
-        from ._rref_py import rref_int_rows as _rref_int_rows
-
-        BACKEND = "python"
 
 
 def _fr(x) -> Fraction:
@@ -116,6 +105,21 @@ class Mat:
         n = len(cols[0])
         return cls([[c[i] for c in cols] for i in range(n)])
 
+    @classmethod
+    def from_sparse(cls, rows, cols) -> "Mat":
+        """Dense matrix of {column: value} rows; absent entries are zero."""
+        out = []
+        for r in rows:
+            dense = [Fraction(0)] * cols
+            for j, x in r.items():
+                dense[j] = x
+            out.append(dense)
+        return cls(out, cols)
+
+    def sparse_rows(self) -> tuple:
+        """Rows as {column: value} dicts of their nonzero entries."""
+        return tuple({j: x for j, x in enumerate(r) if x} for r in self.entries)
+
     def __getitem__(self, i):
         return self.entries[i]
 
@@ -154,8 +158,18 @@ class Mat:
     def __matmul__(self, other):
         if isinstance(other, Mat):
             assert self.cols == other.rows, "shape mismatch"
-            cols = [other.col(j) for j in range(other.cols)]
-            return Mat([[dot(r, c) for c in cols] for r in self.entries], other.cols)
+            # row i of the product sums x * (row k of other) over the nonzeros
+            # x = self[i][k], so only nonzero products are formed
+            other_rows = other.sparse_rows()
+            out = []
+            for r in self.entries:
+                acc = [Fraction(0)] * other.cols
+                for k, x in enumerate(r):
+                    if x:
+                        for j, y in other_rows[k].items():
+                            acc[j] += x * y
+                out.append(acc)
+            return Mat(out, other.cols)
         # vector on the right
         v = vec(other)
         assert self.cols == len(v), "shape mismatch"
@@ -182,34 +196,34 @@ class Mat:
         return f"Mat[{self.rows}x{self.cols}: {body}]"
 
 
-def _int_rows(m: Mat):
-    # scale each row by the lcm of denominators; row scaling preserves RREF
-    out = []
-    for r in m.entries:
+def _reduce(rows, ncols):
+    """Integer pivot rows and pivot columns of sparse rational rows.
+
+    Each row is scaled by the lcm of its denominators; row scaling preserves
+    the RREF.  Ints pass through as rationals with denominator 1.
+    """
+    int_rows = []
+    for r in rows:
         lcm = 1
-        for x in r:
+        for x in r.values():
             d = x.denominator
             lcm = lcm // gcd(lcm, d) * d
-        out.append([int(x * lcm) for x in r])
-    return out
+        int_rows.append({j: x.numerator * (lcm // x.denominator) for j, x in r.items()})
+    return _rref_int_rows(int_rows, ncols)
 
 
 def rref(m: Mat):
     """Reduced row echelon form.
 
-    Returns (Mat, pivot_columns).  Deterministic: leftmost pivot column,
-    first nonzero row, exact arithmetic throughout.
+    Returns (Mat, pivot_columns); zero rows follow the rank-many pivot rows.
+    The RREF is unique, so the result does not depend on pivot-row choices.
     """
     if m.rows == 0 or m.cols == 0:
         return Mat([[] for _ in range(m.rows)]) if m.cols == 0 else m, []
-    work, pivots = _rref_int_rows(_int_rows(m), m.cols)
-    out = []
-    for t, c in enumerate(pivots):
-        piv = work[t][c]
-        out.append([Fraction(x, piv) for x in work[t]])
-    for _ in range(m.rows - len(pivots)):
-        out.append([Fraction(0)] * m.cols)
-    return Mat(out), list(pivots)
+    work, pivots = _reduce(m.sparse_rows(), m.cols)
+    out = [{j: Fraction(x, row[c]) for j, x in row.items()} for row, c in zip(work, pivots)]
+    out += [{}] * (m.rows - len(pivots))
+    return Mat.from_sparse(out, m.cols), pivots
 
 
 def inverse(m: Mat) -> Mat:
@@ -253,7 +267,8 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient) -> "Subspace":
-        return cls.from_vectors(ambient, Mat.identity(ambient).entries)
+        # the identity rows are already the canonical RREF basis
+        return cls(ambient, Mat.identity(ambient).entries, tuple(range(ambient)))
 
     @classmethod
     def zero(cls, ambient) -> "Subspace":
@@ -323,19 +338,34 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
 
 
+def kernel_of_rows(rows, ncols) -> Subspace:
+    """RREF basis of {x in Q^ncols : sum_j row[j] x_j = 0 for every row}.
+
+    Rows are {column: value} dicts of rationals (absent entries are zero),
+    so a constraint system built from its nonzeros is solved without ever
+    being laid out as a dense matrix.
+    """
+    work, pivots = _reduce(rows, ncols)
+    if not pivots:
+        return Subspace.full(ncols)
+    pivot_set = set(pivots)
+    vecs = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(work, pivots):
+            x = row.get(f)
+            if x:
+                v[p] = Fraction(-x, row[p])
+        vecs.append(v)
+    return Subspace.from_vectors(ncols, vecs)
+
+
 def kernel(m: Mat) -> Subspace:
     """RREF basis of the nullspace {x : m @ x = 0}."""
-    red, pivots = rref(m)
-    n = m.cols
-    free = [j for j in range(n) if j not in pivots]
-    vecs = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for t, p in enumerate(pivots):
-            v[p] = -red.entries[t][f]
-        vecs.append(v)
-    return Subspace.from_vectors(n, vecs)
+    return kernel_of_rows(m.sparse_rows(), m.cols)
 
 
 def solve(m: Mat, b):
@@ -357,19 +387,6 @@ def solve(m: Mat, b):
 
 def column_space(m: Mat) -> Subspace:
     return Subspace.from_vectors(m.rows, [m.col(j) for j in range(m.cols)])
-
-
-def stack(mats) -> Mat:
-    """Vertical concatenation."""
-    mats = [m for m in mats if m.rows > 0]
-    if not mats:
-        raise ValueError("nothing to stack")
-    cols = mats[0].cols
-    rows = []
-    for m in mats:
-        assert m.cols == cols, "shape mismatch"
-        rows.extend(m.entries)
-    return Mat(rows)
 
 
 # free-function aliases for the Subspace operations; defined last so nothing

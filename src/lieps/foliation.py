@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import (
     ClosureFailure,
+    IllDefined,
     NoSolution,
     NotACocycle,
     NotAnRMatrix,
@@ -61,7 +62,8 @@ def leaf_algebra(r: Bivector) -> Subspace:
     _, lifted = _lifted_im_basis(r)
     a = Subspace.from_vectors(iso.L.dim, list(iso.h_basis.basis) + list(lifted))
     for u in iso.h_basis.basis:
-        assert a.contains(u)
+        if not a.contains(u):
+            raise ClosureFailure("a_r must contain the isotropy subalgebra")
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
             w = bracket(iso.L, a.basis[i], a.basis[j])
@@ -96,11 +98,11 @@ def leaf_cocycle(r: Bivector) -> LeafData:
     qa = [iso.q_matrix @ v for v in a.basis]
     for kvec in ker.basis:
         for qx in qa:
-            assert dot(kvec, qx) == 0, "omega depends on the particular solution"
+            if dot(kvec, qx) != 0:
+                raise IllDefined("omega depends on the particular solution")
 
     omega = Mat([[_omega_value(r, qa[i], qa[j]) for j in range(a.dim)] for i in range(a.dim)])
-    assert omega.is_skew()
-
+    # a non-skew omega is a NotACocycle from the check below
     _check_cocycle(iso.L, a, omega, error=NotACocycle)
     rad = _radical(a, omega)
     if rad != iso.h_basis:

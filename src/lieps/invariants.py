@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Mat, Subspace, kernel, stack, vec
+from .exact import Mat, Subspace, kernel_of_rows, vec
 from .liecore import (
     IsotropyModel,
     induced_ad_bar,
     induced_map,
-    wedge2_action,
-    wedge2_derivation,
+    wedge2_action_rows,
+    wedge2_derivation_rows,
     wedge2_space,
 )
 
@@ -42,7 +42,8 @@ def bivector_matrix_from_coords(dim, coords) -> Mat:
 
 def bivector_coords_from_matrix(r_mat: Mat) -> tuple:
     """Wedge coordinates of a skew matrix; inverse of the builder above."""
-    assert r_mat.is_skew(), "bivector matrix must be skew"
+    if not r_mat.is_skew():
+        raise ValueError("bivector matrix must be skew")
     return tuple(r_mat[j][i] for i, j in wedge2_space(r_mat.rows))
 
 
@@ -57,27 +58,36 @@ class InvariantBivectorSpace:
         return self.basis.dim
 
 
+def _minus_identity(rows) -> list:
+    """Sparse rows of M - I from the sparse rows of a square M."""
+    out = []
+    for t, row in enumerate(rows):
+        row = dict(row)
+        v = row.get(t, 0) - 1
+        if v:
+            row[t] = v
+        else:
+            del row[t]
+        out.append(row)
+    return out
+
+
 def invariant_bivectors(iso: IsotropyModel) -> InvariantBivectorSpace:
     """Bivectors on g/h fixed by the full declared isotropy action.
 
-    Stacks one derivation block per h-basis element (connected part) and one
-    fixed-point block per discrete generator, then takes the common kernel.
+    Collects the sparse rows of one derivation block per h-basis element
+    (connected part) and of one fixed-point block A^A - I per discrete
+    generator, then takes their common kernel.
     """
-    n = iso.quotient_dim
-    nwedge = len(wedge2_space(n))
-    blocks = []
+    nwedge = len(wedge2_space(iso.quotient_dim))
+    rows = []
     for u in iso.h_basis.basis:
-        blocks.append(wedge2_derivation(induced_ad_bar(iso.L, iso, u)))
-    eye = Mat.identity(nwedge)
+        rows += wedge2_derivation_rows(induced_ad_bar(iso.L, iso, u))
     for A in iso.discrete_generators:
-        blocks.append(wedge2_action(induced_map(iso, A)) - eye)
-    if not blocks or nwedge == 0:
-        basis = Subspace.full(nwedge)
-    else:
-        basis = kernel(stack(blocks))
+        rows += _minus_identity(wedge2_action_rows(induced_map(iso, A)))
     return InvariantBivectorSpace(
         iso=iso,
-        basis=basis,
+        basis=kernel_of_rows(rows, nwedge),
         source={
             "infinitesimal": iso.h_basis.dim > 0,
             "discrete": len(iso.discrete_generators) > 0,
@@ -87,12 +97,12 @@ def invariant_bivectors(iso: IsotropyModel) -> InvariantBivectorSpace:
 
 def fixed_vectors(ambient_dim, infinitesimal=(), discrete=()) -> Subspace:
     """Common kernel of the infinitesimal operators and A - id for each A."""
-    blocks = [M if isinstance(M, Mat) else Mat(M) for M in infinitesimal]
-    eye = Mat.identity(ambient_dim)
-    blocks += [(A if isinstance(A, Mat) else Mat(A)) - eye for A in discrete]
-    if not blocks:
-        return Subspace.full(ambient_dim)
-    return kernel(stack(blocks))
+    rows = []
+    for M in infinitesimal:
+        rows += (M if isinstance(M, Mat) else Mat(M)).sparse_rows()
+    for A in discrete:
+        rows += _minus_identity((A if isinstance(A, Mat) else Mat(A)).sparse_rows())
+    return kernel_of_rows(rows, ambient_dim)
 
 
 def fixed_covectors(ambient_dim, infinitesimal=(), discrete=()) -> Subspace:

@@ -1,19 +1,22 @@
 """Finite-dimensional Lie algebras over Q and isotropy quotients.
 
 A Lie algebra is a dense structure-constant table c[i][j][k] over a fixed
-basis.  An isotropy model packages a subalgebra h together with an explicit
-linear model of the quotient g/h: a projection q, a section s built from
-standard basis vectors, and the annihilator h° of h inside g*, which is how
-(g/h)* is represented downstream.
+basis, with a sparse view nz[i][j] of its nonzeros that every bracket,
+ad-matrix, Jacobi and automorphism evaluation iterates over.  An isotropy
+model packages a subalgebra h together with an explicit linear model of the
+quotient g/h: a projection q, a section s built from standard basis vectors,
+and the annihilator h° of h inside g*, which is how (g/h)* is represented
+downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import GeneratorMovesH, NotAnAutomorphism, NotASubalgebra, NotInH
-from .exact import Mat, Subspace, inverse, kernel, vec, zero_vec
+from .exact import Mat, Subspace, inverse, kernel, rref, vec
 
 
 @dataclass(frozen=True)
@@ -25,6 +28,17 @@ class LieAlgebra:
     def __post_init__(self):
         assert len(self.labels) == self.dim
         assert len(self.c) == self.dim
+
+    @cached_property
+    def nz(self) -> tuple:
+        """nz[i][j] = ((k, c_ijk), ...): the nonzeros of c[i][j], k increasing.
+
+        Derived from c on first use, entry by entry, so a table that is not
+        antisymmetric keeps both of its halves.
+        """
+        return tuple(
+            tuple(tuple((k, x) for k, x in enumerate(cij) if x) for cij in ci) for ci in self.c
+        )
 
 
 def make_lie_algebra(dim, brackets, labels=None) -> LieAlgebra:
@@ -55,32 +69,32 @@ def bracket(L: LieAlgebra, x, y) -> tuple:
     x = vec(x)
     y = vec(y)
     out = [Fraction(0)] * L.dim
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
-        if xi == 0:
+        if not xi:
             continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            cij = L.c[i][j]
-            for k in range(L.dim):
-                if cij[k] != 0:
-                    out[k] += xi * yj * cij[k]
+        nzi = L.nz[i]
+        for j, yj in ys:
+            terms = nzi[j]
+            if terms:
+                xy = xi * yj
+                for k, c in terms:
+                    out[k] += xy * c
     return tuple(out)
 
 
 def ad_matrix(L: LieAlgebra, x) -> Mat:
     """Matrix of ad_x = [x, -] in the defining basis (columns are images)."""
     x = vec(x)
-    cols = []
-    for j in range(L.dim):
-        col = [Fraction(0)] * L.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for k in range(L.dim):
-                col[k] += xi * L.c[i][j][k]
-        cols.append(col)
-    return Mat.from_cols(cols)
+    n = L.dim
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, terms in enumerate(L.nz[i]):
+            for k, c in terms:
+                rows[k][j] += xi * c
+    return Mat(rows, n)
 
 
 @dataclass(frozen=True)
@@ -90,23 +104,43 @@ class Report:
     jacobi_failures: tuple  # triples (i, j, k) with nonzero jacobiator
 
 
+def _jacobi_failures(L: LieAlgebra) -> tuple:
+    """Triples i < j < k with a nonzero jacobiator, from the nonzeros of c.
+
+    The jacobiator of (i, j, k) is the sum over the rotations (t, a, b) of
+    (i, j, k) of [e_t, [e_a, e_b]], whose l-component is
+    sum_m c[a][b][m] c[t][m][l].  Each nonzero product is visited once, from
+    the inner pair (a, b) and the outer index t, and credited to the sorted
+    triple when (t, a, b) is a rotation of it.
+    """
+    n = L.dim
+    nz = L.nz
+    # m -> outer indices t with a nonzero [e_t, e_m], and those terms
+    outer = [[(t, nz[t][m]) for t in range(n) if nz[t][m]] for m in range(n)]
+    sums = {}
+    for a in range(n):
+        for b in range(n):
+            for m, cab in nz[a][b]:
+                for t, terms in outer[m]:
+                    if t < a < b or a < b < t or b < t < a:
+                        key = tuple(sorted((t, a, b)))
+                        acc = sums.setdefault(key, {})
+                        for l, ctm in terms:
+                            acc[l] = acc.get(l, 0) + cab * ctm
+    return tuple(sorted(key for key, acc in sums.items() if any(acc.values())))
+
+
 def validate(L: LieAlgebra) -> Report:
-    anti = []
-    for i in range(L.dim):
-        for j in range(i, L.dim):
-            if any(L.c[i][j][k] != -L.c[j][i][k] for k in range(L.dim)):
-                anti.append((i, j))
-    jac = []
-    e = Mat.identity(L.dim).entries
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            for k in range(j + 1, L.dim):
-                d1 = bracket(L, e[i], bracket(L, e[j], e[k]))
-                d2 = bracket(L, e[j], bracket(L, e[k], e[i]))
-                d3 = bracket(L, e[k], bracket(L, e[i], e[j]))
-                if any(a + b + c != 0 for a, b, c in zip(d1, d2, d3)):
-                    jac.append((i, j, k))
-    return Report(not anti and not jac, tuple(anti), tuple(jac))
+    n = L.dim
+    nz = L.nz
+    anti = [
+        (i, j)
+        for i in range(n)
+        for j in range(i, n)
+        if nz[i][j] != tuple((k, -x) for k, x in nz[j][i])
+    ]
+    jac = _jacobi_failures(L)
+    return Report(not anti and not jac, tuple(anti), jac)
 
 
 @dataclass(frozen=True)
@@ -149,11 +183,24 @@ def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
         inverse(A)
     except ValueError:
         raise NotAnAutomorphism("generator is singular") from None
-    e = Mat.identity(L.dim).entries
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            lhs = A @ bracket(L, e[i], e[j])
-            rhs = bracket(L, A.col(i), A.col(j))
+    n = L.dim
+    nz = L.nz
+    cols = [tuple((k, x) for k, x in enumerate(col) if x) for col in A.T.entries]
+    for i in range(n):
+        for j in range(i + 1, n):
+            # A[e_i, e_j] against [A e_i, A e_j], both from nonzeros only
+            lhs = [Fraction(0)] * n
+            for m, c in nz[i][j]:
+                for k, a in cols[m]:
+                    lhs[k] += c * a
+            rhs = [Fraction(0)] * n
+            for p, api in cols[i]:
+                for q, aqj in cols[j]:
+                    terms = nz[p][q]
+                    if terms:
+                        w = api * aqj
+                        for k, c in terms:
+                            rhs[k] += w * c
             if lhs != rhs:
                 raise NotAnAutomorphism(
                     f"A[e{i + 1}, e{j + 1}] != [Ae{i + 1}, Ae{j + 1}]"
@@ -161,6 +208,21 @@ def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
     for v in h.basis:
         if not h.contains(A @ v):
             raise GeneratorMovesH("generator does not preserve the isotropy subalgebra")
+
+
+def greedy_complement(space: Subspace) -> tuple:
+    """Standard-basis indices completing `space` to the ambient, scanned greedily.
+
+    The scan keeps e_j when it lies outside space + span(e_0, ..., e_{j-1}).
+    That happens exactly when column j is not a pivot of the basis reduced
+    with its columns in reverse order, so one elimination gives the answer.
+    """
+    n = space.ambient
+    if not space.dim:
+        return tuple(range(n))
+    _, pivots = rref(Mat([v[::-1] for v in space.basis]))
+    taken = {n - 1 - p for p in pivots}
+    return tuple(j for j in range(n) if j not in taken)
 
 
 def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement_indices=None) -> IsotropyModel:
@@ -176,15 +238,7 @@ def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement
 
     e = Mat.identity(n).entries
     if complement_indices is None:
-        chosen = []
-        span = h
-        for j in range(n):
-            if span.dim == n:
-                break
-            if not span.contains(e[j]):
-                chosen.append(j)
-                span = span.sum(Subspace.from_vectors(n, [e[j]]))
-        complement_indices = tuple(chosen)
+        complement_indices = greedy_complement(h)
     else:
         complement_indices = tuple(complement_indices)
         span = Subspace.from_vectors(n, list(h.basis) + [e[j] for j in complement_indices])
@@ -275,35 +329,56 @@ def wedge2_space(dim) -> tuple:
     return tuple((i, j) for i in range(dim) for j in range(i + 1, dim))
 
 
+def _wedge_rows(A: Mat, terms) -> tuple:
+    """Wedge-square rows built from the sparse rows a of a square A.
+
+    terms(a, i, j) lists vector pairs (u, v) whose wedges u ^ v, summed, give
+    row (i, j); (u ^ v) has entry u_k v_l - u_l v_k at the pair (k, l), so
+    each wedge costs nnz(u) * nnz(v).
+    """
+    if A.rows != A.cols:
+        raise ValueError("wedge-square needs a square operator")
+    a = A.sparse_rows()
+    pairs = wedge2_space(A.rows)
+    index = {pair: t for t, pair in enumerate(pairs)}
+    out = []
+    for i, j in pairs:
+        row = {}
+        for u, v in terms(a, i, j):
+            for k, x in u.items():
+                for l, y in v.items():
+                    if k < l:
+                        t = index[k, l]
+                        row[t] = row.get(t, 0) + x * y
+                    elif k > l:
+                        t = index[l, k]
+                        row[t] = row.get(t, 0) - x * y
+        out.append({t: v for t, v in row.items() if v})
+    return tuple(out)
+
+
+def wedge2_action_rows(A: Mat) -> tuple:
+    """Rows of the wedge-square action of A as {pair index: value} dicts.
+
+    Row (i, j) is (row i of A) ^ (row j of A).
+    """
+    return _wedge_rows(A, lambda a, i, j: ((a[i], a[j]),))
+
+
+def wedge2_derivation_rows(B: Mat) -> tuple:
+    """Rows of the derivation extension of B as {pair index: value} dicts.
+
+    Row (i, j) is b_i ^ e_j + e_i ^ b_j for the rows b of B: the t-linear
+    part of (e_i + t b_i) ^ (e_j + t b_j), i.e. of the action of I + tB.
+    """
+    return _wedge_rows(B, lambda b, i, j: ((b[i], {j: 1}), ({i: 1}, b[j])))
+
+
 def wedge2_action(A: Mat) -> Mat:
     """Action of an operator on wedge-square coordinates, e_i^e_j basis."""
-    assert A.rows == A.cols
-    pairs = wedge2_space(A.rows)
-    a = A.entries
-    return Mat(
-        [
-            [a[i][k] * a[j][l] - a[i][l] * a[j][k] for (k, l) in pairs]
-            for (i, j) in pairs
-        ]
-    )
+    return Mat.from_sparse(wedge2_action_rows(A), len(wedge2_space(A.rows)))
 
 
 def wedge2_derivation(B: Mat) -> Mat:
     """Derivation extension of an operator to wedge-square coordinates."""
-    assert B.rows == B.cols
-    pairs = wedge2_space(B.rows)
-    b = B.entries
-
-    def entry(i, j, k, l):
-        v = Fraction(0)
-        if j == l:
-            v += b[i][k]
-        if i == k:
-            v += b[j][l]
-        if j == k:
-            v -= b[i][l]
-        if i == l:
-            v -= b[j][k]
-        return v
-
-    return Mat([[entry(i, j, k, l) for (k, l) in pairs] for (i, j) in pairs])
+    return Mat.from_sparse(wedge2_derivation_rows(B), len(wedge2_space(B.rows)))

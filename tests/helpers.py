@@ -1,13 +1,21 @@
-"""Shared test fixtures: catalog instances, r-matrix enumeration, and a
-seeded generator of randomized quotient instances."""
+"""Shared test fixtures: catalog instances, r-matrix enumeration, a seeded
+generator of randomized quotient instances, and plain dense oracles for the
+sparse code paths."""
 
 import random
 from fractions import Fraction as QQ
 
 from lieps import catalog
-from lieps.exact import Mat, inverse
+from lieps.exact import Mat, Subspace, inverse, kernel
 from lieps.invariants import invariant_bivectors
-from lieps.liecore import bracket, make_isotropy, make_lie_algebra
+from lieps.liecore import (
+    bracket,
+    induced_ad_bar,
+    induced_map,
+    make_isotropy,
+    make_lie_algebra,
+    wedge2_space,
+)
 from lieps.ybe import is_r_matrix, make_bivector
 
 CATALOG_ENTRIES = (
@@ -175,3 +183,141 @@ def random_lift_perturbation(rng, iso, rt_mat):
             for j in range(n):
                 out[i][j] += y[i] * x[j] - x[i] * y[j]
     return Mat(tuple(tuple(row) for row in out))
+
+
+# ---------------------------------------------------------------------------
+# dense oracles: the straightforward loops the sparse paths replaced
+
+
+def gauss_jordan_oracle(rows):
+    """Plain-Fraction Gauss-Jordan, no fraction-free tricks.
+
+    Independent of the production kernel; used to cross-check rref.
+    """
+    rows = [[QQ(x) for x in r] for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def kernel_oracle(rows, ncols):
+    """Canonical RREF basis of the nullspace, by Gauss-Jordan twice."""
+    red, pivots = gauss_jordan_oracle(rows) if rows else ([], [])
+    vecs = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [QQ(0)] * ncols
+        v[f] = QQ(1)
+        for t, p in enumerate(pivots):
+            v[p] = -red[t][f]
+        vecs.append(v)
+    if not vecs:
+        return ()
+    basis, piv = gauss_jordan_oracle(vecs)
+    return tuple(tuple(r) for r in basis[: len(piv)])
+
+
+def greedy_complement_scan(space: Subspace) -> tuple:
+    """The one-vector-at-a-time greedy scan: keep e_j when it adds rank."""
+    n = space.ambient
+    e = Mat.identity(n).entries
+    chosen = []
+    span = space
+    for j in range(n):
+        if span.dim == n:
+            break
+        if not span.contains(e[j]):
+            chosen.append(j)
+            span = span.sum(Subspace.from_vectors(n, [e[j]]))
+    return tuple(chosen)
+
+
+def dense_validate(L):
+    """(antisymmetry failures, Jacobi failures) by the dense triple loops."""
+    n = L.dim
+    c = L.c
+    anti = tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(i, n)
+        if any(c[i][j][k] != -c[j][i][k] for k in range(n))
+    )
+
+    def br(x, y):
+        out = [QQ(0)] * n
+        for i in range(n):
+            for j in range(n):
+                if x[i] and y[j]:
+                    for k in range(n):
+                        out[k] += x[i] * y[j] * c[i][j][k]
+        return out
+
+    e = Mat.identity(n).entries
+    jac = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                d1 = br(e[i], br(e[j], e[k]))
+                d2 = br(e[j], br(e[k], e[i]))
+                d3 = br(e[k], br(e[i], e[j]))
+                if any(a + b + z != 0 for a, b, z in zip(d1, d2, d3)):
+                    jac.append((i, j, k))
+    return anti, tuple(jac)
+
+
+def dense_wedge2_action(A: Mat) -> Mat:
+    pairs = wedge2_space(A.rows)
+    a = A.entries
+    return Mat(
+        [[a[i][k] * a[j][l] - a[i][l] * a[j][k] for (k, l) in pairs] for (i, j) in pairs],
+        len(pairs),
+    )
+
+
+def dense_wedge2_derivation(B: Mat) -> Mat:
+    pairs = wedge2_space(B.rows)
+    b = B.entries
+
+    def entry(i, j, k, l):
+        v = QQ(0)
+        if j == l:
+            v += b[i][k]
+        if i == k:
+            v += b[j][l]
+        if j == k:
+            v -= b[i][l]
+        if i == l:
+            v -= b[j][k]
+        return v
+
+    return Mat([[entry(i, j, k, l) for (k, l) in pairs] for (i, j) in pairs], len(pairs))
+
+
+def dense_invariant_bivectors(iso) -> Subspace:
+    """Kernel of the stacked dense blocks: derivations, then A^A - I."""
+    nwedge = len(wedge2_space(iso.quotient_dim))
+    eye = Mat.identity(nwedge)
+    rows = []
+    for u in iso.h_basis.basis:
+        rows += dense_wedge2_derivation(induced_ad_bar(iso.L, iso, u)).entries
+    for A in iso.discrete_generators:
+        rows += (dense_wedge2_action(induced_map(iso, A)) - eye).entries
+    return kernel(Mat(rows, nwedge))

@@ -1,44 +1,15 @@
-import random
-
-import pytest
-
-import lieps.exact
-from lieps._rref_py import rref_int_rows as py_rref
-
-
-def test_backend_constant():
-    assert lieps.exact.BACKEND in ("c", "python")
-
-
-def _random_int_rows(rng, r, c):
-    return [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-
-
-def test_backends_agree_bit_exact():
-    try:
-        from lieps._rref_c import rref_int_rows as c_rref
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(20240817)
-    for _ in range(200):
-        r = rng.randint(1, 7)
-        c = rng.randint(1, 7)
-        m = _random_int_rows(rng, r, c)
-        # rank-deficient inputs too
-        if r > 1 and rng.random() < 0.4:
-            m[-1] = [2 * x for x in m[0]]
-        got_rows, got_piv = c_rref([list(row) for row in m], c)
-        exp_rows, exp_piv = py_rref([list(row) for row in m], c)
-        assert got_piv == exp_piv
-        assert got_rows == exp_rows
+from lieps._rref_py import rref_int_rows
 
 
 def test_pure_python_kernel_stays_integral():
-    # fraction-free updates must divide exactly; a truncating division would
-    # show up as a wrong rref through the Fraction oracle in test_exact, but
-    # check the invariant directly on a known awkward input as well
-    rows, piv = py_rref([[3, 1, 4], [1, 5, 9], [2, 6, 5]], 3)
+    # gcd-scaled updates must stay in Z and leave every returned row with a
+    # nonzero pivot; a truncating division would also show up as a wrong
+    # rref through the Fraction oracle in test_exact
+    m = [{0: 3, 1: 1, 2: 4}, {0: 1, 1: 5, 2: 9}, {}, {0: 2, 1: 6, 2: 5}, {0: 6, 1: 2, 2: 8}]
+    rows, piv = rref_int_rows(m, 3)
     assert piv == [0, 1, 2]
+    assert len(rows) == 3
     for t, c in enumerate(piv):
-        assert all(isinstance(x, int) for x in rows[t])
+        assert all(isinstance(x, int) and x != 0 for x in rows[t].values())
         assert rows[t][c] != 0
+        assert all(p not in rows[t] for p in piv if p != c)

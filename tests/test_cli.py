@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -304,3 +305,30 @@ def test_output_is_deterministic():
     first = run_cli(["scan", "-", "--json"], stdin_text=_doc_text("so4_grassmann"))
     second = run_cli(["scan", "-", "--json"], stdin_text=_doc_text("so4_grassmann"))
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# byte-identical output of the invariant solve and validation, pinned to the
+# digests of the dense-route implementation
+
+PINNED_OUTPUT_SHA256 = {
+    ("heisenberg", 5, "validate", "text"): "8a2cdb406cfd04d213814397359eee765c7f1892d4f839bb1a88392a6c16c063",
+    ("heisenberg", 5, "validate", "json"): "a46369c6833addbc4660249ced812134b4a924fefafefff06f80cabd9d865874",
+    ("heisenberg", 5, "invariants", "text"): "53ed2d05aac8901dff197c1dcc31f9909fa2757d2b76646b0025fb0a1a4351b0",
+    ("heisenberg", 5, "invariants", "json"): "caf7635a055752c9abafbb7ebccd9d35355a07a83f283d4f67085e96900f9589",
+    ("abelian", 16, "validate", "text"): "083eae17ffd8ca54f8d91e69b02e84689abcb7fb24ba0281d09499c8a4327015",
+    ("abelian", 16, "validate", "json"): "a46369c6833addbc4660249ced812134b4a924fefafefff06f80cabd9d865874",
+    ("abelian", 16, "invariants", "text"): "ae1003380d2f78cdf24620868d4c314d4aa113af198eff220a14ceedc56eda7a",
+    ("abelian", 16, "invariants", "json"): "96107b2d60de2915b69e34baa9d01f92651e741467806be1b5780f9c7918f781",
+}
+
+
+@pytest.mark.parametrize("name,n", [("heisenberg", 5), ("abelian", 16)])
+def test_validate_and_invariants_output_is_pinned(name, n):
+    doc = _doc_text(name, n=n)
+    for cmd in ("validate", "invariants"):
+        for fmt in ("text", "json"):
+            code, out, err = run_cli([cmd, "-", "--format", fmt], doc)
+            assert code == 0, err
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == PINNED_OUTPUT_SHA256[(name, n, cmd, fmt)], (name, n, cmd, fmt)

@@ -1,39 +1,13 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import gauss_jordan_oracle, kernel_oracle
 from lieps.errors import NoSolution
-from lieps.exact import Mat, Subspace, dot, inverse, kernel, rref, solve
-
-
-def gauss_jordan_oracle(rows):
-    """Plain-Fraction Gauss-Jordan, no fraction-free tricks.
-
-    Independent of the production kernel; used to cross-check rref.
-    """
-    rows = [[F(x) for x in r] for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+from lieps.exact import Mat, Subspace, dot, inverse, kernel, kernel_of_rows, rref, solve
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -204,3 +178,100 @@ def test_solve_consistency(m):
     b = m @ x
     got = solve(m, b)
     assert m @ got == tuple(b)
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel on the shapes the invariant solve produces: tall,
+# mostly zero, rank-deficient, with denominators, repeated and zero rows
+
+@st.composite
+def tall_sparse_matrices(draw):
+    # a drawn Random builds the whole matrix: one hypothesis draw per cell
+    # would dominate the run time at 40 x 8
+    rng = draw(st.randoms(use_true_random=False))
+    c = rng.randint(1, 8)
+
+    def entry():
+        if rng.random() < 0.7:
+            return F(0)
+        return F(rng.randint(-20, 20), rng.randint(1, 12))
+
+    nrows = rng.randint(1, 40)
+    if rng.random() < 0.5:
+        rows = [[entry() for _ in range(c)] for _ in range(nrows)]
+    else:
+        # rank at most k < c: sparse combinations of k sparse base rows
+        base = [[entry() for _ in range(c)] for _ in range(rng.randint(0, c - 1))]
+        rows = []
+        for _ in range(nrows):
+            row = [F(0)] * c
+            for b in base:
+                w = entry()
+                if w:
+                    row = [x + w * y for x, y in zip(row, b)]
+            rows.append(row)
+    for _ in range(rng.randint(0, 4)):
+        src = rows[rng.randrange(len(rows))]
+        scale = rng.choice([F(1), F(-2), F(3, 7), F(0)])
+        rows.insert(rng.randint(0, len(rows)), [scale * x for x in src])
+    return Mat(rows, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_sparse_matrices())
+def test_sparse_rref_matches_fraction_oracle(m):
+    red, pivots = rref(m)
+    expect_rows, expect_pivots = gauss_jordan_oracle(m.entries)
+    assert pivots == expect_pivots
+    assert red == Mat(expect_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_sparse_matrices())
+def test_sparse_kernel_matches_fraction_oracle(m):
+    assert kernel(m).basis == kernel_oracle(m.entries, m.cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_sparse_matrices(), st.booleans())
+def test_kernel_of_rows_matches_dense_kernel(m, as_ints):
+    rows = []
+    for r in m.entries:
+        row = {j: x for j, x in enumerate(r) if x}
+        if as_ints:
+            # integer scalings of the same rows, given as plain ints
+            lcm = 1
+            for x in row.values():
+                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+            row = {j: int(x * lcm) for j, x in row.items()}
+        rows.append(row)
+    got = kernel_of_rows(rows, m.cols)
+    assert got == kernel(m)
+    assert got.ambient == m.cols
+
+
+def test_full_subspace_is_the_canonical_identity():
+    for n in (0, 1, 4):
+        full = Subspace.full(n)
+        assert full == Subspace.from_vectors(n, Mat.identity(n).entries)
+        assert full.pivots == tuple(range(n))
+    assert kernel_of_rows([], 3) == Subspace.full(3)
+    assert kernel_of_rows([{}, {1: 0}], 2) == Subspace.full(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_sparse_matrices(), st.randoms(use_true_random=False))
+def test_sparse_matmul_matches_entry_sums(a, rng):
+    cols = rng.randint(0, 5)
+
+    def entry():
+        return F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.4 else F(0)
+
+    b = Mat([[entry() for _ in range(cols)] for _ in range(a.cols)], cols)
+    expect = [
+        [sum((a[i][t] * b[t][j] for t in range(a.cols)), F(0)) for j in range(cols)]
+        for i in range(a.rows)
+    ]
+    got = a @ b
+    assert got == Mat(expect, cols)
+    assert (got.rows, got.cols) == (a.rows, cols)

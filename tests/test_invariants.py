@@ -3,8 +3,8 @@ from fractions import Fraction as QQ
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import instance
-from lieps.exact import Mat
+from helpers import dense_invariant_bivectors, instance, random_instances
+from lieps.exact import Mat, kernel
 from lieps.invariants import (
     bivector_coords_from_matrix,
     bivector_matrix_from_coords,
@@ -13,7 +13,7 @@ from lieps.invariants import (
     fixed_vectors,
     invariant_bivectors,
 )
-from lieps.liecore import induced_ad_bar, make_isotropy, wedge2_space
+from lieps.liecore import induced_ad_bar, induced_map, make_isotropy, wedge2_space
 
 
 def V(*xs):
@@ -30,6 +30,11 @@ def test_bivector_coordinate_roundtrip(coords):
     m = bivector_matrix_from_coords(4, coords)
     assert m.is_skew()
     assert bivector_coords_from_matrix(m) == coords
+
+
+def test_bivector_coords_reject_non_skew_matrix():
+    with pytest.raises(ValueError, match="skew"):
+        bivector_coords_from_matrix(Mat([[0, 1], [1, 0]]))
 
 
 def test_bivector_matrix_sign_convention():
@@ -150,3 +155,51 @@ def test_invariant_r_intertwines_coadjoint_and_adjoint(name, params):
                 lhs = r_mat @ ab.apply_T(alpha)
                 rhs = tuple(-x for x in (ab @ (r_mat @ alpha)))
                 assert tuple(lhs) == rhs
+
+
+# ---------------------------------------------------------------------------
+# the sparse invariant solve against the dense stacked blocks it replaced
+
+BUILTINS_WITH_ISOTROPY = [
+    ("heisenberg", {"n": 1}),
+    ("heisenberg", {"n": 2}),
+    ("heisenberg", {"n": 3}),
+    ("iso11", None),
+    ("so4_grassmann", None),
+    ("gl_sym", {"n": 2}),
+    ("gl_sym", {"n": 3}),
+    ("double", {"of": "heisenberg", "n": 1}),
+    ("double", {"of": "heisenberg", "n": 2}),
+    ("double", {"of": "iso11"}),
+    ("double", {"of": "gl_sym", "n": 2}),
+]
+
+
+def _dense_fixed(n, infinitesimal, discrete):
+    eye = Mat.identity(n)
+    rows = [r for M in infinitesimal for r in M.entries]
+    rows += [r for A in discrete for r in (A - eye).entries]
+    return kernel(Mat(rows, n))
+
+
+def _check_against_dense(iso):
+    assert invariant_bivectors(iso).basis == dense_invariant_bivectors(iso)
+    ads = [induced_ad_bar(iso.L, iso, u) for u in iso.h_basis.basis]
+    gens = [induced_map(iso, A) for A in iso.discrete_generators]
+    n = iso.quotient_dim
+    assert fixed_vectors(n, ads, gens) == _dense_fixed(n, ads, gens)
+    assert fixed_quotient_covectors(iso) == _dense_fixed(
+        n, [M.T for M in ads], [A.T for A in gens]
+    )
+
+
+@pytest.mark.parametrize("name,params", BUILTINS_WITH_ISOTROPY)
+def test_sparse_invariant_solve_matches_dense_on_builtins(name, params):
+    _, iso = instance(name, params)
+    assert iso.h_basis.dim > 0 or iso.discrete_generators
+    _check_against_dense(iso)
+
+
+def test_sparse_invariant_solve_matches_dense_on_random_quotients():
+    for _, _, iso, _ in random_instances(seed=4242, count=40):
+        _check_against_dense(iso)

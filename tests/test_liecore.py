@@ -1,22 +1,29 @@
 from fractions import Fraction as QQ
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import instance
+from helpers import (
+    dense_validate,
+    dense_wedge2_action,
+    dense_wedge2_derivation,
+    greedy_complement_scan,
+    instance,
+)
 from lieps.errors import (
     GeneratorMovesH,
     NotAnAutomorphism,
     NotASubalgebra,
     NotInH,
 )
-from lieps.exact import Mat
+from lieps.exact import Mat, Subspace
 from lieps.liecore import (
     LieAlgebra,
     ad_matrix,
     bracket,
     covector_to_ann,
     ann_to_covector,
+    greedy_complement,
     induced_ad_bar,
     induced_map,
     is_reductive_complement,
@@ -249,3 +256,113 @@ def test_wedge2_derivation_is_linearization(B):
     plus = wedge2_action(eye + B)
     minus = wedge2_action(eye - B)
     assert (plus - minus).scale(QQ(1, 2)) == wedge2_derivation(B)
+
+
+# mostly zero, sometimes sparse-but-larger squares: the sparse builders read
+# only nonzeros, so the zero pattern is what needs exercising
+sparse_entries = st.one_of(st.just(QQ(0)), st.just(QQ(0)), small_entries)
+
+
+def _sparse_square(n):
+    return st.lists(
+        st.lists(sparse_entries, min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(lambda rows: Mat(tuple(tuple(r) for r in rows)))
+
+
+@given(st.integers(0, 5).flatmap(_sparse_square))
+def test_sparse_wedge2_blocks_match_dense_formulas(A):
+    assert wedge2_action(A) == dense_wedge2_action(A)
+    assert wedge2_derivation(A) == dense_wedge2_derivation(A)
+
+
+def test_wedge2_blocks_reject_non_square():
+    with pytest.raises(ValueError):
+        wedge2_action(Mat([[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(ValueError):
+        wedge2_derivation(Mat([[1, 2, 3], [4, 5, 6]]))
+
+
+# ---------------------------------------------------------------------------
+# the sparse structure table against the dense triple loops, on tables that
+# need not be antisymmetric or satisfy Jacobi
+
+
+@st.composite
+def raw_tables(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(1, 5)
+    density = rng.choice([0.1, 0.3, 0.6])
+
+    def entry():
+        return QQ(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < density else QQ(0)
+
+    if rng.random() < 0.5:
+        # an arbitrary table, built directly: antisymmetry usually fails too
+        c = tuple(
+            tuple(tuple(entry() for _ in range(n)) for _ in range(n)) for _ in range(n)
+        )
+        return LieAlgebra(n, tuple(f"e{i + 1}" for i in range(n)), c)
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coeffs = {k: entry() for k in range(n)}
+            brackets[(i, j)] = {k: v for k, v in coeffs.items() if v}
+    return make_lie_algebra(n, brackets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_tables())
+def test_sparse_validate_matches_dense_triple_loop(L):
+    anti, jac = dense_validate(L)
+    rep = validate(L)
+    assert rep.antisymmetry_failures == anti
+    assert rep.jacobi_failures == jac
+    assert rep.ok == (not anti and not jac)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_tables(), st.randoms(use_true_random=False))
+def test_sparse_bracket_and_ad_matrix_read_c(L, rng):
+    n = L.dim
+    x = tuple(QQ(rng.randint(-2, 2)) for _ in range(n))
+    y = tuple(QQ(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n))
+    dense = tuple(
+        sum((x[i] * y[j] * L.c[i][j][k] for i in range(n) for j in range(n)), QQ(0))
+        for k in range(n)
+    )
+    assert bracket(L, x, y) == dense
+    assert ad_matrix(L, x) @ y == dense
+
+
+def test_validate_reports_failures_of_a_raw_table():
+    # c[0][1] = e3 with c[1][0] = 0: one antisymmetry failure, no triple
+    zero = (QQ(0),) * 3
+    c = [[list(zero) for _ in range(3)] for _ in range(3)]
+    c[0][1][2] = QQ(1)
+    L = LieAlgebra(3, ("a", "b", "c"), tuple(tuple(tuple(r) for r in p) for p in c))
+    rep = validate(L)
+    assert rep.antisymmetry_failures == ((0, 1),)
+    assert rep.jacobi_failures == ()
+    # the sparse view comes from c as given, not from an antisymmetric completion
+    assert L.nz[0][1] == ((2, QQ(1)),) and L.nz[1][0] == ()
+
+
+# ---------------------------------------------------------------------------
+# one elimination gives the greedy complement
+
+
+@st.composite
+def subspaces(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(0, 7)
+    vecs = [
+        [QQ(rng.randint(-2, 2)) if rng.random() < 0.4 else QQ(0) for _ in range(n)]
+        for _ in range(rng.randint(0, n + 1))
+    ]
+    return Subspace.from_vectors(n, vecs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspaces())
+def test_greedy_complement_matches_the_scan(space):
+    assert greedy_complement(space) == greedy_complement_scan(space)

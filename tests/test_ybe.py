@@ -226,8 +226,13 @@ def test_bivector_skew_check_survives_optimize_flag():
         "from lieps.exact import Mat\n"
         "from lieps.ybe import Bivector\n"
         "_, iso = realize(builtin('heisenberg', {'n': 1}))\n"
+        "from lieps.invariants import bivector_coords_from_matrix\n"
         "try:\n"
         "    Bivector(iso, Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+        "try:\n"
+        "    bivector_coords_from_matrix(Mat([[0, 1], [1, 0]]))\n"
         "except ValueError:\n"
         "    print('rejected')\n"
     )
@@ -237,7 +242,7 @@ def test_bivector_skew_check_survives_optimize_flag():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "rejected"
+    assert out.stdout.split() == ["rejected", "rejected"]
 
 
 def test_canonical_lift_supported_on_complement_coordinates():

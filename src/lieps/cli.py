@@ -9,6 +9,7 @@ documents, bad expressions, usage errors).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -28,7 +29,7 @@ from .exact import Mat
 from .foliation import leaf_cocycle, leaf_decomposition
 from .invariants import invariant_bivectors
 from .liecore import validate, wedge2_space
-from .ybe import is_r_matrix, make_bivector, yang_baxter_tensor
+from .ybe import is_r_matrix, make_bivector
 
 
 class _Usage(Exception):
@@ -258,7 +259,7 @@ def _emit(payload, text_lines, fmt):
 
 def _cmd_validate(args, stdin_text):
     doc = _load(args.file, stdin_text)
-    L, iso = catalog.realize(doc)
+    L, _ = catalog.realize(doc)
     report = validate(L)
     payload = {
         "ok": report.ok,
@@ -275,7 +276,7 @@ def _cmd_validate(args, stdin_text):
 
 def _cmd_invariants(args, stdin_text):
     doc = _load(args.file, stdin_text)
-    L, iso = catalog.realize(doc)
+    _, iso = catalog.realize(doc)
     inv = invariant_bivectors(iso)
     qlabels = _quotient_labels(doc, iso)
     pretty = [format_bivector(qlabels, v) for v in inv.basis.basis]
@@ -291,12 +292,11 @@ def _cmd_invariants(args, stdin_text):
 
 def _cmd_ybe(args, stdin_text):
     doc = _load(args.file, stdin_text)
-    L, iso = catalog.realize(doc)
+    _, iso = catalog.realize(doc)
     qlabels = _quotient_labels(doc, iso)
     coords = parse_bivector_expr(args.r, qlabels)
     r = make_bivector(iso, coords)
-    tensor = yang_baxter_tensor(r)
-    nonzero = tensor.nonzero_entries()
+    nonzero = r.tensor.nonzero_entries()
     payload = {
         "r": format_bivector(qlabels, coords),
         "r_matrix": not nonzero,
@@ -316,7 +316,7 @@ def _cmd_ybe(args, stdin_text):
 
 def _cmd_scan(args, stdin_text):
     doc = _load(args.file, stdin_text)
-    L, iso = catalog.realize(doc)
+    _, iso = catalog.realize(doc)
     inv = invariant_bivectors(iso)
     qlabels = _quotient_labels(doc, iso)
     rows = []
@@ -350,7 +350,7 @@ def _cmd_scan(args, stdin_text):
 
 def _cmd_leaf(args, stdin_text):
     doc = _load(args.file, stdin_text)
-    L, iso = catalog.realize(doc)
+    _, iso = catalog.realize(doc)
     qlabels = _quotient_labels(doc, iso)
     coords = parse_bivector_expr(args.r, qlabels)
     r = make_bivector(iso, coords)
@@ -455,6 +455,8 @@ def _cmd_example(args, stdin_text):
     return 0, catalog.emit(doc)
 
 
+# parse_args leaves no state on the parser, so one parser serves every call
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="lieps", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

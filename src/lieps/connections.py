@@ -16,19 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ClosureFailure, NotAnFConnection, NotAnRMatrix, NotReductive
-from .exact import (
-    Mat,
-    Subspace,
-    column_space,
-    dot,
-    inverse,
-    kernel,
-    solve,
-    vec,
-    vsub,
-    zero_vec,
-)
+from .errors import ClosureFailure, NotAnFConnection, NotReductive
+from .exact import Mat, Subspace, dot, inverse, kernel, solve, vec, vsub, zero_vec
+from .foliation import _coords_matrix, _omega_matrix
 from .liecore import (
     IsotropyModel,
     LieAlgebra,
@@ -38,8 +28,9 @@ from .liecore import (
     induced_ad_bar,
     induced_map,
     is_reductive_complement,
+    m_bracket,
 )
-from .ybe import Bivector, is_r_matrix
+from .ybe import Bivector, require_r_matrix
 
 
 @dataclass(frozen=True)
@@ -99,16 +90,12 @@ def mstar_bracket(pair: ReductivePair, r: Bivector, alpha, beta) -> tuple:
 
 def check_reductive_r_matrix(pair: ReductivePair, r: Bivector) -> bool:
     """Sharp intertwines [.,.]_r with [.,.]_m on all m*-basis pairs."""
-    iso = pair.iso
     n = pair.dim_m
     eps = Mat.identity(n).entries
     for a in range(n):
         for b in range(a + 1, n):
             lhs = r.r_mat @ mstar_bracket(pair, r, eps[a], eps[b])
-            rhs = iso.q_matrix @ bracket(
-                pair.L, sharp_m(iso, r, eps[a]), sharp_m(iso, r, eps[b])
-            )
-            if tuple(lhs) != tuple(rhs):
+            if lhs != m_bracket(pair.iso, r.r_mat.col(a), r.r_mat.col(b)):
                 return False
     return True
 
@@ -254,7 +241,6 @@ def ad_invariance_check(b: ConnectionMap, pair: ReductivePair) -> bool:
 
 def is_f_connection(b: ConnectionMap, r: Bivector) -> bool:
     """True when b_eta = 0 for every eta in the kernel of the sharp map."""
-    n = b.dim
     for kappa in kernel(r.r_mat).basis:
         if not b.matrix_for(kappa).is_zero():
             return False
@@ -305,7 +291,7 @@ def f_connection_to_nomizu(b: ConnectionMap, r: Bivector) -> NomizuMap:
         raise NotAnFConnection("b_eta must vanish for eta in ker(sharp)")
     pair = b.pair
     n = pair.dim_m
-    im = column_space(r.r_mat)
+    im = r.image
     vidx = greedy_complement(im)
     proj = _projector_onto(im, vidx)
     e = Mat.identity(n).entries
@@ -323,7 +309,6 @@ def f_connection_to_nomizu(b: ConnectionMap, r: Bivector) -> NomizuMap:
 def nomizu_to_contravariant(psi: NomizuMap, r: Bivector) -> ConnectionMap:
     """b(eta, xi) = (psi_{eta^#})^T xi, the transpose dictionary."""
     pair = psi.pair
-    n = pair.dim_m
 
     def rule(a, c):
         op = psi.operator_for(r.r_mat @ vec(a))
@@ -360,13 +345,10 @@ def induced_leaf_connection(
     Im(r_#) along the chosen complement inside m; the result does not
     depend on that choice, which the tests verify by swapping complements.
     """
-    if not is_reductive_complement(pair.iso):
-        raise NotReductive("the declared complement is not h-stable")
-    if not is_r_matrix(r):
-        raise NotAnRMatrix("the Yang-Baxter tensor does not vanish")
+    require_r_matrix(r)
     iso = pair.iso
     n = pair.dim_m
-    im = column_space(r.r_mat)
+    im = r.image
     d = im.dim
     if complement_indices is None:
         complement_indices = greedy_complement(im)
@@ -378,45 +360,27 @@ def induced_leaf_connection(
         if span.dim != n or d + len(complement_indices) != n:
             raise ValueError("complement indices do not complete Im(r_#) to m")
     proj = _projector_onto(im, complement_indices)
-    e = Mat.identity(n).entries
 
-    def eta_for(v):
-        # <eta_v, e_a> = omega_r(v, proj(e_a)) = <solve(r, proj(e_a)), v>
-        out = []
-        for a in range(n):
-            w = proj @ e[a]
-            if all(x == 0 for x in w):
-                out.append(Fraction(0))
-            else:
-                out.append(dot(solve(r.r_mat, w), v))
-        return tuple(out)
-
-    etas = [eta_for(w) for w in im.basis]
+    # <eta_v, e_a> = omega_r(v, proj(e_a)) = <xi_a, v> with r_# xi_a = proj(e_a):
+    # row a of X is xi_a, so eta_v = X v
+    X = Mat([solve(r.r_mat, w) if any(w) else zero_vec(n) for w in proj.T.entries], n)
+    etas = [X @ w for w in im.basis]
     br = tuple(
         tuple(tuple(r.r_mat @ b.apply(etas[i], etas[j])) for j in range(d)) for i in range(d)
     )
-    for row in br:
-        for val in row:
-            if not im.contains(val):
-                raise ClosureFailure("b^r must land in the leaf direction")
-
-    def m_bracket(x, y):
-        return iso.q_matrix @ bracket(pair.L, iso.s_matrix @ x, iso.s_matrix @ y)
-
-    def omega_im(x, y):
-        return dot(solve(r.r_mat, vec(y)), vec(x))
+    # B[i] holds the Im(r_#)-coordinates of b^r(w_i, w_j) in column j
+    leaves = ClosureFailure("b^r must land in the leaf direction")
+    B = [_coords_matrix(im, row, leaves) for row in br]
 
     torsionless = all(
-        vsub(br[i][j], br[j][i]) == tuple(m_bracket(im.basis[i], im.basis[j]))
+        vsub(br[i][j], br[j][i]) == m_bracket(iso, im.basis[i], im.basis[j])
         for i in range(d)
         for j in range(d)
     )
-    symplectic = all(
-        omega_im(br[i][j], im.basis[k]) + omega_im(im.basis[j], br[i][k]) == 0
-        for i in range(d)
-        for j in range(d)
-        for k in range(d)
-    )
+    # omega_r(b^r(w_i, w_j), w_k) + omega_r(w_j, b^r(w_i, w_k)) is entry
+    # (j, k) of B_i^T omega + omega B_i
+    omega = _omega_matrix(r, im.basis)
+    symplectic = all((Bi.T @ omega + omega @ Bi).is_zero() for Bi in B)
 
     eps = Mat.identity(n).entries
     curvature_zero = all(

@@ -35,7 +35,8 @@ def vec(xs) -> tuple:
 
 
 def dot(a, b) -> Fraction:
-    assert len(a) == len(b)
+    if len(a) != len(b):
+        raise ValueError(f"shape mismatch: dot of lengths {len(a)} and {len(b)}")
     acc = Fraction(0)
     for x, y in zip(a, b):
         # most entries on the hot path are zero; skip their products
@@ -142,11 +143,13 @@ class Mat:
         return hash(self.entries)
 
     def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in +")
         return Mat([vadd(a, b) for a, b in zip(self.entries, other.entries)], self.cols)
 
     def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in -")
         return Mat([vsub(a, b) for a, b in zip(self.entries, other.entries)], self.cols)
 
     def __neg__(self):
@@ -157,7 +160,8 @@ class Mat:
 
     def __matmul__(self, other):
         if isinstance(other, Mat):
-            assert self.cols == other.rows, "shape mismatch"
+            if self.cols != other.rows:
+                raise ValueError(f"shape mismatch: {self.cols} columns @ {other.rows} rows")
             # row i of the product sums x * (row k of other) over the nonzeros
             # x = self[i][k], so only nonzero products are formed
             other_rows = other.sparse_rows()
@@ -172,13 +176,15 @@ class Mat:
             return Mat(out, other.cols)
         # vector on the right
         v = vec(other)
-        assert self.cols == len(v), "shape mismatch"
+        if self.cols != len(v):
+            raise ValueError(f"shape mismatch: {self.cols} columns @ length {len(v)}")
         return tuple(dot(r, v) for r in self.entries)
 
     def apply_T(self, v) -> tuple:
         """Multiply the transpose by a vector without materializing it."""
         v = vec(v)
-        assert self.rows == len(v)
+        if self.rows != len(v):
+            raise ValueError(f"shape mismatch: {self.rows} rows @ length {len(v)}")
         return tuple(dot(self.col(j), v) for j in range(self.cols))
 
     def is_zero(self) -> bool:
@@ -229,7 +235,8 @@ def rref(m: Mat):
 def inverse(m: Mat) -> Mat:
     """Exact inverse; raises ValueError on a singular input."""
     n = m.rows
-    assert n == m.cols
+    if n != m.cols:
+        raise ValueError(f"inverse of a non-square {n}x{m.cols} matrix")
     aug = Mat([list(m.entries[i]) + [Fraction(i == j) for j in range(n)] for i in range(n)])
     red, pivots = rref(aug)
     if pivots != list(range(n)):
@@ -374,7 +381,8 @@ def solve(m: Mat, b):
     Raises NoSolution when b is outside the column space.
     """
     b = vec(b)
-    assert len(b) == m.rows
+    if len(b) != m.rows:
+        raise ValueError(f"shape mismatch: {m.rows} rows, right-hand side of length {len(b)}")
     aug = Mat([list(r) + [bb] for r, bb in zip(m.entries, b)])
     red, pivots = rref(aug)
     if m.cols in pivots:

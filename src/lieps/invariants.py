@@ -32,7 +32,8 @@ def bivector_matrix_from_coords(dim, coords) -> Mat:
     """
     pairs = wedge2_space(dim)
     coords = vec(coords)
-    assert len(coords) == len(pairs)
+    if len(coords) != len(pairs):
+        raise ValueError(f"expected {len(pairs)} wedge coordinates, got {len(coords)}")
     m = [[Fraction(0)] * dim for _ in range(dim)]
     for (i, j), c in zip(pairs, coords):
         m[j][i] += c

@@ -12,10 +12,10 @@ downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 
-from .errors import GeneratorMovesH, NotAnAutomorphism, NotASubalgebra, NotInH
+from .errors import GeneratorMovesH, NoSolution, NotAnAutomorphism, NotASubalgebra, NotInH
 from .exact import Mat, Subspace, inverse, kernel, rref, vec
 
 
@@ -26,8 +26,8 @@ class LieAlgebra:
     c: tuple  # c[i][j][k] = coefficient of e_k in [e_i, e_j]
 
     def __post_init__(self):
-        assert len(self.labels) == self.dim
-        assert len(self.c) == self.dim
+        if len(self.labels) != self.dim or len(self.c) != self.dim:
+            raise ValueError(f"labels and structure constants must have length {self.dim}")
 
     @cached_property
     def nz(self) -> tuple:
@@ -95,6 +95,23 @@ def ad_matrix(L: LieAlgebra, x) -> Mat:
             for k, c in terms:
                 rows[k][j] += xi * c
     return Mat(rows, n)
+
+
+def structure_constants(space: Subspace, br, error) -> dict:
+    """Bracket table {(i, j): coordinates of br(b_i, b_j)}, i < j, of a subalgebra.
+
+    b is the RREF basis of space and the coordinates are taken in it;
+    error(i, j) is the exception raised when br(b_i, b_j) leaves the space.
+    """
+    b = space.basis
+    out = {}
+    for i in range(space.dim):
+        for j in range(i + 1, space.dim):
+            try:
+                out[i, j] = space.coords_of(br(b[i], b[j]))
+            except NoSolution:
+                raise error(i, j) from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -166,14 +183,15 @@ class IsotropyModel:
 
 
 def _check_subalgebra(L: LieAlgebra, h: Subspace):
-    for a in range(h.dim):
-        for b in range(a + 1, h.dim):
-            w = bracket(L, h.basis[a], h.basis[b])
-            if not h.contains(w):
-                raise NotASubalgebra(
-                    f"[h{a + 1}, h{b + 1}] leaves the would-be subalgebra",
-                    witness=(h.basis[a], h.basis[b], w),
-                )
+    b = h.basis
+    structure_constants(
+        h,
+        partial(bracket, L),
+        lambda i, j: NotASubalgebra(
+            f"[h{i + 1}, h{j + 1}] leaves the would-be subalgebra",
+            witness=(b[i], b[j], bracket(L, b[i], b[j])),
+        ),
+    )
 
 
 def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
@@ -306,6 +324,11 @@ def project_vector(iso: IsotropyModel, x) -> tuple:
 def lift_vector(iso: IsotropyModel, xbar) -> tuple:
     """Section s applied to quotient coordinates."""
     return iso.s_matrix @ vec(xbar)
+
+
+def m_bracket(iso: IsotropyModel, x, y) -> tuple:
+    """The m-bracket [x, y]_m = q[s x, s y] of two quotient vectors."""
+    return iso.q_matrix @ bracket(iso.L, iso.s_matrix @ x, iso.s_matrix @ y)
 
 
 def is_reductive_complement(iso: IsotropyModel) -> bool:

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 
-from .errors import JacobiFailure, NoSolution, NotAnRMatrix, NotInAnnihilator
-from .exact import Mat, dot, vec, vsub
+from .errors import JacobiFailure, NotAnRMatrix, NotInAnnihilator
+from .exact import Mat, Subspace, column_space, dot, vec, vsub
 from .invariants import (
     bivector_coords_from_matrix,
     bivector_matrix_from_coords,
@@ -34,13 +35,22 @@ from .liecore import (
     LieAlgebra,
     ad_matrix,
     bracket,
+    m_bracket,
     make_lie_algebra,
+    structure_constants,
     validate,
 )
 
 
 @dataclass(frozen=True)
 class Bivector:
+    """A bivector on g/h, stored through its sharp matrix.
+
+    The Yang-Baxter tensor (over the canonical lift) and Im r_# are derived
+    once, on first use, and kept on the instance, so every check that asks
+    about the same bivector shares them.
+    """
+
     iso: IsotropyModel
     r_mat: Mat  # sharp map on quotient coordinates, skew
 
@@ -52,6 +62,16 @@ class Bivector:
     @property
     def coords(self) -> tuple:
         return bivector_coords_from_matrix(self.r_mat)
+
+    @cached_property
+    def tensor(self) -> "YBTensor":
+        """[[r,r]] over the canonical lift."""
+        return yang_baxter_tensor(self)
+
+    @cached_property
+    def image(self) -> Subspace:
+        """Im r_# in quotient coordinates."""
+        return column_space(self.r_mat)
 
 
 def make_bivector(iso: IsotropyModel, coords) -> Bivector:
@@ -197,7 +217,13 @@ def schouten_oracle(lift: Lift) -> YBTensor:
 
 
 def is_r_matrix(r: Bivector) -> bool:
-    return yang_baxter_tensor(r).is_zero()
+    return r.tensor.is_zero()
+
+
+def require_r_matrix(r: Bivector):
+    """Raise NotAnRMatrix unless [[r,r]] vanishes."""
+    if not is_r_matrix(r):
+        raise NotAnRMatrix("the Yang-Baxter tensor does not vanish")
 
 
 def quotient_hcirc(r: Bivector, alpha, beta, lift: Lift = None) -> tuple:
@@ -227,10 +253,9 @@ def is_restricted_r_matrix(r: Bivector) -> bool:
     xs = [sharp(lift, eta) for eta in etas]
     for a, eta in enumerate(etas):
         for b, xi in enumerate(etas):
-            lead = sharp(lift, hcirc_bracket(lift, eta, xi))
-            for c, eps in enumerate(etas):
-                if dot(eps, vsub(lead, bracket(iso.L, xs[a], xs[b]))) != 0:
-                    return False
+            d = vsub(sharp(lift, hcirc_bracket(lift, eta, xi)), bracket(iso.L, xs[a], xs[b]))
+            if any(dot(eps, d) for eps in etas):
+                return False
     return True
 
 
@@ -253,38 +278,29 @@ def fixed_space_lie_algebra(r: Bivector) -> FixedSpaceLieAlgebra:
     The checks guard theorems that must hold for genuine r-matrices; a
     failure is surfaced as JacobiFailure rather than repaired.
     """
-    if not is_r_matrix(r):
-        raise NotAnRMatrix("the Yang-Baxter tensor does not vanish")
+    require_r_matrix(r)
     iso = r.iso
     fixed = fixed_quotient_covectors(iso)
     d = fixed.dim
-    table = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            out = quotient_hcirc(r, fixed.basis[i], fixed.basis[j])
-            try:
-                coeffs = fixed.coords_of(out)
-            except NoSolution:
-                raise JacobiFailure(
-                    "bracket of fixed covectors leaves the fixed subspace"
-                ) from None
-            nz = {k: c for k, c in enumerate(coeffs) if c != 0}
-            if nz:
-                table[(i, j)] = nz
-    algebra = make_lie_algebra(d, table, labels=[f"a{i + 1}" for i in range(d)])
+    table = structure_constants(
+        fixed,
+        partial(quotient_hcirc, r),
+        lambda i, j: JacobiFailure("bracket of fixed covectors leaves the fixed subspace"),
+    )
+    algebra = make_lie_algebra(
+        d, {ij: dict(enumerate(cs)) for ij, cs in table.items()}, [f"a{i + 1}" for i in range(d)]
+    )
     report = validate(algebra)
     if not report.ok:
         raise JacobiFailure(f"Jacobi fails on triples {report.jacobi_failures}")
 
-    # morphism: q(sharp) intertwines [.,.]_r with the quotient bracket on
-    # the fixed vectors, q[s x, s y]
+    # morphism: q(sharp) intertwines [.,.]_r with the m-bracket on the
+    # fixed vectors
+    sharps = [r.r_mat @ f for f in fixed.basis]
     for i in range(d):
         for j in range(d):
             lhs = r.r_mat @ quotient_hcirc(r, fixed.basis[i], fixed.basis[j])
-            xi = iso.s_matrix @ (r.r_mat @ fixed.basis[i])
-            xj = iso.s_matrix @ (r.r_mat @ fixed.basis[j])
-            rhs = iso.q_matrix @ bracket(iso.L, xi, xj)
-            if tuple(lhs) != tuple(rhs):
+            if lhs != m_bracket(iso, sharps[i], sharps[j]):
                 raise JacobiFailure("sharp is not a morphism onto the fixed vectors")
 
     return FixedSpaceLieAlgebra(bivector=r, basis=fixed.basis, algebra=algebra)

@@ -321,3 +321,26 @@ def dense_invariant_bivectors(iso) -> Subspace:
     for A in iso.discrete_generators:
         rows += (dense_wedge2_action(induced_map(iso, A)) - eye).entries
     return kernel(Mat(rows, nwedge))
+
+
+def omega_eval(a: Subspace, omega, x, y):
+    """omega(x, y) for x, y in a, from their coordinates in the RREF basis of a."""
+    cx = a.coords_of(x)
+    cy = a.coords_of(y)
+    return sum(cx[i] * cy[j] * omega[i][j] for i in range(a.dim) for j in range(a.dim))
+
+
+def dense_is_cocycle(L, a: Subspace, omega) -> bool:
+    """Skew omega whose cyclic sum vanishes on every basis triple of a, all d^3."""
+    b = a.basis
+    if not omega.is_skew():
+        return False
+    return all(
+        omega_eval(a, omega, bracket(L, b[i], b[j]), b[k])
+        + omega_eval(a, omega, bracket(L, b[j], b[k]), b[i])
+        + omega_eval(a, omega, bracket(L, b[k], b[i]), b[j])
+        == 0
+        for i in range(a.dim)
+        for j in range(a.dim)
+        for k in range(a.dim)
+    )

@@ -71,6 +71,21 @@ def test_help_exits_zero():
     assert "usage" in out.lower()
 
 
+def test_consecutive_calls_capture_their_own_output():
+    # the parser is built once per process; each call still gets its own
+    # help text on stdout and its own usage error on stderr
+    first = run_cli(["--help"])
+    usage = run_cli(["leaf", "-"])
+    sub_help = run_cli(["leaf", "--help"])
+    again = run_cli(["--help"])
+    assert first == again
+    assert first[0] == 0 and "usage: lieps" in first[1] and first[2] == ""
+    assert usage[0] == 2 and usage[1] == ""
+    assert usage[2] == "lieps leaf: error: the following arguments are required: --r\n"
+    assert sub_help[0] == 0 and "usage: lieps leaf" in sub_help[1] and sub_help[2] == ""
+    assert run_cli(["leaf", "-"]) == usage
+
+
 def test_missing_file_is_parse_error():
     code, out, err = run_cli(["validate", "/nonexistent/path.json"])
     assert code == 2
@@ -229,6 +244,23 @@ def test_leaf_frozen_so4():
 
 # ---------------------------------------------------------------------------
 # connection
+
+
+def test_leaf_evaluates_the_tensor_once(monkeypatch):
+    import lieps.ybe
+
+    calls = []
+    real = lieps.ybe.yang_baxter_tensor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lieps.ybe, "yang_baxter_tensor", counted)
+    text = _doc_text("heisenberg", n=2)
+    code, out, err = run_cli(["leaf", "-", "--r", "u1^w"], stdin_text=text)
+    assert code == 0, err
+    assert len(calls) == 1
 
 
 def test_connection_fedosov_heisenberg():

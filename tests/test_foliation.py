@@ -1,8 +1,10 @@
 from fractions import Fraction as QQ
+from functools import cache, partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import catalog_r_matrices, instance
+from helpers import catalog_r_matrices, dense_is_cocycle, instance, omega_eval
 from lieps.errors import (
     NotACocycle,
     NotAnRMatrix,
@@ -13,6 +15,7 @@ from lieps.errors import (
 )
 from lieps.exact import Mat, Subspace, rref
 from lieps.foliation import (
+    _check_cocycle,
     leaf_algebra,
     leaf_cocycle,
     leaf_decomposition,
@@ -20,22 +23,12 @@ from lieps.foliation import (
     w_omega_pair,
 )
 from lieps.invariants import invariant_bivectors
-from lieps.liecore import bracket, make_isotropy, make_lie_algebra
+from lieps.liecore import bracket, make_isotropy, make_lie_algebra, structure_constants
 from lieps.ybe import make_bivector
 
 
 def V(*xs):
     return tuple(QQ(x) for x in xs)
-
-
-def _omega_eval(a, omega, x, y):
-    cx = a.coords_of(x)
-    cy = a.coords_of(y)
-    return sum(
-        cx[i] * cy[j] * omega[i][j]
-        for i in range(a.dim)
-        for j in range(a.dim)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +92,47 @@ def test_omega_is_ad_invariant_for_h():
         for u in iso.h_basis.basis:
             for x in a.basis:
                 for y in a.basis:
-                    lhs = _omega_eval(a, omega, bracket(L, u, x), y)
-                    rhs = _omega_eval(a, omega, x, bracket(L, u, y))
+                    lhs = omega_eval(a, omega, bracket(L, u, x), y)
+                    rhs = omega_eval(a, omega, x, bracket(L, u, y))
                     assert lhs + rhs == 0
+
+
+@cache
+def _leaves():
+    """(L, a_r, omega_r) for the catalog r-matrices, one per distinct a_r."""
+    out = {}
+    for tag, L, _, r in catalog_r_matrices():
+        out.setdefault((tag, leaf_algebra(r)), (L, leaf_cocycle(r).omega))
+    return [(L, a, omega) for (_, a), (L, omega) in out.items()]
+
+
+def _accepts(C, omega, dim):
+    try:
+        _check_cocycle(C, omega, dim, NotACocycle)
+    except NotACocycle:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_structure_constant_cocycle_check_matches_dense_cyclic_sum(data):
+    L, a, leaf_omega = data.draw(st.sampled_from(_leaves()))
+    d = a.dim
+    # a multiple of the leaf cocycle plus a sparse skew integer perturbation,
+    # so both cocycles and non-cocycles are drawn, and now and then a
+    # diagonal entry that makes omega not skew
+    t = data.draw(st.integers(-2, 2))
+    rows = [[t * leaf_omega[i][j] for j in range(d)] for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            x = data.draw(st.sampled_from((0, 0, 0, 1, -1, 2)))
+            rows[i][j] += x
+            rows[j][i] -= x
+    rows[0][0] += data.draw(st.sampled_from((0, 0, 0, 0, 1)))
+    omega = Mat(rows, d)
+    C = structure_constants(a, partial(bracket, L), lambda i, j: AssertionError("not closed"))
+    assert _accepts(C, omega, d) == dense_is_cocycle(L, a, omega)
 
 
 # ---------------------------------------------------------------------------

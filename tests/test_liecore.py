@@ -138,8 +138,9 @@ def test_greedy_complement_skips_dependent_columns():
 
 def test_not_a_subalgebra_witness():
     L, _ = instance("heisenberg", {"n": 1})
-    with pytest.raises(NotASubalgebra):
+    with pytest.raises(NotASubalgebra) as info:
         make_isotropy(L, [V(1, 0, 0), V(0, 1, 0)])
+    assert info.value.witness == (V(1, 0, 0), V(0, 1, 0), V(0, 0, 1))
 
 
 def test_generator_must_be_automorphism():

@@ -235,6 +235,28 @@ def test_bivector_skew_check_survives_optimize_flag():
         "    bivector_coords_from_matrix(Mat([[0, 1], [1, 0]]))\n"
         "except ValueError:\n"
         "    print('rejected')\n"
+        # shape checks: without them zip truncates silently
+        "from lieps.exact import dot, inverse, solve\n"
+        "from lieps.invariants import bivector_matrix_from_coords\n"
+        "from lieps.liecore import LieAlgebra\n"
+        "m = Mat([[1, 2]])\n"
+        "cases = [\n"
+        "    lambda: dot((1, 2), (1, 2, 3)),\n"
+        "    lambda: m + Mat([[1, 2], [3, 4]]),\n"
+        "    lambda: m - Mat([[1], [2]]),\n"
+        "    lambda: m @ Mat([[1, 2]]),\n"
+        "    lambda: m @ (1, 2, 3),\n"
+        "    lambda: m.apply_T((1, 2)),\n"
+        "    lambda: inverse(m),\n"
+        "    lambda: solve(m, (1, 2)),\n"
+        "    lambda: bivector_matrix_from_coords(3, (1, 2)),\n"
+        "    lambda: LieAlgebra(2, ('a',), ((), ())),\n"
+        "]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        print('accepted', case())\n"
+        "    except ValueError:\n"
+        "        print('rejected')\n"
     )
     src = str(Path(__import__("lieps").__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -242,7 +264,7 @@ def test_bivector_skew_check_survives_optimize_flag():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["rejected", "rejected"]
+    assert out.stdout.split() == ["rejected"] * 12
 
 
 def test_canonical_lift_supported_on_complement_coordinates():

@@ -156,6 +156,9 @@ class _ExprParser:
         pairs = wedge2_space(self.n)
         index = {p: t for t, p in enumerate(pairs)}
         coords = [Fraction(0)] * len(pairs)
+        if [tk for tk, _ in self.tokens] == ["num", "end"] and self.tokens[0][1] == 0:
+            # a lone 0 is the zero bivector, as format_bivector prints it
+            return tuple(coords)
         sign = Fraction(1)
         first = True
         while self.peek() != "end":

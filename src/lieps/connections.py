@@ -9,20 +9,27 @@ symplectic leaf through the base point.
 
 Throughout, covectors live in complement coordinates: m* vectors are plain
 tuples over the quotient basis, and sharps are realized through the section.
+
+Every quantity here is bilinear in two per-bivector tables, built once on
+the Bivector and shared by all checks on it: the n l-operators
+L[a] = l_{eps_a^#} (one ad-matrix each) and the bracket table
+C[a][c] = [eps_a, eps_c]_r.  l_operator, mstar_bracket, the four builders,
+torsion, curvature and Poisson compatibility all read those tables, and
+their values on general covectors are the bilinear combinations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ClosureFailure, NotAnFConnection, NotReductive
-from .exact import Mat, Subspace, dot, inverse, kernel, solve, vec, vsub, zero_vec
+from .exact import Mat, Subspace, dot, inverse, kernel, solve, vadd, vec, vscale, vsub, zero_vec
 from .foliation import _coords_matrix, _omega_matrix
 from .liecore import (
     IsotropyModel,
     LieAlgebra,
-    ad_matrix,
     bracket,
     greedy_complement,
     induced_ad_bar,
@@ -63,38 +70,65 @@ def is_symmetric(pair: ReductivePair) -> bool:
     return pair.symmetric
 
 
-def sharp_m(iso: IsotropyModel, r: Bivector, alpha) -> tuple:
-    """alpha^# realized in g through the section: s(r_# alpha)."""
-    return iso.s_matrix @ (r.r_mat @ vec(alpha))
+def _covector(alpha, n) -> tuple:
+    alpha = vec(alpha)
+    if len(alpha) != n:
+        raise ValueError(f"shape mismatch: covector of length {len(alpha)} on m* of dim {n}")
+    return alpha
+
+
+def _vcomb(coeffs, vectors, n) -> tuple:
+    """sum_a coeffs[a] vectors[a]; a lone unit coefficient returns its vector."""
+    out = None
+    for x, v in zip(coeffs, vectors):
+        if x:
+            term = v if x == 1 else vscale(x, v)
+            out = term if out is None else vadd(out, term)
+    return zero_vec(n) if out is None else out
+
+
+def _mcomb(coeffs, mats, n) -> Mat:
+    """sum_a coeffs[a] mats[a] of n x n matrices, as _vcomb."""
+    out = None
+    for x, m in zip(coeffs, mats):
+        if x:
+            term = m if x == 1 else m.scale(x)
+            out = term if out is None else out + term
+    return Mat.zero(n, n) if out is None else out
+
+
+def _bilinear(table, alpha, beta, n) -> tuple:
+    """sum_{a,c} alpha_a beta_c table[a][c] for a table over the m* basis."""
+    # rows with alpha_a = 0 are never read, so they are not summed
+    rows = [_vcomb(beta, row, n) if x else None for x, row in zip(alpha, table)]
+    return _vcomb(alpha, rows, n)
 
 
 def l_operator(pair: ReductivePair, r: Bivector, alpha) -> Mat:
     """The operator l_{alpha^#}: m -> m, u -> [alpha^#, u]_m."""
-    iso = pair.iso
-    return induced_map(iso, ad_matrix(pair.L, sharp_m(iso, r, alpha)))
+    n = pair.dim_m
+    return _mcomb(_covector(alpha, n), r.l_operators, n)
 
 
 def mstar_bracket(pair: ReductivePair, r: Bivector, alpha, beta) -> tuple:
     """[alpha, beta]_r on m*: transpose of l against the other argument.
 
-    Independent of the h° code path; the agreement of the two routes under
-    the identification alpha -> q^T alpha is a tested theorem, not reused
-    code.
+    Read off the table [eps_a, eps_c]_r = L[c]^T eps_a - L[a]^T eps_c of the
+    bivector.  Independent of the h° code path; the agreement of the two
+    routes under the identification alpha -> q^T alpha is a tested theorem,
+    not reused code.
     """
-    alpha = vec(alpha)
-    beta = vec(beta)
-    la = l_operator(pair, r, alpha)
-    lb = l_operator(pair, r, beta)
-    return vsub(lb.apply_T(alpha), la.apply_T(beta))
+    n = pair.dim_m
+    return _bilinear(r.mstar_table, _covector(alpha, n), _covector(beta, n), n)
 
 
 def check_reductive_r_matrix(pair: ReductivePair, r: Bivector) -> bool:
     """Sharp intertwines [.,.]_r with [.,.]_m on all m*-basis pairs."""
     n = pair.dim_m
-    eps = Mat.identity(n).entries
+    table = r.mstar_table
     for a in range(n):
         for b in range(a + 1, n):
-            lhs = r.r_mat @ mstar_bracket(pair, r, eps[a], eps[b])
+            lhs = r.r_mat @ table[a][b]
             if lhs != m_bracket(pair.iso, r.r_mat.col(a), r.r_mat.col(b)):
                 return False
     return True
@@ -112,42 +146,23 @@ class ConnectionMap:
     def dim(self) -> int:
         return len(self.b)
 
-    def apply(self, alpha, beta) -> tuple:
-        alpha = vec(alpha)
-        beta = vec(beta)
+    @cached_property
+    def mats(self) -> tuple:
+        """M_a with M_a gamma = b(eps_a, gamma); column c of M_a is b[a][c]."""
         n = self.dim
-        out = zero_vec(n)
-        for a, ca in enumerate(alpha):
-            if ca == 0:
-                continue
-            for c, cc in enumerate(beta):
-                if cc == 0:
-                    continue
-                out = tuple(x + ca * cc * y for x, y in zip(out, self.b[a][c]))
-        return out
+        return tuple(Mat.from_cols(plane, n) for plane in self.b)
+
+    def apply(self, alpha, beta) -> tuple:
+        n = self.dim
+        return _bilinear(self.b, _covector(alpha, n), _covector(beta, n), n)
 
     def matrix_for(self, eta) -> Mat:
         """M_eta with M_eta gamma = b(eta, gamma); columns are b(eta, eps_c)."""
-        eta = vec(eta)
         n = self.dim
-        cols = []
-        for c in range(n):
-            col = zero_vec(n)
-            for a, ca in enumerate(eta):
-                if ca != 0:
-                    col = tuple(x + ca * y for x, y in zip(col, self.b[a][c]))
-            cols.append(col)
-        return Mat.from_cols(cols)
+        return _mcomb(_covector(eta, n), self.mats, n)
 
     def is_zero(self) -> bool:
         return all(x == 0 for plane in self.b for row in plane for x in row)
-
-
-def _connection_from_rule(pair, r, rule) -> ConnectionMap:
-    n = pair.dim_m
-    eps = Mat.identity(n).entries
-    b = tuple(tuple(tuple(rule(eps[a], eps[c])) for c in range(n)) for a in range(n))
-    return ConnectionMap(pair=pair, r=r, b=b)
 
 
 def build_connection(kind, pair: ReductivePair, r: Bivector) -> ConnectionMap:
@@ -157,50 +172,76 @@ def build_connection(kind, pair: ReductivePair, r: Bivector) -> ConnectionMap:
     natural:        b(eta, xi) = (1/2)[eta, xi]_r
     left_symmetric: b(eta, xi) = -xi o l_{eta^#}
     fedosov:        b(eta, xi) = (1/3)([eta, xi]_r - xi o l_{eta^#})
+
+    On basis covectors xi o l_{eta^#} is row c of L[a] and [eta, xi]_r is
+    C[a][c], both tables of the bivector.
     """
-    half = Fraction(1, 2)
-    third = Fraction(1, 3)
+    n = pair.dim_m
     if kind == "canonical":
-        rule = lambda a, c: zero_vec(pair.dim_m)
+        zero = zero_vec(n)
+        b = tuple((zero,) * n for _ in range(n))
     elif kind == "natural":
-        rule = lambda a, c: tuple(half * x for x in mstar_bracket(pair, r, a, c))
+        half = Fraction(1, 2)
+        b = tuple(tuple(vscale(half, v) for v in row) for row in r.mstar_table)
     elif kind == "left_symmetric":
-        rule = lambda a, c: tuple(-x for x in l_operator(pair, r, a).apply_T(c))
+        b = tuple(tuple(tuple(-x for x in lrow) for lrow in la.entries) for la in r.l_operators)
     elif kind == "fedosov":
-
-        def rule(a, c):
-            br = mstar_bracket(pair, r, a, c)
-            lc = l_operator(pair, r, a).apply_T(c)
-            return tuple(third * (x - y) for x, y in zip(br, lc))
-
+        third = Fraction(1, 3)
+        b = tuple(
+            tuple(
+                tuple(third * (x - y) for x, y in zip(v, lrow))
+                for v, lrow in zip(row, la.entries)
+            )
+            for row, la in zip(r.mstar_table, r.l_operators)
+        )
     else:
         raise ValueError(f"unknown connection kind {kind!r}")
-    return _connection_from_rule(pair, r, rule)
+    return ConnectionMap(pair=pair, r=r, b=b)
 
 
 def torsion(pair: ReductivePair, r: Bivector, b: ConnectionMap, eta, xi) -> tuple:
-    """T(eta, xi) = b(eta, xi) - b(xi, eta) - [eta, xi]_r."""
-    return vsub(vsub(b.apply(eta, xi), b.apply(xi, eta)), mstar_bracket(pair, r, eta, xi))
+    """T(eta, xi) = b(eta, xi) - b(xi, eta) - [eta, xi]_r.
+
+    On basis covectors: b[a][c] - b[c][a] - C[a][c].
+    """
+    n = b.dim
+    eta = _covector(eta, n)
+    xi = _covector(xi, n)
+    return vsub(
+        vsub(_bilinear(b.b, eta, xi, n), _bilinear(b.b, xi, eta, n)),
+        _bilinear(r.mstar_table, eta, xi, n),
+    )
 
 
 def curvature(pair: ReductivePair, r: Bivector, b: ConnectionMap, eta, xi) -> Mat:
-    """R(eta, xi) = [M_eta, M_xi] - M_{[eta,xi]_r} as an operator on m*."""
-    m_eta = b.matrix_for(eta)
-    m_xi = b.matrix_for(xi)
-    m_br = b.matrix_for(mstar_bracket(pair, r, eta, xi))
+    """R(eta, xi) = [M_eta, M_xi] - M_{[eta,xi]_r} as an operator on m*.
+
+    On basis covectors: M_a M_c - M_c M_a - sum_t C[a][c]_t M_t.
+    """
+    n = b.dim
+    eta = _covector(eta, n)
+    xi = _covector(xi, n)
+    m_eta = _mcomb(eta, b.mats, n)
+    m_xi = _mcomb(xi, b.mats, n)
+    m_br = _mcomb(_bilinear(r.mstar_table, eta, xi, n), b.mats, n)
     return m_eta @ m_xi - m_xi @ m_eta - m_br
 
 
 def poisson_compat_failures(pair: ReductivePair, r: Bivector, b: ConnectionMap) -> tuple:
-    """Basis triples violating r(b(eta,xi),eps) + r(xi, b(eta,eps)) = 0."""
+    """Basis triples violating r(b(eta,xi),eps) + r(xi, b(eta,eps)) = 0.
+
+    With eta, xi, eps = eps_a, eps_c, eps_d the value is entry d of
+    r_# b[a][c] plus <b[a][d], r_# eps_c>, and r_# eps_c is column c of r_#.
+    """
     n = pair.dim_m
-    eps = Mat.identity(n).entries
+    cols = [r.r_mat.col(c) for c in range(n)]
     bad = []
     for a in range(n):
+        plane = b.b[a]
         for c in range(n):
-            lead = r.r_mat @ b.apply(eps[a], eps[c])
+            lead = r.r_mat @ plane[c]
             for d in range(n):
-                val = lead[d] + dot(b.apply(eps[a], eps[d]), r.r_mat @ eps[c])
+                val = lead[d] + dot(plane[d], cols[c])
                 if val != 0:
                     bad.append(((a, c, d), val))
     return tuple(bad)
@@ -215,27 +256,23 @@ def ad_invariance_check(b: ConnectionMap, pair: ReductivePair) -> bool:
 
     Infinitesimal for the connected part: with N = (ad-bar_u)^T,
     b(N eta, xi) + b(eta, N xi) = N b(eta, xi); and for each discrete
-    generator the group form with P = (induced(A)^{-1})^T.
+    generator the group form with P = (induced(A)^{-1})^T.  On eta = eps_a
+    these read M_{N eps_a} + M_a N = N M_a and M_{P eps_a} P = P M_a, column
+    c being the identity at xi = eps_c.
     """
     iso = pair.iso
     n = pair.dim_m
-    eps = Mat.identity(n).entries
+    mats = b.mats
     for u in iso.h_basis.basis:
         N = induced_ad_bar(pair.L, iso, u).T
         for a in range(n):
-            for c in range(n):
-                lhs = tuple(
-                    x + y
-                    for x, y in zip(b.apply(N @ eps[a], eps[c]), b.apply(eps[a], N @ eps[c]))
-                )
-                if lhs != N @ b.apply(eps[a], eps[c]):
-                    return False
+            if b.matrix_for(N.col(a)) + mats[a] @ N != N @ mats[a]:
+                return False
     for A in iso.discrete_generators:
         P = inverse(induced_map(iso, A)).T
         for a in range(n):
-            for c in range(n):
-                if b.apply(P @ eps[a], P @ eps[c]) != P @ b.apply(eps[a], eps[c]):
-                    return False
+            if b.matrix_for(P.col(a)) @ P != P @ mats[a]:
+                return False
     return True
 
 
@@ -272,13 +309,8 @@ class NomizuMap:
     psi: tuple  # of Mat
 
     def operator_for(self, x) -> Mat:
-        x = vec(x)
         n = len(self.psi)
-        out = Mat.zero(n, n)
-        for t, c in enumerate(x):
-            if c != 0:
-                out = out + self.psi[t].scale(c)
-        return out
+        return _mcomb(_covector(x, n), self.psi, n)
 
 
 def f_connection_to_nomizu(b: ConnectionMap, r: Bivector) -> NomizuMap:
@@ -307,14 +339,13 @@ def f_connection_to_nomizu(b: ConnectionMap, r: Bivector) -> NomizuMap:
 
 
 def nomizu_to_contravariant(psi: NomizuMap, r: Bivector) -> ConnectionMap:
-    """b(eta, xi) = (psi_{eta^#})^T xi, the transpose dictionary."""
-    pair = psi.pair
+    """b(eta, xi) = (psi_{eta^#})^T xi, the transpose dictionary.
 
-    def rule(a, c):
-        op = psi.operator_for(r.r_mat @ vec(a))
-        return op.apply_T(c)
-
-    return _connection_from_rule(pair, r, rule)
+    On basis covectors b[a][c] is row c of psi applied to column a of r_#.
+    """
+    n = psi.pair.dim_m
+    b = tuple(psi.operator_for(r.r_mat.col(a)).entries for a in range(n))
+    return ConnectionMap(pair=psi.pair, r=r, b=b)
 
 
 @dataclass(frozen=True)

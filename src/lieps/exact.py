@@ -46,11 +46,12 @@ def dot(a, b) -> Fraction:
 
 
 def vadd(a, b) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    # adding a zero keeps the entry; the hot path is mostly zeros
+    return tuple(x + y if y else x for x, y in zip(a, b))
 
 
 def vsub(a, b) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(x - y if y else x for x, y in zip(a, b))
 
 
 def vscale(c, a) -> tuple:
@@ -90,21 +91,39 @@ class Mat:
                 raise ValueError("ragged rows")
 
     @classmethod
+    def _trusted(cls, rows, cols) -> "Mat":
+        """Wrap rows that are already equal-length tuples of Fractions.
+
+        Used by Mat's own operations, whose results are built from Fractions,
+        so their entries are not coerced and their shape is not checked again.
+        """
+        m = object.__new__(cls)
+        m.entries = rows
+        m.rows = len(rows)
+        m.cols = cols
+        return m
+
+    @classmethod
     def identity(cls, n) -> "Mat":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        one, zero = Fraction(1), Fraction(0)
+        return cls._trusted(
+            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n
+        )
 
     @classmethod
     def zero(cls, r, c) -> "Mat":
-        return cls([[Fraction(0)] * c for _ in range(r)], c)
+        return cls._trusted(((Fraction(0),) * c,) * r, c)
 
     @classmethod
     def from_cols(cls, cols, rows=None) -> "Mat":
         """Matrix with the given columns; rows sizes an empty column list."""
         cols = [vec(c) for c in cols]
         if not cols:
-            return cls([[] for _ in range(rows or 0)])
+            return cls._trusted(((),) * (rows or 0), 0)
         n = len(cols[0])
-        return cls([[c[i] for c in cols] for i in range(n)])
+        if any(len(c) != n for c in cols):
+            raise ValueError("ragged columns")
+        return cls._trusted(tuple(zip(*cols)), len(cols))
 
     @classmethod
     def from_sparse(cls, rows, cols) -> "Mat":
@@ -113,9 +132,9 @@ class Mat:
         for r in rows:
             dense = [Fraction(0)] * cols
             for j, x in r.items():
-                dense[j] = x
-            out.append(dense)
-        return cls(out, cols)
+                dense[j] = _fr(x)
+            out.append(tuple(dense))
+        return cls._trusted(tuple(out), cols)
 
     def sparse_rows(self) -> tuple:
         """Rows as {column: value} dicts of their nonzero entries."""
@@ -132,9 +151,9 @@ class Mat:
 
     @property
     def T(self) -> "Mat":
-        return Mat(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)], self.rows
-        )
+        if not self.entries:
+            return Mat._trusted(((),) * self.cols, 0)
+        return Mat._trusted(tuple(zip(*self.entries)), self.rows)
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.entries == other.entries
@@ -145,18 +164,19 @@ class Mat:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in +")
-        return Mat([vadd(a, b) for a, b in zip(self.entries, other.entries)], self.cols)
+        return Mat._trusted(tuple(map(vadd, self.entries, other.entries)), self.cols)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in -")
-        return Mat([vsub(a, b) for a, b in zip(self.entries, other.entries)], self.cols)
+        return Mat._trusted(tuple(map(vsub, self.entries, other.entries)), self.cols)
 
     def __neg__(self):
-        return Mat([vscale(-1, r) for r in self.entries], self.cols)
+        return Mat._trusted(tuple(tuple(-x for x in r) for r in self.entries), self.cols)
 
     def scale(self, c) -> "Mat":
-        return Mat([vscale(c, r) for r in self.entries], self.cols)
+        c = _fr(c)
+        return Mat._trusted(tuple(vscale(c, r) for r in self.entries), self.cols)
 
     def __matmul__(self, other):
         if isinstance(other, Mat):
@@ -172,8 +192,8 @@ class Mat:
                     if x:
                         for j, y in other_rows[k].items():
                             acc[j] += x * y
-                out.append(acc)
-            return Mat(out, other.cols)
+                out.append(tuple(acc))
+            return Mat._trusted(tuple(out), other.cols)
         # vector on the right
         v = vec(other)
         if self.cols != len(v):
@@ -237,11 +257,11 @@ def inverse(m: Mat) -> Mat:
     n = m.rows
     if n != m.cols:
         raise ValueError(f"inverse of a non-square {n}x{m.cols} matrix")
-    aug = Mat([list(m.entries[i]) + [Fraction(i == j) for j in range(n)] for i in range(n)])
+    aug = Mat._trusted(tuple(r + e for r, e in zip(m.entries, Mat.identity(n).entries)), 2 * n)
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Mat([r[n:] for r in red.entries])
+    return Mat._trusted(tuple(r[n:] for r in red.entries), n)
 
 
 class Subspace:
@@ -383,7 +403,7 @@ def solve(m: Mat, b):
     b = vec(b)
     if len(b) != m.rows:
         raise ValueError(f"shape mismatch: {m.rows} rows, right-hand side of length {len(b)}")
-    aug = Mat([list(r) + [bb] for r, bb in zip(m.entries, b)])
+    aug = Mat._trusted(tuple(r + (bb,) for r, bb in zip(m.entries, b)), m.cols + 1)
     red, pivots = rref(aug)
     if m.cols in pivots:
         raise NoSolution("right-hand side outside column space")

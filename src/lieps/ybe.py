@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 
 from .errors import JacobiFailure, NotAnRMatrix, NotInAnnihilator
-from .exact import Mat, Subspace, column_space, dot, vec, vsub
+from .exact import Mat, Subspace, column_space, dot, vec, vsub, zero_vec
 from .invariants import (
     bivector_coords_from_matrix,
     bivector_matrix_from_coords,
@@ -35,6 +35,7 @@ from .liecore import (
     LieAlgebra,
     ad_matrix,
     bracket,
+    induced_map,
     m_bracket,
     make_lie_algebra,
     structure_constants,
@@ -46,9 +47,10 @@ from .liecore import (
 class Bivector:
     """A bivector on g/h, stored through its sharp matrix.
 
-    The Yang-Baxter tensor (over the canonical lift) and Im r_# are derived
-    once, on first use, and kept on the instance, so every check that asks
-    about the same bivector shares them.
+    The Yang-Baxter tensor (over the canonical lift), Im r_#, the
+    l-operators and the [.,.]_r table on the quotient covector basis are
+    derived once, on first use, and kept on the instance, so every check
+    that asks about the same bivector shares them.
     """
 
     iso: IsotropyModel
@@ -72,6 +74,38 @@ class Bivector:
     def image(self) -> Subspace:
         """Im r_# in quotient coordinates."""
         return column_space(self.r_mat)
+
+    @cached_property
+    def l_operators(self) -> tuple:
+        """L[a] = q ad(s r_# eps_a) s, the operator u -> [eps_a^#, u]_m on m.
+
+        One ad-matrix per basis covector eps_a; l_{alpha^#} is linear in
+        alpha, so every other l-operator is sum_a alpha_a L[a].
+        """
+        iso = self.iso
+        s = iso.s_matrix
+        return tuple(
+            induced_map(iso, ad_matrix(iso.L, s @ self.r_mat.col(a)))
+            for a in range(self.r_mat.rows)
+        )
+
+    @cached_property
+    def mstar_table(self) -> tuple:
+        """C[a][c] = [eps_a, eps_c]_r = L[c]^T eps_a - L[a]^T eps_c.
+
+        L^T eps_a is row a of L.  Built from the ad-matrices of the sharps,
+        never from hcirc_bracket, so the h° route stays an independent check.
+        """
+        ls = self.l_operators
+        n = len(ls)
+        table = [[None] * n for _ in range(n)]
+        for a in range(n):
+            table[a][a] = zero_vec(n)
+            for c in range(a + 1, n):
+                v = vsub(ls[c].row(a), ls[a].row(c))
+                table[a][c] = v
+                table[c][a] = tuple(-x for x in v)
+        return tuple(tuple(row) for row in table)
 
 
 def make_bivector(iso: IsotropyModel, coords) -> Bivector:

@@ -1,6 +1,6 @@
 """Shared test fixtures: catalog instances, r-matrix enumeration, a seeded
 generator of randomized quotient instances, and plain dense oracles for the
-sparse code paths."""
+sparse code paths and the per-bivector tables."""
 
 import random
 from fractions import Fraction as QQ
@@ -9,6 +9,7 @@ from lieps import catalog
 from lieps.exact import Mat, Subspace, inverse, kernel
 from lieps.invariants import invariant_bivectors
 from lieps.liecore import (
+    ad_matrix,
     bracket,
     induced_ad_bar,
     induced_map,
@@ -344,3 +345,111 @@ def dense_is_cocycle(L, a: Subspace, omega) -> bool:
         for j in range(a.dim)
         for k in range(a.dim)
     )
+
+
+# ---------------------------------------------------------------------------
+# per-pair connection formulas: every l-operator is rebuilt from the
+# ad-matrix of its own sharp on each call, with plain Fraction sums, as the
+# oracle for the per-bivector l-operator and [.,.]_r tables
+
+
+def _plain_matmul(A, B):
+    return [
+        [sum((A[i][k] * B[k][j] for k in range(len(B))), QQ(0)) for j in range(len(B[0]))]
+        for i in range(len(A))
+    ]
+
+
+def dense_l_operator(iso, r, alpha) -> Mat:
+    """l_{alpha^#} = q ad(s r_# alpha) s from one ad-matrix of alpha's sharp."""
+    n = iso.quotient_dim
+    R = r.r_mat.entries
+    s = iso.s_matrix.entries
+    sharp = [sum((R[i][a] * QQ(alpha[a]) for a in range(n)), QQ(0)) for i in range(n)]
+    x = [sum((s[k][i] * sharp[i] for i in range(n)), QQ(0)) for k in range(len(s))]
+    return induced_map(iso, ad_matrix(iso.L, x))
+
+
+def _transpose_apply(M: Mat, v):
+    return tuple(sum((M.entries[i][j] * QQ(v[i]) for i in range(M.rows)), QQ(0)) for j in range(M.cols))
+
+
+def dense_mstar_bracket(iso, r, alpha, beta) -> tuple:
+    """[alpha, beta]_r = l_beta^T alpha - l_alpha^T beta."""
+    lb = _transpose_apply(dense_l_operator(iso, r, beta), alpha)
+    la = _transpose_apply(dense_l_operator(iso, r, alpha), beta)
+    return tuple(x - y for x, y in zip(lb, la))
+
+
+def dense_connection(kind, iso, r) -> tuple:
+    """b[a][c] of the four builders, each entry from its own rule."""
+    n = iso.quotient_dim
+    eps = [tuple(QQ(i == j) for j in range(n)) for i in range(n)]
+
+    def rule(a, c):
+        if kind == "canonical":
+            return (QQ(0),) * n
+        br = dense_mstar_bracket(iso, r, eps[a], eps[c])
+        lc = _transpose_apply(dense_l_operator(iso, r, eps[a]), eps[c])
+        if kind == "natural":
+            return tuple(QQ(1, 2) * x for x in br)
+        if kind == "left_symmetric":
+            return tuple(-x for x in lc)
+        return tuple(QQ(1, 3) * (x - y) for x, y in zip(br, lc))
+
+    return tuple(tuple(rule(a, c) for c in range(n)) for a in range(n))
+
+
+def dense_apply(b, alpha, beta) -> tuple:
+    """b(alpha, beta) = sum_{a,c} alpha_a beta_c b[a][c]."""
+    n = len(b)
+    terms = [
+        (QQ(alpha[a]) * QQ(beta[c]), b[a][c])
+        for a in range(n)
+        for c in range(n)
+        if alpha[a] and beta[c]
+    ]
+    return tuple(sum((x * v[k] for x, v in terms), QQ(0)) for k in range(n))
+
+
+def dense_torsion(iso, r, b, eta, xi) -> tuple:
+    br = dense_mstar_bracket(iso, r, eta, xi)
+    return tuple(
+        x - y - z for x, y, z in zip(dense_apply(b, eta, xi), dense_apply(b, xi, eta), br)
+    )
+
+
+def dense_curvature(iso, r, b, eta, xi) -> Mat:
+    """[M_eta, M_xi] - M_{[eta,xi]_r} with M_eta gamma = b(eta, gamma)."""
+    n = len(b)
+    eps = [tuple(QQ(i == j) for j in range(n)) for i in range(n)]
+
+    def m(v):
+        cols = [dense_apply(b, v, eps[c]) for c in range(n)]
+        return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+    me, mx, mb = m(eta), m(xi), m(dense_mstar_bracket(iso, r, eta, xi))
+    ex, xe = _plain_matmul(me, mx), _plain_matmul(mx, me)
+    return Mat([[ex[i][j] - xe[i][j] - mb[i][j] for j in range(n)] for i in range(n)], n)
+
+
+def dense_poisson_compat_failures(r, b) -> tuple:
+    """The n^3 loop: r(b(eps_a, eps_c), eps_d) + r(eps_c, b(eps_a, eps_d)) != 0."""
+    n = len(b)
+    eps = [tuple(QQ(i == j) for j in range(n)) for i in range(n)]
+    R = r.r_mat.entries
+
+    def sharp(v):
+        return [sum((R[i][k] * v[k] for k in range(n)), QQ(0)) for i in range(n)]
+
+    sharps = [sharp(e) for e in eps]
+    bad = []
+    for a in range(n):
+        for c in range(n):
+            lead = sharp(dense_apply(b, eps[a], eps[c]))
+            for d in range(n):
+                other = dense_apply(b, eps[a], eps[d])
+                val = lead[d] + sum((x * y for x, y in zip(other, sharps[c])), QQ(0))
+                if val != 0:
+                    bad.append(((a, c, d), val))
+    return tuple(bad)

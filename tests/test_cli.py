@@ -1,7 +1,9 @@
 import hashlib
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieps.catalog import builtin, emit
 from lieps.cli import format_bivector, format_covector, parse_bivector_expr, run_cli
@@ -54,6 +56,33 @@ def test_format_roundtrip():
     assert text == "u1^w"
     assert parse_bivector_expr(text, labels) == (0, 1, 0)
     assert format_covector(labels, (1, 0, -2)) == "u1* - 2 w*"
+
+
+@given(
+    st.integers(min_value=0, max_value=5).flatmap(
+        lambda k: st.lists(
+            st.one_of(
+                st.just(0), st.fractions(min_value=-5, max_value=5, max_denominator=7)
+            ),
+            min_size=k * (k - 1) // 2,
+            max_size=k * (k - 1) // 2,
+        ).map(lambda coords: (k, tuple(coords)))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_format_then_parse_is_identity(case):
+    # includes all-zero coordinates, printed as "0", and the empty label list
+    k, coords = case
+    labels = tuple(f"e{i + 1}" for i in range(k))
+    text = format_bivector(labels, coords)
+    assert parse_bivector_expr(text, labels) == coords
+
+
+def test_lone_zero_is_the_zero_bivector():
+    assert parse_bivector_expr("0", ("e1", "e2", "e3")) == (0, 0, 0)
+    assert parse_bivector_expr("0", ()) == ()
+    with pytest.raises(DocumentError):
+        parse_bivector_expr("", ("e1", "e2"))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +292,28 @@ def test_leaf_evaluates_the_tensor_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind", ["canonical", "natural", "left_symmetric", "fedosov"])
+def test_connection_builds_one_ad_matrix_per_basis_covector(monkeypatch, kind):
+    # the l-operators are built once per bivector, whatever the connection
+    # reads off them: dim m ad-matrices for the whole job
+    import lieps.liecore
+
+    calls = []
+    real = lieps.liecore.ad_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lieps") and getattr(module, "ad_matrix", None) is real:
+            monkeypatch.setattr(module, "ad_matrix", counted)
+    text = _doc_text("heisenberg", n=3)
+    code, out, err = run_cli(["connection", "-", "--r", "u1^w + v1^w", "--kind", kind], text)
+    assert code == 0, err
+    assert len(calls) == 7  # dim m of heisenberg n=3 with h = 0
+
+
 def test_connection_fedosov_heisenberg():
     code, out, err = run_cli(
         ["connection", "-", "--r", "u1^w", "--kind", "fedosov", "--format", "json"],
@@ -333,6 +384,17 @@ def test_isotropy_equal_to_whole_algebra():
     assert (code, out, err) == (0, "0 candidates\n", "")
 
 
+def test_zero_bivector_runs_when_h_is_g():
+    # no quotient labels: "0" is the only bivector that can be written
+    code, out, err = run_cli(["ybe", "-", "--r", "0"], stdin_text=WHOLE_ALGEBRA_IS_H)
+    assert (code, out, err) == (0, "r-matrix\n", "")
+    code, out, err = run_cli(
+        ["connection", "-", "--r", "0", "--kind", "fedosov"], stdin_text=WHOLE_ALGEBRA_IS_H
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("connection: fedosov\nb: 0\ntorsion: 0\n")
+
+
 def test_output_is_deterministic():
     first = run_cli(["scan", "-", "--json"], stdin_text=_doc_text("so4_grassmann"))
     second = run_cli(["scan", "-", "--json"], stdin_text=_doc_text("so4_grassmann"))
@@ -364,3 +426,53 @@ def test_validate_and_invariants_output_is_pinned(name, n):
             assert code == 0, err
             digest = hashlib.sha256(out.encode()).hexdigest()
             assert digest == PINNED_OUTPUT_SHA256[(name, n, cmd, fmt)], (name, n, cmd, fmt)
+
+
+# byte-identical connection output, pinned to the digests of the per-pair
+# implementation; one scan candidate per document
+
+CONNECTION_CASES = {
+    "heisenberg": ({"n": 3}, "u1^w + v1^w"),
+    "double": ({"of": "heisenberg", "n": 2}, "m_u1^m_w + m_v1^m_w"),
+    "iso11": ({}, "e1^e3 - e2^e3"),
+}
+
+PINNED_CONNECTION_SHA256 = {
+    ("heisenberg", "canonical", "text"): "8aa6e1e3a2405bd244c72c17a10af4d8d78e1b5593e3881dce900ee34e6ebd6a",
+    ("heisenberg", "canonical", "json"): "e142d2987c89ac65198321c12aa55eeb5cc8ecc9b9b50eaacae08e2eef93609b",
+    ("heisenberg", "natural", "text"): "beb23891f8c9b7b34a3fc4b8888f71ad2872e76017f17f8fa396fc572ecb76ec",
+    ("heisenberg", "natural", "json"): "fc099f07bb6df1e58aaa99b88af5231fd6e82216cb62ba06a955457047e0f2e9",
+    ("heisenberg", "left_symmetric", "text"): "0ff91666e57b8ed289bb7b59f6fbdcb4dbdbc3b3b89007812d557bdaa1730449",
+    ("heisenberg", "left_symmetric", "json"): "74dcf440ebf4930f81da5f4320c7ccdbc2ac62a00932e0fa26d0002237f5c4f4",
+    ("heisenberg", "fedosov", "text"): "36bfed2892413cfb2def0d91d5405a2ea6fe8580523d5dbd1a902f7feff51e16",
+    ("heisenberg", "fedosov", "json"): "9dd38790aeb3bec9e4ebe8bd921abab52ea26dcfa14788448c5b89002a3179c2",
+    ("double", "canonical", "text"): "8aa6e1e3a2405bd244c72c17a10af4d8d78e1b5593e3881dce900ee34e6ebd6a",
+    ("double", "canonical", "json"): "e142d2987c89ac65198321c12aa55eeb5cc8ecc9b9b50eaacae08e2eef93609b",
+    ("double", "natural", "text"): "beb23891f8c9b7b34a3fc4b8888f71ad2872e76017f17f8fa396fc572ecb76ec",
+    ("double", "natural", "json"): "fc099f07bb6df1e58aaa99b88af5231fd6e82216cb62ba06a955457047e0f2e9",
+    ("double", "left_symmetric", "text"): "081a133397580ff6b4528438292bb4e3acfd3785d4746d7dfe48c3c41e1ceefa",
+    ("double", "left_symmetric", "json"): "1396d7ebd6aa1a85b9f85af384d8090d3ed48f213d31c7eb9a4b352393d04ead",
+    ("double", "fedosov", "text"): "24e2fb9fd73301cdc112f0412364efe161363d3a702ab2923ee2e58e6a1495ae",
+    ("double", "fedosov", "json"): "228d7b144bb22f48066f81537b4c5acd3d1e5b12eccf4ad8384a7fccaccbc359",
+    ("iso11", "canonical", "text"): "6c24c7181ae4ba0ce6ee312440fbebbe481bd3634482b2539c0cb47a9b14a560",
+    ("iso11", "canonical", "json"): "1d40a3c112ae329016a9b15695edb15049bece1755c5989278d8a7f512669190",
+    ("iso11", "natural", "text"): "2baa561b35101f11e59ffe0b9abe103ca84676a1f2fdd9506e00fc68dc2bb38c",
+    ("iso11", "natural", "json"): "0de2306f42d58147b66ca24b687e166694ce8427dd6ff1698e5149c97671466f",
+    ("iso11", "left_symmetric", "text"): "1229249c121c0360e0691c284492458d96338d880c1db50c61a17c2ccdda6bfc",
+    ("iso11", "left_symmetric", "json"): "60df1f70dbe4220d660c99eeea68ec8bc5bf262ae7f99d03f827afc4c56201f0",
+    ("iso11", "fedosov", "text"): "cc28c43a96d9f9dad6256e2b5fa0e028417b57c8991d6e146222848c81d87006",
+    ("iso11", "fedosov", "json"): "aee0beb1991d717870665c74a96f9cc41ca44994035ed197121a96a03f48482e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTION_CASES))
+def test_connection_output_is_pinned(name):
+    params, r = CONNECTION_CASES[name]
+    doc = _doc_text(name, **params)
+    for kind in ("canonical", "natural", "left_symmetric", "fedosov"):
+        for fmt in ("text", "json"):
+            argv = ["connection", "-", "--r", r, "--kind", kind, "--format", fmt]
+            code, out, err = run_cli(argv, doc)
+            assert code == 0, err
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == PINNED_CONNECTION_SHA256[(name, kind, fmt)], (name, kind, fmt)

@@ -3,7 +3,19 @@ from fractions import Fraction as QQ
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import catalog_instances, catalog_r_matrices, instance, invariant_candidates
+from helpers import (
+    catalog_instances,
+    catalog_r_matrices,
+    dense_apply,
+    dense_connection,
+    dense_curvature,
+    dense_l_operator,
+    dense_mstar_bracket,
+    dense_poisson_compat_failures,
+    dense_torsion,
+    instance,
+    invariant_candidates,
+)
 from lieps.connections import (
     ConnectionMap,
     ad_invariance_check,
@@ -18,12 +30,14 @@ from lieps.connections import (
     mstar_bracket,
     nomizu_to_contravariant,
     poisson_compat,
+    poisson_compat_failures,
     torsion,
 )
 from lieps.errors import NotAnFConnection, NotAnRMatrix, NotReductive
 from lieps.exact import Mat
 from lieps.invariants import invariant_bivectors
 from lieps.liecore import induced_ad_bar, is_reductive_complement, make_isotropy
+from lieps.liecore import wedge2_space
 from lieps.ybe import make_bivector, quotient_hcirc
 
 
@@ -430,3 +444,47 @@ def test_left_symmetric_product_on_fixed_covectors():
     assert b.apply(x1, x2) == V(0, 0, 0)
     assert b.apply(x2, x1) == V(0, 0, 0)
     assert b.apply(x2, x2) == V(0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the per-bivector tables against the per-pair formulas
+
+
+def _reductive_catalog_pairs():
+    out = []
+    for tag, L, iso in catalog_instances():
+        if is_reductive_complement(iso):
+            out.append((tag, iso, make_reductive_pair(L, iso)))
+    return out
+
+
+REDUCTIVE_PAIRS = _reductive_catalog_pairs()
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _sparse_vector(data, n):
+    # about half the entries zero, the way basis-heavy inputs look
+    return tuple(
+        data.draw(st.one_of(st.just(QQ(0)), small_rationals)) for _ in range(n)
+    )
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_connection_tables_match_per_pair_formulas(data):
+    # arbitrary skew r (mostly neither invariant nor an r-matrix) and
+    # arbitrary rational alpha, beta: every quantity equals its oracle exactly
+    tag, iso, pair = data.draw(st.sampled_from(REDUCTIVE_PAIRS))
+    n = pair.dim_m
+    r = make_bivector(iso, _sparse_vector(data, len(wedge2_space(n))))
+    alpha = _sparse_vector(data, n)
+    beta = _sparse_vector(data, n)
+    assert l_operator(pair, r, alpha) == dense_l_operator(iso, r, alpha), tag
+    assert mstar_bracket(pair, r, alpha, beta) == dense_mstar_bracket(iso, r, alpha, beta), tag
+    for kind in ("canonical", "natural", "left_symmetric", "fedosov"):
+        b = build_connection(kind, pair, r)
+        assert b.b == dense_connection(kind, iso, r), (tag, kind)
+        assert b.apply(alpha, beta) == dense_apply(b.b, alpha, beta), (tag, kind)
+        assert torsion(pair, r, b, alpha, beta) == dense_torsion(iso, r, b.b, alpha, beta)
+        assert curvature(pair, r, b, alpha, beta) == dense_curvature(iso, r, b.b, alpha, beta)
+        assert poisson_compat_failures(pair, r, b) == dense_poisson_compat_failures(r, b.b)

@@ -275,3 +275,38 @@ def test_sparse_matmul_matches_entry_sums(a, rng):
     got = a @ b
     assert got == Mat(expect, cols)
     assert (got.rows, got.cols) == (a.rows, cols)
+
+
+def _all_fractions(m):
+    return all(type(x) is F for row in m.entries for x in row)
+
+
+def test_mat_operations_return_fraction_entries():
+    # Mat's own operations build their results without re-coercion; inputs
+    # built from ints must still come out as Fractions everywhere
+    a = Mat([[1, 0, 2], [0, -3, 1]])
+    b = Mat([[2, 1], [0, 0], [-1, 4]])
+    c = Mat([[0, 5, 1], [1, 1, 0]])
+    results = {
+        "matmul": a @ b,
+        "add": a + c,
+        "sub": a - c,
+        "neg": -a,
+        "scale int": a.scale(3),
+        "scale zero": a.scale(0),
+        "T": a.T,
+        "from_cols": Mat.from_cols([(1, 2), (0, 3), (4, 0)]),
+        "from_sparse": Mat.from_sparse([{0: 1, 2: -2}, {}], 3),
+        "identity": Mat.identity(3),
+        "zero": Mat.zero(2, 3),
+        "inverse": inverse(Mat([[2, 1], [1, 1]])),
+    }
+    for name, m in results.items():
+        assert _all_fractions(m), name
+    assert all(type(x) is F for x in a @ (1, 2, 3))
+    assert (a @ b).entries == ((0, 9), (-1, 4))
+    assert Mat.from_cols([(1, 2), (0, 3), (4, 0)]) == Mat([[1, 0, 4], [2, 3, 0]])
+    with pytest.raises(ValueError):
+        Mat([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Mat.from_cols([(1, 2), (3,)])

@@ -89,12 +89,18 @@ def realize(doc: AlgebraDocument):
     for i, j, coeffs in doc.brackets:
         bracket_map[(i, j)] = dict(coeffs)
     L = make_lie_algebra(doc.dim, bracket_map, labels=doc.labels)
-    iso = make_isotropy(
-        L,
-        list(doc.subalgebra),
-        discrete_generators=list(doc.ad_generators),
-        complement_indices=list(doc.complement) if doc.complement else None,
-    )
+    try:
+        iso = make_isotropy(
+            L,
+            list(doc.subalgebra),
+            discrete_generators=list(doc.ad_generators),
+            complement_indices=list(doc.complement) if doc.complement else None,
+        )
+    except ValueError:
+        # parse guarantees every other shape, so only the complement lands here
+        raise DocumentError(
+            "complement", "does not complete the subalgebra to a basis"
+        ) from None
     return L, iso
 
 

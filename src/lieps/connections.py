@@ -31,10 +31,8 @@ from .liecore import (
     IsotropyModel,
     LieAlgebra,
     bracket,
+    completed_frame_inverse,
     greedy_complement,
-    induced_ad_bar,
-    induced_map,
-    is_reductive_complement,
     m_bracket,
 )
 from .ybe import Bivector, require_r_matrix
@@ -47,7 +45,7 @@ class ReductivePair:
     symmetric: bool
 
     def __post_init__(self):
-        if not is_reductive_complement(self.iso):
+        if not self.iso.reductive:
             raise NotReductive("the declared complement is not h-stable")
 
     @property
@@ -56,18 +54,21 @@ class ReductivePair:
 
 
 def make_reductive_pair(L: LieAlgebra, iso: IsotropyModel) -> ReductivePair:
-    n = L.dim
-    e = Mat.identity(n).entries
-    symmetric = all(
-        iso.h_basis.contains(bracket(L, e[i], e[j]))
-        for i in iso.complement_indices
-        for j in iso.complement_indices
-    )
+    """The pair g = h + m of the declared complement; NotReductive unless [h, m] in m.
+
+    symmetric: [m, m] in h, read off the nonzero structure constants
+    [e_i, e_j] = sum_k c_ijk e_k of the complement standard vectors.
+    """
+
+    def in_h(terms):
+        w = list(zero_vec(L.dim))
+        for k, c in terms:
+            w[k] = c
+        return iso.h_basis.contains(w)
+
+    comp = iso.complement_indices
+    symmetric = all(in_h(L.nz[i][j]) for i in comp for j in comp if L.nz[i][j])
     return ReductivePair(L=L, iso=iso, symmetric=symmetric)
-
-
-def is_symmetric(pair: ReductivePair) -> bool:
-    return pair.symmetric
 
 
 def _covector(alpha, n) -> tuple:
@@ -263,13 +264,13 @@ def ad_invariance_check(b: ConnectionMap, pair: ReductivePair) -> bool:
     iso = pair.iso
     n = pair.dim_m
     mats = b.mats
-    for u in iso.h_basis.basis:
-        N = induced_ad_bar(pair.L, iso, u).T
+    for ad_bar in iso.ad_bars:
+        N = ad_bar.T
         for a in range(n):
             if b.matrix_for(N.col(a)) + mats[a] @ N != N @ mats[a]:
                 return False
-    for A in iso.discrete_generators:
-        P = inverse(induced_map(iso, A)).T
+    for A in iso.generator_maps:
+        P = inverse(A).T
         for a in range(n):
             if b.matrix_for(P.col(a)) @ P != P @ mats[a]:
                 return False
@@ -285,15 +286,13 @@ def is_f_connection(b: ConnectionMap, r: Bivector) -> bool:
 
 
 def _projector_onto(space: Subspace, complement_indices) -> Mat:
-    """Projection of the ambient space onto `space` along the complement."""
-    ambient = space.ambient
-    e = Mat.identity(ambient).entries
-    cols = [list(v) for v in space.basis] + [e[j] for j in complement_indices]
-    B = Mat.from_cols(cols)
-    Binv = inverse(B)
-    d = space.dim
-    sel = Mat([[Fraction(i == j and i < d) for j in range(ambient)] for i in range(ambient)])
-    return B @ sel @ Binv
+    """Projection of the ambient space onto `space` along the complement.
+
+    The first space.dim rows of the inverse frame give the coordinates along
+    space; the projection maps them back through its basis.
+    """
+    coords = completed_frame_inverse(space, complement_indices).entries[: space.dim]
+    return Mat.from_cols(space.basis, space.ambient) @ Mat(coords, space.ambient)
 
 
 @dataclass(frozen=True)
@@ -383,14 +382,7 @@ def induced_leaf_connection(
     d = im.dim
     if complement_indices is None:
         complement_indices = greedy_complement(im)
-    else:
-        complement_indices = tuple(complement_indices)
-        span = Subspace.from_vectors(
-            n, list(im.basis) + [Mat.identity(n).entries[j] for j in complement_indices]
-        )
-        if span.dim != n or d + len(complement_indices) != n:
-            raise ValueError("complement indices do not complete Im(r_#) to m")
-    proj = _projector_onto(im, complement_indices)
+    proj = _projector_onto(im, tuple(complement_indices))
 
     # <eta_v, e_a> = omega_r(v, proj(e_a)) = <xi_a, v> with r_# xi_a = proj(e_a):
     # row a of X is xi_a, so eta_v = X v

@@ -415,19 +415,3 @@ def solve(m: Mat, b):
 
 def column_space(m: Mat) -> Subspace:
     return Subspace.from_vectors(m.rows, [m.col(j) for j in range(m.cols)])
-
-
-# free-function aliases for the Subspace operations; defined last so nothing
-# inside this module accidentally picks up the shadowed builtin
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def contains(a: Subspace, v) -> bool:
-    return a.contains(v)
-
-
-def sum(a: Subspace, b: Subspace) -> Subspace:  # noqa: A001
-    return a.sum(b)

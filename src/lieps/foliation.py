@@ -23,14 +23,7 @@ from .errors import (
     RadicalMismatch,
 )
 from .exact import Mat, Subspace, dot, inverse, kernel, solve
-from .liecore import (
-    IsotropyModel,
-    bracket,
-    induced_ad_bar,
-    is_reductive_complement,
-    m_bracket,
-    structure_constants,
-)
+from .liecore import IsotropyModel, bracket, m_bracket, structure_constants
 from .ybe import Bivector, require_r_matrix
 
 
@@ -223,11 +216,7 @@ def leaf_decomposition(r: Bivector) -> LeafDecomposition:
     lifted = _lifted_im_basis(r)
     im_part = Subspace.from_vectors(iso.L.dim, lifted)
 
-    reductive = all(
-        im.contains(induced_ad_bar(iso.L, iso, u) @ v)
-        for u in iso.h_basis.basis
-        for v in im.basis
-    )
+    reductive = all(im.contains(ad_bar @ v) for ad_bar in iso.ad_bars for v in im.basis)
     symmetric = all(
         iso.h_basis.contains(bracket(iso.L, x, y)) for x in lifted for y in lifted
     )
@@ -244,7 +233,7 @@ def w_omega_pair(r: Bivector):
     consequences of the correspondence theorem and failures are surfaced.
     """
     iso = r.iso
-    if not is_reductive_complement(iso):
+    if not iso.reductive:
         raise NotReductive("the declared complement is not h-stable")
     require_r_matrix(r)
 

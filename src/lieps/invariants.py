@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Mat, Subspace, kernel_of_rows, vec
-from .liecore import (
-    IsotropyModel,
-    induced_ad_bar,
-    induced_map,
-    wedge2_action_rows,
-    wedge2_derivation_rows,
-    wedge2_space,
-)
+from .liecore import IsotropyModel, wedge2_action_rows, wedge2_derivation_rows, wedge2_space
 
 
 def bivector_matrix_from_coords(dim, coords) -> Mat:
@@ -82,10 +75,10 @@ def invariant_bivectors(iso: IsotropyModel) -> InvariantBivectorSpace:
     """
     nwedge = len(wedge2_space(iso.quotient_dim))
     rows = []
-    for u in iso.h_basis.basis:
-        rows += wedge2_derivation_rows(induced_ad_bar(iso.L, iso, u))
-    for A in iso.discrete_generators:
-        rows += _minus_identity(wedge2_action_rows(induced_map(iso, A)))
+    for ad_bar in iso.ad_bars:
+        rows += wedge2_derivation_rows(ad_bar)
+    for A in iso.generator_maps:
+        rows += _minus_identity(wedge2_action_rows(A))
     return InvariantBivectorSpace(
         iso=iso,
         basis=kernel_of_rows(rows, nwedge),
@@ -115,23 +108,10 @@ def fixed_covectors(ambient_dim, infinitesimal=(), discrete=()) -> Subspace:
     )
 
 
-def fixed_quotient_vectors(iso: IsotropyModel) -> Subspace:
-    """Vectors of g/h fixed by the declared isotropy action."""
-    return fixed_vectors(
-        iso.quotient_dim,
-        [induced_ad_bar(iso.L, iso, u) for u in iso.h_basis.basis],
-        [induced_map(iso, A) for A in iso.discrete_generators],
-    )
-
-
 def fixed_quotient_covectors(iso: IsotropyModel) -> Subspace:
     """Covectors of (g/h)* fixed by the isotropy action: the space (h deg)^H.
 
     In quotient coordinates a covector is fixed iff it kills every ad-bar_u
     image and is fixed by the transpose of each induced generator matrix.
     """
-    return fixed_covectors(
-        iso.quotient_dim,
-        [induced_ad_bar(iso.L, iso, u) for u in iso.h_basis.basis],
-        [induced_map(iso, A) for A in iso.discrete_generators],
-    )
+    return fixed_covectors(iso.quotient_dim, iso.ad_bars, iso.generator_maps)

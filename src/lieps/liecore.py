@@ -6,7 +6,8 @@ ad-matrix, Jacobi and automorphism evaluation iterates over.  An isotropy
 model packages a subalgebra h together with an explicit linear model of the
 quotient g/h: a projection q, a section s built from standard basis vectors,
 and the annihilator h° of h inside g*, which is how (g/h)* is represented
-downstream.
+downstream.  The model also keeps the action of the isotropy on g/h, off
+which every invariant object is read.
 """
 
 from __future__ import annotations
@@ -167,6 +168,9 @@ class IsotropyModel:
     q_matrix : (n-k) x n projection onto quotient coordinates
     s_matrix : n x (n-k) section, columns are the complement standard vectors
     ann_basis : annihilator h° in g*, the working model of (g/h)*
+
+    The action of the isotropy on g/h (ad_bars, generator_maps) and the
+    reductive flag are derived once, on first use, and kept on the model.
     """
 
     L: LieAlgebra
@@ -180,6 +184,37 @@ class IsotropyModel:
     @property
     def quotient_dim(self) -> int:
         return len(self.complement_indices)
+
+    @cached_property
+    def _ad_sections(self) -> tuple:
+        """ad_u s for each h-basis vector u: the brackets of u with the complement."""
+        s = self.s_matrix
+        return tuple(ad_matrix(self.L, u) @ s for u in self.h_basis.basis)
+
+    @cached_property
+    def ad_bars(self) -> tuple:
+        """ad-bar_u = q ad_u s, the quotient action of each h-basis vector u.
+
+        One ad-matrix per basis vector; ad-bar is linear in u, and it is well
+        defined because ad_u maps h to h, so it does not depend on the section.
+        """
+        q = self.q_matrix
+        return tuple(q @ m for m in self._ad_sections)
+
+    @cached_property
+    def generator_maps(self) -> tuple:
+        """q A s, the quotient action of each discrete generator A."""
+        return tuple(induced_map(self, A) for A in self.discrete_generators)
+
+    @cached_property
+    def reductive(self) -> bool:
+        """[h, m] in m for the declared complement m = s(g/h).
+
+        A vector lies in m iff it equals s q of itself, so the condition is
+        ad_u s = s ad-bar_u for every h-basis vector u.
+        """
+        s = self.s_matrix
+        return all(s @ bar == m for bar, m in zip(self.ad_bars, self._ad_sections))
 
 
 def _check_subalgebra(L: LieAlgebra, h: Subspace):
@@ -243,6 +278,24 @@ def greedy_complement(space: Subspace) -> tuple:
     return tuple(j for j in range(n) if j not in taken)
 
 
+def completed_frame_inverse(space: Subspace, indices) -> Mat:
+    """Inverse of the frame whose columns are the RREF basis of space, then e_j.
+
+    Row t of the result gives the t-th frame coordinate of a vector: the
+    first space.dim rows its coordinates along space, the rest those along
+    the standard vectors e_j, j in indices.  Raises ValueError unless those
+    standard vectors complete space to a basis of the ambient.
+    """
+    n = space.ambient
+    if any(not 0 <= j < n for j in indices):
+        raise ValueError(f"complement indices must lie in 0..{n - 1}")
+    e = Mat.identity(n).entries
+    try:
+        return inverse(Mat.from_cols(list(space.basis) + [e[j] for j in indices], n))
+    except ValueError:
+        raise ValueError("the standard vectors do not complete the subspace to a basis") from None
+
+
 def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement_indices=None) -> IsotropyModel:
     """Package a subalgebra h with an explicit quotient model.
 
@@ -254,19 +307,13 @@ def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement
     h = Subspace.from_vectors(n, h_vectors)
     _check_subalgebra(L, h)
 
-    e = Mat.identity(n).entries
     if complement_indices is None:
         complement_indices = greedy_complement(h)
     else:
         complement_indices = tuple(complement_indices)
-        span = Subspace.from_vectors(n, list(h.basis) + [e[j] for j in complement_indices])
-        if span.dim != n or h.dim + len(complement_indices) != n:
-            raise ValueError("complement indices do not complete a basis with h")
-
-    # columns: h basis first, then the complement standard vectors
-    P = Mat.from_cols([list(v) for v in h.basis] + [e[j] for j in complement_indices])
-    Pinv = inverse(P)
-    q_matrix = Mat(Pinv.entries[h.dim :], n)
+    # rows past the h-coordinates are the coordinates along the complement
+    q_matrix = Mat(completed_frame_inverse(h, complement_indices).entries[h.dim :], n)
+    e = Mat.identity(n).entries
     s_matrix = Mat.from_cols([e[j] for j in complement_indices], n)
 
     ann = kernel(Mat(h.basis)) if h.dim > 0 else Subspace.full(n)
@@ -316,35 +363,14 @@ def ann_to_covector(iso: IsotropyModel, eta) -> tuple:
     return iso.s_matrix.apply_T(eta)
 
 
-def project_vector(iso: IsotropyModel, x) -> tuple:
-    """Quotient coordinates q x of an ambient vector."""
-    return iso.q_matrix @ vec(x)
-
-
-def lift_vector(iso: IsotropyModel, xbar) -> tuple:
-    """Section s applied to quotient coordinates."""
-    return iso.s_matrix @ vec(xbar)
-
-
 def m_bracket(iso: IsotropyModel, x, y) -> tuple:
     """The m-bracket [x, y]_m = q[s x, s y] of two quotient vectors."""
     return iso.q_matrix @ bracket(iso.L, iso.s_matrix @ x, iso.s_matrix @ y)
 
 
 def is_reductive_complement(iso: IsotropyModel) -> bool:
-    """True when the declared complement m is stable under the h-action.
-
-    [h, m] ⊆ m in realized form: for every h-basis u and complement vector
-    e_j, the bracket has no h-component, i.e. it equals s q of itself.
-    """
-    n = iso.L.dim
-    e = Mat.identity(n).entries
-    for u in iso.h_basis.basis:
-        for j in iso.complement_indices:
-            w = bracket(iso.L, u, e[j])
-            if tuple(w) != iso.s_matrix @ (iso.q_matrix @ w):
-                return False
-    return True
+    """True when the declared complement m is stable under the h-action."""
+    return iso.reductive
 
 
 def wedge2_space(dim) -> tuple:
@@ -395,13 +421,3 @@ def wedge2_derivation_rows(B: Mat) -> tuple:
     part of (e_i + t b_i) ^ (e_j + t b_j), i.e. of the action of I + tB.
     """
     return _wedge_rows(B, lambda b, i, j: ((b[i], {j: 1}), ({i: 1}, b[j])))
-
-
-def wedge2_action(A: Mat) -> Mat:
-    """Action of an operator on wedge-square coordinates, e_i^e_j basis."""
-    return Mat.from_sparse(wedge2_action_rows(A), len(wedge2_space(A.rows)))
-
-
-def wedge2_derivation(B: Mat) -> Mat:
-    """Derivation extension of an operator to wedge-square coordinates."""
-    return Mat.from_sparse(wedge2_derivation_rows(B), len(wedge2_space(B.rows)))

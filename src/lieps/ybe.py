@@ -34,7 +34,9 @@ from .liecore import (
     IsotropyModel,
     LieAlgebra,
     ad_matrix,
+    ann_to_covector,
     bracket,
+    covector_to_ann,
     induced_map,
     m_bracket,
     make_lie_algebra,
@@ -269,9 +271,9 @@ def quotient_hcirc(r: Bivector, alpha, beta, lift: Lift = None) -> tuple:
     iso = r.iso
     if lift is None:
         lift = canonical_lift(r)
-    eta = iso.q_matrix.apply_T(alpha)
-    xi = iso.q_matrix.apply_T(beta)
-    return iso.s_matrix.apply_T(hcirc_bracket(lift, eta, xi))
+    eta = covector_to_ann(iso, alpha)
+    xi = covector_to_ann(iso, beta)
+    return ann_to_covector(iso, hcirc_bracket(lift, eta, xi))
 
 
 def is_restricted_r_matrix(r: Bivector) -> bool:
@@ -283,7 +285,7 @@ def is_restricted_r_matrix(r: Bivector) -> bool:
     iso = r.iso
     lift = canonical_lift(r)
     fixed = fixed_quotient_covectors(iso)
-    etas = [iso.q_matrix.apply_T(a) for a in fixed.basis]
+    etas = [covector_to_ann(iso, a) for a in fixed.basis]
     xs = [sharp(lift, eta) for eta in etas]
     for a, eta in enumerate(etas):
         for b, xi in enumerate(etas):

@@ -324,6 +324,60 @@ def dense_invariant_bivectors(iso) -> Subspace:
     return kernel(Mat(rows, nwedge))
 
 
+# ---------------------------------------------------------------------------
+# the isotropy action by the per-pair loops the cached model properties
+# replaced: one bracket per (h-basis, complement) or (complement, complement)
+# pair, and one ad-bar per (h-basis, image) pair
+
+
+def dense_ad_bars(iso) -> tuple:
+    """Column j of ad-bar_u is q [u, e_j] for the j-th complement vector e_j."""
+    e = Mat.identity(iso.L.dim).entries
+    return tuple(
+        Mat.from_cols([iso.q_matrix @ bracket(iso.L, u, e[j]) for j in iso.complement_indices])
+        for u in iso.h_basis.basis
+    )
+
+
+def dense_generator_maps(iso) -> tuple:
+    """Column j of the induced map is q A e_j for the j-th complement vector e_j."""
+    return tuple(
+        Mat.from_cols([iso.q_matrix @ A.col(j) for j in iso.complement_indices])
+        for A in iso.discrete_generators
+    )
+
+
+def dense_is_reductive_complement(iso) -> bool:
+    """[u, e_j] has no h-component for every h-basis u and complement e_j."""
+    e = Mat.identity(iso.L.dim).entries
+    for u in iso.h_basis.basis:
+        for j in iso.complement_indices:
+            w = bracket(iso.L, u, e[j])
+            if tuple(w) != iso.s_matrix @ (iso.q_matrix @ w):
+                return False
+    return True
+
+
+def dense_is_symmetric_complement(iso) -> bool:
+    """[e_i, e_j] lies in h for every pair of complement vectors."""
+    e = Mat.identity(iso.L.dim).entries
+    return all(
+        iso.h_basis.contains(bracket(iso.L, e[i], e[j]))
+        for i in iso.complement_indices
+        for j in iso.complement_indices
+    )
+
+
+def dense_leaf_reductive(r) -> bool:
+    """Im r_# is stable under ad-bar_u, one ad-bar rebuilt per (u, v) pair."""
+    iso = r.iso
+    return all(
+        r.image.contains(induced_ad_bar(iso.L, iso, u) @ v)
+        for u in iso.h_basis.basis
+        for v in r.image.basis
+    )
+
+
 def omega_eval(a: Subspace, omega, x, y):
     """omega(x, y) for x, y in a, from their coordinates in the RREF basis of a."""
     cx = a.coords_of(x)

@@ -292,26 +292,58 @@ def test_leaf_evaluates_the_tensor_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("kind", ["canonical", "natural", "left_symmetric", "fedosov"])
-def test_connection_builds_one_ad_matrix_per_basis_covector(monkeypatch, kind):
-    # the l-operators are built once per bivector, whatever the connection
-    # reads off them: dim m ad-matrices for the whole job
+def _count_calls(monkeypatch, name):
+    """Arguments of every call to lieps.liecore.<name>, through every lieps alias."""
     import lieps.liecore
 
     calls = []
-    real = lieps.liecore.ad_matrix
+    real = getattr(lieps.liecore, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lieps") and getattr(module, "ad_matrix", None) is real:
-            monkeypatch.setattr(module, "ad_matrix", counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("lieps") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["canonical", "natural", "left_symmetric", "fedosov"])
+def test_connection_builds_one_ad_matrix_per_basis_covector(monkeypatch, kind):
+    # the l-operators are built once per bivector, whatever the connection
+    # reads off them: dim m ad-matrices for the whole job
+    calls = _count_calls(monkeypatch, "ad_matrix")
     text = _doc_text("heisenberg", n=3)
     code, out, err = run_cli(["connection", "-", "--r", "u1^w + v1^w", "--kind", kind], text)
     assert code == 0, err
     assert len(calls) == 7  # dim m of heisenberg n=3 with h = 0
+
+
+def test_reductive_pair_reads_the_structure_constants_not_brackets(monkeypatch):
+    # [h, m] in m from the isotropy ad-matrices and [m, m] in h from the
+    # nonzeros of c: no bracket per pair of basis vectors
+    from lieps.catalog import realize
+    from lieps.connections import make_reductive_pair
+
+    L, iso = realize(builtin("double", {"of": "heisenberg", "n": 2}))
+    calls = _count_calls(monkeypatch, "bracket")
+    pair = make_reductive_pair(L, iso)
+    assert pair.symmetric
+    assert len(calls) == 0
+
+
+def test_leaf_builds_one_isotropy_ad_matrix_per_h_basis_vector(monkeypatch):
+    from lieps.catalog import realize
+
+    text = _doc_text("double", of="heisenberg", n=2)
+    _, iso = realize(builtin("double", {"of": "heisenberg", "n": 2}))
+    calls = _count_calls(monkeypatch, "ad_matrix")
+    code, out, err = run_cli(["leaf", "-", "--r", "m_u1^m_w"], text)
+    assert code == 0, err
+    # the tensor's ad-matrices are of sharps, which are nonzero only off h
+    in_h = [x for (_, x) in calls if any(x) and iso.h_basis.contains(x)]
+    assert len(in_h) <= iso.h_basis.dim == 5
 
 
 def test_connection_fedosov_heisenberg():
@@ -393,6 +425,20 @@ def test_zero_bivector_runs_when_h_is_g():
     )
     assert (code, err) == (0, "")
     assert out.startswith("connection: fedosov\nb: 0\ntorsion: 0\n")
+
+
+HEIS_BAD_COMPLEMENT = (
+    '{"dim":3,"labels":["u","v","w"],"brackets":[{"i":0,"j":1,"coeffs":{"2":"1"}}],'
+    '"subalgebra":[[0,0,1]],"complement":%s}'
+)
+
+
+@pytest.mark.parametrize("complement", ["[[1,0,0]]", "[[0,0,1],[1,0,0]]"])
+def test_complement_not_transverse_to_h_is_parse_error(complement):
+    # too few vectors, and a vector inside h: neither completes h to g
+    code, out, err = run_cli(["invariants", "-"], stdin_text=HEIS_BAD_COMPLEMENT % complement)
+    assert (code, out) == (2, "")
+    assert err == "parse error: complement: does not complete the subalgebra to a basis\n"
 
 
 def test_output_is_deterministic():

@@ -410,6 +410,18 @@ def test_so4_leaf_connection_flags():
     )
 
 
+@pytest.mark.parametrize("bad", [(0, 3), (1,), (1, 3, 0), (1, 1), (1, 4)])
+def test_leaf_connection_rejects_a_complement_that_does_not_complete_the_image(bad):
+    # Im r_# = span{e1 - e4, e2 + e3}: e1, e4 span a plane meeting it, and
+    # the others are too few, too many, repeated or out of range
+    L, iso = instance("so4_grassmann")
+    pair = make_reductive_pair(L, iso)
+    r = make_bivector(iso, V(1, 1, 0, 0, 1, 1))
+    b = build_connection("fedosov", pair, r)
+    with pytest.raises(ValueError):
+        induced_leaf_connection(pair, r, b, complement_indices=bad)
+
+
 def test_heisenberg_leaf_connection_is_flat():
     L, iso = instance("heisenberg", {"n": 1})
     pair = make_reductive_pair(L, iso)

@@ -4,19 +4,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    catalog_instances,
+    catalog_r_matrices,
+    dense_ad_bars,
+    dense_generator_maps,
+    dense_is_reductive_complement,
+    dense_is_symmetric_complement,
+    dense_leaf_reductive,
     dense_validate,
     dense_wedge2_action,
     dense_wedge2_derivation,
     greedy_complement_scan,
     instance,
+    random_instances,
 )
+from lieps.connections import make_reductive_pair
 from lieps.errors import (
     GeneratorMovesH,
     NotAnAutomorphism,
     NotASubalgebra,
     NotInH,
+    NotReductive,
 )
 from lieps.exact import Mat, Subspace
+from lieps.foliation import leaf_decomposition
 from lieps.liecore import (
     LieAlgebra,
     ad_matrix,
@@ -30,10 +41,11 @@ from lieps.liecore import (
     make_isotropy,
     make_lie_algebra,
     validate,
-    wedge2_action,
-    wedge2_derivation,
+    wedge2_action_rows,
+    wedge2_derivation_rows,
     wedge2_space,
 )
+from lieps.ybe import is_r_matrix, make_bivector
 
 
 def V(*xs):
@@ -179,6 +191,50 @@ def test_reductive_complement_flags():
     assert not is_reductive_complement(iso_bad)
 
 
+# ---------------------------------------------------------------------------
+# the isotropy action kept on the model, against the per-pair loops
+
+
+def _isotropy_models():
+    """Catalog models, transported random ones and the non-reductive iso(1,1)."""
+    out = [(tag, iso, []) for tag, _, iso in catalog_instances()]
+    for tag, _, iso, r in catalog_r_matrices():
+        out.append((tag, iso, [r]))
+    for tag, _, iso, coords in random_instances(seed=11, count=12):
+        r = make_bivector(iso, coords)
+        out.append((tag, iso, [r] if is_r_matrix(r) else []))
+    L, _ = instance("iso11")
+    out.append(("iso11-h=e1", make_isotropy(L, [V(1, 0, 0)]), []))
+    # heisenberg n=2 over h = span{u1 + u2}, m = span{u1, v1, v2, w}: the
+    # r-matrix u1^v2 is not invariant and its image is not h-stable
+    L = make_lie_algebra(5, {(0, 2): {4: 1}, (1, 3): {4: 1}}, ("u1", "u2", "v1", "v2", "w"))
+    iso = make_isotropy(L, [V(1, 1, 0, 0, 0)])
+    rs = [make_bivector(iso, V(*(int(t == k) for t in range(6)))) for k in (1, 2)]
+    out.append(("heisenberg-2-h=u1+u2", iso, rs))
+    return out
+
+
+def test_cached_isotropy_action_matches_per_pair_loops():
+    reductive_seen = set()
+    leaf_reductive_seen = set()
+    for tag, iso, rs in _isotropy_models():
+        assert iso.ad_bars == dense_ad_bars(iso), tag
+        assert iso.generator_maps == dense_generator_maps(iso), tag
+        assert iso.reductive == dense_is_reductive_complement(iso), tag
+        reductive_seen.add(iso.reductive)
+        if iso.reductive:
+            pair = make_reductive_pair(iso.L, iso)
+            assert pair.symmetric == dense_is_symmetric_complement(iso), tag
+        else:
+            with pytest.raises(NotReductive):
+                make_reductive_pair(iso.L, iso)
+        for r in rs:
+            flag = leaf_decomposition(r).reductive
+            assert flag == dense_leaf_reductive(r), tag
+            leaf_reductive_seen.add(flag)
+    assert reductive_seen == leaf_reductive_seen == {True, False}
+
+
 def test_heisenberg_generators_are_nilpotent_exponentials():
     # each declared generator is Ad(exp x) = I + ad_x for a lattice direction
     for n in (1, 2):
@@ -242,11 +298,12 @@ def _square(n):
 
 @given(_square(3), _square(3))
 def test_wedge2_action_is_functorial(A, B):
-    assert wedge2_action(A @ B) == wedge2_action(A) @ wedge2_action(B)
+    product = dense_wedge2_action(A) @ dense_wedge2_action(B)
+    assert wedge2_action_rows(A @ B) == product.sparse_rows()
 
 
 def test_wedge2_action_identity():
-    assert wedge2_action(Mat.identity(4)) == Mat.identity(6)
+    assert wedge2_action_rows(Mat.identity(4)) == Mat.identity(6).sparse_rows()
 
 
 @given(_square(3))
@@ -254,9 +311,9 @@ def test_wedge2_derivation_is_linearization(B):
     # the action of I + tB is quadratic in t; its odd part isolates the
     # derivation exactly
     eye = Mat.identity(3)
-    plus = wedge2_action(eye + B)
-    minus = wedge2_action(eye - B)
-    assert (plus - minus).scale(QQ(1, 2)) == wedge2_derivation(B)
+    plus = dense_wedge2_action(eye + B)
+    minus = dense_wedge2_action(eye - B)
+    assert wedge2_derivation_rows(B) == (plus - minus).scale(QQ(1, 2)).sparse_rows()
 
 
 # mostly zero, sometimes sparse-but-larger squares: the sparse builders read
@@ -272,15 +329,15 @@ def _sparse_square(n):
 
 @given(st.integers(0, 5).flatmap(_sparse_square))
 def test_sparse_wedge2_blocks_match_dense_formulas(A):
-    assert wedge2_action(A) == dense_wedge2_action(A)
-    assert wedge2_derivation(A) == dense_wedge2_derivation(A)
+    assert wedge2_action_rows(A) == dense_wedge2_action(A).sparse_rows()
+    assert wedge2_derivation_rows(A) == dense_wedge2_derivation(A).sparse_rows()
 
 
 def test_wedge2_blocks_reject_non_square():
     with pytest.raises(ValueError):
-        wedge2_action(Mat([[1, 2, 3], [4, 5, 6]]))
+        wedge2_action_rows(Mat([[1, 2, 3], [4, 5, 6]]))
     with pytest.raises(ValueError):
-        wedge2_derivation(Mat([[1, 2, 3], [4, 5, 6]]))
+        wedge2_derivation_rows(Mat([[1, 2, 3], [4, 5, 6]]))
 
 
 # ---------------------------------------------------------------------------

@@ -83,12 +83,14 @@ def _doc(name, dim, labels, bracket_map, subalgebra=(), complement=(), ad_genera
     )
 
 
+def _algebra(doc: AlgebraDocument) -> LieAlgebra:
+    brackets = {(i, j): dict(coeffs) for i, j, coeffs in doc.brackets}
+    return make_lie_algebra(doc.dim, brackets, labels=doc.labels)
+
+
 def realize(doc: AlgebraDocument):
     """Materialize (LieAlgebra, IsotropyModel) from a document."""
-    bracket_map = {}
-    for i, j, coeffs in doc.brackets:
-        bracket_map[(i, j)] = dict(coeffs)
-    L = make_lie_algebra(doc.dim, bracket_map, labels=doc.labels)
+    L = _algebra(doc)
     try:
         iso = make_isotropy(
             L,
@@ -280,24 +282,19 @@ def double(base: AlgebraDocument) -> AlgebraDocument:
     [m_i, m_j] = sum c_ij^k d_k.
     """
     n = base.dim
-    dense = {}
-    for i, j, coeffs in base.brackets:
-        dense[(i, j)] = dict(coeffs)
-        dense[(j, i)] = {k: -v for k, v in coeffs}
-
+    nz = _algebra(base).nz
     brackets = {}
 
-    def put(a, b, coeffs, shift):
-        if not coeffs:
+    def put(a, b, terms, shift):
+        if not terms:
             return
-        key = (a, b)
-        tgt = brackets.setdefault(key, {})
-        for k, v in coeffs.items():
+        tgt = brackets.setdefault((a, b), {})
+        for k, v in terms:
             tgt[k + shift] = tgt.get(k + shift, Fraction(0)) + v
 
     for i in range(n):
         for j in range(n):
-            c = dense.get((i, j), {})
+            c = nz[i][j]
             if i < j:
                 put(i, j, c, 0)  # [d_i, d_j] lands in the diagonal
                 put(n + i, n + j, c, 0)  # [m_i, m_j] lands in the diagonal

@@ -231,7 +231,7 @@ def format_bivector(labels, coords) -> str:
 
 
 def _rats(seq):
-    return [str(Fraction(x)) for x in seq]
+    return [str(x) for x in seq]
 
 
 # ---------------------------------------------------------------------------

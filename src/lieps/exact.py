@@ -7,9 +7,9 @@ floating point anywhere.
 
 Elimination runs on sparse integer rows: each rational row is scaled by the
 lcm of its denominators into a {column: int} dict of its nonzeros and handed
-to the fraction-free kernel in `_rref_py`, whose cost follows the nonzeros,
-not the shape.  `kernel_of_rows` takes such rows directly, so a constraint
-system assembled from its nonzeros never becomes a dense matrix.
+to the fraction-free kernel `_rref_int_rows`, whose cost follows the
+nonzeros, not the shape.  `kernel_of_rows` takes such rows directly, so a
+constraint system assembled from its nonzeros never becomes a dense matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._rref_py import rref_int_rows as _rref_int_rows
 from .errors import NoSolution
 
 QQ = Fraction
@@ -220,6 +219,81 @@ class Mat:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.entries)
         return f"Mat[{self.rows}x{self.cols}: {body}]"
+
+
+def _primitive(row):
+    content = gcd(*row.values())
+    if content > 1:
+        return {j: x // content for j, x in row.items()}
+    return row
+
+
+def _eliminate(row, piv_row, c):
+    """row with its entry in column c cleared against piv_row, made primitive."""
+    piv = piv_row[c]
+    f = row[c]
+    g = gcd(piv, f)
+    a = piv // g
+    b = f // g
+    out = {j: a * x for j, x in row.items()}
+    for j, y in piv_row.items():
+        v = out.get(j, 0) - b * y
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def _rref_int_rows(m, ncols):
+    """Sparse integer Gauss-Jordan on {column: int} rows: (rows, pivots).
+
+    Zero entries and all-zero rows are dropped up front.  At each pivot only
+    the rows with a nonzero entry f in the pivot column are updated,
+    row <- (piv/g) row - (f/g) pivrow with g = gcd(piv, f), and then divided
+    by their content, so values never leave Z and every row stays primitive.
+    Skipping the rows with f = 0 is exact because each row carries its own
+    scale; the one-step scheme of Bareiss (1968, Math. Comp. 22) shares the
+    previous pivot as a divisor across all rows, so it must rescale every
+    row at every pivot.  The pivot row is the candidate with the fewest
+    nonzeros, to limit fill-in; the RREF is unique, so that choice changes
+    only the intermediate integers.
+
+    Returned row t has its leading entry in column pivots[t] and zeros in
+    every other pivot column; dividing it by that entry yields RREF row t.
+    Only the rank-many pivot rows come back.
+    """
+    work = []
+    for r in m:
+        r = {j: x for j, x in r.items() if x}
+        if r:
+            work.append(_primitive(r))
+    reduced = []
+    pivots = []
+    for c in range(ncols):
+        if not work:
+            break
+        p = -1
+        for i, row in enumerate(work):
+            if c in row and (p < 0 or len(row) < len(work[p])):
+                p = i
+        if p < 0:
+            continue
+        piv_row = work.pop(p)
+        rest = []
+        for row in work:
+            if c in row:
+                row = _eliminate(row, piv_row, c)
+                if not row:
+                    continue
+            rest.append(row)
+        work = rest
+        for t, row in enumerate(reduced):
+            if c in row:
+                reduced[t] = _eliminate(row, piv_row, c)
+        reduced.append(piv_row)
+        pivots.append(c)
+    return reduced, pivots
 
 
 def _reduce(rows, ncols):

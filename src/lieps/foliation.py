@@ -23,6 +23,7 @@ from .errors import (
     RadicalMismatch,
 )
 from .exact import Mat, Subspace, dot, inverse, kernel, solve
+from .invariants import invariance_rows
 from .liecore import IsotropyModel, bracket, m_bracket, structure_constants
 from .ybe import Bivector, require_r_matrix
 
@@ -86,8 +87,28 @@ def _omega_matrix(r: Bivector, vectors) -> Mat:
     return Mat([[dot(xi, x) for xi in xis] for x in vectors], len(xis))
 
 
+def _not_invariant(r: Bivector):
+    """NotInvariant naming the first generator whose invariance rows r fails, or None."""
+    h = r.iso.h_basis
+    coords = r.coords
+    for t, rows in enumerate(invariance_rows(r.iso)):
+        if any(sum(x * coords[k] for k, x in row.items()) for row in rows):
+            what = (
+                f"h-basis vector ({', '.join(str(x) for x in h.basis[t])})"
+                if t < h.dim
+                else f"discrete generator ad_generators[{t - h.dim}]"
+            )
+            return NotInvariant(f"r is not invariant: the {what} moves it")
+    return None
+
+
 def _leaf_structure(r: Bivector):
-    """a_r = q^{-1}(Im r_#) = h + s(Im r_#) with its structure constants."""
+    """a_r = q^{-1}(Im r_#) = h + s(Im r_#) with its structure constants.
+
+    The theorem that a_r is closed holds for invariant r-matrices, so a
+    bracket leaving a_r is reported as NotInvariant when r is not invariant,
+    and as a bug otherwise.
+    """
     require_r_matrix(r)
     iso = r.iso
     a = Subspace.from_vectors(iso.L.dim, iso.h_basis.basis + _lifted_im_basis(r))
@@ -97,7 +118,7 @@ def _leaf_structure(r: Bivector):
     C = structure_constants(
         a,
         partial(bracket, iso.L),
-        lambda i, j: ClosureFailure(
+        lambda i, j: _not_invariant(r) or ClosureFailure(
             f"[b{i + 1}, b{j + 1}] leaves a_r; this contradicts the "
             "leaf-algebra theorem for r-matrices"
         ),

@@ -66,19 +66,26 @@ def _minus_identity(rows) -> list:
     return out
 
 
+def invariance_rows(iso: IsotropyModel) -> tuple:
+    """Sparse rows of the invariance conditions, one block per generator.
+
+    Block t < dim h is the derivation block of ad-bar_u for the t-th h-basis
+    vector u (connected part): its kernel is the bivectors u kills.  Each
+    later block is A^A - I for one discrete generator A, in order: its
+    kernel is the bivectors A fixes.
+    """
+    return tuple(wedge2_derivation_rows(ad_bar) for ad_bar in iso.ad_bars) + tuple(
+        _minus_identity(wedge2_action_rows(A)) for A in iso.generator_maps
+    )
+
+
 def invariant_bivectors(iso: IsotropyModel) -> InvariantBivectorSpace:
     """Bivectors on g/h fixed by the full declared isotropy action.
 
-    Collects the sparse rows of one derivation block per h-basis element
-    (connected part) and of one fixed-point block A^A - I per discrete
-    generator, then takes their common kernel.
+    The common kernel of every block of invariance_rows.
     """
     nwedge = len(wedge2_space(iso.quotient_dim))
-    rows = []
-    for ad_bar in iso.ad_bars:
-        rows += wedge2_derivation_rows(ad_bar)
-    for A in iso.generator_maps:
-        rows += _minus_identity(wedge2_action_rows(A))
+    rows = [row for block in invariance_rows(iso) for row in block]
     return InvariantBivectorSpace(
         iso=iso,
         basis=kernel_of_rows(rows, nwedge),

@@ -1,11 +1,12 @@
 """Finite-dimensional Lie algebras over Q and isotropy quotients.
 
-A Lie algebra is a dense structure-constant table c[i][j][k] over a fixed
-basis, with a sparse view nz[i][j] of its nonzeros that every bracket,
-ad-matrix, Jacobi and automorphism evaluation iterates over.  An isotropy
-model packages a subalgebra h together with an explicit linear model of the
-quotient g/h: a projection q, a section s built from standard basis vectors,
-and the annihilator h° of h inside g*, which is how (g/h)* is represented
+A Lie algebra is its table of structure constants over a fixed basis, stored
+sparse: nz[i][j] lists the nonzero coefficients of [e_i, e_j], and every
+bracket, ad-matrix, Jacobi and automorphism evaluation iterates over it, so
+its cost follows the nonzero products.  An isotropy model packages a
+subalgebra h together with an explicit linear model of the quotient g/h: a
+projection q, a section s built from standard basis vectors, and the
+annihilator h° of h inside g*, which is how (g/h)* is represented
 downstream.  The model also keeps the action of the isotropy on g/h, off
 which every invariant object is read.
 """
@@ -24,64 +25,63 @@ from .exact import Mat, Subspace, inverse, kernel, rref, vec
 class LieAlgebra:
     dim: int
     labels: tuple
-    c: tuple  # c[i][j][k] = coefficient of e_k in [e_i, e_j]
+    nz: tuple  # nz[i][j] = ((k, c_ijk), ...): the nonzeros of [e_i, e_j], k increasing
 
     def __post_init__(self):
-        if len(self.labels) != self.dim or len(self.c) != self.dim:
+        if len(self.labels) != self.dim or len(self.nz) != self.dim:
             raise ValueError(f"labels and structure constants must have length {self.dim}")
-
-    @cached_property
-    def nz(self) -> tuple:
-        """nz[i][j] = ((k, c_ijk), ...): the nonzeros of c[i][j], k increasing.
-
-        Derived from c on first use, entry by entry, so a table that is not
-        antisymmetric keeps both of its halves.
-        """
-        return tuple(
-            tuple(tuple((k, x) for k, x in enumerate(cij) if x) for cij in ci) for ci in self.c
-        )
 
 
 def make_lie_algebra(dim, brackets, labels=None) -> LieAlgebra:
     """Build an algebra from sparse brackets given on pairs i < j.
 
     `brackets` maps (i, j) with i < j to {k: coefficient}; the table is
-    completed antisymmetrically and everything else is zero.  Jacobi is not
-    checked here; run validate for a full report.
+    completed antisymmetrically, zero coefficients are dropped and every
+    other pair is zero.  Jacobi is not checked here; run validate for a full
+    report.
     """
     if labels is None:
         labels = tuple(f"e{i + 1}" for i in range(dim))
     labels = tuple(str(x) for x in labels)
-    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    nz = [[()] * dim for _ in range(dim)]
     for (i, j), coeffs in brackets.items():
         if not (0 <= i < j < dim):
             raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
+        terms = []
         for k, v in coeffs.items():
             if not 0 <= k < dim:
                 raise ValueError(f"coefficient index {k} out of range for dim {dim}")
             v = Fraction(v)
-            c[i][j][k] = v
-            c[j][i][k] = -v
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in c)
-    return LieAlgebra(dim, labels, frozen)
+            if v:
+                terms.append((k, v))
+        terms.sort()
+        nz[i][j] = tuple(terms)
+        nz[j][i] = tuple((k, -v) for k, v in terms)
+    return LieAlgebra(dim, labels, tuple(tuple(row) for row in nz))
 
 
-def bracket(L: LieAlgebra, x, y) -> tuple:
-    x = vec(x)
-    y = vec(y)
-    out = [Fraction(0)] * L.dim
-    ys = [(j, yj) for j, yj in enumerate(y) if yj]
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        nzi = L.nz[i]
+def _sparse_bracket(nz, xs, ys) -> dict:
+    """[x, y] as {k: value} from the nonzero (index, coefficient) pairs of x and y."""
+    out = {}
+    for i, xi in xs:
+        nzi = nz[i]
         for j, yj in ys:
             terms = nzi[j]
             if terms:
                 xy = xi * yj
                 for k, c in terms:
-                    out[k] += xy * c
-    return tuple(out)
+                    out[k] = out.get(k, 0) + xy * c
+    return out
+
+
+def _nonzeros(x) -> tuple:
+    return tuple((i, xi) for i, xi in enumerate(x) if xi)
+
+
+def bracket(L: LieAlgebra, x, y) -> tuple:
+    out = _sparse_bracket(L.nz, _nonzeros(vec(x)), _nonzeros(vec(y)))
+    zero = Fraction(0)
+    return tuple(out.get(k, zero) for k in range(L.dim))
 
 
 def ad_matrix(L: LieAlgebra, x) -> Mat:
@@ -236,25 +236,16 @@ def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
         inverse(A)
     except ValueError:
         raise NotAnAutomorphism("generator is singular") from None
-    n = L.dim
     nz = L.nz
-    cols = [tuple((k, x) for k, x in enumerate(col) if x) for col in A.T.entries]
-    for i in range(n):
-        for j in range(i + 1, n):
-            # A[e_i, e_j] against [A e_i, A e_j], both from nonzeros only
-            lhs = [Fraction(0)] * n
+    cols = [_nonzeros(col) for col in A.T.entries]
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            # [A e_i, A e_j] - A[e_i, e_j], from nonzeros only
+            diff = _sparse_bracket(nz, cols[i], cols[j])
             for m, c in nz[i][j]:
                 for k, a in cols[m]:
-                    lhs[k] += c * a
-            rhs = [Fraction(0)] * n
-            for p, api in cols[i]:
-                for q, aqj in cols[j]:
-                    terms = nz[p][q]
-                    if terms:
-                        w = api * aqj
-                        for k, c in terms:
-                            rhs[k] += w * c
-            if lhs != rhs:
+                    diff[k] = diff.get(k, 0) - c * a
+            if any(diff.values()):
                 raise NotAnAutomorphism(
                     f"A[e{i + 1}, e{j + 1}] != [Ae{i + 1}, Ae{j + 1}]"
                 )
@@ -366,11 +357,6 @@ def ann_to_covector(iso: IsotropyModel, eta) -> tuple:
 def m_bracket(iso: IsotropyModel, x, y) -> tuple:
     """The m-bracket [x, y]_m = q[s x, s y] of two quotient vectors."""
     return iso.q_matrix @ bracket(iso.L, iso.s_matrix @ x, iso.s_matrix @ y)
-
-
-def is_reductive_complement(iso: IsotropyModel) -> bool:
-    """True when the declared complement m is stable under the h-action."""
-    return iso.reductive
 
 
 def wedge2_space(dim) -> tuple:

@@ -251,10 +251,32 @@ def greedy_complement_scan(space: Subspace) -> tuple:
     return tuple(chosen)
 
 
+def dense_table(L):
+    """The dense table c[i][j][k] = coefficient of e_k in [e_i, e_j], from L.nz."""
+    n = L.dim
+    c = [[[QQ(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k, x in L.nz[i][j]:
+                c[i][j][k] = x
+    return c
+
+
+def nz_of_table(c):
+    """The sparse table nz[i][j] = ((k, c_ijk), ...) of a raw dense table.
+
+    Both halves are kept as given, so a table that is not antisymmetric
+    still reaches validate.
+    """
+    return tuple(
+        tuple(tuple((k, QQ(x)) for k, x in enumerate(cij) if x) for cij in ci) for ci in c
+    )
+
+
 def dense_validate(L):
     """(antisymmetry failures, Jacobi failures) by the dense triple loops."""
     n = L.dim
-    c = L.c
+    c = dense_table(L)
     anti = tuple(
         (i, j)
         for i in range(n)
@@ -282,6 +304,26 @@ def dense_validate(L):
                 if any(a + b + z != 0 for a, b, z in zip(d1, d2, d3)):
                     jac.append((i, j, k))
     return anti, tuple(jac)
+
+
+def dense_is_automorphism(L, A: Mat) -> bool:
+    """A[e_i, e_j] == [A e_i, A e_j] for every i < j, by the dense triple loops."""
+    n = L.dim
+    c = dense_table(L)
+    a = A.entries
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = [sum((a[k][m] * c[i][j][m] for m in range(n)), QQ(0)) for k in range(n)]
+            rhs = [
+                sum(
+                    (a[p][i] * a[q][j] * c[p][q][k] for p in range(n) for q in range(n)),
+                    QQ(0),
+                )
+                for k in range(n)
+            ]
+            if lhs != rhs:
+                return False
+    return True
 
 
 def dense_wedge2_action(A: Mat) -> Mat:

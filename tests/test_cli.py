@@ -441,10 +441,69 @@ def test_complement_not_transverse_to_h_is_parse_error(complement):
     assert err == "parse error: complement: does not complete the subalgebra to a basis\n"
 
 
+HEIS_TILTED_H = (
+    '{"dim":5,"labels":["u1","u2","v1","v2","w"],'
+    '"brackets":[{"i":0,"j":2,"coeffs":{"4":"1"}},{"i":1,"j":3,"coeffs":{"4":"1"}}],'
+    '"subalgebra":[[1,1,0,0,0]]}'
+)
+
+
+def test_leaf_of_a_non_invariant_r_matrix_is_not_invariant():
+    # h = span{u1 + u2}, greedy complement u1, v1, v2, w: u1^v2 is an
+    # r-matrix that h moves, and its a_r is not bracket-closed
+    code, out, err = run_cli(["ybe", "-", "--r", "u1^v2"], HEIS_TILTED_H)
+    assert (code, out) == (0, "r-matrix\n")
+    code, out, err = run_cli(["leaf", "-", "--r", "u1^v2"], HEIS_TILTED_H)
+    assert (code, out) == (1, "")
+    assert err == "error: r is not invariant: the h-basis vector (1, 1, 0, 0, 0) moves it\n"
+    code, out, err = run_cli(["leaf", "-", "--r", "u1^w"], HEIS_TILTED_H)
+    assert (code, err) == (0, "")
+    assert out.startswith("a_r: dim 3\n")
+
+
+# ---------------------------------------------------------------------------
+# byte-identical scan, ybe and leaf output, pinned to the digests of the
+# implementation with a dense structure-constant table; one scan r-matrix
+# per document
+
+OUTPUT_CASES = {
+    "heisenberg": ({"n": 3}, "u1^w + v1^w"),
+    "so4_grassmann": ({}, "e1^e2 + e1^e3 + e2^e4 + e3^e4"),
+    "double": ({"of": "heisenberg", "n": 2}, "m_u1^m_w + m_v1^m_w"),
+}
+
+PINNED_OUTPUT_CASES_SHA256 = {
+    ("heisenberg", "scan", "text"): "ddc22687d5a4d46c180bc0c229eca7033ffb52cfc40b58123ba7f81bffc73c38",
+    ("heisenberg", "scan", "json"): "1ba67ef747ec8d7c9c32f3f21a0960c029097dfb223ac2571865341285b2273f",
+    ("heisenberg", "ybe", "text"): "9e5c02f8be791433d6c66043ceb3ebfd974bdc7204bae0afb2933f127ca54578",
+    ("heisenberg", "ybe", "json"): "b51cf1afa85233a98cc767fd2f89f7f7e47530c4eea6352fd6f47943cf043cdc",
+    ("heisenberg", "leaf", "text"): "6b4cf1687ddd5531f4d1961a0eb128e23a5baae6e7031e6363097f820c3fdf0a",
+    ("heisenberg", "leaf", "json"): "2fbc9177080bcc7df4199d194acfd7cba4cd439cbfc375b3dd79f80462538f50",
+    ("so4_grassmann", "scan", "text"): "fe0835c281adc2c64b83a2a278b3e38ff5756d5874e7a4f146570ad2c357d4fc",
+    ("so4_grassmann", "scan", "json"): "8da4a51f5e10e1356c2a1e65bb44feb058e9af458a6f64b2aeb0ddd195cd4eed",
+    ("so4_grassmann", "ybe", "text"): "9e5c02f8be791433d6c66043ceb3ebfd974bdc7204bae0afb2933f127ca54578",
+    ("so4_grassmann", "ybe", "json"): "0aab4df2d52b7fa23b0cd2c4c7d59b855336f1bbd2142536227e2e579265a80c",
+    ("so4_grassmann", "leaf", "text"): "08506c9eb66e8269340092f953d3175b09bcbf7da5b5444d59db970d2edb9db2",
+    ("so4_grassmann", "leaf", "json"): "ee3a40cf936d875a50f17d028a2b8c6ee1d1e74572faf052c4f98d6f5d53ab78",
+    ("double", "scan", "text"): "c20d9913ffde62315c85aac284a9490b07713241f76fc7901e61ec6a79e8a66b",
+    ("double", "scan", "json"): "705404a3dd8ae4513c3f52d7932fa83a72b12e87a1345d91f0c22a1fe8e83df3",
+    ("double", "ybe", "text"): "9e5c02f8be791433d6c66043ceb3ebfd974bdc7204bae0afb2933f127ca54578",
+    ("double", "ybe", "json"): "add07171a3d7b8454d44060e1b0a478ab30f1c54394f305f9962f73555e639a1",
+    ("double", "leaf", "text"): "6ff6e22844e98c90d6d1049169f303c32f733d29982c7b8c186b4ffbdcdf6173",
+    ("double", "leaf", "json"): "7da3b1360463b03b097e5a50d6060f2f1bbafbec12fd391f7b263e4afaf0df53",
+}
+
+
 def test_output_is_deterministic():
-    first = run_cli(["scan", "-", "--json"], stdin_text=_doc_text("so4_grassmann"))
-    second = run_cli(["scan", "-", "--json"], stdin_text=_doc_text("so4_grassmann"))
-    assert first == second
+    for name, (params, r) in OUTPUT_CASES.items():
+        doc = _doc_text(name, **params)
+        for cmd in ("scan", "ybe", "leaf"):
+            for fmt in ("text", "json"):
+                argv = [cmd, "-"] + (["--r", r] if cmd != "scan" else []) + ["--format", fmt]
+                code, out, err = run_cli(argv, doc)
+                assert (code, err) == (0, ""), (name, cmd, fmt, err)
+                digest = hashlib.sha256(out.encode()).hexdigest()
+                assert digest == PINNED_OUTPUT_CASES_SHA256[(name, cmd, fmt)], (name, cmd, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from lieps.connections import (
 from lieps.errors import NotAnFConnection, NotAnRMatrix, NotReductive
 from lieps.exact import Mat
 from lieps.invariants import invariant_bivectors
-from lieps.liecore import induced_ad_bar, is_reductive_complement, make_isotropy
+from lieps.liecore import induced_ad_bar, make_isotropy
 from lieps.liecore import wedge2_space
 from lieps.ybe import make_bivector, quotient_hcirc
 
@@ -69,7 +69,7 @@ def test_reductive_flags_on_catalog():
         ("iso11", None, False),
     ]:
         L, iso = instance(name, params)
-        assert is_reductive_complement(iso), name
+        assert iso.reductive, name
         assert make_reductive_pair(L, iso).symmetric == symmetric, name
 
 
@@ -77,14 +77,14 @@ def test_nontrivial_isotropy_with_central_brackets_is_symmetric():
     # m = span{v1, w} brackets to zero, and zero lies in every subalgebra
     L, _ = instance("heisenberg", {"n": 1})
     iso = make_isotropy(L, [V(1, 0, 0)], complement_indices=(1, 2))
-    assert is_reductive_complement(iso)
+    assert iso.reductive
     assert make_reductive_pair(L, iso).symmetric
 
 
 def test_non_reductive_isotropy_is_rejected():
     L, _ = instance("iso11")
     iso = make_isotropy(L, [V(1, 0, 0)])
-    assert not is_reductive_complement(iso)
+    assert not iso.reductive
     with pytest.raises(NotReductive):
         make_reductive_pair(L, iso)
 
@@ -465,7 +465,7 @@ def test_left_symmetric_product_on_fixed_covectors():
 def _reductive_catalog_pairs():
     out = []
     for tag, L, iso in catalog_instances():
-        if is_reductive_complement(iso):
+        if iso.reductive:
             out.append((tag, iso, make_reductive_pair(L, iso)))
     return out
 

@@ -7,7 +7,17 @@ from hypothesis import strategies as st
 
 from helpers import gauss_jordan_oracle, kernel_oracle
 from lieps.errors import NoSolution
-from lieps.exact import Mat, Subspace, dot, inverse, kernel, kernel_of_rows, rref, solve
+from lieps.exact import (
+    Mat,
+    Subspace,
+    _rref_int_rows,
+    dot,
+    inverse,
+    kernel,
+    kernel_of_rows,
+    rref,
+    solve,
+)
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -119,6 +129,20 @@ def test_rref_idempotent(m):
 @given(matrices())
 def test_rref_deterministic(m):
     assert rref(m) == rref(Mat(m.entries))
+
+
+def test_integer_kernel_stays_integral():
+    # gcd-scaled updates must stay in Z and leave every returned row with a
+    # nonzero pivot; a truncating division would also show up as a wrong
+    # rref through the Fraction oracle above
+    m = [{0: 3, 1: 1, 2: 4}, {0: 1, 1: 5, 2: 9}, {}, {0: 2, 1: 6, 2: 5}, {0: 6, 1: 2, 2: 8}]
+    rows, piv = _rref_int_rows(m, 3)
+    assert piv == [0, 1, 2]
+    assert len(rows) == 3
+    for t, c in enumerate(piv):
+        assert all(isinstance(x, int) and x != 0 for x in rows[t].values())
+        assert rows[t][c] != 0
+        assert all(p not in rows[t] for p in piv if p != c)
 
 
 @settings(max_examples=80, deadline=None)

@@ -14,8 +14,10 @@ from lieps.errors import (
     RadicalMismatch,
 )
 from lieps.exact import Mat, Subspace, rref
+from lieps.cli import parse_bivector_expr
 from lieps.foliation import (
     _check_cocycle,
+    _not_invariant,
     leaf_algebra,
     leaf_cocycle,
     leaf_decomposition,
@@ -235,6 +237,24 @@ def test_leaf_requires_r_matrix():
         leaf_algebra(s)
     with pytest.raises(NotAnRMatrix):
         leaf_cocycle(s)
+
+
+def test_not_invariant_names_the_generator_that_moves_r():
+    # heisenberg n=2 has h = 0 and the lattice generators u_i -> u_i - w,
+    # v_i -> v_i + w, in that order, then the identity
+    L, iso = instance("heisenberg", {"n": 2})
+    inv = invariant_bivectors(iso)
+    for text, moved in [("u1^u2", 0), ("u2^v1", 1), ("v1^v2", 2), ("u1^w", None)]:
+        coords = parse_bivector_expr(text, L.labels)
+        err = _not_invariant(make_bivector(iso, coords))
+        assert (err is None) == inv.basis.contains(coords), text
+        if moved is None:
+            assert err is None
+        else:
+            assert isinstance(err, NotInvariant)
+            assert str(err) == (
+                f"r is not invariant: the discrete generator ad_generators[{moved}] moves it"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,17 @@ from helpers import (
     catalog_r_matrices,
     dense_ad_bars,
     dense_generator_maps,
+    dense_is_automorphism,
     dense_is_reductive_complement,
     dense_is_symmetric_complement,
     dense_leaf_reductive,
+    dense_table,
     dense_validate,
     dense_wedge2_action,
     dense_wedge2_derivation,
     greedy_complement_scan,
     instance,
+    nz_of_table,
     random_instances,
 )
 from lieps.connections import make_reductive_pair
@@ -26,10 +29,11 @@ from lieps.errors import (
     NotInH,
     NotReductive,
 )
-from lieps.exact import Mat, Subspace
+from lieps.exact import Mat, Subspace, inverse
 from lieps.foliation import leaf_decomposition
 from lieps.liecore import (
     LieAlgebra,
+    _check_automorphism,
     ad_matrix,
     bracket,
     covector_to_ann,
@@ -37,7 +41,6 @@ from lieps.liecore import (
     greedy_complement,
     induced_ad_bar,
     induced_map,
-    is_reductive_complement,
     make_isotropy,
     make_lie_algebra,
     validate,
@@ -59,9 +62,10 @@ def V(*xs):
 def test_make_lie_algebra_defaults_and_completion():
     L = make_lie_algebra(3, {(0, 1): {2: QQ(1)}})
     assert L.labels == ("e1", "e2", "e3")
-    assert L.c[0][1][2] == 1
-    assert L.c[1][0][2] == -1
-    assert all(x == 0 for x in L.c[2][2])
+    c = dense_table(L)
+    assert c[0][1][2] == 1
+    assert c[1][0][2] == -1
+    assert all(x == 0 for x in c[2][2])
 
 
 def test_make_lie_algebra_rejects_bad_keys():
@@ -107,7 +111,8 @@ def test_validate_reports_jacobi_failure():
 
 def test_validate_reports_antisymmetry_failure():
     # built by hand: c[0][1] = c[1][0] = e1, skew fails at the pair (0, 1)
-    L = LieAlgebra(dim=2, labels=("a", "b"), c=((V(0, 0), V(1, 0)), (V(1, 0), V(0, 0))))
+    c = ((V(0, 0), V(1, 0)), (V(1, 0), V(0, 0)))
+    L = LieAlgebra(dim=2, labels=("a", "b"), nz=nz_of_table(c))
     report = validate(L)
     assert not report.ok
     assert (0, 1) in report.antisymmetry_failures
@@ -184,11 +189,11 @@ def test_induced_ad_bar_matches_direct_computation():
 
 def test_reductive_complement_flags():
     _, iso_gl = instance("gl_sym", {"n": 2})
-    assert is_reductive_complement(iso_gl)
+    assert iso_gl.reductive
     L, _ = instance("iso11")
     iso_bad = make_isotropy(L, [V(1, 0, 0)])
     assert iso_bad.complement_indices == (1, 2)
-    assert not is_reductive_complement(iso_bad)
+    assert not iso_bad.reductive
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +364,7 @@ def raw_tables(draw):
         c = tuple(
             tuple(tuple(entry() for _ in range(n)) for _ in range(n)) for _ in range(n)
         )
-        return LieAlgebra(n, tuple(f"e{i + 1}" for i in range(n)), c)
+        return LieAlgebra(n, tuple(f"e{i + 1}" for i in range(n)), nz_of_table(c))
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -382,10 +387,11 @@ def test_sparse_validate_matches_dense_triple_loop(L):
 @given(raw_tables(), st.randoms(use_true_random=False))
 def test_sparse_bracket_and_ad_matrix_read_c(L, rng):
     n = L.dim
+    c = dense_table(L)
     x = tuple(QQ(rng.randint(-2, 2)) for _ in range(n))
     y = tuple(QQ(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n))
     dense = tuple(
-        sum((x[i] * y[j] * L.c[i][j][k] for i in range(n) for j in range(n)), QQ(0))
+        sum((x[i] * y[j] * c[i][j][k] for i in range(n) for j in range(n)), QQ(0))
         for k in range(n)
     )
     assert bracket(L, x, y) == dense
@@ -397,12 +403,83 @@ def test_validate_reports_failures_of_a_raw_table():
     zero = (QQ(0),) * 3
     c = [[list(zero) for _ in range(3)] for _ in range(3)]
     c[0][1][2] = QQ(1)
-    L = LieAlgebra(3, ("a", "b", "c"), tuple(tuple(tuple(r) for r in p) for p in c))
+    L = LieAlgebra(3, ("a", "b", "c"), nz_of_table(c))
     rep = validate(L)
     assert rep.antisymmetry_failures == ((0, 1),)
     assert rep.jacobi_failures == ()
-    # the sparse view comes from c as given, not from an antisymmetric completion
+    # the sparse table keeps c as given, not an antisymmetric completion
     assert L.nz[0][1] == ((2, QQ(1)),) and L.nz[1][0] == ()
+
+
+@st.composite
+def bracket_maps(draw):
+    """Sparse brackets on pairs i < j, zero coefficients and empty maps included."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(1, 6)
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                ks = rng.sample(range(n), rng.randint(0, n))
+                brackets[(i, j)] = {k: QQ(rng.randint(-3, 3), rng.randint(1, 3)) for k in ks}
+    return n, brackets
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_maps())
+def test_make_lie_algebra_matches_dense_then_derive(case):
+    # the dense table completed antisymmetrically, then read entry by entry
+    n, brackets = case
+    c = [[[QQ(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), coeffs in brackets.items():
+        for k, v in coeffs.items():
+            c[i][j][k] = v
+            c[j][i][k] = -v
+    assert make_lie_algebra(n, brackets).nz == nz_of_table(c)
+
+
+GENERATOR_ALGEBRAS = [
+    instance(name, params)
+    for name, params in [
+        ("heisenberg", {"n": 1}),
+        ("heisenberg", {"n": 2}),
+        ("heisenberg", {"n": 3}),
+        ("iso11", None),
+    ]
+]
+
+
+@st.composite
+def generator_candidates(draw):
+    """(L, A): a product of catalog generators of L, perhaps with one entry moved."""
+    rng = draw(st.randoms(use_true_random=False))
+    L, iso = rng.choice(GENERATOR_ALGEBRAS)
+    A = Mat.identity(L.dim)
+    for _ in range(rng.randint(1, 3)):
+        A = A @ rng.choice(iso.discrete_generators)
+    if rng.random() < 0.7:
+        rows = [list(row) for row in A.entries]
+        p, q = rng.randrange(L.dim), rng.randrange(L.dim)
+        rows[p][q] += QQ(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+        A = Mat(rows)
+    return L, A
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_candidates())
+def test_check_automorphism_matches_dense_triple_loop(case):
+    L, A = case
+    try:
+        inverse(A)
+    except ValueError:
+        with pytest.raises(NotAnAutomorphism, match="singular"):
+            _check_automorphism(L, A, Subspace.zero(L.dim))
+        return
+    if dense_is_automorphism(L, A):
+        _check_automorphism(L, A, Subspace.zero(L.dim))
+    else:
+        with pytest.raises(NotAnAutomorphism):
+            _check_automorphism(L, A, Subspace.zero(L.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     catalog_instances,
+    dense_table,
     instance,
     invariant_candidates,
     random_lift_perturbation,
@@ -304,7 +305,7 @@ def test_fixed_space_lie_algebra_poincare():
     assert validate(out.algebra).ok
     # abelian: all structure constants vanish
     assert all(
-        x == 0 for plane in out.algebra.c for row in plane for x in row
+        x == 0 for plane in dense_table(out.algebra) for row in plane for x in row
     )
 
 

@@ -433,7 +433,7 @@ def parse(text) -> AlgebraDocument:
         parsed = []
         for key, val in coeffs.items():
             kpath = f"{path}.coeffs.{key}"
-            _expect(isinstance(key, str) and key.isdigit(), kpath, "key must be a basis index")
+            _expect(isinstance(key, str) and key.isdecimal(), kpath, "key must be a basis index")
             k = int(key)
             _expect(0 <= k < dim, kpath, f"index out of range 0..{dim - 1}")
             parsed.append((k, parse_rational(val, kpath)))

@@ -12,6 +12,7 @@ import argparse
 import functools
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -42,8 +43,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# bivector expressions: sums of coeff * atom ^ atom, atoms being quotient
-# basis labels or parenthesized linear combinations of them
+# bivector expressions: sums of coeff * vector ^ vector, vectors being
+# quotient basis labels or parenthesized sums of coeff * vector
 
 
 class _ExprError(DocumentError):
@@ -51,42 +52,28 @@ class _ExprError(DocumentError):
         super().__init__("--r", msg)
 
 
+# a label starts with a letter or _ (checked on the match, since \w also
+# holds non-decimal digits such as '²'); whitespace between tokens is skipped
+_TOKEN = re.compile(r"(?P<num>\d+(?:/\d*)?)|(?P<label>\w+)|(?P<op>[-+*^()])|(?P<bad>\S)")
+
+
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise _ExprError(f"bad rational near {text[i:]!r}")
-                tokens.append(("num", Fraction(text[i:k])))
-                i = k
-            else:
-                tokens.append(("num", Fraction(text[i:j])))
-                i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("label", text[i:j]))
-            i = j
-            continue
-        raise _ExprError(f"unexpected character {ch!r}")
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "num":
+            num, slash, den = tok.partition("/")
+            if slash and not den:
+                raise _ExprError(f"bad rational near {text[m.start():]!r}")
+            if slash and int(den) == 0:
+                raise _ExprError(f"zero denominator in {tok!r}")
+            tokens.append(("num", Fraction(int(num), int(den or 1))))
+        elif kind == "label" and (tok[0].isalpha() or tok[0] == "_"):
+            tokens.append(("label", tok))
+        elif kind == "op":
+            tokens.append((tok, tok))
+        else:
+            raise _ExprError(f"unexpected character {tok[0]!r}")
     tokens.append(("end", None))
     return tokens
 
@@ -98,7 +85,6 @@ class _ExprParser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.labels = {lab: t for t, lab in enumerate(labels)}
-        self.n = len(labels)
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -110,7 +96,27 @@ class _ExprParser:
         self.pos += 1
         return val
 
-    def vector_atom(self):
+    def terms(self, term):
+        """[+|-] [coeff [*]] term, repeated with + or - between terms.
+
+        Returns the (signed coefficient, term value) pairs.
+        """
+        out = []
+        while True:
+            sign = -1 if self.peek() == "-" else 1
+            if self.peek() in ("+", "-"):
+                self.take()
+            coeff = Fraction(1)
+            if self.peek() == "num":
+                coeff = self.take()
+                if self.peek() == "*":
+                    self.take()
+            out.append((sign * coeff, term()))
+            if self.peek() not in ("+", "-"):
+                return out
+
+    def vector(self):
+        """A label or a parenthesized combination, as {index: coeff}."""
         tk = self.peek()
         if tk == "label":
             lab = self.take()
@@ -118,83 +124,46 @@ class _ExprParser:
                 raise _ExprError(
                     f"unknown label {lab!r}; expected one of {sorted(self.labels)}"
                 )
-            v = [Fraction(0)] * self.n
-            v[self.labels[lab]] = Fraction(1)
-            return v
+            return {self.labels[lab]: Fraction(1)}
         if tk == "(":
             self.take("(")
-            v = self.linear()
+            v = {}
+            for c, part in self.terms(self.vector):
+                for t, x in part.items():
+                    v[t] = v.get(t, 0) + c * x
             self.take(")")
             return v
         raise _ExprError("expected a basis label or a parenthesized combination")
 
-    def linear(self):
-        v = [Fraction(0)] * self.n
-        sign = Fraction(1)
-        first = True
-        while True:
-            tk = self.peek()
-            if tk in ("+", "-"):
-                sign = Fraction(1) if self.take() == "+" else Fraction(-1)
-            elif not first:
-                break
-            coeff = Fraction(1)
-            if self.peek() == "num":
-                coeff = self.take()
-                if self.peek() == "*":
-                    self.take()
-            part = self.vector_atom()
-            for t in range(self.n):
-                v[t] += sign * coeff * part[t]
-            sign = Fraction(1)
-            first = False
-            if self.peek() not in ("+", "-"):
-                break
-        return v
+    def wedge(self):
+        u = self.vector()
+        self.take("^")
+        return u, self.vector()
 
     def bivector(self):
-        pairs = wedge2_space(self.n)
+        pairs = wedge2_space(len(self.labels))
         index = {p: t for t, p in enumerate(pairs)}
         coords = [Fraction(0)] * len(pairs)
         if [tk for tk, _ in self.tokens] == ["num", "end"] and self.tokens[0][1] == 0:
             # a lone 0 is the zero bivector, as format_bivector prints it
             return tuple(coords)
-        sign = Fraction(1)
-        first = True
-        while self.peek() != "end":
-            tk = self.peek()
-            if tk in ("+", "-"):
-                sign = Fraction(1) if self.take() == "+" else Fraction(-1)
-            elif not first:
-                raise _ExprError("expected + or - between terms")
-            coeff = Fraction(1)
-            if self.peek() == "num":
-                coeff = self.take()
-                if self.peek() == "*":
-                    self.take()
-            u = self.vector_atom()
-            self.take("^")
-            v = self.vector_atom()
-            for i in range(self.n):
-                if u[i] == 0:
-                    continue
-                for j in range(self.n):
-                    if v[j] == 0 or i == j:
-                        continue
-                    c = sign * coeff * u[i] * v[j]
-                    if i < j:
-                        coords[index[(i, j)]] += c
-                    else:
-                        coords[index[(j, i)]] -= c
-            sign = Fraction(1)
-            first = False
-        if first:
+        if self.peek() == "end":
             raise _ExprError("empty bivector expression")
+        for c, (u, v) in self.terms(self.wedge):
+            for i, x in u.items():
+                for j, y in v.items():
+                    if i < j:
+                        coords[index[(i, j)]] += c * x * y
+                    elif i > j:
+                        coords[index[(j, i)]] -= c * x * y
+        if self.peek() != "end":
+            raise _ExprError("expected + or - between terms")
         return tuple(coords)
 
 
 def parse_bivector_expr(text, labels) -> tuple:
-    return _ExprParser(text, labels).bivector()
+    # argparse hands over the value of --r=-- as [], since it drops a "--"
+    return _ExprParser(text or "", labels).bivector()
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +199,9 @@ def format_bivector(labels, coords) -> str:
     )
 
 
-def _rats(seq):
-    return [str(x) for x in seq]
-
-
 # ---------------------------------------------------------------------------
-# command handlers; each returns (exit_code, stdout_text)
+# command handlers; each returns (exit_code, stdout_text).  A handler builds
+# one payload of exact values and derives its text lines from it.
 
 
 def _load(path, stdin_text):
@@ -250,42 +216,47 @@ def _load(path, stdin_text):
     return catalog.parse(text)
 
 
-def _quotient_labels(doc, iso):
-    return [doc.labels[j] for j in iso.complement_indices]
+def _model(args, stdin_text):
+    """The document, its algebra and isotropy model, and the quotient labels."""
+    doc = _load(args.file, stdin_text)
+    L, iso = catalog.realize(doc)
+    return doc, L, iso, [doc.labels[j] for j in iso.complement_indices]
+
+
+def _exact(x):
+    # payloads keep their Fractions; JSON prints them as exact strings
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _emit(payload, text_lines, fmt):
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, default=_exact) + "\n"
     return "\n".join(text_lines) + "\n"
 
 
 def _cmd_validate(args, stdin_text):
-    doc = _load(args.file, stdin_text)
-    L, _ = catalog.realize(doc)
+    doc, L, _, _ = _model(args, stdin_text)
     report = validate(L)
     payload = {
         "ok": report.ok,
-        "antisymmetry_failures": [list(p) for p in report.antisymmetry_failures],
-        "jacobi_failures": [list(t) for t in report.jacobi_failures],
+        "antisymmetry_failures": report.antisymmetry_failures,
+        "jacobi_failures": report.jacobi_failures,
     }
     lines = [f"name: {doc.name}", f"dim: {doc.dim}", f"ok: {str(report.ok).lower()}"]
-    for p in report.antisymmetry_failures:
-        lines.append(f"antisymmetry violated at pair {p}")
-    for t in report.jacobi_failures:
-        lines.append(f"jacobi violated at triple {t}")
+    lines += [f"antisymmetry violated at pair {p}" for p in report.antisymmetry_failures]
+    lines += [f"jacobi violated at triple {t}" for t in report.jacobi_failures]
     return (0 if report.ok else 1), _emit(payload, lines, args.format)
 
 
 def _cmd_invariants(args, stdin_text):
-    doc = _load(args.file, stdin_text)
-    _, iso = catalog.realize(doc)
+    _, _, iso, qlabels = _model(args, stdin_text)
     inv = invariant_bivectors(iso)
-    qlabels = _quotient_labels(doc, iso)
     pretty = [format_bivector(qlabels, v) for v in inv.basis.basis]
     payload = {
         "dim": inv.dim,
-        "basis_coords": [_rats(v) for v in inv.basis.basis],
+        "basis_coords": inv.basis.basis,
         "basis": pretty,
         "source": inv.source,
     }
@@ -294,34 +265,26 @@ def _cmd_invariants(args, stdin_text):
 
 
 def _cmd_ybe(args, stdin_text):
-    doc = _load(args.file, stdin_text)
-    _, iso = catalog.realize(doc)
-    qlabels = _quotient_labels(doc, iso)
+    _, _, iso, qlabels = _model(args, stdin_text)
     coords = parse_bivector_expr(args.r, qlabels)
     r = make_bivector(iso, coords)
-    nonzero = r.tensor.nonzero_entries()
+    nonzero = [
+        {"triple": [qlabels[a] + "*" for a in abc], "value": val}
+        for abc, val in r.tensor.nonzero_entries()
+    ]
     payload = {
         "r": format_bivector(qlabels, coords),
         "r_matrix": not nonzero,
-        "nonzero": [
-            {"triple": [qlabels[a] + "*" for a in abc], "value": str(val)}
-            for abc, val in nonzero
-        ],
+        "nonzero": nonzero,
     }
-    if not nonzero:
-        lines = ["r-matrix"]
-    else:
-        lines = [f"not an r-matrix: {len(nonzero)} nonzero entries"]
-        for (a, b, c), val in nonzero:
-            lines.append(f"  [[r,r]]({qlabels[a]}*, {qlabels[b]}*, {qlabels[c]}*) = {val}")
+    lines = [f"not an r-matrix: {len(nonzero)} nonzero entries" if nonzero else "r-matrix"]
+    lines += [f"  [[r,r]]({', '.join(e['triple'])}) = {e['value']}" for e in nonzero]
     return 0, _emit(payload, lines, args.format)
 
 
 def _cmd_scan(args, stdin_text):
-    doc = _load(args.file, stdin_text)
-    _, iso = catalog.realize(doc)
+    _, _, iso, qlabels = _model(args, stdin_text)
     inv = invariant_bivectors(iso)
-    qlabels = _quotient_labels(doc, iso)
     rows = []
     basis = list(inv.basis.basis)
     for v in basis:
@@ -331,17 +294,15 @@ def _cmd_scan(args, stdin_text):
             rows.append(("sum", tuple(x + y for x, y in zip(basis[i], basis[j]))))
     for text in args.candidate or []:
         rows.append(("candidate", parse_bivector_expr(text, qlabels)))
-    out_rows = []
-    for kind, coords in rows:
-        r = make_bivector(iso, coords)
-        out_rows.append(
-            {
-                "kind": kind,
-                "bivector": format_bivector(qlabels, coords),
-                "invariant": inv.basis.contains(coords),
-                "is_r_matrix": is_r_matrix(r),
-            }
-        )
+    out_rows = [
+        {
+            "kind": kind,
+            "bivector": format_bivector(qlabels, coords),
+            "invariant": inv.basis.contains(coords),
+            "is_r_matrix": is_r_matrix(make_bivector(iso, coords)),
+        }
+        for kind, coords in rows
+    ]
     payload = {"rows": out_rows}
     lines = [f"{len(out_rows)} candidates"]
     for row in out_rows:
@@ -352,19 +313,16 @@ def _cmd_scan(args, stdin_text):
 
 
 def _cmd_leaf(args, stdin_text):
-    doc = _load(args.file, stdin_text)
-    _, iso = catalog.realize(doc)
-    qlabels = _quotient_labels(doc, iso)
-    coords = parse_bivector_expr(args.r, qlabels)
-    r = make_bivector(iso, coords)
+    doc, _, iso, qlabels = _model(args, stdin_text)
+    r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
     data = leaf_cocycle(r)
     dec = leaf_decomposition(r)
     frame_pretty = [format_vector(doc.labels, v) for v in data.frame]
     payload = {
         "a_dim": data.a_basis.dim,
         "frame": frame_pretty,
-        "frame_coords": [_rats(v) for v in data.frame],
-        "omega": [[str(x) for x in row] for row in data.frame_omega.entries],
+        "frame_coords": data.frame,
+        "omega": data.frame_omega.entries,
         "radical_equals_h": True,
         "reductive": dec.reductive,
         "symmetric": dec.symmetric,
@@ -381,69 +339,50 @@ def _cmd_leaf(args, stdin_text):
     return 0, _emit(payload, lines, args.format)
 
 
+def _entries(qlabels, items):
+    """One {eta, xi, value} record per nonzero covector value on a basis pair."""
+    return [
+        {"eta": qlabels[a] + "*", "xi": qlabels[c] + "*", "value": format_covector(qlabels, v)}
+        for a, c, v in items
+        if any(v)
+    ]
+
+
+def _entry_lines(title, symbol, entries):
+    if not entries:
+        return [f"{title}: 0"]
+    return [f"{title}:"] + [f"  {symbol}({e['eta']}, {e['xi']}) = {e['value']}" for e in entries]
+
+
 def _cmd_connection(args, stdin_text):
-    doc = _load(args.file, stdin_text)
-    L, iso = catalog.realize(doc)
+    _, L, iso, qlabels = _model(args, stdin_text)
     pair = make_reductive_pair(L, iso)
-    qlabels = _quotient_labels(doc, iso)
-    coords = parse_bivector_expr(args.r, qlabels)
-    r = make_bivector(iso, coords)
+    r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
     b = build_connection(args.kind, pair, r)
     n = pair.dim_m
     eps = Mat.identity(n).entries
-
-    b_entries = []
-    for a in range(n):
-        for c in range(n):
-            val = b.b[a][c]
-            if any(x != 0 for x in val):
-                b_entries.append((a, c, val))
-    torsion_entries = []
-    curvature_nonzero = []
-    for a in range(n):
-        for c in range(a + 1, n):
-            t = torsion(pair, r, b, eps[a], eps[c])
-            if any(x != 0 for x in t):
-                torsion_entries.append((a, c, t))
-            if not curvature(pair, r, b, eps[a], eps[c]).is_zero():
-                curvature_nonzero.append((a, c))
+    upper = [(a, c) for a in range(n) for c in range(a + 1, n)]
+    b_entries = _entries(qlabels, ((a, c, b.b[a][c]) for a in range(n) for c in range(n)))
+    t_entries = _entries(qlabels, ((a, c, torsion(pair, r, b, eps[a], eps[c])) for a, c in upper))
+    curved = [
+        [qlabels[a] + "*", qlabels[c] + "*"]
+        for a, c in upper
+        if not curvature(pair, r, b, eps[a], eps[c]).is_zero()
+    ]
     compat = poisson_compat(pair, r, b)
-
     payload = {
         "kind": args.kind,
-        "b": [
-            {"eta": qlabels[a] + "*", "xi": qlabels[c] + "*",
-             "value": format_covector(qlabels, val)}
-            for a, c, val in b_entries
-        ],
-        "torsion_zero": not torsion_entries,
-        "torsion": [
-            {"eta": qlabels[a] + "*", "xi": qlabels[c] + "*",
-             "value": format_covector(qlabels, t)}
-            for a, c, t in torsion_entries
-        ],
-        "curvature_zero": not curvature_nonzero,
-        "curvature_nonzero_pairs": [
-            [qlabels[a] + "*", qlabels[c] + "*"] for a, c in curvature_nonzero
-        ],
+        "b": b_entries,
+        "torsion_zero": not t_entries,
+        "torsion": t_entries,
+        "curvature_zero": not curved,
+        "curvature_nonzero_pairs": curved,
         "poisson_compatible": compat,
     }
     lines = [f"connection: {args.kind}"]
-    if b_entries:
-        lines.append("b:")
-        for a, c, val in b_entries:
-            lines.append(f"  b({qlabels[a]}*, {qlabels[c]}*) = {format_covector(qlabels, val)}")
-    else:
-        lines.append("b: 0")
-    if torsion_entries:
-        lines.append("torsion:")
-        for a, c, t in torsion_entries:
-            lines.append(f"  T({qlabels[a]}*, {qlabels[c]}*) = {format_covector(qlabels, t)}")
-    else:
-        lines.append("torsion: 0")
-    lines.append(f"curvature zero: {str(not curvature_nonzero).lower()}")
-    for a, c in curvature_nonzero:
-        lines.append(f"  R({qlabels[a]}*, {qlabels[c]}*) != 0")
+    lines += _entry_lines("b", "b", b_entries) + _entry_lines("torsion", "T", t_entries)
+    lines.append(f"curvature zero: {str(not curved).lower()}")
+    lines += [f"  R({eta}, {xi}) != 0" for eta, xi in curved]
     lines.append(f"poisson compatible: {str(compat).lower()}")
     return 0, _emit(payload, lines, args.format)
 

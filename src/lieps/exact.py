@@ -411,30 +411,6 @@ class Subspace:
             raise NoSolution("vector outside subspace")
         return coeffs
 
-    def sum(self, other) -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        return Subspace.from_vectors(self.ambient, list(self.basis) + list(other.basis))
-
-    def intersect(self, other) -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient)
-        # x in both spans iff x = a.B1 = b.B2; solve the concatenated kernel
-        stacked = Mat.from_cols(
-            [list(b) for b in self.basis] + [list(vscale(-1, b)) for b in other.basis]
-        )
-        combos = kernel(stacked)
-        vecs = []
-        for k in combos.basis:
-            a = k[: self.dim]
-            x = zero_vec(self.ambient)
-            for c, b in zip(a, self.basis):
-                x = vadd(x, vscale(c, b))
-            vecs.append(x)
-        return Subspace.from_vectors(self.ambient, vecs)
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import combinations
 
 from .errors import JacobiFailure, NotAnRMatrix, NotInAnnihilator
 from .exact import Mat, Subspace, column_space, dot, vec, vsub, zero_vec
@@ -164,29 +165,23 @@ def _hcirc(eta, xi, ad_eta, ad_xi) -> tuple:
 
 @dataclass(frozen=True)
 class YBTensor:
-    """Dense obstruction tensor over the canonical h° basis eta_t = q^T eps_t."""
+    """Obstruction tensor over the canonical h° basis eta_t = q^T eps_t.
 
-    values: tuple  # values[a][b][c]
+    Only the nonzero entries are stored, as {(a, b, c): value} in
+    lexicographic order of the index triple; an absent triple is zero.
+    """
 
-    @property
-    def dim(self) -> int:
-        return len(self.values)
+    dim: int
+    values: dict
 
     def is_zero(self) -> bool:
-        return all(x == 0 for plane in self.values for row in plane for x in row)
+        return not self.values
 
     def nonzero_entries(self) -> tuple:
-        return tuple(
-            ((a, b, c), self.values[a][b][c])
-            for a in range(self.dim)
-            for b in range(self.dim)
-            for c in range(self.dim)
-            if self.values[a][b][c] != 0
-        )
+        return tuple(self.values.items())
 
     def __getitem__(self, abc):
-        a, b, c = abc
-        return self.values[a][b][c]
+        return self.values.get(tuple(abc), Fraction(0))
 
 
 def _ann_basis_vectors(iso: IsotropyModel):
@@ -222,17 +217,17 @@ def yang_baxter_tensor(r: Bivector, lift: Lift = None) -> YBTensor:
         _require_ann(iso, eta, "eta")
     xs = [sharp(lift, eta) for eta in etas]
     ads = [ad_matrix(iso.L, x) for x in xs]
-    zero = Fraction(0)
-    values = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    values = {}
     for a in range(n):
         for b in range(a + 1, n):
             hc = _hcirc(etas[a], etas[b], ads[a], ads[b])
             d = vsub(sharp(lift, hc), bracket(iso.L, xs[a], xs[b]))
             for c in range(b + 1, n):
                 v = dot(etas[c], d)
-                values[a][b][c] = values[b][c][a] = values[c][a][b] = v
-                values[b][a][c] = values[a][c][b] = values[c][b][a] = -v
-    return YBTensor(tuple(tuple(tuple(row) for row in plane) for plane in values))
+                if v:
+                    values[a, b, c] = values[b, c, a] = values[c, a, b] = v
+                    values[b, a, c] = values[a, c, b] = values[c, b, a] = -v
+    return YBTensor(n, dict(sorted(values.items())))
 
 
 def schouten_oracle(lift: Lift) -> YBTensor:
@@ -246,10 +241,8 @@ def schouten_oracle(lift: Lift) -> YBTensor:
     def entry(a, b, c):
         return -dot(etas[a], br[(b, c)]) - dot(etas[b], br[(c, a)]) - dot(etas[c], br[(a, b)])
 
-    values = tuple(
-        tuple(tuple(entry(a, b, c) for c in range(n)) for b in range(n)) for a in range(n)
-    )
-    return YBTensor(values)
+    triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
+    return YBTensor(n, {abc: v for abc in triples if (v := entry(*abc)) != 0})
 
 
 def is_r_matrix(r: Bivector) -> bool:
@@ -280,19 +273,17 @@ def is_restricted_r_matrix(r: Bivector) -> bool:
     """Yang-Baxter condition restricted to triples from (h°)^H.
 
     Weaker than is_r_matrix in general; the two coincide for trivial
-    isotropy and can differ when the fixed space is small.
+    isotropy and can differ when the fixed space is small.  A fixed
+    covector f is q^T f = sum_a f_a eta_a in h°, and [[r,r]] is trilinear,
+    so on fixed f, g, k it is sum v f_a g_b k_c over the nonzero entries of
+    the cached tensor.  The tensor is totally antisymmetric, so triples of
+    distinct basis covectors suffice.
     """
-    iso = r.iso
-    lift = canonical_lift(r)
-    fixed = fixed_quotient_covectors(iso)
-    etas = [covector_to_ann(iso, a) for a in fixed.basis]
-    xs = [sharp(lift, eta) for eta in etas]
-    for a, eta in enumerate(etas):
-        for b, xi in enumerate(etas):
-            d = vsub(sharp(lift, hcirc_bracket(lift, eta, xi)), bracket(iso.L, xs[a], xs[b]))
-            if any(dot(eps, d) for eps in etas):
-                return False
-    return True
+    entries = r.tensor.nonzero_entries()
+    return not any(
+        sum(v * f[a] * g[b] * k[c] for (a, b, c), v in entries if f[a] and g[b] and k[c])
+        for f, g, k in combinations(fixed_quotient_covectors(r.iso).basis, 3)
+    )
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,19 @@ import random
 from fractions import Fraction as QQ
 
 from lieps import catalog
-from lieps.exact import Mat, Subspace, inverse, kernel
-from lieps.invariants import invariant_bivectors
+from lieps.exact import Mat, Subspace, dot, inverse, kernel, vsub
+from lieps.invariants import fixed_quotient_covectors, invariant_bivectors
 from lieps.liecore import (
     ad_matrix,
     bracket,
+    covector_to_ann,
     induced_ad_bar,
     induced_map,
     make_isotropy,
     make_lie_algebra,
     wedge2_space,
 )
-from lieps.ybe import is_r_matrix, make_bivector
+from lieps.ybe import canonical_lift, hcirc_bracket, is_r_matrix, make_bivector, sharp
 
 CATALOG_ENTRIES = (
     ("abelian-3", "abelian", {"n": 3}),
@@ -247,7 +248,7 @@ def greedy_complement_scan(space: Subspace) -> tuple:
             break
         if not span.contains(e[j]):
             chosen.append(j)
-            span = span.sum(Subspace.from_vectors(n, [e[j]]))
+            span = Subspace.from_vectors(n, list(span.basis) + [e[j]])
     return tuple(chosen)
 
 
@@ -418,6 +419,24 @@ def dense_leaf_reductive(r) -> bool:
         for u in iso.h_basis.basis
         for v in r.image.basis
     )
+
+
+def restricted_r_matrix_oracle(r) -> bool:
+    """[[r,r]] on (h°)^H, one h° bracket per pair of fixed covectors.
+
+    Re-derives <eps, [eta, xi]_r^# - [eta^#, xi^#]> over the canonical
+    lift for every ordered pair and every third fixed covector.
+    """
+    iso = r.iso
+    lift = canonical_lift(r)
+    etas = [covector_to_ann(iso, a) for a in fixed_quotient_covectors(iso).basis]
+    xs = [sharp(lift, eta) for eta in etas]
+    for a, eta in enumerate(etas):
+        for b, xi in enumerate(etas):
+            d = vsub(sharp(lift, hcirc_bracket(lift, eta, xi)), bracket(iso.L, xs[a], xs[b]))
+            if any(dot(eps, d) for eps in etas):
+                return False
+    return True
 
 
 def omega_eval(a: Subspace, omega, x, y):

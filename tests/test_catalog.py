@@ -164,6 +164,11 @@ def _base_doc():
             lambda d: d.update(brackets=[{"i": 0, "j": 1, "coeffs": {"2": "1/0"}}]),
             "brackets[0].coeffs.2",
         ),
+        (
+            # a digit to str.isdigit, but not a decimal that int() reads
+            lambda d: d.update(brackets=[{"i": 0, "j": 1, "coeffs": {"²": "1"}}]),
+            "brackets[0].coeffs.²",
+        ),
         (lambda d: d.update(subalgebra=[["1", "0"]]), "subalgebra[0]"),
         (lambda d: d.update(complement=[["1", "1", "0"]]), "complement[0]"),
         (

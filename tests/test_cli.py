@@ -85,6 +85,75 @@ def test_lone_zero_is_the_zero_bivector():
         parse_bivector_expr("", ("e1", "e2"))
 
 
+# malformed --r text is a located parse error, never a traceback
+
+H1 = _doc_text("heisenberg", n=1)
+
+
+@pytest.mark.parametrize(
+    "r, message",
+    [
+        ("u1^v1 + 3/0", "zero denominator in '3/0'"),
+        ("²^u1", "unexpected character '²'"),
+        ("3/x^u1", "bad rational near '3/x^u1'"),
+        ("u1^v1 w^u1", "expected + or - between terms"),
+        ("(u1 + v1^w", "expected ), found ^"),
+    ],
+)
+def test_malformed_r_exits_2_with_the_location(r, message):
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(["ybe", "-", "--r", r, "--format", fmt], H1)
+        assert (code, out, err) == (2, "", f"parse error: --r: {message}\n")
+
+
+def test_r_given_as_double_dash_is_empty():
+    # argparse passes --r=-- on as an empty list, not as text
+    expected = (2, "", "parse error: --r: empty bivector expression\n")
+    assert run_cli(["ybe", "-", "--r=--"], H1) == expected
+    assert run_cli(["scan", "-", "--candidate=--"], H1) == expected
+
+
+def test_decimal_digits_of_any_script_are_numbers():
+    # '٣' is the Arabic-Indic digit three: a decimal, unlike '²'
+    code, out, err = run_cli(["ybe", "-", "--r", "٣ u1^v1"], H1)
+    assert (code, out, err) == run_cli(["ybe", "-", "--r", "3 u1^v1"], H1)
+    assert code == 0 and out.startswith("not an r-matrix: 6 nonzero entries\n")
+    assert "  [[r,r]](u1*, v1*, w*) = -9\n" in out
+
+
+def test_non_decimal_bracket_key_is_a_parse_error():
+    doc = json.loads(H1)
+    doc["brackets"][0]["coeffs"] = {"²": "1"}
+    code, out, err = run_cli(["validate", "-"], json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err == "parse error: brackets[0].coeffs.²: key must be a basis index\n"
+
+
+@given(
+    st.lists(
+        st.sampled_from(
+            ["u1", "v1", "w", "x", "0", "1", "7", "²", "٣", "+", "-", "*", "^", "(", ")", "/", " "]
+        ),
+        max_size=12,
+    ).map("".join)
+)
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_r_parses_or_is_a_document_error(text):
+    try:
+        coords = parse_bivector_expr(text, ("u1", "v1", "w"))
+    except DocumentError as e:
+        expected = (2, "", f"parse error: {e}\n")
+    else:
+        assert isinstance(coords, tuple) and len(coords) == 3
+        expected = None
+    code, out, err = run_cli(["ybe", "-", "--r", text], H1)
+    assert code in (0, 1, 2)
+    # with --r=TEXT, argparse reads a leading - as part of the value; a bare
+    # -- is the exception, see test_r_given_as_double_dash_is_empty
+    if expected is not None and text != "--":
+        assert run_cli(["ybe", "-", f"--r={text}"], H1) == expected
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

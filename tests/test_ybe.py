@@ -15,6 +15,7 @@ from helpers import (
     instance,
     invariant_candidates,
     random_lift_perturbation,
+    restricted_r_matrix_oracle,
 )
 from lieps.errors import NotAnRMatrix, NotInAnnihilator
 from lieps.exact import Mat
@@ -295,6 +296,22 @@ def test_restricted_is_weaker_than_full():
     r = make_bivector(iso, V(1, 0, 0))
     assert is_restricted_r_matrix(r)
     assert is_r_matrix(r)
+
+
+def test_restricted_matches_the_per_pair_oracle():
+    # catalog quotients and the same algebras over h = 0, where the fixed
+    # space is everything and the restricted condition is the full one
+    rng = random.Random(11)
+    seen = set()
+    for tag, L, iso in catalog_instances():
+        for model in (iso, make_isotropy(L, [])):
+            m = model.quotient_dim * (model.quotient_dim - 1) // 2
+            for _ in range(4):
+                r = make_bivector(model, [QQ(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m)])
+                verdict = is_restricted_r_matrix(r)
+                assert verdict == restricted_r_matrix_oracle(r), tag
+                seen.add(verdict)
+    assert seen == {True, False}
 
 
 def test_fixed_space_lie_algebra_poincare():

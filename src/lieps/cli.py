@@ -47,9 +47,8 @@ class _Parser(argparse.ArgumentParser):
 # quotient basis labels or parenthesized sums of coeff * vector
 
 
-class _ExprError(DocumentError):
-    def __init__(self, msg):
-        super().__init__("--r", msg)
+class _ExprError(Exception):
+    """A malformed expression; parse_bivector_expr names the option it came from."""
 
 
 # a label starts with a letter or _ (checked on the match, since \w also
@@ -161,9 +160,13 @@ class _ExprParser:
         return tuple(coords)
 
 
-def parse_bivector_expr(text, labels) -> tuple:
+def parse_bivector_expr(text, labels, option="--r") -> tuple:
+    """Wedge coordinates of text; DocumentError at `option` when it is malformed."""
     # argparse hands over the value of --r=-- as [], since it drops a "--"
-    return _ExprParser(text or "", labels).bivector()
+    try:
+        return _ExprParser(text or "", labels).bivector()
+    except _ExprError as e:
+        raise DocumentError(option, str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +296,7 @@ def _cmd_scan(args, stdin_text):
         for j in range(i + 1, len(basis)):
             rows.append(("sum", tuple(x + y for x, y in zip(basis[i], basis[j]))))
     for text in args.candidate or []:
-        rows.append(("candidate", parse_bivector_expr(text, qlabels)))
+        rows.append(("candidate", parse_bivector_expr(text, qlabels, "--candidate")))
     out_rows = [
         {
             "kind": kind,
@@ -397,6 +400,11 @@ def _cmd_example(args, stdin_text):
     return 0, catalog.emit(doc)
 
 
+# argparse takes a value that starts with - for an option, so a bivector
+# with a leading minus has to be attached with =
+_R_HELP = 'bivector, e.g. "(e1-e2)^e3"; write --r=-u1^v1 for a leading minus'
+
+
 # parse_args leaves no state on the parser, so one parser serves every call
 @functools.cache
 def _build_parser():
@@ -417,19 +425,20 @@ def _build_parser():
 
     p = add("ybe", _cmd_ybe, help="Yang-Baxter tensor of a bivector")
     p.add_argument("file")
-    p.add_argument("--r", required=True, help="bivector, e.g. \"(e1-e2)^e3\"")
+    p.add_argument("--r", required=True, help=_R_HELP)
 
     p = add("scan", _cmd_scan, help="r-matrix scan over simple candidates")
     p.add_argument("file")
-    p.add_argument("--candidate", action="append", help="extra bivector to test")
+    p.add_argument("--candidate", action="append",
+                   help="extra bivector to test; write --candidate=-u1^v1 for a leading minus")
 
     p = add("leaf", _cmd_leaf, help="leaf algebra and cocycle of an r-matrix")
     p.add_argument("file")
-    p.add_argument("--r", required=True)
+    p.add_argument("--r", required=True, help=_R_HELP)
 
     p = add("connection", _cmd_connection, help="invariant contravariant connection")
     p.add_argument("file")
-    p.add_argument("--r", required=True)
+    p.add_argument("--r", required=True, help=_R_HELP)
     p.add_argument("--kind", required=True,
                    choices=("canonical", "natural", "left_symmetric", "fedosov"))
 

@@ -2,10 +2,11 @@
 
 On a reductive pair g = h + m, an invariant contravariant connection is a
 bilinear map b: m* x m* -> m*.  This module provides the bracket [.,.]_r on
-m*, the reductive Yang-Baxter criterion, the four distinguished connection
-builders, torsion, curvature, Poisson compatibility, equivariance checks,
-the F-connection/Nomizu dictionary, and the connection induced on the
-symplectic leaf through the base point.
+m*, the four distinguished connection builders, torsion, curvature, Poisson
+compatibility, equivariance checks, the F-connection/Nomizu dictionary, and
+the connection induced on the symplectic leaf through the base point.  The
+Yang-Baxter condition itself, r_# carrying [.,.]_r to the m-bracket, is
+read off the same bracket table by ybe.yang_baxter_tensor.
 
 Throughout, covectors live in complement coordinates: m* vectors are plain
 tuples over the quotient basis, and sharps are realized through the section.
@@ -26,7 +27,7 @@ from functools import cached_property
 
 from .errors import ClosureFailure, NotAnFConnection, NotReductive
 from .exact import Mat, Subspace, dot, inverse, kernel, solve, vadd, vec, vscale, vsub, zero_vec
-from .foliation import _coords_matrix, _omega_matrix
+from .foliation import _coords_matrix
 from .liecore import (
     IsotropyModel,
     LieAlgebra,
@@ -121,18 +122,6 @@ def mstar_bracket(pair: ReductivePair, r: Bivector, alpha, beta) -> tuple:
     """
     n = pair.dim_m
     return _bilinear(r.mstar_table, _covector(alpha, n), _covector(beta, n), n)
-
-
-def check_reductive_r_matrix(pair: ReductivePair, r: Bivector) -> bool:
-    """Sharp intertwines [.,.]_r with [.,.]_m on all m*-basis pairs."""
-    n = pair.dim_m
-    table = r.mstar_table
-    for a in range(n):
-        for b in range(a + 1, n):
-            lhs = r.r_mat @ table[a][b]
-            if lhs != m_bracket(pair.iso, r.r_mat.col(a), r.r_mat.col(b)):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -285,14 +274,14 @@ def is_f_connection(b: ConnectionMap, r: Bivector) -> bool:
     return True
 
 
-def _projector_onto(space: Subspace, complement_indices) -> Mat:
-    """Projection of the ambient space onto `space` along the complement.
+def _coords_along(space: Subspace, complement_indices) -> Mat:
+    """Column a: the coordinates in the RREF basis of `space` of the part of e_a in it.
 
-    The first space.dim rows of the inverse frame give the coordinates along
-    space; the projection maps them back through its basis.
+    e_a is split along the complement; the coordinates are the first
+    space.dim rows of the inverse frame.
     """
     coords = completed_frame_inverse(space, complement_indices).entries[: space.dim]
-    return Mat.from_cols(space.basis, space.ambient) @ Mat(coords, space.ambient)
+    return Mat(coords, space.ambient)
 
 
 @dataclass(frozen=True)
@@ -324,7 +313,7 @@ def f_connection_to_nomizu(b: ConnectionMap, r: Bivector) -> NomizuMap:
     n = pair.dim_m
     im = r.image
     vidx = greedy_complement(im)
-    proj = _projector_onto(im, vidx)
+    proj = Mat.from_cols(im.basis, n) @ _coords_along(im, vidx)
     e = Mat.identity(n).entries
     psi = []
     for t in range(n):
@@ -369,7 +358,7 @@ class LeafConnection:
 def induced_leaf_connection(
     pair: ReductivePair, r: Bivector, b: ConnectionMap, complement_indices=None
 ) -> LeafConnection:
-    """b^r(u, v) = (b(eta_u, eta_v))^#, with eta_v solved from the pairing.
+    """b^r(u, v) = (b(eta_u, eta_v))^#, with eta_v read off the pairing.
 
     <eta_v, u> = omega_r(v, proj(u)) where proj is the projection onto
     Im(r_#) along the chosen complement inside m; the result does not
@@ -382,12 +371,11 @@ def induced_leaf_connection(
     d = im.dim
     if complement_indices is None:
         complement_indices = greedy_complement(im)
-    proj = _projector_onto(im, tuple(complement_indices))
 
-    # <eta_v, e_a> = omega_r(v, proj(e_a)) = <xi_a, v> with r_# xi_a = proj(e_a):
-    # row a of X is xi_a, so eta_v = X v
-    X = Mat([solve(r.r_mat, w) if any(w) else zero_vec(n) for w in proj.T.entries], n)
-    etas = [X @ w for w in im.basis]
+    # <eta_{w_i}, e_a> = omega_r(w_i, proj(e_a)) = (omega P)[i][a], column a
+    # of P holding the Im(r_#)-coordinates of proj(e_a)
+    omega = r.omega
+    etas = (omega @ _coords_along(im, tuple(complement_indices))).entries
     br = tuple(
         tuple(tuple(r.r_mat @ b.apply(etas[i], etas[j])) for j in range(d)) for i in range(d)
     )
@@ -402,7 +390,6 @@ def induced_leaf_connection(
     )
     # omega_r(b^r(w_i, w_j), w_k) + omega_r(w_j, b^r(w_i, w_k)) is entry
     # (j, k) of B_i^T omega + omega B_i
-    omega = _omega_matrix(r, im.basis)
     symplectic = all((Bi.T @ omega + omega @ Bi).is_zero() for Bi in B)
 
     eps = Mat.identity(n).entries

@@ -22,7 +22,7 @@ from .errors import (
     NotReductive,
     RadicalMismatch,
 )
-from .exact import Mat, Subspace, dot, inverse, kernel, solve
+from .exact import Mat, Subspace, dot, inverse, kernel, solve, zero_vec
 from .invariants import invariance_rows
 from .liecore import IsotropyModel, bracket, m_bracket, structure_constants
 from .ybe import Bivector, require_r_matrix
@@ -40,7 +40,6 @@ class LeafData:
 
     a_basis: Subspace
     omega: Mat
-    h_ref: IsotropyModel
     frame: tuple
     frame_omega: Mat
 
@@ -74,17 +73,6 @@ def _check_cocycle(C: dict, omega: Mat, dim: int, error):
         for k in range(j + 1, dim):
             if dot(cij, omega[k]) + dot(C[j, k], omega[i]) - dot(C[i, k], omega[j]):
                 raise error(f"cocycle identity fails on basis triple ({i}, {j}, {k})")
-
-
-def _omega_matrix(r: Bivector, vectors) -> Mat:
-    """omega_r(x, y) = <xi_y, x> with r_# xi_y = y, on quotient vectors in Im r_#.
-
-    r_# is solved once per vector.  Any particular solution gives the same
-    value: two differ by kappa in ker r_#, and <kappa, r_# eta> =
-    -<eta, r_# kappa> = 0 since r_# is skew.
-    """
-    xis = [solve(r.r_mat, y) for y in vectors]
-    return Mat([[dot(xi, x) for xi in xis] for x in vectors], len(xis))
 
 
 def _not_invariant(r: Bivector):
@@ -132,31 +120,37 @@ def leaf_algebra(r: Bivector) -> Subspace:
 
 
 def leaf_cocycle(r: Bivector) -> LeafData:
-    """omega_r on a_r by solving r_# against quotient projections.
+    """omega_r on a_r, pulled back from r.omega on Im r_# along q.
 
-    Well-definedness, the cocycle identity, and Rad = h are re-verified
-    rather than assumed; failures indicate bugs and are raised loudly.
+    omega_r(x, y) = r.omega(q x, q y), so on the RREF basis of a_r it is
+    P^T omega P, P holding the Im r_#-coordinates of q(a_i).  The cocycle
+    identity and Rad = h are re-verified rather than assumed; failures
+    indicate bugs and are raised loudly.
     """
     iso = r.iso
     a, C = _leaf_structure(r)
 
-    # well-definedness: particular solutions differ by ker r_#, which must
-    # pair to zero against every q(a) vector
-    qa = [iso.q_matrix @ v for v in a.basis]
-    for kvec in kernel(r.r_mat).basis:
-        for qx in qa:
-            if dot(kvec, qx) != 0:
-                raise IllDefined("omega depends on the particular solution")
-
-    omega = _omega_matrix(r, qa)
+    # well-definedness: particular solutions of r_# xi = q x differ by
+    # ker r_#, which pairs to zero against q x exactly when q x lies in
+    # Im r_# = (ker r_#)°
+    P = _coords_matrix(
+        r.image,
+        [iso.q_matrix @ v for v in a.basis],
+        IllDefined("omega depends on the particular solution"),
+    )
+    omega = P.T @ r.omega @ P
     # a non-skew omega is a NotACocycle from the check below
     _check_cocycle(C, omega, a.dim, NotACocycle)
     if _radical(a, omega) != iso.h_basis:
         raise RadicalMismatch("Rad(omega_r) differs from the isotropy subalgebra")
 
+    # q kills h and q s = id, so on the frame omega_r is blockdiag(0_h, omega)
+    k, d = iso.h_basis.dim, r.image.dim
     frame = iso.h_basis.basis + _lifted_im_basis(r)
-    frame_omega = _omega_matrix(r, [iso.q_matrix @ v for v in frame])
-    return LeafData(a_basis=a, omega=omega, h_ref=iso, frame=frame, frame_omega=frame_omega)
+    frame_omega = Mat(
+        [zero_vec(k + d)] * k + [zero_vec(k) + row for row in r.omega.entries], k + d
+    )
+    return LeafData(a_basis=a, omega=omega, frame=frame, frame_omega=frame_omega)
 
 
 def _radical(a: Subspace, omega: Mat) -> Subspace:
@@ -259,7 +253,7 @@ def w_omega_pair(r: Bivector):
     require_r_matrix(r)
 
     W = r.image
-    omega_W = _omega_matrix(r, W.basis)
+    omega_W = r.omega
     C = structure_constants(
         W, partial(m_bracket, iso), lambda i, j: ClosureFailure("[W, W]_m leaves W")
     )

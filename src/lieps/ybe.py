@@ -1,10 +1,19 @@
 """Bivectors, lifts, the bracket on the annihilator, and the Yang-Baxter tensor.
 
 A bivector r on g/h is stored through its sharp matrix: <beta, r_# alpha> =
-r(alpha, beta).  Any lift r-tilde on g with wedge2(q)(r-tilde) = r computes
-the same obstruction tensor [[r,r]] on annihilator triples; its vanishing is
-the invariant-Poisson condition, and bivectors passing it are r-matrices.
+r(alpha, beta).  Its obstruction tensor [[r,r]] is read off the quotient,
+with C[a][b] = [eps_a, eps_b]_r the bracket table on the m* basis:
 
+    [[r,r]](eps_a, eps_b, eps_c) = <eps_c, r_# C[a][b] - [r_# eps_a, r_# eps_b]_m>,
+
+the defect of r_# as a morphism from [.,.]_r to the m-bracket q[s x, s y].
+Its vanishing is the invariant-Poisson condition, and bivectors passing it
+are r-matrices.
+
+The h° route is the independent oracle: over a lift r-tilde of r to g
+(`canonical_lift`, `sharp`), the bracket on h° (`hcirc_bracket`,
+`quotient_hcirc`) and the cyclic Schouten sum (`schouten_oracle`) give the
+same tensor on annihilator triples, for any lift when r is invariant.
 Sign convention: the bracket on h° is
 
     [eta, xi]_r = ad(xi^#)^T eta - ad(eta^#)^T xi
@@ -25,7 +34,7 @@ from functools import cached_property, partial
 from itertools import combinations
 
 from .errors import JacobiFailure, NotAnRMatrix, NotInAnnihilator
-from .exact import Mat, Subspace, column_space, dot, vec, vsub, zero_vec
+from .exact import Mat, Subspace, column_space, dot, solve, vec, vsub, zero_vec
 from .invariants import (
     bivector_coords_from_matrix,
     bivector_matrix_from_coords,
@@ -50,8 +59,8 @@ from .liecore import (
 class Bivector:
     """A bivector on g/h, stored through its sharp matrix.
 
-    The Yang-Baxter tensor (over the canonical lift), Im r_#, the
-    l-operators and the [.,.]_r table on the quotient covector basis are
+    The l-operators, the [.,.]_r table on the quotient covector basis, the
+    Yang-Baxter tensor read off that table, Im r_# and omega_r on it are
     derived once, on first use, and kept on the instance, so every check
     that asks about the same bivector shares them.
     """
@@ -70,13 +79,26 @@ class Bivector:
 
     @cached_property
     def tensor(self) -> "YBTensor":
-        """[[r,r]] over the canonical lift."""
+        """[[r,r]] on the quotient covector basis."""
         return yang_baxter_tensor(self)
 
     @cached_property
     def image(self) -> Subspace:
         """Im r_# in quotient coordinates."""
         return column_space(self.r_mat)
+
+    @cached_property
+    def omega(self) -> Mat:
+        """omega_r(w_i, w_j) = <xi_j, w_i> with r_# xi_j = w_j, on the RREF basis w of Im r_#.
+
+        r_# is solved once per basis vector.  Any particular solution gives
+        the same value: two differ by kappa in ker r_#, and <kappa, r_# eta> =
+        -<eta, r_# kappa> = 0 since r_# is skew.  On other vectors of Im r_#
+        omega_r is the bilinear combination of this matrix.
+        """
+        w = self.image.basis
+        xis = [solve(self.r_mat, y) for y in w]
+        return Mat([[dot(xi, x) for xi in xis] for x in w], len(w))
 
     @cached_property
     def l_operators(self) -> tuple:
@@ -98,6 +120,7 @@ class Bivector:
 
         L^T eps_a is row a of L.  Built from the ad-matrices of the sharps,
         never from hcirc_bracket, so the h° route stays an independent check.
+        The Yang-Baxter tensor is read off this table.
         """
         ls = self.l_operators
         n = len(ls)
@@ -155,11 +178,6 @@ def hcirc_bracket(lift: Lift, eta, xi) -> tuple:
     _require_ann(iso, xi, "xi")
     ad_eta = ad_matrix(iso.L, sharp(lift, eta))
     ad_xi = ad_matrix(iso.L, sharp(lift, xi))
-    return _hcirc(eta, xi, ad_eta, ad_xi)
-
-
-def _hcirc(eta, xi, ad_eta, ad_xi) -> tuple:
-    # ad(xi^#)^T eta - ad(eta^#)^T xi, given the two ad-matrices
     return vsub(ad_xi.apply_T(eta), ad_eta.apply_T(xi))
 
 
@@ -184,46 +202,31 @@ class YBTensor:
         return self.values.get(tuple(abc), Fraction(0))
 
 
-def _ann_basis_vectors(iso: IsotropyModel):
-    # eta_t = q^T eps_t: the t-th row of q, the canonical basis of h°
-    return [iso.q_matrix.row(t) for t in range(iso.quotient_dim)]
+def yang_baxter_tensor(r: Bivector) -> YBTensor:
+    """[[r,r]](eps_a, eps_b, eps_c) = <eps_c, r_# C[a][b] - [r_# eps_a, r_# eps_b]_m>.
 
+    C is r.mstar_table.  This is the h° formula <eta_c, hcirc(eta_a,
+    eta_b)^# - [eta_a^#, eta_b^#]> over the canonical lift, on any pair and
+    for any r: with eta_t = q^T eps_t, x_t = s r_# eps_t and q s = id,
+    s^T hcirc(eta_a, eta_b) = C[a][b] and q[x_a, x_b] = [r_# eps_a, r_# eps_b]_m.
 
-def yang_baxter_tensor(r: Bivector, lift: Lift = None) -> YBTensor:
-    """[[r,r]](eta,xi,eps) = <eps, (hcirc(eta,xi))^# - [eta^#, xi^#]>.
-
-    Computed over the canonical h° basis; the canonical lift is used unless
-    one is supplied, and the result is lift-independent on invariant r.
-
-    One pass: each basis covector eta_t is checked against h° once, and its
-    sharp x_t and ad(x_t) are built once.  Only the C(n,3) entries with
-    a < b < c are evaluated; the other five orderings of each triple are
-    filled by sign and entries with a repeated index are zero.  The fill is
-    exact for every skew lift, invariant or not: skewness gives
-    <eps, hcirc(eta,xi)^#> = -<hcirc(eta,xi), eps^#>, so each entry equals
-    the cyclic Schouten sum
-
-        -<eta,[xi^#,eps^#]> - <xi,[eps^#,eta^#]> - <eps,[eta^#,xi^#]>,
-
-    which is totally antisymmetric.  schouten_oracle keeps evaluating all n^3
-    entries of that sum on purpose, so it stays an independent check.
+    One defect vector per pair a < b gives the entries with c > b; the
+    other orderings of each triple are filled by sign, since each entry is
+    the totally antisymmetric cyclic Schouten sum, and entries with a
+    repeated index are zero.  schouten_oracle evaluates all n^3 entries of
+    that sum over a lift on g, on purpose, as the independent check.
     """
     iso = r.iso
-    if lift is None:
-        lift = canonical_lift(r)
-    etas = _ann_basis_vectors(iso)
-    n = len(etas)
-    for eta in etas:
-        _require_ann(iso, eta, "eta")
-    xs = [sharp(lift, eta) for eta in etas]
-    ads = [ad_matrix(iso.L, x) for x in xs]
+    n = iso.quotient_dim
+    table = r.mstar_table
+    sharps = [r.r_mat.col(a) for a in range(n)]
     values = {}
     for a in range(n):
-        for b in range(a + 1, n):
-            hc = _hcirc(etas[a], etas[b], ads[a], ads[b])
-            d = vsub(sharp(lift, hc), bracket(iso.L, xs[a], xs[b]))
+        # the last b leaves no c > b to read
+        for b in range(a + 1, n - 1):
+            d = vsub(r.r_mat @ table[a][b], m_bracket(iso, sharps[a], sharps[b]))
             for c in range(b + 1, n):
-                v = dot(etas[c], d)
+                v = d[c]
                 if v:
                     values[a, b, c] = values[b, c, a] = values[c, a, b] = v
                     values[b, a, c] = values[a, c, b] = values[c, b, a] = -v
@@ -233,7 +236,7 @@ def yang_baxter_tensor(r: Bivector, lift: Lift = None) -> YBTensor:
 def schouten_oracle(lift: Lift) -> YBTensor:
     """Cyclic-sum form of the same tensor; independent code path."""
     iso = lift.bivector.iso
-    etas = _ann_basis_vectors(iso)
+    etas = iso.q_matrix.entries  # eta_t = q^T eps_t, the canonical basis of h°
     n = len(etas)
     xs = [sharp(lift, eta) for eta in etas]
     br = {(a, b): bracket(iso.L, xs[a], xs[b]) for a in range(n) for b in range(n)}

@@ -496,6 +496,40 @@ def dense_mstar_bracket(iso, r, alpha, beta) -> tuple:
     return tuple(x - y for x, y in zip(lb, la))
 
 
+def reductive_r_matrix_oracle(iso, r) -> bool:
+    """r_# [eps_a, eps_b]_r = [r_# eps_a, r_# eps_b]_m on every basis pair a < b.
+
+    The r-bracket comes from dense_mstar_bracket and the m-bracket
+    q[s x, s y] from the dense structure-constant table, with plain Fraction
+    sums, as the oracle for the tensor read off the bracket table.
+    """
+    n = iso.quotient_dim
+    R = r.r_mat.entries
+    s = iso.s_matrix.entries
+    q = iso.q_matrix.entries
+    c = dense_table(iso.L)
+    g = iso.L.dim
+
+    def apply(M, v):
+        return [sum((M[i][k] * QQ(v[k]) for k in range(len(v))), QQ(0)) for i in range(len(M))]
+
+    def m_bracket(x, y):
+        sx, sy = apply(s, x), apply(s, y)
+        z = [
+            sum((sx[i] * sy[j] * c[i][j][k] for i in range(g) for j in range(g)), QQ(0))
+            for k in range(g)
+        ]
+        return apply(q, z)
+
+    eps = [tuple(QQ(i == j) for j in range(n)) for i in range(n)]
+    sharps = [apply(R, e) for e in eps]
+    return all(
+        apply(R, dense_mstar_bracket(iso, r, eps[a], eps[b])) == m_bracket(sharps[a], sharps[b])
+        for a in range(n)
+        for b in range(a + 1, n)
+    )
+
+
 def dense_connection(kind, iso, r) -> tuple:
     """b[a][c] of the four builders, each entry from its own rule."""
     n = iso.quotient_dim

@@ -108,9 +108,29 @@ def test_malformed_r_exits_2_with_the_location(r, message):
 
 def test_r_given_as_double_dash_is_empty():
     # argparse passes --r=-- on as an empty list, not as text
-    expected = (2, "", "parse error: --r: empty bivector expression\n")
-    assert run_cli(["ybe", "-", "--r=--"], H1) == expected
-    assert run_cli(["scan", "-", "--candidate=--"], H1) == expected
+    assert run_cli(["ybe", "-", "--r=--"], H1) == (
+        2, "", "parse error: --r: empty bivector expression\n"
+    )
+    assert run_cli(["scan", "-", "--candidate=--"], H1) == (
+        2, "", "parse error: --candidate: empty bivector expression\n"
+    )
+
+
+def test_malformed_candidate_names_its_option():
+    code, out, err = run_cli(["scan", "-", "--candidate", "3/0"], H1)
+    assert (code, out, err) == (2, "", "parse error: --candidate: zero denominator in '3/0'\n")
+
+
+def test_leading_minus_is_attached_with_equals():
+    # argparse reads a separate value that starts with - as an option; the
+    # help text of every --r says to attach it with =
+    code, out, err = run_cli(["ybe", "-", "--r=-u1^v1"], H1)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(["ybe", "-", "--r", " -u1^v1"], H1)
+    assert out.startswith("not an r-matrix: 6 nonzero entries\n")
+    for cmd in ("ybe", "leaf", "connection"):
+        code, help_text, _ = run_cli([cmd, "--help"])
+        assert code == 0 and "--r=-u1^v1" in help_text, cmd
 
 
 def test_decimal_digits_of_any_script_are_numbers():
@@ -361,12 +381,10 @@ def test_leaf_evaluates_the_tensor_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _count_calls(monkeypatch, name):
-    """Arguments of every call to lieps.liecore.<name>, through every lieps alias."""
-    import lieps.liecore
-
+def _count_calls(monkeypatch, name, module="lieps.liecore"):
+    """Arguments of every call to <module>.<name>, through every lieps alias."""
     calls = []
-    real = getattr(lieps.liecore, name)
+    real = getattr(sys.modules[module], name)
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -413,6 +431,30 @@ def test_leaf_builds_one_isotropy_ad_matrix_per_h_basis_vector(monkeypatch):
     # the tensor's ad-matrices are of sharps, which are nonzero only off h
     in_h = [x for (_, x) in calls if any(x) and iso.h_basis.contains(x)]
     assert len(in_h) <= iso.h_basis.dim == 5
+
+
+def test_tensor_and_l_operators_share_one_ad_matrix_per_basis_covector(monkeypatch):
+    # the tensor is read off the bracket table, which reads the l-operators
+    from lieps.catalog import realize
+    from lieps.ybe import make_bivector
+
+    _, iso = realize(builtin("heisenberg", {"n": 3}))
+    r = make_bivector(iso, [1] * (iso.quotient_dim * (iso.quotient_dim - 1) // 2))
+    calls = _count_calls(monkeypatch, "ad_matrix")
+    assert not r.tensor.is_zero()
+    assert len(r.l_operators) == iso.quotient_dim
+    assert len(calls) == iso.quotient_dim == 7
+
+
+def test_leaf_solves_r_sharp_once_per_image_basis_vector(monkeypatch):
+    # omega_r is solved on Im r_# once per bivector; a_r and the frame read it
+    text = _doc_text("double", of="heisenberg", n=2)
+    calls = _count_calls(monkeypatch, "solve", "lieps.exact")
+    code, out, err = run_cli(["leaf", "-", "--r", "m_u1^m_w", "--format", "json"], text)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["a_dim"] == 7  # h of dim 5 plus Im r_# of dim 2
+    assert len(calls) == 2
 
 
 def test_connection_fedosov_heisenberg():

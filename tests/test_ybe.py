@@ -192,7 +192,7 @@ def test_lift_independence_on_catalog():
     ]:
         lift = canonical_lift(r)
         other = Lift(r, random_lift_perturbation(rng, iso, lift.rt_mat))
-        assert yang_baxter_tensor(r, lift).values == yang_baxter_tensor(r, other).values, tag
+        assert yang_baxter_tensor(r).values == schouten_oracle(other).values, tag
         assert schouten_oracle(lift).values == schouten_oracle(other).values, tag
 
 

@@ -19,18 +19,24 @@ from .errors import DocumentError, LiepsError
 from .exact import Mat
 from .liecore import IsotropyModel, LieAlgebra, make_isotropy, make_lie_algebra
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def parse_rational(s, path="") -> Fraction:
+    """A JSON integer or a "p" / "p/q" string, built once from its integers.
+
+    JSON true and false are not numbers here, although Python's bool is an int.
+    """
     s = s.strip() if isinstance(s, str) else s
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    if not isinstance(s, str) or not _RATIONAL.match(s):
+    m = _RATIONAL.match(s) if isinstance(s, str) else None
+    if m is None:
         raise DocumentError(path, f"not a rational literal: {s!r}")
-    if "/" in s and int(s.split("/")[1]) == 0:
+    den = int(m[2]) if m[2] else 1
+    if den == 0:
         raise DocumentError(path, "zero denominator")
-    return Fraction(s)
+    return Fraction(int(m[1]), den)
 
 
 def format_rational(q: Fraction) -> str:
@@ -61,7 +67,9 @@ def _normalize_brackets(items) -> tuple:
         if (i, j) in seen:
             raise DocumentError("brackets", f"duplicate pair ({i}, {j})")
         seen.add((i, j))
-        cleaned = tuple(sorted((k, Fraction(v)) for k, v in coeffs if Fraction(v) != 0))
+        cleaned = tuple(
+            sorted((k, v if isinstance(v, Fraction) else Fraction(v)) for k, v in coeffs if v)
+        )
         if cleaned:
             out.append((i, j, cleaned))
     return tuple(sorted(out))
@@ -282,7 +290,8 @@ def double(base: AlgebraDocument) -> AlgebraDocument:
     [m_i, m_j] = sum c_ij^k d_k.
     """
     n = base.dim
-    nz = _algebra(base).nz
+    L = _algebra(base)
+    nz = L.nz
     brackets = {}
 
     def put(a, b, terms, shift):
@@ -290,7 +299,7 @@ def double(base: AlgebraDocument) -> AlgebraDocument:
             return
         tgt = brackets.setdefault((a, b), {})
         for k, v in terms:
-            tgt[k + shift] = tgt.get(k + shift, Fraction(0)) + v
+            tgt[k + shift] = tgt.get(k + shift, 0) + Fraction(v, L.den)
 
     for i in range(n):
         for j in range(n):

@@ -13,7 +13,7 @@ tuples over the quotient basis, and sharps are realized through the section.
 
 Every quantity here is bilinear in two per-bivector tables, built once on
 the Bivector and shared by all checks on it: the n l-operators
-L[a] = l_{eps_a^#} (one ad-matrix each) and the bracket table
+L[a] = l_{eps_a^#} (one quotient operator each) and the bracket table
 C[a][c] = [eps_a, eps_c]_r.  l_operator, mstar_bracket, the four builders,
 torsion, curvature and Poisson compatibility all read those tables, and
 their values on general covectors are the bilinear combinations.
@@ -26,7 +26,20 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ClosureFailure, NotAnFConnection, NotReductive
-from .exact import Mat, Subspace, dot, inverse, kernel, solve, vadd, vec, vscale, vsub, zero_vec
+from .exact import (
+    Mat,
+    Subspace,
+    bilinear,
+    dot,
+    inverse,
+    kernel,
+    mat_lincomb,
+    solve,
+    vec,
+    vscale,
+    vsub,
+    zero_vec,
+)
 from .foliation import _coords_matrix
 from .liecore import (
     IsotropyModel,
@@ -79,37 +92,10 @@ def _covector(alpha, n) -> tuple:
     return alpha
 
 
-def _vcomb(coeffs, vectors, n) -> tuple:
-    """sum_a coeffs[a] vectors[a]; a lone unit coefficient returns its vector."""
-    out = None
-    for x, v in zip(coeffs, vectors):
-        if x:
-            term = v if x == 1 else vscale(x, v)
-            out = term if out is None else vadd(out, term)
-    return zero_vec(n) if out is None else out
-
-
-def _mcomb(coeffs, mats, n) -> Mat:
-    """sum_a coeffs[a] mats[a] of n x n matrices, as _vcomb."""
-    out = None
-    for x, m in zip(coeffs, mats):
-        if x:
-            term = m if x == 1 else m.scale(x)
-            out = term if out is None else out + term
-    return Mat.zero(n, n) if out is None else out
-
-
-def _bilinear(table, alpha, beta, n) -> tuple:
-    """sum_{a,c} alpha_a beta_c table[a][c] for a table over the m* basis."""
-    # rows with alpha_a = 0 are never read, so they are not summed
-    rows = [_vcomb(beta, row, n) if x else None for x, row in zip(alpha, table)]
-    return _vcomb(alpha, rows, n)
-
-
 def l_operator(pair: ReductivePair, r: Bivector, alpha) -> Mat:
     """The operator l_{alpha^#}: m -> m, u -> [alpha^#, u]_m."""
     n = pair.dim_m
-    return _mcomb(_covector(alpha, n), r.l_operators, n)
+    return mat_lincomb(_covector(alpha, n), r.l_operators, n)
 
 
 def mstar_bracket(pair: ReductivePair, r: Bivector, alpha, beta) -> tuple:
@@ -121,7 +107,7 @@ def mstar_bracket(pair: ReductivePair, r: Bivector, alpha, beta) -> tuple:
     not reused code.
     """
     n = pair.dim_m
-    return _bilinear(r.mstar_table, _covector(alpha, n), _covector(beta, n), n)
+    return bilinear(r.mstar_table, _covector(alpha, n), _covector(beta, n), n)
 
 
 @dataclass(frozen=True)
@@ -144,12 +130,12 @@ class ConnectionMap:
 
     def apply(self, alpha, beta) -> tuple:
         n = self.dim
-        return _bilinear(self.b, _covector(alpha, n), _covector(beta, n), n)
+        return bilinear(self.b, _covector(alpha, n), _covector(beta, n), n)
 
     def matrix_for(self, eta) -> Mat:
         """M_eta with M_eta gamma = b(eta, gamma); columns are b(eta, eps_c)."""
         n = self.dim
-        return _mcomb(_covector(eta, n), self.mats, n)
+        return mat_lincomb(_covector(eta, n), self.mats, n)
 
     def is_zero(self) -> bool:
         return all(x == 0 for plane in self.b for row in plane for x in row)
@@ -198,8 +184,8 @@ def torsion(pair: ReductivePair, r: Bivector, b: ConnectionMap, eta, xi) -> tupl
     eta = _covector(eta, n)
     xi = _covector(xi, n)
     return vsub(
-        vsub(_bilinear(b.b, eta, xi, n), _bilinear(b.b, xi, eta, n)),
-        _bilinear(r.mstar_table, eta, xi, n),
+        vsub(bilinear(b.b, eta, xi, n), bilinear(b.b, xi, eta, n)),
+        bilinear(r.mstar_table, eta, xi, n),
     )
 
 
@@ -211,9 +197,9 @@ def curvature(pair: ReductivePair, r: Bivector, b: ConnectionMap, eta, xi) -> Ma
     n = b.dim
     eta = _covector(eta, n)
     xi = _covector(xi, n)
-    m_eta = _mcomb(eta, b.mats, n)
-    m_xi = _mcomb(xi, b.mats, n)
-    m_br = _mcomb(_bilinear(r.mstar_table, eta, xi, n), b.mats, n)
+    m_eta = mat_lincomb(eta, b.mats, n)
+    m_xi = mat_lincomb(xi, b.mats, n)
+    m_br = mat_lincomb(bilinear(r.mstar_table, eta, xi, n), b.mats, n)
     return m_eta @ m_xi - m_xi @ m_eta - m_br
 
 
@@ -298,7 +284,7 @@ class NomizuMap:
 
     def operator_for(self, x) -> Mat:
         n = len(self.psi)
-        return _mcomb(_covector(x, n), self.psi, n)
+        return mat_lincomb(_covector(x, n), self.psi, n)
 
 
 def f_connection_to_nomizu(b: ConnectionMap, r: Bivector) -> NomizuMap:

@@ -5,17 +5,21 @@ canonical normal form, subspaces stored by their RREF bases so equality is a
 syntactic check.  Everything is immutable and deterministic; there is no
 floating point anywhere.
 
-Elimination runs on sparse integer rows: each rational row is scaled by the
-lcm of its denominators into a {column: int} dict of its nonzeros and handed
-to the fraction-free kernel `_rref_int_rows`, whose cost follows the
-nonzeros, not the shape.  `kernel_of_rows` takes such rows directly, so a
-constraint system assembled from its nonzeros never becomes a dense matrix.
+Inside, the hot loops run on integers over one common denominator:
+`to_ints` scales rationals by the lcm of their denominators, and `from_ints`
+(or `Mat.from_ints`) turns integers over a denominator back into Fractions
+at the edge.  Elimination runs on sparse integer rows: each rational row is
+scaled into a {column: int} dict of its nonzeros and handed to the
+fraction-free kernel `_rref_int_rows`, whose cost follows the nonzeros, not
+the shape.  `kernel_of_rows` takes such rows directly, so a constraint
+system assembled from its nonzeros never becomes a dense matrix.  The
+structure constants of `liecore` are stored in the same integer form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NoSolution
 
@@ -31,6 +35,27 @@ def _fr(x) -> Fraction:
 def vec(xs) -> tuple:
     """Coerce a sequence into a tuple of Fractions."""
     return tuple(_fr(x) for x in xs)
+
+
+def to_ints(pairs) -> tuple:
+    """Integer form of (key, rational) pairs over their common denominator.
+
+    Returns (((key, d x), ...), d) with d the lcm of the denominators; ints
+    count as rationals with denominator 1.
+    """
+    pairs = tuple(pairs)
+    d = 1
+    for _, x in pairs:
+        q = x.denominator
+        if q != 1:
+            d = lcm(d, q)
+    return tuple((k, x.numerator * (d // x.denominator)) for k, x in pairs), d
+
+
+def from_ints(values, d) -> tuple:
+    """The Fractions v / d of integers v over one positive denominator d."""
+    zero = Fraction(0)
+    return tuple(Fraction(v, d) if v else zero for v in values)
 
 
 def dot(a, b) -> Fraction:
@@ -56,6 +81,23 @@ def vsub(a, b) -> tuple:
 def vscale(c, a) -> tuple:
     c = _fr(c)
     return tuple(c * x for x in a)
+
+
+def lincomb(coeffs, vectors, n) -> tuple:
+    """sum_a coeffs[a] vectors[a] of length-n vectors; a lone unit coefficient returns its vector."""
+    out = None
+    for x, v in zip(coeffs, vectors):
+        if x:
+            term = v if x == 1 else vscale(x, v)
+            out = term if out is None else vadd(out, term)
+    return zero_vec(n) if out is None else out
+
+
+def bilinear(table, alpha, beta, n) -> tuple:
+    """sum_{a,c} alpha_a beta_c table[a][c] for a table of length-n vectors."""
+    # rows with alpha_a = 0 are never read, so they are not summed
+    rows = [lincomb(beta, row, n) if x else None for x, row in zip(alpha, table)]
+    return lincomb(alpha, rows, n)
 
 
 def zero_vec(n) -> tuple:
@@ -134,6 +176,12 @@ class Mat:
                 dense[j] = _fr(x)
             out.append(tuple(dense))
         return cls._trusted(tuple(out), cols)
+
+    @classmethod
+    def from_ints(cls, rows, d) -> "Mat":
+        """The matrix N / d of equal-length integer rows N over one denominator d."""
+        rows = tuple(from_ints(r, d) for r in rows)
+        return cls._trusted(rows, len(rows[0]) if rows else 0)
 
     def sparse_rows(self) -> tuple:
         """Rows as {column: value} dicts of their nonzero entries."""
@@ -221,6 +269,16 @@ class Mat:
         return f"Mat[{self.rows}x{self.cols}: {body}]"
 
 
+def mat_lincomb(coeffs, mats, n) -> Mat:
+    """sum_a coeffs[a] mats[a] of n x n matrices, as lincomb."""
+    out = None
+    for x, m in zip(coeffs, mats):
+        if x:
+            term = m if x == 1 else m.scale(x)
+            out = term if out is None else out + term
+    return Mat.zero(n, n) if out is None else out
+
+
 def _primitive(row):
     content = gcd(*row.values())
     if content > 1:
@@ -302,14 +360,7 @@ def _reduce(rows, ncols):
     Each row is scaled by the lcm of its denominators; row scaling preserves
     the RREF.  Ints pass through as rationals with denominator 1.
     """
-    int_rows = []
-    for r in rows:
-        lcm = 1
-        for x in r.values():
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        int_rows.append({j: x.numerator * (lcm // x.denominator) for j, x in r.items()})
-    return _rref_int_rows(int_rows, ncols)
+    return _rref_int_rows([dict(to_ints(r.items())[0]) for r in rows], ncols)
 
 
 def rref(m: Mat):

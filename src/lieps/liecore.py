@@ -1,14 +1,21 @@
 """Finite-dimensional Lie algebras over Q and isotropy quotients.
 
 A Lie algebra is its table of structure constants over a fixed basis, stored
-sparse: nz[i][j] lists the nonzero coefficients of [e_i, e_j], and every
-bracket, ad-matrix, Jacobi and automorphism evaluation iterates over it, so
-its cost follows the nonzero products.  An isotropy model packages a
-subalgebra h together with an explicit linear model of the quotient g/h: a
-projection q, a section s built from standard basis vectors, and the
-annihilator h° of h inside g*, which is how (g/h)* is represented
-downstream.  The model also keeps the action of the isotropy on g/h, off
-which every invariant object is read.
+once, sparse and in integers over one denominator: nz[i][j] lists the
+nonzero n_ijk of [e_i, e_j] and c_ijk = n_ijk / den.  Every bracket,
+ad-matrix, Jacobi and automorphism evaluation iterates over that table in
+int arithmetic, so its cost follows the nonzero products and no Fraction is
+built until a result leaves the kernel: a bracket or ad-matrix scales each
+argument by the lcm of its denominators and divides once per nonzero output
+entry, and a zero test (Jacobi, antisymmetry, automorphism) never divides.
+
+An isotropy model packages a subalgebra h together with an explicit linear
+model of the quotient g/h: a projection q, a section s built from standard
+basis vectors, and the annihilator h° of h inside g*, which is how (g/h)* is
+represented downstream.  The model keeps q as integer columns over one
+denominator, off which `quotient_ad` reads every q ad_x s (the action of
+the isotropy on g/h, and the l-operators of a bivector) from the brackets of
+x with the complement vectors alone.
 """
 
 from __future__ import annotations
@@ -18,18 +25,23 @@ from functools import cached_property, partial
 from fractions import Fraction
 
 from .errors import GeneratorMovesH, NoSolution, NotAnAutomorphism, NotASubalgebra, NotInH
-from .exact import Mat, Subspace, inverse, kernel, rref, vec
+from .exact import Mat, Subspace, from_ints, inverse, kernel, rref, to_ints, vec
 
 
 @dataclass(frozen=True)
 class LieAlgebra:
     dim: int
     labels: tuple
-    nz: tuple  # nz[i][j] = ((k, c_ijk), ...): the nonzeros of [e_i, e_j], k increasing
+    nz: tuple  # nz[i][j] = ((k, n_ijk), ...): the nonzeros of den [e_i, e_j], k increasing
+    den: int = 1  # c_ijk = n_ijk / den
 
     def __post_init__(self):
         if len(self.labels) != self.dim or len(self.nz) != self.dim:
             raise ValueError(f"labels and structure constants must have length {self.dim}")
+        if type(self.den) is not int or self.den <= 0:
+            raise ValueError(f"den must be a positive int, got {self.den!r}")
+        if any(type(c) is not int for row in self.nz for terms in row for _, c in terms):
+            raise ValueError("structure constants must be ints over den")
 
 
 def make_lie_algebra(dim, brackets, labels=None) -> LieAlgebra:
@@ -37,31 +49,39 @@ def make_lie_algebra(dim, brackets, labels=None) -> LieAlgebra:
 
     `brackets` maps (i, j) with i < j to {k: coefficient}; the table is
     completed antisymmetrically, zero coefficients are dropped and every
-    other pair is zero.  Jacobi is not checked here; run validate for a full
-    report.
+    other pair is zero.  den is the lcm of the denominators of the
+    coefficients, so equal brackets give equal algebras.  Ints and Fractions
+    are taken as they are; anything else goes through Fraction once.
+    Jacobi is not checked here; run validate for a full report.
     """
     if labels is None:
         labels = tuple(f"e{i + 1}" for i in range(dim))
     labels = tuple(str(x) for x in labels)
-    nz = [[()] * dim for _ in range(dim)]
+    coeffs_ijk = []
     for (i, j), coeffs in brackets.items():
         if not (0 <= i < j < dim):
             raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
-        terms = []
         for k, v in coeffs.items():
             if not 0 <= k < dim:
                 raise ValueError(f"coefficient index {k} out of range for dim {dim}")
-            v = Fraction(v)
+            if not isinstance(v, (int, Fraction)):
+                v = Fraction(v)
             if v:
-                terms.append((k, v))
-        terms.sort()
-        nz[i][j] = tuple(terms)
-        nz[j][i] = tuple((k, -v) for k, v in terms)
-    return LieAlgebra(dim, labels, tuple(tuple(row) for row in nz))
+                coeffs_ijk.append(((i, j, k), v))
+    # sorted by (i, j, k), so each row comes out with k increasing
+    ints, den = to_ints(sorted(coeffs_ijk))
+    nz = [[[] for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), v in ints:
+        nz[i][j].append((k, v))
+        nz[j][i].append((k, -v))
+    return LieAlgebra(dim, labels, tuple(tuple(map(tuple, row)) for row in nz), den)
 
 
 def _sparse_bracket(nz, xs, ys) -> dict:
-    """[x, y] as {k: value} from the nonzero (index, coefficient) pairs of x and y."""
+    """den [x, y] as {k: value} from the nonzero (index, coefficient) pairs of x and y.
+
+    On integer coordinates the values are integers.
+    """
     out = {}
     for i, xi in xs:
         nzi = nz[i]
@@ -79,23 +99,23 @@ def _nonzeros(x) -> tuple:
 
 
 def bracket(L: LieAlgebra, x, y) -> tuple:
-    out = _sparse_bracket(L.nz, _nonzeros(vec(x)), _nonzeros(vec(y)))
-    zero = Fraction(0)
-    return tuple(out.get(k, zero) for k in range(L.dim))
+    """[x, y] of two rational vectors, through one integer sparse bracket."""
+    xs, dx = to_ints(_nonzeros(x))
+    ys, dy = to_ints(_nonzeros(y))
+    out = _sparse_bracket(L.nz, xs, ys)
+    return from_ints([out.get(k, 0) for k in range(L.dim)], L.den * dx * dy)
 
 
 def ad_matrix(L: LieAlgebra, x) -> Mat:
     """Matrix of ad_x = [x, -] in the defining basis (columns are images)."""
-    x = vec(x)
+    xs, dx = to_ints(_nonzeros(x))
     n = L.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
+    rows = [[0] * n for _ in range(n)]
+    for i, xi in xs:
         for j, terms in enumerate(L.nz[i]):
             for k, c in terms:
                 rows[k][j] += xi * c
-    return Mat(rows, n)
+    return Mat.from_ints(rows, L.den * dx)
 
 
 def structure_constants(space: Subspace, br, error) -> dict:
@@ -129,7 +149,8 @@ def _jacobi_failures(L: LieAlgebra) -> tuple:
     (i, j, k) of [e_t, [e_a, e_b]], whose l-component is
     sum_m c[a][b][m] c[t][m][l].  Each nonzero product is visited once, from
     the inner pair (a, b) and the outer index t, and credited to the sorted
-    triple when (t, a, b) is a rotation of it.
+    triple when (t, a, b) is a rotation of it.  The sums are taken over the
+    integers n = den c: a zero test does not depend on the scale.
     """
     n = L.dim
     nz = L.nz
@@ -149,6 +170,7 @@ def _jacobi_failures(L: LieAlgebra) -> tuple:
 
 
 def validate(L: LieAlgebra) -> Report:
+    """Antisymmetry and Jacobi of the integer table, failures listed by index."""
     n = L.dim
     nz = L.nz
     anti = [
@@ -169,8 +191,9 @@ class IsotropyModel:
     s_matrix : n x (n-k) section, columns are the complement standard vectors
     ann_basis : annihilator h° in g*, the working model of (g/h)*
 
-    The action of the isotropy on g/h (ad_bars, generator_maps) and the
-    reductive flag are derived once, on first use, and kept on the model.
+    The action of the isotropy on g/h (ad_bars, generator_maps), the
+    reductive flag and the integer columns of q are derived once, on first
+    use, and kept on the model.
     """
 
     L: LieAlgebra
@@ -186,20 +209,45 @@ class IsotropyModel:
         return len(self.complement_indices)
 
     @cached_property
-    def _ad_sections(self) -> tuple:
-        """ad_u s for each h-basis vector u: the brackets of u with the complement."""
-        s = self.s_matrix
-        return tuple(ad_matrix(self.L, u) @ s for u in self.h_basis.basis)
+    def _q_columns(self) -> tuple:
+        """(cols, d) with q = Q / d, Q integer; cols[k] lists the nonzeros (t, Q_tk)."""
+        return _int_columns(self.q_matrix)
+
+    def _complement_brackets(self, x) -> tuple:
+        """(cols, dx): cols[t] = dx den [x, e_j] as {k: int}, e_j the t-th complement vector."""
+        xs, dx = to_ints(_nonzeros(x))
+        nz = self.L.nz
+        return [_sparse_bracket(nz, xs, ((j, 1),)) for j in self.complement_indices], dx
+
+    def quotient_ad(self, x) -> Mat:
+        """q ad_x s, the operator u -> q[x, s u] on quotient coordinates.
+
+        Column t is q[x, e_j] for the t-th complement vector e_j: x is
+        bracketed with the complement vectors only, in integers, and each
+        bracket is mapped by the integer columns of q, so no n x n
+        ad-matrix is built.  For x in h it is ad-bar_x; for x = s r_# eps_a
+        it is the l-operator L[a] of a bivector r.
+        """
+        cols, dx = self._complement_brackets(x)
+        qcols, dq = self._q_columns
+        m = self.quotient_dim
+        rows = [[0] * m for _ in range(m)]
+        for t, col in enumerate(cols):
+            for k, v in col.items():
+                if v:
+                    for i, qik in qcols[k]:
+                        rows[i][t] += v * qik
+        return Mat.from_ints(rows, dq * self.L.den * dx)
 
     @cached_property
     def ad_bars(self) -> tuple:
         """ad-bar_u = q ad_u s, the quotient action of each h-basis vector u.
 
-        One ad-matrix per basis vector; ad-bar is linear in u, and it is well
-        defined because ad_u maps h to h, so it does not depend on the section.
+        One quotient operator per basis vector; ad-bar is linear in u, and it
+        is well defined because ad_u maps h to h, so it does not depend on
+        the section.
         """
-        q = self.q_matrix
-        return tuple(q @ m for m in self._ad_sections)
+        return tuple(self.quotient_ad(u) for u in self.h_basis.basis)
 
     @cached_property
     def generator_maps(self) -> tuple:
@@ -210,11 +258,17 @@ class IsotropyModel:
     def reductive(self) -> bool:
         """[h, m] in m for the declared complement m = s(g/h).
 
-        A vector lies in m iff it equals s q of itself, so the condition is
-        ad_u s = s ad-bar_u for every h-basis vector u.
+        m is spanned by the complement standard vectors, so a vector lies in
+        m iff it vanishes off the complement indices; the condition is read
+        off the integer brackets [u, e_j] of each h-basis vector u.
         """
-        s = self.s_matrix
-        return all(s @ bar == m for bar, m in zip(self.ad_bars, self._ad_sections))
+        comp = set(self.complement_indices)
+        return all(
+            k in comp or not v
+            for u in self.h_basis.basis
+            for col in self._complement_brackets(u)[0]
+            for k, v in col.items()
+        )
 
 
 def _check_subalgebra(L: LieAlgebra, h: Subspace):
@@ -229,6 +283,15 @@ def _check_subalgebra(L: LieAlgebra, h: Subspace):
     )
 
 
+def _int_columns(M: Mat) -> tuple:
+    """(cols, d) with M = N / d, N integer; cols[j] lists the nonzeros (i, N_ij) of column j."""
+    ints, d = to_ints(((j, i), x) for i, row in enumerate(M.entries) for j, x in enumerate(row) if x)
+    cols = [[] for _ in range(M.cols)]
+    for (j, i), x in ints:
+        cols[j].append((i, x))
+    return cols, d
+
+
 def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
     if A.rows != L.dim or A.cols != L.dim:
         raise NotAnAutomorphism("generator has the wrong shape")
@@ -237,12 +300,14 @@ def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
     except ValueError:
         raise NotAnAutomorphism("generator is singular") from None
     nz = L.nz
-    cols = [_nonzeros(col) for col in A.T.entries]
+    # A = N / dA, so both sides below are dA^2 den times [A e_i, A e_j] and A[e_i, e_j]
+    cols, dA = _int_columns(A)
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            # [A e_i, A e_j] - A[e_i, e_j], from nonzeros only
+            # den [N e_i, N e_j] - dA N (den [e_i, e_j]), from nonzeros only
             diff = _sparse_bracket(nz, cols[i], cols[j])
             for m, c in nz[i][j]:
+                c *= dA
                 for k, a in cols[m]:
                     diff[k] = diff.get(k, 0) - c * a
             if any(diff.values()):
@@ -331,12 +396,13 @@ def induced_ad_bar(L: LieAlgebra, iso: IsotropyModel, u) -> Mat:
     """Matrix of the quotient action ad-bar_u = q ad_u s for u in h.
 
     Well defined because h is a subalgebra: ad_u maps h to h, so the result
-    does not depend on the choice of section.
+    does not depend on the choice of section.  L is iso.L; the operator is
+    read off the model by quotient_ad.
     """
     u = vec(u)
     if not iso.h_basis.contains(u):
         raise NotInH("ad-bar is only defined for elements of the isotropy subalgebra")
-    return iso.q_matrix @ ad_matrix(L, u) @ iso.s_matrix
+    return iso.quotient_ad(u)
 
 
 def induced_map(iso: IsotropyModel, A: Mat) -> Mat:

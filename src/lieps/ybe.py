@@ -30,11 +30,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 
 from .errors import JacobiFailure, NotAnRMatrix, NotInAnnihilator
-from .exact import Mat, Subspace, column_space, dot, solve, vec, vsub, zero_vec
+from .exact import (
+    Mat,
+    Subspace,
+    bilinear,
+    column_space,
+    dot,
+    mat_lincomb,
+    solve,
+    vec,
+    vsub,
+    zero_vec,
+)
 from .invariants import (
     bivector_coords_from_matrix,
     bivector_matrix_from_coords,
@@ -47,8 +58,6 @@ from .liecore import (
     ann_to_covector,
     bracket,
     covector_to_ann,
-    induced_map,
-    m_bracket,
     make_lie_algebra,
     structure_constants,
     validate,
@@ -104,21 +113,18 @@ class Bivector:
     def l_operators(self) -> tuple:
         """L[a] = q ad(s r_# eps_a) s, the operator u -> [eps_a^#, u]_m on m.
 
-        One ad-matrix per basis covector eps_a; l_{alpha^#} is linear in
-        alpha, so every other l-operator is sum_a alpha_a L[a].
+        One quotient operator per basis covector eps_a; l_{alpha^#} is linear
+        in alpha, so every other l-operator is sum_a alpha_a L[a].
         """
         iso = self.iso
         s = iso.s_matrix
-        return tuple(
-            induced_map(iso, ad_matrix(iso.L, s @ self.r_mat.col(a)))
-            for a in range(self.r_mat.rows)
-        )
+        return tuple(iso.quotient_ad(s @ self.r_mat.col(a)) for a in range(self.r_mat.rows))
 
     @cached_property
     def mstar_table(self) -> tuple:
         """C[a][c] = [eps_a, eps_c]_r = L[c]^T eps_a - L[a]^T eps_c.
 
-        L^T eps_a is row a of L.  Built from the ad-matrices of the sharps,
+        L^T eps_a is row a of L.  Built from the l-operators of the sharps,
         never from hcirc_bracket, so the h° route stays an independent check.
         The Yang-Baxter tensor is read off this table.
         """
@@ -208,7 +214,8 @@ def yang_baxter_tensor(r: Bivector) -> YBTensor:
     C is r.mstar_table.  This is the h° formula <eta_c, hcirc(eta_a,
     eta_b)^# - [eta_a^#, eta_b^#]> over the canonical lift, on any pair and
     for any r: with eta_t = q^T eps_t, x_t = s r_# eps_t and q s = id,
-    s^T hcirc(eta_a, eta_b) = C[a][b] and q[x_a, x_b] = [r_# eps_a, r_# eps_b]_m.
+    s^T hcirc(eta_a, eta_b) = C[a][b] and q[x_a, x_b] = [r_# eps_a, r_# eps_b]_m,
+    which is L[a] r_# eps_b for the l-operator L[a] = q ad(x_a) s.
 
     One defect vector per pair a < b gives the entries with c > b; the
     other orderings of each triple are filled by sign, since each entry is
@@ -216,15 +223,15 @@ def yang_baxter_tensor(r: Bivector) -> YBTensor:
     repeated index are zero.  schouten_oracle evaluates all n^3 entries of
     that sum over a lift on g, on purpose, as the independent check.
     """
-    iso = r.iso
-    n = iso.quotient_dim
+    n = r.iso.quotient_dim
     table = r.mstar_table
+    ls = r.l_operators
     sharps = [r.r_mat.col(a) for a in range(n)]
     values = {}
     for a in range(n):
         # the last b leaves no c > b to read
         for b in range(a + 1, n - 1):
-            d = vsub(r.r_mat @ table[a][b], m_bracket(iso, sharps[a], sharps[b]))
+            d = vsub(r.r_mat @ table[a][b], ls[a] @ sharps[b])
             for c in range(b + 1, n):
                 v = d[c]
                 if v:
@@ -305,16 +312,25 @@ class FixedSpaceLieAlgebra:
 def fixed_space_lie_algebra(r: Bivector) -> FixedSpaceLieAlgebra:
     """Bracket table of [.,.]_r on (h°)^H with Jacobi and morphism checks.
 
-    The checks guard theorems that must hold for genuine r-matrices; a
-    failure is surfaced as JacobiFailure rather than repaired.
+    [f, g]_r is the bilinear combination of r.mstar_table, and the m-bracket
+    [r_# f, r_# g]_m is l_{f^#} r_# g with l_{f^#} = sum_a f_a L[a], so the
+    per-bivector tables give both sides; quotient_hcirc stays the
+    independent h° route.  The checks guard theorems that must hold for
+    genuine r-matrices; a failure is surfaced as JacobiFailure rather than
+    repaired.
     """
     require_r_matrix(r)
     iso = r.iso
+    n = iso.quotient_dim
     fixed = fixed_quotient_covectors(iso)
     d = fixed.dim
+
+    def r_bracket(f, g):
+        return bilinear(r.mstar_table, f, g, n)
+
     table = structure_constants(
         fixed,
-        partial(quotient_hcirc, r),
+        r_bracket,
         lambda i, j: JacobiFailure("bracket of fixed covectors leaves the fixed subspace"),
     )
     algebra = make_lie_algebra(
@@ -328,9 +344,10 @@ def fixed_space_lie_algebra(r: Bivector) -> FixedSpaceLieAlgebra:
     # fixed vectors
     sharps = [r.r_mat @ f for f in fixed.basis]
     for i in range(d):
+        l_f = mat_lincomb(fixed.basis[i], r.l_operators, n)
         for j in range(d):
-            lhs = r.r_mat @ quotient_hcirc(r, fixed.basis[i], fixed.basis[j])
-            if lhs != m_bracket(iso, sharps[i], sharps[j]):
+            lhs = r.r_mat @ r_bracket(fixed.basis[i], fixed.basis[j])
+            if lhs != l_f @ sharps[j]:
                 raise JacobiFailure("sharp is not a morphism onto the fixed vectors")
 
     return FixedSpaceLieAlgebra(bivector=r, basis=fixed.basis, algebra=algebra)

@@ -4,11 +4,13 @@ sparse code paths and the per-bivector tables."""
 
 import random
 from fractions import Fraction as QQ
+from math import lcm
 
 from lieps import catalog
 from lieps.exact import Mat, Subspace, dot, inverse, kernel, vsub
 from lieps.invariants import fixed_quotient_covectors, invariant_bivectors
 from lieps.liecore import (
+    IsotropyModel,
     ad_matrix,
     bracket,
     covector_to_ann,
@@ -171,6 +173,19 @@ def random_instances(seed, count):
         yield f"{name}#{produced}", L, iso, tuple(coords)
 
 
+def count_quotient_ad(monkeypatch):
+    """Arguments (model, x) of every IsotropyModel.quotient_ad call: the q ad_x s operators."""
+    calls = []
+    real = IsotropyModel.quotient_ad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(IsotropyModel, "quotient_ad", counted)
+    return calls
+
+
 def random_lift_perturbation(rng, iso, rt_mat):
     """rt + sum of (y x^T - x y^T) with x in h: another lift of the same r."""
     n = rt_mat.rows
@@ -253,25 +268,33 @@ def greedy_complement_scan(space: Subspace) -> tuple:
 
 
 def dense_table(L):
-    """The dense table c[i][j][k] = coefficient of e_k in [e_i, e_j], from L.nz."""
+    """The dense table c[i][j][k] = coefficient of e_k in [e_i, e_j], from L.nz and L.den."""
     n = L.dim
     c = [[[QQ(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k, x in L.nz[i][j]:
-                c[i][j][k] = x
+                c[i][j][k] = QQ(x, L.den)
     return c
 
 
 def nz_of_table(c):
-    """The sparse table nz[i][j] = ((k, c_ijk), ...) of a raw dense table.
+    """(nz, den) of a raw dense table: nz[i][j] = ((k, den c_ijk), ...), all ints.
 
-    Both halves are kept as given, so a table that is not antisymmetric
-    still reaches validate.
+    den is the lcm of the denominators of the nonzero entries.  Both halves
+    are kept as given, so a table that is not antisymmetric still reaches
+    validate.
     """
-    return tuple(
-        tuple(tuple((k, QQ(x)) for k, x in enumerate(cij) if x) for cij in ci) for ci in c
+    den = 1
+    for ci in c:
+        for cij in ci:
+            for x in cij:
+                den = lcm(den, QQ(x).denominator)
+    nz = tuple(
+        tuple(tuple((k, int(QQ(x) * den)) for k, x in enumerate(cij) if x) for cij in ci)
+        for ci in c
     )
+    return nz, den
 
 
 def dense_validate(L):

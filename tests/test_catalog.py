@@ -5,6 +5,7 @@ import pytest
 
 from helpers import CATALOG_ENTRIES
 from lieps import catalog
+from lieps.cli import run_cli
 from lieps.errors import DocumentError, LiepsError
 from lieps.liecore import bracket, validate
 
@@ -128,6 +129,12 @@ def test_rationals():
     assert catalog.parse_rational("3/2") == QQ(3, 2)
     assert catalog.parse_rational("-7") == QQ(-7)
     assert catalog.parse_rational(2) == QQ(2)
+    for text, value in [("٣/٤", QQ(3, 4)), (" +6/4 ", QQ(3, 2)), ("-0/5", QQ(0))]:
+        q = catalog.parse_rational(text)
+        assert type(q) is QQ and q == value
+    for flag in (True, False):
+        with pytest.raises(DocumentError, match="not a rational literal"):
+            catalog.parse_rational(flag, "x")
     with pytest.raises(DocumentError):
         catalog.parse_rational("1/0", "x")
     with pytest.raises(DocumentError):
@@ -184,6 +191,24 @@ def test_parse_locates_errors(mutate, path_prefix):
     with pytest.raises(DocumentError) as exc:
         catalog.parse(data)
     assert exc.value.path.startswith(path_prefix)
+
+
+_BOOLEAN_DOCS = [
+    ({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": True}}]}, "brackets[0].coeffs.2", True),
+    ({"dim": 3, "subalgebra": [[False, False, True]]}, "subalgebra[0][0]", False),
+    (
+        {"dim": 2, "ad_generators": [[[1, 0], [0, True]]]},
+        "ad_generators[0][1][1]",
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, path, value", _BOOLEAN_DOCS)
+def test_json_booleans_are_not_rational_literals(doc, path, value):
+    code, out, err = run_cli(["validate", "-"], json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {path}: not a rational literal: {value!r}\n"
 
 
 def test_parse_rejects_duplicate_bracket_pairs():

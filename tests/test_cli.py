@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import count_quotient_ad
 from lieps.catalog import builtin, emit
 from lieps.cli import format_bivector, format_covector, parse_bivector_expr, run_cli
 from lieps.errors import DocumentError
@@ -399,8 +400,8 @@ def _count_calls(monkeypatch, name, module="lieps.liecore"):
 @pytest.mark.parametrize("kind", ["canonical", "natural", "left_symmetric", "fedosov"])
 def test_connection_builds_one_ad_matrix_per_basis_covector(monkeypatch, kind):
     # the l-operators are built once per bivector, whatever the connection
-    # reads off them: dim m ad-matrices for the whole job
-    calls = _count_calls(monkeypatch, "ad_matrix")
+    # reads off them: dim m quotient operators q ad_x s for the whole job
+    calls = count_quotient_ad(monkeypatch)
     text = _doc_text("heisenberg", n=3)
     code, out, err = run_cli(["connection", "-", "--r", "u1^w + v1^w", "--kind", kind], text)
     assert code == 0, err
@@ -425,10 +426,10 @@ def test_leaf_builds_one_isotropy_ad_matrix_per_h_basis_vector(monkeypatch):
 
     text = _doc_text("double", of="heisenberg", n=2)
     _, iso = realize(builtin("double", {"of": "heisenberg", "n": 2}))
-    calls = _count_calls(monkeypatch, "ad_matrix")
+    calls = count_quotient_ad(monkeypatch)
     code, out, err = run_cli(["leaf", "-", "--r", "m_u1^m_w"], text)
     assert code == 0, err
-    # the tensor's ad-matrices are of sharps, which are nonzero only off h
+    # the tensor's quotient operators are of sharps, which are nonzero only off h
     in_h = [x for (_, x) in calls if any(x) and iso.h_basis.contains(x)]
     assert len(in_h) <= iso.h_basis.dim == 5
 
@@ -440,10 +441,23 @@ def test_tensor_and_l_operators_share_one_ad_matrix_per_basis_covector(monkeypat
 
     _, iso = realize(builtin("heisenberg", {"n": 3}))
     r = make_bivector(iso, [1] * (iso.quotient_dim * (iso.quotient_dim - 1) // 2))
-    calls = _count_calls(monkeypatch, "ad_matrix")
+    calls = count_quotient_ad(monkeypatch)
     assert not r.tensor.is_zero()
     assert len(r.l_operators) == iso.quotient_dim
     assert len(calls) == iso.quotient_dim == 7
+
+
+def test_tensor_calls_no_bracket(monkeypatch):
+    # [r_# eps_a, r_# eps_b]_m is read as L[a] r_# eps_b, not lifted through s per pair
+    from lieps.catalog import realize
+    from lieps.ybe import make_bivector
+
+    _, iso = realize(builtin("heisenberg", {"n": 2}))
+    r = make_bivector(iso, [1] * (iso.quotient_dim * (iso.quotient_dim - 1) // 2))
+    brackets = _count_calls(monkeypatch, "bracket")
+    m_brackets = _count_calls(monkeypatch, "m_bracket")
+    assert not r.tensor.is_zero()
+    assert brackets == m_brackets == []
 
 
 def test_leaf_solves_r_sharp_once_per_image_basis_vector(monkeypatch):

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction as QQ
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    ALL_FAMILIES,
+    _transport_algebra,
     catalog_instances,
     catalog_r_matrices,
     dense_ad_bars,
@@ -112,7 +115,7 @@ def test_validate_reports_jacobi_failure():
 def test_validate_reports_antisymmetry_failure():
     # built by hand: c[0][1] = c[1][0] = e1, skew fails at the pair (0, 1)
     c = ((V(0, 0), V(1, 0)), (V(1, 0), V(0, 0)))
-    L = LieAlgebra(dim=2, labels=("a", "b"), nz=nz_of_table(c))
+    L = LieAlgebra(2, ("a", "b"), *nz_of_table(c))
     report = validate(L)
     assert not report.ok
     assert (0, 1) in report.antisymmetry_failures
@@ -364,7 +367,7 @@ def raw_tables(draw):
         c = tuple(
             tuple(tuple(entry() for _ in range(n)) for _ in range(n)) for _ in range(n)
         )
-        return LieAlgebra(n, tuple(f"e{i + 1}" for i in range(n)), nz_of_table(c))
+        return LieAlgebra(n, tuple(f"e{i + 1}" for i in range(n)), *nz_of_table(c))
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -403,12 +406,12 @@ def test_validate_reports_failures_of_a_raw_table():
     zero = (QQ(0),) * 3
     c = [[list(zero) for _ in range(3)] for _ in range(3)]
     c[0][1][2] = QQ(1)
-    L = LieAlgebra(3, ("a", "b", "c"), nz_of_table(c))
+    L = LieAlgebra(3, ("a", "b", "c"), *nz_of_table(c))
     rep = validate(L)
     assert rep.antisymmetry_failures == ((0, 1),)
     assert rep.jacobi_failures == ()
     # the sparse table keeps c as given, not an antisymmetric completion
-    assert L.nz[0][1] == ((2, QQ(1)),) and L.nz[1][0] == ()
+    assert L.nz[0][1] == ((2, 1),) and L.nz[1][0] == () and L.den == 1
 
 
 @st.composite
@@ -435,7 +438,89 @@ def test_make_lie_algebra_matches_dense_then_derive(case):
         for k, v in coeffs.items():
             c[i][j][k] = v
             c[j][i][k] = -v
-    assert make_lie_algebra(n, brackets).nz == nz_of_table(c)
+    L = make_lie_algebra(n, brackets)
+    assert (L.nz, L.den) == nz_of_table(c)
+
+
+def test_equal_brackets_give_equal_algebras():
+    # den is the lcm of the coefficient denominators, whatever form they came in
+    a = make_lie_algebra(3, {(0, 1): {2: QQ(1, 2)}, (0, 2): {1: QQ(-2, 3)}})
+    b = make_lie_algebra(3, {(0, 2): {1: "-4/6"}, (0, 1): {2: QQ(3, 6), 0: 0}})
+    assert a == b
+    assert a.den == 6
+    assert a.nz[0][1] == ((2, 3),) and a.nz[1][0] == ((2, -3),)
+    assert a.nz[0][2] == ((1, -4),) and a.nz[2][0] == ((1, 4),)
+    c = make_lie_algebra(2, {(0, 1): {0: 1}})
+    assert c == make_lie_algebra(2, {(0, 1): {0: QQ(1)}}) and c.den == 1
+
+
+@pytest.mark.parametrize(
+    "nz, den",
+    [
+        ((((), ((1, QQ(1)),)), ((), ())), 1),  # a Fraction coefficient
+        ((((), ((1, 1.0),)), ((), ())), 1),
+        ((((), ((1, True),)), ((), ())), 1),
+        ((((), ((1, 1),)), ((), ())), 0),
+        ((((), ((1, 1),)), ((), ())), -2),
+        ((((), ((1, 1),)), ((), ())), QQ(2)),
+    ],
+)
+def test_direct_table_needs_ints_over_a_positive_int_den(nz, den):
+    with pytest.raises(ValueError):
+        LieAlgebra(2, ("a", "b"), nz, den)
+
+
+# families whose derived algebra acts nilpotently, so exp(ad_x) for x in
+# [g, g] is a finite sum: a rational automorphism of the transported algebra
+_SOLVABLE = sorted(name for name in ALL_FAMILIES if "sl2" not in name and "so3" not in name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**20))
+def test_quotient_ad_is_q_ad_s_on_transported_quotients(seed):
+    _, L, iso, _ = next(random_instances(seed, 1))
+    rng = random.Random(seed)
+    x = tuple(QQ(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(L.dim))
+    assert iso.quotient_ad(x) == iso.q_matrix @ ad_matrix(L, x) @ iso.s_matrix
+    for u in iso.h_basis.basis:
+        assert induced_ad_bar(L, iso, u) == iso.q_matrix @ ad_matrix(L, u) @ iso.s_matrix
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**20))
+def test_check_automorphism_matches_dense_on_rational_generators(seed):
+    # a solvable family pushed through a random rational change of basis
+    rng = random.Random(seed)
+    dim, brackets, _ = ALL_FAMILIES[rng.choice(_SOLVABLE)]
+    L, _, _ = _transport_algebra(rng, dim, brackets)
+    n = L.dim
+    e = Mat.identity(n).entries
+    x = [QQ(0)] * n
+    for _ in range(2):
+        i, j = rng.randrange(n), rng.randrange(n)
+        c = QQ(rng.randint(-3, 3), rng.randint(1, 3))
+        x = [a + c * b for a, b in zip(x, bracket(L, e[i], e[j]))]
+    M = ad_matrix(L, x)
+    A, term = Mat.identity(n), Mat.identity(n)
+    for k in range(1, n + 1):
+        term = (term @ M).scale(QQ(1, k))
+        A = A + term
+    assert term.is_zero()
+    if rng.random() < 0.6:
+        rows = [list(row) for row in A.entries]
+        rows[rng.randrange(n)][rng.randrange(n)] += QQ(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+        A = Mat(rows)
+    try:
+        inverse(A)
+    except ValueError:
+        with pytest.raises(NotAnAutomorphism, match="singular"):
+            _check_automorphism(L, A, Subspace.zero(n))
+        return
+    if dense_is_automorphism(L, A):
+        _check_automorphism(L, A, Subspace.zero(n))
+    else:
+        with pytest.raises(NotAnAutomorphism):
+            _check_automorphism(L, A, Subspace.zero(n))
 
 
 GENERATOR_ALGEBRAS = [

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as QQ
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     catalog_instances,
+    catalog_r_matrices,
+    count_quotient_ad,
     dense_table,
     instance,
     invariant_candidates,
@@ -19,8 +22,12 @@ from helpers import (
 )
 from lieps.errors import NotAnRMatrix, NotInAnnihilator
 from lieps.exact import Mat
-from lieps.invariants import bivector_coords_from_matrix, invariant_bivectors
-from lieps.liecore import make_isotropy, make_lie_algebra, validate
+from lieps.invariants import (
+    bivector_coords_from_matrix,
+    fixed_quotient_covectors,
+    invariant_bivectors,
+)
+from lieps.liecore import make_isotropy, make_lie_algebra, structure_constants, validate
 from lieps.ybe import (
     Bivector,
     Lift,
@@ -341,6 +348,43 @@ def test_fixed_space_lie_algebra_on_catalog_r_matrices():
                 continue
             out = fixed_space_lie_algebra(r)
             assert validate(out.algebra).ok
+
+
+def test_fixed_space_lie_algebra_matches_the_hcirc_route():
+    # the table read off r.mstar_table against the h° bracket of quotient_hcirc,
+    # on the catalog r-matrices and, for non-abelian fixed-space algebras, on
+    # r-matrices of the small catalog algebras over h = 0
+    cases = [(tag, iso, r) for tag, _, iso, r in catalog_r_matrices()]
+    for tag, L, _ in catalog_instances():
+        if L.dim <= 4:
+            iso0 = make_isotropy(L, [])
+            rs = (make_bivector(iso0, c) for c in invariant_candidates(iso0))
+            cases += [(f"{tag}-h=0", iso0, r) for r in rs if is_r_matrix(r)]
+    nonzero = 0
+    for tag, iso, r in cases:
+        out = fixed_space_lie_algebra(r)
+        fixed = fixed_quotient_covectors(iso)
+        assert out.basis == fixed.basis, tag
+        table = structure_constants(fixed, partial(quotient_hcirc, r), pytest.fail)
+        d = fixed.dim
+        expected = make_lie_algebra(
+            d, {ij: dict(enumerate(cs)) for ij, cs in table.items()}, [f"a{i + 1}" for i in range(d)]
+        )
+        assert out.algebra == expected, tag
+        nonzero += any(any(row) for row in out.algebra.nz)
+    assert nonzero  # some fixed-space algebra is not abelian
+
+
+def test_fixed_space_lie_algebra_builds_dim_m_quotient_operators(monkeypatch):
+    # the l-operators of the bivector serve the tensor, the table and the
+    # morphism check: no ad-matrix per pair of fixed covectors
+    _, iso = instance("heisenberg", {"n": 2})
+    coords = next(c for c in invariant_candidates(iso) if is_r_matrix(make_bivector(iso, c)))
+    r = make_bivector(iso, coords)
+    calls = count_quotient_ad(monkeypatch)
+    out = fixed_space_lie_algebra(r)
+    assert out.algebra.dim > 0
+    assert len(calls) == iso.quotient_dim == 5
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,15 @@ from .liecore import IsotropyModel, LieAlgebra, make_isotropy, make_lie_algebra
 _RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
-def parse_rational(s, path="") -> Fraction:
-    """A JSON integer or a "p" / "p/q" string, built once from its integers.
+def _is_int(x) -> bool:
+    """A JSON integer: Python's bool is an int, but JSON true and false are not numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
-    JSON true and false are not numbers here, although Python's bool is an int.
-    """
+
+def parse_rational(s, path="") -> Fraction:
+    """A JSON integer or a "p" / "p/q" string, built once from its integers."""
     s = s.strip() if isinstance(s, str) else s
-    if isinstance(s, int) and not isinstance(s, bool):
+    if _is_int(s):
         return Fraction(s)
     m = _RATIONAL.match(s) if isinstance(s, str) else None
     if m is None:
@@ -415,7 +417,7 @@ def parse(text) -> AlgebraDocument:
     _expect(isinstance(name, str), "name", "must be a string")
 
     dim = data.get("dim")
-    _expect(isinstance(dim, int) and not isinstance(dim, bool) and dim > 0, "dim", "must be a positive integer")
+    _expect(_is_int(dim) and dim > 0, "dim", "must be a positive integer")
 
     labels = data.get("labels")
     if labels is None:
@@ -435,7 +437,7 @@ def parse(text) -> AlgebraDocument:
             _expect(k in {"i", "j", "coeffs"}, f"{path}.{k}", "unknown field")
         i = item.get("i")
         j = item.get("j")
-        _expect(isinstance(i, int) and isinstance(j, int), path, "i and j must be integers")
+        _expect(_is_int(i) and _is_int(j), path, "i and j must be integers")
         _expect(0 <= i < j < dim, path, f"need 0 <= i < j < {dim}, got ({i}, {j})")
         coeffs = item.get("coeffs", {})
         _expect(isinstance(coeffs, dict), f"{path}.coeffs", "must be an object")

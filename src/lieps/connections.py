@@ -28,7 +28,6 @@ from functools import cached_property
 from .errors import ClosureFailure, NotAnFConnection, NotReductive
 from .exact import (
     Mat,
-    Subspace,
     bilinear,
     dot,
     inverse,
@@ -45,8 +44,7 @@ from .liecore import (
     IsotropyModel,
     LieAlgebra,
     bracket,
-    completed_frame_inverse,
-    greedy_complement,
+    complement_projection,
     m_bracket,
 )
 from .ybe import Bivector, require_r_matrix
@@ -260,16 +258,6 @@ def is_f_connection(b: ConnectionMap, r: Bivector) -> bool:
     return True
 
 
-def _coords_along(space: Subspace, complement_indices) -> Mat:
-    """Column a: the coordinates in the RREF basis of `space` of the part of e_a in it.
-
-    e_a is split along the complement; the coordinates are the first
-    space.dim rows of the inverse frame.
-    """
-    coords = completed_frame_inverse(space, complement_indices).entries[: space.dim]
-    return Mat(coords, space.ambient)
-
-
 @dataclass(frozen=True)
 class NomizuMap:
     """Invariant covariant connection data: mu: m x m -> m.
@@ -297,13 +285,10 @@ def f_connection_to_nomizu(b: ConnectionMap, r: Bivector) -> NomizuMap:
         raise NotAnFConnection("b_eta must vanish for eta in ker(sharp)")
     pair = b.pair
     n = pair.dim_m
-    im = r.image
-    vidx = greedy_complement(im)
-    proj = Mat.from_cols(im.basis, n) @ _coords_along(im, vidx)
-    e = Mat.identity(n).entries
+    _, proj = complement_projection(r.image)
     psi = []
     for t in range(n):
-        w = proj @ e[t]
+        w = proj.col(t)
         if all(x == 0 for x in w):
             psi.append(Mat.zero(n, n))
             continue
@@ -355,13 +340,13 @@ def induced_leaf_connection(
     n = pair.dim_m
     im = r.image
     d = im.dim
-    if complement_indices is None:
-        complement_indices = greedy_complement(im)
+    _, proj = complement_projection(im, complement_indices)
 
     # <eta_{w_i}, e_a> = omega_r(w_i, proj(e_a)) = (omega P)[i][a], column a
-    # of P holding the Im(r_#)-coordinates of proj(e_a)
+    # of P holding the Im(r_#)-coordinates of proj(e_a): its entries at the
+    # pivots of the RREF basis w
     omega = r.omega
-    etas = (omega @ _coords_along(im, tuple(complement_indices))).entries
+    etas = (omega @ Mat([proj[p] for p in im.pivots], n)).entries
     br = tuple(
         tuple(tuple(r.r_mat @ b.apply(etas[i], etas[j])) for j in range(d)) for i in range(d)
     )

@@ -213,8 +213,6 @@ def reconstruct_r(L, iso: IsotropyModel, a_basis, omega) -> Bivector:
 
 @dataclass(frozen=True)
 class LeafDecomposition:
-    h_part: Subspace
-    im_part: Subspace
     reductive: bool
     symmetric: bool
 
@@ -229,15 +227,12 @@ def leaf_decomposition(r: Bivector) -> LeafDecomposition:
     iso = r.iso
     im = r.image
     lifted = _lifted_im_basis(r)
-    im_part = Subspace.from_vectors(iso.L.dim, lifted)
 
     reductive = all(im.contains(ad_bar @ v) for ad_bar in iso.ad_bars for v in im.basis)
     symmetric = all(
         iso.h_basis.contains(bracket(iso.L, x, y)) for x in lifted for y in lifted
     )
-    return LeafDecomposition(
-        h_part=iso.h_basis, im_part=im_part, reductive=reductive, symmetric=symmetric
-    )
+    return LeafDecomposition(reductive=reductive, symmetric=symmetric)
 
 
 def w_omega_pair(r: Bivector):

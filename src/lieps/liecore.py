@@ -10,12 +10,14 @@ argument by the lcm of its denominators and divides once per nonzero output
 entry, and a zero test (Jacobi, antisymmetry, automorphism) never divides.
 
 An isotropy model packages a subalgebra h together with an explicit linear
-model of the quotient g/h: a projection q, a section s built from standard
-basis vectors, and the annihilator h° of h inside g*, which is how (g/h)* is
-represented downstream.  The model keeps q as integer columns over one
-denominator, off which `quotient_ad` reads every q ad_x s (the action of
-the isotropy on g/h, and the l-operators of a bivector) from the brackets of
-x with the complement vectors alone.
+model of the quotient g/h: a projection q and a section s built from
+standard basis vectors, both read off one elimination of the basis of h
+(`complement_projection`).  (g/h)* is identified with the annihilator h° of
+h inside g* through q^T; h° is not stored, since eta lies in it exactly when
+<eta, u> = 0 for every h-basis vector u.  The model keeps q as integer
+columns over one denominator, off which `quotient_ad` reads every q ad_x s
+(the action of the isotropy on g/h, and the l-operators of a bivector) from
+the brackets of x with the complement vectors alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property, partial
 from fractions import Fraction
 
 from .errors import GeneratorMovesH, NoSolution, NotAnAutomorphism, NotASubalgebra, NotInH
-from .exact import Mat, Subspace, from_ints, inverse, kernel, rref, to_ints, vec
+from .exact import Mat, Subspace, from_ints, inverse, rref, to_ints, vec, vsub
 
 
 @dataclass(frozen=True)
@@ -187,9 +189,11 @@ def validate(L: LieAlgebra) -> Report:
 class IsotropyModel:
     """Quotient model g/h with a preferred standard-basis complement.
 
-    q_matrix : (n-k) x n projection onto quotient coordinates
+    q_matrix : (n-k) x n projection onto quotient coordinates, zero on h
     s_matrix : n x (n-k) section, columns are the complement standard vectors
-    ann_basis : annihilator h° in g*, the working model of (g/h)*
+
+    q^T identifies a quotient covector with its representative in the
+    annihilator h° of h, the working model of (g/h)*.
 
     The action of the isotropy on g/h (ad_bars, generator_maps), the
     reductive flag and the integer columns of q are derived once, on first
@@ -201,7 +205,6 @@ class IsotropyModel:
     complement_indices: tuple
     q_matrix: Mat
     s_matrix: Mat
-    ann_basis: Subspace
     discrete_generators: tuple = field(default=())
 
     @property
@@ -319,37 +322,48 @@ def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
             raise GeneratorMovesH("generator does not preserve the isotropy subalgebra")
 
 
-def greedy_complement(space: Subspace) -> tuple:
-    """Standard-basis indices completing `space` to the ambient, scanned greedily.
+def complement_projection(space: Subspace, indices=None) -> tuple:
+    """(indices, proj): standard vectors e_j completing `space`, and the projection along them.
 
-    The scan keeps e_j when it lies outside space + span(e_0, ..., e_{j-1}).
-    That happens exactly when column j is not a pivot of the basis reduced
-    with its columns in reverse order, so one elimination gives the answer.
+    proj is the n x n projection onto space along span(e_j, j in indices),
+    found by one elimination of the basis of space with its pivots on the
+    columns P off the complement: the reduced rows b_p satisfy b_p[p'] = 1
+    if p = p' and 0 otherwise on P, so proj x = sum_p x_p b_p, column p of
+    proj is b_p and the complement columns are zero.
+
+    With no indices the columns are taken in reverse order.  The greedy scan
+    keeps e_j when it lies outside space + span(e_0, ..., e_{j-1}), which
+    happens exactly when j is not a pivot of that reduction, so the same
+    elimination picks the complement.  Explicit indices put the columns off
+    them first, and complete the space exactly when the pivots come first.
+    Raises ValueError unless they are distinct, in range and complete space
+    to a basis of the ambient.
     """
     n = space.ambient
-    if not space.dim:
-        return tuple(range(n))
-    _, pivots = rref(Mat([v[::-1] for v in space.basis]))
-    taken = {n - 1 - p for p in pivots}
-    return tuple(j for j in range(n) if j not in taken)
-
-
-def completed_frame_inverse(space: Subspace, indices) -> Mat:
-    """Inverse of the frame whose columns are the RREF basis of space, then e_j.
-
-    Row t of the result gives the t-th frame coordinate of a vector: the
-    first space.dim rows its coordinates along space, the rest those along
-    the standard vectors e_j, j in indices.  Raises ValueError unless those
-    standard vectors complete space to a basis of the ambient.
-    """
-    n = space.ambient
-    if any(not 0 <= j < n for j in indices):
-        raise ValueError(f"complement indices must lie in 0..{n - 1}")
-    e = Mat.identity(n).entries
-    try:
-        return inverse(Mat.from_cols(list(space.basis) + [e[j] for j in indices], n))
-    except ValueError:
-        raise ValueError("the standard vectors do not complete the subspace to a basis") from None
+    if indices is None:
+        order = tuple(range(n - 1, -1, -1))
+    else:
+        indices = tuple(indices)
+        if any(not 0 <= j < n for j in indices):
+            raise ValueError(f"complement indices must lie in 0..{n - 1}")
+        taken = set(indices)
+        if len(taken) != len(indices) or len(indices) != n - space.dim:
+            raise ValueError("the standard vectors do not complete the subspace to a basis")
+        order = tuple(j for j in range(n) if j not in taken) + indices
+    rows = [{} for _ in range(n)]
+    pivots = []
+    if space.dim:
+        red, pivots = rref(Mat([[v[j] for j in order] for v in space.basis]))
+        if indices is not None and pivots != list(range(space.dim)):
+            raise ValueError("the standard vectors do not complete the subspace to a basis")
+        for row, p in zip(red.entries, pivots):
+            for k, x in enumerate(row):
+                if x:
+                    rows[order[k]][order[p]] = x
+    if indices is None:
+        on_space = {order[p] for p in pivots}
+        indices = tuple(j for j in range(n) if j not in on_space)
+    return indices, Mat.from_sparse(rows, n)
 
 
 def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement_indices=None) -> IsotropyModel:
@@ -363,16 +377,12 @@ def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement
     h = Subspace.from_vectors(n, h_vectors)
     _check_subalgebra(L, h)
 
-    if complement_indices is None:
-        complement_indices = greedy_complement(h)
-    else:
-        complement_indices = tuple(complement_indices)
-    # rows past the h-coordinates are the coordinates along the complement
-    q_matrix = Mat(completed_frame_inverse(h, complement_indices).entries[h.dim :], n)
+    complement_indices, proj = complement_projection(h, complement_indices)
     e = Mat.identity(n).entries
+    # q x = (x - proj x) read at the complement indices, which is zero on h
+    # and the identity on the complement vectors
+    q_matrix = Mat([vsub(e[j], proj[j]) for j in complement_indices], n)
     s_matrix = Mat.from_cols([e[j] for j in complement_indices], n)
-
-    ann = kernel(Mat(h.basis)) if h.dim > 0 else Subspace.full(n)
 
     gens = []
     if discrete_generators:
@@ -387,7 +397,6 @@ def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement
         complement_indices=complement_indices,
         q_matrix=q_matrix,
         s_matrix=s_matrix,
-        ann_basis=ann,
         discrete_generators=tuple(gens),
     )
 

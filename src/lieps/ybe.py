@@ -171,7 +171,8 @@ def sharp(lift: Lift, eta) -> tuple:
 
 
 def _require_ann(iso: IsotropyModel, eta, name):
-    if not iso.ann_basis.contains(eta):
+    """NotInAnnihilator unless <eta, u> = 0 for every h-basis vector u."""
+    if any(dot(eta, u) for u in iso.h_basis.basis):
         raise NotInAnnihilator(f"{name} does not annihilate the isotropy subalgebra")
 
 

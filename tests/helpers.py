@@ -3,6 +3,7 @@ generator of randomized quotient instances, and plain dense oracles for the
 sparse code paths and the per-bivector tables."""
 
 import random
+import sys
 from fractions import Fraction as QQ
 from math import lcm
 
@@ -10,7 +11,6 @@ from lieps import catalog
 from lieps.exact import Mat, Subspace, dot, inverse, kernel, vsub
 from lieps.invariants import fixed_quotient_covectors, invariant_bivectors
 from lieps.liecore import (
-    IsotropyModel,
     ad_matrix,
     bracket,
     covector_to_ann,
@@ -173,16 +173,25 @@ def random_instances(seed, count):
         yield f"{name}#{produced}", L, iso, tuple(coords)
 
 
-def count_quotient_ad(monkeypatch):
-    """Arguments (model, x) of every IsotropyModel.quotient_ad call: the q ad_x s operators."""
+def count_calls(monkeypatch, owner, name):
+    """Arguments of every call to owner.name, a class or module attribute, which still runs.
+
+    A module function is replaced under every lieps alias of it as well, so
+    calls through `from .exact import solve` count.  On
+    IsotropyModel.quotient_ad the arguments are (model, x), one per q ad_x s
+    operator; on exact._rref_int_rows, one per elimination.
+    """
     calls = []
-    real = IsotropyModel.quotient_ad
+    real = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(IsotropyModel, "quotient_ad", counted)
+    monkeypatch.setattr(owner, name, counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("lieps") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 

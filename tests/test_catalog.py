@@ -211,6 +211,13 @@ def test_json_booleans_are_not_rational_literals(doc, path, value):
     assert err == f"parse error: {path}: not a rational literal: {value!r}\n"
 
 
+@pytest.mark.parametrize("i, j", [(False, True), (0, True), (False, 1)])
+def test_json_booleans_are_not_bracket_indices(i, j):
+    doc = {"dim": 3, "brackets": [{"i": i, "j": j, "coeffs": {"2": "1"}}]}
+    code, out, err = run_cli(["validate", "-"], json.dumps(doc))
+    assert (code, out, err) == (2, "", "parse error: brackets[0]: i and j must be integers\n")
+
+
 def test_parse_rejects_duplicate_bracket_pairs():
     data = _base_doc()
     data["brackets"] = [

@@ -1,14 +1,15 @@
 import hashlib
 import json
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import count_quotient_ad
+from helpers import count_calls
+from lieps import exact, liecore
 from lieps.catalog import builtin, emit
 from lieps.cli import format_bivector, format_covector, parse_bivector_expr, run_cli
 from lieps.errors import DocumentError
+from lieps.liecore import IsotropyModel
 
 
 def _doc_text(name, **params):
@@ -382,26 +383,11 @@ def test_leaf_evaluates_the_tensor_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _count_calls(monkeypatch, name, module="lieps.liecore"):
-    """Arguments of every call to <module>.<name>, through every lieps alias."""
-    calls = []
-    real = getattr(sys.modules[module], name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("lieps") and getattr(module, name, None) is real:
-            monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("kind", ["canonical", "natural", "left_symmetric", "fedosov"])
 def test_connection_builds_one_ad_matrix_per_basis_covector(monkeypatch, kind):
     # the l-operators are built once per bivector, whatever the connection
     # reads off them: dim m quotient operators q ad_x s for the whole job
-    calls = count_quotient_ad(monkeypatch)
+    calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
     text = _doc_text("heisenberg", n=3)
     code, out, err = run_cli(["connection", "-", "--r", "u1^w + v1^w", "--kind", kind], text)
     assert code == 0, err
@@ -415,7 +401,7 @@ def test_reductive_pair_reads_the_structure_constants_not_brackets(monkeypatch):
     from lieps.connections import make_reductive_pair
 
     L, iso = realize(builtin("double", {"of": "heisenberg", "n": 2}))
-    calls = _count_calls(monkeypatch, "bracket")
+    calls = count_calls(monkeypatch, liecore, "bracket")
     pair = make_reductive_pair(L, iso)
     assert pair.symmetric
     assert len(calls) == 0
@@ -426,7 +412,7 @@ def test_leaf_builds_one_isotropy_ad_matrix_per_h_basis_vector(monkeypatch):
 
     text = _doc_text("double", of="heisenberg", n=2)
     _, iso = realize(builtin("double", {"of": "heisenberg", "n": 2}))
-    calls = count_quotient_ad(monkeypatch)
+    calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
     code, out, err = run_cli(["leaf", "-", "--r", "m_u1^m_w"], text)
     assert code == 0, err
     # the tensor's quotient operators are of sharps, which are nonzero only off h
@@ -441,7 +427,7 @@ def test_tensor_and_l_operators_share_one_ad_matrix_per_basis_covector(monkeypat
 
     _, iso = realize(builtin("heisenberg", {"n": 3}))
     r = make_bivector(iso, [1] * (iso.quotient_dim * (iso.quotient_dim - 1) // 2))
-    calls = count_quotient_ad(monkeypatch)
+    calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
     assert not r.tensor.is_zero()
     assert len(r.l_operators) == iso.quotient_dim
     assert len(calls) == iso.quotient_dim == 7
@@ -454,8 +440,8 @@ def test_tensor_calls_no_bracket(monkeypatch):
 
     _, iso = realize(builtin("heisenberg", {"n": 2}))
     r = make_bivector(iso, [1] * (iso.quotient_dim * (iso.quotient_dim - 1) // 2))
-    brackets = _count_calls(monkeypatch, "bracket")
-    m_brackets = _count_calls(monkeypatch, "m_bracket")
+    brackets = count_calls(monkeypatch, liecore, "bracket")
+    m_brackets = count_calls(monkeypatch, liecore, "m_bracket")
     assert not r.tensor.is_zero()
     assert brackets == m_brackets == []
 
@@ -463,7 +449,7 @@ def test_tensor_calls_no_bracket(monkeypatch):
 def test_leaf_solves_r_sharp_once_per_image_basis_vector(monkeypatch):
     # omega_r is solved on Im r_# once per bivector; a_r and the frame read it
     text = _doc_text("double", of="heisenberg", n=2)
-    calls = _count_calls(monkeypatch, "solve", "lieps.exact")
+    calls = count_calls(monkeypatch, exact, "solve")
     code, out, err = run_cli(["leaf", "-", "--r", "m_u1^m_w", "--format", "json"], text)
     assert code == 0, err
     payload = json.loads(out)

@@ -1,10 +1,11 @@
 from fractions import Fraction as QQ
 from functools import cache, partial
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import catalog_r_matrices, dense_is_cocycle, instance, omega_eval
+from helpers import catalog_r_matrices, dense_is_cocycle, instance, omega_eval, random_instances
 from lieps.errors import (
     NotACocycle,
     NotAnRMatrix,
@@ -24,9 +25,15 @@ from lieps.foliation import (
     reconstruct_r,
     w_omega_pair,
 )
-from lieps.invariants import invariant_bivectors
-from lieps.liecore import bracket, make_isotropy, make_lie_algebra, structure_constants
-from lieps.ybe import make_bivector
+from lieps.invariants import bivector_coords_from_matrix, invariant_bivectors
+from lieps.liecore import (
+    bracket,
+    complement_projection,
+    make_isotropy,
+    make_lie_algebra,
+    structure_constants,
+)
+from lieps.ybe import is_r_matrix, make_bivector
 
 
 def V(*xs):
@@ -267,8 +274,40 @@ def test_leaf_algebra_is_complement_independent():
     iso_a = make_isotropy(L, h, complement_indices=(0, 1, 2))
     iso_b = make_isotropy(L, h, complement_indices=(0, 1, 3))
     C = iso_b.q_matrix @ iso_a.s_matrix
-    from lieps.invariants import bivector_coords_from_matrix
-
     r_a = make_bivector(iso_a, V(0, 1, 0))
     r_b = make_bivector(iso_b, bivector_coords_from_matrix(C @ r_a.r_mat @ C.T))
     assert leaf_algebra(r_a) == leaf_algebra(r_b)
+
+
+def _other_complement_model(L, iso):
+    """The same h with the last admissible complement, in lexicographic order, other than iso's."""
+    h = iso.h_basis
+    for indices in reversed(list(combinations(range(L.dim), L.dim - h.dim))):
+        if indices != iso.complement_indices:
+            try:
+                complement_projection(h, indices)
+            except ValueError:
+                continue
+            return make_isotropy(L, h.basis, complement_indices=indices)
+    return None
+
+
+def test_answers_on_invariant_r_do_not_depend_on_the_complement():
+    # a nonzero h is a transported subalgebra, not a coordinate subspace, so
+    # it has a second admissible complement; r moves to it by T = q2 s1
+    compared = 0
+    for label, L, iso_a, coords in random_instances(23, 30):
+        iso_b = _other_complement_model(L, iso_a)
+        if iso_b is None:
+            continue
+        T = iso_b.q_matrix @ iso_a.s_matrix
+        r_a = make_bivector(iso_a, coords)
+        r_b = make_bivector(iso_b, bivector_coords_from_matrix(T @ r_a.r_mat @ T.T))
+        assert invariant_bivectors(iso_a).basis.dim == invariant_bivectors(iso_b).basis.dim, label
+        assert is_r_matrix(r_a) == is_r_matrix(r_b), label
+        if is_r_matrix(r_a):
+            assert leaf_algebra(r_a).dim == leaf_algebra(r_b).dim, label
+            dec_a, dec_b = leaf_decomposition(r_a), leaf_decomposition(r_b)
+            assert (dec_a.reductive, dec_a.symmetric) == (dec_b.reductive, dec_b.symmetric), label
+            compared += 1
+    assert compared

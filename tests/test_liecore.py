@@ -8,6 +8,7 @@ from helpers import (
     ALL_FAMILIES,
     _transport_algebra,
     catalog_instances,
+    count_calls,
     catalog_r_matrices,
     dense_ad_bars,
     dense_generator_maps,
@@ -19,11 +20,13 @@ from helpers import (
     dense_validate,
     dense_wedge2_action,
     dense_wedge2_derivation,
+    gauss_jordan_oracle,
     greedy_complement_scan,
     instance,
     nz_of_table,
     random_instances,
 )
+from lieps import catalog, exact
 from lieps.connections import make_reductive_pair
 from lieps.errors import (
     GeneratorMovesH,
@@ -32,7 +35,7 @@ from lieps.errors import (
     NotInH,
     NotReductive,
 )
-from lieps.exact import Mat, Subspace, inverse
+from lieps.exact import Mat, Subspace, column_space, inverse, zero_vec
 from lieps.foliation import leaf_decomposition
 from lieps.liecore import (
     LieAlgebra,
@@ -41,7 +44,7 @@ from lieps.liecore import (
     bracket,
     covector_to_ann,
     ann_to_covector,
-    greedy_complement,
+    complement_projection,
     induced_ad_bar,
     induced_map,
     make_isotropy,
@@ -151,8 +154,8 @@ def test_covector_identifications_roundtrip():
 def test_greedy_complement_skips_dependent_columns():
     L = make_lie_algebra(3, {})
     iso = make_isotropy(L, [V(1, 1, 0)])
-    # e1 alone is dependent with h + e0? no: greedy scans 0,1,2 keeping P invertible
-    assert iso.complement_indices == (0, 2) or iso.complement_indices == (1, 2)
+    # e0 lies outside h, e1 inside h + span(e0), e2 outside h + span(e0, e1)
+    assert complement_projection(iso.h_basis)[0] == iso.complement_indices == (0, 2)
     assert iso.q_matrix @ iso.s_matrix == Mat.identity(2)
 
 
@@ -568,7 +571,7 @@ def test_check_automorphism_matches_dense_triple_loop(case):
 
 
 # ---------------------------------------------------------------------------
-# one elimination gives the greedy complement
+# one elimination gives the greedy complement and the projection along it
 
 
 @st.composite
@@ -585,4 +588,71 @@ def subspaces(draw):
 @settings(max_examples=150, deadline=None)
 @given(subspaces())
 def test_greedy_complement_matches_the_scan(space):
-    assert greedy_complement(space) == greedy_complement_scan(space)
+    assert complement_projection(space)[0] == greedy_complement_scan(space)
+
+
+def _frame_inverse_oracle(space, indices) -> Mat:
+    """Inverse of the frame [RREF basis of space | e_j, j in indices], by plain Gauss-Jordan on [F | I]."""
+    n = space.ambient
+    e = Mat.identity(n).entries
+    frame = Mat.from_cols(list(space.basis) + [e[j] for j in indices], n)
+    red, pivots = gauss_jordan_oracle([row + e[i] for i, row in enumerate(frame.entries)])
+    assert pivots == list(range(n))
+    return Mat([row[n:] for row in red], n)
+
+
+def _completes(space, indices) -> bool:
+    n = space.ambient
+    if any(not 0 <= j < n for j in indices) or len(set(indices)) != len(indices):
+        return False
+    e = Mat.identity(n).entries
+    spanned = Subspace.from_vectors(n, list(space.basis) + [e[j] for j in indices])
+    return len(indices) == n - space.dim and spanned.dim == n
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspaces(), st.data())
+def test_complement_projection_splits_along_standard_vectors(space, data):
+    n = space.ambient
+    permuted = tuple(data.draw(st.permutations(range(n))))[: n - space.dim]
+    raw = tuple(data.draw(st.lists(st.integers(0, n), max_size=n + 1)))
+    for given_indices in (None, permuted, raw):
+        if given_indices is not None and not _completes(space, given_indices):
+            with pytest.raises(ValueError):
+                complement_projection(space, given_indices)
+            continue
+        indices, proj = complement_projection(space, given_indices)
+        assert given_indices in (None, indices)
+        assert proj @ proj == proj
+        assert column_space(proj) == space
+        for j in indices:
+            assert proj.col(j) == zero_vec(n)
+        # any subspace is a subalgebra of the abelian algebra
+        iso = make_isotropy(make_lie_algebra(n, {}), space.basis, complement_indices=indices)
+        q = iso.q_matrix
+        for u in space.basis:
+            assert q @ u == zero_vec(len(indices))
+        assert q @ iso.s_matrix == Mat.identity(len(indices))
+        assert q.entries == _frame_inverse_oracle(space, indices).entries[space.dim :]
+
+
+@pytest.mark.parametrize(
+    "name, params, eliminations",
+    [
+        ("so4_grassmann", None, 2),
+        ("gl_sym", {"n": 3}, 2),
+        ("double", {"of": "heisenberg", "n": 2}, 2),
+        ("abelian", {"n": 3}, 0),
+    ],
+)
+def test_model_build_runs_one_elimination_per_frame(monkeypatch, name, params, eliminations):
+    # one for the RREF basis of h and one for the complement and projection;
+    # none when h = 0, and no frame inverse or kernel in either case
+    doc = catalog.builtin(name, params)
+    assert not doc.ad_generators
+    calls = count_calls(monkeypatch, exact, "_rref_int_rows")
+    frames = [count_calls(monkeypatch, exact, f) for f in ("inverse", "kernel")]
+    _, iso = catalog.realize(doc)
+    assert (iso.h_basis.dim > 0) == (eliminations > 0)
+    assert len(calls) == eliminations
+    assert frames == [[], []]

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     catalog_instances,
     catalog_r_matrices,
-    count_quotient_ad,
+    count_calls,
     dense_table,
     instance,
     invariant_candidates,
@@ -27,7 +27,13 @@ from lieps.invariants import (
     fixed_quotient_covectors,
     invariant_bivectors,
 )
-from lieps.liecore import make_isotropy, make_lie_algebra, structure_constants, validate
+from lieps.liecore import (
+    IsotropyModel,
+    make_isotropy,
+    make_lie_algebra,
+    structure_constants,
+    validate,
+)
 from lieps.ybe import (
     Bivector,
     Lift,
@@ -381,7 +387,7 @@ def test_fixed_space_lie_algebra_builds_dim_m_quotient_operators(monkeypatch):
     _, iso = instance("heisenberg", {"n": 2})
     coords = next(c for c in invariant_candidates(iso) if is_r_matrix(make_bivector(iso, c)))
     r = make_bivector(iso, coords)
-    calls = count_quotient_ad(monkeypatch)
+    calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
     out = fixed_space_lie_algebra(r)
     assert out.algebra.dim > 0
     assert len(calls) == iso.quotient_dim == 5

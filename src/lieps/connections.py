@@ -45,7 +45,6 @@ from .liecore import (
     LieAlgebra,
     bracket,
     complement_projection,
-    m_bracket,
 )
 from .ybe import Bivector, require_r_matrix
 
@@ -354,11 +353,8 @@ def induced_leaf_connection(
     leaves = ClosureFailure("b^r must land in the leaf direction")
     B = [_coords_matrix(im, row, leaves) for row in br]
 
-    torsionless = all(
-        vsub(br[i][j], br[j][i]) == m_bracket(iso, im.basis[i], im.basis[j])
-        for i in range(d)
-        for j in range(d)
-    )
+    M = r.image_brackets[1]
+    torsionless = all(vsub(br[i][j], br[j][i]) == M[i][j] for i in range(d) for j in range(d))
     # omega_r(b^r(w_i, w_j), w_k) + omega_r(w_j, b^r(w_i, w_k)) is entry
     # (j, k) of B_i^T omega + omega B_i
     symplectic = all((Bi.T @ omega + omega @ Bi).is_zero() for Bi in B)

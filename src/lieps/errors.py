@@ -52,14 +52,6 @@ class JacobiFailure(LiepsError):
     """
 
 
-class IllDefined(LiepsError):
-    """A construction depends on a choice a theorem says it cannot see.
-
-    Like JacobiFailure, a bug surface: raised when, say, omega_r changes with
-    the particular solution of r_# eta = q x.
-    """
-
-
 class ClosureFailure(LiepsError):
     """Leaf algebra failed the bracket-closure check (bug surface)."""
 

@@ -1,10 +1,12 @@
 """Leaf algebra and leaf cocycle of an r-matrix, and the inverse construction.
 
-Every r-matrix determines the subalgebra a_r = q^{-1}(Im r_#) tangent to the
-symplectic leaf through the base point, together with a 2-cocycle omega_r on
-a_r whose radical is exactly h.  Conversely a pair (a, omega) with those
-properties reconstructs the r-matrix; both directions are exact and the
-roundtrip is the identity.
+The leaf through the base point is the homogeneous symplectic space of
+(a_r, omega_r): a_r = q^{-1}(Im r_#) = h + s(Im r_#) and omega_r(x, y) =
+omega(q x, q y), a 2-cocycle with radical h.  All of it, the leaf flags and
+(W, omega) are read off the frame h + s(Im r_#) through the q-brackets
+Bivector.image_brackets, since q kills h.  Conversely a pair (a, omega)
+with those properties reconstructs the r-matrix through its own g-brackets;
+both directions are exact and the roundtrip is the identity.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from functools import partial
 
 from .errors import (
     ClosureFailure,
-    IllDefined,
     NoSolution,
     NotACocycle,
     NotClosed,
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .exact import Mat, Subspace, dot, inverse, kernel, solve, zero_vec
 from .invariants import invariance_rows
-from .liecore import IsotropyModel, bracket, m_bracket, structure_constants
+from .liecore import IsotropyModel, bracket, structure_constants, wedge2_space
 from .ybe import Bivector, require_r_matrix
 
 
@@ -44,10 +45,6 @@ class LeafData:
     frame_omega: Mat
 
 
-def _lifted_im_basis(r: Bivector) -> tuple:
-    return tuple(r.iso.s_matrix @ v for v in r.image.basis)
-
-
 def _coords_matrix(space: Subspace, vectors, error) -> Mat:
     """Columns: the coordinates of each vector in the RREF basis of space.
 
@@ -62,8 +59,9 @@ def _coords_matrix(space: Subspace, vectors, error) -> Mat:
 def _check_cocycle(C: dict, omega: Mat, dim: int, error):
     """Raise error unless omega is a skew 2-cocycle for the constants C.
 
-    C comes from structure_constants on a dim-dimensional algebra.  The
-    cyclic sum omega([b_i,b_j],b_k) + omega([b_j,b_k],b_i) +
+    C maps each pair i < j to the coordinates of [b_i, b_j], from
+    structure_constants, or mod h from _frame_constants when omega vanishes
+    on h.  The cyclic sum omega([b_i,b_j],b_k) + omega([b_j,b_k],b_i) +
     omega([b_k,b_i],b_j) is totally antisymmetric for skew omega, so triples
     i < j < k suffice, and omega(z, b_k) = -<coordinates of z, row k of omega>.
     """
@@ -90,67 +88,60 @@ def _not_invariant(r: Bivector):
     return None
 
 
-def _leaf_structure(r: Bivector):
-    """a_r = q^{-1}(Im r_#) = h + s(Im r_#) with its structure constants.
+def _frame_constants(r: Bivector, k: int, error) -> dict:
+    """{(a, b): coordinates mod h of [f_a, f_b]}, a < b, on the frame f = {u_t, t < k} + {s w}.
 
-    The theorem that a_r is closed holds for invariant r-matrices, so a
-    bracket leaving a_r is reported as NotInvariant when r is not invariant,
-    and as a bug otherwise.
+    Zero on the u_t, and on the s w the Im r_#-coordinates of q[f_a, f_b]
+    from r.image_brackets; error is raised when q[f_a, f_b] leaves Im r_#.
     """
-    require_r_matrix(r)
-    iso = r.iso
-    a = Subspace.from_vectors(iso.L.dim, iso.h_basis.basis + _lifted_im_basis(r))
-    for u in iso.h_basis.basis:
-        if not a.contains(u):
-            raise ClosureFailure("a_r must contain the isotropy subalgebra")
-    C = structure_constants(
-        a,
-        partial(bracket, iso.L),
-        lambda i, j: _not_invariant(r) or ClosureFailure(
-            f"[b{i + 1}, b{j + 1}] leaves a_r; this contradicts the "
-            "leaf-algebra theorem for r-matrices"
-        ),
+    A, M = r.image_brackets
+    pairs = wedge2_space(k + r.image.dim)
+    zero = zero_vec(r.iso.quotient_dim)
+    P = _coords_matrix(
+        r.image,
+        [zero if b < k else A[a][b - k] if a < k else M[a - k][b - k] for a, b in pairs],
+        error,
     )
-    return a, C
+    pad = zero_vec(k)
+    return {ab: pad + P.col(t) for t, ab in enumerate(pairs)}
 
 
 def leaf_algebra(r: Bivector) -> Subspace:
     """a_r = q^{-1}(Im r_#) = h + s(Im r_#); verified bracket-closed."""
-    return _leaf_structure(r)[0]
+    return leaf_cocycle(r).a_basis
 
 
 def leaf_cocycle(r: Bivector) -> LeafData:
-    """omega_r on a_r, pulled back from r.omega on Im r_# along q.
+    """(a_r, omega_r) of an invariant r-matrix, checked on the frame h + s(Im r_#).
 
-    omega_r(x, y) = r.omega(q x, q y), so on the RREF basis of a_r it is
-    P^T omega P, P holding the Im r_#-coordinates of q(a_i).  The cocycle
-    identity and Rad = h are re-verified rather than assumed; failures
-    indicate bugs and are raised loudly.
+    On the frame omega_r is blockdiag(0_h, r.omega), so a_r is closed when
+    the q-brackets lie in Im r_#, the cocycle identity needs the brackets
+    only mod h, and Rad omega_r = h + s(ker r.omega).  These hold for
+    invariant r-matrices; failures are bugs and are raised loudly.  On the
+    RREF basis of a_r, omega_r is P^T r.omega P, P holding the
+    Im r_#-coordinates of q(a_i), read at the pivots of Im r_#.
     """
+    require_r_matrix(r)
+    moved = _not_invariant(r)
+    if moved:
+        raise moved
     iso = r.iso
-    a, C = _leaf_structure(r)
-
-    # well-definedness: particular solutions of r_# xi = q x differ by
-    # ker r_#, which pairs to zero against q x exactly when q x lies in
-    # Im r_# = (ker r_#)°
-    P = _coords_matrix(
-        r.image,
-        [iso.q_matrix @ v for v in a.basis],
-        IllDefined("omega depends on the particular solution"),
-    )
-    omega = P.T @ r.omega @ P
-    # a non-skew omega is a NotACocycle from the check below
-    _check_cocycle(C, omega, a.dim, NotACocycle)
-    if _radical(a, omega) != iso.h_basis:
-        raise RadicalMismatch("Rad(omega_r) differs from the isotropy subalgebra")
-
-    # q kills h and q s = id, so on the frame omega_r is blockdiag(0_h, omega)
-    k, d = iso.h_basis.dim, r.image.dim
-    frame = iso.h_basis.basis + _lifted_im_basis(r)
+    im = r.image
+    k, d = iso.h_basis.dim, im.dim
+    frame = iso.h_basis.basis + tuple(iso.s_matrix @ w for w in im.basis)
     frame_omega = Mat(
         [zero_vec(k + d)] * k + [zero_vec(k) + row for row in r.omega.entries], k + d
     )
-    return LeafData(a_basis=a, omega=omega, frame=frame, frame_omega=frame_omega)
+    closure = ClosureFailure("a bracket leaves a_r, against the leaf-algebra theorem")
+    C = _frame_constants(r, k, closure)
+    _check_cocycle(C, frame_omega, k + d, NotACocycle)
+    if kernel(r.omega).dim:
+        raise RadicalMismatch("Rad(omega_r) differs from the isotropy subalgebra")
+
+    n = iso.L.dim
+    a = Subspace.from_vectors(n, frame)
+    P = Mat([iso.q_matrix.row(p) for p in im.pivots], n) @ Mat.from_cols(a.basis, n)
+    return LeafData(a_basis=a, omega=P.T @ r.omega @ P, frame=frame, frame_omega=frame_omega)
 
 
 def _radical(a: Subspace, omega: Mat) -> Subspace:
@@ -218,39 +209,33 @@ class LeafDecomposition:
 
 
 def leaf_decomposition(r: Bivector) -> LeafDecomposition:
-    """a_r = h + s(Im r_#) with h-stability and symmetry flags.
+    """The flags of a_r = h + s(Im r_#), read off r.image_brackets.
 
-    reductive: the quotient image Im(r_#) is stable under every ad-bar_u;
-    symmetric: additionally [Im, Im] lands back in h.
+    reductive: Im r_# is stable under every ad-bar_u, the closure condition
+    of a_r on the h x Im pairs, so it is true on every leaf that
+    leaf_cocycle accepts; symmetric: [s Im, s Im] lies in h = ker q, that is
+    the m-brackets of Im r_# vanish.
     """
     require_r_matrix(r)
-    iso = r.iso
-    im = r.image
-    lifted = _lifted_im_basis(r)
-
-    reductive = all(im.contains(ad_bar @ v) for ad_bar in iso.ad_bars for v in im.basis)
-    symmetric = all(
-        iso.h_basis.contains(bracket(iso.L, x, y)) for x in lifted for y in lifted
+    A, M = r.image_brackets
+    return LeafDecomposition(
+        reductive=all(r.image.contains(v) for row in A for v in row),
+        symmetric=not any(any(v) for row in M for v in row),
     )
-    return LeafDecomposition(reductive=reductive, symmetric=symmetric)
 
 
 def w_omega_pair(r: Bivector):
     """(W, omega_W) on a reductive pair: W = Im(r_#) in m with restricted omega.
 
-    Verifies that W is closed under the m-bracket [x, y]_m = q[s x, s y] and
-    that the cyclic cocycle identity holds on all W-basis triples; both are
-    consequences of the correspondence theorem and failures are surfaced.
+    Verifies, off the m-brackets of r.image_brackets, that W is closed under
+    [x, y]_m = q[s x, s y] and that the cyclic cocycle identity holds on all
+    W-basis triples; both are consequences of the correspondence theorem and
+    failures are surfaced.
     """
-    iso = r.iso
-    if not iso.reductive:
+    if not r.iso.reductive:
         raise NotReductive("the declared complement is not h-stable")
     require_r_matrix(r)
-
     W = r.image
-    omega_W = r.omega
-    C = structure_constants(
-        W, partial(m_bracket, iso), lambda i, j: ClosureFailure("[W, W]_m leaves W")
-    )
-    _check_cocycle(C, omega_W, W.dim, NotACocycle)
-    return W, omega_W
+    C = _frame_constants(r, 0, ClosureFailure("[W, W]_m leaves W"))
+    _check_cocycle(C, r.omega, W.dim, NotACocycle)
+    return W, r.omega

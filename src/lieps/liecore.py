@@ -27,7 +27,7 @@ from functools import cached_property, partial
 from fractions import Fraction
 
 from .errors import GeneratorMovesH, NoSolution, NotAnAutomorphism, NotASubalgebra, NotInH
-from .exact import Mat, Subspace, from_ints, inverse, rref, to_ints, vec, vsub
+from .exact import Mat, Subspace, from_ints, rref, to_ints, vec, vsub
 
 
 @dataclass(frozen=True)
@@ -298,10 +298,8 @@ def _int_columns(M: Mat) -> tuple:
 def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
     if A.rows != L.dim or A.cols != L.dim:
         raise NotAnAutomorphism("generator has the wrong shape")
-    try:
-        inverse(A)
-    except ValueError:
-        raise NotAnAutomorphism("generator is singular") from None
+    if len(rref(A)[1]) < L.dim:
+        raise NotAnAutomorphism("generator is singular")
     nz = L.nz
     # A = N / dA, so both sides below are dA^2 den times [A e_i, A e_j] and A[e_i, e_j]
     cols, dA = _int_columns(A)

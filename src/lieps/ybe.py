@@ -58,9 +58,11 @@ from .liecore import (
     ann_to_covector,
     bracket,
     covector_to_ann,
+    m_bracket,
     make_lie_algebra,
     structure_constants,
     validate,
+    wedge2_space,
 )
 
 
@@ -69,9 +71,10 @@ class Bivector:
     """A bivector on g/h, stored through its sharp matrix.
 
     The l-operators, the [.,.]_r table on the quotient covector basis, the
-    Yang-Baxter tensor read off that table, Im r_# and omega_r on it are
-    derived once, on first use, and kept on the instance, so every check
-    that asks about the same bivector shares them.
+    Yang-Baxter tensor read off that table, Im r_#, omega_r on it and the
+    q-brackets of the leaf frame h + s(Im r_#) are derived once, on first
+    use, and kept on the instance, so every check that asks about the same
+    bivector shares them.
     """
 
     iso: IsotropyModel
@@ -108,6 +111,24 @@ class Bivector:
         w = self.image.basis
         xis = [solve(self.r_mat, y) for y in w]
         return Mat([[dot(xi, x) for xi in xis] for x in w], len(w))
+
+    @cached_property
+    def image_brackets(self) -> tuple:
+        """(A, M), the q-brackets of the leaf frame {h-basis u} + {s w}, w the RREF basis of Im r_#.
+
+        A[t][j] = q[u_t, s w_j] = ad-bar_{u_t} w_j, off the cached ad-bars;
+        M[i][j] = q[s w_i, s w_j] = [w_i, w_j]_m, one bracket per pair i < j.
+        """
+        iso = self.iso
+        w = self.image.basis
+        d = len(w)
+        A = tuple(tuple(ad_bar @ x for x in w) for ad_bar in iso.ad_bars)
+        M = [[zero_vec(iso.quotient_dim)] * d for _ in range(d)]
+        for i, j in wedge2_space(d):
+            v = m_bracket(iso, w[i], w[j])
+            M[i][j] = v
+            M[j][i] = tuple(-x for x in v)
+        return A, tuple(map(tuple, M))
 
     @cached_property
     def l_operators(self) -> tuple:

@@ -453,6 +453,13 @@ def dense_leaf_reductive(r) -> bool:
     )
 
 
+def dense_leaf_symmetric(r) -> bool:
+    """[s x, s y] lies in h for every pair of Im r_# basis vectors, one g-bracket per pair."""
+    iso = r.iso
+    lifted = [iso.s_matrix @ w for w in r.image.basis]
+    return all(iso.h_basis.contains(bracket(iso.L, x, y)) for x in lifted for y in lifted)
+
+
 def restricted_r_matrix_oracle(r) -> bool:
     """[[r,r]] on (h°)^H, one h° bracket per pair of fixed covectors.
 

@@ -572,6 +572,51 @@ def test_leaf_of_a_non_invariant_r_matrix_is_not_invariant():
     assert out.startswith("a_r: dim 3\n")
 
 
+def test_leaf_refuses_a_non_invariant_r_matrix_whose_a_r_is_closed():
+    # on heisenberg n=2, u1^u2 is an r-matrix with a closed a_r that the
+    # first lattice generator moves
+    code, out, err = run_cli(["leaf", "-", "--r", "u1^u2"], _doc_text("heisenberg", n=2))
+    assert (code, out) == (1, "")
+    assert err == "error: r is not invariant: the discrete generator ad_generators[0] moves it\n"
+
+
+@pytest.mark.parametrize(
+    "name, params, r, brackets",
+    [
+        ("so4_grassmann", {}, "(e1 - e4)^(e2 + e3)", 2),
+        ("double", {"of": "heisenberg", "n": 2}, "m_u1^m_w + m_v1^m_w", 11),
+        ("heisenberg", {"n": 3}, "u1^w + v1^w", 1),
+    ],
+)
+def test_leaf_reads_a_r_off_one_bracket_per_image_pair(monkeypatch, name, params, r, brackets):
+    # the model build checks h with one bracket per pair of h-basis vectors;
+    # the leaf layer adds one m-bracket per pair of Im r_# basis vectors,
+    # and after the build takes coordinates in Im r_# only
+    from lieps import catalog
+    from lieps.exact import Subspace
+    from lieps.ybe import make_bivector
+
+    L, iso = catalog.realize(builtin(name, params or None))
+    qlabels = [L.labels[j] for j in iso.complement_indices]
+    image = make_bivector(iso, parse_bivector_expr(r, qlabels)).image
+    calls = count_calls(monkeypatch, liecore, "bracket")
+    coords = count_calls(monkeypatch, Subspace, "coords_of")
+    built = []
+    realize = catalog.realize
+
+    def marked(doc):
+        out = realize(doc)
+        built.append(len(coords))
+        return out
+
+    monkeypatch.setattr(catalog, "realize", marked)
+    code, out, err = run_cli(["leaf", "-", "--r", r], _doc_text(name, **params))
+    assert (code, err) == (0, "")
+    assert len(calls) == brackets
+    assert len(built) == 1 and coords[built[0]:]
+    assert all(space == image for space, _ in coords[built[0]:])
+
+
 # ---------------------------------------------------------------------------
 # byte-identical scan, ybe and leaf output, pinned to the digests of the
 # implementation with a dense structure-constant table; one scan r-matrix

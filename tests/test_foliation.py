@@ -5,8 +5,17 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import catalog_r_matrices, dense_is_cocycle, instance, omega_eval, random_instances
+from helpers import (
+    catalog_r_matrices,
+    dense_is_cocycle,
+    dense_leaf_reductive,
+    dense_leaf_symmetric,
+    instance,
+    omega_eval,
+    random_instances,
+)
 from lieps.errors import (
+    ClosureFailure,
     NotACocycle,
     NotAnRMatrix,
     NotClosed,
@@ -72,6 +81,35 @@ def test_so4_leaf_frozen():
     assert data.frame_omega[3][2] == -1
     dec = leaf_decomposition(r)
     assert dec.reductive and dec.symmetric
+
+
+def test_leaf_flags_match_the_g_bracket_oracles():
+    rs = [r for *_, r in catalog_r_matrices()]
+    for _, L, iso, coords in random_instances(7, 30):
+        r = make_bivector(iso, coords)
+        if is_r_matrix(r):
+            rs.append(r)
+    symmetric_seen = set()
+    for r in rs:
+        dec = leaf_decomposition(r)
+        assert dec.reductive == dense_leaf_reductive(r)
+        assert dec.symmetric == dense_leaf_symmetric(r)
+        symmetric_seen.add(dec.symmetric)
+    assert symmetric_seen == {True, False}
+
+
+def test_leaf_checks_surface_a_broken_bracket_table_or_omega():
+    # both hold by theorem for invariant r-matrices, so the tables are forced
+    L, iso = instance("heisenberg", {"n": 1})
+    r = make_bivector(iso, V(0, 1, 0))  # u1 wedge w, Im r_# = span{u1, w}
+    r.__dict__["omega"] = Mat.zero(2, 2)
+    with pytest.raises(RadicalMismatch):
+        leaf_cocycle(r)
+    r = make_bivector(iso, V(0, 1, 0))
+    A, M = r.image_brackets
+    r.__dict__["image_brackets"] = (A, ((M[0][0], V(0, 1, 0)), (V(0, -1, 0), M[1][1])))
+    with pytest.raises(ClosureFailure):
+        leaf_cocycle(r)
 
 
 def test_leaf_dimension_formula():

@@ -301,7 +301,8 @@ def _cmd_scan(args, stdin_text):
         {
             "kind": kind,
             "bivector": format_bivector(qlabels, coords),
-            "invariant": inv.basis.contains(coords),
+            # basis and sum rows lie in the invariant span by construction
+            "invariant": kind != "candidate" or inv.basis.contains(coords),
             "is_r_matrix": is_r_matrix(make_bivector(iso, coords)),
         }
         for kind, coords in rows

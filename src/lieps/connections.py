@@ -13,10 +13,11 @@ tuples over the quotient basis, and sharps are realized through the section.
 
 Every quantity here is bilinear in two per-bivector tables, built once on
 the Bivector and shared by all checks on it: the n l-operators
-L[a] = l_{eps_a^#} (one quotient operator each) and the bracket table
-C[a][c] = [eps_a, eps_c]_r.  l_operator, mstar_bracket, the four builders,
-torsion, curvature and Poisson compatibility all read those tables, and
-their values on general covectors are the bilinear combinations.
+L[a] = l_{eps_a^#} and the bracket table C[a][c] = [eps_a, eps_c]_r, both
+integer contractions of r with the model's m-bracket table.  l_operator,
+mstar_bracket, the four builders, torsion, curvature and Poisson
+compatibility all read those tables, and their values on general covectors
+are the bilinear combinations.
 """
 
 from __future__ import annotations

@@ -58,6 +58,15 @@ def from_ints(values, d) -> tuple:
     return tuple(Fraction(v, d) if v else zero for v in values)
 
 
+def int_columns(M) -> tuple:
+    """(cols, d) with M = N / d, N integer; cols[j] lists the nonzeros (i, N_ij) of column j."""
+    ints, d = to_ints(((j, i), x) for i, row in enumerate(M.entries) for j, x in enumerate(row) if x)
+    cols = [[] for _ in range(M.cols)]
+    for (j, i), x in ints:
+        cols[j].append((i, x))
+    return cols, d
+
+
 def dot(a, b) -> Fraction:
     if len(a) != len(b):
         raise ValueError(f"shape mismatch: dot of lengths {len(a)} and {len(b)}")
@@ -135,8 +144,8 @@ class Mat:
     def _trusted(cls, rows, cols) -> "Mat":
         """Wrap rows that are already equal-length tuples of Fractions.
 
-        Used by Mat's own operations, whose results are built from Fractions,
-        so their entries are not coerced and their shape is not checked again.
+        Used by Mat's own operations and by builders of Fraction rows, so
+        their entries are not coerced and their shape is not checked again.
         """
         m = object.__new__(cls)
         m.entries = rows

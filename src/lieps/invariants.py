@@ -29,9 +29,10 @@ def bivector_matrix_from_coords(dim, coords) -> Mat:
         raise ValueError(f"expected {len(pairs)} wedge coordinates, got {len(coords)}")
     m = [[Fraction(0)] * dim for _ in range(dim)]
     for (i, j), c in zip(pairs, coords):
-        m[j][i] += c
-        m[i][j] -= c
-    return Mat(m)
+        m[j][i] = c
+        m[i][j] = -c
+    # the rows already hold Fractions; Bivector checks that the matrix is skew
+    return Mat._trusted(tuple(map(tuple, m)), dim)
 
 
 def bivector_coords_from_matrix(r_mat: Mat) -> tuple:

@@ -16,8 +16,9 @@ standard basis vectors, both read off one elimination of the basis of h
 h inside g* through q^T; h° is not stored, since eta lies in it exactly when
 <eta, u> = 0 for every h-basis vector u.  The model keeps q as integer
 columns over one denominator, off which `quotient_ad` reads every q ad_x s
-(the action of the isotropy on g/h, and the l-operators of a bivector) from
-the brackets of x with the complement vectors alone.
+(the action of the isotropy on g/h) from the brackets of x with the
+complement vectors alone, and `m_table` reads the m-bracket [e_j, e_t]_m of
+every pair of quotient basis vectors in integers, once per model.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property, partial
 from fractions import Fraction
 
 from .errors import GeneratorMovesH, NoSolution, NotAnAutomorphism, NotASubalgebra, NotInH
-from .exact import Mat, Subspace, from_ints, rref, to_ints, vec, vsub
+from .exact import Mat, Subspace, from_ints, int_columns, rref, to_ints, vec, vsub
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,8 @@ class IsotropyModel:
     annihilator h° of h, the working model of (g/h)*.
 
     The action of the isotropy on g/h (ad_bars, generator_maps), the
-    reductive flag and the integer columns of q are derived once, on first
-    use, and kept on the model.
+    reductive flag, the integer columns of q and the integer m-bracket
+    table m_table are derived once, on first use, and kept on the model.
     """
 
     L: LieAlgebra
@@ -214,13 +215,55 @@ class IsotropyModel:
     @cached_property
     def _q_columns(self) -> tuple:
         """(cols, d) with q = Q / d, Q integer; cols[k] lists the nonzeros (t, Q_tk)."""
-        return _int_columns(self.q_matrix)
+        return int_columns(self.q_matrix)
 
-    def _complement_brackets(self, x) -> tuple:
-        """(cols, dx): cols[t] = dx den [x, e_j] as {k: int}, e_j the t-th complement vector."""
-        xs, dx = to_ints(_nonzeros(x))
+    @cached_property
+    def m_table(self) -> tuple:
+        """(mu, D): [e_j, e_t]_m = sum_i mu[j][t][i] / D e_i on the quotient basis, D = dq den.
+
+        mu[j][t] lists the nonzeros (i, mu_jti) of column t of the integer
+        q ad(e_j) s, e_j the j-th complement vector; m_ad_ints contracts it
+        with quotient vectors.
+        """
+        m = self.quotient_dim
+        ads = (self._quotient_ad_ints(((j, 1),)) for j in self.complement_indices)
+        mu = tuple(
+            tuple(tuple((i, row[t]) for i, row in enumerate(rows) if row[t]) for t in range(m))
+            for rows in ads
+        )
+        return mu, self._q_columns[1] * self.L.den
+
+    def m_ad_ints(self, xs) -> list:
+        """Integer rows N of [x, .]_m = N / (dx D), x = sum_j (x_j / dx) e_j.
+
+        xs lists the nonzeros (j, x_j), and N = sum_j x_j mu[j] contracts x
+        with m_table; for x = r_# eps_a it is the l-operator L[a] of r.
+        """
+        mu = self.m_table[0]
+        m = self.quotient_dim
+        rows = [[0] * m for _ in range(m)]
+        for j, x in xs:
+            for t, terms in enumerate(mu[j]):
+                for i, v in terms:
+                    rows[i][t] += x * v
+        return rows
+
+    def _complement_brackets(self, xs) -> list:
+        """cols[t] = den [x, e_j] as {k: int}, e_j the t-th complement vector, x = sum x_i e_i."""
         nz = self.L.nz
-        return [_sparse_bracket(nz, xs, ((j, 1),)) for j in self.complement_indices], dx
+        return [_sparse_bracket(nz, xs, ((j, 1),)) for j in self.complement_indices]
+
+    def _quotient_ad_ints(self, xs) -> list:
+        """Integer rows of dq den q ad_x s, x = sum x_i e_i given by its nonzeros (i, x_i)."""
+        qcols = self._q_columns[0]
+        m = self.quotient_dim
+        rows = [[0] * m for _ in range(m)]
+        for t, col in enumerate(self._complement_brackets(xs)):
+            for k, v in col.items():
+                if v:
+                    for i, qik in qcols[k]:
+                        rows[i][t] += v * qik
+        return rows
 
     def quotient_ad(self, x) -> Mat:
         """q ad_x s, the operator u -> q[x, s u] on quotient coordinates.
@@ -228,19 +271,10 @@ class IsotropyModel:
         Column t is q[x, e_j] for the t-th complement vector e_j: x is
         bracketed with the complement vectors only, in integers, and each
         bracket is mapped by the integer columns of q, so no n x n
-        ad-matrix is built.  For x in h it is ad-bar_x; for x = s r_# eps_a
-        it is the l-operator L[a] of a bivector r.
+        ad-matrix is built.  For x in h it is ad-bar_x.
         """
-        cols, dx = self._complement_brackets(x)
-        qcols, dq = self._q_columns
-        m = self.quotient_dim
-        rows = [[0] * m for _ in range(m)]
-        for t, col in enumerate(cols):
-            for k, v in col.items():
-                if v:
-                    for i, qik in qcols[k]:
-                        rows[i][t] += v * qik
-        return Mat.from_ints(rows, dq * self.L.den * dx)
+        xs, dx = to_ints(_nonzeros(x))
+        return Mat.from_ints(self._quotient_ad_ints(xs), self._q_columns[1] * self.L.den * dx)
 
     @cached_property
     def ad_bars(self) -> tuple:
@@ -269,7 +303,7 @@ class IsotropyModel:
         return all(
             k in comp or not v
             for u in self.h_basis.basis
-            for col in self._complement_brackets(u)[0]
+            for col in self._complement_brackets(to_ints(_nonzeros(u))[0])
             for k, v in col.items()
         )
 
@@ -286,15 +320,6 @@ def _check_subalgebra(L: LieAlgebra, h: Subspace):
     )
 
 
-def _int_columns(M: Mat) -> tuple:
-    """(cols, d) with M = N / d, N integer; cols[j] lists the nonzeros (i, N_ij) of column j."""
-    ints, d = to_ints(((j, i), x) for i, row in enumerate(M.entries) for j, x in enumerate(row) if x)
-    cols = [[] for _ in range(M.cols)]
-    for (j, i), x in ints:
-        cols[j].append((i, x))
-    return cols, d
-
-
 def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
     if A.rows != L.dim or A.cols != L.dim:
         raise NotAnAutomorphism("generator has the wrong shape")
@@ -302,7 +327,7 @@ def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
         raise NotAnAutomorphism("generator is singular")
     nz = L.nz
     # A = N / dA, so both sides below are dA^2 den times [A e_i, A e_j] and A[e_i, e_j]
-    cols, dA = _int_columns(A)
+    cols, dA = int_columns(A)
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             # den [N e_i, N e_j] - dA N (den [e_i, e_j]), from nonzeros only
@@ -428,7 +453,7 @@ def ann_to_covector(iso: IsotropyModel, eta) -> tuple:
 
 
 def m_bracket(iso: IsotropyModel, x, y) -> tuple:
-    """The m-bracket [x, y]_m = q[s x, s y] of two quotient vectors."""
+    """The m-bracket [x, y]_m = q[s x, s y] of two quotient vectors; the oracle of m_table."""
     return iso.q_matrix @ bracket(iso.L, iso.s_matrix @ x, iso.s_matrix @ y)
 
 

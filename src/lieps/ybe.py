@@ -8,7 +8,9 @@ with C[a][b] = [eps_a, eps_b]_r the bracket table on the m* basis:
 
 the defect of r_# as a morphism from [.,.]_r to the m-bracket q[s x, s y].
 Its vanishing is the invariant-Poisson condition, and bivectors passing it
-are r-matrices.
+are r-matrices.  The l-operators, the table C and the tensor are integer
+contractions of r, scaled once to R / d_r, with the one m-bracket table of
+the model (IsotropyModel.m_table); a Fraction is built only at the API.
 
 The h° route is the independent oracle: over a lift r-tilde of r to g
 (`canonical_lift`, `sharp`), the bracket on h° (`hcirc_bracket`,
@@ -40,8 +42,11 @@ from .exact import (
     bilinear,
     column_space,
     dot,
+    from_ints,
+    int_columns,
     mat_lincomb,
     solve,
+    to_ints,
     vec,
     vsub,
     zero_vec,
@@ -58,7 +63,6 @@ from .liecore import (
     ann_to_covector,
     bracket,
     covector_to_ann,
-    m_bracket,
     make_lie_algebra,
     structure_constants,
     validate,
@@ -70,11 +74,11 @@ from .liecore import (
 class Bivector:
     """A bivector on g/h, stored through its sharp matrix.
 
-    The l-operators, the [.,.]_r table on the quotient covector basis, the
-    Yang-Baxter tensor read off that table, Im r_#, omega_r on it and the
-    q-brackets of the leaf frame h + s(Im r_#) are derived once, on first
-    use, and kept on the instance, so every check that asks about the same
-    bivector shares them.
+    The integer tables of r (_ints), the l-operators and the [.,.]_r table
+    on the quotient covector basis read off them, the Yang-Baxter tensor,
+    Im r_#, omega_r on it and the q-brackets of the leaf frame
+    h + s(Im r_#) are derived once, on first use, and kept on the instance,
+    so every check that asks about the same bivector shares them.
     """
 
     iso: IsotropyModel
@@ -117,48 +121,60 @@ class Bivector:
         """(A, M), the q-brackets of the leaf frame {h-basis u} + {s w}, w the RREF basis of Im r_#.
 
         A[t][j] = q[u_t, s w_j] = ad-bar_{u_t} w_j, off the cached ad-bars;
-        M[i][j] = q[s w_i, s w_j] = [w_i, w_j]_m, one bracket per pair i < j.
+        M[i][j] = q[s w_i, s w_j] = [w_i, w_j]_m for i < j, read in integers
+        off the model's m_table.
         """
         iso = self.iso
         w = self.image.basis
         d = len(w)
         A = tuple(tuple(ad_bar @ x for x in w) for ad_bar in iso.ad_bars)
+        ints = [to_ints((k, x) for k, x in enumerate(v) if x) for v in w]
+        ads = [iso.m_ad_ints(xs) for xs, _ in ints]
         M = [[zero_vec(iso.quotient_dim)] * d for _ in range(d)]
         for i, j in wedge2_space(d):
-            v = m_bracket(iso, w[i], w[j])
+            ys, dy = ints[j]
+            out = [sum(row[t] * y for t, y in ys) for row in ads[i]]
+            v = from_ints(out, iso.m_table[1] * ints[i][1] * dy)
             M[i][j] = v
             M[j][i] = tuple(-x for x in v)
         return A, tuple(map(tuple, M))
 
     @cached_property
+    def _ints(self) -> tuple:
+        """(R, L, C, d_r): r_# = R / d_r, and the l-operators and [.,.]_r table as ints over d_r D.
+
+        R[a] lists the nonzeros (j, R_ja) of column a, and L[a] =
+        sum_j R_ja mu[j] is the contraction of column a with the model's
+        m_table (mu, D), so L[a] / (d_r D) = q ad(s r_# eps_a) s.
+        C[a][c] = row a of L[c] minus row c of L[a].
+        """
+        R, dr = int_columns(self.r_mat)
+        L = [self.iso.m_ad_ints(col) for col in R]
+        n = len(L)
+        C = [[[x - y for x, y in zip(L[c][a], L[a][c])] for c in range(n)] for a in range(n)]
+        return R, L, C, dr
+
+    @cached_property
     def l_operators(self) -> tuple:
         """L[a] = q ad(s r_# eps_a) s, the operator u -> [eps_a^#, u]_m on m.
 
-        One quotient operator per basis covector eps_a; l_{alpha^#} is linear
-        in alpha, so every other l-operator is sum_a alpha_a L[a].
+        One operator per basis covector eps_a, read off the integer tables;
+        l_{alpha^#} is linear in alpha, so every other l-operator is
+        sum_a alpha_a L[a].
         """
-        iso = self.iso
-        s = iso.s_matrix
-        return tuple(iso.quotient_ad(s @ self.r_mat.col(a)) for a in range(self.r_mat.rows))
+        _, L, _, dr = self._ints
+        return tuple(Mat.from_ints(rows, dr * self.iso.m_table[1]) for rows in L)
 
     @cached_property
     def mstar_table(self) -> tuple:
         """C[a][c] = [eps_a, eps_c]_r = L[c]^T eps_a - L[a]^T eps_c.
 
-        L^T eps_a is row a of L.  Built from the l-operators of the sharps,
-        never from hcirc_bracket, so the h° route stays an independent check.
-        The Yang-Baxter tensor is read off this table.
+        L^T eps_a is row a of L.  Read off the integer l-operators, never
+        from hcirc_bracket, so the h° route stays an independent check.
         """
-        ls = self.l_operators
-        n = len(ls)
-        table = [[None] * n for _ in range(n)]
-        for a in range(n):
-            table[a][a] = zero_vec(n)
-            for c in range(a + 1, n):
-                v = vsub(ls[c].row(a), ls[a].row(c))
-                table[a][c] = v
-                table[c][a] = tuple(-x for x in v)
-        return tuple(tuple(row) for row in table)
+        _, _, C, dr = self._ints
+        d = dr * self.iso.m_table[1]
+        return tuple(tuple(from_ints(v, d) for v in row) for row in C)
 
 
 def make_bivector(iso: IsotropyModel, coords) -> Bivector:
@@ -233,30 +249,36 @@ class YBTensor:
 def yang_baxter_tensor(r: Bivector) -> YBTensor:
     """[[r,r]](eps_a, eps_b, eps_c) = <eps_c, r_# C[a][b] - [r_# eps_a, r_# eps_b]_m>.
 
-    C is r.mstar_table.  This is the h° formula <eta_c, hcirc(eta_a,
-    eta_b)^# - [eta_a^#, eta_b^#]> over the canonical lift, on any pair and
-    for any r: with eta_t = q^T eps_t, x_t = s r_# eps_t and q s = id,
-    s^T hcirc(eta_a, eta_b) = C[a][b] and q[x_a, x_b] = [r_# eps_a, r_# eps_b]_m,
-    which is L[a] r_# eps_b for the l-operator L[a] = q ad(x_a) s.
+    C is the [.,.]_r table of r.mstar_table.  This is the h° formula
+    <eta_c, hcirc(eta_a, eta_b)^# - [eta_a^#, eta_b^#]> over the canonical
+    lift, on any pair and for any r: with eta_t = q^T eps_t, x_t = s r_# eps_t
+    and q s = id, s^T hcirc(eta_a, eta_b) = C[a][b] and q[x_a, x_b] =
+    [r_# eps_a, r_# eps_b]_m, which is L[a] r_# eps_b for the l-operator
+    L[a] = q ad(x_a) s.
 
-    One defect vector per pair a < b gives the entries with c > b; the
-    other orderings of each triple are filled by sign, since each entry is
-    the totally antisymmetric cyclic Schouten sum, and entries with a
-    repeated index are zero.  schouten_oracle evaluates all n^3 entries of
-    that sum over a lift on g, on purpose, as the independent check.
+    Entries are read in integers off r._ints (r_# = R / d_r, L and C over
+    d_r D): entry c of the defect is sum_t R_ct C[a][b]_t - sum_t L[a][c][t]
+    R_tb over d_r^2 D, and a Fraction is built only for a nonzero entry.
+    One defect per pair a < b gives the entries with c > b; the other
+    orderings of each triple are filled by sign, since each entry is the
+    totally antisymmetric cyclic Schouten sum, and entries with a repeated
+    index are zero.  schouten_oracle evaluates all n^3 entries of that sum
+    over a lift on g, on purpose, as the independent check.
     """
-    n = r.iso.quotient_dim
-    table = r.mstar_table
-    ls = r.l_operators
-    sharps = [r.r_mat.col(a) for a in range(n)]
+    R, L, C, dr = r._ints
+    n = len(R)
+    den = dr * dr * r.iso.m_table[1]
     values = {}
     for a in range(n):
         # the last b leaves no c > b to read
         for b in range(a + 1, n - 1):
-            d = vsub(r.r_mat @ table[a][b], ls[a] @ sharps[b])
+            Cab, Rb = C[a][b], R[b]
             for c in range(b + 1, n):
-                v = d[c]
+                # R is skew, so row c of R is column c negated
+                Lac = L[a][c]
+                v = sum(x * Cab[t] for t, x in R[c]) + sum(Lac[t] * y for t, y in Rb)
                 if v:
+                    v = Fraction(-v, den)
                     values[a, b, c] = values[b, c, a] = values[c, a, b] = v
                     values[b, a, c] = values[a, c, b] = values[c, b, a] = -v
     return YBTensor(n, dict(sorted(values.items())))

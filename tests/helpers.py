@@ -5,6 +5,7 @@ sparse code paths and the per-bivector tables."""
 import random
 import sys
 from fractions import Fraction as QQ
+from functools import cached_property
 from math import lcm
 
 from lieps import catalog
@@ -192,6 +193,21 @@ def count_calls(monkeypatch, owner, name):
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("lieps") and getattr(module, name, None) is real:
             monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_cached(monkeypatch, cls, name):
+    """Instances on which the cached_property cls.name is computed, which still runs."""
+    calls = []
+    real = cls.__dict__[name].func
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
     return calls
 
 
@@ -522,6 +538,12 @@ def dense_l_operator(iso, r, alpha) -> Mat:
     sharp = [sum((R[i][a] * QQ(alpha[a]) for a in range(n)), QQ(0)) for i in range(n)]
     x = [sum((s[k][i] * sharp[i] for i in range(n)), QQ(0)) for k in range(len(s))]
     return induced_map(iso, ad_matrix(iso.L, x))
+
+
+def dense_l_operators(r) -> tuple:
+    """q ad_matrix(s r_# eps_a) s for every basis covector eps_a: the Fraction route of L[a]."""
+    basis = Mat.identity(r.iso.quotient_dim).entries
+    return tuple(dense_l_operator(r.iso, r, eps) for eps in basis)
 
 
 def _transpose_apply(M: Mat, v):

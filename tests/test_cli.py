@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import count_calls
+from helpers import count_cached, count_calls
 from lieps import exact, liecore
 from lieps.catalog import builtin, emit
 from lieps.cli import format_bivector, format_covector, parse_bivector_expr, run_cli
@@ -345,6 +345,27 @@ def test_scan_extra_candidate():
     assert extra["is_r_matrix"] is False
 
 
+def test_scan_tests_invariance_of_candidate_rows_only(monkeypatch):
+    # basis and sum rows lie in the invariant span they were built from;
+    # only a --candidate row is tested for membership
+    from lieps.exact import Subspace
+
+    calls = count_calls(monkeypatch, Subspace, "contains")
+    code, out, err = run_cli(
+        ["scan", "-", "--candidate", "u1^v1", "--candidate", "u1^w"], _doc_text("heisenberg", n=1)
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "5 candidates\n"
+        "  [basis] u1^w: invariant, r-matrix\n"
+        "  [basis] v1^w: invariant, r-matrix\n"
+        "  [sum] u1^w + v1^w: invariant, r-matrix\n"
+        "  [candidate] u1^v1: NOT invariant, not an r-matrix\n"
+        "  [candidate] u1^w: invariant, r-matrix\n"
+    )
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # leaf
 
@@ -385,13 +406,16 @@ def test_leaf_evaluates_the_tensor_once(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["canonical", "natural", "left_symmetric", "fedosov"])
 def test_connection_builds_one_ad_matrix_per_basis_covector(monkeypatch, kind):
-    # the l-operators are built once per bivector, whatever the connection
-    # reads off them: dim m quotient operators q ad_x s for the whole job
+    # the l-operators are integer contractions of r with the model's
+    # m-bracket table, built once per job: no quotient operator q ad_x s is
+    # built for a sharp, and h = 0 leaves no ad-bar to build
     calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
+    tables = count_cached(monkeypatch, IsotropyModel, "m_table")
     text = _doc_text("heisenberg", n=3)
     code, out, err = run_cli(["connection", "-", "--r", "u1^w + v1^w", "--kind", kind], text)
     assert code == 0, err
-    assert len(calls) == 7  # dim m of heisenberg n=3 with h = 0
+    assert len(calls) == 0
+    assert len(tables) == 1
 
 
 def test_reductive_pair_reads_the_structure_constants_not_brackets(monkeypatch):
@@ -421,16 +445,37 @@ def test_leaf_builds_one_isotropy_ad_matrix_per_h_basis_vector(monkeypatch):
 
 
 def test_tensor_and_l_operators_share_one_ad_matrix_per_basis_covector(monkeypatch):
-    # the tensor is read off the bracket table, which reads the l-operators
+    # the tensor and the l-operators read the same integer tables of r, one
+    # contraction with the model's m-bracket table: no quotient operator, no
+    # Mat product and no Fraction dot product
     from lieps.catalog import realize
+    from lieps.exact import Mat
     from lieps.ybe import make_bivector
 
     _, iso = realize(builtin("heisenberg", {"n": 3}))
     r = make_bivector(iso, [1] * (iso.quotient_dim * (iso.quotient_dim - 1) // 2))
     calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
+    tables = count_cached(monkeypatch, IsotropyModel, "m_table")
+    products = count_calls(monkeypatch, Mat, "__matmul__")
+    dots = count_calls(monkeypatch, exact, "dot")
     assert not r.tensor.is_zero()
-    assert len(r.l_operators) == iso.quotient_dim
-    assert len(calls) == iso.quotient_dim == 7
+    assert products == dots == []
+    assert len(r.l_operators) == iso.quotient_dim == 7
+    assert len(r.mstar_table) == 7
+    assert len(calls) == 0
+    assert len(tables) == 1
+
+
+def test_scan_job_builds_the_m_table_once(monkeypatch):
+    # every row of a scan shares the job's model, so its m-bracket table is
+    # built once however many bivectors the rows test
+    tables = count_cached(monkeypatch, IsotropyModel, "m_table")
+    calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
+    code, out, err = run_cli(["scan", "-"], _doc_text("heisenberg", n=2))
+    assert code == 0, err
+    assert out.startswith("10 candidates\n")
+    assert len(tables) == 1
+    assert len(calls) == 0  # h = 0: no ad-bar, and no operator per sharp
 
 
 def test_tensor_calls_no_bracket(monkeypatch):
@@ -590,8 +635,10 @@ def test_leaf_refuses_a_non_invariant_r_matrix_whose_a_r_is_closed():
 )
 def test_leaf_reads_a_r_off_one_bracket_per_image_pair(monkeypatch, name, params, r, brackets):
     # the model build checks h with one bracket per pair of h-basis vectors;
-    # the leaf layer adds one m-bracket per pair of Im r_# basis vectors,
-    # and after the build takes coordinates in Im r_# only
+    # the leaf layer reads one m-bracket per pair of Im r_# basis vectors
+    # off the model's m_table, with no bracket call (`brackets` counts the
+    # build's brackets plus those pairs), and after the build takes
+    # coordinates in Im r_# only
     from lieps import catalog
     from lieps.exact import Subspace
     from lieps.ybe import make_bivector
@@ -606,15 +653,18 @@ def test_leaf_reads_a_r_off_one_bracket_per_image_pair(monkeypatch, name, params
 
     def marked(doc):
         out = realize(doc)
-        built.append(len(coords))
+        built.append((len(coords), len(calls)))
         return out
 
     monkeypatch.setattr(catalog, "realize", marked)
     code, out, err = run_cli(["leaf", "-", "--r", r], _doc_text(name, **params))
     assert (code, err) == (0, "")
-    assert len(calls) == brackets
-    assert len(built) == 1 and coords[built[0]:]
-    assert all(space == image for space, _ in coords[built[0]:])
+    pairs = image.dim * (image.dim - 1) // 2
+    assert len(built) == 1 and pairs > 0
+    (n_coords, n_brackets), = built
+    assert len(calls) == n_brackets == brackets - pairs
+    assert coords[n_coords:]
+    assert all(space == image for space, _ in coords[n_coords:])
 
 
 # ---------------------------------------------------------------------------

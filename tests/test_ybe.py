@@ -14,9 +14,12 @@ from helpers import (
     catalog_instances,
     catalog_r_matrices,
     count_calls,
+    dense_ad_bars,
+    dense_l_operators,
     dense_table,
     instance,
     invariant_candidates,
+    random_instances,
     random_lift_perturbation,
     restricted_r_matrix_oracle,
 )
@@ -29,6 +32,7 @@ from lieps.invariants import (
 )
 from lieps.liecore import (
     IsotropyModel,
+    m_bracket,
     make_isotropy,
     make_lie_algebra,
     structure_constants,
@@ -193,6 +197,61 @@ def test_tensor_matches_oracle_off_the_invariant_space(data):
         )
     )
     r = make_bivector(iso, coords)
+    assert yang_baxter_tensor(r).values == schouten_oracle(canonical_lift(r)).values, tag
+
+
+def _contraction_models():
+    """_QUOTIENTS, random transported quotients, and quotients with m = 0, 1 and 2."""
+    L, _ = instance("heisenberg", {"n": 1})
+    # e1 acts diagonally on e2 and e3, so [e1, e2]_m = e2 / 3 modulo h = span{e3}
+    third = make_lie_algebra(3, {(0, 1): {1: QQ(1, 3)}, (0, 2): {2: QQ(2)}})
+    return (
+        _QUOTIENTS
+        + [(label, iso) for label, _, iso, _ in random_instances(31, 12)]
+        + [
+            ("heisenberg-1/h=g", make_isotropy(L, Mat.identity(3).entries)),
+            ("heisenberg-1/u1,w", make_isotropy(L, [V(1, 0, 0), V(0, 0, 1)])),
+            ("heisenberg-1/w", make_isotropy(L, [V(0, 0, 1)])),
+            ("third/e3", make_isotropy(third, [V(0, 0, 1)])),
+        ]
+    )
+
+
+_CONTRACTION_MODELS = _contraction_models()
+
+
+def test_contraction_models_cover_small_quotients():
+    dims = {iso.quotient_dim for _, iso in _CONTRACTION_MODELS}
+    assert {0, 1, 2} <= dims
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_int_tables_match_the_fraction_route(data):
+    # the l-operators, the [.,.]_r table and the leaf-frame m-brackets are
+    # integer contractions of r with the model's m_table; the oracle builds
+    # them in Fractions, one ad-matrix per basis covector and one m_bracket
+    # per pair, for arbitrary skew coordinates, mostly not invariant
+    tag, iso = data.draw(st.sampled_from(_CONTRACTION_MODELS))
+    m = iso.quotient_dim
+    coords = data.draw(
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+            min_size=m * (m - 1) // 2,
+            max_size=m * (m - 1) // 2,
+        )
+    )
+    r = make_bivector(iso, coords)
+    ls = dense_l_operators(r)
+    assert r.l_operators == ls, tag
+    for a in range(m):
+        for c in range(m):
+            expected = tuple(x - y for x, y in zip(ls[c].row(a), ls[a].row(c)))
+            assert r.mstar_table[a][c] == expected, (tag, a, c)
+    w = r.image.basis
+    A, M = r.image_brackets
+    assert A == tuple(tuple(bar @ x for x in w) for bar in dense_ad_bars(iso)), tag
+    assert M == tuple(tuple(m_bracket(iso, x, y) for y in w) for x in w), tag
     assert yang_baxter_tensor(r).values == schouten_oracle(canonical_lift(r)).values, tag
 
 
@@ -382,15 +441,17 @@ def test_fixed_space_lie_algebra_matches_the_hcirc_route():
 
 
 def test_fixed_space_lie_algebra_builds_dim_m_quotient_operators(monkeypatch):
-    # the l-operators of the bivector serve the tensor, the table and the
-    # morphism check: no ad-matrix per pair of fixed covectors
+    # the integer tables of the bivector serve the tensor, the table and
+    # the morphism check: no quotient operator per basis covector, and no
+    # ad-matrix per pair of fixed covectors
     _, iso = instance("heisenberg", {"n": 2})
     coords = next(c for c in invariant_candidates(iso) if is_r_matrix(make_bivector(iso, c)))
     r = make_bivector(iso, coords)
     calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
     out = fixed_space_lie_algebra(r)
     assert out.algebra.dim > 0
-    assert len(calls) == iso.quotient_dim == 5
+    assert len(r.l_operators) == iso.quotient_dim == 5
+    assert len(calls) == 0
 
 
 # ---------------------------------------------------------------------------

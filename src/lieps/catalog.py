@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import DocumentError, LiepsError
 from .exact import Mat
-from .liecore import IsotropyModel, LieAlgebra, make_isotropy, make_lie_algebra
+from .liecore import LieAlgebra, make_isotropy, make_lie_algebra
 
 _RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -49,58 +49,39 @@ def format_rational(q: Fraction) -> str:
 class AlgebraDocument:
     """Serializable description of an algebra plus isotropy data.
 
-    brackets holds (i, j, ((k, coeff), ...)) with i < j and k-sorted nonzero
-    coefficients, the normal form produced by parsing and by the builtins.
+    algebra is the LieAlgebra of the document, built once by make_lie_algebra
+    when the document is parsed or a builtin is made; dim, labels and the
+    emitted brackets are read off it, and realize hands it on as it is.
     """
 
     name: str
-    dim: int
-    labels: tuple
-    brackets: tuple
+    algebra: LieAlgebra
     subalgebra: tuple = field(default=())
     complement: tuple = field(default=())  # standard-basis indices
     ad_generators: tuple = field(default=())  # of Mat
 
+    @property
+    def dim(self) -> int:
+        return self.algebra.dim
 
-def _normalize_brackets(items) -> tuple:
-    out = []
-    seen = set()
-    for i, j, coeffs in items:
-        if (i, j) in seen:
-            raise DocumentError("brackets", f"duplicate pair ({i}, {j})")
-        seen.add((i, j))
-        cleaned = tuple(
-            sorted((k, v if isinstance(v, Fraction) else Fraction(v)) for k, v in coeffs if v)
-        )
-        if cleaned:
-            out.append((i, j, cleaned))
-    return tuple(sorted(out))
+    @property
+    def labels(self) -> tuple:
+        return self.algebra.labels
 
 
 def _doc(name, dim, labels, bracket_map, subalgebra=(), complement=(), ad_generators=()):
-    items = [
-        (i, j, tuple(coeffs.items()))
-        for (i, j), coeffs in bracket_map.items()
-    ]
     return AlgebraDocument(
         name=name,
-        dim=dim,
-        labels=tuple(labels),
-        brackets=_normalize_brackets(items),
+        algebra=make_lie_algebra(dim, bracket_map, labels),
         subalgebra=tuple(tuple(Fraction(x) for x in v) for v in subalgebra),
         complement=tuple(complement),
         ad_generators=tuple(g if isinstance(g, Mat) else Mat(g) for g in ad_generators),
     )
 
 
-def _algebra(doc: AlgebraDocument) -> LieAlgebra:
-    brackets = {(i, j): dict(coeffs) for i, j, coeffs in doc.brackets}
-    return make_lie_algebra(doc.dim, brackets, labels=doc.labels)
-
-
 def realize(doc: AlgebraDocument):
-    """Materialize (LieAlgebra, IsotropyModel) from a document."""
-    L = _algebra(doc)
+    """(LieAlgebra, IsotropyModel) of a document; the algebra is doc.algebra itself."""
+    L = doc.algebra
     try:
         iso = make_isotropy(
             L,
@@ -292,7 +273,7 @@ def double(base: AlgebraDocument) -> AlgebraDocument:
     [m_i, m_j] = sum c_ij^k d_k.
     """
     n = base.dim
-    L = _algebra(base)
+    L = base.algebra
     nz = L.nz
     brackets = {}
 
@@ -363,13 +344,17 @@ def builtin(name, params=None) -> AlgebraDocument:
 
 
 def to_json_dict(doc: AlgebraDocument) -> dict:
+    L = doc.algebra
     out = {
         "name": doc.name,
         "dim": doc.dim,
         "labels": list(doc.labels),
+        # the nonzero [e_i, e_j], i < j, read back off the integer table
         "brackets": [
-            {"i": i, "j": j, "coeffs": {str(k): format_rational(v) for k, v in coeffs}}
-            for i, j, coeffs in doc.brackets
+            {"i": i, "j": j, "coeffs": {str(k): format_rational(Fraction(v, L.den)) for k, v in nz}}
+            for i, row in enumerate(L.nz)
+            for j, nz in enumerate(row[i + 1:], i + 1)
+            if nz
         ],
     }
     if doc.subalgebra:
@@ -429,7 +414,8 @@ def parse(text) -> AlgebraDocument:
 
     raw_brackets = data.get("brackets", [])
     _expect(isinstance(raw_brackets, list), "brackets", "must be a list")
-    items = []
+    brackets = {}
+    duplicate = None
     for t, item in enumerate(raw_brackets):
         path = f"brackets[{t}]"
         _expect(isinstance(item, dict), path, "must be an object")
@@ -448,8 +434,13 @@ def parse(text) -> AlgebraDocument:
             k = int(key)
             _expect(0 <= k < dim, kpath, f"index out of range 0..{dim - 1}")
             parsed.append((k, parse_rational(val, kpath)))
-        items.append((i, j, parsed))
-    brackets = _normalize_brackets(items)
+        if (i, j) in brackets and duplicate is None:
+            duplicate = (i, j)
+        # an index written twice, as "2" and "02", keeps its largest nonzero coefficient
+        brackets[i, j] = dict(sorted(kv for kv in parsed if kv[1]))
+    # reported once the whole list has parsed, so a malformed later item wins
+    _expect(duplicate is None, "brackets", f"duplicate pair {duplicate}")
+    algebra = make_lie_algebra(dim, brackets, labels)
 
     def parse_vectors(key):
         raw = data.get(key, [])
@@ -485,9 +476,7 @@ def parse(text) -> AlgebraDocument:
 
     return AlgebraDocument(
         name=name,
-        dim=dim,
-        labels=tuple(labels),
-        brackets=brackets,
+        algebra=algebra,
         subalgebra=tuple(subalgebra),
         complement=tuple(complement),
         ad_generators=tuple(gens),

@@ -14,29 +14,30 @@ tuples over the quotient basis, and sharps are realized through the section.
 Every quantity here is bilinear in two per-bivector tables, built once on
 the Bivector and shared by all checks on it: the n l-operators
 L[a] = l_{eps_a^#} and the bracket table C[a][c] = [eps_a, eps_c]_r, both
-integer contractions of r with the model's m-bracket table.  l_operator,
-mstar_bracket, the four builders, torsion, curvature and Poisson
-compatibility all read those tables, and their values on general covectors
-are the bilinear combinations.
+integer contractions of r with the model's m-bracket table
+(Bivector.int_tables, ints over d_r D).  The four builders are one integer
+rule over them, b(eps_a, eps_c) = (alpha C[a][c] - beta L[a][c]) / (k d_r D)
+with (alpha, beta, k) fixed by the kind; torsion and curvature read the
+Fraction table C, and Poisson compatibility is one matrix identity
+r_# M_a + M_a^T r_# = 0 per basis covector eps_a.  Values on general
+covectors are the bilinear combinations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import ClosureFailure, NotAnFConnection, NotReductive
 from .exact import (
     Mat,
     bilinear,
-    dot,
+    from_ints,
     inverse,
     kernel,
     mat_lincomb,
     solve,
     vec,
-    vscale,
     vsub,
     zero_vec,
 )
@@ -139,6 +140,15 @@ class ConnectionMap:
         return all(x == 0 for plane in self.b for row in plane for x in row)
 
 
+# kind -> (alpha, beta, k) of b(eps_a, eps_c) = (alpha C[a][c] - beta L[a][c]) / (k d_r D)
+_KINDS = {
+    "canonical": (0, 0, 1),
+    "natural": (1, 0, 2),
+    "left_symmetric": (0, 1, 1),
+    "fedosov": (1, 1, 3),
+}
+
+
 def build_connection(kind, pair: ReductivePair, r: Bivector) -> ConnectionMap:
     """The four distinguished invariant contravariant connections.
 
@@ -147,29 +157,21 @@ def build_connection(kind, pair: ReductivePair, r: Bivector) -> ConnectionMap:
     left_symmetric: b(eta, xi) = -xi o l_{eta^#}
     fedosov:        b(eta, xi) = (1/3)([eta, xi]_r - xi o l_{eta^#})
 
-    On basis covectors xi o l_{eta^#} is row c of L[a] and [eta, xi]_r is
-    C[a][c], both tables of the bivector.
+    On basis covectors [eta, xi]_r is C[a][c] and xi o l_{eta^#} is row c of
+    L[a], both ints over d_r D in r.int_tables, so every kind is
+    b(eps_a, eps_c) = (alpha C[a][c] - beta L[a][c]) / (k d_r D), one
+    Fraction per entry.
     """
-    n = pair.dim_m
-    if kind == "canonical":
-        zero = zero_vec(n)
-        b = tuple((zero,) * n for _ in range(n))
-    elif kind == "natural":
-        half = Fraction(1, 2)
-        b = tuple(tuple(vscale(half, v) for v in row) for row in r.mstar_table)
-    elif kind == "left_symmetric":
-        b = tuple(tuple(tuple(-x for x in lrow) for lrow in la.entries) for la in r.l_operators)
-    elif kind == "fedosov":
-        third = Fraction(1, 3)
-        b = tuple(
-            tuple(
-                tuple(third * (x - y) for x, y in zip(v, lrow))
-                for v, lrow in zip(row, la.entries)
-            )
-            for row, la in zip(r.mstar_table, r.l_operators)
-        )
-    else:
+    if kind not in _KINDS:
         raise ValueError(f"unknown connection kind {kind!r}")
+    alpha, beta, k = _KINDS[kind]
+    _, L, C, dr = r.int_tables
+    d = k * dr * r.iso.m_table[1]
+
+    def entry(Cac, Lac):
+        return from_ints([alpha * x - beta * y for x, y in zip(Cac, Lac)], d)
+
+    b = tuple(tuple(map(entry, Ca, La)) for Ca, La in zip(C, L))
     return ConnectionMap(pair=pair, r=r, b=b)
 
 
@@ -204,20 +206,16 @@ def curvature(pair: ReductivePair, r: Bivector, b: ConnectionMap, eta, xi) -> Ma
 def poisson_compat_failures(pair: ReductivePair, r: Bivector, b: ConnectionMap) -> tuple:
     """Basis triples violating r(b(eta,xi),eps) + r(xi, b(eta,eps)) = 0.
 
-    With eta, xi, eps = eps_a, eps_c, eps_d the value is entry d of
-    r_# b[a][c] plus <b[a][d], r_# eps_c>, and r_# eps_c is column c of r_#.
+    With eta, xi, eps = eps_a, eps_c, eps_d the value is entry (d, c) of
+    r_# M_a + M_a^T r_#, M_a the matrix with columns b[a][c]: entry d of
+    r_# b[a][c] plus <b[a][d], r_# eps_c>.  Triples are listed in (a, c, d)
+    order with their nonzero values.
     """
     n = pair.dim_m
-    cols = [r.r_mat.col(c) for c in range(n)]
     bad = []
-    for a in range(n):
-        plane = b.b[a]
-        for c in range(n):
-            lead = r.r_mat @ plane[c]
-            for d in range(n):
-                val = lead[d] + dot(plane[d], cols[c])
-                if val != 0:
-                    bad.append(((a, c, d), val))
+    for a, M in enumerate(b.mats):
+        S = (r.r_mat @ M + M.T @ r.r_mat).entries
+        bad.extend(((a, c, d), S[d][c]) for c in range(n) for d in range(n) if S[d][c])
     return tuple(bad)
 
 

@@ -74,11 +74,13 @@ from .liecore import (
 class Bivector:
     """A bivector on g/h, stored through its sharp matrix.
 
-    The integer tables of r (_ints), the l-operators and the [.,.]_r table
-    on the quotient covector basis read off them, the Yang-Baxter tensor,
-    Im r_#, omega_r on it and the q-brackets of the leaf frame
-    h + s(Im r_#) are derived once, on first use, and kept on the instance,
-    so every check that asks about the same bivector shares them.
+    Derived once, on first use, and kept on the instance, so every check
+    that asks about the same bivector shares them: the integer tables of r
+    (int_tables), which the Yang-Baxter tensor and the four connections
+    read; the Fraction l-operators and [.,.]_r table on the quotient
+    covector basis read off them (l_operators, mstar_table) for the public
+    API; the tensor; Im r_#, omega_r on it, and the q-brackets of the leaf
+    frame h + s(Im r_#) (image, omega, image_brackets).
     """
 
     iso: IsotropyModel
@@ -140,13 +142,16 @@ class Bivector:
         return A, tuple(map(tuple, M))
 
     @cached_property
-    def _ints(self) -> tuple:
+    def int_tables(self) -> tuple:
         """(R, L, C, d_r): r_# = R / d_r, and the l-operators and [.,.]_r table as ints over d_r D.
 
         R[a] lists the nonzeros (j, R_ja) of column a, and L[a] =
         sum_j R_ja mu[j] is the contraction of column a with the model's
-        m_table (mu, D), so L[a] / (d_r D) = q ad(s r_# eps_a) s.
-        C[a][c] = row a of L[c] minus row c of L[a].
+        m_table (mu, D), so L[a] / (d_r D) = q ad(s r_# eps_a) s, with
+        L[a][c] its row c.  C[a][c] = row a of L[c] minus row c of L[a], so
+        C[a][c] / (d_r D) = [eps_a, eps_c]_r.  yang_baxter_tensor and the
+        connection builders read these ints; l_operators and mstar_table
+        are their Fraction views.
         """
         R, dr = int_columns(self.r_mat)
         L = [self.iso.m_ad_ints(col) for col in R]
@@ -162,7 +167,7 @@ class Bivector:
         l_{alpha^#} is linear in alpha, so every other l-operator is
         sum_a alpha_a L[a].
         """
-        _, L, _, dr = self._ints
+        _, L, _, dr = self.int_tables
         return tuple(Mat.from_ints(rows, dr * self.iso.m_table[1]) for rows in L)
 
     @cached_property
@@ -172,7 +177,7 @@ class Bivector:
         L^T eps_a is row a of L.  Read off the integer l-operators, never
         from hcirc_bracket, so the h° route stays an independent check.
         """
-        _, _, C, dr = self._ints
+        _, _, C, dr = self.int_tables
         d = dr * self.iso.m_table[1]
         return tuple(tuple(from_ints(v, d) for v in row) for row in C)
 
@@ -256,8 +261,8 @@ def yang_baxter_tensor(r: Bivector) -> YBTensor:
     [r_# eps_a, r_# eps_b]_m, which is L[a] r_# eps_b for the l-operator
     L[a] = q ad(x_a) s.
 
-    Entries are read in integers off r._ints (r_# = R / d_r, L and C over
-    d_r D): entry c of the defect is sum_t R_ct C[a][b]_t - sum_t L[a][c][t]
+    Entries are read in integers off r.int_tables (r_# = R / d_r, L and C
+    over d_r D): entry c of the defect is sum_t R_ct C[a][b]_t - sum_t L[a][c][t]
     R_tb over d_r^2 D, and a Fraction is built only for a nonzero entry.
     One defect per pair a < b gives the entries with c > b; the other
     orderings of each triple are filled by sign, since each entry is the
@@ -265,7 +270,7 @@ def yang_baxter_tensor(r: Bivector) -> YBTensor:
     index are zero.  schouten_oracle evaluates all n^3 entries of that sum
     over a lift on g, on purpose, as the independent check.
     """
-    R, L, C, dr = r._ints
+    R, L, C, dr = r.int_tables
     n = len(R)
     den = dr * dr * r.iso.m_table[1]
     values = {}

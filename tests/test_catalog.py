@@ -2,6 +2,7 @@ import json
 from fractions import Fraction as QQ
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import CATALOG_ENTRIES
 from lieps import catalog
@@ -112,6 +113,36 @@ def test_roundtrip_all_builtins():
         assert catalog.parse(catalog.emit(doc)) == doc
 
 
+def test_realize_hands_on_the_document_algebra():
+    parsed = catalog.parse(json.dumps(_base_doc()))
+    docs = [catalog.builtin(name, params) for _, name, params in CATALOG_ENTRIES] + [parsed]
+    for doc in docs:
+        assert catalog.realize(doc)[0] is doc.algebra, doc.name
+
+
+def test_emit_reads_the_brackets_back_in_lowest_terms():
+    # 2/4 is emitted reduced, and the zero coefficient and the all-zero
+    # bracket are dropped
+    text = json.dumps(
+        {
+            "name": "half",
+            "dim": 3,
+            "labels": ["x", "y", "z"],
+            "brackets": [
+                {"i": 0, "j": 1, "coeffs": {"2": "2/4", "0": "0"}},
+                {"i": 0, "j": 2, "coeffs": {"1": 0}},
+                {"i": 1, "j": 2, "coeffs": {"0": "-6/3", "2": 3}},
+            ],
+        }
+    )
+    assert catalog.emit(catalog.parse(text)) == (
+        '{\n  "brackets": [\n    {\n      "coeffs": {\n        "2": "1/2"\n      },\n'
+        '      "i": 0,\n      "j": 1\n    },\n    {\n      "coeffs": {\n        "0": "-2",\n'
+        '        "2": "3"\n      },\n      "i": 1,\n      "j": 2\n    }\n  ],\n  "dim": 3,\n'
+        '  "labels": [\n    "x",\n    "y",\n    "z"\n  ],\n  "name": "half"\n}\n'
+    )
+
+
 def test_emit_is_deterministic():
     a = catalog.emit(catalog.builtin("gl_sym", {"n": 3}))
     b = catalog.emit(catalog.builtin("gl_sym", {"n": 3}))
@@ -219,13 +250,23 @@ def test_json_booleans_are_not_bracket_indices(i, j):
 
 
 def test_parse_rejects_duplicate_bracket_pairs():
-    data = _base_doc()
-    data["brackets"] = [
-        {"i": 0, "j": 1, "coeffs": {"2": "1"}},
-        {"i": 0, "j": 1, "coeffs": {"2": "2"}},
+    # the duplicate is reported once the whole bracket list has parsed, so a
+    # malformed later item is reported instead
+    first = {"i": 0, "j": 1, "coeffs": {"2": "1"}}
+    zero = {"i": 0, "j": 1, "coeffs": {"2": "0", "0": 0}}
+    malformed = {"i": 1, "j": 2, "coeffs": {"0": "x"}}
+    cases = [
+        ([first, first], "parse error: brackets: duplicate pair (0, 1)\n"),
+        ([zero, first], "parse error: brackets: duplicate pair (0, 1)\n"),
+        (
+            [first, first, malformed],
+            "parse error: brackets[2].coeffs.0: not a rational literal: 'x'\n",
+        ),
     ]
-    with pytest.raises(DocumentError):
-        catalog.parse(data)
+    for brackets, err in cases:
+        data = _base_doc()
+        data["brackets"] = brackets
+        assert run_cli(["validate", "-"], json.dumps(data)) == (2, "", err)
 
 
 def test_parse_rejects_broken_json_text():
@@ -242,3 +283,99 @@ def test_complement_emitted_as_standard_vectors():
     payload = catalog.to_json_dict(doc)
     assert payload["complement"] == [["1", "0", "0"], ["0", "1", "0"]]
     assert catalog.parse(catalog.emit(doc)) == doc
+
+
+# ---------------------------------------------------------------------------
+# whole-document fuzzing: catalog documents with dropped, duplicated or
+# retyped fields, out-of-range indices, malformed rationals, booleans as
+# numbers and non-square generators
+
+_FUZZ_DOCS = [catalog.to_json_dict(catalog.builtin(name, params)) for _, name, params in CATALOG_ENTRIES]
+_FIELDS = ("name", "dim", "labels", "brackets", "subalgebra", "complement", "ad_generators", "extra")
+_JUNK = (None, True, False, 0, -1, 2, 1.5, "x", "", [], {}, [[]], [[1]], {"i": 0})
+_RATIONALS = (True, False, None, 1.5, [], "", "x", "1/0", "1//2", "²", "٣", " +6/4 ", "-0/5", "1/3", 0, 7)
+
+
+def _list(x, key):
+    """x[key] when x is an object holding a list there, else []."""
+    v = x.get(key) if isinstance(x, dict) else None
+    return v if isinstance(v, list) else []
+
+
+def _mutate(draw, doc):
+    """Apply one drawn defect to the decoded document doc, in place."""
+    dim = doc["dim"] if type(doc.get("dim")) is int else 3
+    indices = st.sampled_from((-1, 0, 1, dim - 1, dim, dim + 2, True, False, "1"))
+    items = [b for b in _list(doc, "brackets") if isinstance(b, dict)]
+    kind = draw(st.sampled_from(("drop", "retype", "dup", "index", "rational", "generator")))
+    if kind == "drop" and doc:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "retype":
+        doc[draw(st.sampled_from(_FIELDS))] = draw(st.sampled_from(_JUNK))
+    elif kind == "dup" and items:
+        doc["brackets"].append(json.loads(json.dumps(draw(st.sampled_from(items)))))
+    elif kind == "index":
+        target = draw(st.sampled_from(("i", "j", "coeff", "complement", "dim")))
+        if target == "dim":
+            doc["dim"] = draw(st.sampled_from((True, 0, -2, dim + 1, max(dim - 1, 1))))
+        elif target == "complement":
+            t = draw(indices)
+            doc["complement"] = [["1" if c == t else "0" for c in range(dim)]]
+        elif items:
+            item = draw(st.sampled_from(items))
+            if target == "coeff":
+                item["coeffs"] = {str(draw(indices)): "1"}
+            else:
+                item[target] = draw(indices)
+    elif kind == "rational":
+        rows = [b.get("coeffs") for b in items] + _list(doc, "subalgebra")
+        rows += [row for g in _list(doc, "ad_generators") if isinstance(g, list) for row in g]
+        slots = []
+        for row in rows:
+            if isinstance(row, dict):
+                slots += [(row, k) for k in row]
+            elif isinstance(row, list):
+                slots += [(row, k) for k in range(len(row))]
+        if slots:
+            row, k = draw(st.sampled_from(slots))
+            row[k] = draw(st.sampled_from(_RATIONALS))
+    elif kind == "generator":
+        gens = [g for g in _list(doc, "ad_generators") if isinstance(g, list) and g]
+        if not gens:
+            doc["ad_generators"] = [[["1"] * (dim + 1) for _ in range(dim)]]
+            return
+        g = draw(st.sampled_from(gens))
+        how = draw(st.sampled_from(("row", "entry", "extra")))
+        if how == "row":
+            g.pop()
+        elif how == "entry" and isinstance(g[0], list) and g[0]:
+            g[0].pop()
+        else:
+            g.append(["0"] * dim)
+
+
+_FUZZ_COMMANDS = (
+    ["validate", "-"],
+    ["invariants", "-"],
+    ["ybe", "-", "--r=0"],
+    ["leaf", "-", "--r=0"],
+    ["connection", "-", "--r=0", "--kind", "fedosov"],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_documents_exit_cleanly_and_round_trip(data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(_FUZZ_DOCS))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data.draw, doc)
+    text = json.dumps(doc)
+    for argv in _FUZZ_COMMANDS:
+        code, out, err = run_cli(argv, text)
+        assert code in (0, 1, 2), (argv, text, err)
+        assert "Traceback" not in err
+    try:
+        parsed = catalog.parse(text)
+    except DocumentError:
+        return
+    assert catalog.parse(catalog.emit(parsed)) == parsed

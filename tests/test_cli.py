@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import count_cached, count_calls
+from helpers import count_cached, count_calls, dense_poisson_compat_failures
 from lieps import exact, liecore
 from lieps.catalog import builtin, emit
 from lieps.cli import format_bivector, format_covector, parse_bivector_expr, run_cli
@@ -408,14 +408,40 @@ def test_leaf_evaluates_the_tensor_once(monkeypatch):
 def test_connection_builds_one_ad_matrix_per_basis_covector(monkeypatch, kind):
     # the l-operators are integer contractions of r with the model's
     # m-bracket table, built once per job: no quotient operator q ad_x s is
-    # built for a sharp, and h = 0 leaves no ad-bar to build
+    # built for a sharp, and h = 0 leaves no ad-bar to build.  Every kind
+    # reads the integer tables of r, so no Fraction l-operator table is built
+    from lieps.ybe import Bivector
+
     calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
     tables = count_cached(monkeypatch, IsotropyModel, "m_table")
+    l_tables = count_cached(monkeypatch, Bivector, "l_operators")
     text = _doc_text("heisenberg", n=3)
     code, out, err = run_cli(["connection", "-", "--r", "u1^w + v1^w", "--kind", kind], text)
     assert code == 0, err
     assert len(calls) == 0
     assert len(tables) == 1
+    assert len(l_tables) == 0
+
+
+def test_poisson_compat_is_two_matrix_products_per_basis_covector(monkeypatch):
+    # r_# M_a + M_a^T r_# per a, over the cached columns of b: no Fraction
+    # dot product, where the triple loop made 2 n^3 of them (686 at n = 7)
+    from lieps.catalog import realize
+    from lieps.connections import build_connection, make_reductive_pair, poisson_compat_failures
+    from lieps.exact import Mat
+    from lieps.ybe import make_bivector
+
+    L, iso = realize(builtin("heisenberg", {"n": 3}))
+    labels = [L.labels[j] for j in iso.complement_indices]
+    r = make_bivector(iso, parse_bivector_expr("u1^w + v1^w", labels))
+    pair = make_reductive_pair(L, iso)
+    b = build_connection("fedosov", pair, r)
+    dots = count_calls(monkeypatch, exact, "dot")
+    products = count_calls(monkeypatch, Mat, "__matmul__")
+    failures = poisson_compat_failures(pair, r, b)
+    assert dots == []
+    assert len(products) == 2 * iso.quotient_dim == 14
+    assert failures == dense_poisson_compat_failures(r, b.b)
 
 
 def test_reductive_pair_reads_the_structure_constants_not_brackets(monkeypatch):
@@ -715,6 +741,29 @@ def test_output_is_deterministic():
 # ---------------------------------------------------------------------------
 # byte-identical output of the invariant solve and validation, pinned to the
 # digests of the dense-route implementation
+
+# byte-identical `example` output, pinned to the digests of the documents
+# that stored their brackets beside the algebra
+
+PINNED_EXAMPLE_SHA256 = {
+    ("abelian", ("--n", "3")): "8656157ad77069d20a160f20c40bad1f6f6cc03ceb8f28fa44ed2c1f28a4b616",
+    ("heisenberg", ("--n", "1")): "d871a341d2065bf860955bb452c4306f0ef7994bd5112984a6eba3152b1f8155",
+    ("heisenberg", ("--n", "2")): "b4885f3a7014cf6f5ddc7c8fcc2c9d4fc0a4feeb173e233a451c373543aa78e5",
+    ("iso11", ()): "b7ab43553b1e73427d4fa45133998b25f6b4edfb5a8eed69f49d762efae5a690",
+    ("gl_sym", ("--n", "2")): "165093f93857012ad357e92f22126d1840bf3e3443a527be585c4828128499cb",
+    ("so4_grassmann", ()): "82190fa1b9a0e86f6572f9454de16d89c59ef8181fbf8945493b76f39f647ad3",
+    ("double", ("--of", "heisenberg", "--n", "1")): "e17795c5e21f4bcf5a7b5aec10189e319c62ed7975061e280f6b2e5da170581e",
+    ("gl_sym", ("--n", "3")): "eb6a33a437f0a8f5578a802354f06c642cd8bc2bc54e64d2bdee2a0c821e9821",
+    ("double", ("--of", "iso11")): "c759ff441e18f4940346f3310833bc5d09ecdc134978308a99dcfc8c173c3be0",
+}
+
+
+@pytest.mark.parametrize("name, args", sorted(PINNED_EXAMPLE_SHA256))
+def test_example_output_is_pinned(name, args):
+    code, out, err = run_cli(["example", name, *args])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_EXAMPLE_SHA256[name, args]
+
 
 PINNED_OUTPUT_SHA256 = {
     ("heisenberg", 5, "validate", "text"): "8a2cdb406cfd04d213814397359eee765c7f1892d4f839bb1a88392a6c16c063",

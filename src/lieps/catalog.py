@@ -427,17 +427,17 @@ def parse(text) -> AlgebraDocument:
         _expect(0 <= i < j < dim, path, f"need 0 <= i < j < {dim}, got ({i}, {j})")
         coeffs = item.get("coeffs", {})
         _expect(isinstance(coeffs, dict), f"{path}.coeffs", "must be an object")
-        parsed = []
+        parsed = {}
         for key, val in coeffs.items():
             kpath = f"{path}.coeffs.{key}"
             _expect(isinstance(key, str) and key.isdecimal(), kpath, "key must be a basis index")
             k = int(key)
             _expect(0 <= k < dim, kpath, f"index out of range 0..{dim - 1}")
-            parsed.append((k, parse_rational(val, kpath)))
+            _expect(k not in parsed, kpath, f"repeated basis index {k}")
+            parsed[k] = parse_rational(val, kpath)
         if (i, j) in brackets and duplicate is None:
             duplicate = (i, j)
-        # an index written twice, as "2" and "02", keeps its largest nonzero coefficient
-        brackets[i, j] = dict(sorted(kv for kv in parsed if kv[1]))
+        brackets[i, j] = parsed
     # reported once the whole list has parsed, so a malformed later item wins
     _expect(duplicate is None, "brackets", f"duplicate pair {duplicate}")
     algebra = make_lie_algebra(dim, brackets, labels)

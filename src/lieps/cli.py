@@ -18,18 +18,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from . import catalog
-from .connections import (
-    build_connection,
-    curvature,
-    make_reductive_pair,
-    poisson_compat,
-    torsion,
-)
+from .connections import build_connection, curvature, poisson_compat, torsion
 from .errors import DocumentError, LiepsError
 from .exact import Mat
 from .foliation import leaf_cocycle, leaf_decomposition
 from .invariants import invariant_bivectors
-from .liecore import validate, wedge2_space
+from .liecore import require_reductive, validate, wedge2_space
 from .ybe import is_r_matrix, make_bivector
 
 
@@ -220,10 +214,10 @@ def _load(path, stdin_text):
 
 
 def _model(args, stdin_text):
-    """The document, its algebra and isotropy model, and the quotient labels."""
+    """The document, its isotropy model, and the quotient labels."""
     doc = _load(args.file, stdin_text)
-    L, iso = catalog.realize(doc)
-    return doc, L, iso, [doc.labels[j] for j in iso.complement_indices]
+    _, iso = catalog.realize(doc)
+    return doc, iso, [doc.labels[j] for j in iso.complement_indices]
 
 
 def _exact(x):
@@ -240,8 +234,8 @@ def _emit(payload, text_lines, fmt):
 
 
 def _cmd_validate(args, stdin_text):
-    doc, L, _, _ = _model(args, stdin_text)
-    report = validate(L)
+    doc, iso, _ = _model(args, stdin_text)
+    report = validate(iso.L)
     payload = {
         "ok": report.ok,
         "antisymmetry_failures": report.antisymmetry_failures,
@@ -254,7 +248,7 @@ def _cmd_validate(args, stdin_text):
 
 
 def _cmd_invariants(args, stdin_text):
-    _, _, iso, qlabels = _model(args, stdin_text)
+    _, iso, qlabels = _model(args, stdin_text)
     inv = invariant_bivectors(iso)
     pretty = [format_bivector(qlabels, v) for v in inv.basis.basis]
     payload = {
@@ -268,7 +262,7 @@ def _cmd_invariants(args, stdin_text):
 
 
 def _cmd_ybe(args, stdin_text):
-    _, _, iso, qlabels = _model(args, stdin_text)
+    _, iso, qlabels = _model(args, stdin_text)
     coords = parse_bivector_expr(args.r, qlabels)
     r = make_bivector(iso, coords)
     nonzero = [
@@ -286,7 +280,7 @@ def _cmd_ybe(args, stdin_text):
 
 
 def _cmd_scan(args, stdin_text):
-    _, _, iso, qlabels = _model(args, stdin_text)
+    _, iso, qlabels = _model(args, stdin_text)
     inv = invariant_bivectors(iso)
     rows = []
     basis = list(inv.basis.basis)
@@ -317,7 +311,7 @@ def _cmd_scan(args, stdin_text):
 
 
 def _cmd_leaf(args, stdin_text):
-    doc, _, iso, qlabels = _model(args, stdin_text)
+    doc, iso, qlabels = _model(args, stdin_text)
     r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
     data = leaf_cocycle(r)
     dec = leaf_decomposition(r)
@@ -359,21 +353,21 @@ def _entry_lines(title, symbol, entries):
 
 
 def _cmd_connection(args, stdin_text):
-    _, L, iso, qlabels = _model(args, stdin_text)
-    pair = make_reductive_pair(L, iso)
+    _, iso, qlabels = _model(args, stdin_text)
+    require_reductive(iso)
     r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
-    b = build_connection(args.kind, pair, r)
-    n = pair.dim_m
+    b = build_connection(args.kind, r)
+    n = b.dim
     eps = Mat.identity(n).entries
     upper = [(a, c) for a in range(n) for c in range(a + 1, n)]
     b_entries = _entries(qlabels, ((a, c, b.b[a][c]) for a in range(n) for c in range(n)))
-    t_entries = _entries(qlabels, ((a, c, torsion(pair, r, b, eps[a], eps[c])) for a, c in upper))
+    t_entries = _entries(qlabels, ((a, c, torsion(b, eps[a], eps[c])) for a, c in upper))
     curved = [
         [qlabels[a] + "*", qlabels[c] + "*"]
         for a, c in upper
-        if not curvature(pair, r, b, eps[a], eps[c]).is_zero()
+        if not curvature(b, eps[a], eps[c]).is_zero()
     ]
-    compat = poisson_compat(pair, r, b)
+    compat = poisson_compat(b)
     payload = {
         "kind": args.kind,
         "b": b_entries,

@@ -8,6 +8,11 @@ the connection induced on the symplectic leaf through the base point.  The
 Yang-Baxter condition itself, r_# carrying [.,.]_r to the m-bracket, is
 read off the same bracket table by ybe.yang_baxter_tensor.
 
+A ConnectionMap carries its bivector r, and through r.iso the model, so
+every function on a connection takes the connection alone; building one
+raises NotReductive unless the declared complement is h-stable.  The
+l-operators and [.,.]_r need no reductivity and take the bivector.
+
 Throughout, covectors live in complement coordinates: m* vectors are plain
 tuples over the quotient basis, and sharps are realized through the section.
 
@@ -28,60 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ClosureFailure, NotAnFConnection, NotReductive
-from .exact import (
-    Mat,
-    bilinear,
-    from_ints,
-    inverse,
-    kernel,
-    mat_lincomb,
-    solve,
-    vec,
-    vsub,
-    zero_vec,
-)
+from .errors import ClosureFailure, NotAnFConnection
+from .exact import Mat, bilinear, from_ints, inverse, kernel, mat_lincomb, solve, vec, vsub
 from .foliation import _coords_matrix
-from .liecore import (
-    IsotropyModel,
-    LieAlgebra,
-    bracket,
-    complement_projection,
-)
+from .liecore import bracket, complement_projection, require_reductive
 from .ybe import Bivector, require_r_matrix
-
-
-@dataclass(frozen=True)
-class ReductivePair:
-    L: LieAlgebra
-    iso: IsotropyModel
-    symmetric: bool
-
-    def __post_init__(self):
-        if not self.iso.reductive:
-            raise NotReductive("the declared complement is not h-stable")
-
-    @property
-    def dim_m(self) -> int:
-        return self.iso.quotient_dim
-
-
-def make_reductive_pair(L: LieAlgebra, iso: IsotropyModel) -> ReductivePair:
-    """The pair g = h + m of the declared complement; NotReductive unless [h, m] in m.
-
-    symmetric: [m, m] in h, read off the nonzero structure constants
-    [e_i, e_j] = sum_k c_ijk e_k of the complement standard vectors.
-    """
-
-    def in_h(terms):
-        w = list(zero_vec(L.dim))
-        for k, c in terms:
-            w[k] = c
-        return iso.h_basis.contains(w)
-
-    comp = iso.complement_indices
-    symmetric = all(in_h(L.nz[i][j]) for i in comp for j in comp if L.nz[i][j])
-    return ReductivePair(L=L, iso=iso, symmetric=symmetric)
 
 
 def _covector(alpha, n) -> tuple:
@@ -91,31 +47,37 @@ def _covector(alpha, n) -> tuple:
     return alpha
 
 
-def l_operator(pair: ReductivePair, r: Bivector, alpha) -> Mat:
-    """The operator l_{alpha^#}: m -> m, u -> [alpha^#, u]_m."""
-    n = pair.dim_m
+def l_operator(r: Bivector, alpha) -> Mat:
+    """The operator l_{alpha^#}: m -> m, u -> [alpha^#, u]_m, on any model."""
+    n = r.iso.quotient_dim
     return mat_lincomb(_covector(alpha, n), r.l_operators, n)
 
 
-def mstar_bracket(pair: ReductivePair, r: Bivector, alpha, beta) -> tuple:
-    """[alpha, beta]_r on m*: transpose of l against the other argument.
+def mstar_bracket(r: Bivector, alpha, beta) -> tuple:
+    """[alpha, beta]_r on m*: transpose of l against the other argument, on any model.
 
     Read off the table [eps_a, eps_c]_r = L[c]^T eps_a - L[a]^T eps_c of the
     bivector.  Independent of the h° code path; the agreement of the two
     routes under the identification alpha -> q^T alpha is a tested theorem,
     not reused code.
     """
-    n = pair.dim_m
+    n = r.iso.quotient_dim
     return bilinear(r.mstar_table, _covector(alpha, n), _covector(beta, n), n)
 
 
 @dataclass(frozen=True)
 class ConnectionMap:
-    """Bilinear b: m* x m* -> m* as a dense array over the m* basis."""
+    """Bilinear b: m* x m* -> m* as a dense array over the m* basis.
 
-    pair: ReductivePair
+    r is the bivector the connection is built from; its model r.iso must be
+    reductive, else NotReductive.
+    """
+
     r: Bivector
     b: tuple  # b[a][c] = b(eps_a, eps_c), a covector tuple
+
+    def __post_init__(self):
+        require_reductive(self.r.iso)
 
     @property
     def dim(self) -> int:
@@ -149,7 +111,7 @@ _KINDS = {
 }
 
 
-def build_connection(kind, pair: ReductivePair, r: Bivector) -> ConnectionMap:
+def build_connection(kind, r: Bivector) -> ConnectionMap:
     """The four distinguished invariant contravariant connections.
 
     canonical:      b = 0
@@ -172,10 +134,10 @@ def build_connection(kind, pair: ReductivePair, r: Bivector) -> ConnectionMap:
         return from_ints([alpha * x - beta * y for x, y in zip(Cac, Lac)], d)
 
     b = tuple(tuple(map(entry, Ca, La)) for Ca, La in zip(C, L))
-    return ConnectionMap(pair=pair, r=r, b=b)
+    return ConnectionMap(r=r, b=b)
 
 
-def torsion(pair: ReductivePair, r: Bivector, b: ConnectionMap, eta, xi) -> tuple:
+def torsion(b: ConnectionMap, eta, xi) -> tuple:
     """T(eta, xi) = b(eta, xi) - b(xi, eta) - [eta, xi]_r.
 
     On basis covectors: b[a][c] - b[c][a] - C[a][c].
@@ -185,11 +147,11 @@ def torsion(pair: ReductivePair, r: Bivector, b: ConnectionMap, eta, xi) -> tupl
     xi = _covector(xi, n)
     return vsub(
         vsub(bilinear(b.b, eta, xi, n), bilinear(b.b, xi, eta, n)),
-        bilinear(r.mstar_table, eta, xi, n),
+        bilinear(b.r.mstar_table, eta, xi, n),
     )
 
 
-def curvature(pair: ReductivePair, r: Bivector, b: ConnectionMap, eta, xi) -> Mat:
+def curvature(b: ConnectionMap, eta, xi) -> Mat:
     """R(eta, xi) = [M_eta, M_xi] - M_{[eta,xi]_r} as an operator on m*.
 
     On basis covectors: M_a M_c - M_c M_a - sum_t C[a][c]_t M_t.
@@ -199,11 +161,11 @@ def curvature(pair: ReductivePair, r: Bivector, b: ConnectionMap, eta, xi) -> Ma
     xi = _covector(xi, n)
     m_eta = mat_lincomb(eta, b.mats, n)
     m_xi = mat_lincomb(xi, b.mats, n)
-    m_br = mat_lincomb(bilinear(r.mstar_table, eta, xi, n), b.mats, n)
+    m_br = mat_lincomb(bilinear(b.r.mstar_table, eta, xi, n), b.mats, n)
     return m_eta @ m_xi - m_xi @ m_eta - m_br
 
 
-def poisson_compat_failures(pair: ReductivePair, r: Bivector, b: ConnectionMap) -> tuple:
+def poisson_compat_failures(b: ConnectionMap) -> tuple:
     """Basis triples violating r(b(eta,xi),eps) + r(xi, b(eta,eps)) = 0.
 
     With eta, xi, eps = eps_a, eps_c, eps_d the value is entry (d, c) of
@@ -211,19 +173,20 @@ def poisson_compat_failures(pair: ReductivePair, r: Bivector, b: ConnectionMap) 
     r_# b[a][c] plus <b[a][d], r_# eps_c>.  Triples are listed in (a, c, d)
     order with their nonzero values.
     """
-    n = pair.dim_m
+    n = b.dim
+    R = b.r.r_mat
     bad = []
     for a, M in enumerate(b.mats):
-        S = (r.r_mat @ M + M.T @ r.r_mat).entries
+        S = (R @ M + M.T @ R).entries
         bad.extend(((a, c, d), S[d][c]) for c in range(n) for d in range(n) if S[d][c])
     return tuple(bad)
 
 
-def poisson_compat(pair: ReductivePair, r: Bivector, b: ConnectionMap) -> bool:
-    return not poisson_compat_failures(pair, r, b)
+def poisson_compat(b: ConnectionMap) -> bool:
+    return not poisson_compat_failures(b)
 
 
-def ad_invariance_check(b: ConnectionMap, pair: ReductivePair) -> bool:
+def ad_invariance_check(b: ConnectionMap) -> bool:
     """Equivariance of b under the isotropy action on m*.
 
     Infinitesimal for the connected part: with N = (ad-bar_u)^T,
@@ -232,8 +195,8 @@ def ad_invariance_check(b: ConnectionMap, pair: ReductivePair) -> bool:
     these read M_{N eps_a} + M_a N = N M_a and M_{P eps_a} P = P M_a, column
     c being the identity at xi = eps_c.
     """
-    iso = pair.iso
-    n = pair.dim_m
+    iso = b.r.iso
+    n = b.dim
     mats = b.mats
     for ad_bar in iso.ad_bars:
         N = ad_bar.T
@@ -248,9 +211,9 @@ def ad_invariance_check(b: ConnectionMap, pair: ReductivePair) -> bool:
     return True
 
 
-def is_f_connection(b: ConnectionMap, r: Bivector) -> bool:
-    """True when b_eta = 0 for every eta in the kernel of the sharp map."""
-    for kappa in kernel(r.r_mat).basis:
+def is_f_connection(b: ConnectionMap) -> bool:
+    """True when b_eta = 0 for every eta in the kernel of the sharp map of b.r."""
+    for kappa in kernel(b.r.r_mat).basis:
         if not b.matrix_for(kappa).is_zero():
             return False
     return True
@@ -264,7 +227,6 @@ class NomizuMap:
     vector of m); the map vanishes on the chosen complement of Im(r_#).
     """
 
-    pair: ReductivePair
     r: Bivector
     psi: tuple  # of Mat
 
@@ -273,16 +235,16 @@ class NomizuMap:
         return mat_lincomb(_covector(x, n), self.psi, n)
 
 
-def f_connection_to_nomizu(b: ConnectionMap, r: Bivector) -> NomizuMap:
+def f_connection_to_nomizu(b: ConnectionMap) -> NomizuMap:
     """mu_w = (b_{eta_w})^T for w in Im(r_#), zero on the greedy complement.
 
     eta_w is any solution of r_# eta = w; F-connections make the choice
     irrelevant since kernel directions act by zero.
     """
-    if not is_f_connection(b, r):
+    if not is_f_connection(b):
         raise NotAnFConnection("b_eta must vanish for eta in ker(sharp)")
-    pair = b.pair
-    n = pair.dim_m
+    r = b.r
+    n = b.dim
     _, proj = complement_projection(r.image)
     psi = []
     for t in range(n):
@@ -292,17 +254,17 @@ def f_connection_to_nomizu(b: ConnectionMap, r: Bivector) -> NomizuMap:
             continue
         eta = solve(r.r_mat, w)
         psi.append(b.matrix_for(eta).T)
-    return NomizuMap(pair=pair, r=r, psi=tuple(psi))
+    return NomizuMap(r=r, psi=tuple(psi))
 
 
-def nomizu_to_contravariant(psi: NomizuMap, r: Bivector) -> ConnectionMap:
-    """b(eta, xi) = (psi_{eta^#})^T xi, the transpose dictionary.
+def nomizu_to_contravariant(psi: NomizuMap) -> ConnectionMap:
+    """b(eta, xi) = (psi_{eta^#})^T xi, the transpose dictionary, r = psi.r.
 
     On basis covectors b[a][c] is row c of psi applied to column a of r_#.
     """
-    n = psi.pair.dim_m
-    b = tuple(psi.operator_for(r.r_mat.col(a)).entries for a in range(n))
-    return ConnectionMap(pair=psi.pair, r=r, b=b)
+    R = psi.r.r_mat
+    b = tuple(psi.operator_for(R.col(a)).entries for a in range(len(psi.psi)))
+    return ConnectionMap(r=psi.r, b=b)
 
 
 @dataclass(frozen=True)
@@ -314,7 +276,6 @@ class LeafConnection:
     (the flatness criterion then does not apply).
     """
 
-    pair: ReductivePair
     r: Bivector
     basis: tuple
     br: tuple
@@ -324,18 +285,17 @@ class LeafConnection:
     flat: object  # bool or None
 
 
-def induced_leaf_connection(
-    pair: ReductivePair, r: Bivector, b: ConnectionMap, complement_indices=None
-) -> LeafConnection:
-    """b^r(u, v) = (b(eta_u, eta_v))^#, with eta_v read off the pairing.
+def induced_leaf_connection(b: ConnectionMap, complement_indices=None) -> LeafConnection:
+    """b^r(u, v) = (b(eta_u, eta_v))^#, r = b.r, with eta_v read off the pairing.
 
     <eta_v, u> = omega_r(v, proj(u)) where proj is the projection onto
     Im(r_#) along the chosen complement inside m; the result does not
     depend on that choice, which the tests verify by swapping complements.
     """
+    r = b.r
     require_r_matrix(r)
-    iso = pair.iso
-    n = pair.dim_m
+    iso = r.iso
+    n = b.dim
     im = r.image
     d = im.dim
     _, proj = complement_projection(im, complement_indices)
@@ -360,7 +320,7 @@ def induced_leaf_connection(
 
     eps = Mat.identity(n).entries
     curvature_zero = all(
-        curvature(pair, r, b, eps[a], eps[c]).is_zero()
+        curvature(b, eps[a], eps[c]).is_zero()
         for a in range(n)
         for c in range(a + 1, n)
     )
@@ -368,13 +328,13 @@ def induced_leaf_connection(
     if curvature_zero:
 
         def h_component(x, y):
-            z = bracket(pair.L, iso.s_matrix @ x, iso.s_matrix @ y)
+            z = bracket(iso.L, iso.s_matrix @ x, iso.s_matrix @ y)
             return vsub(z, iso.s_matrix @ (iso.q_matrix @ z))
 
         flat = all(
             all(
                 x == 0
-                for x in bracket(pair.L, h_component(im.basis[i], im.basis[j]), iso.s_matrix @ im.basis[k])
+                for x in bracket(iso.L, h_component(im.basis[i], im.basis[j]), iso.s_matrix @ im.basis[k])
             )
             for i in range(d)
             for j in range(d)
@@ -382,7 +342,6 @@ def induced_leaf_connection(
         )
 
     return LeafConnection(
-        pair=pair,
         r=r,
         basis=im.basis,
         br=br,

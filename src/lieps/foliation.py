@@ -20,12 +20,11 @@ from .errors import (
     NotACocycle,
     NotClosed,
     NotInvariant,
-    NotReductive,
     RadicalMismatch,
 )
 from .exact import Mat, Subspace, dot, inverse, kernel, solve, zero_vec
 from .invariants import invariance_rows
-from .liecore import IsotropyModel, bracket, structure_constants, wedge2_space
+from .liecore import IsotropyModel, bracket, require_reductive, structure_constants, wedge2_space
 from .ybe import Bivector, require_r_matrix
 
 
@@ -232,8 +231,7 @@ def w_omega_pair(r: Bivector):
     W-basis triples; both are consequences of the correspondence theorem and
     failures are surfaced.
     """
-    if not r.iso.reductive:
-        raise NotReductive("the declared complement is not h-stable")
+    require_reductive(r.iso)
     require_r_matrix(r)
     W = r.image
     C = _frame_constants(r, 0, ClosureFailure("[W, W]_m leaves W"))

@@ -27,7 +27,14 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
 
-from .errors import GeneratorMovesH, NoSolution, NotAnAutomorphism, NotASubalgebra, NotInH
+from .errors import (
+    GeneratorMovesH,
+    NoSolution,
+    NotAnAutomorphism,
+    NotASubalgebra,
+    NotInH,
+    NotReductive,
+)
 from .exact import Mat, Subspace, from_ints, int_columns, rref, to_ints, vec, vsub
 
 
@@ -197,8 +204,9 @@ class IsotropyModel:
     annihilator h° of h, the working model of (g/h)*.
 
     The action of the isotropy on g/h (ad_bars, generator_maps), the
-    reductive flag, the integer columns of q and the integer m-bracket
-    table m_table are derived once, on first use, and kept on the model.
+    reductive and symmetric flags, the integer columns of q and the integer
+    m-bracket table m_table are derived once, on first use, and kept on the
+    model.
     """
 
     L: LieAlgebra
@@ -306,6 +314,21 @@ class IsotropyModel:
             for col in self._complement_brackets(to_ints(_nonzeros(u))[0])
             for k, v in col.items()
         )
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """[m, m] in h for the declared complement m = s(g/h).
+
+        h = ker q, so this holds exactly when every m-bracket q[e_j, e_t]
+        of two complement vectors vanishes: m_table has no nonzero entry.
+        """
+        return not any(any(col) for cols in self.m_table[0] for col in cols)
+
+
+def require_reductive(iso: IsotropyModel) -> None:
+    """NotReductive unless the declared complement is h-stable, [h, m] in m."""
+    if not iso.reductive:
+        raise NotReductive("the declared complement is not h-stable")
 
 
 def _check_subalgebra(L: LieAlgebra, h: Subspace):
@@ -424,12 +447,12 @@ def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement
     )
 
 
-def induced_ad_bar(L: LieAlgebra, iso: IsotropyModel, u) -> Mat:
+def induced_ad_bar(iso: IsotropyModel, u) -> Mat:
     """Matrix of the quotient action ad-bar_u = q ad_u s for u in h.
 
     Well defined because h is a subalgebra: ad_u maps h to h, so the result
-    does not depend on the choice of section.  L is iso.L; the operator is
-    read off the model by quotient_ad.
+    does not depend on the choice of section.  The operator is read off the
+    model by quotient_ad.
     """
     u = vec(u)
     if not iso.h_basis.contains(u):

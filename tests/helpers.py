@@ -409,7 +409,7 @@ def dense_invariant_bivectors(iso) -> Subspace:
     eye = Mat.identity(nwedge)
     rows = []
     for u in iso.h_basis.basis:
-        rows += dense_wedge2_derivation(induced_ad_bar(iso.L, iso, u)).entries
+        rows += dense_wedge2_derivation(induced_ad_bar(iso, u)).entries
     for A in iso.discrete_generators:
         rows += (dense_wedge2_action(induced_map(iso, A)) - eye).entries
     return kernel(Mat(rows, nwedge))
@@ -463,7 +463,7 @@ def dense_leaf_reductive(r) -> bool:
     """Im r_# is stable under ad-bar_u, one ad-bar rebuilt per (u, v) pair."""
     iso = r.iso
     return all(
-        r.image.contains(induced_ad_bar(iso.L, iso, u) @ v)
+        r.image.contains(induced_ad_bar(iso, u) @ v)
         for u in iso.h_basis.basis
         for v in r.image.basis
     )

@@ -15,7 +15,6 @@ from lieps.connections import (
     curvature,
     induced_leaf_connection,
     l_operator,
-    make_reductive_pair,
     poisson_compat,
     torsion,
 )
@@ -149,28 +148,27 @@ def test_criterion_6_leaf_data_roundtrips():
 
 def test_criterion_7_connection_families():
     for tag, L, iso, r in catalog_r_matrices():
-        pair = make_reductive_pair(L, iso)
-        n = pair.dim_m
+        n = iso.quotient_dim
         eps = Mat.identity(n).entries
-        natural = build_connection("natural", pair, r)
-        fedosov = build_connection("fedosov", pair, r)
-        canonical = build_connection("canonical", pair, r)
+        natural = build_connection("natural", r)
+        fedosov = build_connection("fedosov", r)
+        canonical = build_connection("canonical", r)
         for a in range(n):
             for c in range(n):
                 eta, xi = eps[a], eps[c]
                 zero = tuple([QQ(0)] * n)
-                assert torsion(pair, r, natural, eta, xi) == zero, tag
-                assert torsion(pair, r, fedosov, eta, xi) == zero, tag
-                assert curvature(pair, r, canonical, eta, xi).is_zero(), tag
+                assert torsion(natural, eta, xi) == zero, tag
+                assert torsion(fedosov, eta, xi) == zero, tag
+                assert curvature(canonical, eta, xi).is_zero(), tag
                 lhs = tuple(
                     p - q
                     for p, q in zip(
-                        l_operator(pair, r, xi).apply_T(eta),
-                        l_operator(pair, r, eta).apply_T(xi),
+                        l_operator(r, xi).apply_T(eta),
+                        l_operator(r, eta).apply_T(xi),
                     )
                 )
                 assert lhs == quotient_hcirc(r, eta, xi), tag
-        assert poisson_compat(pair, r, fedosov), tag
+        assert poisson_compat(fedosov), tag
 
 
 def test_criterion_8_fixed_space_lie_algebras():
@@ -182,11 +180,10 @@ def test_criterion_8_fixed_space_lie_algebras():
 
 def test_criterion_9_grassmannian_fedosov_on_leaf():
     L, iso = instance("so4_grassmann")
-    pair = make_reductive_pair(L, iso)
     r = make_bivector(iso, V(1, 1, 0, 0, 1, 1))
-    b = build_connection("fedosov", pair, r)
-    lc = induced_leaf_connection(pair, r, b)
-    swapped = induced_leaf_connection(pair, r, b, complement_indices=(1, 3))
+    b = build_connection("fedosov", r)
+    lc = induced_leaf_connection(b)
+    swapped = induced_leaf_connection(b, complement_indices=(1, 3))
     assert swapped.basis == lc.basis
     assert swapped.br == lc.br
     assert lc.torsionless

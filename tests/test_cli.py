@@ -151,6 +151,16 @@ def test_non_decimal_bracket_key_is_a_parse_error():
     assert err == "parse error: brackets[0].coeffs.²: key must be a basis index\n"
 
 
+@pytest.mark.parametrize("key", ["02", "٢"])
+def test_repeated_bracket_index_is_a_parse_error(key):
+    # "02" and the Arabic-Indic "٢" both name index 2, which "2" names already
+    doc = json.loads(H1)
+    doc["brackets"][0]["coeffs"] = {"2": "3", key: "1"}
+    code, out, err = run_cli(["validate", "-"], json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: brackets[0].coeffs.{key}: repeated basis index 2\n"
+
+
 @given(
     st.lists(
         st.sampled_from(
@@ -427,18 +437,17 @@ def test_poisson_compat_is_two_matrix_products_per_basis_covector(monkeypatch):
     # r_# M_a + M_a^T r_# per a, over the cached columns of b: no Fraction
     # dot product, where the triple loop made 2 n^3 of them (686 at n = 7)
     from lieps.catalog import realize
-    from lieps.connections import build_connection, make_reductive_pair, poisson_compat_failures
+    from lieps.connections import build_connection, poisson_compat_failures
     from lieps.exact import Mat
     from lieps.ybe import make_bivector
 
     L, iso = realize(builtin("heisenberg", {"n": 3}))
     labels = [L.labels[j] for j in iso.complement_indices]
     r = make_bivector(iso, parse_bivector_expr("u1^w + v1^w", labels))
-    pair = make_reductive_pair(L, iso)
-    b = build_connection("fedosov", pair, r)
+    b = build_connection("fedosov", r)
     dots = count_calls(monkeypatch, exact, "dot")
     products = count_calls(monkeypatch, Mat, "__matmul__")
-    failures = poisson_compat_failures(pair, r, b)
+    failures = poisson_compat_failures(b)
     assert dots == []
     assert len(products) == 2 * iso.quotient_dim == 14
     assert failures == dense_poisson_compat_failures(r, b.b)
@@ -448,12 +457,10 @@ def test_reductive_pair_reads_the_structure_constants_not_brackets(monkeypatch):
     # [h, m] in m from the isotropy ad-matrices and [m, m] in h from the
     # nonzeros of c: no bracket per pair of basis vectors
     from lieps.catalog import realize
-    from lieps.connections import make_reductive_pair
 
     L, iso = realize(builtin("double", {"of": "heisenberg", "n": 2}))
     calls = count_calls(monkeypatch, liecore, "bracket")
-    pair = make_reductive_pair(L, iso)
-    assert pair.symmetric
+    assert iso.symmetric
     assert len(calls) == 0
 
 
@@ -553,7 +560,19 @@ def test_connection_non_reductive_is_domain_error():
         stdin_text=json.dumps(doc),
     )
     assert code == 1
-    assert "error:" in err
+    assert err == "error: the declared complement is not h-stable\n"
+
+
+def test_connection_non_reductive_wins_over_a_malformed_r():
+    # [x, y] = x with h = span{x}: [h, m] = span{x} leaves m = span{y}, and
+    # that is reported before --r is parsed
+    doc = {"dim": 2, "labels": ["x", "y"], "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "1"}}],
+           "subalgebra": [[1, 0]]}
+    code, out, err = run_cli(
+        ["connection", "-", "--r", "y^^", "--kind", "natural"], stdin_text=json.dumps(doc)
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: the declared complement is not h-stable\n"
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from lieps.connections import (
     is_f_connection,
     induced_leaf_connection,
     l_operator,
-    make_reductive_pair,
     mstar_bracket,
     nomizu_to_contravariant,
     poisson_compat,
@@ -51,13 +50,6 @@ def _basis(n):
     return Mat.identity(n).entries
 
 
-def _pairs():
-    return [
-        (tag, L, iso, make_reductive_pair(L, iso), r)
-        for tag, L, iso, r in catalog_r_matrices()
-    ]
-
-
 # ---------------------------------------------------------------------------
 # reductive pairs
 
@@ -72,7 +64,7 @@ def test_reductive_flags_on_catalog():
     ]:
         L, iso = instance(name, params)
         assert iso.reductive, name
-        assert make_reductive_pair(L, iso).symmetric == symmetric, name
+        assert iso.symmetric == symmetric, name
 
 
 def test_nontrivial_isotropy_with_central_brackets_is_symmetric():
@@ -80,7 +72,7 @@ def test_nontrivial_isotropy_with_central_brackets_is_symmetric():
     L, _ = instance("heisenberg", {"n": 1})
     iso = make_isotropy(L, [V(1, 0, 0)], complement_indices=(1, 2))
     assert iso.reductive
-    assert make_reductive_pair(L, iso).symmetric
+    assert iso.symmetric
 
 
 def test_non_reductive_isotropy_is_rejected():
@@ -88,7 +80,7 @@ def test_non_reductive_isotropy_is_rejected():
     iso = make_isotropy(L, [V(1, 0, 0)])
     assert not iso.reductive
     with pytest.raises(NotReductive):
-        make_reductive_pair(L, iso)
+        build_connection("canonical", make_bivector(iso, V(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,43 +89,41 @@ def test_non_reductive_isotropy_is_rejected():
 
 def test_mstar_bracket_vanishes_on_symmetric_pair_invariants():
     L, iso = instance("so4_grassmann")
-    pair = make_reductive_pair(L, iso)
     for coords in invariant_candidates(iso):
         r = make_bivector(iso, coords)
         for eta in _basis(4):
             for xi in _basis(4):
-                assert mstar_bracket(pair, r, eta, xi) == V(0, 0, 0, 0)
+                assert mstar_bracket(r, eta, xi) == V(0, 0, 0, 0)
 
 
 def test_mstar_bracket_zero_bivector():
     L, iso = instance("iso11")
-    pair = make_reductive_pair(L, iso)
     r0 = make_bivector(iso, V(0, 0, 0))
-    assert mstar_bracket(pair, r0, V(1, 0, 0), V(0, 1, 0)) == V(0, 0, 0)
+    assert mstar_bracket(r0, V(1, 0, 0), V(0, 1, 0)) == V(0, 0, 0)
 
 
 def test_mstar_bracket_agrees_with_annihilator_route():
-    for tag, L, iso, pair, r in _pairs():
-        n = pair.dim_m
+    for tag, L, iso, r in catalog_r_matrices():
+        n = iso.quotient_dim
         for eta in _basis(n):
             for xi in _basis(n):
-                assert mstar_bracket(pair, r, eta, xi) == quotient_hcirc(r, eta, xi), tag
+                assert mstar_bracket(r, eta, xi) == quotient_hcirc(r, eta, xi), tag
 
 
 def test_enabling_identity_for_torsionless_builders():
     # eta . l_{xi#} - xi . l_{eta#} equals the bracket on every basis pair
-    cases = list(_pairs())
+    cases = list(catalog_r_matrices())
     L, iso = instance("iso11")
-    cases.append(("iso11-e1e3", L, iso, make_reductive_pair(L, iso), make_bivector(iso, V(0, 1, 0))))
-    for tag, L, iso, pair, r in cases:
-        n = pair.dim_m
+    cases.append(("iso11-e1e3", L, iso, make_bivector(iso, V(0, 1, 0))))
+    for tag, L, iso, r in cases:
+        n = iso.quotient_dim
         for eta in _basis(n):
             for xi in _basis(n):
                 lhs = tuple(
                     a - b
                     for a, b in zip(
-                        l_operator(pair, r, xi).apply_T(eta),
-                        l_operator(pair, r, eta).apply_T(xi),
+                        l_operator(r, xi).apply_T(eta),
+                        l_operator(r, eta).apply_T(xi),
                     )
                 )
                 assert lhs == quotient_hcirc(r, eta, xi), tag
@@ -148,22 +138,21 @@ def test_bracket_is_infinitesimally_equivariant():
         ("double", {"of": "heisenberg", "n": 1}),
     ]:
         L, iso = instance(name, params)
-        pair = make_reductive_pair(L, iso)
-        n = pair.dim_m
+        n = iso.quotient_dim
         for coords in invariant_bivectors(iso).basis.basis:
             r = make_bivector(iso, coords)
             for u in iso.h_basis.basis:
-                ab = induced_ad_bar(L, iso, u)
+                ab = induced_ad_bar(iso, u)
                 for eta in _basis(n):
                     for xi in _basis(n):
                         lhs = tuple(
                             a + b
                             for a, b in zip(
-                                mstar_bracket(pair, r, ab.apply_T(eta), xi),
-                                mstar_bracket(pair, r, eta, ab.apply_T(xi)),
+                                mstar_bracket(r, ab.apply_T(eta), xi),
+                                mstar_bracket(r, eta, ab.apply_T(xi)),
                             )
                         )
-                        assert lhs == tuple(ab.apply_T(mstar_bracket(pair, r, eta, xi)))
+                        assert lhs == tuple(ab.apply_T(mstar_bracket(r, eta, xi)))
 
 
 def test_reductive_r_matrix_criterion_matches_tensor_route():
@@ -205,13 +194,12 @@ def test_reductive_r_matrix_criterion_frozen_cases():
 
 def _iso11_e1e3():
     L, iso = instance("iso11")
-    pair = make_reductive_pair(L, iso)
-    return pair, make_bivector(iso, V(0, 1, 0))
+    return make_bivector(iso, V(0, 1, 0))
 
 
 def test_fedosov_values_frozen():
-    pair, r = _iso11_e1e3()
-    b = build_connection("fedosov", pair, r)
+    r = _iso11_e1e3()
+    b = build_connection("fedosov", r)
     e = _basis(3)
     assert b.apply(e[0], e[0]) == V(QQ(1, 3), 0, 0)
     assert b.apply(e[0], e[1]) == V(0, QQ(-2, 3), 0)
@@ -224,37 +212,36 @@ def test_fedosov_values_frozen():
 
 
 def test_canonical_is_zero_and_natural_is_half_bracket():
-    for tag, L, iso, pair, r in _pairs():
-        n = pair.dim_m
-        zero = build_connection("canonical", pair, r)
+    for tag, L, iso, r in catalog_r_matrices():
+        n = iso.quotient_dim
+        zero = build_connection("canonical", r)
         assert zero.is_zero(), tag
-        natural = build_connection("natural", pair, r)
+        natural = build_connection("natural", r)
         for eta in _basis(n):
             for xi in _basis(n):
-                half = tuple(QQ(1, 2) * x for x in mstar_bracket(pair, r, eta, xi))
+                half = tuple(QQ(1, 2) * x for x in mstar_bracket(r, eta, xi))
                 assert natural.apply(eta, xi) == half, tag
 
 
 def test_natural_vanishes_on_symmetric_pair():
     L, iso = instance("so4_grassmann")
-    pair = make_reductive_pair(L, iso)
     r = make_bivector(iso, V(1, 1, 0, 0, 1, 1))
-    assert build_connection("natural", pair, r).is_zero()
+    assert build_connection("natural", r).is_zero()
 
 
 def test_left_symmetric_formula():
-    pair, r = _iso11_e1e3()
-    b = build_connection("left_symmetric", pair, r)
+    r = _iso11_e1e3()
+    b = build_connection("left_symmetric", r)
     for eta in _basis(3):
         for xi in _basis(3):
-            expected = tuple(-x for x in l_operator(pair, r, eta).apply_T(xi))
+            expected = tuple(-x for x in l_operator(r, eta).apply_T(xi))
             assert b.apply(eta, xi) == expected
 
 
 def test_unknown_kind_rejected():
-    pair, r = _iso11_e1e3()
+    r = _iso11_e1e3()
     with pytest.raises(ValueError):
-        build_connection("bogus", pair, r)
+        build_connection("bogus", r)
 
 
 # ---------------------------------------------------------------------------
@@ -262,50 +249,50 @@ def test_unknown_kind_rejected():
 
 
 def test_torsionless_builders_on_catalog():
-    for tag, L, iso, pair, r in _pairs():
-        n = pair.dim_m
+    for tag, L, iso, r in catalog_r_matrices():
+        n = iso.quotient_dim
         for kind in ("natural", "left_symmetric", "fedosov"):
-            b = build_connection(kind, pair, r)
+            b = build_connection(kind, r)
             for i in range(n):
                 for j in range(n):
-                    assert torsion(pair, r, b, _basis(n)[i], _basis(n)[j]) == tuple(
+                    assert torsion(b, _basis(n)[i], _basis(n)[j]) == tuple(
                         [QQ(0)] * n
                     ), (tag, kind)
 
 
 def test_canonical_torsion_is_minus_bracket():
-    for tag, L, iso, pair, r in _pairs():
-        n = pair.dim_m
-        b = build_connection("canonical", pair, r)
+    for tag, L, iso, r in catalog_r_matrices():
+        n = iso.quotient_dim
+        b = build_connection("canonical", r)
         for eta in _basis(n):
             for xi in _basis(n):
-                expected = tuple(-x for x in mstar_bracket(pair, r, eta, xi))
-                assert torsion(pair, r, b, eta, xi) == expected, tag
+                expected = tuple(-x for x in mstar_bracket(r, eta, xi))
+                assert torsion(b, eta, xi) == expected, tag
 
 
 def test_canonical_curvature_vanishes():
-    for tag, L, iso, pair, r in _pairs():
-        n = pair.dim_m
-        b = build_connection("canonical", pair, r)
+    for tag, L, iso, r in catalog_r_matrices():
+        n = iso.quotient_dim
+        b = build_connection("canonical", r)
         for eta in _basis(n):
             for xi in _basis(n):
-                assert curvature(pair, r, b, eta, xi).is_zero(), tag
+                assert curvature(b, eta, xi).is_zero(), tag
 
 
 def test_fedosov_curvature_can_be_nonzero():
-    pair, r = _iso11_e1e3()
-    b = build_connection("fedosov", pair, r)
+    r = _iso11_e1e3()
+    b = build_connection("fedosov", r)
     e = _basis(3)
-    assert not curvature(pair, r, b, e[0], e[2]).is_zero()
+    assert not curvature(b, e[0], e[2]).is_zero()
 
 
 def test_fedosov_poisson_compatibility():
-    pair, r = _iso11_e1e3()
-    assert poisson_compat(pair, r, build_connection("fedosov", pair, r))
-    for tag, L, iso, pair, r in _pairs():
-        assert poisson_compat(pair, r, build_connection("fedosov", pair, r)), tag
-        zero = build_connection("canonical", pair, r)
-        assert poisson_compat(pair, r, zero), tag
+    r = _iso11_e1e3()
+    assert poisson_compat(build_connection("fedosov", r))
+    for tag, L, iso, r in catalog_r_matrices():
+        assert poisson_compat(build_connection("fedosov", r)), tag
+        zero = build_connection("canonical", r)
+        assert poisson_compat(zero), tag
 
 
 entries27 = st.lists(
@@ -316,17 +303,17 @@ entries27 = st.lists(
 @given(entries27)
 @settings(max_examples=25, deadline=None)
 def test_torsion_is_antisymmetric_for_any_b(flat):
-    pair, r = _iso11_e1e3()
+    r = _iso11_e1e3()
     b3 = tuple(
         tuple(tuple(flat[9 * a + 3 * c + k] for k in range(3)) for c in range(3))
         for a in range(3)
     )
-    b = ConnectionMap(pair=pair, r=r, b=b3)
+    b = ConnectionMap(r=r, b=b3)
     e = _basis(3)
     for i in range(3):
         for j in range(3):
-            tij = torsion(pair, r, b, e[i], e[j])
-            tji = torsion(pair, r, b, e[j], e[i])
+            tij = torsion(b, e[i], e[j])
+            tji = torsion(b, e[j], e[i])
             assert tuple(tij) == tuple(-x for x in tji)
 
 
@@ -335,29 +322,28 @@ def test_torsion_is_antisymmetric_for_any_b(flat):
 
 
 def test_builders_are_equivariant_on_invariant_r_matrices():
-    for tag, L, iso, pair, r in _pairs():
+    for tag, L, iso, r in catalog_r_matrices():
         for kind in ("canonical", "natural", "left_symmetric", "fedosov"):
-            b = build_connection(kind, pair, r)
-            assert ad_invariance_check(b, pair), (tag, kind)
+            b = build_connection(kind, r)
+            assert ad_invariance_check(b), (tag, kind)
 
 
 def test_equivariance_fails_for_non_invariant_r():
     # e1 wedge e3 solves Yang-Baxter but is not fixed by the discrete
     # generator, and the fedosov connection inherits the defect
-    pair, r = _iso11_e1e3()
-    b = build_connection("fedosov", pair, r)
-    assert not ad_invariance_check(b, pair)
+    r = _iso11_e1e3()
+    b = build_connection("fedosov", r)
+    assert not ad_invariance_check(b)
 
 
 def test_equivariance_fails_for_arbitrary_b():
     L, iso = instance("heisenberg", {"n": 1})
-    pair = make_reductive_pair(L, iso)
     r = make_bivector(iso, V(0, 1, 0))
     z = V(0, 0, 0)
     b3 = [[z, z, z], [z, z, z], [z, z, z]]
     b3[1][2] = V(1, 0, 0)
-    b = ConnectionMap(pair=pair, r=r, b=tuple(tuple(row) for row in b3))
-    assert not ad_invariance_check(b, pair)
+    b = ConnectionMap(r=r, b=tuple(tuple(row) for row in b3))
+    assert not ad_invariance_check(b)
 
 
 # ---------------------------------------------------------------------------
@@ -366,41 +352,39 @@ def test_equivariance_fails_for_arbitrary_b():
 
 def test_heisenberg_fedosov_is_f_connection_with_frozen_value():
     L, iso = instance("heisenberg", {"n": 1})
-    pair = make_reductive_pair(L, iso)
     r = make_bivector(iso, V(0, 1, 0))
-    b = build_connection("fedosov", pair, r)
+    b = build_connection("fedosov", r)
     e = _basis(3)
     assert b.apply(e[2], e[2]) == V(0, QQ(1, 3), 0)
     nonzero = [
         (a, c) for a in range(3) for c in range(3) if b.apply(e[a], e[c]) != V(0, 0, 0)
     ]
     assert nonzero == [(2, 2)]
-    assert is_f_connection(b, r)
-    psi = f_connection_to_nomizu(b, r)
-    back = nomizu_to_contravariant(psi, r)
+    assert is_f_connection(b)
+    psi = f_connection_to_nomizu(b)
+    back = nomizu_to_contravariant(psi)
     assert back.b == b.b
 
 
 def test_nomizu_roundtrip_on_catalog_fedosov():
-    for tag, L, iso, pair, r in _pairs():
-        b = build_connection("fedosov", pair, r)
-        if not is_f_connection(b, r):
+    for tag, L, iso, r in catalog_r_matrices():
+        b = build_connection("fedosov", r)
+        if not is_f_connection(b):
             continue
-        psi = f_connection_to_nomizu(b, r)
-        assert nomizu_to_contravariant(psi, r).b == b.b, tag
+        psi = f_connection_to_nomizu(b)
+        assert nomizu_to_contravariant(psi).b == b.b, tag
 
 
 def test_non_f_connection_rejected():
     L, iso = instance("heisenberg", {"n": 1})
-    pair = make_reductive_pair(L, iso)
     r = make_bivector(iso, V(0, 1, 0))
     z = V(0, 0, 0)
     b3 = [[z, z, z], [z, z, z], [z, z, z]]
     b3[1][2] = V(1, 0, 0)  # v1* direction lies in the kernel of the sharp map
-    b = ConnectionMap(pair=pair, r=r, b=tuple(tuple(row) for row in b3))
-    assert not is_f_connection(b, r)
+    b = ConnectionMap(r=r, b=tuple(tuple(row) for row in b3))
+    assert not is_f_connection(b)
     with pytest.raises(NotAnFConnection):
-        f_connection_to_nomizu(b, r)
+        f_connection_to_nomizu(b)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +393,14 @@ def test_non_f_connection_rejected():
 
 def test_so4_leaf_connection_flags():
     L, iso = instance("so4_grassmann")
-    pair = make_reductive_pair(L, iso)
     r = make_bivector(iso, V(1, 1, 0, 0, 1, 1))
-    b = build_connection("fedosov", pair, r)
-    lc = induced_leaf_connection(pair, r, b)
+    b = build_connection("fedosov", r)
+    lc = induced_leaf_connection(b)
     assert lc.torsionless
     assert lc.symplectic
     assert lc.fedosov
     assert lc.flat is False
-    swapped = induced_leaf_connection(pair, r, b, complement_indices=(1, 3))
+    swapped = induced_leaf_connection(b, complement_indices=(1, 3))
     assert swapped.basis == lc.basis
     assert swapped.br == lc.br
     assert (swapped.torsionless, swapped.symplectic, swapped.fedosov, swapped.flat) == (
@@ -433,30 +416,27 @@ def test_leaf_connection_rejects_a_complement_that_does_not_complete_the_image(b
     # Im r_# = span{e1 - e4, e2 + e3}: e1, e4 span a plane meeting it, and
     # the others are too few, too many, repeated or out of range
     L, iso = instance("so4_grassmann")
-    pair = make_reductive_pair(L, iso)
     r = make_bivector(iso, V(1, 1, 0, 0, 1, 1))
-    b = build_connection("fedosov", pair, r)
+    b = build_connection("fedosov", r)
     with pytest.raises(ValueError):
-        induced_leaf_connection(pair, r, b, complement_indices=bad)
+        induced_leaf_connection(b, complement_indices=bad)
 
 
 def test_heisenberg_leaf_connection_is_flat():
     L, iso = instance("heisenberg", {"n": 1})
-    pair = make_reductive_pair(L, iso)
     r = make_bivector(iso, V(0, 1, 0))
-    b = build_connection("fedosov", pair, r)
-    lc = induced_leaf_connection(pair, r, b)
+    b = build_connection("fedosov", r)
+    lc = induced_leaf_connection(b)
     assert lc.torsionless and lc.symplectic and lc.fedosov
     assert lc.flat is True
 
 
 def test_leaf_connection_requires_r_matrix():
     L, iso = instance("iso11")
-    pair = make_reductive_pair(L, iso)
     s = make_bivector(iso, V(0, 1, -1))
-    b = build_connection("canonical", pair, s)
+    b = build_connection("canonical", s)
     with pytest.raises(NotAnRMatrix):
-        induced_leaf_connection(pair, s, b)
+        induced_leaf_connection(b)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +445,8 @@ def test_leaf_connection_requires_r_matrix():
 
 def test_left_symmetric_product_on_fixed_covectors():
     L, iso = instance("iso11")
-    pair = make_reductive_pair(L, iso)
     r = make_bivector(iso, V(1, 0, 0))  # e1 wedge e2, an invariant r-matrix
-    b = build_connection("left_symmetric", pair, r)
+    b = build_connection("left_symmetric", r)
     x1 = V(1, 1, 0)
     x2 = V(0, 0, 1)
     assert b.apply(x1, x1) == V(0, 0, 2)  # x1 . x1 = 2 x2
@@ -484,7 +463,7 @@ def _reductive_catalog_pairs():
     out = []
     for tag, L, iso in catalog_instances():
         if iso.reductive:
-            out.append((tag, iso, make_reductive_pair(L, iso)))
+            out.append((tag, iso))
     return out
 
 
@@ -504,17 +483,37 @@ def _sparse_vector(data, n):
 def test_connection_tables_match_per_pair_formulas(data):
     # arbitrary skew r (mostly neither invariant nor an r-matrix) and
     # arbitrary rational alpha, beta: every quantity equals its oracle exactly
-    tag, iso, pair = data.draw(st.sampled_from(REDUCTIVE_PAIRS))
-    n = pair.dim_m
+    tag, iso = data.draw(st.sampled_from(REDUCTIVE_PAIRS))
+    n = iso.quotient_dim
     r = make_bivector(iso, _sparse_vector(data, len(wedge2_space(n))))
     alpha = _sparse_vector(data, n)
     beta = _sparse_vector(data, n)
-    assert l_operator(pair, r, alpha) == dense_l_operator(iso, r, alpha), tag
-    assert mstar_bracket(pair, r, alpha, beta) == dense_mstar_bracket(iso, r, alpha, beta), tag
+    assert l_operator(r, alpha) == dense_l_operator(iso, r, alpha), tag
+    assert mstar_bracket(r, alpha, beta) == dense_mstar_bracket(iso, r, alpha, beta), tag
     for kind in ("canonical", "natural", "left_symmetric", "fedosov"):
-        b = build_connection(kind, pair, r)
+        b = build_connection(kind, r)
         assert b.b == dense_connection(kind, iso, r), (tag, kind)
         assert b.apply(alpha, beta) == dense_apply(b.b, alpha, beta), (tag, kind)
-        assert torsion(pair, r, b, alpha, beta) == dense_torsion(iso, r, b.b, alpha, beta)
-        assert curvature(pair, r, b, alpha, beta) == dense_curvature(iso, r, b.b, alpha, beta)
-        assert poisson_compat_failures(pair, r, b) == dense_poisson_compat_failures(r, b.b)
+        assert torsion(b, alpha, beta) == dense_torsion(iso, r, b.b, alpha, beta)
+        assert curvature(b, alpha, beta) == dense_curvature(iso, r, b.b, alpha, beta)
+        assert poisson_compat_failures(b) == dense_poisson_compat_failures(r, b.b)
+
+
+def test_l_operator_and_mstar_bracket_need_no_reductive_model():
+    # both read the bivector's tables, which every model has; a connection
+    # on such a model is refused
+    seen = 0
+    for tag, _, iso, coords in random_instances(seed=5, count=30):
+        if iso.reductive:
+            continue
+        seen += 1
+        r = make_bivector(iso, coords)
+        for alpha in _basis(iso.quotient_dim):
+            assert l_operator(r, alpha) == dense_l_operator(iso, r, alpha), tag
+            for beta in _basis(iso.quotient_dim):
+                assert mstar_bracket(r, alpha, beta) == dense_mstar_bracket(iso, r, alpha, beta), tag
+        with pytest.raises(NotReductive):
+            build_connection("natural", r)
+        with pytest.raises(NotReductive):
+            ConnectionMap(r=r, b=dense_connection("natural", iso, r))
+    assert seen > 0

@@ -27,7 +27,6 @@ from helpers import (
     random_instances,
 )
 from lieps import catalog, exact
-from lieps.connections import make_reductive_pair
 from lieps.errors import (
     GeneratorMovesH,
     NotAnAutomorphism,
@@ -49,6 +48,7 @@ from lieps.liecore import (
     induced_map,
     make_isotropy,
     make_lie_algebra,
+    require_reductive,
     validate,
     wedge2_action_rows,
     wedge2_derivation_rows,
@@ -183,14 +183,14 @@ def test_generator_must_preserve_h():
 def test_induced_ad_bar_requires_h_member():
     L, iso = instance("gl_sym", {"n": 2})
     with pytest.raises(NotInH):
-        induced_ad_bar(L, iso, V(1, 0, 0, 0))
+        induced_ad_bar(iso, V(1, 0, 0, 0))
 
 
 def test_induced_ad_bar_matches_direct_computation():
     L, iso = instance("gl_sym", {"n": 2})
     for u in iso.h_basis.basis:
         expected = iso.q_matrix @ ad_matrix(L, u) @ iso.s_matrix
-        assert induced_ad_bar(L, iso, u) == expected
+        assert induced_ad_bar(iso, u) == expected
 
 
 def test_reductive_complement_flags():
@@ -227,23 +227,25 @@ def _isotropy_models():
 
 def test_cached_isotropy_action_matches_per_pair_loops():
     reductive_seen = set()
+    flags_seen = set()
     leaf_reductive_seen = set()
     for tag, iso, rs in _isotropy_models():
         assert iso.ad_bars == dense_ad_bars(iso), tag
         assert iso.generator_maps == dense_generator_maps(iso), tag
         assert iso.reductive == dense_is_reductive_complement(iso), tag
         reductive_seen.add(iso.reductive)
-        if iso.reductive:
-            pair = make_reductive_pair(iso.L, iso)
-            assert pair.symmetric == dense_is_symmetric_complement(iso), tag
-        else:
+        # [m, m] in h off the m-bracket table, on non-reductive models too
+        assert iso.symmetric == dense_is_symmetric_complement(iso), tag
+        flags_seen.add((iso.reductive, iso.symmetric))
+        if not iso.reductive:
             with pytest.raises(NotReductive):
-                make_reductive_pair(iso.L, iso)
+                require_reductive(iso)
         for r in rs:
             flag = leaf_decomposition(r).reductive
             assert flag == dense_leaf_reductive(r), tag
             leaf_reductive_seen.add(flag)
     assert reductive_seen == leaf_reductive_seen == {True, False}
+    assert flags_seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_heisenberg_generators_are_nilpotent_exponentials():
@@ -486,7 +488,7 @@ def test_quotient_ad_is_q_ad_s_on_transported_quotients(seed):
     x = tuple(QQ(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(L.dim))
     assert iso.quotient_ad(x) == iso.q_matrix @ ad_matrix(L, x) @ iso.s_matrix
     for u in iso.h_basis.basis:
-        assert induced_ad_bar(L, iso, u) == iso.q_matrix @ ad_matrix(L, u) @ iso.s_matrix
+        assert induced_ad_bar(iso, u) == iso.q_matrix @ ad_matrix(L, u) @ iso.s_matrix
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,9 +18,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from . import catalog
-from .connections import build_connection, curvature, poisson_compat, torsion
+from .connections import build_connection, poisson_compat
 from .errors import DocumentError, LiepsError
-from .exact import Mat
+from .exact import from_ints
 from .foliation import leaf_cocycle, leaf_decomposition
 from .invariants import invariant_bivectors
 from .liecore import require_reductive, validate, wedge2_space
@@ -358,15 +358,10 @@ def _cmd_connection(args, stdin_text):
     r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
     b = build_connection(args.kind, r)
     n = b.dim
-    eps = Mat.identity(n).entries
-    upper = [(a, c) for a in range(n) for c in range(a + 1, n)]
     b_entries = _entries(qlabels, ((a, c, b.b[a][c]) for a in range(n) for c in range(n)))
-    t_entries = _entries(qlabels, ((a, c, torsion(b, eps[a], eps[c])) for a, c in upper))
-    curved = [
-        [qlabels[a] + "*", qlabels[c] + "*"]
-        for a, c in upper
-        if not curvature(b, eps[a], eps[c]).is_zero()
-    ]
+    T, R, den, _ = b.tables
+    t_entries = _entries(qlabels, ((a, c, from_ints(v, den)) for (a, c), v in T.items()))
+    curved = [[qlabels[a] + "*", qlabels[c] + "*"] for a, c in R]
     compat = poisson_compat(b)
     payload = {
         "kind": args.kind,

@@ -16,27 +16,25 @@ l-operators and [.,.]_r need no reductivity and take the bivector.
 Throughout, covectors live in complement coordinates: m* vectors are plain
 tuples over the quotient basis, and sharps are realized through the section.
 
-Every quantity here is bilinear in two per-bivector tables, built once on
-the Bivector and shared by all checks on it: the n l-operators
-L[a] = l_{eps_a^#} and the bracket table C[a][c] = [eps_a, eps_c]_r, both
-integer contractions of r with the model's m-bracket table
-(Bivector.int_tables, ints over d_r D).  The four builders are one integer
-rule over them, b(eps_a, eps_c) = (alpha C[a][c] - beta L[a][c]) / (k d_r D)
-with (alpha, beta, k) fixed by the kind; torsion and curvature read the
-Fraction table C, and Poisson compatibility is one matrix identity
-r_# M_a + M_a^T r_# = 0 per basis covector eps_a.  Values on general
-covectors are the bilinear combinations.
+Every quantity here is bilinear in two per-bivector integer tables over
+d_r D (Bivector.int_tables): the l-operators L[a] = l_{eps_a^#} and the
+bracket table C[a][c] = [eps_a, eps_c]_r.  The four builders are one integer
+rule over them.  A ConnectionMap, however it was built, reads its entries
+once into ints N over one denominator, and its torsion, curvature and
+Poisson compatibility are integer contractions of N, C and r_#; a Fraction
+is built only for a value that is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import ClosureFailure, NotAnFConnection
-from .exact import Mat, bilinear, from_ints, inverse, kernel, mat_lincomb, solve, vec, vsub
+from .exact import Mat, bilinear, from_ints, int_vectors, inverse, kernel, lincomb, mat_lincomb, solve, vec, vsub
 from .foliation import _coords_matrix
-from .liecore import bracket, complement_projection, require_reductive
+from .liecore import bracket, complement_projection, require_reductive, wedge2_space
 from .ybe import Bivector, require_r_matrix
 
 
@@ -65,12 +63,21 @@ def mstar_bracket(r: Bivector, alpha, beta) -> tuple:
     return bilinear(r.mstar_table, _covector(alpha, n), _covector(beta, n), n)
 
 
+def _add(out, base, cols, v, f):
+    """out[base + i] += f x y over the nonzeros (k, x) of v and (i, y) of cols[k]."""
+    for k, x in v:
+        x *= f
+        for i, y in cols[k]:
+            out[base + i] += x * y
+
+
 @dataclass(frozen=True)
 class ConnectionMap:
     """Bilinear b: m* x m* -> m* as a dense array over the m* basis.
 
     r is the bivector the connection is built from; its model r.iso must be
-    reductive, else NotReductive.
+    reductive, else NotReductive.  Torsion, curvature and Poisson
+    compatibility read the integer form `ints` of b, however b was built.
     """
 
     r: Bivector
@@ -83,23 +90,57 @@ class ConnectionMap:
     def dim(self) -> int:
         return len(self.b)
 
-    @cached_property
-    def mats(self) -> tuple:
-        """M_a with M_a gamma = b(eps_a, gamma); column c of M_a is b[a][c]."""
-        n = self.dim
-        return tuple(Mat.from_cols(plane, n) for plane in self.b)
-
     def apply(self, alpha, beta) -> tuple:
         n = self.dim
         return bilinear(self.b, _covector(alpha, n), _covector(beta, n), n)
 
     def matrix_for(self, eta) -> Mat:
-        """M_eta with M_eta gamma = b(eta, gamma); columns are b(eta, eps_c)."""
+        """M_eta with M_eta gamma = b(eta, gamma); column c is sum_a eta_a b[a][c]."""
         n = self.dim
-        return mat_lincomb(_covector(eta, n), self.mats, n)
+        return Mat.from_cols([lincomb(_covector(eta, n), col, n) for col in zip(*self.b)], n)
 
     def is_zero(self) -> bool:
         return all(x == 0 for plane in self.b for row in plane for x in row)
+
+    @cached_property
+    def ints(self) -> tuple:
+        """(N, d): b = N / d over one denominator, N[a][c] the nonzeros (k, x) of b[a][c]."""
+        n = self.dim
+        nz, d = int_vectors([v for plane in self.b for v in plane])
+        return [nz[a * n:(a + 1) * n] for a in range(n)], d
+
+    @cached_property
+    def tables(self) -> tuple:
+        """(T, R, d d_c, d^2 d_c): torsion and curvature on the basis pairs a < c, in ints.
+
+        With b = N / d, [.,.]_r = C / d_c (d_c = d_r D) and N_a the integer
+        matrix with columns N[a][c]: d d_c T[a, c] = d_c (N[a][c] - N[c][a]) - d C[a][c]
+        and d^2 d_c R[a, c] = d_c (N_a N_c - N_c N_a) - d sum_t C[a][c]_t N_t, flat
+        with entry (i, j) at j n + i.  Both are skew; only nonzero pairs are kept.
+        """
+        N, d = self.ints
+        _, _, C, dr = self.r.int_tables
+        dc = dr * self.r.iso.m_table[1]
+        n = self.dim
+        cols = [[N[k][j] for k in range(n)] for j in range(n)]
+        T, R = {}, {}
+        for a, c in wedge2_space(n):
+            t = [-d * x for x in C[a][c]]
+            for k, x in N[a][c]:
+                t[k] += dc * x
+            for k, x in N[c][a]:
+                t[k] -= dc * x
+            br = [(k, x) for k, x in enumerate(C[a][c]) if x]
+            v = [0] * (n * n)
+            for j in range(n):
+                _add(v, j * n, N[a], N[c][j], dc)
+                _add(v, j * n, N[c], N[a][j], -dc)
+                _add(v, j * n, cols[j], br, -d)
+            if any(t):
+                T[a, c] = t
+            if any(v):
+                R[a, c] = v
+        return T, R, d * dc, d * d * dc
 
 
 # kind -> (alpha, beta, k) of b(eps_a, eps_c) = (alpha C[a][c] - beta L[a][c]) / (k d_r D)
@@ -137,48 +178,54 @@ def build_connection(kind, r: Bivector) -> ConnectionMap:
     return ConnectionMap(r=r, b=b)
 
 
-def torsion(b: ConnectionMap, eta, xi) -> tuple:
-    """T(eta, xi) = b(eta, xi) - b(xi, eta) - [eta, xi]_r.
+def _skew_sum(table, den, eta, xi, n, size) -> tuple:
+    """(v, den d^2): sum of (eta_a xi_c - eta_c xi_a) table[a, c] over its pairs, eta and xi over d."""
+    (x, y), d = int_vectors((_covector(eta, n), _covector(xi, n)))
+    x, y = dict(x), dict(y)
+    out = [0] * size
+    for (a, c), v in table.items():
+        w = x.get(a, 0) * y.get(c, 0) - x.get(c, 0) * y.get(a, 0)
+        if w:
+            out = [s + w * z for s, z in zip(out, v)]
+    return out, den * d * d
 
-    On basis covectors: b[a][c] - b[c][a] - C[a][c].
-    """
-    n = b.dim
-    eta = _covector(eta, n)
-    xi = _covector(xi, n)
-    return vsub(
-        vsub(bilinear(b.b, eta, xi, n), bilinear(b.b, xi, eta, n)),
-        bilinear(b.r.mstar_table, eta, xi, n),
-    )
+
+def torsion(b: ConnectionMap, eta, xi) -> tuple:
+    """T(eta, xi) = b(eta, xi) - b(xi, eta) - [eta, xi]_r, read off b.tables."""
+    T, _, den, _ = b.tables
+    return from_ints(*_skew_sum(T, den, eta, xi, b.dim, b.dim))
 
 
 def curvature(b: ConnectionMap, eta, xi) -> Mat:
-    """R(eta, xi) = [M_eta, M_xi] - M_{[eta,xi]_r} as an operator on m*.
-
-    On basis covectors: M_a M_c - M_c M_a - sum_t C[a][c]_t M_t.
-    """
+    """R(eta, xi) = [M_eta, M_xi] - M_{[eta,xi]_r} on m*, read off b.tables."""
     n = b.dim
-    eta = _covector(eta, n)
-    xi = _covector(xi, n)
-    m_eta = mat_lincomb(eta, b.mats, n)
-    m_xi = mat_lincomb(xi, b.mats, n)
-    m_br = mat_lincomb(bilinear(b.r.mstar_table, eta, xi, n), b.mats, n)
-    return m_eta @ m_xi - m_xi @ m_eta - m_br
+    _, R, _, den = b.tables
+    v, den = _skew_sum(R, den, eta, xi, n, n * n)
+    return Mat.from_ints([v[i::n] for i in range(n)], den)
 
 
 def poisson_compat_failures(b: ConnectionMap) -> tuple:
     """Basis triples violating r(b(eta,xi),eps) + r(xi, b(eta,eps)) = 0.
 
     With eta, xi, eps = eps_a, eps_c, eps_d the value is entry (d, c) of
-    r_# M_a + M_a^T r_#, M_a the matrix with columns b[a][c]: entry d of
-    r_# b[a][c] plus <b[a][d], r_# eps_c>.  Triples are listed in (a, c, d)
-    order with their nonzero values.
+    r_# M_a + M_a^T r_#, M_a the matrix with columns b[a][c].  With r_# = R / d_r
+    skew, b = N / d and P[c] = R N[a][c], that entry is (P[c][d] - P[d][c]) / (d_r d).
+    Triples are listed in (a, c, d) order with their nonzero values.
     """
     n = b.dim
-    R = b.r.r_mat
+    N, den = b.ints
+    R, _, _, dr = b.r.int_tables
     bad = []
-    for a, M in enumerate(b.mats):
-        S = (R @ M + M.T @ R).entries
-        bad.extend(((a, c, d), S[d][c]) for c in range(n) for d in range(n) if S[d][c])
+    for a, plane in enumerate(N):
+        P = [[0] * n for _ in plane]
+        for p, v in zip(P, plane):
+            _add(p, 0, R, v, 1)
+        bad.extend(
+            ((a, c, d), Fraction(P[c][d] - P[d][c], dr * den))
+            for c in range(n)
+            for d in range(n)
+            if P[c][d] != P[d][c]
+        )
     return tuple(bad)
 
 
@@ -197,7 +244,7 @@ def ad_invariance_check(b: ConnectionMap) -> bool:
     """
     iso = b.r.iso
     n = b.dim
-    mats = b.mats
+    mats = [b.matrix_for(e) for e in Mat.identity(n).entries]
     for ad_bar in iso.ad_bars:
         N = ad_bar.T
         for a in range(n):
@@ -318,14 +365,8 @@ def induced_leaf_connection(b: ConnectionMap, complement_indices=None) -> LeafCo
     # (j, k) of B_i^T omega + omega B_i
     symplectic = all((Bi.T @ omega + omega @ Bi).is_zero() for Bi in B)
 
-    eps = Mat.identity(n).entries
-    curvature_zero = all(
-        curvature(b, eps[a], eps[c]).is_zero()
-        for a in range(n)
-        for c in range(a + 1, n)
-    )
     flat = None
-    if curvature_zero:
+    if not b.tables[1]:
 
         def h_component(x, y):
             z = bracket(iso.L, iso.s_matrix @ x, iso.s_matrix @ y)

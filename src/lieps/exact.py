@@ -58,13 +58,16 @@ def from_ints(values, d) -> tuple:
     return tuple(Fraction(v, d) if v else zero for v in values)
 
 
-def int_columns(M) -> tuple:
-    """(cols, d) with M = N / d, N integer; cols[j] lists the nonzeros (i, N_ij) of column j."""
-    ints, d = to_ints(((j, i), x) for i, row in enumerate(M.entries) for j, x in enumerate(row) if x)
-    cols = [[] for _ in range(M.cols)]
-    for (j, i), x in ints:
-        cols[j].append((i, x))
-    return cols, d
+def int_vectors(vectors) -> tuple:
+    """(nz, d): the vectors are N / d over one denominator d; nz[s] lists the nonzeros (k, N_sk).
+
+    On the rows of M.T it gives the integer columns of M.
+    """
+    ints, d = to_ints(((s, k), x) for s, v in enumerate(vectors) for k, x in enumerate(v) if x)
+    nz = [[] for _ in vectors]
+    for (s, k), x in ints:
+        nz[s].append((k, x))
+    return nz, d
 
 
 def dot(a, b) -> Fraction:

@@ -35,7 +35,7 @@ from .errors import (
     NotInH,
     NotReductive,
 )
-from .exact import Mat, Subspace, from_ints, int_columns, rref, to_ints, vec, vsub
+from .exact import Mat, Subspace, _rref_int_rows, from_ints, int_vectors, rref, to_ints, vec, vsub
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ class IsotropyModel:
     @cached_property
     def _q_columns(self) -> tuple:
         """(cols, d) with q = Q / d, Q integer; cols[k] lists the nonzeros (t, Q_tk)."""
-        return int_columns(self.q_matrix)
+        return int_vectors(self.q_matrix.T.entries)
 
     @cached_property
     def m_table(self) -> tuple:
@@ -346,11 +346,12 @@ def _check_subalgebra(L: LieAlgebra, h: Subspace):
 def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
     if A.rows != L.dim or A.cols != L.dim:
         raise NotAnAutomorphism("generator has the wrong shape")
-    if len(rref(A)[1]) < L.dim:
+    # A = N / dA; A is singular exactly when the columns of N are dependent
+    cols, dA = int_vectors(A.T.entries)
+    if len(_rref_int_rows([dict(c) for c in cols], L.dim)[1]) < L.dim:
         raise NotAnAutomorphism("generator is singular")
     nz = L.nz
-    # A = N / dA, so both sides below are dA^2 den times [A e_i, A e_j] and A[e_i, e_j]
-    cols, dA = int_columns(A)
+    # both sides below are dA^2 den times [A e_i, A e_j] and A[e_i, e_j]
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             # den [N e_i, N e_j] - dA N (den [e_i, e_j]), from nonzeros only
@@ -363,9 +364,15 @@ def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
                 raise NotAnAutomorphism(
                     f"A[e{i + 1}, e{j + 1}] != [Ae{i + 1}, Ae{j + 1}]"
                 )
-    for v in h.basis:
-        if not h.contains(A @ v):
-            raise GeneratorMovesH("generator does not preserve the isotropy subalgebra")
+    # A h lies in h exactly when h and N h together still span dim h
+    rows = [dict(v) for v in int_vectors(h.basis)[0]]
+    images = [{} for _ in rows]
+    for row, image in zip(rows, images):
+        for j, y in row.items():
+            for i, a in cols[j]:
+                image[i] = image.get(i, 0) + y * a
+    if len(_rref_int_rows(rows + images, L.dim)[1]) > h.dim:
+        raise GeneratorMovesH("generator does not preserve the isotropy subalgebra")
 
 
 def complement_projection(space: Subspace, indices=None) -> tuple:

@@ -43,7 +43,7 @@ from .exact import (
     column_space,
     dot,
     from_ints,
-    int_columns,
+    int_vectors,
     mat_lincomb,
     solve,
     to_ints,
@@ -153,7 +153,7 @@ class Bivector:
         connection builders read these ints; l_operators and mstar_table
         are their Fraction views.
         """
-        R, dr = int_columns(self.r_mat)
+        R, dr = int_vectors(self.r_mat.T.entries)
         L = [self.iso.m_ad_ints(col) for col in R]
         n = len(L)
         C = [[[x - y for x, y in zip(L[c][a], L[a][c])] for c in range(n)] for a in range(n)]

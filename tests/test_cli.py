@@ -415,7 +415,7 @@ def test_leaf_evaluates_the_tensor_once(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["canonical", "natural", "left_symmetric", "fedosov"])
-def test_connection_builds_one_ad_matrix_per_basis_covector(monkeypatch, kind):
+def test_connection_builds_no_quotient_ad_and_one_m_table(monkeypatch, kind):
     # the l-operators are integer contractions of r with the model's
     # m-bracket table, built once per job: no quotient operator q ad_x s is
     # built for a sharp, and h = 0 leaves no ad-bar to build.  Every kind
@@ -433,9 +433,33 @@ def test_connection_builds_one_ad_matrix_per_basis_covector(monkeypatch, kind):
     assert len(l_tables) == 0
 
 
-def test_poisson_compat_is_two_matrix_products_per_basis_covector(monkeypatch):
-    # r_# M_a + M_a^T r_# per a, over the cached columns of b: no Fraction
-    # dot product, where the triple loop made 2 n^3 of them (686 at n = 7)
+@pytest.mark.parametrize("kind", ["canonical", "natural", "left_symmetric", "fedosov"])
+@pytest.mark.parametrize(
+    "name, params, r_text",
+    [
+        ("heisenberg", {"n": 3}, "u1^w + v1^w"),
+        ("double", {"n": 2, "of": "heisenberg"}, "m_u1^m_w - 2 m_v2^m_w"),
+    ],
+)
+def test_connection_job_builds_no_fraction_matrix(monkeypatch, name, params, r_text, kind):
+    # torsion, curvature and Poisson compatibility read the integer tables
+    # of the connection: no Fraction matrix product, matrix combination or
+    # bilinear table evaluation anywhere in the job, model build included
+    from lieps.exact import Mat
+
+    text = _doc_text(name, **params)
+    products = count_calls(monkeypatch, Mat, "__matmul__")
+    combos = count_calls(monkeypatch, exact, "mat_lincomb")
+    bilinears = count_calls(monkeypatch, exact, "bilinear")
+    code, out, err = run_cli(["connection", "-", "--r", r_text, "--kind", kind], text)
+    assert code == 0, err
+    assert (len(products), len(combos), len(bilinears)) == (0, 0, 0)
+
+
+def test_poisson_compat_builds_no_matrix_product_or_dot(monkeypatch):
+    # R N_a + N_a^T R per a in ints over d_r d: no Fraction dot product,
+    # where the triple loop made 2 n^3 of them (686 at n = 7), and no
+    # Fraction matrix product, where r_# M_a + M_a^T r_# made 2 n of them
     from lieps.catalog import realize
     from lieps.connections import build_connection, poisson_compat_failures
     from lieps.exact import Mat
@@ -449,7 +473,7 @@ def test_poisson_compat_is_two_matrix_products_per_basis_covector(monkeypatch):
     products = count_calls(monkeypatch, Mat, "__matmul__")
     failures = poisson_compat_failures(b)
     assert dots == []
-    assert len(products) == 2 * iso.quotient_dim == 14
+    assert products == []
     assert failures == dense_poisson_compat_failures(r, b.b)
 
 

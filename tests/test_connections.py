@@ -21,6 +21,7 @@ from helpers import (
 )
 from lieps.connections import (
     ConnectionMap,
+    NomizuMap,
     ad_invariance_check,
     build_connection,
     curvature,
@@ -497,6 +498,49 @@ def test_connection_tables_match_per_pair_formulas(data):
         assert torsion(b, alpha, beta) == dense_torsion(iso, r, b.b, alpha, beta)
         assert curvature(b, alpha, beta) == dense_curvature(iso, r, b.b, alpha, beta)
         assert poisson_compat_failures(b) == dense_poisson_compat_failures(r, b.b)
+
+
+# catalog r-matrices, and the pinned iso11 bivector e1^e3 - e2^e3, which is not one
+BIVECTORS = tuple((tag, r) for tag, _, _, r in catalog_r_matrices()) + (
+    ("iso11 e1^e3 - e2^e3", make_bivector(instance("iso11")[1], V(0, 1, -1))),
+)
+mixed_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def _mixed_vector(data, size):
+    # about half the entries zero, denominators up to 6
+    entry = st.one_of(st.just(QQ(0)), mixed_rationals)
+    return tuple(data.draw(st.lists(entry, min_size=size, max_size=size)))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_integer_tables_match_dense_oracles_on_any_rational_b(data):
+    # the integer form is read off b itself, not off the k d_r D of
+    # build_connection: a drawn table with mixed denominators, and the
+    # transpose dictionary of a drawn Nomizu map (an F-connection), over
+    # r-matrices and arbitrary skew r, give exactly the dense oracles' values
+    if data.draw(st.booleans()):
+        tag, r = data.draw(st.sampled_from(BIVECTORS))
+    else:
+        tag, iso = data.draw(st.sampled_from(REDUCTIVE_PAIRS))
+        r = make_bivector(iso, _mixed_vector(data, len(wedge2_space(iso.quotient_dim))))
+    iso = r.iso
+    n = iso.quotient_dim
+    e = _basis(n)
+    flat = _mixed_vector(data, n ** 3)
+    drawn = tuple(tuple(flat[n * (n * a + c):n * (n * a + c + 1)] for c in range(n)) for a in range(n))
+    flat = _mixed_vector(data, n ** 3)
+    psi = tuple(Mat([flat[n * (n * t + i):n * (n * t + i + 1)] for i in range(n)], n) for t in range(n))
+    for b in (ConnectionMap(r=r, b=drawn), nomizu_to_contravariant(NomizuMap(r=r, psi=psi))):
+        for a in range(n):
+            for c in range(n):
+                assert torsion(b, e[a], e[c]) == dense_torsion(iso, r, b.b, e[a], e[c]), tag
+                assert curvature(b, e[a], e[c]) == dense_curvature(iso, r, b.b, e[a], e[c]), tag
+        eta, xi = _mixed_vector(data, n), _mixed_vector(data, n)
+        assert torsion(b, eta, xi) == dense_torsion(iso, r, b.b, eta, xi), tag
+        assert curvature(b, eta, xi) == dense_curvature(iso, r, b.b, eta, xi), tag
+        assert poisson_compat_failures(b) == dense_poisson_compat_failures(r, b.b), tag
 
 
 def test_l_operator_and_mstar_bracket_need_no_reductive_model():

@@ -378,6 +378,11 @@ def emit(doc: AlgebraDocument) -> str:
     return json.dumps(to_json_dict(doc), indent=2, sort_keys=True) + "\n"
 
 
+def is_label(text) -> bool:
+    """A label the --r grammar reads: letters, digits ('²' too) and _, led by a letter or _."""
+    return (text[:1].isalpha() or text[:1] == "_") and all(c.isalnum() or c == "_" for c in text)
+
+
 def _expect(cond, path, msg):
     if not cond:
         raise DocumentError(path, msg)
@@ -410,6 +415,8 @@ def parse(text) -> AlgebraDocument:
     _expect(isinstance(labels, list) and len(labels) == dim, "labels", f"must be a list of {dim} strings")
     for t, lab in enumerate(labels):
         _expect(isinstance(lab, str) and lab, f"labels[{t}]", "must be a nonempty string")
+        _expect(is_label(lab), f"labels[{t}]",
+                "must be a name: a letter or _, then letters, digits or _")
     _expect(len(set(labels)) == dim, "labels", "must be distinct")
 
     raw_brackets = data.get("brackets", [])

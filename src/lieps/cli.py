@@ -24,7 +24,7 @@ from .exact import from_ints
 from .foliation import leaf_cocycle, leaf_decomposition
 from .invariants import invariant_bivectors
 from .liecore import require_reductive, validate, wedge2_space
-from .ybe import is_r_matrix, make_bivector
+from .ybe import is_r_matrix, make_bivector, require_r_matrix
 
 
 class _Usage(Exception):
@@ -45,8 +45,8 @@ class _ExprError(Exception):
     """A malformed expression; parse_bivector_expr names the option it came from."""
 
 
-# a label starts with a letter or _ (checked on the match, since \w also
-# holds non-decimal digits such as '²'); whitespace between tokens is skipped
+# \w is a letter, a digit or _; a word that is no label (catalog.is_label)
+# is an error, and whitespace between tokens is skipped
 _TOKEN = re.compile(r"(?P<num>\d+(?:/\d*)?)|(?P<label>\w+)|(?P<op>[-+*^()])|(?P<bad>\S)")
 
 
@@ -61,7 +61,7 @@ def _tokenize(text):
             if slash and int(den) == 0:
                 raise _ExprError(f"zero denominator in {tok!r}")
             tokens.append(("num", Fraction(int(num), int(den or 1))))
-        elif kind == "label" and (tok[0].isalpha() or tok[0] == "_"):
+        elif kind == "label" and catalog.is_label(tok):
             tokens.append(("label", tok))
         elif kind == "op":
             tokens.append((tok, tok))
@@ -356,6 +356,7 @@ def _cmd_connection(args, stdin_text):
     _, iso, qlabels = _model(args, stdin_text)
     require_reductive(iso)
     r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
+    require_r_matrix(r)
     b = build_connection(args.kind, r)
     n = b.dim
     b_entries = _entries(qlabels, ((a, c, b.b[a][c]) for a in range(n) for c in range(n)))

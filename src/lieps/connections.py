@@ -1,8 +1,8 @@
 """Invariant contravariant connections on a reductive homogeneous space.
 
 On a reductive pair g = h + m, an invariant contravariant connection is a
-bilinear map b: m* x m* -> m*.  This module provides the bracket [.,.]_r on
-m*, the four distinguished connection builders, torsion, curvature, Poisson
+bilinear map b: m* x m* -> m*.  This module provides the four distinguished
+connection builders, torsion, curvature, Poisson
 compatibility, equivariance checks, the F-connection/Nomizu dictionary, and
 the connection induced on the symplectic leaf through the base point.  The
 Yang-Baxter condition itself, r_# carrying [.,.]_r to the m-bracket, is
@@ -11,18 +11,19 @@ read off the same bracket table by ybe.yang_baxter_tensor.
 A ConnectionMap carries its bivector r, and through r.iso the model, so
 every function on a connection takes the connection alone; building one
 raises NotReductive unless the declared complement is h-stable.  The
-l-operators and [.,.]_r need no reductivity and take the bivector.
+l-operators and [.,.]_r need no reductivity; l_operator and mstar_bracket
+live in ybe and are imported here.
 
 Throughout, covectors live in complement coordinates: m* vectors are plain
 tuples over the quotient basis, and sharps are realized through the section.
 
 Every quantity here is bilinear in two per-bivector integer tables over
-d_r D (Bivector.int_tables): the l-operators L[a] = l_{eps_a^#} and the
-bracket table C[a][c] = [eps_a, eps_c]_r.  The four builders are one integer
-rule over them.  A ConnectionMap, however it was built, reads its entries
-once into ints N over one denominator, and its torsion, curvature and
-Poisson compatibility are integer contractions of N, C and r_#; a Fraction
-is built only for a value that is returned.
+d_c = d_r D (Bivector.int_tables): the l-operators L[a] = l_{eps_a^#} and
+the bracket table C[a][c] = [eps_a, eps_c]_r.  The four builders are one
+integer rule over them.  A ConnectionMap, however it was built, reads its
+entries once into ints N over one denominator; M_eta, torsion, curvature and
+Poisson compatibility are integer contractions of N, C and r_#, and a
+Fraction is built only for a value that is returned.
 """
 
 from __future__ import annotations
@@ -32,35 +33,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ClosureFailure, NotAnFConnection
-from .exact import Mat, bilinear, from_ints, int_vectors, inverse, kernel, lincomb, mat_lincomb, solve, vec, vsub
+from .exact import Mat, from_ints, int_vectors, inverse, kernel, mat_lincomb, solve, vsub
 from .foliation import _coords_matrix
 from .liecore import bracket, complement_projection, require_reductive, wedge2_space
-from .ybe import Bivector, require_r_matrix
-
-
-def _covector(alpha, n) -> tuple:
-    alpha = vec(alpha)
-    if len(alpha) != n:
-        raise ValueError(f"shape mismatch: covector of length {len(alpha)} on m* of dim {n}")
-    return alpha
-
-
-def l_operator(r: Bivector, alpha) -> Mat:
-    """The operator l_{alpha^#}: m -> m, u -> [alpha^#, u]_m, on any model."""
-    n = r.iso.quotient_dim
-    return mat_lincomb(_covector(alpha, n), r.l_operators, n)
-
-
-def mstar_bracket(r: Bivector, alpha, beta) -> tuple:
-    """[alpha, beta]_r on m*: transpose of l against the other argument, on any model.
-
-    Read off the table [eps_a, eps_c]_r = L[c]^T eps_a - L[a]^T eps_c of the
-    bivector.  Independent of the h° code path; the agreement of the two
-    routes under the identification alpha -> q^T alpha is a tested theorem,
-    not reused code.
-    """
-    n = r.iso.quotient_dim
-    return bilinear(r.mstar_table, _covector(alpha, n), _covector(beta, n), n)
+from .ybe import Bivector, _covector, l_operator, mstar_bracket, require_r_matrix
 
 
 def _add(out, base, cols, v, f):
@@ -91,13 +67,21 @@ class ConnectionMap:
         return len(self.b)
 
     def apply(self, alpha, beta) -> tuple:
-        n = self.dim
-        return bilinear(self.b, _covector(alpha, n), _covector(beta, n), n)
+        """b(alpha, beta) = M_alpha beta."""
+        return self.matrix_for(alpha) @ beta
 
     def matrix_for(self, eta) -> Mat:
-        """M_eta with M_eta gamma = b(eta, gamma); column c is sum_a eta_a b[a][c]."""
+        """M_eta with M_eta gamma = b(eta, gamma).
+
+        With eta = x / e, column c is sum_a eta_a b[a][c] = sum_a x_a N[a][c] / (d e).
+        """
         n = self.dim
-        return Mat.from_cols([lincomb(_covector(eta, n), col, n) for col in zip(*self.b)], n)
+        N, d = self.ints
+        (x,), e = int_vectors([_covector(eta, n)])
+        v = [0] * (n * n)
+        for c in range(n):
+            _add(v, c * n, [plane[c] for plane in N], x, 1)
+        return Mat.from_ints([v[k::n] for k in range(n)], d * e)
 
     def is_zero(self) -> bool:
         return all(x == 0 for plane in self.b for row in plane for x in row)
@@ -119,8 +103,7 @@ class ConnectionMap:
         with entry (i, j) at j n + i.  Both are skew; only nonzero pairs are kept.
         """
         N, d = self.ints
-        _, _, C, dr = self.r.int_tables
-        dc = dr * self.r.iso.m_table[1]
+        _, _, C, _, dc = self.r.int_tables
         n = self.dim
         cols = [[N[k][j] for k in range(n)] for j in range(n)]
         T, R = {}, {}
@@ -168,8 +151,8 @@ def build_connection(kind, r: Bivector) -> ConnectionMap:
     if kind not in _KINDS:
         raise ValueError(f"unknown connection kind {kind!r}")
     alpha, beta, k = _KINDS[kind]
-    _, L, C, dr = r.int_tables
-    d = k * dr * r.iso.m_table[1]
+    _, L, C, _, dc = r.int_tables
+    d = k * dc
 
     def entry(Cac, Lac):
         return from_ints([alpha * x - beta * y for x, y in zip(Cac, Lac)], d)
@@ -214,7 +197,7 @@ def poisson_compat_failures(b: ConnectionMap) -> tuple:
     """
     n = b.dim
     N, den = b.ints
-    R, _, _, dr = b.r.int_tables
+    R, _, _, dr, _ = b.r.int_tables
     bad = []
     for a, plane in enumerate(N):
         P = [[0] * n for _ in plane]

@@ -95,23 +95,6 @@ def vscale(c, a) -> tuple:
     return tuple(c * x for x in a)
 
 
-def lincomb(coeffs, vectors, n) -> tuple:
-    """sum_a coeffs[a] vectors[a] of length-n vectors; a lone unit coefficient returns its vector."""
-    out = None
-    for x, v in zip(coeffs, vectors):
-        if x:
-            term = v if x == 1 else vscale(x, v)
-            out = term if out is None else vadd(out, term)
-    return zero_vec(n) if out is None else out
-
-
-def bilinear(table, alpha, beta, n) -> tuple:
-    """sum_{a,c} alpha_a beta_c table[a][c] for a table of length-n vectors."""
-    # rows with alpha_a = 0 are never read, so they are not summed
-    rows = [lincomb(beta, row, n) if x else None for x, row in zip(alpha, table)]
-    return lincomb(alpha, rows, n)
-
-
 def zero_vec(n) -> tuple:
     return (Fraction(0),) * n
 
@@ -282,7 +265,7 @@ class Mat:
 
 
 def mat_lincomb(coeffs, mats, n) -> Mat:
-    """sum_a coeffs[a] mats[a] of n x n matrices, as lincomb."""
+    """sum_a coeffs[a] mats[a] of n x n matrices; a lone unit coefficient returns its matrix."""
     out = None
     for x, m in zip(coeffs, mats):
         if x:

@@ -10,7 +10,9 @@ the defect of r_# as a morphism from [.,.]_r to the m-bracket q[s x, s y].
 Its vanishing is the invariant-Poisson condition, and bivectors passing it
 are r-matrices.  The l-operators, the table C and the tensor are integer
 contractions of r, scaled once to R / d_r, with the one m-bracket table of
-the model (IsotropyModel.m_table); a Fraction is built only at the API.
+the model (IsotropyModel.m_table).  The l-operators and C exist only in
+that integer form (Bivector.int_tables); l_operator and mstar_bracket
+contract them with covectors and build a Fraction only for a returned entry.
 
 The h° route is the independent oracle: over a lift r-tilde of r to g
 (`canonical_lift`, `sharp`), the bracket on h° (`hcirc_bracket`,
@@ -32,19 +34,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 
 from .errors import JacobiFailure, NotAnRMatrix, NotInAnnihilator
 from .exact import (
     Mat,
     Subspace,
-    bilinear,
     column_space,
     dot,
     from_ints,
     int_vectors,
-    mat_lincomb,
     solve,
     to_ints,
     vec,
@@ -76,11 +76,10 @@ class Bivector:
 
     Derived once, on first use, and kept on the instance, so every check
     that asks about the same bivector shares them: the integer tables of r
-    (int_tables), which the Yang-Baxter tensor and the four connections
-    read; the Fraction l-operators and [.,.]_r table on the quotient
-    covector basis read off them (l_operators, mstar_table) for the public
-    API; the tensor; Im r_#, omega_r on it, and the q-brackets of the leaf
-    frame h + s(Im r_#) (image, omega, image_brackets).
+    (int_tables), the one form of its l-operators and [.,.]_r table, which
+    the Yang-Baxter tensor, l_operator, mstar_bracket and the four
+    connections read; the tensor; Im r_#, omega_r on it, and the q-brackets
+    of the leaf frame h + s(Im r_#) (image, omega, image_brackets).
     """
 
     iso: IsotropyModel
@@ -143,47 +142,57 @@ class Bivector:
 
     @cached_property
     def int_tables(self) -> tuple:
-        """(R, L, C, d_r): r_# = R / d_r, and the l-operators and [.,.]_r table as ints over d_r D.
+        """(R, L, C, d_r, d_c): r_# = R / d_r, and the ints L, C over d_c = d_r D.
 
         R[a] lists the nonzeros (j, R_ja) of column a, and L[a] =
         sum_j R_ja mu[j] is the contraction of column a with the model's
-        m_table (mu, D), so L[a] / (d_r D) = q ad(s r_# eps_a) s, with
-        L[a][c] its row c.  C[a][c] = row a of L[c] minus row c of L[a], so
-        C[a][c] / (d_r D) = [eps_a, eps_c]_r.  yang_baxter_tensor and the
-        connection builders read these ints; l_operators and mstar_table
-        are their Fraction views.
+        m_table (mu, D), so L[a] / d_c = q ad(s r_# eps_a) s, with L[a][c]
+        its row c.  C[a][c] = row a of L[c] minus row c of L[a], so
+        C[a][c] / d_c = [eps_a, eps_c]_r.  yang_baxter_tensor, l_operator,
+        mstar_bracket and the connection builders read these ints.
         """
         R, dr = int_vectors(self.r_mat.T.entries)
         L = [self.iso.m_ad_ints(col) for col in R]
         n = len(L)
         C = [[[x - y for x, y in zip(L[c][a], L[a][c])] for c in range(n)] for a in range(n)]
-        return R, L, C, dr
-
-    @cached_property
-    def l_operators(self) -> tuple:
-        """L[a] = q ad(s r_# eps_a) s, the operator u -> [eps_a^#, u]_m on m.
-
-        One operator per basis covector eps_a, read off the integer tables;
-        l_{alpha^#} is linear in alpha, so every other l-operator is
-        sum_a alpha_a L[a].
-        """
-        _, L, _, dr = self.int_tables
-        return tuple(Mat.from_ints(rows, dr * self.iso.m_table[1]) for rows in L)
-
-    @cached_property
-    def mstar_table(self) -> tuple:
-        """C[a][c] = [eps_a, eps_c]_r = L[c]^T eps_a - L[a]^T eps_c.
-
-        L^T eps_a is row a of L.  Read off the integer l-operators, never
-        from hcirc_bracket, so the h° route stays an independent check.
-        """
-        _, _, C, dr = self.int_tables
-        d = dr * self.iso.m_table[1]
-        return tuple(tuple(from_ints(v, d) for v in row) for row in C)
+        return R, L, C, dr, dr * self.iso.m_table[1]
 
 
 def make_bivector(iso: IsotropyModel, coords) -> Bivector:
     return Bivector(iso, bivector_matrix_from_coords(iso.quotient_dim, coords))
+
+
+def _covector(alpha, n) -> tuple:
+    alpha = vec(alpha)
+    if len(alpha) != n:
+        raise ValueError(f"shape mismatch: covector of length {len(alpha)} on m* of dim {n}")
+    return alpha
+
+
+def l_operator(r: Bivector, alpha) -> Mat:
+    """l_{alpha^#}: m -> m, u -> [alpha^#, u]_m, on any model.
+
+    With alpha = x / d it is sum_a x_a L[a] / (d d_c) over r.int_tables.
+    """
+    n = r.iso.quotient_dim
+    (x,), d = int_vectors([_covector(alpha, n)])
+    _, L, _, _, dc = r.int_tables
+    rows = [[sum(xa * L[a][i][t] for a, xa in x) for t in range(n)] for i in range(n)]
+    return Mat.from_ints(rows, d * dc)
+
+
+def mstar_bracket(r: Bivector, alpha, beta) -> tuple:
+    """[alpha, beta]_r on m*, on any model.
+
+    With alpha = x / d and beta = y / d it is sum_{a,c} x_a y_c C[a][c] / (d^2 d_c)
+    over r.int_tables.  Independent of the h° code path; the agreement of the
+    two routes under alpha -> q^T alpha is a tested theorem, not reused code.
+    """
+    n = r.iso.quotient_dim
+    (x, y), d = int_vectors((_covector(alpha, n), _covector(beta, n)))
+    _, _, C, _, dc = r.int_tables
+    out = [sum(xa * yc * C[a][c][k] for a, xa in x for c, yc in y) for k in range(n)]
+    return from_ints(out, d * d * dc)
 
 
 @dataclass(frozen=True)
@@ -254,7 +263,7 @@ class YBTensor:
 def yang_baxter_tensor(r: Bivector) -> YBTensor:
     """[[r,r]](eps_a, eps_b, eps_c) = <eps_c, r_# C[a][b] - [r_# eps_a, r_# eps_b]_m>.
 
-    C is the [.,.]_r table of r.mstar_table.  This is the h° formula
+    C is the [.,.]_r table of r.int_tables.  This is the h° formula
     <eta_c, hcirc(eta_a, eta_b)^# - [eta_a^#, eta_b^#]> over the canonical
     lift, on any pair and for any r: with eta_t = q^T eps_t, x_t = s r_# eps_t
     and q s = id, s^T hcirc(eta_a, eta_b) = C[a][b] and q[x_a, x_b] =
@@ -262,17 +271,17 @@ def yang_baxter_tensor(r: Bivector) -> YBTensor:
     L[a] = q ad(x_a) s.
 
     Entries are read in integers off r.int_tables (r_# = R / d_r, L and C
-    over d_r D): entry c of the defect is sum_t R_ct C[a][b]_t - sum_t L[a][c][t]
-    R_tb over d_r^2 D, and a Fraction is built only for a nonzero entry.
+    over d_c = d_r D): entry c of the defect is sum_t R_ct C[a][b]_t - sum_t L[a][c][t]
+    R_tb over d_r d_c, and a Fraction is built only for a nonzero entry.
     One defect per pair a < b gives the entries with c > b; the other
     orderings of each triple are filled by sign, since each entry is the
     totally antisymmetric cyclic Schouten sum, and entries with a repeated
     index are zero.  schouten_oracle evaluates all n^3 entries of that sum
     over a lift on g, on purpose, as the independent check.
     """
-    R, L, C, dr = r.int_tables
+    R, L, C, dr, dc = r.int_tables
     n = len(R)
-    den = dr * dr * r.iso.m_table[1]
+    den = dr * dc
     values = {}
     for a in range(n):
         # the last b leaves no c > b to read
@@ -361,25 +370,19 @@ class FixedSpaceLieAlgebra:
 def fixed_space_lie_algebra(r: Bivector) -> FixedSpaceLieAlgebra:
     """Bracket table of [.,.]_r on (h°)^H with Jacobi and morphism checks.
 
-    [f, g]_r is the bilinear combination of r.mstar_table, and the m-bracket
-    [r_# f, r_# g]_m is l_{f^#} r_# g with l_{f^#} = sum_a f_a L[a], so the
-    per-bivector tables give both sides; quotient_hcirc stays the
+    [f, g]_r is mstar_bracket and the m-bracket [r_# f, r_# g]_m is
+    l_{f^#} r_# g with l_{f^#} = l_operator(r, f), so the integer tables of
+    the bivector give both sides; quotient_hcirc stays the
     independent h° route.  The checks guard theorems that must hold for
     genuine r-matrices; a failure is surfaced as JacobiFailure rather than
     repaired.
     """
     require_r_matrix(r)
-    iso = r.iso
-    n = iso.quotient_dim
-    fixed = fixed_quotient_covectors(iso)
+    fixed = fixed_quotient_covectors(r.iso)
     d = fixed.dim
-
-    def r_bracket(f, g):
-        return bilinear(r.mstar_table, f, g, n)
-
     table = structure_constants(
         fixed,
-        r_bracket,
+        partial(mstar_bracket, r),
         lambda i, j: JacobiFailure("bracket of fixed covectors leaves the fixed subspace"),
     )
     algebra = make_lie_algebra(
@@ -392,11 +395,10 @@ def fixed_space_lie_algebra(r: Bivector) -> FixedSpaceLieAlgebra:
     # morphism: q(sharp) intertwines [.,.]_r with the m-bracket on the
     # fixed vectors
     sharps = [r.r_mat @ f for f in fixed.basis]
-    for i in range(d):
-        l_f = mat_lincomb(fixed.basis[i], r.l_operators, n)
-        for j in range(d):
-            lhs = r.r_mat @ r_bracket(fixed.basis[i], fixed.basis[j])
-            if lhs != l_f @ sharps[j]:
+    for f in fixed.basis:
+        l_f = l_operator(r, f)
+        for g, sharp_g in zip(fixed.basis, sharps):
+            if r.r_mat @ mstar_bracket(r, f, g) != l_f @ sharp_g:
                 raise JacobiFailure("sharp is not a morphism onto the fixed vectors")
 
     return FixedSpaceLieAlgebra(bivector=r, basis=fixed.basis, algebra=algebra)

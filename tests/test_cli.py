@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import count_cached, count_calls, dense_poisson_compat_failures
 from lieps import exact, liecore
-from lieps.catalog import builtin, emit
+from lieps.catalog import builtin, emit, is_label
 from lieps.cli import format_bivector, format_covector, parse_bivector_expr, run_cli
 from lieps.errors import DocumentError
 from lieps.liecore import IsotropyModel
@@ -60,22 +60,35 @@ def test_format_roundtrip():
     assert format_covector(labels, (1, 0, -2)) == "u1* - 2 w*"
 
 
+# labels any document may carry: a letter of any script or _, then
+# letters, digits (decimal or not) and _
+LABELS = st.builds(
+    str.__add__,
+    st.characters(categories=("L",), include_characters="_"),
+    st.text(st.characters(categories=("L", "Nd", "No"), include_characters="_"), max_size=3),
+)
+
+
 @given(
     st.integers(min_value=0, max_value=5).flatmap(
-        lambda k: st.lists(
-            st.one_of(
-                st.just(0), st.fractions(min_value=-5, max_value=5, max_denominator=7)
-            ),
-            min_size=k * (k - 1) // 2,
-            max_size=k * (k - 1) // 2,
-        ).map(lambda coords: (k, tuple(coords)))
+        lambda k: st.tuples(
+            st.lists(LABELS, min_size=k, max_size=k, unique=True).map(tuple),
+            st.lists(
+                st.one_of(
+                    st.just(0), st.fractions(min_value=-5, max_value=5, max_denominator=7)
+                ),
+                min_size=k * (k - 1) // 2,
+                max_size=k * (k - 1) // 2,
+            ).map(tuple),
+        )
     )
 )
 @settings(max_examples=200, deadline=None)
 def test_format_then_parse_is_identity(case):
-    # includes all-zero coordinates, printed as "0", and the empty label list
-    k, coords = case
-    labels = tuple(f"e{i + 1}" for i in range(k))
+    # includes all-zero coordinates, printed as "0", the empty label list,
+    # and labels in any script
+    labels, coords = case
+    assert all(map(is_label, labels))
     text = format_bivector(labels, coords)
     assert parse_bivector_expr(text, labels) == coords
 
@@ -159,6 +172,17 @@ def test_repeated_bracket_index_is_a_parse_error(key):
     code, out, err = run_cli(["validate", "-"], json.dumps(doc))
     assert (code, out) == (2, "")
     assert err == f"parse error: brackets[0].coeffs.{key}: repeated basis index 2\n"
+
+
+@pytest.mark.parametrize("labels, t", [(["a b", "c"], 0), (["1", "2"], 0), (["x", "²y"], 1)])
+def test_labels_the_r_grammar_cannot_read_are_parse_errors(labels, t):
+    # invariants would print "a b^c", which --r reads as the labels a, b and
+    # c, and "1^2", which it reads as a coefficient
+    doc = json.dumps({"dim": 2, "labels": labels})
+    for cmd in ("validate", "invariants"):
+        code, out, err = run_cli([cmd, "-"], doc)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: labels[{t}]: must be a name: a letter or _, then letters, digits or _\n"
 
 
 @given(
@@ -418,19 +442,19 @@ def test_leaf_evaluates_the_tensor_once(monkeypatch):
 def test_connection_builds_no_quotient_ad_and_one_m_table(monkeypatch, kind):
     # the l-operators are integer contractions of r with the model's
     # m-bracket table, built once per job: no quotient operator q ad_x s is
-    # built for a sharp, and h = 0 leaves no ad-bar to build.  Every kind
-    # reads the integer tables of r, so no Fraction l-operator table is built
+    # built for a sharp, and h = 0 leaves no ad-bar to build.  Every kind,
+    # and the r-matrix check, read the one integer table set of r
     from lieps.ybe import Bivector
 
     calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
     tables = count_cached(monkeypatch, IsotropyModel, "m_table")
-    l_tables = count_cached(monkeypatch, Bivector, "l_operators")
+    r_tables = count_cached(monkeypatch, Bivector, "int_tables")
     text = _doc_text("heisenberg", n=3)
     code, out, err = run_cli(["connection", "-", "--r", "u1^w + v1^w", "--kind", kind], text)
     assert code == 0, err
     assert len(calls) == 0
     assert len(tables) == 1
-    assert len(l_tables) == 0
+    assert len(r_tables) == 1
 
 
 @pytest.mark.parametrize("kind", ["canonical", "natural", "left_symmetric", "fedosov"])
@@ -443,17 +467,16 @@ def test_connection_builds_no_quotient_ad_and_one_m_table(monkeypatch, kind):
 )
 def test_connection_job_builds_no_fraction_matrix(monkeypatch, name, params, r_text, kind):
     # torsion, curvature and Poisson compatibility read the integer tables
-    # of the connection: no Fraction matrix product, matrix combination or
-    # bilinear table evaluation anywhere in the job, model build included
+    # of the connection: no Fraction matrix product or matrix combination
+    # anywhere in the job, model build and r-matrix check included
     from lieps.exact import Mat
 
     text = _doc_text(name, **params)
     products = count_calls(monkeypatch, Mat, "__matmul__")
     combos = count_calls(monkeypatch, exact, "mat_lincomb")
-    bilinears = count_calls(monkeypatch, exact, "bilinear")
     code, out, err = run_cli(["connection", "-", "--r", r_text, "--kind", kind], text)
     assert code == 0, err
-    assert (len(products), len(combos), len(bilinears)) == (0, 0, 0)
+    assert (len(products), len(combos)) == (0, 0)
 
 
 def test_poisson_compat_builds_no_matrix_product_or_dot(monkeypatch):
@@ -517,8 +540,8 @@ def test_tensor_and_l_operators_share_one_ad_matrix_per_basis_covector(monkeypat
     dots = count_calls(monkeypatch, exact, "dot")
     assert not r.tensor.is_zero()
     assert products == dots == []
-    assert len(r.l_operators) == iso.quotient_dim == 7
-    assert len(r.mstar_table) == 7
+    _, L, C, _, _ = r.int_tables
+    assert len(L) == len(C) == iso.quotient_dim == 7
     assert len(calls) == 0
     assert len(tables) == 1
 
@@ -597,6 +620,22 @@ def test_connection_non_reductive_wins_over_a_malformed_r():
     )
     assert (code, out) == (1, "")
     assert err == "error: the declared complement is not h-stable\n"
+
+
+@pytest.mark.parametrize(
+    "name, params, r", [("iso11", {}, "e1^e3 - e2^e3"), ("heisenberg", {"n": 1}, "u1^v1")]
+)
+def test_connection_refuses_a_bivector_that_is_not_an_r_matrix(name, params, r):
+    # ybe reports a nonzero Yang-Baxter tensor on both; a malformed --r is
+    # still a parse error first
+    doc = _doc_text(name, **params)
+    for kind in ("canonical", "fedosov"):
+        code, out, err = run_cli(["connection", "-", "--r", r, "--kind", kind], doc)
+        assert (code, out) == (1, "")
+        assert err == "error: the Yang-Baxter tensor does not vanish\n"
+    code, out, err = run_cli(["connection", "-", "--r", r + " ^", "--kind", "fedosov"], doc)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: --r: ")
 
 
 # ---------------------------------------------------------------------------
@@ -832,12 +871,13 @@ def test_validate_and_invariants_output_is_pinned(name, n):
 
 
 # byte-identical connection output, pinned to the digests of the per-pair
-# implementation; one scan candidate per document
+# implementation; one invariant r-matrix per document, since connection
+# refuses any other bivector
 
 CONNECTION_CASES = {
     "heisenberg": ({"n": 3}, "u1^w + v1^w"),
     "double": ({"of": "heisenberg", "n": 2}, "m_u1^m_w + m_v1^m_w"),
-    "iso11": ({}, "e1^e3 - e2^e3"),
+    "iso11": ({}, "e1^e2"),
 }
 
 PINNED_CONNECTION_SHA256 = {
@@ -857,14 +897,14 @@ PINNED_CONNECTION_SHA256 = {
     ("double", "left_symmetric", "json"): "1396d7ebd6aa1a85b9f85af384d8090d3ed48f213d31c7eb9a4b352393d04ead",
     ("double", "fedosov", "text"): "24e2fb9fd73301cdc112f0412364efe161363d3a702ab2923ee2e58e6a1495ae",
     ("double", "fedosov", "json"): "228d7b144bb22f48066f81537b4c5acd3d1e5b12eccf4ad8384a7fccaccbc359",
-    ("iso11", "canonical", "text"): "6c24c7181ae4ba0ce6ee312440fbebbe481bd3634482b2539c0cb47a9b14a560",
-    ("iso11", "canonical", "json"): "1d40a3c112ae329016a9b15695edb15049bece1755c5989278d8a7f512669190",
-    ("iso11", "natural", "text"): "2baa561b35101f11e59ffe0b9abe103ca84676a1f2fdd9506e00fc68dc2bb38c",
-    ("iso11", "natural", "json"): "0de2306f42d58147b66ca24b687e166694ce8427dd6ff1698e5149c97671466f",
-    ("iso11", "left_symmetric", "text"): "1229249c121c0360e0691c284492458d96338d880c1db50c61a17c2ccdda6bfc",
-    ("iso11", "left_symmetric", "json"): "60df1f70dbe4220d660c99eeea68ec8bc5bf262ae7f99d03f827afc4c56201f0",
-    ("iso11", "fedosov", "text"): "cc28c43a96d9f9dad6256e2b5fa0e028417b57c8991d6e146222848c81d87006",
-    ("iso11", "fedosov", "json"): "aee0beb1991d717870665c74a96f9cc41ca44994035ed197121a96a03f48482e",
+    ("iso11", "canonical", "text"): "8aa6e1e3a2405bd244c72c17a10af4d8d78e1b5593e3881dce900ee34e6ebd6a",
+    ("iso11", "canonical", "json"): "e142d2987c89ac65198321c12aa55eeb5cc8ecc9b9b50eaacae08e2eef93609b",
+    ("iso11", "natural", "text"): "beb23891f8c9b7b34a3fc4b8888f71ad2872e76017f17f8fa396fc572ecb76ec",
+    ("iso11", "natural", "json"): "fc099f07bb6df1e58aaa99b88af5231fd6e82216cb62ba06a955457047e0f2e9",
+    ("iso11", "left_symmetric", "text"): "7db6db35853c66663500ca6c11280a1854cc9f63bf96b535ec25a4aa442d07e5",
+    ("iso11", "left_symmetric", "json"): "a55e2ac5168829315b10683645c7fea0007ac943d1f12efb755e2c7dc704651f",
+    ("iso11", "fedosov", "text"): "3df8c2a9afef6b3dabccb3caef400b4339cba1fe70acaa77a6120c9324070da2",
+    ("iso11", "fedosov", "json"): "7e4163277b48526bf6597cfd4cf2610bb8e9519ab8cd047503eef6d3e6bd8102",
 }
 
 

@@ -500,7 +500,7 @@ def test_connection_tables_match_per_pair_formulas(data):
         assert poisson_compat_failures(b) == dense_poisson_compat_failures(r, b.b)
 
 
-# catalog r-matrices, and the pinned iso11 bivector e1^e3 - e2^e3, which is not one
+# catalog r-matrices, and the iso11 bivector e1^e3 - e2^e3, which is not one
 BIVECTORS = tuple((tag, r) for tag, _, _, r in catalog_r_matrices()) + (
     ("iso11 e1^e3 - e2^e3", make_bivector(instance("iso11")[1], V(0, 1, -1))),
 )
@@ -541,20 +541,29 @@ def test_integer_tables_match_dense_oracles_on_any_rational_b(data):
         assert torsion(b, eta, xi) == dense_torsion(iso, r, b.b, eta, xi), tag
         assert curvature(b, eta, xi) == dense_curvature(iso, r, b.b, eta, xi), tag
         assert poisson_compat_failures(b) == dense_poisson_compat_failures(r, b.b), tag
+        # b(eta, xi) and M_eta, whose column c is sum_a eta_a b[a][c]
+        assert b.apply(eta, xi) == dense_apply(b.b, eta, xi), tag
+        cols = [[sum((eta[a] * b.b[a][c][k] for a in range(n)), QQ(0)) for k in range(n)] for c in range(n)]
+        assert b.matrix_for(eta) == Mat.from_cols(cols, n), tag
 
 
 def test_l_operator_and_mstar_bracket_need_no_reductive_model():
     # both read the bivector's tables, which every model has; a connection
-    # on such a model is refused
+    # on such a model is refused.  Besides the basis, the covectors include
+    # rationals with mixed denominators and the zero covector
+    rng = random.Random(5)
     seen = 0
     for tag, _, iso, coords in random_instances(seed=5, count=30):
         if iso.reductive:
             continue
         seen += 1
         r = make_bivector(iso, coords)
-        for alpha in _basis(iso.quotient_dim):
+        n = iso.quotient_dim
+        mixed = [tuple(QQ(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(n)) for _ in range(2)]
+        covectors = _basis(n) + tuple(mixed) + ((QQ(0),) * n,)
+        for alpha in covectors:
             assert l_operator(r, alpha) == dense_l_operator(iso, r, alpha), tag
-            for beta in _basis(iso.quotient_dim):
+            for beta in covectors:
                 assert mstar_bracket(r, alpha, beta) == dense_mstar_bracket(iso, r, alpha, beta), tag
         with pytest.raises(NotReductive):
             build_connection("natural", r)

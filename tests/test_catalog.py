@@ -183,45 +183,184 @@ def _base_doc():
     }
 
 
-@pytest.mark.parametrize(
-    "mutate, path_prefix",
-    [
-        (lambda d: d.update(name=3), "name"),
-        (lambda d: d.update(dim=0), "dim"),
-        (lambda d: d.update(dim=True), "dim"),
-        (lambda d: d.update(labels=["a", "a", "b"]), "labels"),
-        (lambda d: d.update(labels=["a", "", "b"]), "labels[1]"),
-        (lambda d: d.update(extra=1), "extra"),
-        (lambda d: d.update(brackets=[{"i": 1, "j": 0, "coeffs": {}}]), "brackets[0]"),
-        (lambda d: d.update(brackets=[{"i": 0, "j": 5, "coeffs": {}}]), "brackets[0]"),
-        (
-            lambda d: d.update(brackets=[{"i": 0, "j": 1, "coeffs": {"9": "1"}}]),
-            "brackets[0].coeffs.9",
+def _set_coeffs(coeffs):
+    return lambda d: d.update(brackets=[{"i": 0, "j": 1, "coeffs": coeffs}])
+
+
+_BAD_NAME = "must be a name: a letter or _, then letters, digits or _"
+_FIRST = {"i": 0, "j": 1, "coeffs": {"2": "1"}}
+
+
+# (mutate, the stderr line after "parse error: "); the seed cases keep their
+# ids, the located path
+_LOCATED = [
+    (lambda d: d.update(name=3), "name: must be a string"),
+    (lambda d: d.update(dim=0), "dim: must be a positive integer"),
+    (lambda d: d.update(dim=True), "dim: must be a positive integer"),
+    (lambda d: d.update(labels=["a", "a", "b"]), "labels: must be distinct"),
+    (lambda d: d.update(labels=["a", "", "b"]), "labels[1]: must be a nonempty string"),
+    (lambda d: d.update(extra=1), "extra: unknown field"),
+    (
+        lambda d: d.update(brackets=[{"i": 1, "j": 0, "coeffs": {}}]),
+        "brackets[0]: need 0 <= i < j < 3, got (1, 0)",
+    ),
+    (
+        lambda d: d.update(brackets=[{"i": 0, "j": 5, "coeffs": {}}]),
+        "brackets[0]: need 0 <= i < j < 3, got (0, 5)",
+    ),
+    (_set_coeffs({"9": "1"}), "brackets[0].coeffs.9: index out of range 0..2"),
+    (_set_coeffs({"2": "1/0"}), "brackets[0].coeffs.2: zero denominator"),
+    # a digit to str.isdigit, but not a decimal that int() reads
+    (_set_coeffs({"²": "1"}), "brackets[0].coeffs.²: key must be a basis index"),
+    (lambda d: d.update(subalgebra=[["1", "0"]]), "subalgebra[0]: must be a vector of length 3"),
+    (
+        lambda d: d.update(complement=[["1", "1", "0"]]),
+        "complement[0]: must be a standard basis vector",
+    ),
+    (
+        lambda d: d.update(complement=[["1", "0", "0"], ["1", "0", "0"]]),
+        "complement[1]: repeated complement vector",
+    ),
+    (lambda d: d.update(ad_generators=[[[1, 0], [0, 1]]]), "ad_generators[0]: must be a 3x3 matrix"),
+]
+
+_ERRORS_IN_ORDER = [
+    (lambda d: d.pop("dim"), "dim: must be a positive integer"),
+    (lambda d: d.update(labels=["a", "b"]), "labels: must be a list of 3 strings"),
+    (lambda d: d.update(labels="abc"), "labels: must be a list of 3 strings"),
+    (lambda d: d.update(labels=["a", 5, "b"]), "labels[1]: must be a nonempty string"),
+    (lambda d: d.update(labels=["a", "b", "1c"]), f"labels[2]: {_BAD_NAME}"),
+    # each label is checked in turn, before the labels are compared
+    (lambda d: d.update(labels=["a", "a", "c-"]), f"labels[2]: {_BAD_NAME}"),
+    (lambda d: d.update(brackets={}), "brackets: must be a list"),
+    (lambda d: d.update(brackets=[_FIRST, 3]), "brackets[1]: must be an object"),
+    (
+        lambda d: d.update(brackets=[{"i": 0, "j": 1, "coeffs": {}, "k": 2}]),
+        "brackets[0].k: unknown field",
+    ),
+    (lambda d: d.update(brackets=[{"i": 0, "coeffs": {}}]), "brackets[0]: i and j must be integers"),
+    (
+        lambda d: d.update(brackets=[{"i": 0, "j": 1, "coeffs": ["1"]}]),
+        "brackets[0].coeffs: must be an object",
+    ),
+    (_set_coeffs({"x": "1"}), "brackets[0].coeffs.x: key must be a basis index"),
+    (_set_coeffs({"-1": "1"}), "brackets[0].coeffs.-1: key must be a basis index"),
+    (_set_coeffs({"2": "x"}), "brackets[0].coeffs.2: not a rational literal: 'x'"),
+    (_set_coeffs({"2": " 1/ 2 "}), "brackets[0].coeffs.2: not a rational literal: '1/ 2'"),
+    (_set_coeffs({"2": 1.5}), "brackets[0].coeffs.2: not a rational literal: 1.5"),
+    (_set_coeffs({"2": None}), "brackets[0].coeffs.2: not a rational literal: None"),
+    (_set_coeffs({"2": ["1"]}), "brackets[0].coeffs.2: not a rational literal: ['1']"),
+    (_set_coeffs({"2": "-3/00"}), "brackets[0].coeffs.2: zero denominator"),
+    # the index is checked before the literal is read
+    (_set_coeffs({"2": "1", "02": "x"}), "brackets[0].coeffs.02: repeated basis index 2"),
+    (_set_coeffs({"9": "x"}), "brackets[0].coeffs.9: index out of range 0..2"),
+    (_set_coeffs({"0": "x", "9": "1"}), "brackets[0].coeffs.0: not a rational literal: 'x'"),
+    (lambda d: d.update(brackets=[_FIRST, _FIRST]), "brackets: duplicate pair (0, 1)"),
+    # the duplicate pair is reported once the whole list has parsed
+    (
+        lambda d: d.update(brackets=[_FIRST, _FIRST, {"i": 2, "j": 1, "coeffs": {}}]),
+        "brackets[2]: need 0 <= i < j < 3, got (2, 1)",
+    ),
+    (
+        lambda d: d.update(brackets=[_FIRST, _FIRST], subalgebra=[["x"]]),
+        "brackets: duplicate pair (0, 1)",
+    ),
+    (lambda d: d.update(subalgebra="x"), "subalgebra: must be a list of vectors"),
+    (
+        lambda d: d.update(subalgebra=[["0", "0", "1"], [1, "x", "1/0"]]),
+        "subalgebra[1][1]: not a rational literal: 'x'",
+    ),
+    (
+        lambda d: d.update(subalgebra=[["0", "0", "2/0"]]),
+        "subalgebra[0][2]: zero denominator",
+    ),
+    (
+        lambda d: d.update(subalgebra=[["1"]], complement="x", ad_generators="x"),
+        "subalgebra[0]: must be a vector of length 3",
+    ),
+    (lambda d: d.update(complement={}), "complement: must be a list of vectors"),
+    (lambda d: d.update(complement=[["1", "0"]]), "complement[0]: must be a vector of length 3"),
+    (
+        lambda d: d.update(complement=[["2", "0", "0"]]),
+        "complement[0]: must be a standard basis vector",
+    ),
+    (
+        lambda d: d.update(complement=[["0", "0", "0"]]),
+        "complement[0]: must be a standard basis vector",
+    ),
+    # every complement vector is read before any is tested
+    (
+        lambda d: d.update(complement=[["1", "1", "0"], ["0", "x", "0"]]),
+        "complement[1][1]: not a rational literal: 'x'",
+    ),
+    (
+        lambda d: d.update(complement=[["1", "1", "0"]], ad_generators="x"),
+        "complement[0]: must be a standard basis vector",
+    ),
+    (lambda d: d.update(ad_generators={}), "ad_generators: must be a list of matrices"),
+    (
+        lambda d: d.update(ad_generators=[[[1, 0, 0], [0, 1], [0, 0, 1]]]),
+        "ad_generators[0][1]: must have 3 entries",
+    ),
+    (
+        lambda d: d.update(ad_generators=[[[1, 0, 0], [0, 1, "x"], [0, 0, "1/0"]]]),
+        "ad_generators[0][1][2]: not a rational literal: 'x'",
+    ),
+    (
+        lambda d: d.update(
+            ad_generators=[[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, "5/0"]]]
         ),
-        (
-            lambda d: d.update(brackets=[{"i": 0, "j": 1, "coeffs": {"2": "1/0"}}]),
-            "brackets[0].coeffs.2",
+        "ad_generators[1][2][2]: zero denominator",
+    ),
+    # realize, not parse, finds a complement that does not complete h
+    (
+        lambda d: d.update(
+            subalgebra=[["0", "0", "1"]], complement=[["0", "0", "1"], ["1", "0", "0"]]
         ),
-        (
-            # a digit to str.isdigit, but not a decimal that int() reads
-            lambda d: d.update(brackets=[{"i": 0, "j": 1, "coeffs": {"²": "1"}}]),
-            "brackets[0].coeffs.²",
-        ),
-        (lambda d: d.update(subalgebra=[["1", "0"]]), "subalgebra[0]"),
-        (lambda d: d.update(complement=[["1", "1", "0"]]), "complement[0]"),
-        (
-            lambda d: d.update(complement=[["1", "0", "0"], ["1", "0", "0"]]),
-            "complement[1]",
-        ),
-        (lambda d: d.update(ad_generators=[[[1, 0], [0, 1]]]), "ad_generators[0]"),
-    ],
-)
-def test_parse_locates_errors(mutate, path_prefix):
+        "complement: does not complete the subalgebra to a basis",
+    ),
+]
+
+
+def _error_path(value):
+    return value.split(": ")[0] if isinstance(value, str) else None
+
+
+def _assert_parse_error(mutate, err):
     data = _base_doc()
     mutate(data)
+    assert run_cli(["validate", "-"], json.dumps(data)) == (2, "", f"parse error: {err}\n")
+
+
+@pytest.mark.parametrize("mutate, err", _LOCATED, ids=_error_path)
+def test_parse_locates_errors(mutate, err):
+    _assert_parse_error(mutate, err)
+
+
+@pytest.mark.parametrize("mutate, err", _ERRORS_IN_ORDER, ids=_error_path)
+def test_parse_reports_each_error_in_full_and_in_order(mutate, err):
+    _assert_parse_error(mutate, err)
+
+
+@pytest.mark.parametrize(
+    "data, err",
+    [
+        ("{nope", ": invalid JSON at line 1: Expecting property name enclosed in double quotes"),
+        ("[]", ": document must be a JSON object"),
+        ('{"dim": 3, "dim": 2.0}', "dim: must be a positive integer"),
+        # only a decoded document can hold a key that is not a string
+        (
+            {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {2: "1"}}]},
+            "brackets[0].coeffs.2: key must be a basis index",
+        ),
+    ],
+)
+def test_parse_locates_errors_in_text_and_decoded_documents(data, err):
     with pytest.raises(DocumentError) as exc:
         catalog.parse(data)
-    assert exc.value.path.startswith(path_prefix)
+    assert f"parse error: {exc.value}\n" == f"parse error: {err}\n"
+    if isinstance(data, str):
+        assert run_cli(["validate", "-"], data) == (2, "", f"parse error: {err}\n")
 
 
 _BOOLEAN_DOCS = [

@@ -6,6 +6,13 @@ builtins reproduce the standard examples: abelian algebras, Heisenberg
 algebras with lattice generators, the Poincare algebra iso(1,1) with a
 discrete generator, gl_n over so_n, so_4 over so_2 x so_2 (the Grassmannian
 of oriented 2-planes in R^4), and the double g+g over the diagonal.
+
+parse reads each rational literal once into ints (read_rational): bracket
+coefficients go straight into the integer table of the LieAlgebra through
+liecore.lie_algebra_of_terms, the normaliser make_lie_algebra uses too, and
+subalgebra, complement and generator entries become Fractions, once per
+distinct string literal.  A located error message is formatted only when its
+check fails.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from fractions import Fraction
 
 from .errors import DocumentError, LiepsError
 from .exact import Mat
-from .liecore import LieAlgebra, make_isotropy, make_lie_algebra
+from .liecore import LieAlgebra, lie_algebra_of_terms, make_isotropy, make_lie_algebra
 
 _RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -27,18 +34,24 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def parse_rational(s, path="") -> Fraction:
-    """A JSON integer or a "p" / "p/q" string, built once from its integers."""
-    s = s.strip() if isinstance(s, str) else s
-    if _is_int(s):
-        return Fraction(s)
-    m = _RATIONAL.match(s) if isinstance(s, str) else None
-    if m is None:
-        raise DocumentError(path, f"not a rational literal: {s!r}")
-    den = int(m[2]) if m[2] else 1
-    if den == 0:
-        raise DocumentError(path, "zero denominator")
-    return Fraction(int(m[1]), den)
+def read_rational(x, path, *where) -> tuple:
+    """(p, q), q > 0, as written: a JSON integer or a stripped "p" / "p/q" string of decimal digits.
+
+    Lowest terms are taken later, once per bracket table and by Fraction for
+    a stored entry.  An error is located at path.format(*where), built only then.
+    """
+    if isinstance(x, str):
+        x = x.strip()
+        m = _RATIONAL.match(x)
+        if m is not None:
+            p, q = m.groups()
+            q = int(q or 1)
+            if not q:
+                raise DocumentError(path.format(*where), "zero denominator")
+            return int(p), q
+    elif _is_int(x):
+        return x, 1
+    raise DocumentError(path.format(*where), f"not a rational literal: {x!r}")
 
 
 def format_rational(q: Fraction) -> str:
@@ -383,11 +396,6 @@ def is_label(text) -> bool:
     return (text[:1].isalpha() or text[:1] == "_") and all(c.isalnum() or c == "_" for c in text)
 
 
-def _expect(cond, path, msg):
-    if not cond:
-        raise DocumentError(path, msg)
-
-
 def parse(text) -> AlgebraDocument:
     """Parse JSON text (or an already-decoded dict) with located errors."""
     if isinstance(text, (str, bytes)):
@@ -397,89 +405,121 @@ def parse(text) -> AlgebraDocument:
             raise DocumentError("", f"invalid JSON at line {e.lineno}: {e.msg}") from None
     else:
         data = text
-    _expect(isinstance(data, dict), "", "document must be a JSON object")
+    if not isinstance(data, dict):
+        raise DocumentError("", "document must be a JSON object")
 
-    known = {"name", "dim", "labels", "brackets", "subalgebra", "complement", "ad_generators"}
     for k in data:
-        _expect(k in known, k, "unknown field")
+        if k not in {"name", "dim", "labels", "brackets", "subalgebra", "complement", "ad_generators"}:
+            raise DocumentError(k, "unknown field")
 
     name = data.get("name", "")
-    _expect(isinstance(name, str), "name", "must be a string")
+    if not isinstance(name, str):
+        raise DocumentError("name", "must be a string")
 
     dim = data.get("dim")
-    _expect(_is_int(dim) and dim > 0, "dim", "must be a positive integer")
+    if not (_is_int(dim) and dim > 0):
+        raise DocumentError("dim", "must be a positive integer")
 
     labels = data.get("labels")
     if labels is None:
         labels = [f"e{t + 1}" for t in range(dim)]
-    _expect(isinstance(labels, list) and len(labels) == dim, "labels", f"must be a list of {dim} strings")
+    if not (isinstance(labels, list) and len(labels) == dim):
+        raise DocumentError("labels", f"must be a list of {dim} strings")
     for t, lab in enumerate(labels):
-        _expect(isinstance(lab, str) and lab, f"labels[{t}]", "must be a nonempty string")
-        _expect(is_label(lab), f"labels[{t}]",
-                "must be a name: a letter or _, then letters, digits or _")
-    _expect(len(set(labels)) == dim, "labels", "must be distinct")
+        if not (isinstance(lab, str) and lab):
+            raise DocumentError(f"labels[{t}]", "must be a nonempty string")
+        if not is_label(lab):
+            raise DocumentError(
+                f"labels[{t}]", "must be a name: a letter or _, then letters, digits or _"
+            )
+    if len(set(labels)) != dim:
+        raise DocumentError("labels", "must be distinct")
 
     raw_brackets = data.get("brackets", [])
-    _expect(isinstance(raw_brackets, list), "brackets", "must be a list")
-    brackets = {}
+    if not isinstance(raw_brackets, list):
+        raise DocumentError("brackets", "must be a list")
+    terms = []  # (i, j, k, p, q): c_ijk = p / q
+    pairs = set()
     duplicate = None
     for t, item in enumerate(raw_brackets):
-        path = f"brackets[{t}]"
-        _expect(isinstance(item, dict), path, "must be an object")
+        if not isinstance(item, dict):
+            raise DocumentError(f"brackets[{t}]", "must be an object")
         for k in item:
-            _expect(k in {"i", "j", "coeffs"}, f"{path}.{k}", "unknown field")
+            if k not in {"i", "j", "coeffs"}:
+                raise DocumentError(f"brackets[{t}].{k}", "unknown field")
         i = item.get("i")
         j = item.get("j")
-        _expect(_is_int(i) and _is_int(j), path, "i and j must be integers")
-        _expect(0 <= i < j < dim, path, f"need 0 <= i < j < {dim}, got ({i}, {j})")
+        if not (_is_int(i) and _is_int(j)):
+            raise DocumentError(f"brackets[{t}]", "i and j must be integers")
+        if not 0 <= i < j < dim:
+            raise DocumentError(f"brackets[{t}]", f"need 0 <= i < j < {dim}, got ({i}, {j})")
         coeffs = item.get("coeffs", {})
-        _expect(isinstance(coeffs, dict), f"{path}.coeffs", "must be an object")
-        parsed = {}
+        if not isinstance(coeffs, dict):
+            raise DocumentError(f"brackets[{t}].coeffs", "must be an object")
+        seen = set()
         for key, val in coeffs.items():
-            kpath = f"{path}.coeffs.{key}"
-            _expect(isinstance(key, str) and key.isdecimal(), kpath, "key must be a basis index")
+            if not (isinstance(key, str) and key.isdecimal()):
+                raise DocumentError(f"brackets[{t}].coeffs.{key}", "key must be a basis index")
             k = int(key)
-            _expect(0 <= k < dim, kpath, f"index out of range 0..{dim - 1}")
-            _expect(k not in parsed, kpath, f"repeated basis index {k}")
-            parsed[k] = parse_rational(val, kpath)
-        if (i, j) in brackets and duplicate is None:
+            if not 0 <= k < dim:
+                raise DocumentError(f"brackets[{t}].coeffs.{key}", f"index out of range 0..{dim - 1}")
+            if k in seen:
+                raise DocumentError(f"brackets[{t}].coeffs.{key}", f"repeated basis index {k}")
+            seen.add(k)
+            terms.append((i, j, k, *read_rational(val, "brackets[{}].coeffs.{}", t, key)))
+        if (i, j) in pairs and duplicate is None:
             duplicate = (i, j)
-        brackets[i, j] = parsed
+        pairs.add((i, j))
     # reported once the whole list has parsed, so a malformed later item wins
-    _expect(duplicate is None, "brackets", f"duplicate pair {duplicate}")
-    algebra = make_lie_algebra(dim, brackets, labels)
+    if duplicate is not None:
+        raise DocumentError("brackets", f"duplicate pair {duplicate}")
+    algebra = lie_algebra_of_terms(dim, labels, terms)
+
+    values = {}  # string literal -> Fraction; generators repeat "0", "1" and "-1"
+
+    def entry(x, path, *where):
+        if type(x) is not str:
+            return Fraction(*read_rational(x, path, *where))
+        value = values.get(x)
+        if value is None:
+            value = values[x] = Fraction(*read_rational(x, path, *where))
+        return value
 
     def parse_vectors(key):
         raw = data.get(key, [])
-        _expect(isinstance(raw, list), key, "must be a list of vectors")
+        if not isinstance(raw, list):
+            raise DocumentError(key, "must be a list of vectors")
         out = []
         for t, v in enumerate(raw):
-            path = f"{key}[{t}]"
-            _expect(isinstance(v, list) and len(v) == dim, path, f"must be a vector of length {dim}")
-            out.append(tuple(parse_rational(x, f"{path}[{c}]") for c, x in enumerate(v)))
+            if not (isinstance(v, list) and len(v) == dim):
+                raise DocumentError(f"{key}[{t}]", f"must be a vector of length {dim}")
+            out.append(tuple(entry(x, "{}[{}][{}]", key, t, c) for c, x in enumerate(v)))
         return out
 
     subalgebra = parse_vectors("subalgebra")
 
     complement = []
     for t, v in enumerate(parse_vectors("complement")):
-        path = f"complement[{t}]"
         hits = [c for c, x in enumerate(v) if x != 0]
-        _expect(len(hits) == 1 and v[hits[0]] == 1, path, "must be a standard basis vector")
-        _expect(hits[0] not in complement, path, "repeated complement vector")
+        if not (len(hits) == 1 and v[hits[0]] == 1):
+            raise DocumentError(f"complement[{t}]", "must be a standard basis vector")
+        if hits[0] in complement:
+            raise DocumentError(f"complement[{t}]", "repeated complement vector")
         complement.append(hits[0])
 
     raw_gens = data.get("ad_generators", [])
-    _expect(isinstance(raw_gens, list), "ad_generators", "must be a list of matrices")
+    if not isinstance(raw_gens, list):
+        raise DocumentError("ad_generators", "must be a list of matrices")
     gens = []
     for t, g in enumerate(raw_gens):
-        path = f"ad_generators[{t}]"
-        _expect(isinstance(g, list) and len(g) == dim, path, f"must be a {dim}x{dim} matrix")
+        if not (isinstance(g, list) and len(g) == dim):
+            raise DocumentError(f"ad_generators[{t}]", f"must be a {dim}x{dim} matrix")
         rows = []
         for r, row in enumerate(g):
-            _expect(isinstance(row, list) and len(row) == dim, f"{path}[{r}]", f"must have {dim} entries")
-            rows.append([parse_rational(x, f"{path}[{r}][{c}]") for c, x in enumerate(row)])
-        gens.append(Mat(rows))
+            if not (isinstance(row, list) and len(row) == dim):
+                raise DocumentError(f"ad_generators[{t}][{r}]", f"must have {dim} entries")
+            rows.append(tuple(entry(x, "ad_generators[{}][{}][{}]", t, r, c) for c, x in enumerate(row)))
+        gens.append(Mat._trusted(tuple(rows), dim))
 
     return AlgebraDocument(
         name=name,

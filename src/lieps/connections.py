@@ -67,8 +67,14 @@ class ConnectionMap:
         return len(self.b)
 
     def apply(self, alpha, beta) -> tuple:
-        """b(alpha, beta) = M_alpha beta."""
-        return self.matrix_for(alpha) @ beta
+        """b(alpha, beta) = sum_a,c x_a y_c N[a][c] / (d e^2) for alpha, beta = x / e, y / e."""
+        n = self.dim
+        N, d = self.ints
+        (x, y), e = int_vectors((_covector(alpha, n), _covector(beta, n)))
+        out = [0] * n
+        for a, xa in x:
+            _add(out, 0, N[a], y, xa)
+        return from_ints(out, d * e * e)
 
     def matrix_for(self, eta) -> Mat:
         """M_eta with M_eta gamma = b(eta, gamma).

@@ -8,11 +8,14 @@ int arithmetic, so its cost follows the nonzero products and no Fraction is
 built until a result leaves the kernel: a bracket or ad-matrix scales each
 argument by the lcm of its denominators and divides once per nonzero output
 entry, and a zero test (Jacobi, antisymmetry, automorphism) never divides.
+One normaliser, lie_algebra_of_terms, builds every table, from
+make_lie_algebra and from the document parser alike.
 
 An isotropy model packages a subalgebra h together with an explicit linear
 model of the quotient g/h: a projection q and a section s built from
-standard basis vectors, both read off one elimination of the basis of h
-(`complement_projection`).  (g/h)* is identified with the annihilator h° of
+standard basis vectors, both read off one integer elimination of the basis
+of h (`complement_projection`), which the model keeps and builds q and s
+from on first use.  (g/h)* is identified with the annihilator h° of
 h inside g* through q^T; h° is not stored, since eta lies in it exactly when
 <eta, u> = 0 for every h-basis vector u.  The model keeps q as integer
 columns over one denominator, off which `quotient_ad` reads every q ad_x s
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     GeneratorMovesH,
@@ -35,7 +39,7 @@ from .errors import (
     NotInH,
     NotReductive,
 )
-from .exact import Mat, Subspace, _rref_int_rows, from_ints, int_vectors, rref, to_ints, vec, vsub
+from .exact import Mat, Subspace, _reduce, _rref_int_rows, from_ints, int_vectors, to_ints, vec
 
 
 @dataclass(frozen=True)
@@ -58,16 +62,14 @@ def make_lie_algebra(dim, brackets, labels=None) -> LieAlgebra:
     """Build an algebra from sparse brackets given on pairs i < j.
 
     `brackets` maps (i, j) with i < j to {k: coefficient}; the table is
-    completed antisymmetrically, zero coefficients are dropped and every
-    other pair is zero.  den is the lcm of the denominators of the
-    coefficients, so equal brackets give equal algebras.  Ints and Fractions
-    are taken as they are; anything else goes through Fraction once.
-    Jacobi is not checked here; run validate for a full report.
+    completed antisymmetrically by lie_algebra_of_terms, which the document
+    parser calls too.  Ints and Fractions are taken as they are; anything
+    else goes through Fraction once.  Jacobi is not checked here; run
+    validate for a full report.
     """
     if labels is None:
         labels = tuple(f"e{i + 1}" for i in range(dim))
-    labels = tuple(str(x) for x in labels)
-    coeffs_ijk = []
+    terms = []
     for (i, j), coeffs in brackets.items():
         if not (0 <= i < j < dim):
             raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
@@ -76,15 +78,28 @@ def make_lie_algebra(dim, brackets, labels=None) -> LieAlgebra:
                 raise ValueError(f"coefficient index {k} out of range for dim {dim}")
             if not isinstance(v, (int, Fraction)):
                 v = Fraction(v)
-            if v:
-                coeffs_ijk.append(((i, j, k), v))
+            terms.append((i, j, k, v.numerator, v.denominator))
+    return lie_algebra_of_terms(dim, labels, terms)
+
+
+def lie_algebra_of_terms(dim, labels, terms) -> LieAlgebra:
+    """The algebra with c_ijk = p / q for each term (i, j, k, p, q), i < j, q > 0, once each.
+
+    The table is completed antisymmetrically and zero terms are dropped.
+    den = D / gcd(D, all D p / q), D = lcm of the q, is the least common
+    denominator, so equal brackets give equal algebras ("2/4" and "1/2" alike).
+    """
     # sorted by (i, j, k), so each row comes out with k increasing
-    ints, den = to_ints(sorted(coeffs_ijk))
+    terms = sorted([term for term in terms if term[3]])
+    D = lcm(*[term[4] for term in terms])
+    nums = [p * (D // q) for _, _, _, p, q in terms]
+    g = gcd(D, *nums)
     nz = [[[] for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k), v in ints:
+    for (i, j, k, _, _), v in zip(terms, nums):
+        v //= g
         nz[i][j].append((k, v))
         nz[j][i].append((k, -v))
-    return LieAlgebra(dim, labels, tuple(tuple(map(tuple, row)) for row in nz), den)
+    return LieAlgebra(dim, tuple(map(str, labels)), tuple(tuple(map(tuple, row)) for row in nz), D // g)
 
 
 def _sparse_bracket(nz, xs, ys) -> dict:
@@ -197,23 +212,24 @@ def validate(L: LieAlgebra) -> Report:
 class IsotropyModel:
     """Quotient model g/h with a preferred standard-basis complement.
 
+    h_rows is the integer elimination of h that picked the complement
+    (_complement_rows); on first use the model builds off it
+
     q_matrix : (n-k) x n projection onto quotient coordinates, zero on h
     s_matrix : n x (n-k) section, columns are the complement standard vectors
 
     q^T identifies a quotient covector with its representative in the
     annihilator h° of h, the working model of (g/h)*.
 
-    The action of the isotropy on g/h (ad_bars, generator_maps), the
-    reductive and symmetric flags, the integer columns of q and the integer
-    m-bracket table m_table are derived once, on first use, and kept on the
-    model.
+    The integer columns of q, the action of the isotropy on g/h (ad_bars,
+    generator_maps), the reductive and symmetric flags and the integer
+    m-bracket table m_table are derived the same way, once; validate reads none.
     """
 
     L: LieAlgebra
     h_basis: Subspace
     complement_indices: tuple
-    q_matrix: Mat
-    s_matrix: Mat
+    h_rows: tuple = field(compare=False)  # derived from h_basis and the complement
     discrete_generators: tuple = field(default=())
 
     @property
@@ -222,8 +238,34 @@ class IsotropyModel:
 
     @cached_property
     def _q_columns(self) -> tuple:
-        """(cols, d) with q = Q / d, Q integer; cols[k] lists the nonzeros (t, Q_tk)."""
-        return int_vectors(self.q_matrix.T.entries)
+        """(cols, d) with q = Q / d, Q integer; cols[k] lists the nonzeros (t, Q_tk).
+
+        q e_j = eps_t for the t-th complement vector e_j, and
+        q e_P = -sum_t (R_{j_t} / R_P) eps_t for each row (P, R) of h_rows.
+        R is primitive and vanishes off P and the complement, so d = lcm |R_P|
+        is the least common denominator of q.
+        """
+        pos = {j: t for t, j in enumerate(self.complement_indices)}
+        d = lcm(*(R[P] for P, R in self.h_rows))
+        cols = [[(pos[k], d)] if k in pos else [] for k in range(self.L.dim)]
+        for P, R in self.h_rows:
+            f = d // R[P]
+            cols[P] = [(pos[i], -x * f) for i, x in R.items() if i != P]
+        return cols, d
+
+    @cached_property
+    def q_matrix(self) -> Mat:
+        cols, d = self._q_columns
+        rows = [[0] * self.L.dim for _ in self.complement_indices]
+        for k, col in enumerate(cols):
+            for t, x in col:
+                rows[t][k] = x
+        return Mat._trusted(tuple(from_ints(row, d) for row in rows), self.L.dim)
+
+    @cached_property
+    def s_matrix(self) -> Mat:
+        e = Mat.identity(self.L.dim).entries
+        return Mat.from_cols([e[j] for j in self.complement_indices], self.L.dim)
 
     @cached_property
     def m_table(self) -> tuple:
@@ -375,6 +417,33 @@ def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
         raise GeneratorMovesH("generator does not preserve the isotropy subalgebra")
 
 
+def _complement_rows(space: Subspace, indices=None) -> tuple:
+    """(indices, rows): complement_projection in ints, one (P, R) per pivot P.
+
+    R = {i: R_i} holds the nonzeros of a primitive integer row; column P of
+    the projection is R / R_P.
+    """
+    n = space.ambient
+    if indices is None:
+        order = tuple(range(n - 1, -1, -1))
+    else:
+        indices = tuple(indices)
+        if any(not 0 <= j < n for j in indices):
+            raise ValueError(f"complement indices must lie in 0..{n - 1}")
+        taken = set(indices)
+        if len(taken) != len(indices) or len(indices) != n - space.dim:
+            raise ValueError("the standard vectors do not complete the subspace to a basis")
+        order = tuple(j for j in range(n) if j not in taken) + indices
+    rows = [{k: v[j] for k, j in enumerate(order) if v[j]} for v in space.basis]
+    red, pivots = _reduce(rows, n) if rows else ((), [])
+    if indices is None:
+        on_space = {order[p] for p in pivots}
+        indices = tuple(j for j in range(n) if j not in on_space)
+    elif pivots != list(range(space.dim)):
+        raise ValueError("the standard vectors do not complete the subspace to a basis")
+    return indices, tuple((order[p], {order[k]: x for k, x in row.items()}) for row, p in zip(red, pivots))
+
+
 def complement_projection(space: Subspace, indices=None) -> tuple:
     """(indices, proj): standard vectors e_j completing `space`, and the projection along them.
 
@@ -390,33 +459,16 @@ def complement_projection(space: Subspace, indices=None) -> tuple:
     elimination picks the complement.  Explicit indices put the columns off
     them first, and complete the space exactly when the pivots come first.
     Raises ValueError unless they are distinct, in range and complete space
-    to a basis of the ambient.
+    to a basis of the ambient.  The elimination is _complement_rows, which
+    make_isotropy keeps as the model's h_rows.
     """
     n = space.ambient
-    if indices is None:
-        order = tuple(range(n - 1, -1, -1))
-    else:
-        indices = tuple(indices)
-        if any(not 0 <= j < n for j in indices):
-            raise ValueError(f"complement indices must lie in 0..{n - 1}")
-        taken = set(indices)
-        if len(taken) != len(indices) or len(indices) != n - space.dim:
-            raise ValueError("the standard vectors do not complete the subspace to a basis")
-        order = tuple(j for j in range(n) if j not in taken) + indices
-    rows = [{} for _ in range(n)]
-    pivots = []
-    if space.dim:
-        red, pivots = rref(Mat([[v[j] for j in order] for v in space.basis]))
-        if indices is not None and pivots != list(range(space.dim)):
-            raise ValueError("the standard vectors do not complete the subspace to a basis")
-        for row, p in zip(red.entries, pivots):
-            for k, x in enumerate(row):
-                if x:
-                    rows[order[k]][order[p]] = x
-    if indices is None:
-        on_space = {order[p] for p in pivots}
-        indices = tuple(j for j in range(n) if j not in on_space)
-    return indices, Mat.from_sparse(rows, n)
+    indices, rows = _complement_rows(space, indices)
+    proj = [{} for _ in range(n)]
+    for P, R in rows:
+        for i, x in R.items():
+            proj[i][P] = Fraction(x, R[P])
+    return indices, Mat.from_sparse(proj, n)
 
 
 def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement_indices=None) -> IsotropyModel:
@@ -424,18 +476,14 @@ def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement
 
     The complement is scanned greedily through the standard basis unless
     explicit indices are supplied; either way the chosen standard vectors
-    must complete a basis of g together with h.
+    must complete a basis of g together with h, else ValueError.  q and s
+    are built on first use.
     """
     n = L.dim
     h = Subspace.from_vectors(n, h_vectors)
     _check_subalgebra(L, h)
 
-    complement_indices, proj = complement_projection(h, complement_indices)
-    e = Mat.identity(n).entries
-    # q x = (x - proj x) read at the complement indices, which is zero on h
-    # and the identity on the complement vectors
-    q_matrix = Mat([vsub(e[j], proj[j]) for j in complement_indices], n)
-    s_matrix = Mat.from_cols([e[j] for j in complement_indices], n)
+    complement_indices, h_rows = _complement_rows(h, complement_indices)
 
     gens = []
     if discrete_generators:
@@ -448,8 +496,7 @@ def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement
         L=L,
         h_basis=h,
         complement_indices=complement_indices,
-        q_matrix=q_matrix,
-        s_matrix=s_matrix,
+        h_rows=h_rows,
         discrete_generators=tuple(gens),
     )
 

@@ -4,11 +4,11 @@ from fractions import Fraction as QQ
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import CATALOG_ENTRIES
-from lieps import catalog
+from helpers import CATALOG_ENTRIES, count_cached
+from lieps import catalog, liecore
 from lieps.cli import run_cli
 from lieps.errors import DocumentError, LiepsError
-from lieps.liecore import bracket, validate
+from lieps.liecore import IsotropyModel, bracket, make_lie_algebra, validate
 
 
 def V(*xs):
@@ -157,21 +157,133 @@ def test_parse_accepts_dict_and_defaults_labels():
 
 
 def test_rationals():
-    assert catalog.parse_rational("3/2") == QQ(3, 2)
-    assert catalog.parse_rational("-7") == QQ(-7)
-    assert catalog.parse_rational(2) == QQ(2)
-    for text, value in [("٣/٤", QQ(3, 4)), (" +6/4 ", QQ(3, 2)), ("-0/5", QQ(0))]:
-        q = catalog.parse_rational(text)
-        assert type(q) is QQ and q == value
+    # the integers as written; the table and Fraction take lowest terms
+    assert catalog.read_rational("3/2", "x") == (3, 2)
+    assert catalog.read_rational("-7", "x") == (-7, 1)
+    assert catalog.read_rational(2, "x") == (2, 1)
+    for text, pair in [("٣/٤", (3, 4)), (" +6/4 ", (6, 4)), ("-0/5", (0, 5))]:
+        p, q = catalog.read_rational(text, "x")
+        assert type(p) is int and type(q) is int and (p, q) == pair
     for flag in (True, False):
         with pytest.raises(DocumentError, match="not a rational literal"):
-            catalog.parse_rational(flag, "x")
-    with pytest.raises(DocumentError):
-        catalog.parse_rational("1/0", "x")
-    with pytest.raises(DocumentError):
-        catalog.parse_rational("nope", "x")
-    with pytest.raises(DocumentError):
-        catalog.parse_rational(1.5, "x")
+            catalog.read_rational(flag, "x")
+    for bad in ("nope", 1.5):
+        with pytest.raises(DocumentError, match="not a rational literal"):
+            catalog.read_rational(bad, "x")
+    # the path is formatted from its parts, and only when the literal is bad
+    with pytest.raises(DocumentError) as exc:
+        catalog.read_rational("1/0", "v[{}][{}]", 2, "k")
+    assert (exc.value.path, exc.value.msg) == ("v[2][k]", "zero denominator")
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def _literal(draw):
+    """(JSON value, its rational): p / q written unreduced, padded, signed or in other digits."""
+    p = draw(st.integers(-6, 6))
+    q = draw(st.integers(1, 6))
+    style = draw(st.sampled_from(("int", "plain", "padded", "arabic", "negzero")))
+    if style == "int":
+        return p, QQ(p)
+    text = f"{p}/{q}"
+    if style == "padded":
+        text = f" {'+' if p >= 0 else ''}{text} "
+    elif style == "arabic":
+        text = text.translate(_ARABIC_INDIC)
+    elif style == "negzero":
+        text = f"-0/{q}"
+    return text, QQ(text)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_integer_route_matches_make_lie_algebra_on_any_spelling(data):
+    dim = data.draw(st.integers(1, 4))
+    items, values = [], {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ks = data.draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim))
+            if ks or data.draw(st.booleans()):
+                lits = [data.draw(_literal()) for _ in ks]
+                items.append({"i": i, "j": j, "coeffs": {str(k): x for k, (x, _) in zip(ks, lits)}})
+                values[i, j] = {k: v for k, (_, v) in zip(ks, lits)}
+    sub = [[data.draw(_literal()) for _ in range(dim)] for _ in range(data.draw(st.integers(0, 2)))]
+    gen = [[data.draw(_literal()) for _ in range(dim)] for _ in range(dim)]
+    doc = {
+        "dim": dim,
+        "brackets": items,
+        "subalgebra": [[x for x, _ in v] for v in sub],
+        "ad_generators": [[[x for x, _ in row] for row in gen]],
+    }
+    parsed = catalog.parse(json.dumps(doc))
+    expected = make_lie_algebra(dim, values, parsed.labels)
+    assert (parsed.algebra.den, parsed.algebra.nz) == (expected.den, expected.nz)
+    assert parsed.algebra == expected
+    stored = [x for v in parsed.subalgebra for x in v]
+    stored += [x for row in parsed.ad_generators[0] for x in row]
+    literals = [x for v in sub for x, _ in v] + [x for row in gen for x, _ in row]
+    assert all(type(x) is QQ for x in stored)
+    assert stored == [QQ(x) for x in literals]
+
+
+# a random-dense document: heisenberg under a rational change of basis
+_TRANSPORTED = json.dumps(
+    {
+        "name": "rd5-heis",
+        "dim": 3,
+        "brackets": [
+            {"i": 0, "j": 1, "coeffs": {"0": "-2/9", "1": "4/9", "2": "1/9"}},
+            {"i": 0, "j": 2, "coeffs": {"0": "8/9", "1": "-16/9", "2": "-4/9"}},
+            {"i": 1, "j": 2, "coeffs": {"0": "4/9", "1": "-8/9", "2": "-2/9"}},
+        ],
+        "subalgebra": [["4/9", "1/9", "-2/9"], ["-2/9", "4/9", "1/9"]],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        catalog.emit(catalog.builtin("so4_grassmann")),
+        catalog.emit(catalog.builtin("heisenberg", {"n": 2})),
+        _TRANSPORTED,
+    ],
+    ids=["so4_grassmann", "heisenberg2", "transported"],
+)
+def test_validate_builds_neither_q_nor_s(monkeypatch, text):
+    _, iso = catalog.realize(catalog.parse(text))
+    assert validate(iso.L).ok
+    assert "q_matrix" not in vars(iso) and "s_matrix" not in vars(iso)
+    q_built = count_cached(monkeypatch, IsotropyModel, "q_matrix")
+    s_built = count_cached(monkeypatch, IsotropyModel, "s_matrix")
+    assert run_cli(["validate", "-"], text)[0] == 0
+    assert (q_built, s_built) == ([], [])
+
+
+def test_bracket_coefficients_build_no_fraction(monkeypatch):
+    reads, fractions = [], []
+    real_read = catalog.read_rational
+
+    def read(x, path, *where):
+        reads.append(x)
+        return real_read(x, path, *where)
+
+    class Counted(QQ):
+        def __new__(cls, *args):
+            fractions.append(args)
+            return QQ(*args)
+
+    monkeypatch.setattr(catalog, "read_rational", read)
+    monkeypatch.setattr(catalog, "Fraction", Counted)
+    monkeypatch.setattr(liecore, "Fraction", Counted)
+    doc = catalog.parse(_TRANSPORTED)
+    # nine bracket coefficients, read into ints; the six subalgebra entries
+    # hold three distinct literals, each read and made a Fraction once
+    assert len(reads) == 9 + 3
+    assert sorted(fractions) == [(-2, 9), (1, 9), (4, 9)]
+    assert doc.algebra.den == 9
 
 
 def _base_doc():

@@ -92,14 +92,13 @@ def lie_algebra_of_terms(dim, labels, terms) -> LieAlgebra:
     # sorted by (i, j, k), so each row comes out with k increasing
     terms = sorted([term for term in terms if term[3]])
     D = lcm(*[term[4] for term in terms])
-    nums = [p * (D // q) for _, _, _, p, q in terms]
-    g = gcd(D, *nums)
+    den = D // gcd(D, *[p * (D // q) for _, _, _, p, q in terms])
     nz = [[[] for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k, _, _), v in zip(terms, nums):
-        v //= g
+    for i, j, k, p, q in terms:
+        v = p * den // q
         nz[i][j].append((k, v))
         nz[j][i].append((k, -v))
-    return LieAlgebra(dim, tuple(map(str, labels)), tuple(tuple(map(tuple, row)) for row in nz), D // g)
+    return LieAlgebra(dim, tuple(map(str, labels)), tuple(tuple(map(tuple, row)) for row in nz), den)
 
 
 def _sparse_bracket(nz, xs, ys) -> dict:

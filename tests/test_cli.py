@@ -691,6 +691,104 @@ def test_zero_bivector_runs_when_h_is_g():
     assert out.startswith("connection: fedosov\nb: 0\ntorsion: 0\n")
 
 
+HEIS3 = '"dim":3,"labels":["u","v","w"],"brackets":[{"i":0,"j":1,"coeffs":{"2":"1"}}]'
+DEGENERATE_COMMANDS = (
+    ["validate"],
+    ["invariants"],
+    ["scan"],
+    ["ybe", "--r", "0"],
+    ["leaf", "--r", "0"],
+    ["connection", "--r", "0", "--kind", "natural"],
+)
+VALIDATE_OK = "name: \ndim: %d\nok: true\n"
+NATURAL_ZERO = "connection: natural\nb: 0\ntorsion: 0\ncurvature zero: true\npoisson compatible: true\n"
+LEAF_W = "a_r: dim 1\n  w\nomega_r on that frame:\n  [0]\nradical equals h: true\n"
+REDUCTIVE_SYMMETRIC = "decomposition: reductive true, symmetric true\n"
+SINGULAR = (1, "", "error: generator is singular\n")
+# (exit code, stdout) of each command in DEGENERATE_COMMANDS, or one
+# (exit code, stdout, stderr) shared by all of them
+DEGENERATE_SUBSPACES = {
+    "h = 0": (
+        "{%s}" % HEIS3,
+        [
+            (0, VALIDATE_OK % 3),
+            (0, "dim 3\n  u^v\n  u^w\n  v^w\n"),
+            (0, "6 candidates\n  [basis] u^v: invariant, not an r-matrix\n"
+                "  [basis] u^w: invariant, r-matrix\n  [basis] v^w: invariant, r-matrix\n"
+                "  [sum] u^v + u^w: invariant, not an r-matrix\n"
+                "  [sum] u^v + v^w: invariant, not an r-matrix\n"
+                "  [sum] u^w + v^w: invariant, r-matrix\n"),
+            (0, "r-matrix\n"),
+            (0, "a_r: dim 0\nomega_r on that frame:\nradical equals h: true\n" + REDUCTIVE_SYMMETRIC),
+            (0, NATURAL_ZERO),
+        ],
+    ),
+    "h = g, dim 1": (
+        '{"dim":1,"labels":["e"],"brackets":[],"subalgebra":[["1"]]}',
+        [
+            (0, VALIDATE_OK % 1),
+            (0, "dim 0\n"),
+            (0, "0 candidates\n"),
+            (0, "r-matrix\n"),
+            (0, "a_r: dim 1\n  e\nomega_r on that frame:\n  [0]\nradical equals h: true\n"
+                + REDUCTIVE_SYMMETRIC),
+            (0, NATURAL_ZERO),
+        ],
+    ),
+    "h = g, heisenberg": (
+        '{%s,"subalgebra":[[1,0,0],[0,1,0],[0,0,1]]}' % HEIS3,
+        [
+            (0, VALIDATE_OK % 3),
+            (0, "dim 0\n"),
+            (0, "0 candidates\n"),
+            (0, "r-matrix\n"),
+            (0, "a_r: dim 3\n  u\n  v\n  w\nomega_r on that frame:\n"
+                "  [0, 0, 0]\n  [0, 0, 0]\n  [0, 0, 0]\nradical equals h: true\n" + REDUCTIVE_SYMMETRIC),
+            (0, NATURAL_ZERO),
+        ],
+    ),
+    "zero vector": (
+        '{%s,"subalgebra":[[0,0,0],["0","0","-1"]]}' % HEIS3,
+        [
+            (0, VALIDATE_OK % 3),
+            (0, "dim 1\n  u^v\n"),
+            (0, "1 candidates\n  [basis] u^v: invariant, r-matrix\n"),
+            (0, "r-matrix\n"),
+            (0, LEAF_W + REDUCTIVE_SYMMETRIC),
+            (0, NATURAL_ZERO),
+        ],
+    ),
+    # three vectors spanning span{u, w}, with a negative leading entry, and
+    # a generator that keeps it
+    "dependent vectors": (
+        '{%s,"subalgebra":[["-2","0","4"],["0","0","3/5"],["1","0","-1"]],'
+        '"ad_generators":[[[1,0,0],[0,1,0],[-1,0,1]]]}' % HEIS3,
+        [
+            (0, VALIDATE_OK % 3),
+            (0, "dim 0\n"),
+            (0, "0 candidates\n"),
+            (0, "r-matrix\n"),
+            (0, "a_r: dim 2\n  u\n  w\nomega_r on that frame:\n  [0, 0]\n  [0, 0]\n"
+                "radical equals h: true\n" + REDUCTIVE_SYMMETRIC),
+            (1, ""),
+        ],
+    ),
+    "singular generator": ('{%s,"ad_generators":[[[1,0,0],[0,1,0],[0,0,0]]]}' % HEIS3, SINGULAR),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_SUBSPACES))
+def test_degenerate_subspaces_give_pinned_output(name):
+    text, expected = DEGENERATE_SUBSPACES[name]
+    for t, command in enumerate(DEGENERATE_COMMANDS):
+        code, out, err = run_cli([command[0], "-", *command[1:]], text)
+        if expected == SINGULAR:
+            assert (code, out, err) == SINGULAR
+            continue
+        assert (code, out) == expected[t], command
+        assert err == ("" if code == 0 else "error: the declared complement is not h-stable\n")
+
+
 HEIS_BAD_COMPLEMENT = (
     '{"dim":3,"labels":["u","v","w"],"brackets":[{"i":0,"j":1,"coeffs":{"2":"1"}}],'
     '"subalgebra":[[0,0,1]],"complement":%s}'

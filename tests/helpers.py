@@ -259,6 +259,21 @@ def gauss_jordan_oracle(rows):
     return rows, pivots
 
 
+def span_oracle(vectors) -> tuple:
+    """(basis, pivots): the RREF basis of the span of the vectors, by gauss_jordan_oracle."""
+    red, pivots = gauss_jordan_oracle(vectors) if vectors else ([], [])
+    return tuple(tuple(r) for r in red[: len(pivots)]), tuple(pivots)
+
+
+def span_coords_oracle(basis, pivots, v):
+    """Coordinates of v in the RREF basis of span_oracle, or None when v lies outside the span."""
+    coords = tuple(QQ(v[p]) for p in pivots)
+    rest = [QQ(x) for x in v]
+    for c, row in zip(coords, basis):
+        rest = [x - c * y for x, y in zip(rest, row)]
+    return None if any(rest) else coords
+
+
 def kernel_oracle(rows, ncols):
     """Canonical RREF basis of the nullspace, by Gauss-Jordan twice."""
     red, pivots = gauss_jordan_oracle(rows) if rows else ([], [])

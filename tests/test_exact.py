@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gauss_jordan_oracle, kernel_oracle
+from helpers import gauss_jordan_oracle, kernel_oracle, span_coords_oracle, span_oracle
 from lieps.errors import NoSolution
 from lieps.exact import (
     Mat,
@@ -100,6 +100,62 @@ def test_subspace_equality_is_basis_equality():
     b = Subspace.from_vectors(3, [[1, 1, 2], [1, -1, 0]])
     assert a == b
     assert a.basis == b.basis
+
+
+# entries with denominators up to 10^12 on top of the small ones
+wide_rationals = st.one_of(
+    rationals, st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**12))
+)
+
+
+@st.composite
+def spanning_sets(draw, max_dim=6):
+    """(n, vectors): zero, repeated, dependent and negative-leading vectors in Q^n."""
+    n = draw(st.integers(1, max_dim))
+    vectors = []
+    for _ in range(draw(st.integers(0, max_dim))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combination", "negative", "free"]))
+        if kind == "zero":
+            v = [F(0)] * n
+        elif kind == "repeat" and vectors:
+            v = draw(st.sampled_from(vectors))
+        elif kind == "combination" and vectors:
+            cs = [draw(wide_rationals) for _ in vectors]
+            v = [sum((c * u[k] for c, u in zip(cs, vectors)), F(0)) for k in range(n)]
+        else:
+            v = [draw(wide_rationals) for _ in range(n)]
+            if kind == "negative":
+                # the leading entry, and so the leading integer, is negative
+                lead = next((k for k, x in enumerate(v) if x), draw(st.integers(0, n - 1)))
+                v[lead] = -abs(v[lead]) or F(-1)
+        vectors.append(tuple(v))
+    return n, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(spanning_sets(), st.data())
+def test_subspace_matches_fraction_oracle(case, data):
+    n, vectors = case
+    space = Subspace.from_vectors(n, vectors)
+    basis, pivots = span_oracle(vectors)
+    assert (space.basis, space.pivots, space.dim) == (basis, pivots, len(pivots))
+
+    cs = data.draw(st.lists(wide_rationals, min_size=len(vectors), max_size=len(vectors)))
+    member = tuple(sum((c * v[k] for c, v in zip(cs, vectors)), F(0)) for k in range(n))
+    other = tuple(data.draw(st.lists(wide_rationals, min_size=n, max_size=n)))
+    for v in (member, other):
+        coords = span_coords_oracle(basis, pivots, v)
+        assert space.contains(v) == (coords is not None)
+        if coords is None:
+            with pytest.raises(NoSolution):
+                space.coords_of(v)
+        else:
+            assert space.coords_of(v) == coords
+
+    # another spanning set of the same space, and one of a space that may differ
+    same = Subspace.from_vectors(n, [member] + vectors[::-1])
+    assert same == space and hash(same) == hash(space)
+    assert (Subspace.from_vectors(n, vectors + [other]) == space) == space.contains(other)
 
 
 @settings(max_examples=120, deadline=None)

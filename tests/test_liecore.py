@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from fractions import Fraction as QQ
 
 import pytest
@@ -25,6 +26,8 @@ from helpers import (
     instance,
     nz_of_table,
     random_instances,
+    span_coords_oracle,
+    span_oracle,
 )
 from lieps import catalog, exact
 from lieps.errors import (
@@ -39,6 +42,7 @@ from lieps.foliation import leaf_decomposition
 from lieps.liecore import (
     LieAlgebra,
     _check_automorphism,
+    _check_subalgebra,
     ad_matrix,
     bracket,
     covector_to_ann,
@@ -164,6 +168,33 @@ def test_not_a_subalgebra_witness():
     with pytest.raises(NotASubalgebra) as info:
         make_isotropy(L, [V(1, 0, 0), V(0, 1, 0)])
     assert info.value.witness == (V(1, 0, 0), V(0, 1, 0), V(0, 0, 1))
+
+
+def test_check_subalgebra_raises_exactly_when_a_dense_bracket_leaves_h():
+    # each model's h, and h with one basis vector moved by a standard vector
+    rng = random.Random(19)
+    checked = {True: 0, False: 0}
+    for _, L, iso, _ in random_instances(seed=19, count=16):
+        basis = list(iso.h_basis.basis)
+        spaces = [basis]
+        for t in range(len(basis)):
+            moved = list(basis[t])
+            moved[rng.randrange(L.dim)] += rng.choice([-1, 1, QQ(1, 3)])
+            spaces.append(basis[:t] + [tuple(moved)] + basis[t + 1:])
+        for vectors in spaces:
+            b, pivots = span_oracle(vectors)
+            leaves = any(
+                span_coords_oracle(b, pivots, bracket(L, x, y)) is None
+                for x, y in combinations(b, 2)
+            )
+            try:
+                _check_subalgebra(L, Subspace.from_vectors(L.dim, vectors))
+                raised = False
+            except NotASubalgebra:
+                raised = True
+            assert raised == leaves
+            checked[raised] += 1
+    assert checked[True] and checked[False]
 
 
 def test_generator_must_be_automorphism():

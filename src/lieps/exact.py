@@ -1,9 +1,10 @@
 """Exact rational linear algebra over Q.
 
 Dense matrices of fractions.Fraction, reduced row echelon form as the
-canonical normal form, subspaces stored by their RREF bases so equality is a
-syntactic check.  Everything is immutable and deterministic; there is no
-floating point anywhere.
+canonical normal form, subspaces stored by their integer RREF rows so
+equality is a syntactic check, their Fraction bases a view built on first
+use.  Everything is immutable and deterministic; there is no floating point
+anywhere.
 
 Inside, the hot loops run on integers over one common denominator:
 `to_ints` scales rationals by the lcm of their denominators, and `from_ints`
@@ -12,8 +13,9 @@ at the edge.  Elimination runs on sparse integer rows: each rational row is
 scaled into a {column: int} dict of its nonzeros and handed to the
 fraction-free kernel `_rref_int_rows`, whose cost follows the nonzeros, not
 the shape.  `kernel_of_rows` takes such rows directly, so a constraint
-system assembled from its nonzeros never becomes a dense matrix.  The
-structure constants of `liecore` are stored in the same integer form.
+system assembled from its nonzeros never becomes a dense matrix.  A
+subspace tests membership with the kernel's own row update `_eliminate`.
+The structure constants of `liecore` are stored in the same integer form.
 """
 
 from __future__ import annotations
@@ -90,17 +92,8 @@ def vsub(a, b) -> tuple:
     return tuple(x - y if y else x for x, y in zip(a, b))
 
 
-def vscale(c, a) -> tuple:
-    c = _fr(c)
-    return tuple(c * x for x in a)
-
-
 def zero_vec(n) -> tuple:
     return (Fraction(0),) * n
-
-
-def is_zero_vec(a) -> bool:
-    return all(x == 0 for x in a)
 
 
 class Mat:
@@ -162,17 +155,6 @@ class Mat:
         return cls._trusted(tuple(zip(*cols)), len(cols))
 
     @classmethod
-    def from_sparse(cls, rows, cols) -> "Mat":
-        """Dense matrix of {column: value} rows; absent entries are zero."""
-        out = []
-        for r in rows:
-            dense = [Fraction(0)] * cols
-            for j, x in r.items():
-                dense[j] = _fr(x)
-            out.append(tuple(dense))
-        return cls._trusted(tuple(out), cols)
-
-    @classmethod
     def from_ints(cls, rows, d) -> "Mat":
         """The matrix N / d of equal-length integer rows N over one denominator d."""
         rows = tuple(from_ints(r, d) for r in rows)
@@ -218,7 +200,7 @@ class Mat:
 
     def scale(self, c) -> "Mat":
         c = _fr(c)
-        return Mat._trusted(tuple(vscale(c, r) for r in self.entries), self.cols)
+        return Mat._trusted(tuple(tuple(c * x for x in r) for r in self.entries), self.cols)
 
     def __matmul__(self, other):
         if isinstance(other, Mat):
@@ -314,7 +296,9 @@ def _rref_int_rows(m, ncols):
 
     Returned row t has its leading entry in column pivots[t] and zeros in
     every other pivot column; dividing it by that entry yields RREF row t.
-    Only the rank-many pivot rows come back.
+    A negative pivot row is negated and later updates scale it by piv/g > 0,
+    so the rows are the unique primitive integer form of the RREF, with
+    positive leading entries.  Only the rank-many pivot rows come back.
     """
     work = []
     for r in m:
@@ -333,6 +317,8 @@ def _rref_int_rows(m, ncols):
         if p < 0:
             continue
         piv_row = work.pop(p)
+        if piv_row[c] < 0:
+            piv_row = {j: -x for j, x in piv_row.items()}
         rest = []
         for row in work:
             if c in row:
@@ -349,27 +335,16 @@ def _rref_int_rows(m, ncols):
     return reduced, pivots
 
 
-def _reduce(rows, ncols):
-    """Integer pivot rows and pivot columns of sparse rational rows.
-
-    Each row is scaled by the lcm of its denominators; row scaling preserves
-    the RREF.  Ints pass through as rationals with denominator 1.
-    """
-    return _rref_int_rows([dict(to_ints(r.items())[0]) for r in rows], ncols)
-
-
 def rref(m: Mat):
     """Reduced row echelon form.
 
-    Returns (Mat, pivot_columns); zero rows follow the rank-many pivot rows.
-    The RREF is unique, so the result does not depend on pivot-row choices.
+    Returns (Mat, pivot_columns): the RREF basis of the row space, then
+    zero rows.  The RREF is unique, so the result does not depend on
+    pivot-row choices.
     """
-    if m.rows == 0 or m.cols == 0:
-        return Mat([[] for _ in range(m.rows)]) if m.cols == 0 else m, []
-    work, pivots = _reduce(m.sparse_rows(), m.cols)
-    out = [{j: Fraction(x, row[c]) for j, x in row.items()} for row, c in zip(work, pivots)]
-    out += [{}] * (m.rows - len(pivots))
-    return Mat.from_sparse(out, m.cols), pivots
+    space = Subspace._of_rows(m.cols, m.sparse_rows())
+    zeros = (zero_vec(m.cols),) * (m.rows - space.dim)
+    return Mat._trusted(space.basis + zeros, m.cols), list(space.pivots)
 
 
 def inverse(m: Mat) -> Mat:
@@ -385,77 +360,99 @@ def inverse(m: Mat) -> Mat:
 
 
 class Subspace:
-    """Subspace of Q^n stored by its canonical RREF basis.
+    """Subspace of Q^n stored by its integer RREF rows.
 
-    Two subspaces are equal iff their bases agree entry-wise; the basis rows
-    have strictly increasing pivot columns with unit pivots and zeros
-    elsewhere in the pivot columns.
+    rows[t] = (P, R), pivots P increasing, holds the nonzeros {column: int}
+    of the primitive row R of _rref_int_rows, with R[P] > 0; R / R[P] is row
+    t of the RREF basis.  That form is unique for the space, so two
+    subspaces are equal iff their rows are.  The Fraction basis is a view
+    of the rows, built on first use; membership and coordinates are one
+    integer residual test against the rows.
     """
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "rows", "_basis")
 
-    def __init__(self, ambient, basis, pivots):
+    def __init__(self, ambient, rows):
         # trusted constructor; use from_vectors for raw input
         self.ambient = ambient
-        self.basis = basis
-        self.pivots = pivots
+        self.rows = rows
+        self._basis = None
+
+    @classmethod
+    def _of_rows(cls, ambient, rows) -> "Subspace":
+        """The span of sparse rational {column: value} rows; scaling each to ints keeps the RREF."""
+        if not rows:
+            return cls(ambient, ())
+        red, pivots = _rref_int_rows([dict(to_ints(r.items())[0]) for r in rows], ambient)
+        return cls(ambient, tuple(zip(pivots, red)))
 
     @classmethod
     def from_vectors(cls, ambient, vectors) -> "Subspace":
         vectors = [vec(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient:
-                raise ValueError("ambient mismatch")
-        if not vectors:
-            return cls(ambient, (), ())
-        red, pivots = rref(Mat(vectors))
-        basis = tuple(red.entries[t] for t in range(len(pivots)))
-        return cls(ambient, basis, tuple(pivots))
+        if any(len(v) != ambient for v in vectors):
+            raise ValueError("ambient mismatch")
+        return cls._of_rows(ambient, [{k: x for k, x in enumerate(v) if x} for v in vectors])
 
     @classmethod
     def full(cls, ambient) -> "Subspace":
-        # the identity rows are already the canonical RREF basis
-        return cls(ambient, Mat.identity(ambient).entries, tuple(range(ambient)))
+        # the unit rows are already the canonical form
+        return cls(ambient, tuple((j, {j: 1}) for j in range(ambient)))
 
     @classmethod
     def zero(cls, ambient) -> "Subspace":
-        return cls(ambient, (), ())
+        return cls(ambient, ())
+
+    @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            self._basis = tuple(
+                from_ints([R.get(k, 0) for k in range(self.ambient)], R[P]) for P, R in self.rows
+            )
+        return self._basis
+
+    @property
+    def pivots(self) -> tuple:
+        return tuple(P for P, _ in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        # equal subspaces share their pivots
+        return hash((self.ambient, self.pivots))
 
-    def reduce(self, v) -> tuple:
-        """Residual of v after subtracting its projection onto the basis."""
+    def residual(self, row) -> dict:
+        """A {column: int} row cleared at each pivot P by _eliminate against R.
+
+        R vanishes at the other pivots, so one pass clears them all, and the
+        residual is empty exactly when the row lies in the space.
+        """
+        row = {j: x for j, x in row.items() if x}
+        for P, R in self.rows:
+            if P in row:
+                row = _eliminate(row, R, P)
+        return row
+
+    def contains(self, v) -> bool:
         v = vec(v)
         if len(v) != self.ambient:
             raise ValueError("ambient mismatch")
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c != 0:
-                v = vsub(v, vscale(c, row))
-        return v
-
-    def contains(self, v) -> bool:
-        return is_zero_vec(self.reduce(v))
+        return not self.residual(dict(to_ints((k, x) for k, x in enumerate(v) if x)[0]))
 
     def coords_of(self, v) -> tuple:
-        """Coefficients of v in the RREF basis; NoSolution if v is outside."""
+        """Coefficients of v in the RREF basis, its pivot entries; NoSolution if v is outside."""
         v = vec(v)
-        coeffs = tuple(v[p] for p in self.pivots)
-        if not is_zero_vec(self.reduce(v)):
+        if not self.contains(v):
             raise NoSolution("vector outside subspace")
-        return coeffs
+        return tuple(v[p] for p in self.pivots)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
@@ -468,22 +465,21 @@ def kernel_of_rows(rows, ncols) -> Subspace:
     so a constraint system built from its nonzeros is solved without ever
     being laid out as a dense matrix.
     """
-    work, pivots = _reduce(rows, ncols)
-    if not pivots:
+    constraints = Subspace._of_rows(ncols, rows)
+    if not constraints.dim:
         return Subspace.full(ncols)
-    pivot_set = set(pivots)
+    pivot_set = set(constraints.pivots)
     vecs = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(work, pivots):
+        v = {f: 1}
+        for p, row in constraints.rows:
             x = row.get(f)
             if x:
                 v[p] = Fraction(-x, row[p])
         vecs.append(v)
-    return Subspace.from_vectors(ncols, vecs)
+    return Subspace._of_rows(ncols, vecs)
 
 
 def kernel(m: Mat) -> Subspace:

@@ -13,7 +13,7 @@ make_lie_algebra and from the document parser alike.
 
 An isotropy model packages a subalgebra h together with an explicit linear
 model of the quotient g/h: a projection q and a section s built from
-standard basis vectors, both read off one integer elimination of the basis
+standard basis vectors, both read off one integer elimination of the rows
 of h (`complement_projection`), which the model keeps and builds q and s
 from on first use.  (g/h)* is identified with the annihilator h° of
 h inside g* through q^T; h° is not stored, since eta lies in it exactly when
@@ -27,7 +27,7 @@ every pair of quotient basis vectors in integers, once per model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -39,7 +39,7 @@ from .errors import (
     NotInH,
     NotReductive,
 )
-from .exact import Mat, Subspace, _reduce, _rref_int_rows, from_ints, int_vectors, to_ints, vec
+from .exact import Mat, Subspace, _rref_int_rows, from_ints, int_vectors, to_ints, vec
 
 
 @dataclass(frozen=True)
@@ -211,8 +211,10 @@ def validate(L: LieAlgebra) -> Report:
 class IsotropyModel:
     """Quotient model g/h with a preferred standard-basis complement.
 
-    h_rows is the integer elimination of h that picked the complement
-    (_complement_rows); on first use the model builds off it
+    h_basis.rows is the integer elimination of h in the natural column
+    order, which the model checks, ad_bars and the reductive flag read;
+    h_rows is its elimination in the complement order, which picked the
+    complement (_complement_rows); on first use the model builds off it
 
     q_matrix : (n-k) x n projection onto quotient coordinates, zero on h
     s_matrix : n x (n-k) section, columns are the complement standard vectors
@@ -329,11 +331,14 @@ class IsotropyModel:
     def ad_bars(self) -> tuple:
         """ad-bar_u = q ad_u s, the quotient action of each h-basis vector u.
 
-        One quotient operator per basis vector; ad-bar is linear in u, and it
-        is well defined because ad_u maps h to h, so it does not depend on
-        the section.
+        One quotient operator per basis vector u = R / R_P, read in integers
+        off the row (P, R) of h; ad-bar is linear in u, and it is well
+        defined because ad_u maps h to h, so it does not depend on the section.
         """
-        return tuple(self.quotient_ad(u) for u in self.h_basis.basis)
+        d = self._q_columns[1] * self.L.den
+        return tuple(
+            Mat.from_ints(self._quotient_ad_ints(R.items()), d * R[P]) for P, R in self.h_basis.rows
+        )
 
     @cached_property
     def generator_maps(self) -> tuple:
@@ -346,13 +351,13 @@ class IsotropyModel:
 
         m is spanned by the complement standard vectors, so a vector lies in
         m iff it vanishes off the complement indices; the condition is read
-        off the integer brackets [u, e_j] of each h-basis vector u.
+        off the integer brackets [R, e_j] of each integer row R of h.
         """
         comp = set(self.complement_indices)
         return all(
             k in comp or not v
-            for u in self.h_basis.basis
-            for col in self._complement_brackets(to_ints(_nonzeros(u))[0])
+            for _, R in self.h_basis.rows
+            for col in self._complement_brackets(R.items())
             for k, v in col.items()
         )
 
@@ -373,15 +378,16 @@ def require_reductive(iso: IsotropyModel) -> None:
 
 
 def _check_subalgebra(L: LieAlgebra, h: Subspace):
-    b = h.basis
-    structure_constants(
-        h,
-        partial(bracket, L),
-        lambda i, j: NotASubalgebra(
-            f"[h{i + 1}, h{j + 1}] leaves the would-be subalgebra",
-            witness=(b[i], b[j], bracket(L, b[i], b[j])),
-        ),
-    )
+    # den [R_i, R_j] of two integer rows of h is a nonzero multiple of [b_i, b_j]
+    # for the basis b = R / R_P; only a failure builds the Fraction witness
+    rows = h.rows
+    for i, j in wedge2_space(h.dim):
+        if h.residual(_sparse_bracket(L.nz, rows[i][1].items(), rows[j][1].items())):
+            b = h.basis
+            raise NotASubalgebra(
+                f"[h{i + 1}, h{j + 1}] leaves the would-be subalgebra",
+                witness=(b[i], b[j], bracket(L, b[i], b[j])),
+            )
 
 
 def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
@@ -405,15 +411,14 @@ def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
                 raise NotAnAutomorphism(
                     f"A[e{i + 1}, e{j + 1}] != [Ae{i + 1}, Ae{j + 1}]"
                 )
-    # A h lies in h exactly when h and N h together still span dim h
-    rows = [dict(v) for v in int_vectors(h.basis)[0]]
-    images = [{} for _ in rows]
-    for row, image in zip(rows, images):
-        for j, y in row.items():
+    # A h lies in h exactly when the image N R of each integer row R of h does
+    for _, R in h.rows:
+        image = {}
+        for j, y in R.items():
             for i, a in cols[j]:
                 image[i] = image.get(i, 0) + y * a
-    if len(_rref_int_rows(rows + images, L.dim)[1]) > h.dim:
-        raise GeneratorMovesH("generator does not preserve the isotropy subalgebra")
+        if h.residual(image):
+            raise GeneratorMovesH("generator does not preserve the isotropy subalgebra")
 
 
 def _complement_rows(space: Subspace, indices=None) -> tuple:
@@ -433,8 +438,8 @@ def _complement_rows(space: Subspace, indices=None) -> tuple:
         if len(taken) != len(indices) or len(indices) != n - space.dim:
             raise ValueError("the standard vectors do not complete the subspace to a basis")
         order = tuple(j for j in range(n) if j not in taken) + indices
-    rows = [{k: v[j] for k, j in enumerate(order) if v[j]} for v in space.basis]
-    red, pivots = _reduce(rows, n) if rows else ((), [])
+    rows = [{k: R[j] for k, j in enumerate(order) if j in R} for _, R in space.rows]
+    red, pivots = _rref_int_rows(rows, n) if rows else ((), [])
     if indices is None:
         on_space = {order[p] for p in pivots}
         indices = tuple(j for j in range(n) if j not in on_space)
@@ -463,11 +468,11 @@ def complement_projection(space: Subspace, indices=None) -> tuple:
     """
     n = space.ambient
     indices, rows = _complement_rows(space, indices)
-    proj = [{} for _ in range(n)]
+    proj = [[Fraction(0)] * n for _ in range(n)]
     for P, R in rows:
         for i, x in R.items():
             proj[i][P] = Fraction(x, R[P])
-    return indices, Mat.from_sparse(proj, n)
+    return indices, Mat._trusted(tuple(map(tuple, proj)), n)
 
 
 def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement_indices=None) -> IsotropyModel:

@@ -46,7 +46,6 @@ from .exact import (
     from_ints,
     int_vectors,
     solve,
-    to_ints,
     vec,
     vsub,
     zero_vec,
@@ -129,7 +128,7 @@ class Bivector:
         w = self.image.basis
         d = len(w)
         A = tuple(tuple(ad_bar @ x for x in w) for ad_bar in iso.ad_bars)
-        ints = [to_ints((k, x) for k, x in enumerate(v) if x) for v in w]
+        ints = [(R.items(), R[P]) for P, R in self.image.rows]
         ads = [iso.m_ad_ints(xs) for xs, _ in ints]
         M = [[zero_vec(iso.quotient_dim)] * d for _ in range(d)]
         for i, j in wedge2_space(d):

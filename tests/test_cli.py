@@ -500,18 +500,19 @@ def test_poisson_compat_builds_no_matrix_product_or_dot(monkeypatch):
     assert failures == dense_poisson_compat_failures(r, b.b)
 
 
-def test_reductive_pair_reads_the_structure_constants_not_brackets(monkeypatch):
-    # [h, m] in m from the isotropy ad-matrices and [m, m] in h from the
-    # nonzeros of c: no bracket per pair of basis vectors
+def test_complement_flags_read_the_integer_tables_not_brackets(monkeypatch):
+    # [h, m] in m from the integer brackets of the rows of h with the
+    # complement, and [m, m] in h from the m_table: no bracket per pair of
+    # basis vectors
     from lieps.catalog import realize
 
     L, iso = realize(builtin("double", {"of": "heisenberg", "n": 2}))
     calls = count_calls(monkeypatch, liecore, "bracket")
-    assert iso.symmetric
+    assert iso.reductive and iso.symmetric
     assert len(calls) == 0
 
 
-def test_leaf_builds_one_isotropy_ad_matrix_per_h_basis_vector(monkeypatch):
+def test_leaf_builds_at_most_one_quotient_operator_per_h_basis_vector(monkeypatch):
     from lieps.catalog import realize
 
     text = _doc_text("double", of="heisenberg", n=2)
@@ -519,12 +520,13 @@ def test_leaf_builds_one_isotropy_ad_matrix_per_h_basis_vector(monkeypatch):
     calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
     code, out, err = run_cli(["leaf", "-", "--r", "m_u1^m_w"], text)
     assert code == 0, err
-    # the tensor's quotient operators are of sharps, which are nonzero only off h
+    # the ad-bars are read off the integer rows of h, and the tensor builds
+    # no quotient operator
     in_h = [x for (_, x) in calls if any(x) and iso.h_basis.contains(x)]
     assert len(in_h) <= iso.h_basis.dim == 5
 
 
-def test_tensor_and_l_operators_share_one_ad_matrix_per_basis_covector(monkeypatch):
+def test_tensor_and_l_operators_build_no_quotient_operator(monkeypatch):
     # the tensor and the l-operators read the same integer tables of r, one
     # contraction with the model's m-bracket table: no quotient operator, no
     # Mat product and no Fraction dot product
@@ -704,9 +706,9 @@ VALIDATE_OK = "name: \ndim: %d\nok: true\n"
 NATURAL_ZERO = "connection: natural\nb: 0\ntorsion: 0\ncurvature zero: true\npoisson compatible: true\n"
 LEAF_W = "a_r: dim 1\n  w\nomega_r on that frame:\n  [0]\nradical equals h: true\n"
 REDUCTIVE_SYMMETRIC = "decomposition: reductive true, symmetric true\n"
-SINGULAR = (1, "", "error: generator is singular\n")
-# (exit code, stdout) of each command in DEGENERATE_COMMANDS, or one
-# (exit code, stdout, stderr) shared by all of them
+NOT_H_STABLE = "error: the declared complement is not h-stable\n"
+# document, (exit code, stdout) of each of DEGENERATE_COMMANDS, and the
+# stderr of those that exit 1
 DEGENERATE_SUBSPACES = {
     "h = 0": (
         "{%s}" % HEIS3,
@@ -722,6 +724,7 @@ DEGENERATE_SUBSPACES = {
             (0, "a_r: dim 0\nomega_r on that frame:\nradical equals h: true\n" + REDUCTIVE_SYMMETRIC),
             (0, NATURAL_ZERO),
         ],
+        None,
     ),
     "h = g, dim 1": (
         '{"dim":1,"labels":["e"],"brackets":[],"subalgebra":[["1"]]}',
@@ -734,6 +737,7 @@ DEGENERATE_SUBSPACES = {
                 + REDUCTIVE_SYMMETRIC),
             (0, NATURAL_ZERO),
         ],
+        None,
     ),
     "h = g, heisenberg": (
         '{%s,"subalgebra":[[1,0,0],[0,1,0],[0,0,1]]}' % HEIS3,
@@ -746,6 +750,7 @@ DEGENERATE_SUBSPACES = {
                 "  [0, 0, 0]\n  [0, 0, 0]\n  [0, 0, 0]\nradical equals h: true\n" + REDUCTIVE_SYMMETRIC),
             (0, NATURAL_ZERO),
         ],
+        None,
     ),
     "zero vector": (
         '{%s,"subalgebra":[[0,0,0],["0","0","-1"]]}' % HEIS3,
@@ -757,6 +762,7 @@ DEGENERATE_SUBSPACES = {
             (0, LEAF_W + REDUCTIVE_SYMMETRIC),
             (0, NATURAL_ZERO),
         ],
+        None,
     ),
     # three vectors spanning span{u, w}, with a negative leading entry, and
     # a generator that keeps it
@@ -772,21 +778,22 @@ DEGENERATE_SUBSPACES = {
                 "radical equals h: true\n" + REDUCTIVE_SYMMETRIC),
             (1, ""),
         ],
+        NOT_H_STABLE,
     ),
-    "singular generator": ('{%s,"ad_generators":[[[1,0,0],[0,1,0],[0,0,0]]]}' % HEIS3, SINGULAR),
+    "singular generator": (
+        '{%s,"ad_generators":[[[1,0,0],[0,1,0],[0,0,0]]]}' % HEIS3,
+        [(1, "")] * len(DEGENERATE_COMMANDS),
+        "error: generator is singular\n",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE_SUBSPACES))
 def test_degenerate_subspaces_give_pinned_output(name):
-    text, expected = DEGENERATE_SUBSPACES[name]
-    for t, command in enumerate(DEGENERATE_COMMANDS):
-        code, out, err = run_cli([command[0], "-", *command[1:]], text)
-        if expected == SINGULAR:
-            assert (code, out, err) == SINGULAR
-            continue
-        assert (code, out) == expected[t], command
-        assert err == ("" if code == 0 else "error: the declared complement is not h-stable\n")
+    text, outputs, error = DEGENERATE_SUBSPACES[name]
+    for command, (code, out) in zip(DEGENERATE_COMMANDS, outputs, strict=True):
+        expected = (code, out, "" if code == 0 else error)
+        assert run_cli([command[0], "-", *command[1:]], text) == expected, command
 
 
 HEIS_BAD_COMPLEMENT = (
@@ -834,17 +841,17 @@ def test_leaf_refuses_a_non_invariant_r_matrix_whose_a_r_is_closed():
 @pytest.mark.parametrize(
     "name, params, r, brackets",
     [
-        ("so4_grassmann", {}, "(e1 - e4)^(e2 + e3)", 2),
-        ("double", {"of": "heisenberg", "n": 2}, "m_u1^m_w + m_v1^m_w", 11),
+        ("so4_grassmann", {}, "(e1 - e4)^(e2 + e3)", 1),
+        ("double", {"of": "heisenberg", "n": 2}, "m_u1^m_w + m_v1^m_w", 1),
         ("heisenberg", {"n": 3}, "u1^w + v1^w", 1),
     ],
 )
 def test_leaf_reads_a_r_off_one_bracket_per_image_pair(monkeypatch, name, params, r, brackets):
-    # the model build checks h with one bracket per pair of h-basis vectors;
+    # the model build checks h on its integer rows, with no bracket call;
     # the leaf layer reads one m-bracket per pair of Im r_# basis vectors
-    # off the model's m_table, with no bracket call (`brackets` counts the
-    # build's brackets plus those pairs), and after the build takes
-    # coordinates in Im r_# only
+    # off the model's m_table, with no bracket call either (`brackets`
+    # counts the build's brackets plus those pairs), and after the build
+    # takes coordinates in Im r_# only
     from lieps import catalog
     from lieps.exact import Subspace
     from lieps.ybe import make_bivector

@@ -191,7 +191,7 @@ def test_integer_kernel_stays_integral():
     assert len(rows) == 3
     for t, c in enumerate(piv):
         assert all(isinstance(x, int) and x != 0 for x in rows[t].values())
-        assert rows[t][c] != 0
+        assert rows[t][c] > 0
         assert all(p not in rows[t] for p in piv if p != c)
 
 
@@ -347,7 +347,6 @@ def test_mat_operations_return_fraction_entries():
         "scale zero": a.scale(0),
         "T": a.T,
         "from_cols": Mat.from_cols([(1, 2), (0, 3), (4, 0)]),
-        "from_sparse": Mat.from_sparse([{0: 1, 2: -2}, {}], 3),
         "identity": Mat.identity(3),
         "zero": Mat.zero(2, 3),
         "inverse": inverse(Mat([[2, 1], [1, 1]])),

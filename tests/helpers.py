@@ -9,13 +9,12 @@ from functools import cached_property
 from math import lcm
 
 from lieps import catalog
-from lieps.exact import Mat, Subspace, dot, inverse, kernel, vsub
+from lieps.exact import Mat, Subspace, dot, inverse, kernel, solve, vsub
 from lieps.invariants import fixed_quotient_covectors, invariant_bivectors
 from lieps.liecore import (
     ad_matrix,
     bracket,
     covector_to_ann,
-    induced_ad_bar,
     induced_map,
     make_isotropy,
     make_lie_algebra,
@@ -172,6 +171,44 @@ def random_instances(seed, count):
                 coords[t] += c * bv[t]
         produced += 1
         yield f"{name}#{produced}", L, iso, tuple(coords)
+
+
+# families with known h-preserving automorphisms: the lattice generators
+# I + ad_x of heis (ad_x^2 = 0, and every h option contains [g, g] or lies
+# in the center), the iso11 catalog generator e3 -> e3 + (e1 - e2) / 2,
+# which fixes e1 and e2, and on sl2+solv2, whose h options are coordinate
+# subspaces, E -> 2E, F -> F / 2 on sl2 and e2 -> e1 + e2 on solv2
+GENERATOR_FAMILIES = {
+    "heis": (
+        Mat(((1, 0, 0), (0, 1, 0), (0, 1, 1))),
+        Mat(((1, 0, 0), (0, 1, 0), (-1, 0, 1))),
+    ),
+    "iso11": (Mat(((1, 0, QQ(1, 2)), (0, 1, QQ(-1, 2)), (0, 0, 1))),),
+    "sl2+solv2": (
+        Mat([[QQ(int(i == j) * (1, 2, QQ(1, 2), 1, 1)[i]) for j in range(5)] for i in range(5)]),
+        Mat([[int(i == j or (i, j) == (3, 4)) for j in range(5)] for i in range(5)]),
+    ),
+}
+
+
+def random_generator_instance(seed):
+    """(label, L, iso, r_coords): a family of GENERATOR_FAMILIES with its generators.
+
+    The algebra, h and each generator A are pushed through one random
+    rational change of basis T (A -> T^-1 A T), so h is in general not
+    spanned by coordinate vectors and A has denominators; r is an arbitrary
+    rational bivector on the quotient, in general not invariant.
+    """
+    rng = random.Random(seed)
+    name = rng.choice(sorted(GENERATOR_FAMILIES))
+    dim, brackets, h_options = ALL_FAMILIES[name]
+    L, T, Tinv = _transport_algebra(rng, dim, brackets)
+    h_vecs = [tuple(Tinv @ v) for v in rng.choice(h_options)]
+    gens = [Tinv @ A @ T for A in GENERATOR_FAMILIES[name]]
+    iso = make_isotropy(L, h_vecs, discrete_generators=rng.sample(gens, rng.randint(1, len(gens))))
+    m = iso.quotient_dim
+    coords = tuple(QQ(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m * (m - 1) // 2))
+    return f"{name}#{seed}", L, iso, coords
 
 
 def count_calls(monkeypatch, owner, name):
@@ -423,8 +460,8 @@ def dense_invariant_bivectors(iso) -> Subspace:
     nwedge = len(wedge2_space(iso.quotient_dim))
     eye = Mat.identity(nwedge)
     rows = []
-    for u in iso.h_basis.basis:
-        rows += dense_wedge2_derivation(induced_ad_bar(iso, u)).entries
+    for bar in dense_ad_bars(iso):
+        rows += dense_wedge2_derivation(bar).entries
     for A in iso.discrete_generators:
         rows += (dense_wedge2_action(induced_map(iso, A)) - eye).entries
     return kernel(Mat(rows, nwedge))
@@ -453,6 +490,24 @@ def dense_generator_maps(iso) -> tuple:
     )
 
 
+def dense_first_mover(iso, r):
+    """Index of the first generator that moves r, in the order of the invariance blocks, or None.
+
+    h-basis vector t moves r when B r + r B^T != 0 for B its ad-bar, and
+    discrete generator t, index dim h + t, when A r A^T != r for A = q A s,
+    on the sharp matrix of r.
+    """
+    R = r.r_mat
+    for t, B in enumerate(dense_ad_bars(iso)):
+        if not (B @ R + R @ B.T).is_zero():
+            return t
+    for t, A in enumerate(iso.discrete_generators):
+        A = induced_map(iso, A)
+        if A @ R @ A.T != R:
+            return iso.h_basis.dim + t
+    return None
+
+
 def dense_is_reductive_complement(iso) -> bool:
     """[u, e_j] has no h-component for every h-basis u and complement e_j."""
     e = Mat.identity(iso.L.dim).entries
@@ -475,13 +530,8 @@ def dense_is_symmetric_complement(iso) -> bool:
 
 
 def dense_leaf_reductive(r) -> bool:
-    """Im r_# is stable under ad-bar_u, one ad-bar rebuilt per (u, v) pair."""
-    iso = r.iso
-    return all(
-        r.image.contains(induced_ad_bar(iso, u) @ v)
-        for u in iso.h_basis.basis
-        for v in r.image.basis
-    )
+    """Im r_# is stable under ad-bar_u, each ad-bar from dense_ad_bars."""
+    return all(r.image.contains(bar @ v) for bar in dense_ad_bars(r.iso) for v in r.image.basis)
 
 
 def dense_leaf_symmetric(r) -> bool:
@@ -507,6 +557,17 @@ def restricted_r_matrix_oracle(r) -> bool:
             if any(dot(eps, d) for eps in etas):
                 return False
     return True
+
+
+def omega_solve_oracle(r) -> Mat:
+    """omega_r(w_i, w_j) = <xi_j, w_i> with r_# xi_j = w_j, one solve per basis vector w_j.
+
+    w is the RREF basis of the span of the columns of r_#, by span_oracle.
+    """
+    m = r.r_mat.rows
+    w, _ = span_oracle([r.r_mat.col(j) for j in range(m)])
+    xis = [solve(r.r_mat, y) for y in w]
+    return Mat([[dot(xi, x) for xi in xis] for x in w], len(w))
 
 
 def omega_eval(a: Subspace, omega, x, y):

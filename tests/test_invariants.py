@@ -1,10 +1,20 @@
 from fractions import Fraction as QQ
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import dense_invariant_bivectors, instance, random_instances
+from helpers import (
+    dense_ad_bars,
+    dense_first_mover,
+    dense_generator_maps,
+    dense_invariant_bivectors,
+    instance,
+    random_generator_instance,
+    random_instances,
+)
+from lieps.errors import NotInvariant
 from lieps.exact import Mat, kernel
+from lieps.foliation import _not_invariant, leaf_cocycle
 from lieps.invariants import (
     bivector_coords_from_matrix,
     bivector_matrix_from_coords,
@@ -14,6 +24,7 @@ from lieps.invariants import (
     invariant_bivectors,
 )
 from lieps.liecore import induced_ad_bar, induced_map, make_isotropy, wedge2_space
+from lieps.ybe import is_r_matrix, make_bivector
 
 
 def V(*xs):
@@ -184,7 +195,7 @@ def _dense_fixed(n, infinitesimal, discrete):
 
 def _check_against_dense(iso):
     assert invariant_bivectors(iso).basis == dense_invariant_bivectors(iso)
-    ads = [induced_ad_bar(iso, u) for u in iso.h_basis.basis]
+    ads = dense_ad_bars(iso)
     gens = [induced_map(iso, A) for A in iso.discrete_generators]
     n = iso.quotient_dim
     assert fixed_vectors(n, ads, gens) == _dense_fixed(n, ads, gens)
@@ -203,3 +214,49 @@ def test_sparse_invariant_solve_matches_dense_on_builtins(name, params):
 def test_sparse_invariant_solve_matches_dense_on_random_quotients():
     for _, _, iso, _ in random_instances(seed=4242, count=40):
         _check_against_dense(iso)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**20))
+def test_transported_generators_match_the_dense_oracles(seed):
+    # random_instances carries no generator; here h and the generators are
+    # transported, so q and the generators have denominators and the
+    # generator blocks of the invariant solve are scaled by them
+    tag, _, iso, coords = random_generator_instance(seed)
+    assert iso.discrete_generators, tag
+    _check_against_dense(iso)
+    assert iso.ad_bars == dense_ad_bars(iso), tag
+    assert iso.generator_maps == dense_generator_maps(iso), tag
+    r = make_bivector(iso, coords)
+    t = dense_first_mover(iso, r)
+    h = iso.h_basis
+    if t is None:
+        assert _not_invariant(r) is None, tag
+        return
+    what = (
+        f"h-basis vector ({', '.join(str(x) for x in h.basis[t])})"
+        if t < h.dim
+        else f"discrete generator ad_generators[{t - h.dim}]"
+    )
+    message = f"r is not invariant: the {what} moves it"
+    assert str(_not_invariant(r)) == message, tag
+    if is_r_matrix(r):
+        with pytest.raises(NotInvariant) as caught:
+            leaf_cocycle(r)
+        assert str(caught.value) == message, tag
+
+
+def test_transported_generators_cover_denominators_and_every_mover():
+    # the draws above reach q and generators with denominators, an r that
+    # an h-basis vector moves, one that a generator moves on h != 0, and an
+    # invariant one
+    draws = [random_generator_instance(seed)[2:] for seed in range(60)]
+    assert any(x.denominator > 1 for iso, _ in draws for row in iso.q_matrix.entries for x in row)
+    gens = [A for iso, _ in draws for A in iso.discrete_generators]
+    assert any(x.denominator > 1 for A in gens for row in A.entries for x in row)
+    movers = set()
+    for iso, coords in draws:
+        t = dense_first_mover(iso, make_bivector(iso, coords))
+        k = iso.h_basis.dim
+        movers.add(None if t is None else "h" if t < k else "generator" if k else "generator, h = 0")
+    assert movers == {None, "h", "generator", "generator, h = 0"}

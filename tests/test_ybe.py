@@ -21,6 +21,7 @@ from helpers import (
     invariant_candidates,
     random_instances,
     random_lift_perturbation,
+    omega_solve_oracle,
     restricted_r_matrix_oracle,
 )
 from lieps.errors import NotAnRMatrix, NotInAnnihilator
@@ -256,6 +257,28 @@ def test_int_tables_match_the_fraction_route(data):
     assert A == tuple(tuple(bar @ x for x in w) for bar in dense_ad_bars(iso)), tag
     assert M == tuple(tuple(m_bracket(iso, x, y) for y in w) for x in w), tag
     assert yang_baxter_tensor(r).values == schouten_oracle(canonical_lift(r)).values, tag
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_omega_matches_the_solve_oracle(data):
+    # r = sum_t x_t ^ y_t over up to m / 2 + 1 random pairs has every rank
+    # from 0 to full, and is in general neither invariant nor an r-matrix
+    tag, iso = data.draw(st.sampled_from(_CONTRACTION_MODELS))
+    m = iso.quotient_dim
+    vector = st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=m, max_size=m
+    )
+    pairs = data.draw(st.lists(st.tuples(vector, vector), max_size=m // 2 + 1))
+    r_mat = Mat(
+        [
+            [sum((y[i] * x[j] - x[i] * y[j] for x, y in pairs), QQ(0)) for j in range(m)]
+            for i in range(m)
+        ],
+        m,
+    )
+    r = Bivector(iso, r_mat)
+    assert r.omega == omega_solve_oracle(r), tag
 
 
 def test_lift_independence_on_catalog():

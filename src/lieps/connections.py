@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ClosureFailure, NotAnFConnection
+from .errors import NotAnFConnection
 from .exact import Mat, from_ints, int_vectors, inverse, kernel, mat_lincomb, solve, vsub
-from .foliation import _coords_matrix
 from .liecore import bracket, complement_projection, require_reductive, wedge2_space
 from .ybe import Bivector, _covector, l_operator, mstar_bracket, require_r_matrix
 
@@ -344,12 +343,13 @@ def induced_leaf_connection(b: ConnectionMap, complement_indices=None) -> LeafCo
     br = tuple(
         tuple(tuple(r.r_mat @ b.apply(etas[i], etas[j])) for j in range(d)) for i in range(d)
     )
-    # B[i] holds the Im(r_#)-coordinates of b^r(w_i, w_j) in column j
-    leaves = ClosureFailure("b^r must land in the leaf direction")
-    B = [_coords_matrix(im, row, leaves) for row in br]
+    # B[i] holds the Im(r_#)-coordinates of b^r(w_i, w_j) in column j: its
+    # pivot entries, since b^r = r_# b(eta, eta') lies in Im(r_#)
+    B = [Mat([[v[p] for v in row] for p in im.pivots], d) for row in br]
 
+    # [w_i, w_j]_m in Im(r_#)-coordinates; the torsion is skew, so pairs i < j decide it
     M = r.image_brackets[1]
-    torsionless = all(vsub(br[i][j], br[j][i]) == M[i][j] for i in range(d) for j in range(d))
+    torsionless = all(vsub(B[i].col(j), B[j].col(i)) == c for (i, j), c in M.items())
     # omega_r(b^r(w_i, w_j), w_k) + omega_r(w_j, b^r(w_i, w_k)) is entry
     # (j, k) of B_i^T omega + omega B_i
     symplectic = all((Bi.T @ omega + omega @ Bi).is_zero() for Bi in B)

@@ -503,7 +503,3 @@ def solve(m: Mat, b):
     for t, p in enumerate(pivots):
         x[p] = red.entries[t][m.cols]
     return tuple(x)
-
-
-def column_space(m: Mat) -> Subspace:
-    return Subspace.from_vectors(m.rows, [m.col(j) for j in range(m.cols)])

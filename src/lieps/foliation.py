@@ -3,8 +3,9 @@
 The leaf through the base point is the homogeneous symplectic space of
 (a_r, omega_r): a_r = q^{-1}(Im r_#) = h + s(Im r_#) and omega_r(x, y) =
 omega(q x, q y), a 2-cocycle with radical h.  All of it, the leaf flags and
-(W, omega) are read off the frame h + s(Im r_#) through the q-brackets
-Bivector.image_brackets, since q kills h.  Conversely a pair (a, omega)
+(W, omega) are read off the frame h + s(Im r_#) through the Im r_#-coordinates
+of its q-brackets, Bivector.image_brackets (None off Im r_#), since q kills
+h, and omega_r on Im r_# is Bivector.omega.  Conversely a pair (a, omega)
 with those properties reconstructs the r-matrix through its own g-brackets;
 both directions are exact and the roundtrip is the identity.
 """
@@ -94,15 +95,14 @@ def _frame_constants(r: Bivector, k: int, error) -> dict:
     from r.image_brackets; error is raised when q[f_a, f_b] leaves Im r_#.
     """
     A, M = r.image_brackets
-    pairs = wedge2_space(k + r.image.dim)
-    zero = zero_vec(r.iso.quotient_dim)
-    P = _coords_matrix(
-        r.image,
-        [zero if b < k else A[a][b - k] if a < k else M[a - k][b - k] for a, b in pairs],
-        error,
-    )
-    pad = zero_vec(k)
-    return {ab: pad + P.col(t) for t, ab in enumerate(pairs)}
+    d = r.image.dim
+    out = {}
+    for a, b in wedge2_space(k + d):
+        c = zero_vec(d) if b < k else A[a][b - k] if a < k else M[a - k, b - k]
+        if c is None:
+            raise error
+        out[a, b] = zero_vec(k) + c
+    return out
 
 
 def leaf_algebra(r: Bivector) -> Subspace:
@@ -210,16 +210,16 @@ class LeafDecomposition:
 def leaf_decomposition(r: Bivector) -> LeafDecomposition:
     """The flags of a_r = h + s(Im r_#), read off r.image_brackets.
 
-    reductive: Im r_# is stable under every ad-bar_u, the closure condition
-    of a_r on the h x Im pairs, so it is true on every leaf that
-    leaf_cocycle accepts; symmetric: [s Im, s Im] lies in h = ker q, that is
-    the m-brackets of Im r_# vanish.
+    reductive: Im r_# is stable under every ad-bar_u (no A entry is None),
+    the closure condition of a_r on the h x Im pairs, so it is true on
+    every leaf that leaf_cocycle accepts; symmetric: [s Im, s Im] lies in
+    h = ker q, that is the m-brackets of Im r_# vanish.
     """
     require_r_matrix(r)
     A, M = r.image_brackets
     return LeafDecomposition(
-        reductive=all(r.image.contains(v) for row in A for v in row),
-        symmetric=not any(any(v) for row in M for v in row),
+        reductive=all(c is not None for row in A for c in row),
+        symmetric=not any(c is None or any(c) for c in M.values()),
     )
 
 

@@ -4,7 +4,7 @@ A bivector on the quotient g/h lives in wedge-square coordinates indexed by
 the lexicographic pairs (i, j), i < j.  Invariance under the connected part
 of the isotropy group is the kernel condition of the derivation action of
 each ad-bar_u; invariance under explicit discrete generators is the fixed
-condition of the wedge-square action of each induced matrix.
+condition of the wedge-square action of each induced matrix, both in ints off iso.action.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ class InvariantBivectorSpace:
         return self.basis.dim
 
 
-def _minus_identity(rows) -> list:
-    """Sparse rows of M - I from the sparse rows of a square M."""
+def _minus_scalar(rows, c) -> list:
+    """Sparse rows of M - c I from the sparse rows of a square M."""
     out = []
     for t, row in enumerate(rows):
         row = dict(row)
-        v = row.get(t, 0) - 1
+        v = row.get(t, 0) - c
         if v:
             row[t] = v
         else:
@@ -68,15 +68,16 @@ def _minus_identity(rows) -> list:
 
 
 def invariance_rows(iso: IsotropyModel) -> tuple:
-    """Sparse rows of the invariance conditions, one block per generator.
+    """Sparse integer rows of the invariance conditions, one block per operator of iso.action.
 
-    Block t < dim h is the derivation block of ad-bar_u for the t-th h-basis
-    vector u (connected part): its kernel is the bivectors u kills.  Each
-    later block is A^A - I for one discrete generator A, in order: its
-    kernel is the bivectors A fixes.
+    Block t < dim h is the derivation block of N = d ad-bar_u for the t-th
+    h-basis vector u (connected part): its kernel is the bivectors u kills.
+    Each later block is N^N - d^2 I = d^2 (A^A - I) for one discrete
+    generator A = N / d, in order: its kernel is the bivectors A fixes.
     """
-    return tuple(wedge2_derivation_rows(ad_bar) for ad_bar in iso.ad_bars) + tuple(
-        _minus_identity(wedge2_action_rows(A)) for A in iso.generator_maps
+    k = iso.h_basis.dim
+    return tuple(wedge2_derivation_rows(N) for N, _ in iso.action[:k]) + tuple(
+        _minus_scalar(wedge2_action_rows(N), d * d) for N, d in iso.action[k:]
     )
 
 
@@ -103,7 +104,7 @@ def fixed_vectors(ambient_dim, infinitesimal=(), discrete=()) -> Subspace:
     for M in infinitesimal:
         rows += (M if isinstance(M, Mat) else Mat(M)).sparse_rows()
     for A in discrete:
-        rows += _minus_identity((A if isinstance(A, Mat) else Mat(A)).sparse_rows())
+        rows += _minus_scalar((A if isinstance(A, Mat) else Mat(A)).sparse_rows(), 1)
     return kernel_of_rows(rows, ambient_dim)
 
 

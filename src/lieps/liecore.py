@@ -17,11 +17,11 @@ standard basis vectors, both read off one integer elimination of the rows
 of h (`complement_projection`), which the model keeps and builds q and s
 from on first use.  (g/h)* is identified with the annihilator h° of
 h inside g* through q^T; h° is not stored, since eta lies in it exactly when
-<eta, u> = 0 for every h-basis vector u.  The model keeps q as integer
-columns over one denominator, off which `quotient_ad` reads every q ad_x s
-(the action of the isotropy on g/h) from the brackets of x with the
-complement vectors alone, and `m_table` reads the m-bracket [e_j, e_t]_m of
-every pair of quotient basis vectors in integers, once per model.
+<eta, u> = 0 for every h-basis vector u.  Off the integer columns of q the
+model reads, once and in integers, `action`, the isotropy action on g/h
+(each ad-bar q ad_u s from the brackets of u with the complement vectors
+alone, each q A s from the integer columns of a generator A), and `m_table`,
+the m-bracket [e_j, e_t]_m of every pair of quotient basis vectors.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     NotInH,
     NotReductive,
 )
-from .exact import Mat, Subspace, _rref_int_rows, from_ints, int_vectors, to_ints, vec
+from .exact import Mat, Subspace, _rref_int_rows, from_ints, int_vectors, mat_lincomb, to_ints
 
 
 @dataclass(frozen=True)
@@ -222,9 +222,9 @@ class IsotropyModel:
     q^T identifies a quotient covector with its representative in the
     annihilator h° of h, the working model of (g/h)*.
 
-    The integer columns of q, the action of the isotropy on g/h (ad_bars,
-    generator_maps), the reductive and symmetric flags and the integer
-    m-bracket table m_table are derived the same way, once; validate reads none.
+    The integer columns of q, the isotropy action on g/h (`action`, which
+    ad_bars and generator_maps view in Fractions), the reductive and symmetric
+    flags and the integer m-bracket table m_table are derived once; validate reads none.
     """
 
     L: LieAlgebra
@@ -277,7 +277,8 @@ class IsotropyModel:
         with quotient vectors.
         """
         m = self.quotient_dim
-        ads = (self._quotient_ad_ints(((j, 1),)) for j in self.complement_indices)
+        comp = self.complement_indices
+        ads = (self._quotient_ints(dict(self.L.nz[j][t]) for t in comp) for j in comp)
         mu = tuple(
             tuple(tuple((i, row[t]) for i, row in enumerate(rows) if row[t]) for t in range(m))
             for rows in ads
@@ -304,46 +305,44 @@ class IsotropyModel:
         nz = self.L.nz
         return [_sparse_bracket(nz, xs, ((j, 1),)) for j in self.complement_indices]
 
-    def _quotient_ad_ints(self, xs) -> list:
-        """Integer rows of dq den q ad_x s, x = sum x_i e_i given by its nonzeros (i, x_i)."""
+    def _quotient_ints(self, images) -> list:
+        """Integer rows of dq q M s from the images {k: int} of the complement vectors under M."""
         qcols = self._q_columns[0]
         m = self.quotient_dim
         rows = [[0] * m for _ in range(m)]
-        for t, col in enumerate(self._complement_brackets(xs)):
+        for t, col in enumerate(images):
             for k, v in col.items():
                 if v:
                     for i, qik in qcols[k]:
                         rows[i][t] += v * qik
         return rows
 
-    def quotient_ad(self, x) -> Mat:
-        """q ad_x s, the operator u -> q[x, s u] on quotient coordinates.
+    @cached_property
+    def action(self) -> tuple:
+        """(N, d) per generator of the isotropy action on g/h: the operator N / d, N integer rows.
 
-        Column t is q[x, e_j] for the t-th complement vector e_j: x is
-        bracketed with the complement vectors only, in integers, and each
-        bracket is mapped by the integer columns of q, so no n x n
-        ad-matrix is built.  For x in h it is ad-bar_x.
+        First ad-bar_u = q ad_u s, N = dq den q ad_R s and d = dq den R_P, for
+        each h-basis vector u = R / R_P, (P, R) a row of h; ad_u maps h to h,
+        so ad-bar_u does not depend on the section.  Then q A s, N = dq q N_A s
+        and d = dq dA, for each discrete generator A = N_A / dA.
         """
-        xs, dx = to_ints(_nonzeros(x))
-        return Mat.from_ints(self._quotient_ad_ints(xs), self._q_columns[1] * self.L.den * dx)
+        den = self.L.den
+        ops = [(self._complement_brackets(R.items()), den * R[P]) for P, R in self.h_basis.rows]
+        for A in self.discrete_generators:
+            cols, dA = int_vectors(A.T.entries)
+            ops.append(([dict(cols[j]) for j in self.complement_indices], dA))
+        dq = self._q_columns[1]
+        return tuple((self._quotient_ints(images), dq * d) for images, d in ops)
 
     @cached_property
     def ad_bars(self) -> tuple:
-        """ad-bar_u = q ad_u s, the quotient action of each h-basis vector u.
-
-        One quotient operator per basis vector u = R / R_P, read in integers
-        off the row (P, R) of h; ad-bar is linear in u, and it is well
-        defined because ad_u maps h to h, so it does not depend on the section.
-        """
-        d = self._q_columns[1] * self.L.den
-        return tuple(
-            Mat.from_ints(self._quotient_ad_ints(R.items()), d * R[P]) for P, R in self.h_basis.rows
-        )
+        """ad-bar_u = q ad_u s for each h-basis vector u: a Fraction view of `action`."""
+        return tuple(Mat.from_ints(N, d) for N, d in self.action[: self.h_basis.dim])
 
     @cached_property
     def generator_maps(self) -> tuple:
-        """q A s, the quotient action of each discrete generator A."""
-        return tuple(induced_map(self, A) for A in self.discrete_generators)
+        """q A s for each discrete generator A: a Fraction view of `action`."""
+        return tuple(Mat.from_ints(N, d) for N, d in self.action[self.h_basis.dim :])
 
     @cached_property
     def reductive(self) -> bool:
@@ -509,17 +508,17 @@ def induced_ad_bar(iso: IsotropyModel, u) -> Mat:
     """Matrix of the quotient action ad-bar_u = q ad_u s for u in h.
 
     Well defined because h is a subalgebra: ad_u maps h to h, so the result
-    does not depend on the choice of section.  The operator is read off the
-    model by quotient_ad.
+    does not depend on the choice of section.  It is linear in u: the
+    model's ad_bars combined by the coordinates of u in the basis of h.
     """
-    u = vec(u)
-    if not iso.h_basis.contains(u):
-        raise NotInH("ad-bar is only defined for elements of the isotropy subalgebra")
-    return iso.quotient_ad(u)
+    try:
+        return mat_lincomb(iso.h_basis.coords_of(u), iso.ad_bars, iso.quotient_dim)
+    except NoSolution:
+        raise NotInH("ad-bar is only defined for elements of the isotropy subalgebra") from None
 
 
 def induced_map(iso: IsotropyModel, A: Mat) -> Mat:
-    """Quotient matrix q A s of an h-preserving operator A."""
+    """Quotient matrix q A s of an h-preserving A, by Fraction products: the oracle of `action`."""
     return iso.q_matrix @ A @ iso.s_matrix
 
 
@@ -543,17 +542,18 @@ def wedge2_space(dim) -> tuple:
     return tuple((i, j) for i in range(dim) for j in range(i + 1, dim))
 
 
-def _wedge_rows(A: Mat, terms) -> tuple:
-    """Wedge-square rows built from the sparse rows a of a square A.
+def _wedge_rows(A, terms) -> tuple:
+    """Wedge-square rows built from the sparse rows a of a square A, a Mat or a list of rows.
 
     terms(a, i, j) lists vector pairs (u, v) whose wedges u ^ v, summed, give
     row (i, j); (u ^ v) has entry u_k v_l - u_l v_k at the pair (k, l), so
-    each wedge costs nnz(u) * nnz(v).
+    each wedge costs nnz(u) * nnz(v).  Integer rows give integer rows.
     """
-    if A.rows != A.cols:
+    rows, n = (A.entries, A.cols) if isinstance(A, Mat) else (A, len(A))
+    if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError("wedge-square needs a square operator")
-    a = A.sparse_rows()
-    pairs = wedge2_space(A.rows)
+    a = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    pairs = wedge2_space(n)
     index = {pair: t for t, pair in enumerate(pairs)}
     out = []
     for i, j in pairs:
@@ -571,7 +571,7 @@ def _wedge_rows(A: Mat, terms) -> tuple:
     return tuple(out)
 
 
-def wedge2_action_rows(A: Mat) -> tuple:
+def wedge2_action_rows(A) -> tuple:
     """Rows of the wedge-square action of A as {pair index: value} dicts.
 
     Row (i, j) is (row i of A) ^ (row j of A).
@@ -579,7 +579,7 @@ def wedge2_action_rows(A: Mat) -> tuple:
     return _wedge_rows(A, lambda a, i, j: ((a[i], a[j]),))
 
 
-def wedge2_derivation_rows(B: Mat) -> tuple:
+def wedge2_derivation_rows(B) -> tuple:
     """Rows of the derivation extension of B as {pair index: value} dicts.
 
     Row (i, j) is b_i ^ e_j + e_i ^ b_j for the rows b of B: the t-linear

@@ -41,14 +41,12 @@ from .errors import JacobiFailure, NotAnRMatrix, NotInAnnihilator
 from .exact import (
     Mat,
     Subspace,
-    column_space,
     dot,
     from_ints,
     int_vectors,
-    solve,
+    inverse,
     vec,
     vsub,
-    zero_vec,
 )
 from .invariants import (
     bivector_coords_from_matrix,
@@ -77,8 +75,9 @@ class Bivector:
     that asks about the same bivector shares them: the integer tables of r
     (int_tables), the one form of its l-operators and [.,.]_r table, which
     the Yang-Baxter tensor, l_operator, mstar_bracket and the four
-    connections read; the tensor; Im r_#, omega_r on it, and the q-brackets
-    of the leaf frame h + s(Im r_#) (image, omega, image_brackets).
+    connections read; the tensor; Im r_#, omega_r on it, and the
+    Im r_#-coordinates of the q-brackets of the leaf frame h + s(Im r_#)
+    (image, omega, image_brackets).
     """
 
     iso: IsotropyModel
@@ -100,44 +99,47 @@ class Bivector:
 
     @cached_property
     def image(self) -> Subspace:
-        """Im r_# in quotient coordinates."""
-        return column_space(self.r_mat)
+        """Im r_# in quotient coordinates, the span of the rows of r_#, which is skew."""
+        return Subspace.from_vectors(self.r_mat.rows, self.r_mat.entries)
 
     @cached_property
     def omega(self) -> Mat:
-        """omega_r(w_i, w_j) = <xi_j, w_i> with r_# xi_j = w_j, on the RREF basis w of Im r_#.
+        """omega_r(w_i, w_j) = <xi_j, w_i> for any r_# xi_j = w_j, on the RREF basis w of Im r_#.
 
-        r_# is solved once per basis vector.  Any particular solution gives
-        the same value: two differ by kappa in ker r_#, and <kappa, r_# eta> =
-        -<eta, r_# kappa> = 0 since r_# is skew.  On other vectors of Im r_#
+        It is B^-1, B = r_#[P, P] on the pivots P of Im r_#: W = (w_j) has
+        W[P] = I, so r_# = W K with K = r_#[P, :], and omega_r(r_# alpha, r_# beta)
+        = <beta, r_# alpha> reads K^T Omega K = r_#^T, whose block P x P is
+        B^T Omega B = B^T.  B is invertible: x on P with B x = 0 has r_# x =
+        W B x = 0, so x annihilates Im r_#, and <x, w_i> = x_i.  Any xi_j will
+        do, since ker r_# annihilates Im r_# (r_# is skew).  Off the basis
         omega_r is the bilinear combination of this matrix.
         """
-        w = self.image.basis
-        xis = [solve(self.r_mat, y) for y in w]
-        return Mat([[dot(xi, x) for xi in xis] for x in w], len(w))
+        P = self.image.pivots
+        return inverse(Mat([[self.r_mat[i][j] for j in P] for i in P], len(P)))
 
     @cached_property
     def image_brackets(self) -> tuple:
         """(A, M), the q-brackets of the leaf frame {h-basis u} + {s w}, w the RREF basis of Im r_#.
 
-        A[t][j] = q[u_t, s w_j] = ad-bar_{u_t} w_j, off the cached ad-bars;
-        M[i][j] = q[s w_i, s w_j] = [w_i, w_j]_m for i < j, read in integers
-        off the model's m_table.
+        A[t][j] = q[u_t, s w_j] = ad-bar_{u_t} w_j, off the model's action;
+        M[i, j] = q[s w_i, s w_j] = [w_i, w_j]_m for i < j, off its m_table.
+        Each is an integer vector over one denominator, tested once against
+        the rows of Im r_# (the leaf layer's one membership test) and given
+        by its Im r_#-coordinates, its pivot entries, or None off Im r_#.
         """
         iso = self.iso
-        w = self.image.basis
-        d = len(w)
-        A = tuple(tuple(ad_bar @ x for x in w) for ad_bar in iso.ad_bars)
-        ints = [(R.items(), R[P]) for P, R in self.image.rows]
-        ads = [iso.m_ad_ints(xs) for xs, _ in ints]
-        M = [[zero_vec(iso.quotient_dim)] * d for _ in range(d)]
-        for i, j in wedge2_space(d):
-            ys, dy = ints[j]
-            out = [sum(row[t] * y for t, y in ys) for row in ads[i]]
-            v = from_ints(out, iso.m_table[1] * ints[i][1] * dy)
-            M[i][j] = v
-            M[j][i] = tuple(-x for x in v)
-        return A, tuple(map(tuple, M))
+        im = self.image
+
+        def coords(op, row):
+            (N, dn), (P, R) = op, row
+            v = [sum(x[t] * y for t, y in R.items()) for x in N]
+            if im.residual(dict(enumerate(v))):
+                return None
+            return from_ints([v[p] for p in im.pivots], dn * R[P])
+
+        A = tuple(tuple(coords(op, row) for row in im.rows) for op in iso.action[: iso.h_basis.dim])
+        ads = [(iso.m_ad_ints(R.items()), iso.m_table[1] * R[P]) for P, R in im.rows]
+        return A, {(i, j): coords(ads[i], im.rows[j]) for i, j in wedge2_space(im.dim)}
 
     @cached_property
     def int_tables(self) -> tuple:

@@ -185,8 +185,24 @@ GENERATOR_FAMILIES = {
     ),
     "iso11": (Mat(((1, 0, QQ(1, 2)), (0, 1, QQ(-1, 2)), (0, 0, 1))),),
     "sl2+solv2": (
-        Mat([[QQ(int(i == j) * (1, 2, QQ(1, 2), 1, 1)[i]) for j in range(5)] for i in range(5)]),
-        Mat([[int(i == j or (i, j) == (3, 4)) for j in range(5)] for i in range(5)]),
+        Mat(
+            (
+                (1, 0, 0, 0, 0),
+                (0, 2, 0, 0, 0),
+                (0, 0, QQ(1, 2), 0, 0),
+                (0, 0, 0, 1, 0),
+                (0, 0, 0, 0, 1),
+            )
+        ),
+        Mat(
+            (
+                (1, 0, 0, 0, 0),
+                (0, 1, 0, 0, 0),
+                (0, 0, 1, 0, 0),
+                (0, 0, 0, 1, 1),
+                (0, 0, 0, 0, 1),
+            )
+        ),
     ),
 }
 

@@ -439,20 +439,23 @@ def test_leaf_evaluates_the_tensor_once(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["canonical", "natural", "left_symmetric", "fedosov"])
-def test_connection_builds_no_quotient_ad_and_one_m_table(monkeypatch, kind):
+def test_connection_builds_one_m_table_and_no_isotropy_action(monkeypatch, kind):
     # the l-operators are integer contractions of r with the model's
-    # m-bracket table, built once per job: no quotient operator q ad_x s is
-    # built for a sharp, and h = 0 leaves no ad-bar to build.  Every kind,
-    # and the r-matrix check, read the one integer table set of r
+    # m-bracket table, built once per job: the quotient kernel runs once per
+    # quotient basis vector for it, and for nothing else, since a
+    # connection never reads the isotropy action.  Every kind, and the
+    # r-matrix check, read the one integer table set of r
     from lieps.ybe import Bivector
 
-    calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
+    calls = count_calls(monkeypatch, IsotropyModel, "_quotient_ints")
+    actions = count_cached(monkeypatch, IsotropyModel, "action")
     tables = count_cached(monkeypatch, IsotropyModel, "m_table")
     r_tables = count_cached(monkeypatch, Bivector, "int_tables")
     text = _doc_text("heisenberg", n=3)
     code, out, err = run_cli(["connection", "-", "--r", "u1^w + v1^w", "--kind", kind], text)
     assert code == 0, err
-    assert len(calls) == 0
+    assert len(calls) == 7  # quotient_dim
+    assert actions == []
     assert len(tables) == 1
     assert len(r_tables) == 1
 
@@ -512,31 +515,32 @@ def test_complement_flags_read_the_integer_tables_not_brackets(monkeypatch):
     assert len(calls) == 0
 
 
-def test_leaf_builds_at_most_one_quotient_operator_per_h_basis_vector(monkeypatch):
-    from lieps.catalog import realize
-
+def test_leaf_runs_the_quotient_kernel_once_per_h_basis_vector_and_m_table_column(monkeypatch):
+    # the action reads one integer operator per row of h, the m_table one
+    # per quotient basis vector, each once per job; the tensor, the
+    # invariance check and the leaf frame read them and build no other
     text = _doc_text("double", of="heisenberg", n=2)
-    _, iso = realize(builtin("double", {"of": "heisenberg", "n": 2}))
-    calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
+    calls = count_calls(monkeypatch, IsotropyModel, "_quotient_ints")
+    actions = count_cached(monkeypatch, IsotropyModel, "action")
     code, out, err = run_cli(["leaf", "-", "--r", "m_u1^m_w"], text)
     assert code == 0, err
-    # the ad-bars are read off the integer rows of h, and the tensor builds
-    # no quotient operator
-    in_h = [x for (_, x) in calls if any(x) and iso.h_basis.contains(x)]
-    assert len(in_h) <= iso.h_basis.dim == 5
+    (iso,) = actions
+    assert (iso.h_basis.dim, iso.quotient_dim, iso.discrete_generators) == (5, 5, ())
+    assert len(calls) == 5 + 5
 
 
-def test_tensor_and_l_operators_build_no_quotient_operator(monkeypatch):
+def test_tensor_and_l_operators_build_only_the_m_table(monkeypatch):
     # the tensor and the l-operators read the same integer tables of r, one
-    # contraction with the model's m-bracket table: no quotient operator, no
-    # Mat product and no Fraction dot product
+    # contraction with the model's m-bracket table: the quotient kernel runs
+    # once per quotient basis vector for that table and for no sharp, and
+    # there is no Mat product and no Fraction dot product
     from lieps.catalog import realize
     from lieps.exact import Mat
     from lieps.ybe import make_bivector
 
     _, iso = realize(builtin("heisenberg", {"n": 3}))
     r = make_bivector(iso, [1] * (iso.quotient_dim * (iso.quotient_dim - 1) // 2))
-    calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
+    calls = count_calls(monkeypatch, IsotropyModel, "_quotient_ints")
     tables = count_cached(monkeypatch, IsotropyModel, "m_table")
     products = count_calls(monkeypatch, Mat, "__matmul__")
     dots = count_calls(monkeypatch, exact, "dot")
@@ -544,7 +548,7 @@ def test_tensor_and_l_operators_build_no_quotient_operator(monkeypatch):
     assert products == dots == []
     _, L, C, _, _ = r.int_tables
     assert len(L) == len(C) == iso.quotient_dim == 7
-    assert len(calls) == 0
+    assert len(calls) == 7
     assert len(tables) == 1
 
 
@@ -552,12 +556,14 @@ def test_scan_job_builds_the_m_table_once(monkeypatch):
     # every row of a scan shares the job's model, so its m-bracket table is
     # built once however many bivectors the rows test
     tables = count_cached(monkeypatch, IsotropyModel, "m_table")
-    calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
+    calls = count_calls(monkeypatch, IsotropyModel, "_quotient_ints")
     code, out, err = run_cli(["scan", "-"], _doc_text("heisenberg", n=2))
     assert code == 0, err
     assert out.startswith("10 candidates\n")
     assert len(tables) == 1
-    assert len(calls) == 0  # h = 0: no ad-bar, and no operator per sharp
+    # h = 0: one operator per lattice generator for the action, one per
+    # quotient basis vector for the m_table, and none per sharp
+    assert len(calls) == 5 + 5
 
 
 def test_tensor_calls_no_bracket(monkeypatch):
@@ -573,15 +579,51 @@ def test_tensor_calls_no_bracket(monkeypatch):
     assert brackets == m_brackets == []
 
 
-def test_leaf_solves_r_sharp_once_per_image_basis_vector(monkeypatch):
-    # omega_r is solved on Im r_# once per bivector; a_r and the frame read it
+@pytest.mark.parametrize(
+    "name, params, argv",
+    [
+        ("heisenberg", {"n": 3}, ["invariants", "-"]),
+        ("gl_sym", {"n": 3}, ["invariants", "-"]),
+        ("heisenberg", {"n": 2}, ["scan", "-"]),
+        ("so4_grassmann", {}, ["leaf", "-", "--r", "(e1 - e4)^(e2 + e3)"]),
+    ],
+)
+def test_jobs_read_the_isotropy_action_once_in_integers(monkeypatch, name, params, argv):
+    # the invariant solve and the leaf read the model's integer action,
+    # built once per job, and never its Fraction views: the invariance rows
+    # are integers, an invariants or scan job makes no Fraction matrix
+    # product, and a leaf job no solve
+    from lieps.exact import Mat
+    from lieps.invariants import invariance_rows
+
+    actions = count_cached(monkeypatch, IsotropyModel, "action")
+    bars = count_cached(monkeypatch, IsotropyModel, "ad_bars")
+    maps = count_cached(monkeypatch, IsotropyModel, "generator_maps")
+    products = count_calls(monkeypatch, Mat, "__matmul__")
+    solves = count_calls(monkeypatch, exact, "solve")
+    code, out, err = run_cli(argv, _doc_text(name, **params))
+    assert code == 0, err
+    (iso,) = actions
+    assert bars == maps == solves == []
+    if argv[0] != "leaf":
+        assert products == []
+    rows = [row for block in invariance_rows(iso) for row in block]
+    assert rows and all(type(x) is int for row in rows for x in row.values())
+
+
+def test_leaf_inverts_one_block_of_r_sharp(monkeypatch):
+    # omega_r is the inverse of r_# on the pivots of Im r_#, once per
+    # bivector, with no solve; a_r and the frame read it
     text = _doc_text("double", of="heisenberg", n=2)
-    calls = count_calls(monkeypatch, exact, "solve")
+    solves = count_calls(monkeypatch, exact, "solve")
+    inverses = count_calls(monkeypatch, exact, "inverse")
     code, out, err = run_cli(["leaf", "-", "--r", "m_u1^m_w", "--format", "json"], text)
     assert code == 0, err
     payload = json.loads(out)
     assert payload["a_dim"] == 7  # h of dim 5 plus Im r_# of dim 2
-    assert len(calls) == 2
+    assert (len(solves), len(inverses)) == (0, 1)
+    ((block,),) = inverses
+    assert (block.rows, block.cols) == (2, 2)
 
 
 def test_connection_fedosov_heisenberg():
@@ -839,19 +881,20 @@ def test_leaf_refuses_a_non_invariant_r_matrix_whose_a_r_is_closed():
 
 
 @pytest.mark.parametrize(
-    "name, params, r, brackets",
+    "name, params, r",
     [
-        ("so4_grassmann", {}, "(e1 - e4)^(e2 + e3)", 1),
-        ("double", {"of": "heisenberg", "n": 2}, "m_u1^m_w + m_v1^m_w", 1),
-        ("heisenberg", {"n": 3}, "u1^w + v1^w", 1),
+        ("so4_grassmann", {}, "(e1 - e4)^(e2 + e3)"),
+        ("double", {"of": "heisenberg", "n": 2}, "m_u1^m_w + m_v1^m_w"),
+        ("heisenberg", {"n": 3}, "u1^w + v1^w"),
     ],
 )
-def test_leaf_reads_a_r_off_one_bracket_per_image_pair(monkeypatch, name, params, r, brackets):
+def test_leaf_reads_a_r_off_one_bracket_per_image_pair(monkeypatch, name, params, r):
     # the model build checks h on its integer rows, with no bracket call;
     # the leaf layer reads one m-bracket per pair of Im r_# basis vectors
-    # off the model's m_table, with no bracket call either (`brackets`
-    # counts the build's brackets plus those pairs), and after the build
-    # takes coordinates in Im r_# only
+    # off the model's m_table and one ad-bar image per h-basis vector and
+    # Im r_# basis vector off its action, with no bracket call either, and
+    # after the build tests each of them once against the rows of Im r_#,
+    # with no other membership test and no coordinates taken
     from lieps import catalog
     from lieps.exact import Subspace
     from lieps.ybe import make_bivector
@@ -861,12 +904,13 @@ def test_leaf_reads_a_r_off_one_bracket_per_image_pair(monkeypatch, name, params
     image = make_bivector(iso, parse_bivector_expr(r, qlabels)).image
     calls = count_calls(monkeypatch, liecore, "bracket")
     coords = count_calls(monkeypatch, Subspace, "coords_of")
+    residuals = count_calls(monkeypatch, Subspace, "residual")
     built = []
     realize = catalog.realize
 
     def marked(doc):
         out = realize(doc)
-        built.append((len(coords), len(calls)))
+        built.append((len(coords), len(residuals)))
         return out
 
     monkeypatch.setattr(catalog, "realize", marked)
@@ -874,10 +918,11 @@ def test_leaf_reads_a_r_off_one_bracket_per_image_pair(monkeypatch, name, params
     assert (code, err) == (0, "")
     pairs = image.dim * (image.dim - 1) // 2
     assert len(built) == 1 and pairs > 0
-    (n_coords, n_brackets), = built
-    assert len(calls) == n_brackets == brackets - pairs
-    assert coords[n_coords:]
-    assert all(space == image for space, _ in coords[n_coords:])
+    (n_coords, n_residuals), = built
+    assert calls == []
+    assert len(coords) == n_coords
+    assert len(residuals) - n_residuals == iso.h_basis.dim * image.dim + pairs
+    assert all(space == image for space, _ in residuals[n_residuals:])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from helpers import (
     random_lift_perturbation,
     omega_solve_oracle,
     restricted_r_matrix_oracle,
+    span_coords_oracle,
 )
 from lieps.errors import NotAnRMatrix, NotInAnnihilator
 from lieps.exact import Mat
@@ -38,6 +39,7 @@ from lieps.liecore import (
     make_lie_algebra,
     structure_constants,
     validate,
+    wedge2_space,
 )
 from lieps.ybe import (
     Bivector,
@@ -252,10 +254,12 @@ def test_int_tables_match_the_fraction_route(data):
         for c in range(m):
             expected = tuple(x - y for x, y in zip(ls[c].row(a), ls[a].row(c)))
             assert mstar_bracket(r, eps[a], eps[c]) == expected, (tag, a, c)
+    # the leaf-frame brackets are Im r_#-coordinates, None off Im r_#
     w = r.image.basis
+    coords = partial(span_coords_oracle, w, r.image.pivots)
     A, M = r.image_brackets
-    assert A == tuple(tuple(bar @ x for x in w) for bar in dense_ad_bars(iso)), tag
-    assert M == tuple(tuple(m_bracket(iso, x, y) for y in w) for x in w), tag
+    assert A == tuple(tuple(coords(bar @ x) for x in w) for bar in dense_ad_bars(iso)), tag
+    assert M == {(i, j): coords(m_bracket(iso, w[i], w[j])) for i, j in wedge2_space(len(w))}, tag
     assert yang_baxter_tensor(r).values == schouten_oracle(canonical_lift(r)).values, tag
 
 
@@ -466,18 +470,22 @@ def test_fixed_space_lie_algebra_matches_the_hcirc_route():
     assert nonzero  # some fixed-space algebra is not abelian
 
 
-def test_fixed_space_lie_algebra_builds_dim_m_quotient_operators(monkeypatch):
+def test_fixed_space_lie_algebra_builds_the_model_tables_once(monkeypatch):
     # the integer tables of the bivector serve the tensor, the table and
-    # the morphism check: no quotient operator per basis covector, and no
-    # ad-matrix per pair of fixed covectors
+    # the morphism check, and the fixed covectors read the model's action:
+    # over the candidate scan and the algebra together the quotient kernel
+    # runs once per lattice generator and once per m_table column, with
+    # no operator per basis covector and no ad-matrix per pair of fixed
+    # covectors
     _, iso = instance("heisenberg", {"n": 2})
+    calls = count_calls(monkeypatch, IsotropyModel, "_quotient_ints")
     coords = next(c for c in invariant_candidates(iso) if is_r_matrix(make_bivector(iso, c)))
     r = make_bivector(iso, coords)
-    calls = count_calls(monkeypatch, IsotropyModel, "quotient_ad")
     out = fixed_space_lie_algebra(r)
     assert out.algebra.dim > 0
     assert len(r.int_tables[1]) == iso.quotient_dim == 5
-    assert len(calls) == 0
+    assert (iso.h_basis.dim, len(iso.discrete_generators)) == (0, 5)
+    assert len(calls) == 5 + 5
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ tuples over the quotient basis, and sharps are realized through the section.
 Every quantity here is bilinear in two per-bivector integer tables over
 d_c = d_r D (Bivector.int_tables): the l-operators L[a] = l_{eps_a^#} and
 the bracket table C[a][c] = [eps_a, eps_c]_r.  The four builders are one
-integer rule over them.  A ConnectionMap, however it was built, reads its
-entries once into ints N over one denominator; M_eta, torsion, curvature and
-Poisson compatibility are integer contractions of N, C and r_#, and a
-Fraction is built only for a value that is returned.
+integer rule over them.  A ConnectionMap is stored as ints N over one
+denominator d: the builders write N directly, and a map given by rational
+entries is scaled once by ConnectionMap.from_entries.  M_eta, torsion,
+curvature and Poisson compatibility are integer contractions of N, C and
+r_#, and a Fraction is built only for a value that is returned or printed.
 """
 
 from __future__ import annotations
@@ -48,32 +49,44 @@ def _add(out, base, cols, v, f):
 
 @dataclass(frozen=True)
 class ConnectionMap:
-    """Bilinear b: m* x m* -> m* as a dense array over the m* basis.
+    """Bilinear b: m* x m* -> m*, stored in ints as b = N / d over one denominator.
 
     r is the bivector the connection is built from; its model r.iso must be
-    reductive, else NotReductive.  Torsion, curvature and Poisson
-    compatibility read the integer form `ints` of b, however b was built.
+    reductive, else NotReductive.  Rational entries come in through
+    from_entries, and the dense Fraction array b is a view for printing.
     """
 
     r: Bivector
-    b: tuple  # b[a][c] = b(eps_a, eps_c), a covector tuple
+    N: list  # N[a][c] lists the nonzeros (k, x) of d b(eps_a, eps_c)
+    d: int
 
     def __post_init__(self):
         require_reductive(self.r.iso)
 
+    @classmethod
+    def from_entries(cls, r: Bivector, b) -> "ConnectionMap":
+        """The map with b[a][c] = b(eps_a, eps_c), a covector of rationals."""
+        n = len(b)
+        nz, d = int_vectors([v for plane in b for v in plane])
+        return cls(r, [nz[a * n:(a + 1) * n] for a in range(n)], d)
+
     @property
     def dim(self) -> int:
-        return len(self.b)
+        return len(self.N)
+
+    @cached_property
+    def b(self) -> tuple:
+        """b[a][c] = b(eps_a, eps_c), a covector of Fractions: row c of M_{eps_a}^T."""
+        return tuple(self.matrix_for(e).T.entries for e in Mat.identity(self.dim).entries)
 
     def apply(self, alpha, beta) -> tuple:
         """b(alpha, beta) = sum_a,c x_a y_c N[a][c] / (d e^2) for alpha, beta = x / e, y / e."""
         n = self.dim
-        N, d = self.ints
         (x, y), e = int_vectors((_covector(alpha, n), _covector(beta, n)))
         out = [0] * n
         for a, xa in x:
-            _add(out, 0, N[a], y, xa)
-        return from_ints(out, d * e * e)
+            _add(out, 0, self.N[a], y, xa)
+        return from_ints(out, self.d * e * e)
 
     def matrix_for(self, eta) -> Mat:
         """M_eta with M_eta gamma = b(eta, gamma).
@@ -81,22 +94,14 @@ class ConnectionMap:
         With eta = x / e, column c is sum_a eta_a b[a][c] = sum_a x_a N[a][c] / (d e).
         """
         n = self.dim
-        N, d = self.ints
         (x,), e = int_vectors([_covector(eta, n)])
         v = [0] * (n * n)
         for c in range(n):
-            _add(v, c * n, [plane[c] for plane in N], x, 1)
-        return Mat.from_ints([v[k::n] for k in range(n)], d * e)
+            _add(v, c * n, [plane[c] for plane in self.N], x, 1)
+        return Mat.from_ints([v[k::n] for k in range(n)], self.d * e)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for plane in self.b for row in plane for x in row)
-
-    @cached_property
-    def ints(self) -> tuple:
-        """(N, d): b = N / d over one denominator, N[a][c] the nonzeros (k, x) of b[a][c]."""
-        n = self.dim
-        nz, d = int_vectors([v for plane in self.b for v in plane])
-        return [nz[a * n:(a + 1) * n] for a in range(n)], d
+        return not any(v for plane in self.N for v in plane)
 
     @cached_property
     def tables(self) -> tuple:
@@ -107,7 +112,7 @@ class ConnectionMap:
         and d^2 d_c R[a, c] = d_c (N_a N_c - N_c N_a) - d sum_t C[a][c]_t N_t, flat
         with entry (i, j) at j n + i.  Both are skew; only nonzero pairs are kept.
         """
-        N, d = self.ints
+        N, d = self.N, self.d
         _, _, C, _, dc = self.r.int_tables
         n = self.dim
         cols = [[N[k][j] for k in range(n)] for j in range(n)]
@@ -150,20 +155,20 @@ def build_connection(kind, r: Bivector) -> ConnectionMap:
 
     On basis covectors [eta, xi]_r is C[a][c] and xi o l_{eta^#} is row c of
     L[a], both ints over d_r D in r.int_tables, so every kind is
-    b(eps_a, eps_c) = (alpha C[a][c] - beta L[a][c]) / (k d_r D), one
-    Fraction per entry.
+    b(eps_a, eps_c) = (alpha C[a][c] - beta L[a][c]) / (k d_r D), written
+    as N over d = k d_r D with no Fraction.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown connection kind {kind!r}")
     alpha, beta, k = _KINDS[kind]
     _, L, C, _, dc = r.int_tables
-    d = k * dc
 
     def entry(Cac, Lac):
-        return from_ints([alpha * x - beta * y for x, y in zip(Cac, Lac)], d)
+        v = [alpha * x - beta * y for x, y in zip(Cac, Lac)]
+        return [(t, x) for t, x in enumerate(v) if x]
 
-    b = tuple(tuple(map(entry, Ca, La)) for Ca, La in zip(C, L))
-    return ConnectionMap(r=r, b=b)
+    N = [list(map(entry, Ca, La)) for Ca, La in zip(C, L)]
+    return ConnectionMap(r, N, k * dc)
 
 
 def _skew_sum(table, den, eta, xi, n, size) -> tuple:
@@ -201,15 +206,14 @@ def poisson_compat_failures(b: ConnectionMap) -> tuple:
     Triples are listed in (a, c, d) order with their nonzero values.
     """
     n = b.dim
-    N, den = b.ints
     R, _, _, dr, _ = b.r.int_tables
     bad = []
-    for a, plane in enumerate(N):
+    for a, plane in enumerate(b.N):
         P = [[0] * n for _ in plane]
         for p, v in zip(P, plane):
             _add(p, 0, R, v, 1)
         bad.extend(
-            ((a, c, d), Fraction(P[c][d] - P[d][c], dr * den))
+            ((a, c, d), Fraction(P[c][d] - P[d][c], dr * b.d))
             for c in range(n)
             for d in range(n)
             if P[c][d] != P[d][c]
@@ -299,7 +303,7 @@ def nomizu_to_contravariant(psi: NomizuMap) -> ConnectionMap:
     """
     R = psi.r.r_mat
     b = tuple(psi.operator_for(R.col(a)).entries for a in range(len(psi.psi)))
-    return ConnectionMap(r=psi.r, b=b)
+    return ConnectionMap.from_entries(psi.r, b)
 
 
 @dataclass(frozen=True)

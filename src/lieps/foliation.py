@@ -24,9 +24,9 @@ from .errors import (
     RadicalMismatch,
 )
 from .exact import Mat, Subspace, dot, inverse, kernel, solve, zero_vec
-from .invariants import invariance_rows
+from .invariants import bivector_coords_from_matrix, invariance_rows
 from .liecore import IsotropyModel, bracket, require_reductive, structure_constants, wedge2_space
-from .ybe import Bivector, require_r_matrix
+from .ybe import Bivector, make_bivector, require_r_matrix
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def reconstruct_r(L, iso: IsotropyModel, a_basis, omega) -> Bivector:
     qa = [iso.q_matrix @ v for v in a.basis]
     qa_space = Subspace.from_vectors(iso.quotient_dim, qa)
     if qa_space.dim == 0:
-        return Bivector(iso, Mat.zero(iso.quotient_dim, iso.quotient_dim))
+        return make_bivector(iso, zero_vec(len(wedge2_space(iso.quotient_dim))))
     qa_mat = Mat.from_cols(qa)
     K = Mat.from_cols([solve(qa_mat, w) for w in qa_space.basis])
     try:
@@ -198,7 +198,7 @@ def reconstruct_r(L, iso: IsotropyModel, a_basis, omega) -> Bivector:
     except ValueError:
         raise RadicalMismatch("descended omega is singular on a/h") from None
     iota = Mat.from_cols(qa_space.basis)
-    return Bivector(iso, iota @ omega_bar_inv @ iota.T)
+    return make_bivector(iso, bivector_coords_from_matrix(iota @ omega_bar_inv @ iota.T))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ def bivector_matrix_from_coords(dim, coords) -> Mat:
     for (i, j), c in zip(pairs, coords):
         m[j][i] = c
         m[i][j] = -c
-    # the rows already hold Fractions; Bivector checks that the matrix is skew
+    # the rows already hold Fractions, and the matrix is skew by construction
     return Mat._trusted(tuple(map(tuple, m)), dim)
 
 

@@ -1,18 +1,19 @@
 """Bivectors, lifts, the bracket on the annihilator, and the Yang-Baxter tensor.
 
-A bivector r on g/h is stored through its sharp matrix: <beta, r_# alpha> =
-r(alpha, beta).  Its obstruction tensor [[r,r]] is read off the quotient,
-with C[a][b] = [eps_a, eps_b]_r the bracket table on the m* basis:
+A bivector r on g/h is stored by its wedge coordinates; its sharp map,
+<beta, r_# alpha> = r(alpha, beta), is read off them as ints R / d_r.  Its
+obstruction tensor [[r,r]] is read off the quotient, with C[a][b] =
+[eps_a, eps_b]_r the bracket table on the m* basis:
 
     [[r,r]](eps_a, eps_b, eps_c) = <eps_c, r_# C[a][b] - [r_# eps_a, r_# eps_b]_m>,
 
 the defect of r_# as a morphism from [.,.]_r to the m-bracket q[s x, s y].
 Its vanishing is the invariant-Poisson condition, and bivectors passing it
 are r-matrices.  The l-operators, the table C and the tensor are integer
-contractions of r, scaled once to R / d_r, with the one m-bracket table of
-the model (IsotropyModel.m_table).  The l-operators and C exist only in
-that integer form (Bivector.int_tables); l_operator and mstar_bracket
-contract them with covectors and build a Fraction only for a returned entry.
+contractions of R with the one m-bracket table of the model
+(IsotropyModel.m_table).  The l-operators and C exist only in that integer
+form (Bivector.int_tables); l_operator and mstar_bracket contract them with
+covectors and build a Fraction only for a returned entry.
 
 The h° route is the independent oracle: over a lift r-tilde of r to g
 (`canonical_lift`, `sharp`), the bracket on h° (`hcirc_bracket`,
@@ -45,14 +46,11 @@ from .exact import (
     from_ints,
     int_vectors,
     inverse,
+    to_ints,
     vec,
     vsub,
 )
-from .invariants import (
-    bivector_coords_from_matrix,
-    bivector_matrix_from_coords,
-    fixed_quotient_covectors,
-)
+from .invariants import bivector_matrix_from_coords, fixed_quotient_covectors
 from .liecore import (
     IsotropyModel,
     LieAlgebra,
@@ -69,7 +67,7 @@ from .liecore import (
 
 @dataclass(frozen=True)
 class Bivector:
-    """A bivector on g/h, stored through its sharp matrix.
+    """A bivector on g/h, stored by its wedge coordinates over wedge2_space.
 
     Derived once, on first use, and kept on the instance, so every check
     that asks about the same bivector shares them: the integer tables of r
@@ -77,20 +75,21 @@ class Bivector:
     the Yang-Baxter tensor, l_operator, mstar_bracket and the four
     connections read; the tensor; Im r_#, omega_r on it, and the
     Im r_#-coordinates of the q-brackets of the leaf frame h + s(Im r_#)
-    (image, omega, image_brackets).
+    (image, omega, image_brackets); and r_mat, a view for the oracles.
     """
 
     iso: IsotropyModel
-    r_mat: Mat  # sharp map on quotient coordinates, skew
+    coords: tuple  # rational wedge coordinates, one per pair (i, j), i < j
 
     def __post_init__(self):
-        n = self.iso.quotient_dim
-        if self.r_mat.rows != n or not self.r_mat.is_skew():
-            raise ValueError(f"bivector matrix must be skew {n} x {n}")
+        m = len(wedge2_space(self.iso.quotient_dim))
+        if len(self.coords) != m:
+            raise ValueError(f"expected {m} wedge coordinates, got {len(self.coords)}")
 
-    @property
-    def coords(self) -> tuple:
-        return bivector_coords_from_matrix(self.r_mat)
+    @cached_property
+    def r_mat(self) -> Mat:
+        """r_# as a skew Fraction matrix, read by the oracles and the Nomizu dictionary."""
+        return bivector_matrix_from_coords(self.iso.quotient_dim, self.coords)
 
     @cached_property
     def tensor(self) -> "YBTensor":
@@ -99,8 +98,8 @@ class Bivector:
 
     @cached_property
     def image(self) -> Subspace:
-        """Im r_# in quotient coordinates, the span of the rows of r_#, which is skew."""
-        return Subspace.from_vectors(self.r_mat.rows, self.r_mat.entries)
+        """Im r_# in quotient coordinates, the span of the integer columns of R = d_r r_#."""
+        return Subspace._of_rows(self.iso.quotient_dim, [dict(col) for col in self.int_tables[0]])
 
     @cached_property
     def omega(self) -> Mat:
@@ -114,8 +113,10 @@ class Bivector:
         do, since ker r_# annihilates Im r_# (r_# is skew).  Off the basis
         omega_r is the bilinear combination of this matrix.
         """
+        R, _, _, dr, _ = self.int_tables
         P = self.image.pivots
-        return inverse(Mat([[self.r_mat[i][j] for j in P] for i in P], len(P)))
+        cols = [dict(R[j]) for j in P]
+        return inverse(Mat.from_ints([[col.get(i, 0) for col in cols] for i in P], dr))
 
     @cached_property
     def image_brackets(self) -> tuple:
@@ -145,22 +146,27 @@ class Bivector:
     def int_tables(self) -> tuple:
         """(R, L, C, d_r, d_c): r_# = R / d_r, and the ints L, C over d_c = d_r D.
 
-        R[a] lists the nonzeros (j, R_ja) of column a, and L[a] =
-        sum_j R_ja mu[j] is the contraction of column a with the model's
-        m_table (mu, D), so L[a] / d_c = q ad(s r_# eps_a) s, with L[a][c]
-        its row c.  C[a][c] = row a of L[c] minus row c of L[a], so
+        R[a] lists the nonzeros (j, R_ja) of column a in row order: pair
+        (i, j) of coords, c / d_r, puts (j, c) in column i and (i, -c) in
+        column j.  L[a] = sum_j R_ja mu[j] contracts column a with the
+        model's m_table (mu, D), so L[a] / d_c = q ad(s r_# eps_a) s, with
+        L[a][c] its row c.  C[a][c] = row a of L[c] minus row c of L[a], so
         C[a][c] / d_c = [eps_a, eps_c]_r.  yang_baxter_tensor, l_operator,
         mstar_bracket and the connection builders read these ints.
         """
-        R, dr = int_vectors(self.r_mat.T.entries)
+        n = self.iso.quotient_dim
+        ints, dr = to_ints((ij, c) for ij, c in zip(wedge2_space(n), self.coords) if c)
+        R = [[] for _ in range(n)]
+        for (i, j), c in ints:
+            R[i].append((j, c))
+            R[j].append((i, -c))
         L = [self.iso.m_ad_ints(col) for col in R]
-        n = len(L)
         C = [[[x - y for x, y in zip(L[c][a], L[a][c])] for c in range(n)] for a in range(n)]
         return R, L, C, dr, dr * self.iso.m_table[1]
 
 
 def make_bivector(iso: IsotropyModel, coords) -> Bivector:
-    return Bivector(iso, bivector_matrix_from_coords(iso.quotient_dim, coords))
+    return Bivector(iso, vec(coords))
 
 
 def _covector(alpha, n) -> tuple:

@@ -482,6 +482,27 @@ def test_connection_job_builds_no_fraction_matrix(monkeypatch, name, params, r_t
     assert (len(products), len(combos)) == (0, 0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "-"],
+        ["ybe", "-", "--r", "u1^w + v1^w"],
+        ["leaf", "-", "--r", "u1^w + v1^w"],
+        ["connection", "-", "--r", "u1^w + v1^w", "--kind", "fedosov"],
+    ],
+)
+def test_jobs_build_no_fraction_sharp_matrix(monkeypatch, argv):
+    # a bivector is its wedge coordinates: the tensor, the leaf and the
+    # connection read its integer tables, and the Fraction matrix r_mat is
+    # built only for the oracles
+    from lieps.ybe import Bivector
+
+    r_mats = count_cached(monkeypatch, Bivector, "r_mat")
+    code, out, err = run_cli(argv, _doc_text("heisenberg", n=3))
+    assert code == 0, err
+    assert r_mats == []
+
+
 def test_poisson_compat_builds_no_matrix_product_or_dot(monkeypatch):
     # R N_a + N_a^T R per a in ints over d_r d: no Fraction dot product,
     # where the triple loop made 2 n^3 of them (686 at n = 7), and no

@@ -36,7 +36,7 @@ from lieps.connections import (
     torsion,
 )
 from lieps.errors import NotAnFConnection, NotAnRMatrix, NotReductive
-from lieps.exact import Mat
+from lieps.exact import Mat, from_ints
 from lieps.invariants import invariant_bivectors
 from lieps.liecore import induced_ad_bar, make_isotropy
 from lieps.liecore import wedge2_space
@@ -309,7 +309,7 @@ def test_torsion_is_antisymmetric_for_any_b(flat):
         tuple(tuple(flat[9 * a + 3 * c + k] for k in range(3)) for c in range(3))
         for a in range(3)
     )
-    b = ConnectionMap(r=r, b=b3)
+    b = ConnectionMap.from_entries(r, b3)
     e = _basis(3)
     for i in range(3):
         for j in range(3):
@@ -343,7 +343,7 @@ def test_equivariance_fails_for_arbitrary_b():
     z = V(0, 0, 0)
     b3 = [[z, z, z], [z, z, z], [z, z, z]]
     b3[1][2] = V(1, 0, 0)
-    b = ConnectionMap(r=r, b=tuple(tuple(row) for row in b3))
+    b = ConnectionMap.from_entries(r, b3)
     assert not ad_invariance_check(b)
 
 
@@ -382,7 +382,7 @@ def test_non_f_connection_rejected():
     z = V(0, 0, 0)
     b3 = [[z, z, z], [z, z, z], [z, z, z]]
     b3[1][2] = V(1, 0, 0)  # v1* direction lies in the kernel of the sharp map
-    b = ConnectionMap(r=r, b=tuple(tuple(row) for row in b3))
+    b = ConnectionMap.from_entries(r, b3)
     assert not is_f_connection(b)
     with pytest.raises(NotAnFConnection):
         f_connection_to_nomizu(b)
@@ -532,7 +532,8 @@ def test_integer_tables_match_dense_oracles_on_any_rational_b(data):
     drawn = tuple(tuple(flat[n * (n * a + c):n * (n * a + c + 1)] for c in range(n)) for a in range(n))
     flat = _mixed_vector(data, n ** 3)
     psi = tuple(Mat([flat[n * (n * t + i):n * (n * t + i + 1)] for i in range(n)], n) for t in range(n))
-    for b in (ConnectionMap(r=r, b=drawn), nomizu_to_contravariant(NomizuMap(r=r, psi=psi))):
+    entered = ConnectionMap.from_entries(r, drawn)
+    for b in (entered, nomizu_to_contravariant(NomizuMap(r=r, psi=psi))):
         for a in range(n):
             for c in range(n):
                 assert torsion(b, e[a], e[c]) == dense_torsion(iso, r, b.b, e[a], e[c]), tag
@@ -545,6 +546,30 @@ def test_integer_tables_match_dense_oracles_on_any_rational_b(data):
         assert b.apply(eta, xi) == dense_apply(b.b, eta, xi), tag
         cols = [[sum((eta[a] * b.b[a][c][k] for a in range(n)), QQ(0)) for k in range(n)] for c in range(n)]
         assert b.matrix_for(eta) == Mat.from_cols(cols, n), tag
+
+
+def _table_values(b):
+    """b.tables as Fractions: the ints depend on the denominator each door picks."""
+    T, R, dt, dr = b.tables
+    torsion_values = {ac: from_ints(v, dt) for ac, v in T.items()}
+    return torsion_values, {ac: from_ints(v, dr) for ac, v in R.items()}
+
+
+def test_the_two_connection_doors_agree():
+    # build_connection writes N over k d_r D; from_entries scales the
+    # Fraction entries over their own lcm.  Every reading agrees
+    for tag, _, iso, r in catalog_r_matrices():
+        e = _basis(iso.quotient_dim)
+        pairs = [(x, y) for x in e for y in e]
+        for kind in ("canonical", "natural", "left_symmetric", "fedosov"):
+            built = build_connection(kind, r)
+            entered = ConnectionMap.from_entries(r, built.b)
+            assert _table_values(entered) == _table_values(built), (tag, kind)
+            assert poisson_compat_failures(entered) == poisson_compat_failures(built), (tag, kind)
+            for x, y in pairs:
+                assert torsion(entered, x, y) == torsion(built, x, y), (tag, kind)
+                assert curvature(entered, x, y) == curvature(built, x, y), (tag, kind)
+                assert entered.apply(x, y) == built.apply(x, y), (tag, kind)
 
 
 def test_l_operator_and_mstar_bracket_need_no_reductive_model():
@@ -568,5 +593,5 @@ def test_l_operator_and_mstar_bracket_need_no_reductive_model():
         with pytest.raises(NotReductive):
             build_connection("natural", r)
         with pytest.raises(NotReductive):
-            ConnectionMap(r=r, b=dense_connection("natural", iso, r))
+            ConnectionMap.from_entries(r, dense_connection("natural", iso, r))
     assert seen > 0

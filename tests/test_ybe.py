@@ -26,7 +26,7 @@ from helpers import (
     span_coords_oracle,
 )
 from lieps.errors import NotAnRMatrix, NotInAnnihilator
-from lieps.exact import Mat
+from lieps.exact import Mat, Subspace, int_vectors
 from lieps.invariants import (
     bivector_coords_from_matrix,
     fixed_quotient_covectors,
@@ -281,7 +281,31 @@ def test_omega_matches_the_solve_oracle(data):
         ],
         m,
     )
-    r = Bivector(iso, r_mat)
+    r = make_bivector(iso, bivector_coords_from_matrix(r_mat))
+    assert r.omega == omega_solve_oracle(r), tag
+
+
+_RANDOM_MODELS = tuple((tag, iso) for tag, _, iso, _ in random_instances(seed=21, count=12))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_coordinate_route_matches_the_matrix_route(data):
+    # R / d_r, Im r_# and omega_r are read off the wedge coordinates; the
+    # Fraction matrix r_mat scaled back to ints, its row span and the solve
+    # oracle are the old route.  r = sum_t x_t ^ y_t over up to m / 2 + 1
+    # random pairs has every rank from 0 to full
+    tag, iso = data.draw(st.sampled_from(_RANDOM_MODELS))
+    m = iso.quotient_dim
+    vector = st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=m, max_size=m
+    )
+    pairs = data.draw(st.lists(st.tuples(vector, vector), max_size=m // 2 + 1))
+    coords = [sum((x[i] * y[j] - x[j] * y[i] for x, y in pairs), QQ(0)) for i, j in wedge2_space(m)]
+    r = make_bivector(iso, coords)
+    R, _, _, dr, _ = r.int_tables
+    assert (R, dr) == int_vectors(r.r_mat.T.entries), tag
+    assert r.image == Subspace.from_vectors(m, r.r_mat.entries), tag
     assert r.omega == omega_solve_oracle(r), tag
 
 
@@ -306,10 +330,16 @@ def test_lift_must_project_to_r():
 
 
 def test_bivector_must_be_skew():
+    # a matrix enters only through bivector_coords_from_matrix, which checks
+    # that it is skew; a Bivector holds one wedge coordinate per pair i < j
     _, iso = instance("heisenberg", {"n": 1})
     bad = Mat(((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(0), QQ(0)), (QQ(0), QQ(0), QQ(0))))
     with pytest.raises(ValueError, match="skew"):
-        Bivector(iso, bad)
+        bivector_coords_from_matrix(bad)
+    with pytest.raises(ValueError, match="expected 3 wedge coordinates, got 2"):
+        Bivector(iso, V(1, 0))
+    with pytest.raises(ValueError, match="expected 3 wedge coordinates, got 4"):
+        make_bivector(iso, V(1, 0, 0, 0))
 
 
 def test_lift_must_be_skew():
@@ -324,7 +354,8 @@ def test_lift_must_be_skew():
 
 
 def test_bivector_skew_check_survives_optimize_flag():
-    # python -O strips asserts; the skew check must not be one
+    # python -O strips asserts; the skew check at the matrix door and the
+    # length check of the coordinates must not be ones
     script = (
         "from lieps.catalog import builtin, realize\n"
         "from lieps.exact import Mat\n"
@@ -332,7 +363,7 @@ def test_bivector_skew_check_survives_optimize_flag():
         "_, iso = realize(builtin('heisenberg', {'n': 1}))\n"
         "from lieps.invariants import bivector_coords_from_matrix\n"
         "try:\n"
-        "    Bivector(iso, Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))\n"
+        "    Bivector(iso, (1, 0))\n"
         "except ValueError:\n"
         "    print('rejected')\n"
         "try:\n"

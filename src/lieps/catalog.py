@@ -9,10 +9,11 @@ of oriented 2-planes in R^4), and the double g+g over the diagonal.
 
 parse reads each rational literal once into ints (read_rational): bracket
 coefficients go straight into the integer table of the LieAlgebra through
-liecore.lie_algebra_of_terms, the normaliser make_lie_algebra uses too, and
-subalgebra, complement and generator entries become Fractions, once per
-distinct string literal.  A located error message is formatted only when its
-check fails.
+liecore.lie_algebra_of_terms, the normaliser make_lie_algebra uses too,
+generator entries into the integer columns of a liecore.Generator (the
+builtins too), and subalgebra and complement entries become Fractions, once
+per distinct string literal.  A located error message is formatted only
+when its check fails.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .errors import DocumentError, LiepsError
-from .exact import Mat
-from .liecore import LieAlgebra, lie_algebra_of_terms, make_isotropy, make_lie_algebra
+from .liecore import Generator, LieAlgebra, lie_algebra_of_terms, make_isotropy, make_lie_algebra
 
 _RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -71,7 +72,7 @@ class AlgebraDocument:
     algebra: LieAlgebra
     subalgebra: tuple = field(default=())
     complement: tuple = field(default=())  # standard-basis indices
-    ad_generators: tuple = field(default=())  # of Mat
+    ad_generators: tuple = field(default=())  # of liecore.Generator
 
     @property
     def dim(self) -> int:
@@ -88,7 +89,7 @@ def _doc(name, dim, labels, bracket_map, subalgebra=(), complement=(), ad_genera
         algebra=make_lie_algebra(dim, bracket_map, labels),
         subalgebra=tuple(tuple(Fraction(x) for x in v) for v in subalgebra),
         complement=tuple(complement),
-        ad_generators=tuple(g if isinstance(g, Mat) else Mat(g) for g in ad_generators),
+        ad_generators=tuple(map(Generator.of_matrix, ad_generators)),
     )
 
 
@@ -129,16 +130,11 @@ def heisenberg(n) -> AlgebraDocument:
     labels = [f"u{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(n)] + ["w"]
     brackets = {(i, n + i): {2 * n: 1} for i in range(n)}
     w = 2 * n
-    gens = []
-    for j in range(n):
-        a = [[Fraction(r == c) for c in range(dim)] for r in range(dim)]
-        a[w][j] = Fraction(-1)
-        gens.append(a)
-    for j in range(n):
-        a = [[Fraction(r == c) for c in range(dim)] for r in range(dim)]
-        a[w][n + j] = Fraction(1)
-        gens.append(a)
-    gens.append([[Fraction(r == c) for c in range(dim)] for r in range(dim)])
+
+    def gen(j, x):  # the identity with x added at row w, column j
+        return [[int(r == c) + x * ((r, c) == (w, j)) for c in range(dim)] for r in range(dim)]
+
+    gens = [gen(j, -1) for j in range(n)] + [gen(n + j, 1) for j in range(n)] + [gen(w, 0)]
     return _doc(f"heisenberg({n})", dim, labels, brackets, ad_generators=gens)
 
 
@@ -381,7 +377,7 @@ def to_json_dict(doc: AlgebraDocument) -> dict:
         out["complement"] = vecs
     if doc.ad_generators:
         out["ad_generators"] = [
-            [[format_rational(x) for x in row] for row in g.entries]
+            [[format_rational(x) for x in row] for row in g.mat.entries]
             for g in doc.ad_generators
         ]
     return out
@@ -475,15 +471,15 @@ def parse(text) -> AlgebraDocument:
         raise DocumentError("brackets", f"duplicate pair {duplicate}")
     algebra = lie_algebra_of_terms(dim, labels, terms)
 
-    values = {}  # string literal -> Fraction; generators repeat "0", "1" and "-1"
+    values = {}  # string literal -> (p, q); generators repeat "0", "1" and "-1"
+    fraction = cache(Fraction)  # a vector entry's Fraction, once per (p, q)
 
-    def entry(x, path, *where):
+    def rational(x, path, *where):
         if type(x) is not str:
-            return Fraction(*read_rational(x, path, *where))
-        value = values.get(x)
-        if value is None:
-            value = values[x] = Fraction(*read_rational(x, path, *where))
-        return value
+            return read_rational(x, path, *where)
+        if x not in values:
+            values[x] = read_rational(x, path, *where)
+        return values[x]
 
     def parse_vectors(key):
         raw = data.get(key, [])
@@ -493,7 +489,7 @@ def parse(text) -> AlgebraDocument:
         for t, v in enumerate(raw):
             if not (isinstance(v, list) and len(v) == dim):
                 raise DocumentError(f"{key}[{t}]", f"must be a vector of length {dim}")
-            out.append(tuple(entry(x, "{}[{}][{}]", key, t, c) for c, x in enumerate(v)))
+            out.append(tuple(fraction(*rational(x, "{}[{}][{}]", key, t, c)) for c, x in enumerate(v)))
         return out
 
     subalgebra = parse_vectors("subalgebra")
@@ -514,12 +510,16 @@ def parse(text) -> AlgebraDocument:
     for t, g in enumerate(raw_gens):
         if not (isinstance(g, list) and len(g) == dim):
             raise DocumentError(f"ad_generators[{t}]", f"must be a {dim}x{dim} matrix")
-        rows = []
+        # (r, c, p, q) per nonzero A_rc = p / q; a cached literal (mostly "0") skips the call
+        entries = []
         for r, row in enumerate(g):
             if not (isinstance(row, list) and len(row) == dim):
                 raise DocumentError(f"ad_generators[{t}][{r}]", f"must have {dim} entries")
-            rows.append(tuple(entry(x, "ad_generators[{}][{}][{}]", t, r, c) for c, x in enumerate(row)))
-        gens.append(Mat._trusted(tuple(rows), dim))
+            for c, x in enumerate(row):
+                p, q = (type(x) is str and values.get(x)) or rational(x, "ad_generators[{}][{}][{}]", t, r, c)
+                if p:
+                    entries.append((r, c, p, q))
+        gens.append(Generator.of_entries(dim, entries))
 
     return AlgebraDocument(
         name=name,

@@ -3,7 +3,8 @@
 Documents are read from a file path or from standard input when the path is
 `-`.  Exit codes: 0 success, 1 domain errors (failed checks, non-r-matrices
 where one is required, unknown builtins), 2 parse errors (malformed JSON or
-documents, bad expressions, usage errors).
+documents, bad expressions, usage errors).  `invariants` prints its basis
+off the integer rows of the invariant space, not a dense Fraction basis.
 """
 
 from __future__ import annotations
@@ -190,10 +191,10 @@ def format_covector(labels, coords) -> str:
 
 
 def format_bivector(labels, coords) -> str:
+    """The bivector of its wedge coordinates: a sequence, or a {pair index: value} dict, keys increasing."""
     pairs = wedge2_space(len(labels))
-    return _fmt_terms(
-        [(c, f"{labels[i]}^{labels[j]}") for (i, j), c in zip(pairs, coords) if c != 0]
-    )
+    items = coords.items() if isinstance(coords, dict) else enumerate(coords)
+    return _fmt_terms([(c, "^".join(labels[i] for i in pairs[k])) for k, c in items if c])
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +251,16 @@ def _cmd_validate(args, stdin_text):
 def _cmd_invariants(args, stdin_text):
     _, iso, qlabels = _model(args, stdin_text)
     inv = invariant_bivectors(iso)
-    pretty = [format_bivector(qlabels, v) for v in inv.basis.basis]
+    # basis vector t is R / R_P for row (P, R) of the space, printed off its nonzeros
+    vecs = [{k: Fraction(x, R[P]) for k, x in sorted(R.items())} for P, R in inv.basis.rows]
+    pretty = [format_bivector(qlabels, v) for v in vecs]
+    coords = [["0"] * len(wedge2_space(len(qlabels))) for _ in vecs]
+    for row, v in zip(coords, vecs):
+        for k, c in v.items():
+            row[k] = c
     payload = {
         "dim": inv.dim,
-        "basis_coords": inv.basis.basis,
+        "basis_coords": coords,
         "basis": pretty,
         "source": inv.source,
     }

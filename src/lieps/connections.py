@@ -344,9 +344,16 @@ def induced_leaf_connection(b: ConnectionMap, complement_indices=None) -> LeafCo
     # pivots of the RREF basis w
     omega = r.omega
     etas = (omega @ Mat([proj[p] for p in im.pivots], n)).entries
-    br = tuple(
-        tuple(tuple(r.r_mat @ b.apply(etas[i], etas[j])) for j in range(d)) for i in range(d)
-    )
+    R, _, _, dr, _ = r.int_tables
+
+    def sharp(v):
+        # r_# v = R x / (d_r e) for v = x / e, off the integer columns of r_#
+        (x,), e = int_vectors([v])
+        out = [0] * n
+        _add(out, 0, R, x, 1)
+        return from_ints(out, dr * e)
+
+    br = tuple(tuple(sharp(b.apply(etas[i], etas[j])) for j in range(d)) for i in range(d))
     # B[i] holds the Im(r_#)-coordinates of b^r(w_i, w_j) in column j: its
     # pivot entries, since b^r = r_# b(eta, eta') lies in Im(r_#)
     B = [Mat([[v[p] for v in row] for p in im.pivots], d) for row in br]

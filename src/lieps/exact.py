@@ -12,8 +12,9 @@ Inside, the hot loops run on integers over one common denominator:
 at the edge.  Elimination runs on sparse integer rows: each rational row is
 scaled into a {column: int} dict of its nonzeros and handed to the
 fraction-free kernel `_rref_int_rows`, whose cost follows the nonzeros, not
-the shape.  `kernel_of_rows` takes such rows directly, so a constraint
-system assembled from its nonzeros never becomes a dense matrix.  A
+the shape.  `kernel_of_rows` takes such rows directly, integer rows as they
+are, and builds its kernel vectors in ints, so a constraint system
+assembled from its nonzeros never becomes a dense matrix.  A
 subspace tests membership with the kernel's own row update `_eliminate`.
 The structure constants of `liecore` are stored in the same integer form.
 """
@@ -380,10 +381,12 @@ class Subspace:
 
     @classmethod
     def _of_rows(cls, ambient, rows) -> "Subspace":
-        """The span of sparse rational {column: value} rows; scaling each to ints keeps the RREF."""
+        """The span of sparse {column: value} rows; rows holding a non-int are scaled to ints first."""
         if not rows:
             return cls(ambient, ())
-        red, pivots = _rref_int_rows([dict(to_ints(r.items())[0]) for r in rows], ambient)
+        if any(type(x) is not int for r in rows for x in r.values()):
+            rows = [dict(to_ints(r.items())[0]) for r in rows]
+        red, pivots = _rref_int_rows(rows, ambient)
         return cls(ambient, tuple(zip(pivots, red)))
 
     @classmethod
@@ -463,22 +466,19 @@ def kernel_of_rows(rows, ncols) -> Subspace:
 
     Rows are {column: value} dicts of rationals (absent entries are zero),
     so a constraint system built from its nonzeros is solved without ever
-    being laid out as a dense matrix.
+    being laid out as a dense matrix.  Integer rows are eliminated as they
+    are (Subspace._of_rows).  The kernel vector of a free column f is built
+    in ints: L at f and -R_p[f] L / R_p[p] at each pivot p, with L the lcm
+    of the R_p[p] of the constraint rows R_p that reach f.
     """
     constraints = Subspace._of_rows(ncols, rows)
     if not constraints.dim:
         return Subspace.full(ncols)
-    pivot_set = set(constraints.pivots)
     vecs = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = {f: 1}
-        for p, row in constraints.rows:
-            x = row.get(f)
-            if x:
-                v[p] = Fraction(-x, row[p])
-        vecs.append(v)
+    for f in sorted(set(range(ncols)).difference(constraints.pivots)):
+        hits = [(p, R) for p, R in constraints.rows if f in R]
+        L = lcm(*(R[p] for p, R in hits))
+        vecs.append({f: L, **{p: -R[f] * (L // R[p]) for p, R in hits}})
     return Subspace._of_rows(ncols, vecs)
 
 

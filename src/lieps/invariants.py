@@ -93,7 +93,7 @@ def invariant_bivectors(iso: IsotropyModel) -> InvariantBivectorSpace:
         basis=kernel_of_rows(rows, nwedge),
         source={
             "infinitesimal": iso.h_basis.dim > 0,
-            "discrete": len(iso.discrete_generators) > 0,
+            "discrete": len(iso.generators) > 0,
         },
     )
 
@@ -121,6 +121,12 @@ def fixed_quotient_covectors(iso: IsotropyModel) -> Subspace:
     """Covectors of (g/h)* fixed by the isotropy action: the space (h deg)^H.
 
     In quotient coordinates a covector is fixed iff it kills every ad-bar_u
-    image and is fixed by the transpose of each induced generator matrix.
+    image and is fixed by the transpose of each induced generator matrix: in
+    ints, the rows of N^T per ad-bar N / d of iso.action and N^T - d I per generator.
     """
-    return fixed_covectors(iso.quotient_dim, iso.ad_bars, iso.generator_maps)
+    k = iso.h_basis.dim
+    rows = []
+    for t, (N, d) in enumerate(iso.action):
+        NT = [{i: x for i, x in enumerate(col) if x} for col in zip(*N)]
+        rows += NT if t < k else _minus_scalar(NT, d)
+    return kernel_of_rows(rows, iso.quotient_dim)

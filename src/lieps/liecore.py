@@ -21,15 +21,19 @@ h inside g* through q^T; h° is not stored, since eta lies in it exactly when
 model reads, once and in integers, `action`, the isotropy action on g/h
 (each ad-bar q ad_u s from the brackets of u with the complement vectors
 alone, each q A s from the integer columns of a generator A), and `m_table`,
-the m-bracket [e_j, e_t]_m of every pair of quotient basis vectors.
+the m-bracket [e_j, e_t]_m of every pair of quotient basis vectors.  A
+discrete generator is one integer form, `Generator` (its columns over one
+least denominator), which the automorphism check and `action` share; its
+Fraction matrix is a view for printing and the oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import (
     GeneratorMovesH,
@@ -39,7 +43,7 @@ from .errors import (
     NotInH,
     NotReductive,
 )
-from .exact import Mat, Subspace, _rref_int_rows, from_ints, int_vectors, mat_lincomb, to_ints
+from .exact import Mat, Subspace, _rref_int_rows, from_ints, mat_lincomb, to_ints
 
 
 @dataclass(frozen=True)
@@ -91,14 +95,54 @@ def lie_algebra_of_terms(dim, labels, terms) -> LieAlgebra:
     """
     # sorted by (i, j, k), so each row comes out with k increasing
     terms = sorted([term for term in terms if term[3]])
-    D = lcm(*[term[4] for term in terms])
-    den = D // gcd(D, *[p * (D // q) for _, _, _, p, q in terms])
+    den = _least_den([term[3:] for term in terms])
     nz = [[[] for _ in range(dim)] for _ in range(dim)]
     for i, j, k, p, q in terms:
         v = p * den // q
         nz[i][j].append((k, v))
         nz[j][i].append((k, -v))
     return LieAlgebra(dim, tuple(map(str, labels)), tuple(tuple(map(tuple, row)) for row in nz), den)
+
+
+def _least_den(pairs) -> int:
+    """The least common denominator of the rationals p / q, q > 0, of the (p, q) pairs."""
+    D = lcm(*[q for _, q in pairs])
+    return D // gcd(D, *[p * (D // q) for p, q in pairs])
+
+
+class Generator(NamedTuple):
+    """A discrete generator A = N / d, d least: cols[j] lists the nonzeros (i, N_ij) of column j of N."""
+
+    cols: tuple
+    d: int
+
+    @classmethod
+    def of_entries(cls, n, entries) -> "Generator":
+        """The n x n generator with A_ij = p / q, q > 0, per nonzero entry (i, j, p, q) in row order."""
+        d = _least_den([e[2:] for e in entries])
+        cols = [[] for _ in range(n)]
+        for i, j, p, q in entries:
+            cols[j].append((i, p * d // q))
+        return cls(tuple(map(tuple, cols)), d)
+
+    @classmethod
+    def of_matrix(cls, A) -> "Generator":
+        """The form of a square Mat, or of a list of rows of rationals, read once."""
+        A = A if isinstance(A, Mat) else Mat(A)
+        if A.rows != A.cols:
+            raise NotAnAutomorphism("generator has the wrong shape")
+        return cls.of_entries(A.rows, [
+            (i, j, x.numerator, x.denominator) for i, row in enumerate(A.entries) for j, x in enumerate(row) if x
+        ])
+
+    @property
+    def mat(self) -> Mat:
+        """A as a Fraction matrix: a view for printing and the oracles."""
+        rows = [[0] * len(self.cols) for _ in self.cols]
+        for j, col in enumerate(self.cols):
+            for i, x in col:
+                rows[i][j] = x
+        return Mat.from_ints(rows, self.d)
 
 
 def _sparse_bracket(nz, xs, ys) -> dict:
@@ -231,7 +275,12 @@ class IsotropyModel:
     h_basis: Subspace
     complement_indices: tuple
     h_rows: tuple = field(compare=False)  # derived from h_basis and the complement
-    discrete_generators: tuple = field(default=())
+    generators: tuple = field(default=())  # of Generator, each checked by make_isotropy
+
+    @cached_property
+    def discrete_generators(self) -> tuple:
+        """The generators as Fraction matrices: a view for reconstruct_r and the oracles."""
+        return tuple(A.mat for A in self.generators)
 
     @property
     def quotient_dim(self) -> int:
@@ -328,8 +377,7 @@ class IsotropyModel:
         """
         den = self.L.den
         ops = [(self._complement_brackets(R.items()), den * R[P]) for P, R in self.h_basis.rows]
-        for A in self.discrete_generators:
-            cols, dA = int_vectors(A.T.entries)
+        for cols, dA in self.generators:
             ops.append(([dict(cols[j]) for j in self.complement_indices], dA))
         dq = self._q_columns[1]
         return tuple((self._quotient_ints(images), dq * d) for images, d in ops)
@@ -389,11 +437,11 @@ def _check_subalgebra(L: LieAlgebra, h: Subspace):
             )
 
 
-def _check_automorphism(L: LieAlgebra, A: Mat, h: Subspace):
-    if A.rows != L.dim or A.cols != L.dim:
-        raise NotAnAutomorphism("generator has the wrong shape")
+def _check_automorphism(L: LieAlgebra, A: Generator, h: Subspace):
     # A = N / dA; A is singular exactly when the columns of N are dependent
-    cols, dA = int_vectors(A.T.entries)
+    cols, dA = A
+    if len(cols) != L.dim:
+        raise NotAnAutomorphism("generator has the wrong shape")
     if len(_rref_int_rows([dict(c) for c in cols], L.dim)[1]) < L.dim:
         raise NotAnAutomorphism("generator is singular")
     nz = L.nz
@@ -480,7 +528,8 @@ def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement
     The complement is scanned greedily through the standard basis unless
     explicit indices are supplied; either way the chosen standard vectors
     must complete a basis of g together with h, else ValueError.  q and s
-    are built on first use.
+    are built on first use.  A generator (a Generator, a Mat or rows) is read
+    into its integer form once, which the automorphism check and `action` share.
     """
     n = L.dim
     h = Subspace.from_vectors(n, h_vectors)
@@ -489,18 +538,17 @@ def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement
     complement_indices, h_rows = _complement_rows(h, complement_indices)
 
     gens = []
-    if discrete_generators:
-        for A in discrete_generators:
-            A = A if isinstance(A, Mat) else Mat(A)
-            _check_automorphism(L, A, h)
-            gens.append(A)
+    for A in discrete_generators or ():
+        A = A if isinstance(A, Generator) else Generator.of_matrix(A)
+        _check_automorphism(L, A, h)
+        gens.append(A)
 
     return IsotropyModel(
         L=L,
         h_basis=h,
         complement_indices=complement_indices,
         h_rows=h_rows,
-        discrete_generators=tuple(gens),
+        generators=tuple(gens),
     )
 
 
@@ -537,6 +585,7 @@ def m_bracket(iso: IsotropyModel, x, y) -> tuple:
     return iso.q_matrix @ bracket(iso.L, iso.s_matrix @ x, iso.s_matrix @ y)
 
 
+@cache
 def wedge2_space(dim) -> tuple:
     """Index pairs (i, j), i < j, in lexicographic order: the wedge basis."""
     return tuple((i, j) for i in range(dim) for j in range(i + 1, dim))

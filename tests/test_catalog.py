@@ -8,7 +8,8 @@ from helpers import CATALOG_ENTRIES, count_cached
 from lieps import catalog, liecore
 from lieps.cli import run_cli
 from lieps.errors import DocumentError, LiepsError
-from lieps.liecore import IsotropyModel, bracket, make_lie_algebra, validate
+from lieps.exact import Mat, int_vectors
+from lieps.liecore import Generator, IsotropyModel, bracket, make_lie_algebra, validate
 
 
 def V(*xs):
@@ -222,10 +223,49 @@ def test_integer_route_matches_make_lie_algebra_on_any_spelling(data):
     assert (parsed.algebra.den, parsed.algebra.nz) == (expected.den, expected.nz)
     assert parsed.algebra == expected
     stored = [x for v in parsed.subalgebra for x in v]
-    stored += [x for row in parsed.ad_generators[0] for x in row]
+    stored += [x for row in parsed.ad_generators[0].mat.entries for x in row]
     literals = [x for v in sub for x, _ in v] + [x for row in gen for x, _ in row]
     assert all(type(x) is QQ for x in stored)
     assert stored == [QQ(x) for x in literals]
+
+
+def _int_form(rows):
+    """The integer generator form read off Fractions: int_vectors of the columns."""
+    cols, d = int_vectors(Mat(rows).T.entries)
+    return Generator(tuple(map(tuple, cols)), d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_generator_literals_read_into_one_integer_form(data):
+    # JSON ints and strings, unreduced, padded, signed, zero and -0 entries
+    # give the integer form of the matrix they spell, whatever the spelling
+    dim = data.draw(st.integers(1, 4))
+    lits = [[data.draw(_literal()) for _ in range(dim)] for _ in range(dim)]
+    doc = {"dim": dim, "ad_generators": [[[x for x, _ in row] for row in lits]]}
+    (A,) = catalog.parse(json.dumps(doc)).ad_generators
+    rows = [[v for _, v in row] for row in lits]
+    assert A == _int_form(rows)
+    assert A.mat == Mat(rows)
+    # the same matrix in lowest terms parses to the same form
+    doc["ad_generators"] = [[[str(v) for v in row] for row in rows]]
+    assert catalog.parse(json.dumps(doc)).ad_generators == (A,)
+
+
+def test_generator_spellings_of_one_matrix_agree():
+    spellings = (
+        [["2/4", 0, "-3"], ["0", "1", "-0/7"], [0, "-6/4", " 5 "]],
+        [["1/2", "0/3", -3], [0, 1, 0], ["0", "-3/2", 5]],
+    )
+    forms = [
+        catalog.parse(json.dumps({"dim": 3, "ad_generators": [g]})).ad_generators[0] for g in spellings
+    ]
+    expected = ((((0, 1),), ((1, 2), (2, -3)), ((0, -6), (2, 10))), 2)
+    assert forms[0] == forms[1] == expected
+    assert forms[0] == _int_form([[QQ(1, 2), 0, -3], [0, 1, 0], [0, QQ(-3, 2), 5]])
+    # the builtins are read into the same form: u -> u - w on heisenberg n = 1
+    u_gen = catalog.builtin("heisenberg", {"n": 1}).ad_generators[0]
+    assert u_gen == ((((0, 1), (2, -1)), ((1, 1),), ((2, 1),)), 1)
 
 
 # a random-dense document: heisenberg under a rational change of basis

@@ -1,12 +1,25 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import count_cached, count_calls, dense_poisson_compat_failures
-from lieps import exact, liecore
-from lieps.catalog import builtin, emit, is_label
+from helpers import (
+    CATALOG_ENTRIES,
+    count_cached,
+    count_calls,
+    dense_invariant_bivectors,
+    dense_poisson_compat_failures,
+    random_generator_instance,
+    random_instances,
+)
+from lieps import catalog, exact, liecore
+from lieps.catalog import AlgebraDocument, builtin, emit, is_label
 from lieps.cli import format_bivector, format_covector, parse_bivector_expr, run_cli
 from lieps.errors import DocumentError
 from lieps.liecore import IsotropyModel
@@ -1090,3 +1103,155 @@ def test_connection_output_is_pinned(name):
             assert code == 0, err
             digest = hashlib.sha256(out.encode()).hexdigest()
             assert digest == PINNED_CONNECTION_SHA256[(name, kind, fmt)], (name, kind, fmt)
+
+
+# ---------------------------------------------------------------------------
+# invariants printed off the integer rows of the invariant space, and
+# generators read once into their integer form
+
+
+def _dense_invariants_output(iso, fmt):
+    """The invariants output by the dense route: format_bivector over the Fraction basis view."""
+    qlabels = [iso.L.labels[j] for j in iso.complement_indices]
+    space = dense_invariant_bivectors(iso)
+    pretty = [format_bivector(qlabels, v) for v in space.basis]
+    if fmt == "json":
+        payload = {
+            "dim": space.dim,
+            "basis_coords": space.basis,
+            "basis": pretty,
+            "source": {"infinitesimal": iso.h_basis.dim > 0, "discrete": bool(iso.discrete_generators)},
+        }
+        return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+    return "\n".join([f"dim {space.dim}"] + [f"  {p}" for p in pretty]) + "\n"
+
+
+def _check_invariants_against_dense(text):
+    _, iso = catalog.realize(catalog.parse(text))
+    for fmt in ("text", "json"):
+        assert run_cli(["invariants", "-", "--format", fmt], text) == (
+            0,
+            _dense_invariants_output(iso, fmt),
+            "",
+        ), fmt
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [(name, params) for _, name, params in CATALOG_ENTRIES]
+    + [
+        ("heisenberg", {"n": 3}),
+        ("gl_sym", {"n": 3}),
+        ("double", {"of": "iso11"}),
+        ("double", {"of": "heisenberg", "n": 2}),
+        ("abelian", {"n": 7}),
+    ],
+)
+def test_invariants_from_rows_match_the_dense_route_on_the_catalog(name, params):
+    _check_invariants_against_dense(emit(builtin(name, params)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**20), st.booleans())
+def test_invariants_from_rows_match_the_dense_route_on_transported_models(seed, with_generators):
+    # h and the generators under a rational change of basis: rows with
+    # denominators, negative entries and generator blocks scaled by them
+    if with_generators:
+        _, L, iso, _ = random_generator_instance(seed)
+    else:
+        _, L, iso, _ = next(random_instances(seed, 1))
+    doc = AlgebraDocument(
+        name="transported",
+        algebra=L,
+        subalgebra=iso.h_basis.basis,
+        complement=iso.complement_indices,
+        ad_generators=iso.generators,
+    )
+    _check_invariants_against_dense(emit(doc))
+
+
+def _count_property(monkeypatch, cls, name):
+    """Instances on which the property cls.name is read, which still works."""
+    reads = []
+    real = cls.__dict__[name]
+    monkeypatch.setattr(cls, name, property(lambda self: reads.append(self) or real.fget(self)))
+    return reads
+
+
+@pytest.mark.parametrize("name, n", [("abelian", 16), ("heisenberg", 6)])
+def test_text_invariants_builds_no_basis_view_and_no_generator_matrix(monkeypatch, name, n):
+    # the basis is printed off the integer rows, and the generators are
+    # checked and acted with in their integer form
+    text = _doc_text(name, n=n)
+    views = _count_property(monkeypatch, exact.Subspace, "basis")
+    mats = _count_property(monkeypatch, liecore.Generator, "mat")
+    model_mats = count_cached(monkeypatch, IsotropyModel, "discrete_generators")
+    code, out, err = run_cli(["invariants", "-"], text)
+    assert code == 0, err
+    assert views == mats == model_mats == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "-"],
+        ["invariants", "-"],
+        ["scan", "-"],
+        ["ybe", "-", "--r", "u1^w + v1^w"],
+        ["leaf", "-", "--r", "u1^w + v1^w"],
+        ["connection", "-", "--r", "u1^w + v1^w", "--kind", "fedosov"],
+    ],
+)
+def test_jobs_read_each_generator_once_into_ints(monkeypatch, argv):
+    # parse reads the generator literals into ints, with no Fraction per
+    # entry; the automorphism check and the model share that form, and no
+    # job builds a generator Fraction matrix
+    fractions = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            fractions.append(args)
+            return Fraction(*args)
+
+    text = _doc_text("heisenberg", n=3)
+    monkeypatch.setattr(catalog, "Fraction", Counted)
+    monkeypatch.setattr(liecore, "Fraction", Counted)
+    checks = count_calls(monkeypatch, liecore, "_check_automorphism")
+    mats = _count_property(monkeypatch, liecore.Generator, "mat")
+    model_mats = count_cached(monkeypatch, IsotropyModel, "discrete_generators")
+    models = []
+    real = catalog.make_isotropy
+    monkeypatch.setattr(catalog, "make_isotropy", lambda *a, **k: models.append(real(*a, **k)) or models[-1])
+    code, out, err = run_cli(argv, text)
+    assert code == 0, err
+    (iso,) = models
+    assert fractions == mats == model_mats == []
+    assert len(checks) == len(iso.generators) == 7
+    assert all(A is B for (_, A, _), B in zip(checks, iso.generators))
+
+
+def test_generator_checks_survive_optimize_flag():
+    # the integer automorphism check raises, it does not assert: under
+    # python -O a singular generator and one that is no automorphism still
+    # fail validate and invariants with their messages
+    docs = {
+        '{%s,"ad_generators":[[[1,0,0],[0,1,0],[0,0,0]]]}' % HEIS3: "error: generator is singular\n",
+        '{%s,"ad_generators":[[[1,0,0],[0,1,0],[0,0,2]]]}' % HEIS3: "error: A[e1, e2] != [Ae1, Ae2]\n",
+    }
+    script = (
+        "import json, sys\n"
+        "from lieps.cli import run_cli\n"
+        "docs = json.loads(sys.stdin.read())\n"
+        "print(json.dumps([run_cli([cmd, '-'], d) for d in docs for cmd in ('validate', 'invariants')]))\n"
+    )
+    src = str(Path(liecore.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        input=json.dumps(list(docs)),
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    expected = [[1, "", err] for err in docs.values() for _ in range(2)]
+    assert json.loads(out.stdout) == expected

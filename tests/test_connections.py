@@ -38,7 +38,7 @@ from lieps.connections import (
 from lieps.errors import NotAnFConnection, NotAnRMatrix, NotReductive
 from lieps.exact import Mat, from_ints
 from lieps.invariants import invariant_bivectors
-from lieps.liecore import induced_ad_bar, make_isotropy
+from lieps.liecore import complement_projection, induced_ad_bar, make_isotropy
 from lieps.liecore import wedge2_space
 from lieps.ybe import make_bivector, quotient_hcirc
 
@@ -409,6 +409,22 @@ def test_so4_leaf_connection_flags():
         lc.symplectic,
         lc.fedosov,
         lc.flat,
+    )
+
+
+def test_leaf_connection_reads_r_sharp_off_the_integer_tables():
+    # b^r = r_# b(eta, eta') from the integer columns R / d_r of r_#: the
+    # Fraction matrix r_mat is not built, and the values are those of r_mat @ v
+    L, iso = instance("so4_grassmann")
+    r = make_bivector(iso, V(1, 1, 0, 0, 1, 1))
+    b = build_connection("fedosov", r)
+    lc = induced_leaf_connection(b)
+    assert "r_mat" not in r.__dict__
+    n, im = b.dim, r.image
+    _, proj = complement_projection(im)
+    etas = (r.omega @ Mat([proj[p] for p in im.pivots], n)).entries
+    assert lc.br == tuple(
+        tuple(tuple(r.r_mat @ b.apply(ei, ej)) for ej in etas) for ei in etas
     )
 
 

@@ -152,76 +152,48 @@ def iso11() -> AlgebraDocument:
     return _doc("iso11", 3, ["e1", "e2", "e3"], brackets, ad_generators=[gen])
 
 
-def _gl_basis(n):
-    """gl_n basis: diagonal units, symmetric units, then skew units."""
-    basis = []
-    labels = []
-    for i in range(n):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i][i] = Fraction(1)
-        basis.append(m)
-        labels.append(f"E{i + 1}{i + 1}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = [[Fraction(0)] * n for _ in range(n)]
-            m[i][j] = Fraction(1)
-            m[j][i] = Fraction(1)
-            basis.append(m)
-            labels.append(f"S{i + 1}{j + 1}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = [[Fraction(0)] * n for _ in range(n)]
-            m[i][j] = Fraction(1)
-            m[j][i] = Fraction(-1)
-            basis.append(m)
-            labels.append(f"F{i + 1}{j + 1}")
-    return basis, labels
-
-
-def _gl_decompose(m, n):
-    """Coordinates of an n x n matrix in the _gl_basis order."""
-    coords = [m[i][i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords.append((m[i][j] + m[j][i]) / 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords.append((m[i][j] - m[j][i]) / 2)
-    return coords
-
-
 def gl_sym(n) -> AlgebraDocument:
     """gl_n with h = so_n; the complement is the symmetric matrices.
 
-    Basis order puts the n(n+1)/2 symmetric units first so the greedy
-    complement scan picks exactly m = sym_n.
+    The basis is the diagonal units E_ii, the symmetric units
+    S_ij = E_ij + E_ji and the skew units F_ij = E_ij - E_ji, i < j, in that
+    order, so the greedy complement scan picks exactly m = sym_n.  Brackets
+    are read off the unit matrices, [E_ij, E_kl] = d_jk E_il - d_li E_kj,
+    and each unit E_il, i != l, is (S_il + F_il) / 2 or (S_li - F_li) / 2.
     """
-    basis, labels = _gl_basis(n)
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    units = [{(i, i): 1} for i in range(n)]
+    units += [{(i, j): 1, (j, i): 1} for i, j in upper]
+    units += [{(i, j): 1, (j, i): -1} for i, j in upper]
+    labels = [f"E{i + 1}{i + 1}" for i in range(n)]
+    labels += [f"{x}{i + 1}{j + 1}" for x in "SF" for i, j in upper]
+    sym = {pair: n + t for t, pair in enumerate(upper)}
     dim = n * n
-    sym_count = n * (n + 1) // 2
-
-    def mul(a, b):
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
 
     brackets = {}
     for a in range(dim):
         for b in range(a + 1, dim):
-            ab = mul(basis[a], basis[b])
-            ba = mul(basis[b], basis[a])
-            comm = [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
-            coords = _gl_decompose(comm, n)
-            coeffs = {k: c for k, c in enumerate(coords) if c != 0}
+            comm = {}
+            for (i, j), x in units[a].items():
+                for (k, l), y in units[b].items():
+                    if j == k:
+                        comm[i, l] = comm.get((i, l), 0) + x * y
+                    if l == i:
+                        comm[k, j] = comm.get((k, j), 0) - x * y
+            coeffs = {}
+            for (i, l), v in comm.items():
+                if i == l:
+                    coeffs[i] = coeffs.get(i, 0) + v
+                elif v:
+                    s = sym[min(i, l), max(i, l)]
+                    coeffs[s] = coeffs.get(s, 0) + Fraction(v, 2)
+                    f = s + len(upper)
+                    coeffs[f] = coeffs.get(f, 0) + Fraction(v if i < l else -v, 2)
+            coeffs = {k: c for k, c in coeffs.items() if c}
             if coeffs:
                 brackets[(a, b)] = coeffs
 
-    sub = []
-    for t in range(sym_count, dim):
-        v = [Fraction(0)] * dim
-        v[t] = Fraction(1)
-        sub.append(v)
+    sub = [[int(t == u) for t in range(dim)] for u in range(n + len(upper), dim)]
     return _doc(f"gl_sym({n})", dim, labels, brackets, subalgebra=sub)
 
 
@@ -510,15 +482,16 @@ def parse(text) -> AlgebraDocument:
     for t, g in enumerate(raw_gens):
         if not (isinstance(g, list) and len(g) == dim):
             raise DocumentError(f"ad_generators[{t}]", f"must be a {dim}x{dim} matrix")
-        # (r, c, p, q) per nonzero A_rc = p / q; a cached literal (mostly "0") skips the call
+        # (r, c, p, q) per nonzero A_rc = p / q; "0" is skipped unread, a cached literal skips the call
         entries = []
         for r, row in enumerate(g):
             if not (isinstance(row, list) and len(row) == dim):
                 raise DocumentError(f"ad_generators[{t}][{r}]", f"must have {dim} entries")
             for c, x in enumerate(row):
-                p, q = (type(x) is str and values.get(x)) or rational(x, "ad_generators[{}][{}][{}]", t, r, c)
-                if p:
-                    entries.append((r, c, p, q))
+                if x != "0":
+                    p, q = (type(x) is str and values.get(x)) or rational(x, "ad_generators[{}][{}][{}]", t, r, c)
+                    if p:
+                        entries.append((r, c, p, q))
         gens.append(Generator.of_entries(dim, entries))
 
     return AlgebraDocument(

@@ -4,7 +4,9 @@ A bivector on the quotient g/h lives in wedge-square coordinates indexed by
 the lexicographic pairs (i, j), i < j.  Invariance under the connected part
 of the isotropy group is the kernel condition of the derivation action of
 each ad-bar_u; invariance under explicit discrete generators is the fixed
-condition of the wedge-square action of each induced matrix, both in ints off iso.action.
+condition of the wedge-square action of each induced matrix, both in ints off
+iso.action.  A generator's rows are read off where it differs from the
+identity, so they cost what it moves.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Mat, Subspace, kernel_of_rows, vec
-from .liecore import IsotropyModel, wedge2_action_rows, wedge2_derivation_rows, wedge2_space
+from .liecore import IsotropyModel, wedge2_derivation_rows, wedge2_moved_rows, wedge2_space
 
 
 def bivector_matrix_from_coords(dim, coords) -> Mat:
@@ -72,12 +74,14 @@ def invariance_rows(iso: IsotropyModel) -> tuple:
 
     Block t < dim h is the derivation block of N = d ad-bar_u for the t-th
     h-basis vector u (connected part): its kernel is the bivectors u kills.
-    Each later block is N^N - d^2 I = d^2 (A^A - I) for one discrete
-    generator A = N / d, in order: its kernel is the bivectors A fixes.
+    Each later block holds the nonzero rows of N^N - d^2 I = d^2 (A^A - I)
+    for one discrete generator A = N / d, in order, built from N - dI on the
+    pairs it moves (wedge2_moved_rows): its kernel is the bivectors A fixes,
+    and the identity gives an empty block.
     """
     k = iso.h_basis.dim
     return tuple(wedge2_derivation_rows(N) for N, _ in iso.action[:k]) + tuple(
-        _minus_scalar(wedge2_action_rows(N), d * d) for N, d in iso.action[k:]
+        wedge2_moved_rows(N, d) for N, d in iso.action[k:]
     )
 
 

@@ -24,7 +24,10 @@ alone, each q A s from the integer columns of a generator A), and `m_table`,
 the m-bracket [e_j, e_t]_m of every pair of quotient basis vectors.  A
 discrete generator is one integer form, `Generator` (its columns over one
 least denominator), which the automorphism check and `action` share; its
-Fraction matrix is a view for printing and the oracles.
+Fraction matrix is a view for printing and the oracles.  The automorphism
+check reads a generator A = N / d through its moved columns S, those with
+N e_m != d e_m: the S x S block for singularity, and only the pairs that
+meet S, directly or through `LieAlgebra.pairs_into`, for the brackets.
 """
 
 from __future__ import annotations
@@ -60,6 +63,16 @@ class LieAlgebra:
             raise ValueError(f"den must be a positive int, got {self.den!r}")
         if any(type(c) is not int for row in self.nz for terms in row for _, c in terms):
             raise ValueError("structure constants must be ints over den")
+
+    @cached_property
+    def pairs_into(self) -> tuple:
+        """pairs_into[k] lists the pairs (i, j), i < j, whose nz[i][j] has an e_k-term, in order."""
+        out = [[] for _ in range(self.dim)]
+        for i, row in enumerate(self.nz):
+            for j in range(i + 1, self.dim):
+                for k, _ in row[j]:
+                    out[k].append((i, j))
+        return tuple(out)
 
 
 def make_lie_algebra(dim, brackets, labels=None) -> LieAlgebra:
@@ -216,9 +229,11 @@ def _jacobi_failures(L: LieAlgebra) -> tuple:
     The jacobiator of (i, j, k) is the sum over the rotations (t, a, b) of
     (i, j, k) of [e_t, [e_a, e_b]], whose l-component is
     sum_m c[a][b][m] c[t][m][l].  Each nonzero product is visited once, from
-    the inner pair (a, b) and the outer index t, and credited to the sorted
-    triple when (t, a, b) is a rotation of it.  The sums are taken over the
-    integers n = den c: a zero test does not depend on the scale.
+    the inner pair and the outer index t, and credited to the sorted triple
+    when (t, a, b) is a rotation of it: for a < b the inner pair is (a, b)
+    when t lies outside [a, b] and (b, a) when a < t < b, so each unordered
+    pair is visited once.  The sums are taken over the integers n = den c: a
+    zero test does not depend on the scale.
     """
     n = L.dim
     nz = L.nz
@@ -226,14 +241,19 @@ def _jacobi_failures(L: LieAlgebra) -> tuple:
     outer = [[(t, nz[t][m]) for t in range(n) if nz[t][m]] for m in range(n)]
     sums = {}
     for a in range(n):
-        for b in range(n):
+        for b in range(a + 1, n):
             for m, cab in nz[a][b]:
                 for t, terms in outer[m]:
-                    if t < a < b or a < b < t or b < t < a:
-                        key = tuple(sorted((t, a, b)))
-                        acc = sums.setdefault(key, {})
+                    if t < a or t > b:
+                        acc = sums.setdefault((t, a, b) if t < a else (a, b, t), {})
                         for l, ctm in terms:
                             acc[l] = acc.get(l, 0) + cab * ctm
+            for m, cba in nz[b][a]:
+                for t, terms in outer[m]:
+                    if a < t < b:
+                        acc = sums.setdefault((a, t, b), {})
+                        for l, ctm in terms:
+                            acc[l] = acc.get(l, 0) + cba * ctm
     return tuple(sorted(key for key, acc in sums.items() if any(acc.values())))
 
 
@@ -438,26 +458,29 @@ def _check_subalgebra(L: LieAlgebra, h: Subspace):
 
 
 def _check_automorphism(L: LieAlgebra, A: Generator, h: Subspace):
-    # A = N / dA; A is singular exactly when the columns of N are dependent
+    # A = N / dA; N e_m = dA e_m off the moved columns S, so the singular and bracket tests read S alone
     cols, dA = A
     if len(cols) != L.dim:
         raise NotAnAutomorphism("generator has the wrong shape")
-    if len(_rref_int_rows([dict(c) for c in cols], L.dim)[1]) < L.dim:
+    S = {m for m, col in enumerate(cols) if dict(col) != {m: dA}}
+    # N is singular exactly when its S x S block is
+    if len(_rref_int_rows([{i: a for i, a in cols[m] if i in S} for m in S], L.dim)[1]) < len(S):
         raise NotAnAutomorphism("generator is singular")
     nz = L.nz
+    # a pair off S whose bracket has no e_m-term, m in S, passes: both sides are dA^2 [e_i, e_j]
+    pairs = _pairs_meeting(S, L.dim).union(*(L.pairs_into[m] for m in S))
     # both sides below are dA^2 den times [A e_i, A e_j] and A[e_i, e_j]
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            # den [N e_i, N e_j] - dA N (den [e_i, e_j]), from nonzeros only
-            diff = _sparse_bracket(nz, cols[i], cols[j])
-            for m, c in nz[i][j]:
-                c *= dA
-                for k, a in cols[m]:
-                    diff[k] = diff.get(k, 0) - c * a
-            if any(diff.values()):
-                raise NotAnAutomorphism(
-                    f"A[e{i + 1}, e{j + 1}] != [Ae{i + 1}, Ae{j + 1}]"
-                )
+    for i, j in sorted(pairs):
+        # den [N e_i, N e_j] - dA N (den [e_i, e_j]), from nonzeros only
+        diff = _sparse_bracket(nz, cols[i], cols[j])
+        for m, c in nz[i][j]:
+            c *= dA
+            for k, a in cols[m]:
+                diff[k] = diff.get(k, 0) - c * a
+        if any(diff.values()):
+            raise NotAnAutomorphism(
+                f"A[e{i + 1}, e{j + 1}] != [Ae{i + 1}, Ae{j + 1}]"
+            )
     # A h lies in h exactly when the image N R of each integer row R of h does
     for _, R in h.rows:
         image = {}
@@ -591,23 +614,36 @@ def wedge2_space(dim) -> tuple:
     return tuple((i, j) for i in range(dim) for j in range(i + 1, dim))
 
 
-def _wedge_rows(A, terms) -> tuple:
-    """Wedge-square rows built from the sparse rows a of a square A, a Mat or a list of rows.
+def _pairs_meeting(S, n) -> set:
+    """The wedge pairs (i, j), i < j < n, with i or j in S."""
+    return {(min(m, j), max(m, j)) for m in S for j in range(n) if j != m}
 
-    terms(a, i, j) lists vector pairs (u, v) whose wedges u ^ v, summed, give
-    row (i, j); (u ^ v) has entry u_k v_l - u_l v_k at the pair (k, l), so
-    each wedge costs nnz(u) * nnz(v).  Integer rows give integer rows.
-    """
+
+@cache
+def _wedge_index(n) -> dict:
+    return {pair: t for t, pair in enumerate(wedge2_space(n))}
+
+
+def _sparse_square(A) -> list:
+    """The rows {j: x} of the nonzeros of a square A, a Mat or a list of rows."""
     rows, n = (A.entries, A.cols) if isinstance(A, Mat) else (A, len(A))
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError("wedge-square needs a square operator")
-    a = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    pairs = wedge2_space(n)
-    index = {pair: t for t, pair in enumerate(pairs)}
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _wedge_rows(n, terms, pairs) -> tuple:
+    """Wedge-square rows on Q^n, one per wedge pair (i, j) of pairs, as {pair index: value} dicts.
+
+    terms(i, j) lists sparse vector pairs (u, v) whose wedges u ^ v, summed,
+    give row (i, j); (u ^ v) has entry u_k v_l - u_l v_k at the pair (k, l),
+    so each wedge costs nnz(u) * nnz(v).  Integer rows give integer rows.
+    """
+    index = _wedge_index(n)
     out = []
     for i, j in pairs:
         row = {}
-        for u, v in terms(a, i, j):
+        for u, v in terms(i, j):
             for k, x in u.items():
                 for l, y in v.items():
                     if k < l:
@@ -620,12 +656,23 @@ def _wedge_rows(A, terms) -> tuple:
     return tuple(out)
 
 
-def wedge2_action_rows(A) -> tuple:
-    """Rows of the wedge-square action of A as {pair index: value} dicts.
+def wedge2_moved_rows(N, d) -> tuple:
+    """Nonzero rows of N^N - d^2 I, for a square integer N, as {pair index: value} dicts.
 
-    Row (i, j) is (row i of A) ^ (row j of A).
+    With E = N - dI and e_i, E_i the rows of I and E, row (i, j) of N^N is
+    (d e_i + E_i) ^ (d e_j + E_j), so its row of N^N - d^2 I is
+    d (e_i ^ E_j + E_i ^ e_j) + E_i ^ E_j.  Only the pairs that meet a
+    nonzero row of E are built, in order, and N = dI builds none.
     """
-    return _wedge_rows(A, lambda a, i, j: ((a[i], a[j]),))
+    E = _sparse_square(N)
+    for i, row in enumerate(E):
+        x = row.pop(i, 0) - d
+        if x:
+            row[i] = x
+    n = len(E)
+    pairs = sorted(_pairs_meeting([i for i, row in enumerate(E) if row], n))
+    rows = _wedge_rows(n, lambda i, j: (({i: d}, E[j]), (E[i], {j: d}), (E[i], E[j])), pairs)
+    return tuple(row for row in rows if row)
 
 
 def wedge2_derivation_rows(B) -> tuple:
@@ -634,4 +681,6 @@ def wedge2_derivation_rows(B) -> tuple:
     Row (i, j) is b_i ^ e_j + e_i ^ b_j for the rows b of B: the t-linear
     part of (e_i + t b_i) ^ (e_j + t b_j), i.e. of the action of I + tB.
     """
-    return _wedge_rows(B, lambda b, i, j: ((b[i], {j: 1}), ({i: 1}, b[j])))
+    b = _sparse_square(B)
+    n = len(b)
+    return _wedge_rows(n, lambda i, j: ((b[i], {j: 1}), ({i: 1}, b[j])), wedge2_space(n))

@@ -11,7 +11,12 @@ from math import lcm
 from lieps import catalog
 from lieps.exact import Mat, Subspace, dot, inverse, kernel, solve, vsub
 from lieps.invariants import fixed_quotient_covectors, invariant_bivectors
+from lieps.errors import GeneratorMovesH, NotAnAutomorphism
+from lieps.exact import _rref_int_rows
 from lieps.liecore import (
+    _sparse_bracket,
+    _sparse_square,
+    _wedge_rows,
     ad_matrix,
     bracket,
     covector_to_ann,
@@ -441,6 +446,66 @@ def dense_is_automorphism(L, A: Mat) -> bool:
             if lhs != rhs:
                 return False
     return True
+
+
+def wedge2_action_rows(A) -> tuple:
+    """Rows of the wedge-square action of A as {pair index: value} dicts, one per wedge pair.
+
+    Row (i, j) is (row i of A) ^ (row j of A): the all-pairs builder whose
+    rows minus d^2 I liecore.wedge2_moved_rows replaced.
+    """
+    a = _sparse_square(A)
+    return _wedge_rows(len(a), lambda i, j: ((a[i], a[j]),), wedge2_space(len(a)))
+
+
+def check_automorphism_all_pairs(L, A, h):
+    """The automorphism check by every pair i < j and the full n x n elimination of N.
+
+    The oracle of liecore._check_automorphism, which reads the moved columns
+    alone: same exceptions, same messages, same first failing pair.
+    """
+    cols, dA = A
+    if len(cols) != L.dim:
+        raise NotAnAutomorphism("generator has the wrong shape")
+    if len(_rref_int_rows([dict(c) for c in cols], L.dim)[1]) < L.dim:
+        raise NotAnAutomorphism("generator is singular")
+    nz = L.nz
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            diff = _sparse_bracket(nz, cols[i], cols[j])
+            for m, c in nz[i][j]:
+                c *= dA
+                for k, a in cols[m]:
+                    diff[k] = diff.get(k, 0) - c * a
+            if any(diff.values()):
+                raise NotAnAutomorphism(f"A[e{i + 1}, e{j + 1}] != [Ae{i + 1}, Ae{j + 1}]")
+    for _, R in h.rows:
+        image = {}
+        for j, y in R.items():
+            for i, a in cols[j]:
+                image[i] = image.get(i, 0) + y * a
+        if h.residual(image):
+            raise GeneratorMovesH("generator does not preserve the isotropy subalgebra")
+
+
+def jacobi_failures_all_ordered_pairs(L) -> tuple:
+    """Jacobi failures by every ordered inner pair (a, b).
+
+    The oracle of liecore._jacobi_failures, which visits each unordered pair once.
+    """
+    n = L.dim
+    nz = L.nz
+    outer = [[(t, nz[t][m]) for t in range(n) if nz[t][m]] for m in range(n)]
+    sums = {}
+    for a in range(n):
+        for b in range(n):
+            for m, cab in nz[a][b]:
+                for t, terms in outer[m]:
+                    if t < a < b or a < b < t or b < t < a:
+                        acc = sums.setdefault(tuple(sorted((t, a, b))), {})
+                        for l, ctm in terms:
+                            acc[l] = acc.get(l, 0) + cab * ctm
+    return tuple(sorted(key for key, acc in sums.items() if any(acc.values())))
 
 
 def dense_wedge2_action(A: Mat) -> Mat:

@@ -235,13 +235,20 @@ def _int_form(rows):
     return Generator(tuple(map(tuple, cols)), d)
 
 
+# "0" is skipped unread; the other spellings of zero go through read_rational
+_ZEROS = ("0", 0, "-0", "00", " 0")
+_BAD_LITERALS = ("1/0", "x", "1.5", "", None, True, [0])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_generator_literals_read_into_one_integer_form(data):
     # JSON ints and strings, unreduced, padded, signed, zero and -0 entries
-    # give the integer form of the matrix they spell, whatever the spelling
+    # give the integer form of the matrix they spell, whatever the spelling,
+    # also when "0" is mixed with the other spellings of zero
     dim = data.draw(st.integers(1, 4))
-    lits = [[data.draw(_literal()) for _ in range(dim)] for _ in range(dim)]
+    entry = st.one_of(_literal(), st.sampled_from(_ZEROS).map(lambda x: (x, QQ(0))))
+    lits = [[data.draw(entry) for _ in range(dim)] for _ in range(dim)]
     doc = {"dim": dim, "ad_generators": [[[x for x, _ in row] for row in lits]]}
     (A,) = catalog.parse(json.dumps(doc)).ad_generators
     rows = [[v for _, v in row] for row in lits]
@@ -250,6 +257,27 @@ def test_generator_literals_read_into_one_integer_form(data):
     # the same matrix in lowest terms parses to the same form
     doc["ad_generators"] = [[[str(v) for v in row] for row in rows]]
     assert catalog.parse(json.dumps(doc)).ad_generators == (A,)
+    # one bad literal among them fails at its own entry, in the reader's words
+    r, c = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+    bad = data.draw(st.sampled_from(_BAD_LITERALS))
+    doc["ad_generators"] = [[[x for x, _ in row] for row in lits]]
+    doc["ad_generators"][0][r][c] = bad
+    with pytest.raises(DocumentError) as expected:
+        catalog.read_rational(bad, "ad_generators[{}][{}][{}]", 0, r, c)
+    with pytest.raises(DocumentError) as got:
+        catalog.parse(json.dumps(doc))
+    assert str(got.value) == str(expected.value)
+
+
+def test_generator_zero_literal_skips_the_reader(monkeypatch):
+    seen = []
+    real = catalog.read_rational
+    monkeypatch.setattr(catalog, "read_rational", lambda x, *a: seen.append(x) or real(x, *a))
+    g = [["0", 0, "-0"], ["00", " 0", "1"], ["0", "1", "0"]]
+    (A,) = catalog.parse(json.dumps({"dim": 3, "ad_generators": [g]})).ad_generators
+    assert A == (((), ((2, 1),), ((1, 1),)), 1)
+    # each other string read once, the JSON integer at each entry
+    assert seen == [0, "-0", "00", " 0", "1"]
 
 
 def test_generator_spellings_of_one_matrix_agree():

@@ -1021,6 +1021,9 @@ PINNED_EXAMPLE_SHA256 = {
     ("double", ("--of", "heisenberg", "--n", "1")): "e17795c5e21f4bcf5a7b5aec10189e319c62ed7975061e280f6b2e5da170581e",
     ("gl_sym", ("--n", "3")): "eb6a33a437f0a8f5578a802354f06c642cd8bc2bc54e64d2bdee2a0c821e9821",
     ("double", ("--of", "iso11")): "c759ff441e18f4940346f3310833bc5d09ecdc134978308a99dcfc8c173c3be0",
+    # the output of the dense Fraction matrix products gl_sym was built from
+    ("gl_sym", ("--n", "4")): "ad07691e493b44cde2d14de6ca986e79a2af32176a3fbbc9e3301be9f27338fa",
+    ("gl_sym", ("--n", "5")): "282bc9163e145ac231ff3d9d16a9bf80c4a601b2e0b365c598245a09f56ae027",
 }
 
 
@@ -1228,6 +1231,23 @@ def test_jobs_read_each_generator_once_into_ints(monkeypatch, argv):
     assert fractions == mats == model_mats == []
     assert len(checks) == len(iso.generators) == 7
     assert all(A is B for (_, A, _), B in zip(checks, iso.generators))
+
+
+def test_generator_work_follows_the_moved_columns(monkeypatch):
+    # heisenberg n=6: each of the 12 lattice generators moves one column and
+    # the 13th is the identity, so the automorphism check brackets the 12
+    # pairs that meet each moved column, and each invariance block holds the
+    # 11 nonzero rows of N^N - d^2 I, none for the identity
+    from lieps.invariants import invariance_rows
+
+    text = _doc_text("heisenberg", n=6)
+    brackets = count_calls(monkeypatch, liecore, "_sparse_bracket")
+    checks = count_calls(monkeypatch, liecore, "_check_automorphism")
+    code, out, err = run_cli(["validate", "-"], text)
+    assert code == 0, err
+    assert (len(checks), len(brackets)) == (13, 144)
+    _, iso = catalog.realize(catalog.parse(text))
+    assert [len(block) for block in invariance_rows(iso)] == [11] * 12 + [0]
 
 
 def test_generator_checks_survive_optimize_flag():

@@ -9,6 +9,7 @@ from helpers import (
     ALL_FAMILIES,
     _transport_algebra,
     catalog_instances,
+    check_automorphism_all_pairs,
     count_calls,
     catalog_r_matrices,
     dense_ad_bars,
@@ -24,10 +25,13 @@ from helpers import (
     gauss_jordan_oracle,
     greedy_complement_scan,
     instance,
+    jacobi_failures_all_ordered_pairs,
     nz_of_table,
+    random_generator_instance,
     random_instances,
     span_coords_oracle,
     span_oracle,
+    wedge2_action_rows,
 )
 from lieps import catalog, exact
 from lieps.errors import (
@@ -37,13 +41,15 @@ from lieps.errors import (
     NotInH,
     NotReductive,
 )
-from lieps.exact import Mat, Subspace, inverse, zero_vec
+from lieps.exact import Mat, Subspace, inverse, kernel_of_rows, zero_vec
 from lieps.foliation import leaf_decomposition
+from lieps.invariants import _minus_scalar, invariance_rows
 from lieps.liecore import (
     Generator,
     LieAlgebra,
     _check_automorphism,
     _check_subalgebra,
+    _jacobi_failures,
     ad_matrix,
     bracket,
     covector_to_ann,
@@ -55,8 +61,8 @@ from lieps.liecore import (
     make_lie_algebra,
     require_reductive,
     validate,
-    wedge2_action_rows,
     wedge2_derivation_rows,
+    wedge2_moved_rows,
     wedge2_space,
 )
 from lieps.ybe import is_r_matrix, make_bivector
@@ -604,6 +610,101 @@ def test_check_automorphism_matches_dense_triple_loop(case):
     else:
         with pytest.raises(NotAnAutomorphism):
             _check_generator(L, A, Subspace.zero(L.dim))
+
+
+@st.composite
+def moved_generators(draw):
+    """(L, h, A): a model of random_generator_instance and a generator A = I + E on its algebra.
+
+    E moves no column (the identity), is a product of the model's own
+    generators, perhaps with one entry moved, moves one or several columns
+    at random, or makes the block of the moved columns singular.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    _, L, iso, _ = random_generator_instance(rng.randrange(2**20))
+    n = L.dim
+    kind = rng.choice(("identity", "model", "one", "several", "singular"))
+    A = Mat.identity(n)
+    if kind == "model":
+        for _ in range(rng.randint(1, 2)):
+            A = A @ rng.choice(iso.discrete_generators)
+    rows = [list(row) for row in A.entries]
+    count = {"identity": 0, "model": rng.randint(0, 1), "one": 1}.get(kind, min(n, rng.randint(2, 3)))
+    moved = rng.sample(range(n), count)
+    for m in moved:
+        for i in rng.sample(range(n), rng.randint(1, 2)):
+            rows[i][m] += QQ(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+    if kind == "singular" and moved:
+        # a zero column, or a moved column copied onto another
+        src, dst = moved[0], moved[-1]
+        for row in rows:
+            row[dst] = row[src] if src != dst else QQ(0)
+    return L, iso.h_basis, Generator.of_matrix(Mat(rows))
+
+
+def _outcome(check, L, A, h):
+    """(type, message) of what check raises on A, or None when it passes."""
+    try:
+        check(L, A, h)
+    except (NotAnAutomorphism, GeneratorMovesH) as e:
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(moved_generators())
+def test_moved_columns_check_raises_what_the_all_pairs_check_raises(case):
+    # singular S x S block, first failing pair and the h test: same exception, same message
+    L, h, A = case
+    assert _outcome(_check_automorphism, L, A, h) == _outcome(check_automorphism_all_pairs, L, A, h)
+
+
+def _all_pairs_invariance_rows(N, d) -> tuple:
+    """The nonzero rows of N^N - d^2 I by the all-pairs wedge square."""
+    return tuple(row for row in _minus_scalar(wedge2_action_rows(N), d * d) if row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(moved_generators())
+def test_moved_rows_are_the_nonzero_rows_of_the_all_pairs_block(case):
+    # on the integer form N / d of I + E itself, any E: same rows, so the same kernel
+    _, _, (cols, d) = case
+    n = len(cols)
+    N = [[0] * n for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            N[i][j] = x
+    moved, oracle = wedge2_moved_rows(N, d), _all_pairs_invariance_rows(N, d)
+    assert moved == oracle
+    nwedge = len(wedge2_space(n))
+    assert kernel_of_rows(moved, nwedge) == kernel_of_rows(oracle, nwedge)
+    assert (moved == ()) == all(dict(col) == {j: d} for j, col in enumerate(cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**20))
+def test_invariance_blocks_read_the_moved_rows_of_each_generator(seed):
+    _, _, iso, _ = random_generator_instance(seed)
+    k = iso.h_basis.dim
+    nwedge = len(wedge2_space(iso.quotient_dim))
+    for block, (N, d) in zip(invariance_rows(iso)[k:], iso.action[k:], strict=True):
+        oracle = _all_pairs_invariance_rows(N, d)
+        assert block == oracle
+        assert kernel_of_rows(block, nwedge) == kernel_of_rows(oracle, nwedge)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_tables())
+def test_jacobi_unordered_pairs_match_the_ordered_pair_loop(L):
+    # half of the tables are direct LieAlgebra tables, antisymmetric or not
+    assert _jacobi_failures(L) == jacobi_failures_all_ordered_pairs(L)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jacobi_unordered_pairs_match_on_models(seed):
+    algebras = [L for _, L, _ in catalog_instances()] + [L for _, L, _, _ in random_instances(seed, 6)]
+    for L in algebras + [catalog.builtin("gl_sym", {"n": 3}).algebra]:
+        assert _jacobi_failures(L) == jacobi_failures_all_ordered_pairs(L)
 
 
 # ---------------------------------------------------------------------------

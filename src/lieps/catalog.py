@@ -89,7 +89,7 @@ def _doc(name, dim, labels, bracket_map, subalgebra=(), complement=(), ad_genera
         algebra=make_lie_algebra(dim, bracket_map, labels),
         subalgebra=tuple(tuple(Fraction(x) for x in v) for v in subalgebra),
         complement=tuple(complement),
-        ad_generators=tuple(map(Generator.of_matrix, ad_generators)),
+        ad_generators=tuple(ad_generators),
     )
 
 
@@ -130,11 +130,13 @@ def heisenberg(n) -> AlgebraDocument:
     labels = [f"u{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(n)] + ["w"]
     brackets = {(i, n + i): {2 * n: 1} for i in range(n)}
     w = 2 * n
+    eye = [(i, i, 1, 1) for i in range(dim)]
 
-    def gen(j, x):  # the identity with x added at row w, column j
-        return [[int(r == c) + x * ((r, c) == (w, j)) for c in range(dim)] for r in range(dim)]
+    def gen(j, x):  # the identity with x added at row w, column j < w
+        return Generator.of_entries(dim, sorted(eye + [(w, j, x, 1)]))
 
-    gens = [gen(j, -1) for j in range(n)] + [gen(n + j, 1) for j in range(n)] + [gen(w, 0)]
+    gens = [gen(j, -1) for j in range(n)] + [gen(n + j, 1) for j in range(n)]
+    gens.append(Generator.of_entries(dim, eye))
     return _doc(f"heisenberg({n})", dim, labels, brackets, ad_generators=gens)
 
 
@@ -149,7 +151,7 @@ def iso11() -> AlgebraDocument:
         [0, 1, Fraction(-1, 2)],
         [0, 0, 1],
     ]
-    return _doc("iso11", 3, ["e1", "e2", "e3"], brackets, ad_generators=[gen])
+    return _doc("iso11", 3, ["e1", "e2", "e3"], brackets, ad_generators=[Generator.of_matrix(gen)])
 
 
 def gl_sym(n) -> AlgebraDocument:
@@ -347,11 +349,12 @@ def to_json_dict(doc: AlgebraDocument) -> dict:
             v[t] = "1"
             vecs.append(v)
         out["complement"] = vecs
-    if doc.ad_generators:
-        out["ad_generators"] = [
-            [[format_rational(x) for x in row] for row in g.mat.entries]
-            for g in doc.ad_generators
-        ]
+    for g in doc.ad_generators:
+        rows = [["0"] * doc.dim for _ in range(doc.dim)]
+        for j, col in enumerate(g.cols):
+            for i, x in col:
+                rows[i][j] = format_rational(Fraction(x, g.d))
+        out.setdefault("ad_generators", []).append(rows)
     return out
 
 

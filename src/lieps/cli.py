@@ -25,7 +25,7 @@ from .exact import from_ints
 from .foliation import leaf_cocycle, leaf_decomposition
 from .invariants import invariant_bivectors
 from .liecore import require_reductive, validate, wedge2_space
-from .ybe import is_r_matrix, make_bivector, require_r_matrix
+from .ybe import Bivector, is_r_matrix, make_bivector, require_r_matrix
 
 
 class _Usage(Exception):
@@ -289,25 +289,24 @@ def _cmd_ybe(args, stdin_text):
 def _cmd_scan(args, stdin_text):
     _, iso, qlabels = _model(args, stdin_text)
     inv = invariant_bivectors(iso)
-    rows = []
-    basis = list(inv.basis.basis)
-    for v in basis:
-        rows.append(("basis", v))
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            rows.append(("sum", tuple(x + y for x, y in zip(basis[i], basis[j]))))
-    for text in args.candidate or []:
-        rows.append(("candidate", parse_bivector_expr(text, qlabels, "--candidate")))
-    out_rows = [
-        {
-            "kind": kind,
-            "bivector": format_bivector(qlabels, coords),
-            # basis and sum rows lie in the invariant span by construction
-            "invariant": kind != "candidate" or inv.basis.contains(coords),
-            "is_r_matrix": is_r_matrix(make_bivector(iso, coords)),
-        }
-        for kind, coords in rows
-    ]
+    extra = [parse_bivector_expr(text, qlabels, "--candidate") for text in args.candidate or []]
+    # basis vector t is R / R_P for row (P, R) of the space, and the sum of
+    # two is (e R + d S) / (d e): both lie in the invariant span
+    basis = [(R, R[P]) for P, R in inv.basis.rows]
+    sums = (
+        ({k: e * R.get(k, 0) + d * S.get(k, 0) for k in R.keys() | S.keys()}, d * e)
+        for t, (R, d) in enumerate(basis)
+        for S, e in basis[t + 1:]
+    )
+
+    def scanned(kind, r, invariant):
+        # a row keeps its text and flags, not its bivector
+        text = format_bivector(qlabels, {k: Fraction(x, r.d) for k, x in r.nz})
+        return {"kind": kind, "bivector": text, "invariant": invariant, "is_r_matrix": is_r_matrix(r)}
+
+    out_rows = [scanned("basis", Bivector.of_ints(iso, *b), True) for b in basis]
+    out_rows += [scanned("sum", Bivector.of_ints(iso, *b), True) for b in sums]
+    out_rows += [scanned("candidate", make_bivector(iso, c), inv.basis.contains(c)) for c in extra]
     payload = {"rows": out_rows}
     lines = [f"{len(out_rows)} candidates"]
     for row in out_rows:

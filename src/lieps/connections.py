@@ -18,8 +18,9 @@ Throughout, covectors live in complement coordinates: m* vectors are plain
 tuples over the quotient basis, and sharps are realized through the section.
 
 Every quantity here is bilinear in two per-bivector integer tables over
-d_c = d_r D (Bivector.int_tables): the l-operators L[a] = l_{eps_a^#} and
-the bracket table C[a][c] = [eps_a, eps_c]_r.  The four builders are one
+d_c = d_r D: the l-operators L[a] = l_{eps_a^#} (Bivector.int_tables) and
+the bracket table C[a][c] = [eps_a, eps_c]_r, row a of L[c] minus row c
+of L[a], formed from them where it is read.  The four builders are one
 integer rule over them.  A ConnectionMap is stored as ints N over one
 denominator d: the builders write N directly, and a map given by rational
 entries is scaled once by ConnectionMap.from_entries.  M_eta, torsion,
@@ -113,17 +114,18 @@ class ConnectionMap:
         with entry (i, j) at j n + i.  Both are skew; only nonzero pairs are kept.
         """
         N, d = self.N, self.d
-        _, _, C, _, dc = self.r.int_tables
+        _, L, _, dc = self.r.int_tables
         n = self.dim
         cols = [[N[k][j] for k in range(n)] for j in range(n)]
         T, R = {}, {}
         for a, c in wedge2_space(n):
-            t = [-d * x for x in C[a][c]]
+            Cac = [x - y for x, y in zip(L[c][a], L[a][c])]
+            t = [-d * x for x in Cac]
             for k, x in N[a][c]:
                 t[k] += dc * x
             for k, x in N[c][a]:
                 t[k] -= dc * x
-            br = [(k, x) for k, x in enumerate(C[a][c]) if x]
+            br = [(k, x) for k, x in enumerate(Cac) if x]
             v = [0] * (n * n)
             for j in range(n):
                 _add(v, j * n, N[a], N[c][j], dc)
@@ -154,20 +156,20 @@ def build_connection(kind, r: Bivector) -> ConnectionMap:
     fedosov:        b(eta, xi) = (1/3)([eta, xi]_r - xi o l_{eta^#})
 
     On basis covectors [eta, xi]_r is C[a][c] and xi o l_{eta^#} is row c of
-    L[a], both ints over d_r D in r.int_tables, so every kind is
+    L[a], both ints over d_r D off r.int_tables, so every kind is
     b(eps_a, eps_c) = (alpha C[a][c] - beta L[a][c]) / (k d_r D), written
     as N over d = k d_r D with no Fraction.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown connection kind {kind!r}")
     alpha, beta, k = _KINDS[kind]
-    _, L, C, _, dc = r.int_tables
+    _, L, _, dc = r.int_tables
 
-    def entry(Cac, Lac):
-        v = [alpha * x - beta * y for x, y in zip(Cac, Lac)]
+    def entry(a, c):
+        v = [alpha * (x - y) - beta * y for x, y in zip(L[c][a], L[a][c])]
         return [(t, x) for t, x in enumerate(v) if x]
 
-    N = [list(map(entry, Ca, La)) for Ca, La in zip(C, L)]
+    N = [[entry(a, c) for c in range(len(L))] for a in range(len(L))]
     return ConnectionMap(r, N, k * dc)
 
 
@@ -206,7 +208,7 @@ def poisson_compat_failures(b: ConnectionMap) -> tuple:
     Triples are listed in (a, c, d) order with their nonzero values.
     """
     n = b.dim
-    R, _, _, dr, _ = b.r.int_tables
+    R, _, dr, _ = b.r.int_tables
     bad = []
     for a, plane in enumerate(b.N):
         P = [[0] * n for _ in plane]
@@ -344,7 +346,7 @@ def induced_leaf_connection(b: ConnectionMap, complement_indices=None) -> LeafCo
     # pivots of the RREF basis w
     omega = r.omega
     etas = (omega @ Mat([proj[p] for p in im.pivots], n)).entries
-    R, _, _, dr, _ = r.int_tables
+    R, _, dr, _ = r.int_tables
 
     def sharp(v):
         # r_# v = R x / (d_r e) for v = x / e, off the integer columns of r_#

@@ -76,9 +76,9 @@ def _check_cocycle(C: dict, omega: Mat, dim: int, error):
 def _not_invariant(r: Bivector):
     """NotInvariant naming the first generator whose invariance rows r fails, or None."""
     h = r.iso.h_basis
-    coords = r.coords
+    coords = dict(r.nz)  # d r in ints; a zero test does not see the scale d
     for t, rows in enumerate(invariance_rows(r.iso)):
-        if any(sum(x * coords[k] for k, x in row.items()) for row in rows):
+        if any(sum(x * coords.get(k, 0) for k, x in row.items()) for row in rows):
             what = (
                 f"h-basis vector ({', '.join(str(x) for x in h.basis[t])})"
                 if t < h.dim

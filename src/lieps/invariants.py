@@ -102,25 +102,6 @@ def invariant_bivectors(iso: IsotropyModel) -> InvariantBivectorSpace:
     )
 
 
-def fixed_vectors(ambient_dim, infinitesimal=(), discrete=()) -> Subspace:
-    """Common kernel of the infinitesimal operators and A - id for each A."""
-    rows = []
-    for M in infinitesimal:
-        rows += (M if isinstance(M, Mat) else Mat(M)).sparse_rows()
-    for A in discrete:
-        rows += _minus_scalar((A if isinstance(A, Mat) else Mat(A)).sparse_rows(), 1)
-    return kernel_of_rows(rows, ambient_dim)
-
-
-def fixed_covectors(ambient_dim, infinitesimal=(), discrete=()) -> Subspace:
-    """Fixed covectors: the same computation on the transposed operators."""
-    return fixed_vectors(
-        ambient_dim,
-        [(M if isinstance(M, Mat) else Mat(M)).T for M in infinitesimal],
-        [(A if isinstance(A, Mat) else Mat(A)).T for A in discrete],
-    )
-
-
 def fixed_quotient_covectors(iso: IsotropyModel) -> Subspace:
     """Covectors of (g/h)* fixed by the isotropy action: the space (h deg)^H.
 

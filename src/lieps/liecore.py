@@ -430,10 +430,10 @@ class IsotropyModel:
 
     @cached_property
     def symmetric(self) -> bool:
-        """[m, m] in h for the declared complement m = s(g/h).
+        """[m, m] in h for the declared complement m = s(g/h): m_table is zero.
 
-        h = ker q, so this holds exactly when every m-bracket q[e_j, e_t]
-        of two complement vectors vanishes: m_table has no nonzero entry.
+        h = ker q, so this is every m-bracket q[e_j, e_t] of two complement
+        vectors vanishing; then [[r,r]] = 0 for every r (yang_baxter_tensor).
         """
         return not any(any(col) for cols in self.m_table[0] for col in cols)
 

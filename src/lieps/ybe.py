@@ -1,9 +1,9 @@
 """Bivectors, lifts, the bracket on the annihilator, and the Yang-Baxter tensor.
 
-A bivector r on g/h is stored by its wedge coordinates; its sharp map,
-<beta, r_# alpha> = r(alpha, beta), is read off them as ints R / d_r.  Its
-obstruction tensor [[r,r]] is read off the quotient, with C[a][b] =
-[eps_a, eps_b]_r the bracket table on the m* basis:
+A bivector r on g/h is stored by its wedge coordinates, ints over one
+denominator; its sharp map, <beta, r_# alpha> = r(alpha, beta), is read off
+them as ints R / d_r.  Its obstruction tensor [[r,r]] is read off the
+quotient, with C[a][b] = [eps_a, eps_b]_r the bracket table on the m* basis:
 
     [[r,r]](eps_a, eps_b, eps_c) = <eps_c, r_# C[a][b] - [r_# eps_a, r_# eps_b]_m>,
 
@@ -11,9 +11,10 @@ the defect of r_# as a morphism from [.,.]_r to the m-bracket q[s x, s y].
 Its vanishing is the invariant-Poisson condition, and bivectors passing it
 are r-matrices.  The l-operators, the table C and the tensor are integer
 contractions of R with the one m-bracket table of the model
-(IsotropyModel.m_table).  The l-operators and C exist only in that integer
-form (Bivector.int_tables); l_operator and mstar_bracket contract them with
-covectors and build a Fraction only for a returned entry.
+(IsotropyModel.m_table).  The l-operators exist only in that integer form
+(Bivector.int_tables), built on the support X of r_#; each reader forms C
+from them, the tensor once per pair in X.  l_operator and mstar_bracket
+contract them with covectors and build a Fraction only for a returned entry.
 
 The h° route is the independent oracle: over a lift r-tilde of r to g
 (`canonical_lift`, `sharp`), the bracket on h° (`hcirc_bracket`,
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations
+from math import gcd
 
 from .errors import JacobiFailure, NotAnRMatrix, NotInAnnihilator
 from .exact import (
@@ -65,26 +66,44 @@ from .liecore import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Bivector:
-    """A bivector on g/h, stored by its wedge coordinates over wedge2_space.
+    """A bivector on g/h: its wedge coordinates N_k / d, nz the nonzeros (k, N_k), k increasing, d least.
 
-    Derived once, on first use, and kept on the instance, so every check
-    that asks about the same bivector shares them: the integer tables of r
-    (int_tables), the one form of its l-operators and [.,.]_r table, which
-    the Yang-Baxter tensor, l_operator, mstar_bracket and the four
-    connections read; the tensor; Im r_#, omega_r on it, and the
-    Im r_#-coordinates of the q-brackets of the leaf frame h + s(Im r_#)
-    (image, omega, image_brackets); and r_mat, a view for the oracles.
+    Bivector(iso, coords) reads any rational sequence, one per pair of
+    wedge2_space, and of_ints an integer row over a denominator.  Derived
+    once, on first use, and shared by every check of the bivector: the
+    integer tables of r_# and its l-operators (int_tables), which the
+    tensor, l_operator, mstar_bracket and the connections read; the tensor;
+    Im r_#, omega_r on it and the q-brackets of the leaf frame (image,
+    omega, image_brackets); and the Fraction views coords and r_mat.
     """
 
     iso: IsotropyModel
-    coords: tuple  # rational wedge coordinates, one per pair (i, j), i < j
+    nz: tuple
+    d: int
 
-    def __post_init__(self):
-        m = len(wedge2_space(self.iso.quotient_dim))
-        if len(self.coords) != m:
-            raise ValueError(f"expected {m} wedge coordinates, got {len(self.coords)}")
+    def __init__(self, iso: IsotropyModel, coords):
+        coords = vec(coords)
+        m = len(wedge2_space(iso.quotient_dim))
+        if len(coords) != m:
+            raise ValueError(f"expected {m} wedge coordinates, got {len(coords)}")
+        nz, d = to_ints((k, c) for k, c in enumerate(coords) if c)
+        self.__dict__.update(iso=iso, nz=nz, d=d)
+
+    @classmethod
+    def of_ints(cls, iso: IsotropyModel, row, d) -> "Bivector":
+        """The bivector with wedge coordinates row[k] / d, row a {pair index: int} dict, d > 0."""
+        g = gcd(d, *row.values())
+        r = object.__new__(cls)
+        r.__dict__.update(iso=iso, nz=tuple((k, x // g) for k, x in sorted(row.items()) if x), d=d // g)
+        return r
+
+    @cached_property
+    def coords(self) -> tuple:
+        """The wedge coordinates as Fractions: a view for the oracles."""
+        nz = dict(self.nz)
+        return from_ints([nz.get(k, 0) for k in range(len(wedge2_space(self.iso.quotient_dim)))], self.d)
 
     @cached_property
     def r_mat(self) -> Mat:
@@ -113,7 +132,7 @@ class Bivector:
         do, since ker r_# annihilates Im r_# (r_# is skew).  Off the basis
         omega_r is the bilinear combination of this matrix.
         """
-        R, _, _, dr, _ = self.int_tables
+        R, _, dr, _ = self.int_tables
         P = self.image.pivots
         cols = [dict(R[j]) for j in P]
         return inverse(Mat.from_ints([[col.get(i, 0) for col in cols] for i in P], dr))
@@ -144,29 +163,30 @@ class Bivector:
 
     @cached_property
     def int_tables(self) -> tuple:
-        """(R, L, C, d_r, d_c): r_# = R / d_r, and the ints L, C over d_c = d_r D.
+        """(R, L, d_r, d_c): r_# = R / d_r, and the l-operators L over d_c = d_r D.
 
         R[a] lists the nonzeros (j, R_ja) of column a in row order: pair
-        (i, j) of coords, c / d_r, puts (j, c) in column i and (i, -c) in
-        column j.  L[a] = sum_j R_ja mu[j] contracts column a with the
-        model's m_table (mu, D), so L[a] / d_c = q ad(s r_# eps_a) s, with
-        L[a][c] its row c.  C[a][c] = row a of L[c] minus row c of L[a], so
-        C[a][c] / d_c = [eps_a, eps_c]_r.  yang_baxter_tensor, l_operator,
-        mstar_bracket and the connection builders read these ints.
+        k = (i, j) puts (j, N_k) in column i and (i, -N_k) in column j.
+        L[a] = sum_j R_ja mu[j] contracts column a with the model's m_table
+        (mu, D), so L[a] / d_c = q ad(s r_# eps_a) s, with L[a][c] its row c.
+        It is built on the support X = {a : r_# eps_a != 0}; off X, L[a] = 0.
+        C[a][c] = row a of L[c] minus row c of L[a], [eps_a, eps_c]_r = C[a][c] / d_c,
+        is formed from L where it is read.
         """
         n = self.iso.quotient_dim
-        ints, dr = to_ints((ij, c) for ij, c in zip(wedge2_space(n), self.coords) if c)
+        pairs = wedge2_space(n)
         R = [[] for _ in range(n)]
-        for (i, j), c in ints:
+        for k, c in self.nz:
+            i, j = pairs[k]
             R[i].append((j, c))
             R[j].append((i, -c))
-        L = [self.iso.m_ad_ints(col) for col in R]
-        C = [[[x - y for x, y in zip(L[c][a], L[a][c])] for c in range(n)] for a in range(n)]
-        return R, L, C, dr, dr * self.iso.m_table[1]
+        zero = [[0] * n] * n
+        L = [self.iso.m_ad_ints(col) if col else zero for col in R]
+        return R, L, self.d, self.d * self.iso.m_table[1]
 
 
 def make_bivector(iso: IsotropyModel, coords) -> Bivector:
-    return Bivector(iso, vec(coords))
+    return Bivector(iso, coords)
 
 
 def _covector(alpha, n) -> tuple:
@@ -183,7 +203,7 @@ def l_operator(r: Bivector, alpha) -> Mat:
     """
     n = r.iso.quotient_dim
     (x,), d = int_vectors([_covector(alpha, n)])
-    _, L, _, _, dc = r.int_tables
+    _, L, _, dc = r.int_tables
     rows = [[sum(xa * L[a][i][t] for a, xa in x) for t in range(n)] for i in range(n)]
     return Mat.from_ints(rows, d * dc)
 
@@ -191,14 +211,15 @@ def l_operator(r: Bivector, alpha) -> Mat:
 def mstar_bracket(r: Bivector, alpha, beta) -> tuple:
     """[alpha, beta]_r on m*, on any model.
 
-    With alpha = x / d and beta = y / d it is sum_{a,c} x_a y_c C[a][c] / (d^2 d_c)
-    over r.int_tables.  Independent of the h° code path; the agreement of the
-    two routes under alpha -> q^T alpha is a tested theorem, not reused code.
+    With alpha = x / d and beta = y / d it is sum_{a,c} x_a y_c C[a][c] / (d^2 d_c),
+    C[a][c] = row a of L[c] minus row c of L[a] over r.int_tables.  It is
+    independent of the h° code path; the agreement of the two routes under
+    alpha -> q^T alpha is a tested theorem, not reused code.
     """
     n = r.iso.quotient_dim
     (x, y), d = int_vectors((_covector(alpha, n), _covector(beta, n)))
-    _, _, C, _, dc = r.int_tables
-    out = [sum(xa * yc * C[a][c][k] for a, xa in x for c, yc in y) for k in range(n)]
+    _, L, _, dc = r.int_tables
+    out = [sum(xa * yc * (L[c][a][k] - L[a][c][k]) for a, xa in x for c, yc in y) for k in range(n)]
     return from_ints(out, d * d * dc)
 
 
@@ -270,34 +291,44 @@ class YBTensor:
 def yang_baxter_tensor(r: Bivector) -> YBTensor:
     """[[r,r]](eps_a, eps_b, eps_c) = <eps_c, r_# C[a][b] - [r_# eps_a, r_# eps_b]_m>.
 
-    C is the [.,.]_r table of r.int_tables.  This is the h° formula
+    C[a][b] = [eps_a, eps_b]_r is row a of L[b] minus row b of L[a] for the
+    l-operators L of r.int_tables.  This is the h° formula
     <eta_c, hcirc(eta_a, eta_b)^# - [eta_a^#, eta_b^#]> over the canonical
     lift, on any pair and for any r: with eta_t = q^T eps_t, x_t = s r_# eps_t
     and q s = id, s^T hcirc(eta_a, eta_b) = C[a][b] and q[x_a, x_b] =
     [r_# eps_a, r_# eps_b]_m, which is L[a] r_# eps_b for the l-operator
     L[a] = q ad(x_a) s.
 
-    Entries are read in integers off r.int_tables (r_# = R / d_r, L and C
-    over d_c = d_r D): entry c of the defect is sum_t R_ct C[a][b]_t - sum_t L[a][c][t]
+    Entries are read in integers (r_# = R / d_r, L and C over d_c = d_r D):
+    entry c of the defect of (a, b) is sum_t R_ct C[a][b]_t - sum_t L[a][c][t]
     R_tb over d_r d_c, and a Fraction is built only for a nonzero entry.
-    One defect per pair a < b gives the entries with c > b; the other
-    orderings of each triple are filled by sign, since each entry is the
-    totally antisymmetric cyclic Schouten sum, and entries with a repeated
-    index are zero.  schouten_oracle evaluates all n^3 entries of that sum
-    over a lift on g, on purpose, as the independent check.
+    Each entry is the totally antisymmetric cyclic Schouten sum, so one
+    ordering of a triple gives the other five by sign.  Off the support
+    X = {a : r_# eps_a != 0}, L[a] = 0, and C[a][b] = 0 for b off X too, so
+    an entry is nonzero only when two indices lie in X: one defect per pair
+    a < b in X is read, at every c off X and at the c > b in X.  A zero
+    m_table (iso.symmetric) makes L and the tensor zero; no L[a] is built.
+    schouten_oracle evaluates all n^3 entries over a lift on g, on purpose,
+    as the independent check.
     """
-    R, L, C, dr, dc = r.int_tables
-    n = len(R)
+    n = r.iso.quotient_dim
+    if r.iso.symmetric:
+        return YBTensor(n, {})
+    R, L, dr, dc = r.int_tables
+    X = [a for a in range(n) if R[a]]
     den = dr * dc
     values = {}
-    for a in range(n):
-        # the last b leaves no c > b to read
-        for b in range(a + 1, n - 1):
-            Cab, Rb = C[a][b], R[b]
-            for c in range(b + 1, n):
-                # R is skew, so row c of R is column c negated
-                Lac = L[a][c]
-                v = sum(x * Cab[t] for t, x in R[c]) + sum(Lac[t] * y for t, y in Rb)
+    for s, a in enumerate(X):
+        La = L[a]
+        for b in X[s + 1:]:
+            Cab = [x - y for x, y in zip(L[b][a], La[b])]
+            Rb = R[b]
+            for c in range(n):
+                # row c of the skew R is column c negated, empty off X; a triple in X is read once
+                Rc, Lac = R[c], La[c]
+                if (c <= b) if Rc else not any(Lac):
+                    continue
+                v = sum(x * Cab[t] for t, x in Rc) + sum(Lac[t] * y for t, y in Rb)
                 if v:
                     v = Fraction(-v, den)
                     values[a, b, c] = values[b, c, a] = values[c, a, b] = v
@@ -342,23 +373,6 @@ def quotient_hcirc(r: Bivector, alpha, beta, lift: Lift = None) -> tuple:
     eta = covector_to_ann(iso, alpha)
     xi = covector_to_ann(iso, beta)
     return ann_to_covector(iso, hcirc_bracket(lift, eta, xi))
-
-
-def is_restricted_r_matrix(r: Bivector) -> bool:
-    """Yang-Baxter condition restricted to triples from (h°)^H.
-
-    Weaker than is_r_matrix in general; the two coincide for trivial
-    isotropy and can differ when the fixed space is small.  A fixed
-    covector f is q^T f = sum_a f_a eta_a in h°, and [[r,r]] is trilinear,
-    so on fixed f, g, k it is sum v f_a g_b k_c over the nonzero entries of
-    the cached tensor.  The tensor is totally antisymmetric, so triples of
-    distinct basis covectors suffice.
-    """
-    entries = r.tensor.nonzero_entries()
-    return not any(
-        sum(v * f[a] * g[b] * k[c] for (a, b, c), v in entries if f[a] and g[b] and k[c])
-        for f, g, k in combinations(fixed_quotient_covectors(r.iso).basis, 3)
-    )
 
 
 @dataclass(frozen=True)

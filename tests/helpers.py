@@ -4,13 +4,14 @@ sparse code paths and the per-bivector tables."""
 
 import random
 import sys
+from itertools import combinations
 from fractions import Fraction as QQ
 from functools import cached_property
 from math import lcm
 
 from lieps import catalog
-from lieps.exact import Mat, Subspace, dot, inverse, kernel, solve, vsub
-from lieps.invariants import fixed_quotient_covectors, invariant_bivectors
+from lieps.exact import Mat, Subspace, dot, int_vectors, inverse, kernel, kernel_of_rows, solve, vsub
+from lieps.invariants import _minus_scalar, fixed_quotient_covectors, invariant_bivectors
 from lieps.errors import GeneratorMovesH, NotAnAutomorphism
 from lieps.exact import _rref_int_rows
 from lieps.liecore import (
@@ -25,7 +26,7 @@ from lieps.liecore import (
     make_lie_algebra,
     wedge2_space,
 )
-from lieps.ybe import canonical_lift, hcirc_bracket, is_r_matrix, make_bivector, sharp
+from lieps.ybe import YBTensor, canonical_lift, hcirc_bracket, is_r_matrix, make_bivector, sharp
 
 CATALOG_ENTRIES = (
     ("abelian-3", "abelian", {"n": 3}),
@@ -549,6 +550,30 @@ def dense_invariant_bivectors(iso) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
+# fixed subspaces of explicit operators, given as matrices: the general form
+# of invariants.fixed_quotient_covectors, which reads the model's action
+
+
+def fixed_vectors(ambient_dim, infinitesimal=(), discrete=()) -> Subspace:
+    """Common kernel of the infinitesimal operators and A - id for each A."""
+    rows = []
+    for M in infinitesimal:
+        rows += (M if isinstance(M, Mat) else Mat(M)).sparse_rows()
+    for A in discrete:
+        rows += _minus_scalar((A if isinstance(A, Mat) else Mat(A)).sparse_rows(), 1)
+    return kernel_of_rows(rows, ambient_dim)
+
+
+def fixed_covectors(ambient_dim, infinitesimal=(), discrete=()) -> Subspace:
+    """Fixed covectors: the same computation on the transposed operators."""
+    return fixed_vectors(
+        ambient_dim,
+        [(M if isinstance(M, Mat) else Mat(M)).T for M in infinitesimal],
+        [(A if isinstance(A, Mat) else Mat(A)).T for A in discrete],
+    )
+
+
+# ---------------------------------------------------------------------------
 # the isotropy action by the per-pair loops the cached model properties
 # replaced: one bracket per (h-basis, complement) or (complement, complement)
 # pair, and one ad-bar per (h-basis, image) pair
@@ -622,6 +647,23 @@ def dense_leaf_symmetric(r) -> bool:
     return all(iso.h_basis.contains(bracket(iso.L, x, y)) for x in lifted for y in lifted)
 
 
+def is_restricted_r_matrix(r) -> bool:
+    """Yang-Baxter condition restricted to triples from (h°)^H.
+
+    Weaker than is_r_matrix in general; the two coincide for trivial
+    isotropy and can differ when the fixed space is small.  A fixed
+    covector f is q^T f = sum_a f_a eta_a in h°, and [[r,r]] is trilinear,
+    so on fixed f, g, k it is sum v f_a g_b k_c over the nonzero entries of
+    the cached tensor.  The tensor is totally antisymmetric, so triples of
+    distinct basis covectors suffice.
+    """
+    entries = r.tensor.nonzero_entries()
+    return not any(
+        sum(v * f[a] * g[b] * k[c] for (a, b, c), v in entries if f[a] and g[b] and k[c])
+        for f, g, k in combinations(fixed_quotient_covectors(r.iso).basis, 3)
+    )
+
+
 def restricted_r_matrix_oracle(r) -> bool:
     """[[r,r]] on (h°)^H, one h° bracket per pair of fixed covectors.
 
@@ -638,6 +680,32 @@ def restricted_r_matrix_oracle(r) -> bool:
             if any(dot(eps, d) for eps in etas):
                 return False
     return True
+
+
+def dense_yang_baxter_tensor(r) -> YBTensor:
+    """[[r,r]] by the dense loop the tensor over the support of r_# replaced.
+
+    R and d_r come from the Fraction matrix r_mat, every l-operator L[a] is
+    built, C[a][b] = row a of L[b] minus row b of L[a] is laid out for every
+    pair, and one defect per pair a < b is read at every c > b, the other
+    orderings filled by sign.
+    """
+    iso = r.iso
+    R, dr = int_vectors(r.r_mat.T.entries)
+    n = len(R)
+    L = [iso.m_ad_ints(col) for col in R]
+    C = [[[x - y for x, y in zip(L[c][a], L[a][c])] for c in range(n)] for a in range(n)]
+    den = dr * dr * iso.m_table[1]
+    values = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                v = sum(x * C[a][b][t] for t, x in R[c]) + sum(L[a][c][t] * y for t, y in R[b])
+                if v:
+                    v = QQ(-v, den)
+                    values[a, b, c] = values[b, c, a] = values[c, a, b] = v
+                    values[b, a, c] = values[a, c, b] = values[c, b, a] = -v
+    return YBTensor(n, dict(sorted(values.items())))
 
 
 def omega_solve_oracle(r) -> Mat:

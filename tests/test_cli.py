@@ -505,15 +505,24 @@ def test_connection_job_builds_no_fraction_matrix(monkeypatch, name, params, r_t
     ],
 )
 def test_jobs_build_no_fraction_sharp_matrix(monkeypatch, argv):
-    # a bivector is its wedge coordinates: the tensor, the leaf and the
-    # connection read its integer tables, and the Fraction matrix r_mat is
-    # built only for the oracles
+    # a bivector is its integer wedge coordinates: the tensor, the leaf and
+    # the connection read its integer tables, and the Fraction matrix r_mat
+    # and coordinate view coords are built only for the oracles.  A scan
+    # sums the integer rows of the invariant space and reads no Fraction
+    # basis of it
+    from lieps.exact import Subspace
     from lieps.ybe import Bivector
 
     r_mats = count_cached(monkeypatch, Bivector, "r_mat")
+    coords = count_cached(monkeypatch, Bivector, "coords")
+    bases = []
+    basis = Subspace.basis
+    monkeypatch.setattr(Subspace, "basis", property(lambda self: bases.append(self) or basis.fget(self)))
     code, out, err = run_cli(argv, _doc_text("heisenberg", n=3))
     assert code == 0, err
-    assert r_mats == []
+    assert r_mats == coords == []
+    if argv[0] == "scan":
+        assert bases == []
 
 
 def test_poisson_compat_builds_no_matrix_product_or_dot(monkeypatch):
@@ -580,8 +589,8 @@ def test_tensor_and_l_operators_build_only_the_m_table(monkeypatch):
     dots = count_calls(monkeypatch, exact, "dot")
     assert not r.tensor.is_zero()
     assert products == dots == []
-    _, L, C, _, _ = r.int_tables
-    assert len(L) == len(C) == iso.quotient_dim == 7
+    _, L, _, _ = r.int_tables
+    assert len(L) == iso.quotient_dim == 7
     assert len(calls) == 7
     assert len(tables) == 1
 
@@ -598,6 +607,25 @@ def test_scan_job_builds_the_m_table_once(monkeypatch):
     # h = 0: one operator per lattice generator for the action, one per
     # quotient basis vector for the m_table, and none per sharp
     assert len(calls) == 5 + 5
+
+
+@pytest.mark.parametrize(
+    "name, params, count",
+    [
+        ("heisenberg", {"n": 2}, 26),
+        ("heisenberg", {"n": 3}, 57),
+        ("abelian", {"n": 6}, 0),
+        ("so4_grassmann", {}, 0),
+    ],
+)
+def test_scan_builds_l_operators_on_the_support_alone(monkeypatch, name, params, count):
+    # one l-operator per index of the support X of r_# per row, and none
+    # when the m_table is zero (abelian, and the symmetric so4_grassmann);
+    # building every L[a] per row read 50, 147, 720 and 12
+    calls = count_calls(monkeypatch, IsotropyModel, "m_ad_ints")
+    code, out, err = run_cli(["scan", "-"], _doc_text(name, **params))
+    assert (code, err) == (0, "")
+    assert len(calls) == count
 
 
 def test_tensor_calls_no_bracket(monkeypatch):
@@ -992,6 +1020,28 @@ PINNED_OUTPUT_CASES_SHA256 = {
 }
 
 
+# byte-identical scan output on more documents, pinned to the digests of the
+# implementation that built every l-operator and the dense [.,.]_r table per
+# row; heisenberg n=3, so4_grassmann and double(heisenberg n=2) are pinned
+# above
+
+PINNED_SCAN_SHA256 = {
+    ("iso11", (), "text"): "26b61bc44f85358b5add4d85dfc10b9fb088f90602549404298956abf4516cbe",
+    ("iso11", (), "json"): "551c088b22bcda7fc40f12215176b429e91722fc1f99e6d9f5cc2dcd51bcbf3c",
+    ("gl_sym", (("n", 3),), "text"): "6030664b323d9bff6e7e3a7ba3693082b049b1e133c81aba533ab27595175df2",
+    ("gl_sym", (("n", 3),), "json"): "fb2989323b717f2e869a06272d8ee4b35b4e516d6a555f4ce3d19f9ee3606ff0",
+    ("abelian", (("n", 6),), "text"): "750c34c083bd96a3302489e735297db6132a2209dcc54c49fa764935efbbec44",
+    ("abelian", (("n", 6),), "json"): "9ccd35bc0a048e80f77794b08dc206f8d86320c2ee025a86caa5171a3b963999",
+}
+
+
+@pytest.mark.parametrize("name, params, fmt", sorted(PINNED_SCAN_SHA256))
+def test_scan_output_is_pinned(name, params, fmt):
+    code, out, err = run_cli(["scan", "-", "--format", fmt], _doc_text(name, **dict(params)))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCAN_SHA256[name, params, fmt]
+
+
 def test_output_is_deterministic():
     for name, (params, r) in OUTPUT_CASES.items():
         doc = _doc_text(name, **params)
@@ -1024,6 +1074,11 @@ PINNED_EXAMPLE_SHA256 = {
     # the output of the dense Fraction matrix products gl_sym was built from
     ("gl_sym", ("--n", "4")): "ad07691e493b44cde2d14de6ca986e79a2af32176a3fbbc9e3301be9f27338fa",
     ("gl_sym", ("--n", "5")): "282bc9163e145ac231ff3d9d16a9bf80c4a601b2e0b365c598245a09f56ae027",
+    # the output of the lattice generators built as dense rows through Mat
+    ("heisenberg", ("--n", "3")): "c2a92b4f9ccb1180c6e000291ec18b9dda4c5e942d7d535f1334f943c5e6eb39",
+    ("heisenberg", ("--n", "4")): "7c0a385f92ccec2a9952e70f5db4db22adbbcf17bdab672b914479b57c25be96",
+    ("heisenberg", ("--n", "5")): "5fdcd2eb7b3856684f378e9abd0135d1cc44bb1bc171a925abdeaeee75fe35f1",
+    ("heisenberg", ("--n", "6")): "d7124d09b16a8fc307775bfc8fe5af03c2d90691895fb42e4fa0c6097f6d5291",
 }
 
 
@@ -1275,3 +1330,25 @@ def test_generator_checks_survive_optimize_flag():
     assert out.returncode == 0, out.stderr
     expected = [[1, "", err] for err in docs.values() for _ in range(2)]
     assert json.loads(out.stdout) == expected
+
+
+@pytest.mark.parametrize("name, params", [("heisenberg", {"n": 2}), ("iso11", {})])
+def test_scan_output_survives_optimize_flag(name, params):
+    # the tensor's shortcuts over the support of r_# and a zero m_table are
+    # branches, not asserts: scan prints the same under python -O
+    text = _doc_text(name, **params)
+    src = str(Path(liecore.__file__).resolve().parents[1])
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "lieps.cli", "scan", "-"],
+            input=text,
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        for flags in ((), ("-O",))
+    ]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, "")] * 2
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.count("\n") > 1
+

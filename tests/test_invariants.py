@@ -8,6 +8,8 @@ from helpers import (
     dense_first_mover,
     dense_generator_maps,
     dense_invariant_bivectors,
+    fixed_covectors,
+    fixed_vectors,
     instance,
     random_generator_instance,
     random_instances,
@@ -18,9 +20,7 @@ from lieps.foliation import _not_invariant, leaf_cocycle
 from lieps.invariants import (
     bivector_coords_from_matrix,
     bivector_matrix_from_coords,
-    fixed_covectors,
     fixed_quotient_covectors,
-    fixed_vectors,
     invariant_bivectors,
 )
 from lieps.liecore import induced_ad_bar, induced_map, make_isotropy, wedge2_space

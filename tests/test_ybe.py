@@ -16,9 +16,11 @@ from helpers import (
     count_calls,
     dense_ad_bars,
     dense_l_operators,
+    dense_yang_baxter_tensor,
     dense_table,
     instance,
     invariant_candidates,
+    is_restricted_r_matrix,
     random_instances,
     random_lift_perturbation,
     omega_solve_oracle,
@@ -48,7 +50,6 @@ from lieps.ybe import (
     fixed_space_lie_algebra,
     hcirc_bracket,
     is_r_matrix,
-    is_restricted_r_matrix,
     l_operator,
     make_bivector,
     mstar_bracket,
@@ -205,6 +206,55 @@ def test_tensor_matches_oracle_off_the_invariant_space(data):
     assert yang_baxter_tensor(r).values == schouten_oracle(canonical_lift(r)).values, tag
 
 
+def _support_models():
+    """Catalog models, their algebras over h = 0, and random transported quotients."""
+    models = []
+    for tag, L, iso in catalog_instances():
+        models += [(tag, iso), (f"{tag}/h=0", make_isotropy(L, []))]
+    return models + [(label, iso) for label, _, iso, _ in random_instances(41, 40)]
+
+
+_SUPPORT_MODELS = _support_models()
+
+
+def test_support_models_hold_symmetric_and_other_pairs():
+    assert {iso.symmetric for _, iso in _SUPPORT_MODELS} == {True, False}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_tensor_over_the_support_matches_the_dense_loop(data):
+    # the tensor reads one defect per pair a < b in the support X of r_#,
+    # and none on a symmetric pair; the dense loop builds every L[a] and
+    # every C[a][b].  r has every rank: zero, one wedge x ^ y, a few sparse
+    # coordinates, all coordinates, or a sum of wedges; an invariant r is
+    # drawn off the invariant basis, the others are in general not invariant
+    tag, iso = data.draw(st.sampled_from(_SUPPORT_MODELS))
+    m = iso.quotient_dim
+    pairs = wedge2_space(m)
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vector = st.lists(q, min_size=m, max_size=m)
+    shape = data.draw(st.sampled_from(["zero", "wedge", "sparse", "dense", "wedges", "invariant"]))
+    coords = [QQ(0)] * len(pairs)
+    if shape in ("wedge", "wedges"):
+        count = 1 if shape == "wedge" else data.draw(st.integers(2, m // 2 + 2))
+        for x, y in data.draw(st.lists(st.tuples(vector, vector), min_size=count, max_size=count)):
+            coords = [c + x[i] * y[j] - x[j] * y[i] for c, (i, j) in zip(coords, pairs)]
+    elif shape == "sparse" and pairs:
+        for k in data.draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=3)):
+            coords[k] = data.draw(q)
+    elif shape == "dense":
+        coords = data.draw(st.lists(q, min_size=len(pairs), max_size=len(pairs)))
+    elif shape == "invariant":
+        for v in invariant_bivectors(iso).basis.basis:
+            c = data.draw(q)
+            coords = [x + c * y for x, y in zip(coords, v)]
+    r = make_bivector(iso, coords)
+    t = yang_baxter_tensor(r)
+    assert t.nonzero_entries() == dense_yang_baxter_tensor(r).nonzero_entries(), (tag, shape)
+    assert t.values == schouten_oracle(canonical_lift(r)).values, (tag, shape)
+
+
 def _contraction_models():
     """_QUOTIENTS, random transported quotients, and quotients with m = 0, 1 and 2."""
     L, _ = instance("heisenberg", {"n": 1})
@@ -303,7 +353,7 @@ def test_coordinate_route_matches_the_matrix_route(data):
     pairs = data.draw(st.lists(st.tuples(vector, vector), max_size=m // 2 + 1))
     coords = [sum((x[i] * y[j] - x[j] * y[i] for x, y in pairs), QQ(0)) for i, j in wedge2_space(m)]
     r = make_bivector(iso, coords)
-    R, _, _, dr, _ = r.int_tables
+    R, _, dr, _ = r.int_tables
     assert (R, dr) == int_vectors(r.r_mat.T.entries), tag
     assert r.image == Subspace.from_vectors(m, r.r_mat.entries), tag
     assert r.omega == omega_solve_oracle(r), tag

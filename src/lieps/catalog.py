@@ -55,10 +55,6 @@ def read_rational(x, path, *where) -> tuple:
     raise DocumentError(path.format(*where), f"not a rational literal: {x!r}")
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 @dataclass(frozen=True)
 class AlgebraDocument:
     """Serializable description of an algebra plus isotropy data.
@@ -154,14 +150,30 @@ def iso11() -> AlgebraDocument:
     return _doc("iso11", 3, ["e1", "e2", "e3"], brackets, ad_generators=[Generator.of_matrix(gen)])
 
 
+def _commutator(X, Y) -> dict:
+    """XY - YX of two matrices given by their nonzero entries {(i, j): x}.
+
+    Read off the unit matrices, [E_ij, E_kl] = d_jk E_il - d_li E_kj; an
+    entry that cancels stays in the result as a zero.
+    """
+    comm = {}
+    for (i, j), x in X.items():
+        for (k, l), y in Y.items():
+            if j == k:
+                comm[i, l] = comm.get((i, l), 0) + x * y
+            if l == i:
+                comm[k, j] = comm.get((k, j), 0) - x * y
+    return comm
+
+
 def gl_sym(n) -> AlgebraDocument:
     """gl_n with h = so_n; the complement is the symmetric matrices.
 
     The basis is the diagonal units E_ii, the symmetric units
     S_ij = E_ij + E_ji and the skew units F_ij = E_ij - E_ji, i < j, in that
     order, so the greedy complement scan picks exactly m = sym_n.  Brackets
-    are read off the unit matrices, [E_ij, E_kl] = d_jk E_il - d_li E_kj,
-    and each unit E_il, i != l, is (S_il + F_il) / 2 or (S_li - F_li) / 2.
+    are the commutators of the unit matrices (_commutator), and each unit
+    E_il, i != l, is (S_il + F_il) / 2 or (S_li - F_li) / 2.
     """
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     units = [{(i, i): 1} for i in range(n)]
@@ -175,15 +187,8 @@ def gl_sym(n) -> AlgebraDocument:
     brackets = {}
     for a in range(dim):
         for b in range(a + 1, dim):
-            comm = {}
-            for (i, j), x in units[a].items():
-                for (k, l), y in units[b].items():
-                    if j == k:
-                        comm[i, l] = comm.get((i, l), 0) + x * y
-                    if l == i:
-                        comm[k, j] = comm.get((k, j), 0) - x * y
             coeffs = {}
-            for (i, l), v in comm.items():
+            for (i, l), v in _commutator(units[a], units[b]).items():
                 if i == l:
                     coeffs[i] = coeffs.get(i, 0) + v
                 elif v:
@@ -206,37 +211,16 @@ _SO4_LABELS = ("F12", "F34", "e1", "e2", "e3", "e4")
 def so4_grassmann() -> AlgebraDocument:
     """so_4 with h = span{F12, F34}, the oriented 2-plane Grassmannian.
 
-    Brackets come from [F_ij, F_kl] = d_jk F_il + d_il F_jk - d_ik F_jl
-    - d_jl F_ik with F_ji = -F_ij.
+    The brackets are the commutators of F_ij = E_ij - E_ji (_commutator),
+    a skew matrix whose entry (p, q), p < q, is its coefficient of F_pq.
     """
     index = {p: t for t, p in enumerate(_SO4_PAIRS)}
-
-    def term(i, j):
-        # normalize F_ij to +-(basis element)
-        if i == j:
-            return None, 0
-        if i < j:
-            return index[(i, j)], 1
-        return index[(j, i)], -1
-
+    units = [{(i, j): 1, (j, i): -1} for i, j in _SO4_PAIRS]
     brackets = {}
     for a in range(6):
         for b in range(a + 1, 6):
-            i, j = _SO4_PAIRS[a]
-            k, l = _SO4_PAIRS[b]
-            coeffs = {}
-            for (p, q), sign in (
-                ((i, l), 1 if j == k else 0),
-                ((j, k), 1 if i == l else 0),
-                ((j, l), -1 if i == k else 0),
-                ((i, k), -1 if j == l else 0),
-            ):
-                if sign == 0:
-                    continue
-                t, s = term(p, q)
-                if t is not None:
-                    coeffs[t] = coeffs.get(t, 0) + sign * s
-            coeffs = {k2: v for k2, v in coeffs.items() if v != 0}
+            comm = _commutator(units[a], units[b])
+            coeffs = {index[p, q]: v for (p, q), v in comm.items() if p < q and v}
             if coeffs:
                 brackets[(a, b)] = coeffs
 
@@ -334,14 +318,14 @@ def to_json_dict(doc: AlgebraDocument) -> dict:
         "labels": list(doc.labels),
         # the nonzero [e_i, e_j], i < j, read back off the integer table
         "brackets": [
-            {"i": i, "j": j, "coeffs": {str(k): format_rational(Fraction(v, L.den)) for k, v in nz}}
+            {"i": i, "j": j, "coeffs": {str(k): str(Fraction(v, L.den)) for k, v in nz}}
             for i, row in enumerate(L.nz)
             for j, nz in enumerate(row[i + 1:], i + 1)
             if nz
         ],
     }
     if doc.subalgebra:
-        out["subalgebra"] = [[format_rational(x) for x in v] for v in doc.subalgebra]
+        out["subalgebra"] = [[str(x) for x in v] for v in doc.subalgebra]
     if doc.complement:
         vecs = []
         for t in doc.complement:
@@ -353,7 +337,7 @@ def to_json_dict(doc: AlgebraDocument) -> dict:
         rows = [["0"] * doc.dim for _ in range(doc.dim)]
         for j, col in enumerate(g.cols):
             for i, x in col:
-                rows[i][j] = format_rational(Fraction(x, g.d))
+                rows[i][j] = str(Fraction(x, g.d))
         out.setdefault("ad_generators", []).append(rows)
     return out
 

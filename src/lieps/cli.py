@@ -3,8 +3,9 @@
 Documents are read from a file path or from standard input when the path is
 `-`.  Exit codes: 0 success, 1 domain errors (failed checks, non-r-matrices
 where one is required, unknown builtins), 2 parse errors (malformed JSON or
-documents, bad expressions, usage errors).  `invariants` prints its basis
-off the integer rows of the invariant space, not a dense Fraction basis.
+documents, bad expressions, usage errors).  Every command prints its
+integer rows (the invariant space, a bivector's wedge coordinates, a
+connection table, the leaf frame) through one term formatter, format_terms.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from . import catalog
 from .connections import build_connection, poisson_compat
 from .errors import DocumentError, LiepsError
-from .exact import from_ints
+from .exact import to_ints
 from .foliation import leaf_cocycle, leaf_decomposition
 from .invariants import invariant_bivectors
 from .liecore import require_reductive, validate, wedge2_space
@@ -139,7 +140,7 @@ class _ExprParser:
         index = {p: t for t, p in enumerate(pairs)}
         coords = [Fraction(0)] * len(pairs)
         if [tk for tk, _ in self.tokens] == ["num", "end"] and self.tokens[0][1] == 0:
-            # a lone 0 is the zero bivector, as format_bivector prints it
+            # a lone 0 is the zero bivector, as format_terms prints it
             return tuple(coords)
         if self.peek() == "end":
             raise _ExprError("empty bivector expression")
@@ -168,33 +169,25 @@ def parse_bivector_expr(text, labels, option="--r") -> tuple:
 # formatting
 
 
-def _fmt_terms(parts):
-    if not parts:
-        return "0"
+def wedge_words(labels) -> tuple:
+    """The words labels[i]^labels[j] of the wedge basis, one per pair of wedge2_space."""
+    return tuple(f"{labels[i]}^{labels[j]}" for i, j in wedge2_space(len(labels)))
+
+
+def format_terms(words, nz, d=1) -> str:
+    """The sum of (x / d) words[k] over the nonzeros (k, x), in order; "0" when there are none.
+
+    d > 0.  A coefficient of magnitude 1 prints no number, and only a
+    coefficient that is not an integer goes through a Fraction.
+    """
     out = []
-    for t, (coeff, word) in enumerate(parts):
-        mag = -coeff if coeff < 0 else coeff
-        piece = word if mag == 1 else f"{mag} {word}"
-        if t == 0:
-            out.append(piece if coeff > 0 else f"-{piece}")
-        else:
-            out.append(f"+ {piece}" if coeff > 0 else f"- {piece}")
-    return " ".join(out)
-
-
-def format_vector(labels, coords) -> str:
-    return _fmt_terms([(c, labels[t]) for t, c in enumerate(coords) if c != 0])
-
-
-def format_covector(labels, coords) -> str:
-    return _fmt_terms([(c, labels[t] + "*") for t, c in enumerate(coords) if c != 0])
-
-
-def format_bivector(labels, coords) -> str:
-    """The bivector of its wedge coordinates: a sequence, or a {pair index: value} dict, keys increasing."""
-    pairs = wedge2_space(len(labels))
-    items = coords.items() if isinstance(coords, dict) else enumerate(coords)
-    return _fmt_terms([(c, "^".join(labels[i] for i in pairs[k])) for k, c in items if c])
+    for k, x in nz:
+        mag = -x if x < 0 else x
+        q, rem = divmod(mag, d)
+        piece = words[k] if mag == d else f"{Fraction(mag, d) if rem else q} {words[k]}"
+        sign = "-" if x < 0 else "+"
+        out.append(f"{sign} {piece}" if out else piece if x > 0 else f"-{piece}")
+    return " ".join(out) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +244,19 @@ def _cmd_validate(args, stdin_text):
 def _cmd_invariants(args, stdin_text):
     _, iso, qlabels = _model(args, stdin_text)
     inv = invariant_bivectors(iso)
+    words = wedge_words(qlabels)
     # basis vector t is R / R_P for row (P, R) of the space, printed off its nonzeros
-    vecs = [{k: Fraction(x, R[P]) for k, x in sorted(R.items())} for P, R in inv.basis.rows]
-    pretty = [format_bivector(qlabels, v) for v in vecs]
-    coords = [["0"] * len(wedge2_space(len(qlabels))) for _ in vecs]
-    for row, v in zip(coords, vecs):
-        for k, c in v.items():
-            row[k] = c
+    rows = [(sorted(R.items()), R[P]) for P, R in inv.rows]
+    pretty = [format_terms(words, nz, d) for nz, d in rows]
+    coords = [["0"] * len(words) for _ in rows]
+    for row, (nz, d) in zip(coords, rows):
+        for k, x in nz:
+            row[k] = Fraction(x, d)
     payload = {
         "dim": inv.dim,
         "basis_coords": coords,
         "basis": pretty,
-        "source": inv.source,
+        "source": {"infinitesimal": iso.h_basis.dim > 0, "discrete": len(iso.generators) > 0},
     }
     lines = [f"dim {inv.dim}"] + [f"  {p}" for p in pretty]
     return 0, _emit(payload, lines, args.format)
@@ -270,14 +264,13 @@ def _cmd_invariants(args, stdin_text):
 
 def _cmd_ybe(args, stdin_text):
     _, iso, qlabels = _model(args, stdin_text)
-    coords = parse_bivector_expr(args.r, qlabels)
-    r = make_bivector(iso, coords)
+    r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
     nonzero = [
         {"triple": [qlabels[a] + "*" for a in abc], "value": val}
         for abc, val in r.tensor.nonzero_entries()
     ]
     payload = {
-        "r": format_bivector(qlabels, coords),
+        "r": format_terms(wedge_words(qlabels), r.nz, r.d),
         "r_matrix": not nonzero,
         "nonzero": nonzero,
     }
@@ -290,9 +283,10 @@ def _cmd_scan(args, stdin_text):
     _, iso, qlabels = _model(args, stdin_text)
     inv = invariant_bivectors(iso)
     extra = [parse_bivector_expr(text, qlabels, "--candidate") for text in args.candidate or []]
+    words = wedge_words(qlabels)
     # basis vector t is R / R_P for row (P, R) of the space, and the sum of
     # two is (e R + d S) / (d e): both lie in the invariant span
-    basis = [(R, R[P]) for P, R in inv.basis.rows]
+    basis = [(R, R[P]) for P, R in inv.rows]
     sums = (
         ({k: e * R.get(k, 0) + d * S.get(k, 0) for k in R.keys() | S.keys()}, d * e)
         for t, (R, d) in enumerate(basis)
@@ -301,12 +295,12 @@ def _cmd_scan(args, stdin_text):
 
     def scanned(kind, r, invariant):
         # a row keeps its text and flags, not its bivector
-        text = format_bivector(qlabels, {k: Fraction(x, r.d) for k, x in r.nz})
+        text = format_terms(words, r.nz, r.d)
         return {"kind": kind, "bivector": text, "invariant": invariant, "is_r_matrix": is_r_matrix(r)}
 
     out_rows = [scanned("basis", Bivector.of_ints(iso, *b), True) for b in basis]
     out_rows += [scanned("sum", Bivector.of_ints(iso, *b), True) for b in sums]
-    out_rows += [scanned("candidate", make_bivector(iso, c), inv.basis.contains(c)) for c in extra]
+    out_rows += [scanned("candidate", make_bivector(iso, c), inv.contains(c)) for c in extra]
     payload = {"rows": out_rows}
     lines = [f"{len(out_rows)} candidates"]
     for row in out_rows:
@@ -321,7 +315,9 @@ def _cmd_leaf(args, stdin_text):
     r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
     data = leaf_cocycle(r)
     dec = leaf_decomposition(r)
-    frame_pretty = [format_vector(doc.labels, v) for v in data.frame]
+    frame_pretty = [
+        format_terms(doc.labels, *to_ints((k, x) for k, x in enumerate(v) if x)) for v in data.frame
+    ]
     payload = {
         "a_dim": data.a_basis.dim,
         "frame": frame_pretty,
@@ -343,12 +339,10 @@ def _cmd_leaf(args, stdin_text):
     return 0, _emit(payload, lines, args.format)
 
 
-def _entries(qlabels, items):
-    """One {eta, xi, value} record per nonzero covector value on a basis pair."""
+def _entries(stars, items, d):
+    """One {eta, xi, value} record per basis pair (a, c) with a nonzero covector nz / d."""
     return [
-        {"eta": qlabels[a] + "*", "xi": qlabels[c] + "*", "value": format_covector(qlabels, v)}
-        for a, c, v in items
-        if any(v)
+        {"eta": stars[a], "xi": stars[c], "value": format_terms(stars, nz, d)} for a, c, nz in items if nz
     ]
 
 
@@ -364,11 +358,14 @@ def _cmd_connection(args, stdin_text):
     r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
     require_r_matrix(r)
     b = build_connection(args.kind, r)
-    n = b.dim
-    b_entries = _entries(qlabels, ((a, c, b.b[a][c]) for a in range(n) for c in range(n)))
+    stars = [lab + "*" for lab in qlabels]
+    # b is N / d and the torsion T / den: both print off their integer tables
+    b_nz = ((a, c, nz) for a, plane in enumerate(b.N) for c, nz in enumerate(plane))
+    b_entries = _entries(stars, b_nz, b.d)
     T, R, den, _ = b.tables
-    t_entries = _entries(qlabels, ((a, c, from_ints(v, den)) for (a, c), v in T.items()))
-    curved = [[qlabels[a] + "*", qlabels[c] + "*"] for a, c in R]
+    t_nz = ((a, c, [(k, x) for k, x in enumerate(v) if x]) for (a, c), v in T.items())
+    t_entries = _entries(stars, t_nz, den)
+    curved = [[stars[a], stars[c]] for a, c in R]
     compat = poisson_compat(b)
     payload = {
         "kind": args.kind,

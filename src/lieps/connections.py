@@ -54,7 +54,7 @@ class ConnectionMap:
 
     r is the bivector the connection is built from; its model r.iso must be
     reductive, else NotReductive.  Rational entries come in through
-    from_entries, and the dense Fraction array b is a view for printing.
+    from_entries, and the dense Fraction array b is a view for the oracles.
     """
 
     r: Bivector
@@ -239,15 +239,15 @@ def ad_invariance_check(b: ConnectionMap) -> bool:
     iso = b.r.iso
     n = b.dim
     mats = [b.matrix_for(e) for e in Mat.identity(n).entries]
-    for ad_bar in iso.ad_bars:
-        N = ad_bar.T
-        for a in range(n):
-            if b.matrix_for(N.col(a)) + mats[a] @ N != N @ mats[a]:
+    for t, op in enumerate(iso.action):
+        A = Mat.from_ints(*op)
+        if t < iso.h_basis.dim:
+            N = A.T
+            if any(b.matrix_for(N.col(a)) + mats[a] @ N != N @ mats[a] for a in range(n)):
                 return False
-    for A in iso.generator_maps:
-        P = inverse(A).T
-        for a in range(n):
-            if b.matrix_for(P.col(a)) @ P != P @ mats[a]:
+        else:
+            P = inverse(A).T
+            if any(b.matrix_for(P.col(a)) @ P != P @ mats[a] for a in range(n)):
                 return False
     return True
 

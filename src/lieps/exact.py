@@ -29,15 +29,9 @@ from .errors import NoSolution
 QQ = Fraction
 
 
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 def vec(xs) -> tuple:
     """Coerce a sequence into a tuple of Fractions."""
-    return tuple(_fr(x) for x in xs)
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
 
 
 def to_ints(pairs) -> tuple:
@@ -82,11 +76,6 @@ def dot(a, b) -> Fraction:
         if x and y:
             acc += x * y
     return acc
-
-
-def vadd(a, b) -> tuple:
-    # adding a zero keeps the entry; the hot path is mostly zeros
-    return tuple(x + y if y else x for x, y in zip(a, b))
 
 
 def vsub(a, b) -> tuple:
@@ -168,9 +157,6 @@ class Mat:
     def __getitem__(self, i):
         return self.entries[i]
 
-    def row(self, i) -> tuple:
-        return self.entries[i]
-
     def col(self, j) -> tuple:
         return tuple(r[j] for r in self.entries)
 
@@ -189,7 +175,9 @@ class Mat:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in +")
-        return Mat._trusted(tuple(map(vadd, self.entries, other.entries)), self.cols)
+        # adding a zero keeps the entry; the hot path is mostly zeros
+        add = (tuple(x + y if y else x for x, y in zip(r, s)) for r, s in zip(self.entries, other.entries))
+        return Mat._trusted(tuple(add), self.cols)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -200,7 +188,7 @@ class Mat:
         return Mat._trusted(tuple(tuple(-x for x in r) for r in self.entries), self.cols)
 
     def scale(self, c) -> "Mat":
-        c = _fr(c)
+        c = Fraction(c)
         return Mat._trusted(tuple(tuple(c * x for x in r) for r in self.entries), self.cols)
 
     def __matmul__(self, other):

@@ -139,7 +139,7 @@ def leaf_cocycle(r: Bivector) -> LeafData:
 
     n = iso.L.dim
     a = Subspace.from_vectors(n, frame)
-    P = Mat([iso.q_matrix.row(p) for p in im.pivots], n) @ Mat.from_cols(a.basis, n)
+    P = Mat([iso.q_matrix[p] for p in im.pivots], n) @ Mat.from_cols(a.basis, n)
     return LeafData(a_basis=a, omega=P.T @ r.omega @ P, frame=frame, frame_omega=frame_omega)
 
 

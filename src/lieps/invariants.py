@@ -11,11 +11,10 @@ identity, so they cost what it moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Mat, Subspace, kernel_of_rows, vec
-from .liecore import IsotropyModel, wedge2_derivation_rows, wedge2_moved_rows, wedge2_space
+from .liecore import IsotropyModel, minus_scalar, wedge2_derivation_rows, wedge2_moved_rows, wedge2_space
 
 
 def bivector_matrix_from_coords(dim, coords) -> Mat:
@@ -44,31 +43,6 @@ def bivector_coords_from_matrix(r_mat: Mat) -> tuple:
     return tuple(r_mat[j][i] for i, j in wedge2_space(r_mat.rows))
 
 
-@dataclass(frozen=True)
-class InvariantBivectorSpace:
-    iso: IsotropyModel
-    basis: Subspace  # subspace of wedge-square coordinates on g/h
-    source: dict  # which constraint families were imposed
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-
-def _minus_scalar(rows, c) -> list:
-    """Sparse rows of M - c I from the sparse rows of a square M."""
-    out = []
-    for t, row in enumerate(rows):
-        row = dict(row)
-        v = row.get(t, 0) - c
-        if v:
-            row[t] = v
-        else:
-            del row[t]
-        out.append(row)
-    return out
-
-
 def invariance_rows(iso: IsotropyModel) -> tuple:
     """Sparse integer rows of the invariance conditions, one block per operator of iso.action.
 
@@ -85,21 +59,13 @@ def invariance_rows(iso: IsotropyModel) -> tuple:
     )
 
 
-def invariant_bivectors(iso: IsotropyModel) -> InvariantBivectorSpace:
-    """Bivectors on g/h fixed by the full declared isotropy action.
+def invariant_bivectors(iso: IsotropyModel) -> Subspace:
+    """Bivectors on g/h fixed by the full declared isotropy action, in wedge-square coordinates.
 
     The common kernel of every block of invariance_rows.
     """
-    nwedge = len(wedge2_space(iso.quotient_dim))
     rows = [row for block in invariance_rows(iso) for row in block]
-    return InvariantBivectorSpace(
-        iso=iso,
-        basis=kernel_of_rows(rows, nwedge),
-        source={
-            "infinitesimal": iso.h_basis.dim > 0,
-            "discrete": len(iso.generators) > 0,
-        },
-    )
+    return kernel_of_rows(rows, len(wedge2_space(iso.quotient_dim)))
 
 
 def fixed_quotient_covectors(iso: IsotropyModel) -> Subspace:
@@ -113,5 +79,5 @@ def fixed_quotient_covectors(iso: IsotropyModel) -> Subspace:
     rows = []
     for t, (N, d) in enumerate(iso.action):
         NT = [{i: x for i, x in enumerate(col) if x} for col in zip(*N)]
-        rows += NT if t < k else _minus_scalar(NT, d)
+        rows += NT if t < k else minus_scalar(NT, d)
     return kernel_of_rows(rows, iso.quotient_dim)

@@ -24,7 +24,7 @@ alone, each q A s from the integer columns of a generator A), and `m_table`,
 the m-bracket [e_j, e_t]_m of every pair of quotient basis vectors.  A
 discrete generator is one integer form, `Generator` (its columns over one
 least denominator), which the automorphism check and `action` share; its
-Fraction matrix is a view for printing and the oracles.  The automorphism
+Fraction matrix is a view for reconstruct_r and the oracles.  The automorphism
 check reads a generator A = N / d through its moved columns S, those with
 N e_m != d e_m: the S x S block for singularity, and only the pairs that
 meet S, directly or through `LieAlgebra.pairs_into`, for the brackets.
@@ -150,7 +150,7 @@ class Generator(NamedTuple):
 
     @property
     def mat(self) -> Mat:
-        """A as a Fraction matrix: a view for printing and the oracles."""
+        """A as a Fraction matrix: a view for reconstruct_r and the oracles."""
         rows = [[0] * len(self.cols) for _ in self.cols]
         for j, col in enumerate(self.cols):
             for i, x in col:
@@ -276,7 +276,7 @@ class IsotropyModel:
     """Quotient model g/h with a preferred standard-basis complement.
 
     h_basis.rows is the integer elimination of h in the natural column
-    order, which the model checks, ad_bars and the reductive flag read;
+    order, which the model checks, `action` and the reductive flag read;
     h_rows is its elimination in the complement order, which picked the
     complement (_complement_rows); on first use the model builds off it
 
@@ -286,9 +286,9 @@ class IsotropyModel:
     q^T identifies a quotient covector with its representative in the
     annihilator h° of h, the working model of (g/h)*.
 
-    The integer columns of q, the isotropy action on g/h (`action`, which
-    ad_bars and generator_maps view in Fractions), the reductive and symmetric
-    flags and the integer m-bracket table m_table are derived once; validate reads none.
+    The integer columns of q, the isotropy action on g/h (`action`, its one
+    form), the reductive and symmetric flags and the integer m-bracket table
+    m_table are derived once; validate reads none.
     """
 
     L: LieAlgebra
@@ -401,16 +401,6 @@ class IsotropyModel:
             ops.append(([dict(cols[j]) for j in self.complement_indices], dA))
         dq = self._q_columns[1]
         return tuple((self._quotient_ints(images), dq * d) for images, d in ops)
-
-    @cached_property
-    def ad_bars(self) -> tuple:
-        """ad-bar_u = q ad_u s for each h-basis vector u: a Fraction view of `action`."""
-        return tuple(Mat.from_ints(N, d) for N, d in self.action[: self.h_basis.dim])
-
-    @cached_property
-    def generator_maps(self) -> tuple:
-        """q A s for each discrete generator A: a Fraction view of `action`."""
-        return tuple(Mat.from_ints(N, d) for N, d in self.action[self.h_basis.dim :])
 
     @cached_property
     def reductive(self) -> bool:
@@ -580,10 +570,12 @@ def induced_ad_bar(iso: IsotropyModel, u) -> Mat:
 
     Well defined because h is a subalgebra: ad_u maps h to h, so the result
     does not depend on the choice of section.  It is linear in u: the
-    model's ad_bars combined by the coordinates of u in the basis of h.
+    ad-bars of the model's action combined by the coordinates of u in the
+    basis of h.
     """
     try:
-        return mat_lincomb(iso.h_basis.coords_of(u), iso.ad_bars, iso.quotient_dim)
+        bars = [Mat.from_ints(*op) for op in iso.action[: iso.h_basis.dim]]
+        return mat_lincomb(iso.h_basis.coords_of(u), bars, iso.quotient_dim)
     except NoSolution:
         raise NotInH("ad-bar is only defined for elements of the isotropy subalgebra") from None
 
@@ -656,6 +648,18 @@ def _wedge_rows(n, terms, pairs) -> tuple:
     return tuple(out)
 
 
+def minus_scalar(rows, c) -> list:
+    """Sparse rows {j: x} of M - c I from the sparse rows of a square M."""
+    out = []
+    for t, row in enumerate(rows):
+        row = dict(row)
+        v = row.pop(t, 0) - c
+        if v:
+            row[t] = v
+        out.append(row)
+    return out
+
+
 def wedge2_moved_rows(N, d) -> tuple:
     """Nonzero rows of N^N - d^2 I, for a square integer N, as {pair index: value} dicts.
 
@@ -664,11 +668,7 @@ def wedge2_moved_rows(N, d) -> tuple:
     d (e_i ^ E_j + E_i ^ e_j) + E_i ^ E_j.  Only the pairs that meet a
     nonzero row of E are built, in order, and N = dI builds none.
     """
-    E = _sparse_square(N)
-    for i, row in enumerate(E):
-        x = row.pop(i, 0) - d
-        if x:
-            row[i] = x
+    E = minus_scalar(_sparse_square(N), d)
     n = len(E)
     pairs = sorted(_pairs_meeting([i for i, row in enumerate(E) if row], n))
     rows = _wedge_rows(n, lambda i, j: (({i: d}, E[j]), (E[i], {j: d}), (E[i], E[j])), pairs)

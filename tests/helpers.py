@@ -11,7 +11,7 @@ from math import lcm
 
 from lieps import catalog
 from lieps.exact import Mat, Subspace, dot, int_vectors, inverse, kernel, kernel_of_rows, solve, vsub
-from lieps.invariants import _minus_scalar, fixed_quotient_covectors, invariant_bivectors
+from lieps.invariants import fixed_quotient_covectors, invariant_bivectors
 from lieps.errors import GeneratorMovesH, NotAnAutomorphism
 from lieps.exact import _rref_int_rows
 from lieps.liecore import (
@@ -24,6 +24,7 @@ from lieps.liecore import (
     induced_map,
     make_isotropy,
     make_lie_algebra,
+    minus_scalar,
     wedge2_space,
 )
 from lieps.ybe import YBTensor, canonical_lift, hcirc_bracket, is_r_matrix, make_bivector, sharp
@@ -53,7 +54,7 @@ def catalog_instances():
 
 def invariant_candidates(iso):
     """Invariant-space basis vectors plus their pairwise sums, nonzero only."""
-    basis = list(invariant_bivectors(iso).basis.basis)
+    basis = list(invariant_bivectors(iso).basis)
     cands = list(basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -171,8 +172,8 @@ def random_instances(seed, count):
         coeffs = [QQ(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(inv.dim)]
         if all(c == 0 for c in coeffs):
             coeffs[0] = QQ(1)
-        coords = [QQ(0)] * len(inv.basis.basis[0])
-        for c, bv in zip(coeffs, inv.basis.basis):
+        coords = [QQ(0)] * len(inv.basis[0])
+        for c, bv in zip(coeffs, inv.basis):
             for t in range(len(coords)):
                 coords[t] += c * bv[t]
         produced += 1
@@ -560,7 +561,7 @@ def fixed_vectors(ambient_dim, infinitesimal=(), discrete=()) -> Subspace:
     for M in infinitesimal:
         rows += (M if isinstance(M, Mat) else Mat(M)).sparse_rows()
     for A in discrete:
-        rows += _minus_scalar((A if isinstance(A, Mat) else Mat(A)).sparse_rows(), 1)
+        rows += minus_scalar((A if isinstance(A, Mat) else Mat(A)).sparse_rows(), 1)
     return kernel_of_rows(rows, ambient_dim)
 
 

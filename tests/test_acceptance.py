@@ -48,11 +48,11 @@ def test_criterion_1_heisenberg_families():
         dim = 2 * n + 1
         w_index = 2 * n
         pairs = wedge2_space(dim)
-        for v in inv.basis.basis:
+        for v in inv.basis:
             support = [pairs[t] for t, c in enumerate(v) if c != 0]
             assert support, "invariant basis vector must be nonzero"
             assert all(j == w_index for _, j in support)
-        basis = list(inv.basis.basis)
+        basis = list(inv.basis)
         for v in basis:
             assert is_r_matrix(make_bivector(iso, v))
         for i in range(len(basis)):
@@ -67,8 +67,8 @@ def test_criterion_2_iso11_obstruction():
     L, iso = instance("iso11")
     inv = invariant_bivectors(iso)
     assert inv.dim == 2
-    assert inv.basis.contains(V(1, 0, 0))  # e1 ^ e2
-    assert inv.basis.contains(V(0, 1, -1))  # (e1 - e2) ^ e3
+    assert inv.contains(V(1, 0, 0))  # e1 ^ e2
+    assert inv.contains(V(0, 1, -1))  # (e1 - e2) ^ e3
     assert is_r_matrix(make_bivector(iso, V(1, 0, 0)))
     s = make_bivector(iso, V(0, 1, -1))
     assert not is_r_matrix(s)

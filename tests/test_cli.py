@@ -18,15 +18,21 @@ from helpers import (
     random_generator_instance,
     random_instances,
 )
-from lieps import catalog, exact, liecore
+from lieps import catalog, cli, exact, liecore
 from lieps.catalog import AlgebraDocument, builtin, emit, is_label
-from lieps.cli import format_bivector, format_covector, parse_bivector_expr, run_cli
+from lieps.cli import format_terms, parse_bivector_expr, run_cli, wedge_words
 from lieps.errors import DocumentError
+from lieps.exact import to_ints
 from lieps.liecore import IsotropyModel
 
 
 def _doc_text(name, **params):
     return emit(builtin(name, params or None))
+
+
+def _format(words, coords):
+    """format_terms of a sequence of rationals, scaled to ints over one denominator first."""
+    return format_terms(words, *to_ints((k, x) for k, x in enumerate(coords) if x))
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +73,10 @@ def test_parse_garbage():
 
 def test_format_roundtrip():
     labels = ("u1", "v1", "w")
-    text = format_bivector(labels, (0, 1, 0))
+    text = _format(wedge_words(labels), (0, 1, 0))
     assert text == "u1^w"
     assert parse_bivector_expr(text, labels) == (0, 1, 0)
-    assert format_covector(labels, (1, 0, -2)) == "u1* - 2 w*"
+    assert _format([lab + "*" for lab in labels], (1, 0, -2)) == "u1* - 2 w*"
 
 
 # labels any document may carry: a letter of any script or _, then
@@ -102,7 +108,7 @@ def test_format_then_parse_is_identity(case):
     # and labels in any script
     labels, coords = case
     assert all(map(is_label, labels))
-    text = format_bivector(labels, coords)
+    text = _format(wedge_words(labels), coords)
     assert parse_bivector_expr(text, labels) == coords
 
 
@@ -496,33 +502,39 @@ def test_connection_job_builds_no_fraction_matrix(monkeypatch, name, params, r_t
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "name, n, argv",
     [
-        ["scan", "-"],
-        ["ybe", "-", "--r", "u1^w + v1^w"],
-        ["leaf", "-", "--r", "u1^w + v1^w"],
-        ["connection", "-", "--r", "u1^w + v1^w", "--kind", "fedosov"],
+        ("heisenberg", 3, ["scan", "-"]),
+        ("abelian", 6, ["scan", "-"]),
+        ("heisenberg", 3, ["ybe", "-", "--r", "u1^w + v1^w"]),
+        ("heisenberg", 3, ["leaf", "-", "--r", "u1^w + v1^w"]),
+        ("heisenberg", 3, ["connection", "-", "--r", "u1^w + v1^w", "--kind", "fedosov"]),
     ],
 )
-def test_jobs_build_no_fraction_sharp_matrix(monkeypatch, argv):
+def test_jobs_build_no_fraction_sharp_matrix(monkeypatch, name, n, argv):
     # a bivector is its integer wedge coordinates: the tensor, the leaf and
     # the connection read its integer tables, and the Fraction matrix r_mat
     # and coordinate view coords are built only for the oracles.  A scan
-    # sums the integer rows of the invariant space and reads no Fraction
-    # basis of it
+    # sums the integer rows of the invariant space, reads no Fraction basis
+    # of it and prints its integer coefficients with no Fraction; a
+    # connection prints its integer table, not the Fraction view b
+    from lieps.connections import ConnectionMap
     from lieps.exact import Subspace
     from lieps.ybe import Bivector
 
     r_mats = count_cached(monkeypatch, Bivector, "r_mat")
     coords = count_cached(monkeypatch, Bivector, "coords")
+    views = count_cached(monkeypatch, ConnectionMap, "b")
     bases = []
     basis = Subspace.basis
     monkeypatch.setattr(Subspace, "basis", property(lambda self: bases.append(self) or basis.fget(self)))
-    code, out, err = run_cli(argv, _doc_text("heisenberg", n=3))
+    fractions = []
+    monkeypatch.setattr(cli, "Fraction", lambda *args: fractions.append(args) or Fraction(*args))
+    code, out, err = run_cli(argv, _doc_text(name, n=n))
     assert code == 0, err
-    assert r_mats == coords == []
+    assert r_mats == coords == views == []
     if argv[0] == "scan":
-        assert bases == []
+        assert bases == fractions == []
 
 
 def test_poisson_compat_builds_no_matrix_product_or_dot(monkeypatch):
@@ -652,21 +664,19 @@ def test_tensor_calls_no_bracket(monkeypatch):
 )
 def test_jobs_read_the_isotropy_action_once_in_integers(monkeypatch, name, params, argv):
     # the invariant solve and the leaf read the model's integer action,
-    # built once per job, and never its Fraction views: the invariance rows
+    # built once per job: the invariance rows
     # are integers, an invariants or scan job makes no Fraction matrix
     # product, and a leaf job no solve
     from lieps.exact import Mat
     from lieps.invariants import invariance_rows
 
     actions = count_cached(monkeypatch, IsotropyModel, "action")
-    bars = count_cached(monkeypatch, IsotropyModel, "ad_bars")
-    maps = count_cached(monkeypatch, IsotropyModel, "generator_maps")
     products = count_calls(monkeypatch, Mat, "__matmul__")
     solves = count_calls(monkeypatch, exact, "solve")
     code, out, err = run_cli(argv, _doc_text(name, **params))
     assert code == 0, err
     (iso,) = actions
-    assert bars == maps == solves == []
+    assert solves == []
     if argv[0] != "leaf":
         assert products == []
     rows = [row for block in invariance_rows(iso) for row in block]
@@ -1163,16 +1173,76 @@ def test_connection_output_is_pinned(name):
             assert digest == PINNED_CONNECTION_SHA256[(name, kind, fmt)], (name, kind, fmt)
 
 
+# byte-identical output where a printed coefficient is not an integer,
+# pinned to the digests of the formatter that printed Fraction sequences.
+# RD31 is rd31-sl2+solv2, the last of the random-dense documents drawn with
+# random.Random(3) in perfbench/workloads.py: its invariant basis prints
+# e1^e2 - 1/2 e2^e3
+
+RD31 = json.dumps({
+    "name": "rd31-sl2+solv2",
+    "dim": 5,
+    "brackets": [
+        {"i": 0, "j": 1, "coeffs": {"0": "-3/14", "1": "-5/2", "2": "-27/7", "3": "4/7", "4": "-33/14"}},
+        {"i": 0, "j": 2, "coeffs": {"0": "-81/56", "1": "27/8", "2": "27/28", "3": "33/14", "4": "-219/56"}},
+        {"i": 0, "j": 3, "coeffs": {"0": "-103/56", "1": "29/8", "2": "109/28", "3": "15/14", "4": "-13/56"}},
+        {"i": 0, "j": 4, "coeffs": {"0": "19/28", "1": "-5/4", "2": "-25/14", "3": "-1/7", "4": "-15/28"}},
+        {"i": 1, "j": 2, "coeffs": {"0": "-15/14", "1": "-3/2", "2": "33/7", "3": "-50/7", "4": "59/14"}},
+        {"i": 1, "j": 3, "coeffs": {"0": "-43/28", "1": "-11/4", "2": "33/14", "3": "-39/7", "4": "87/28"}},
+        {"i": 1, "j": 4, "coeffs": {"0": "-17/14", "1": "1/2", "2": "15/7", "3": "4/7", "4": "37/14"}},
+        {"i": 2, "j": 3, "coeffs": {"0": "-47/28", "1": "1/4", "2": "53/14", "3": "-27/7", "4": "43/28"}},
+        {"i": 2, "j": 4, "coeffs": {"0": "137/56", "1": "-3/8", "2": "-83/28", "3": "23/14", "4": "-61/56"}},
+        {"i": 3, "j": 4, "coeffs": {"0": "113/56", "1": "-3/8", "2": "-75/28", "3": "11/14", "4": "-101/56"}},
+    ],
+    "subalgebra": [["1/7", "0", "-3/7", "2/7", "-3/7"], ["-9/28", "-1/4", "3/14", "-1/7", "13/28"]],
+})
+
+
+def _tilted_heisenberg():
+    # heisenberg n=2 with h = span{2 u1 + u2}: the leaf frame prints u1 + 1/2 u2
+    doc = json.loads(_doc_text("heisenberg", n=2))
+    del doc["ad_generators"]
+    doc["subalgebra"] = [[2, 1, 0, 0, 0]]
+    return json.dumps(doc)
+
+
+NON_INTEGER_CASES = {
+    "leaf": (["leaf", "-", "--r", "v1^w"], _tilted_heisenberg),
+    "ybe": (["ybe", "-", "--r", "1/2*u1^w - 3/4*v1^w"], lambda: _doc_text("heisenberg", n=3)),
+    "invariants": (["invariants", "-"], lambda: RD31),
+    "scan": (["scan", "-"], lambda: RD31),
+}
+
+PINNED_NON_INTEGER_SHA256 = {
+    ("leaf", "text"): "781bc630dd9e3e44ce4d6623ab7bf323d12de877e8e4bf07556a703fcb9b8f59",
+    ("leaf", "json"): "030544d31782bfdcb114497e93dba3901bb8c038982b62bcf9be6413fc4ee413",
+    ("ybe", "text"): "9e5c02f8be791433d6c66043ceb3ebfd974bdc7204bae0afb2933f127ca54578",
+    ("ybe", "json"): "b04ed7c111a34035613a12181e32a7d22d259b843f22b8568cf7b2d9fc6d9ce7",
+    ("invariants", "text"): "0f912d90919601d2336d23f961993d8f553c18c566add6a617621130d43a10cc",
+    ("invariants", "json"): "7322e44fea92b93c620c1ae1cafa0775b74ecef9f1073b8abf59f6c373000a93",
+    ("scan", "text"): "b5eb460f83c038d22d6f4872c065f2d28cd84604375813f9bb2991c41e529fe1",
+    ("scan", "json"): "670ac91206aa9521ec452e46334f0544a1b55f0e225f954bbed367c1c8264de7",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(PINNED_NON_INTEGER_SHA256))
+def test_non_integer_coefficients_print_as_pinned(name, fmt):
+    argv, doc = NON_INTEGER_CASES[name]
+    code, out, err = run_cli(argv + ["--format", fmt], doc())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_NON_INTEGER_SHA256[name, fmt]
+
+
 # ---------------------------------------------------------------------------
 # invariants printed off the integer rows of the invariant space, and
 # generators read once into their integer form
 
 
 def _dense_invariants_output(iso, fmt):
-    """The invariants output by the dense route: format_bivector over the Fraction basis view."""
+    """The invariants output by the dense route: each Fraction basis vector of the view printed."""
     qlabels = [iso.L.labels[j] for j in iso.complement_indices]
     space = dense_invariant_bivectors(iso)
-    pretty = [format_bivector(qlabels, v) for v in space.basis]
+    pretty = [_format(wedge_words(qlabels), v) for v in space.basis]
     if fmt == "json":
         payload = {
             "dim": space.dim,

@@ -140,7 +140,7 @@ def test_bracket_is_infinitesimally_equivariant():
     ]:
         L, iso = instance(name, params)
         n = iso.quotient_dim
-        for coords in invariant_bivectors(iso).basis.basis:
+        for coords in invariant_bivectors(iso).basis:
             r = make_bivector(iso, coords)
             for u in iso.h_basis.basis:
                 ab = induced_ad_bar(iso, u)

@@ -43,7 +43,7 @@ from lieps.errors import (
 )
 from lieps.exact import Mat, Subspace, inverse, kernel_of_rows, zero_vec
 from lieps.foliation import leaf_decomposition
-from lieps.invariants import _minus_scalar, invariance_rows
+from lieps.invariants import invariance_rows
 from lieps.liecore import (
     Generator,
     LieAlgebra,
@@ -59,6 +59,7 @@ from lieps.liecore import (
     induced_map,
     make_isotropy,
     make_lie_algebra,
+    minus_scalar,
     require_reductive,
     validate,
     wedge2_derivation_rows,
@@ -268,8 +269,9 @@ def test_cached_isotropy_action_matches_per_pair_loops():
     flags_seen = set()
     leaf_reductive_seen = set()
     for tag, iso, rs in _isotropy_models():
-        assert iso.ad_bars == dense_ad_bars(iso), tag
-        assert iso.generator_maps == dense_generator_maps(iso), tag
+        k = iso.h_basis.dim
+        assert tuple(Mat.from_ints(*op) for op in iso.action[:k]) == dense_ad_bars(iso), tag
+        assert tuple(Mat.from_ints(*op) for op in iso.action[k:]) == dense_generator_maps(iso), tag
         assert iso.reductive == dense_is_reductive_complement(iso), tag
         reductive_seen.add(iso.reductive)
         # [m, m] in h off the m-bracket table, on non-reductive models too
@@ -661,7 +663,7 @@ def test_moved_columns_check_raises_what_the_all_pairs_check_raises(case):
 
 def _all_pairs_invariance_rows(N, d) -> tuple:
     """The nonzero rows of N^N - d^2 I by the all-pairs wedge square."""
-    return tuple(row for row in _minus_scalar(wedge2_action_rows(N), d * d) if row)
+    return tuple(row for row in minus_scalar(wedge2_action_rows(N), d * d) if row)
 
 
 @settings(max_examples=150, deadline=None)

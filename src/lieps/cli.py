@@ -248,16 +248,18 @@ def _cmd_invariants(args, stdin_text):
     # basis vector t is R / R_P for row (P, R) of the space, printed off its nonzeros
     rows = [(sorted(R.items()), R[P]) for P, R in inv.rows]
     pretty = [format_terms(words, nz, d) for nz, d in rows]
-    coords = [["0"] * len(words) for _ in rows]
-    for row, (nz, d) in zip(coords, rows):
-        for k, x in nz:
-            row[k] = Fraction(x, d)
     payload = {
         "dim": inv.dim,
-        "basis_coords": coords,
         "basis": pretty,
         "source": {"infinitesimal": iso.h_basis.dim > 0, "discrete": len(iso.generators) > 0},
     }
+    if args.format == "json":
+        # the dense coordinates are read only by JSON output
+        coords = [["0"] * len(words) for _ in rows]
+        for row, (nz, d) in zip(coords, rows):
+            for k, x in nz:
+                row[k] = Fraction(x, d)
+        payload["basis_coords"] = coords
     lines = [f"dim {inv.dim}"] + [f"  {p}" for p in pretty]
     return 0, _emit(payload, lines, args.format)
 

@@ -10,9 +10,14 @@ Inside, the hot loops run on integers over one common denominator:
 `to_ints` scales rationals by the lcm of their denominators, and `from_ints`
 (or `Mat.from_ints`) turns integers over a denominator back into Fractions
 at the edge.  Elimination runs on sparse integer rows: each rational row is
-scaled into a {column: int} dict of its nonzeros and handed to the
-fraction-free kernel `_rref_int_rows`, whose cost follows the nonzeros, not
-the shape.  `kernel_of_rows` takes such rows directly, integer rows as they
+scaled into a {column: int} dict of its nonzeros and handed to the one
+fraction-free kernel `_rref_int_rows`.  Its cost follows the nonzeros, not
+the shape: the rows wait in buckets by leading column, so the step at
+column c touches only the rows that lead there (bucket[c] is exactly the
+set of rows holding c, since every waiting row leads at c or later), and
+one back-substitution from the last pivot up clears each pivot row at the
+later pivots it holds.  The RREF is unique, so this order of work changes
+no output.  `kernel_of_rows` takes such rows directly, integer rows as they
 are, and builds its kernel vectors in ints, so a constraint system
 assembled from its nonzeros never becomes a dense matrix.  A
 subspace tests membership with the kernel's own row update `_eliminate`.
@@ -272,55 +277,67 @@ def _eliminate(row, piv_row, c):
 def _rref_int_rows(m, ncols):
     """Sparse integer Gauss-Jordan on {column: int} rows: (rows, pivots).
 
-    Zero entries and all-zero rows are dropped up front.  At each pivot only
-    the rows with a nonzero entry f in the pivot column are updated,
-    row <- (piv/g) row - (f/g) pivrow with g = gcd(piv, f), and then divided
-    by their content, so values never leave Z and every row stays primitive.
-    Skipping the rows with f = 0 is exact because each row carries its own
-    scale; the one-step scheme of Bareiss (1968, Math. Comp. 22) shares the
-    previous pivot as a divisor across all rows, so it must rescale every
-    row at every pivot.  The pivot row is the candidate with the fewest
-    nonzeros, to limit fill-in; the RREF is unique, so that choice changes
-    only the intermediate integers.
+    Zero entries and all-zero rows are dropped up front, and each row is
+    filed in the bucket of its leading (smallest) column.
+
+    Forward pass, c = 0, 1, ...: every bucket before c has been emptied, its
+    pivot kept and its other rows cleared at that column and filed again
+    further on, so every row still waiting leads at c or later.  A row
+    holding c therefore leads at c: the rows holding column c are exactly
+    bucket[c], and no other row is looked at.  The pivot is the row of
+    bucket[c] with the fewest nonzeros, to limit fill-in, negated if it
+    leads negative.  Each other row of the bucket is updated,
+    row <- (piv/g) row - (f/g) pivrow with g = gcd(piv, f), and divided by
+    its content, so values never leave Z and every row stays primitive; it
+    then leads after c and is filed again by its new leading column, or
+    dropped if it vanished.  Each row carries its own scale, so a row not
+    holding c is left as it is; the one-step scheme of Bareiss (1968,
+    Math. Comp. 22) shares the previous pivot as a divisor across all rows,
+    so it must rescale every row at every pivot.
+
+    Back-substitution, from the last pivot up: a pivot row is cleared only
+    at the later pivot columns it holds, found through the pivot -> row
+    map, against rows already fully reduced.  Such a row is zero at every
+    other pivot column, so clearing one column never brings back an entry
+    in another, and one pass over the row's own nonzeros suffices.
 
     Returned row t has its leading entry in column pivots[t] and zeros in
     every other pivot column; dividing it by that entry yields RREF row t.
-    A negative pivot row is negated and later updates scale it by piv/g > 0,
-    so the rows are the unique primitive integer form of the RREF, with
-    positive leading entries.  Only the rank-many pivot rows come back.
+    Every update scales a row by piv/g > 0, so the rows are the unique
+    primitive integer form of the RREF, with positive leading entries: the
+    pivot choices change only the intermediate integers.  Only the
+    rank-many pivot rows come back.
     """
-    work = []
+    buckets = {}
     for r in m:
         r = {j: x for j, x in r.items() if x}
         if r:
-            work.append(_primitive(r))
+            buckets.setdefault(min(r), []).append(_primitive(r))
     reduced = []
     pivots = []
     for c in range(ncols):
-        if not work:
+        if not buckets:
             break
-        p = -1
-        for i, row in enumerate(work):
-            if c in row and (p < 0 or len(row) < len(work[p])):
-                p = i
-        if p < 0:
+        bucket = buckets.pop(c, None)
+        if bucket is None:
             continue
-        piv_row = work.pop(p)
-        if piv_row[c] < 0:
-            piv_row = {j: -x for j, x in piv_row.items()}
-        rest = []
-        for row in work:
-            if c in row:
+        first = bucket[0] if len(bucket) == 1 else min(bucket, key=len)
+        piv_row = {j: -x for j, x in first.items()} if first[c] < 0 else first
+        for row in bucket:
+            if row is not first:
                 row = _eliminate(row, piv_row, c)
-                if not row:
-                    continue
-            rest.append(row)
-        work = rest
-        for t, row in enumerate(reduced):
-            if c in row:
-                reduced[t] = _eliminate(row, piv_row, c)
+                if row:
+                    buckets.setdefault(min(row), []).append(row)
         reduced.append(piv_row)
         pivots.append(c)
+    # where maps the pivots after t to their rows, each already fully reduced
+    where = {}
+    for t in range(len(pivots) - 1, -1, -1):
+        row = reduced[t]
+        for P in [j for j in row if j in where]:
+            row = _eliminate(row, reduced[where[P]], P)
+        reduced[t] = row
+        where[pivots[t]] = t
     return reduced, pivots
 
 
@@ -457,14 +474,23 @@ def kernel_of_rows(rows, ncols) -> Subspace:
     being laid out as a dense matrix.  Integer rows are eliminated as they
     are (Subspace._of_rows).  The kernel vector of a free column f is built
     in ints: L at f and -R_p[f] L / R_p[p] at each pivot p, with L the lcm
-    of the R_p[p] of the constraint rows R_p that reach f.
+    of the R_p[p] of the constraint rows R_p that reach f.  Those rows are
+    gathered per free column in one pass over the nonzeros of the reduced
+    rows: a reduced row is zero at every other pivot, so each of its
+    nonzeros off its own pivot sits in a free column.  A free column that no
+    row reaches gets its unit vector (lcm() is 1).
     """
     constraints = Subspace._of_rows(ncols, rows)
     if not constraints.dim:
         return Subspace.full(ncols)
+    reach = {}
+    for p, R in constraints.rows:
+        for f in R:
+            if f != p:
+                reach.setdefault(f, []).append((p, R))
     vecs = []
     for f in sorted(set(range(ncols)).difference(constraints.pivots)):
-        hits = [(p, R) for p, R in constraints.rows if f in R]
+        hits = reach.get(f, ())
         L = lcm(*(R[p] for p, R in hits))
         vecs.append({f: L, **{p: -R[f] * (L // R[p]) for p, R in hits}})
     return Subspace._of_rows(ncols, vecs)

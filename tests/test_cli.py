@@ -537,6 +537,32 @@ def test_jobs_build_no_fraction_sharp_matrix(monkeypatch, name, n, argv):
         assert bases == fractions == []
 
 
+@pytest.mark.parametrize("name, n, nonzeros", [("abelian", 16, 120), ("heisenberg", 6, 12)])
+def test_text_invariants_builds_no_fraction(monkeypatch, name, n, nonzeros):
+    # text output prints the integer rows of the space; only the JSON
+    # basis_coords payload builds a Fraction, one per nonzero coefficient
+    # (the patched name would fail the isinstance test of JSON output, so
+    # only the text job runs under it)
+    fractions = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            fractions.append(args)
+            return Fraction(*args)
+
+    text = _doc_text(name, n=n)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "Fraction", Counted)
+        code, out, err = run_cli(["invariants", "-"], text)
+    assert code == 0, err
+    assert fractions == []
+    code, out, err = run_cli(["invariants", "-", "--format", "json"], text)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert sum(x != "0" for row in payload["basis_coords"] for x in row) == nonzeros
+    assert len(payload["basis_coords"]) == payload["dim"] == len(payload["basis"])
+
+
 def test_poisson_compat_builds_no_matrix_product_or_dot(monkeypatch):
     # R N_a + N_a^T R per a in ints over d_r d: no Fraction dot product,
     # where the triple loop made 2 n^3 of them (686 at n = 7), and no

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gauss_jordan_oracle, kernel_oracle, span_coords_oracle, span_oracle
+from helpers import (
+    gauss_jordan_oracle,
+    instance,
+    kernel_oracle,
+    reference_rref_int_rows,
+    span_coords_oracle,
+    span_oracle,
+)
 from lieps.errors import NoSolution
 from lieps.exact import (
     Mat,
@@ -195,6 +202,75 @@ def test_integer_kernel_stays_integral():
         assert all(p not in rows[t] for p in piv if p != c)
 
 
+@st.composite
+def int_row_systems(draw):
+    """(rows, ncols): {column: int} rows in the shapes the kernel meets.
+
+    Sparse single-nonzero rows over up to 300 columns with repeats (the
+    invariance rows of heisenberg), small dense systems with entries up to
+    2^40, combinations of a few base rows (rank 0 up to full), and full-rank
+    triangular systems in a shuffled order; every shape mixes in negative
+    leading entries, explicit zero entries and empty rows.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    shape = draw(st.sampled_from(("sparse", "dense", "combination", "triangular")))
+    ncols = rng.randint(0, 300 if shape == "sparse" else 7)
+    bound = 2**40 if shape == "dense" else 9
+
+    def entry():
+        return rng.choice((-1, 1)) * rng.randint(1, bound)
+
+    if not ncols:
+        rows = [{} for _ in range(rng.randint(0, 3))]
+    elif shape == "sparse":
+        cols = rng.sample(range(ncols), rng.randint(1, min(ncols, 40)))
+        rows = [{rng.choice(cols): entry()} for _ in range(rng.randint(1, 120))]
+    elif shape == "dense":
+        rows = [
+            {j: entry() for j in range(ncols) if rng.random() < 0.8} for _ in range(rng.randint(1, 8))
+        ]
+    elif shape == "combination":
+        base = [{j: entry() for j in range(ncols) if rng.random() < 0.5} for _ in range(rng.randint(0, ncols))]
+        rows = []
+        for _ in range(rng.randint(1, 10)):
+            row = {}
+            for b in base:
+                w = rng.randint(-2, 2)
+                for j, x in b.items():
+                    row[j] = row.get(j, 0) + w * x
+            rows.append(row)
+    else:
+        rows = [{j: entry() for j in range(i, ncols) if j == i or rng.random() < 0.5} for i in range(ncols)]
+        rng.shuffle(rows)
+    for _ in range(rng.randint(0, 3)):
+        rows.insert(rng.randint(0, len(rows)), {})
+    for row in rows:
+        if ncols and rng.random() < 0.2:
+            row[rng.randrange(ncols)] = 0
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_row_systems())
+def test_bucketed_kernel_matches_reference_kernel(system):
+    rows, ncols = system
+    before = [dict(r) for r in rows]
+    expect = reference_rref_int_rows([dict(r) for r in rows], ncols)
+    assert _rref_int_rows(rows, ncols) == expect
+    assert rows == before
+
+
+@pytest.mark.parametrize("name, n", [("heisenberg", 6), ("heisenberg", 10), ("gl_sym", 4)])
+def test_bucketed_kernel_matches_reference_on_invariance_rows(name, n):
+    from lieps.invariants import invariance_rows
+    from lieps.liecore import wedge2_space
+
+    _, iso = instance(name, {"n": n})
+    rows = [row for block in invariance_rows(iso) for row in block]
+    ncols = len(wedge2_space(iso.quotient_dim))
+    assert _rref_int_rows(rows, ncols) == reference_rref_int_rows(rows, ncols)
+
+
 @settings(max_examples=80, deadline=None)
 @given(matrices())
 def test_kernel_annihilates(m):
@@ -265,6 +341,12 @@ def tall_sparse_matrices(draw):
         src = rows[rng.randrange(len(rows))]
         scale = rng.choice([F(1), F(-2), F(3, 7), F(0)])
         rows.insert(rng.randint(0, len(rows)), [scale * x for x in src])
+    if rng.random() < 0.3:
+        # a column no row reaches: free in every kernel, with its unit vector
+        f = rng.randrange(c)
+        rows = [r[:f] + [F(0)] + r[f + 1:] for r in rows]
+    if rng.random() < 0.3:
+        rows.insert(rng.randint(0, len(rows)), [F(0)] * c)
     return Mat(rows, c)
 
 
@@ -288,7 +370,8 @@ def test_sparse_kernel_matches_fraction_oracle(m):
 def test_kernel_of_rows_matches_dense_kernel(m, as_ints):
     rows = []
     for r in m.entries:
-        row = {j: x for j, x in enumerate(r) if x}
+        # a row of zeros is handed over holding its zero entries
+        row = {j: x for j, x in enumerate(r) if x} or dict(enumerate(r))
         if as_ints:
             # integer scalings of the same rows, given as plain ints
             lcm = 1

@@ -22,7 +22,6 @@ from fractions import Fraction
 from . import catalog
 from .connections import build_connection, poisson_compat
 from .errors import DocumentError, LiepsError
-from .exact import to_ints
 from .foliation import leaf_cocycle, leaf_decomposition
 from .invariants import invariant_bivectors
 from .liecore import require_reductive, validate, wedge2_space
@@ -174,17 +173,27 @@ def wedge_words(labels) -> tuple:
     return tuple(f"{labels[i]}^{labels[j]}" for i, j in wedge2_space(len(labels)))
 
 
+def _ratio(x, d) -> str:
+    """x / d, d > 0, as its exact string ("0", "-2", "1/3"); a Fraction only when d does not divide x."""
+    q, rem = divmod(x, d)
+    return str(Fraction(x, d)) if rem else str(q)
+
+
+def _coords(rows, n) -> list:
+    """The n coordinates of each vector R / R_P of the integer rows (P, R), as _ratio strings."""
+    return [[_ratio(R[j], R[P]) if j in R else "0" for j in range(n)] for P, R in rows]
+
+
 def format_terms(words, nz, d=1) -> str:
     """The sum of (x / d) words[k] over the nonzeros (k, x), in order; "0" when there are none.
 
-    d > 0.  A coefficient of magnitude 1 prints no number, and only a
-    coefficient that is not an integer goes through a Fraction.
+    d > 0.  A coefficient of magnitude 1 prints no number, and a
+    coefficient prints through _ratio.
     """
     out = []
     for k, x in nz:
         mag = -x if x < 0 else x
-        q, rem = divmod(mag, d)
-        piece = words[k] if mag == d else f"{Fraction(mag, d) if rem else q} {words[k]}"
+        piece = words[k] if mag == d else f"{_ratio(mag, d)} {words[k]}"
         sign = "-" if x < 0 else "+"
         out.append(f"{sign} {piece}" if out else piece if x > 0 else f"-{piece}")
     return " ".join(out) or "0"
@@ -214,16 +223,9 @@ def _model(args, stdin_text):
     return doc, iso, [doc.labels[j] for j in iso.complement_indices]
 
 
-def _exact(x):
-    # payloads keep their Fractions; JSON prints them as exact strings
-    if isinstance(x, Fraction):
-        return str(x)
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
-
-
 def _emit(payload, text_lines, fmt):
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True, default=_exact) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     return "\n".join(text_lines) + "\n"
 
 
@@ -246,8 +248,7 @@ def _cmd_invariants(args, stdin_text):
     inv = invariant_bivectors(iso)
     words = wedge_words(qlabels)
     # basis vector t is R / R_P for row (P, R) of the space, printed off its nonzeros
-    rows = [(sorted(R.items()), R[P]) for P, R in inv.rows]
-    pretty = [format_terms(words, nz, d) for nz, d in rows]
+    pretty = [format_terms(words, sorted(R.items()), R[P]) for P, R in inv.rows]
     payload = {
         "dim": inv.dim,
         "basis": pretty,
@@ -255,11 +256,7 @@ def _cmd_invariants(args, stdin_text):
     }
     if args.format == "json":
         # the dense coordinates are read only by JSON output
-        coords = [["0"] * len(words) for _ in rows]
-        for row, (nz, d) in zip(coords, rows):
-            for k, x in nz:
-                row[k] = Fraction(x, d)
-        payload["basis_coords"] = coords
+        payload["basis_coords"] = _coords(inv.rows, len(words))
     lines = [f"dim {inv.dim}"] + [f"  {p}" for p in pretty]
     return 0, _emit(payload, lines, args.format)
 
@@ -268,7 +265,7 @@ def _cmd_ybe(args, stdin_text):
     _, iso, qlabels = _model(args, stdin_text)
     r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
     nonzero = [
-        {"triple": [qlabels[a] + "*" for a in abc], "value": val}
+        {"triple": [qlabels[a] + "*" for a in abc], "value": str(val)}
         for abc, val in r.tensor.nonzero_entries()
     ]
     payload = {
@@ -317,25 +314,22 @@ def _cmd_leaf(args, stdin_text):
     r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
     data = leaf_cocycle(r)
     dec = leaf_decomposition(r)
-    frame_pretty = [
-        format_terms(doc.labels, *to_ints((k, x) for k, x in enumerate(v) if x)) for v in data.frame
-    ]
+    # frame vector t is R / R_P for row (P, R), and omega_r is blockdiag(0_h, N / d) on it
+    frame_pretty = [format_terms(doc.labels, sorted(R.items()), R[P]) for P, R in data.rows]
+    (N, d), m = r.omega, len(data.rows)
+    omega = [["0"] * m] * (m - len(N)) + [["0"] * (m - len(N)) + [_ratio(x, d) for x in row] for row in N]
     payload = {
-        "a_dim": data.a_basis.dim,
+        "a_dim": m,
         "frame": frame_pretty,
-        "frame_coords": data.frame,
-        "omega": data.frame_omega.entries,
+        "omega": omega,
         "radical_equals_h": True,
         "reductive": dec.reductive,
         "symmetric": dec.symmetric,
     }
-    lines = [f"a_r: dim {data.a_basis.dim}"]
-    for p in frame_pretty:
-        lines.append(f"  {p}")
-    lines.append("omega_r on that frame:")
-    for row in data.frame_omega.entries:
-        lines.append("  [" + ", ".join(str(x) for x in row) + "]")
-    lines.append("radical equals h: true")
+    if args.format == "json":
+        payload["frame_coords"] = _coords(data.rows, doc.dim)
+    lines = [f"a_r: dim {m}"] + [f"  {p}" for p in frame_pretty] + ["omega_r on that frame:"]
+    lines += ["  [" + ", ".join(row) + "]" for row in omega] + ["radical equals h: true"]
     lines.append(f"decomposition: reductive {str(dec.reductive).lower()}, "
                  f"symmetric {str(dec.symmetric).lower()}")
     return 0, _emit(payload, lines, args.format)

@@ -344,7 +344,7 @@ def induced_leaf_connection(b: ConnectionMap, complement_indices=None) -> LeafCo
     # <eta_{w_i}, e_a> = omega_r(w_i, proj(e_a)) = (omega P)[i][a], column a
     # of P holding the Im(r_#)-coordinates of proj(e_a): its entries at the
     # pivots of the RREF basis w
-    omega = r.omega
+    omega = Mat.from_ints(*r.omega)
     etas = (omega @ Mat([proj[p] for p in im.pivots], n)).entries
     R, _, dr, _ = r.int_tables
 
@@ -360,8 +360,8 @@ def induced_leaf_connection(b: ConnectionMap, complement_indices=None) -> LeafCo
     # pivot entries, since b^r = r_# b(eta, eta') lies in Im(r_#)
     B = [Mat([[v[p] for v in row] for p in im.pivots], d) for row in br]
 
-    # [w_i, w_j]_m in Im(r_#)-coordinates; the torsion is skew, so pairs i < j decide it
-    M = r.image_brackets[1]
+    # [w_i, w_j]_m in Im(r_#)-coordinates x / e; the torsion is skew, so pairs i < j decide it
+    M = {ij: c and from_ints(*c) for ij, c in r.image_brackets[1].items()}
     torsionless = all(vsub(B[i].col(j), B[j].col(i)) == c for (i, j), c in M.items())
     # omega_r(b^r(w_i, w_j), w_k) + omega_r(w_j, b^r(w_i, w_k)) is entry
     # (j, k) of B_i^T omega + omega B_i

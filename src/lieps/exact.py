@@ -365,6 +365,22 @@ def inverse(m: Mat) -> Mat:
     return Mat._trusted(tuple(r[n:] for r in red.entries), n)
 
 
+def inverse_ints(rows, d) -> tuple:
+    """(N, e): the inverse N / e of the square integer matrix rows / d, e > 0 least; ValueError if singular.
+
+    Row t of the elimination of [rows | I] is c_t e_t, then c_t times row t of rows^-1.
+    """
+    n = len(rows)
+    aug = [{**{j: x for j, x in enumerate(row) if x}, n + i: 1} for i, row in enumerate(rows)]
+    red, pivots = _rref_int_rows(aug, 2 * n)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    e = lcm(*(R[t] for t, R in enumerate(red)))
+    N = [[d * R.get(n + j, 0) * (e // R[t]) for j in range(n)] for t, R in enumerate(red)]
+    g = gcd(e, *(x for row in N for x in row))
+    return tuple(tuple(x // g for x in row) for row in N), e // g
+
+
 class Subspace:
     """Subspace of Q^n stored by its integer RREF rows.
 

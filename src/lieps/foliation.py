@@ -3,17 +3,18 @@
 The leaf through the base point is the homogeneous symplectic space of
 (a_r, omega_r): a_r = q^{-1}(Im r_#) = h + s(Im r_#) and omega_r(x, y) =
 omega(q x, q y), a 2-cocycle with radical h.  All of it, the leaf flags and
-(W, omega) are read off the frame h + s(Im r_#) through the Im r_#-coordinates
-of its q-brackets, Bivector.image_brackets (None off Im r_#), since q kills
-h, and omega_r on Im r_# is Bivector.omega.  Conversely a pair (a, omega)
-with those properties reconstructs the r-matrix through its own g-brackets;
-both directions are exact and the roundtrip is the identity.
+(W, omega) are read in ints off the rows of h and of Im r_#, the
+Im r_#-coordinates of the q-brackets of the frame h + s(Im r_#),
+Bivector.image_brackets, since q kills h, and Bivector.omega.  Conversely a
+pair (a, omega) reconstructs the r-matrix on Fraction matrices through its
+own g-brackets; both directions are exact and the roundtrip is the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from operator import mul
 
 from .errors import (
     ClosureFailure,
@@ -23,7 +24,7 @@ from .errors import (
     NotInvariant,
     RadicalMismatch,
 )
-from .exact import Mat, Subspace, dot, inverse, kernel, solve, zero_vec
+from .exact import Mat, Subspace, dot, from_ints, inverse, kernel, solve, zero_vec
 from .invariants import bivector_coords_from_matrix, invariance_rows
 from .liecore import IsotropyModel, bracket, require_reductive, structure_constants, wedge2_space
 from .ybe import Bivector, make_bivector, require_r_matrix
@@ -31,18 +32,39 @@ from .ybe import Bivector, make_bivector, require_r_matrix
 
 @dataclass(frozen=True)
 class LeafData:
-    """The pair (a_r, omega_r) extracted from an r-matrix.
+    """(a_r, omega_r) of a checked r-matrix r, in ints on the frame h + s(Im r_#).
 
-    omega is indexed by the RREF basis of a_basis (so reconstruction needs
-    no side channel); frame and frame_omega present the same form on the
-    basis {h RREF basis} + {lifted Im(r_#) RREF basis}, which makes the
-    direct-sum decomposition visible.
+    rows[t] = (P, R) is frame vector t, R / R[P]: the integer rows of h, then those of Im r_#
+    placed at the complement indices (the lifts s w).  It is a basis of a_r, as q s = id, and on
+    it omega_r is blockdiag(0_h, r.omega).  Fraction views for the oracles: frame and
+    frame_omega on the frame, and omega on a_basis, the RREF basis of a_r.
     """
 
-    a_basis: Subspace
-    omega: Mat
-    frame: tuple
-    frame_omega: Mat
+    r: Bivector
+    rows: tuple
+
+    @cached_property
+    def frame(self) -> tuple:
+        n = self.r.iso.L.dim
+        return tuple(from_ints([R.get(j, 0) for j in range(n)], R[P]) for P, R in self.rows)
+
+    @cached_property
+    def frame_omega(self) -> Mat:
+        (N, e), m = self.r.omega, len(self.rows)
+        k = m - len(N)
+        return Mat.from_ints([[0] * m] * k + [[0] * k + list(row) for row in N], e)
+
+    @cached_property
+    def a_basis(self) -> Subspace:
+        return Subspace._of_rows(self.r.iso.L.dim, [R for _, R in self.rows])
+
+    @cached_property
+    def omega(self) -> Mat:
+        """P^T r.omega P, P holding the Im r_#-coordinates of q(a_i), its entries at the pivots of Im r_#."""
+        iso = self.r.iso
+        n = iso.L.dim
+        P = Mat([iso.q_matrix[p] for p in self.r.image.pivots], n) @ Mat.from_cols(self.a_basis.basis, n)
+        return P.T @ Mat.from_ints(*self.r.omega) @ P
 
 
 def _coords_matrix(space: Subspace, vectors, error) -> Mat:
@@ -60,10 +82,10 @@ def _check_cocycle(C: dict, omega: Mat, dim: int, error):
     """Raise error unless omega is a skew 2-cocycle for the constants C.
 
     C maps each pair i < j to the coordinates of [b_i, b_j], from
-    structure_constants, or mod h from _frame_constants when omega vanishes
-    on h.  The cyclic sum omega([b_i,b_j],b_k) + omega([b_j,b_k],b_i) +
-    omega([b_k,b_i],b_j) is totally antisymmetric for skew omega, so triples
-    i < j < k suffice, and omega(z, b_k) = -<coordinates of z, row k of omega>.
+    structure_constants.  The cyclic sum omega([b_i,b_j],b_k) +
+    omega([b_j,b_k],b_i) + omega([b_k,b_i],b_j) is totally antisymmetric for
+    skew omega, so triples i < j < k suffice, and omega(z, b_k) =
+    -<coordinates of z, row k of omega>.
     """
     if omega.rows != dim or not omega.is_skew():
         raise error("omega must be a skew matrix on the a-basis")
@@ -88,21 +110,28 @@ def _not_invariant(r: Bivector):
     return None
 
 
-def _frame_constants(r: Bivector, k: int, error) -> dict:
-    """{(a, b): coordinates mod h of [f_a, f_b]}, a < b, on the frame f = {u_t, t < k} + {s w}.
+def _check_frame(r: Bivector, k: int, closure):
+    """Raise closure unless the frame is closed, NotACocycle unless blockdiag(0_k, r.omega) is a cocycle on it.
 
-    Zero on the u_t, and on the s w the Im r_#-coordinates of q[f_a, f_b]
-    from r.image_brackets; error is raised when q[f_a, f_b] leaves Im r_#.
+    On the frame {u_t, t < k} + {s w_j}, k = 0 or dim h, the brackets mod h C[a, b] are A[t][j] and
+    M[i, j] of r.image_brackets, x / e or None off a_r, and zero on two u_t.  With r.omega = N / d,
+    the cyclic sum of _check_cocycle is read in ints times the e of its terms.
     """
     A, M = r.image_brackets
-    d = r.image.dim
-    out = {}
-    for a, b in wedge2_space(k + d):
-        c = zero_vec(d) if b < k else A[a][b - k] if a < k else M[a - k, b - k]
-        if c is None:
-            raise error
-        out[a, b] = zero_vec(k) + c
-    return out
+    C = {(t, k + j): c for t, row in enumerate(A[:k]) for j, c in enumerate(row)}
+    C.update(((k + i, k + j), c) for (i, j), c in M.items())
+    if None in C.values():
+        raise closure
+    N, _ = r.omega
+    d = len(N)
+    if any(N[i][j] != -N[j][i] for i in range(d) for j in range(i, d)):
+        raise NotACocycle("omega must be a skew matrix on the a-basis")
+    w = lambda x, a: sum(map(mul, x, N[a - k])) if a >= k else 0  # x . row a of the frame omega
+    for (a, b), (x, e) in C.items():
+        for c in range(b + 1, k + d):
+            (y, f), (z, g) = C[b, c], C[a, c]
+            if f * g * w(x, c) + e * g * w(y, a) != e * f * w(z, b):
+                raise NotACocycle(f"cocycle identity fails on basis triple ({a}, {b}, {c})")
 
 
 def leaf_algebra(r: Bivector) -> Subspace:
@@ -111,36 +140,24 @@ def leaf_algebra(r: Bivector) -> Subspace:
 
 
 def leaf_cocycle(r: Bivector) -> LeafData:
-    """(a_r, omega_r) of an invariant r-matrix, checked on the frame h + s(Im r_#).
+    """(a_r, omega_r) of an invariant r-matrix, checked in ints on the frame h + s(Im r_#).
 
     On the frame omega_r is blockdiag(0_h, r.omega), so a_r is closed when
     the q-brackets lie in Im r_#, the cocycle identity needs the brackets
-    only mod h, and Rad omega_r = h + s(ker r.omega).  These hold for
-    invariant r-matrices; failures are bugs and are raised loudly.  On the
-    RREF basis of a_r, omega_r is P^T r.omega P, P holding the
-    Im r_#-coordinates of q(a_i), read at the pivots of Im r_#.
+    only mod h, and Rad omega_r = h + s(ker r.omega) is h when r.omega has
+    full rank.  These hold for invariant r-matrices; failures are bugs.
     """
     require_r_matrix(r)
-    moved = _not_invariant(r)
-    if moved:
+    if moved := _not_invariant(r):
         raise moved
     iso = r.iso
-    im = r.image
-    k, d = iso.h_basis.dim, im.dim
-    frame = iso.h_basis.basis + tuple(iso.s_matrix @ w for w in im.basis)
-    frame_omega = Mat(
-        [zero_vec(k + d)] * k + [zero_vec(k) + row for row in r.omega.entries], k + d
-    )
-    closure = ClosureFailure("a bracket leaves a_r, against the leaf-algebra theorem")
-    C = _frame_constants(r, k, closure)
-    _check_cocycle(C, frame_omega, k + d, NotACocycle)
-    if kernel(r.omega).dim:
+    _check_frame(r, iso.h_basis.dim, ClosureFailure("a bracket leaves a_r, against the leaf-algebra theorem"))
+    N, _ = r.omega
+    if Subspace._of_rows(len(N), [dict(enumerate(row)) for row in N]).dim < len(N):
         raise RadicalMismatch("Rad(omega_r) differs from the isotropy subalgebra")
-
-    n = iso.L.dim
-    a = Subspace.from_vectors(n, frame)
-    P = Mat([iso.q_matrix[p] for p in im.pivots], n) @ Mat.from_cols(a.basis, n)
-    return LeafData(a_basis=a, omega=P.T @ r.omega @ P, frame=frame, frame_omega=frame_omega)
+    comp = iso.complement_indices
+    lifts = tuple((comp[P], {comp[j]: x for j, x in R.items()}) for P, R in r.image.rows)
+    return LeafData(r, iso.h_basis.rows + lifts)
 
 
 def _radical(a: Subspace, omega: Mat) -> Subspace:
@@ -219,21 +236,19 @@ def leaf_decomposition(r: Bivector) -> LeafDecomposition:
     A, M = r.image_brackets
     return LeafDecomposition(
         reductive=all(c is not None for row in A for c in row),
-        symmetric=not any(c is None or any(c) for c in M.values()),
+        symmetric=not any(c is None or any(c[0]) for c in M.values()),
     )
 
 
 def w_omega_pair(r: Bivector):
     """(W, omega_W) on a reductive pair: W = Im(r_#) in m with restricted omega.
 
-    Verifies, off the m-brackets of r.image_brackets, that W is closed under
-    [x, y]_m = q[s x, s y] and that the cyclic cocycle identity holds on all
-    W-basis triples; both are consequences of the correspondence theorem and
-    failures are surfaced.
+    Verifies in ints, off the m-brackets of r.image_brackets, that W is
+    closed under [x, y]_m = q[s x, s y] and that the cyclic cocycle identity
+    holds on all W-basis triples; both are consequences of the
+    correspondence theorem and failures are surfaced.
     """
     require_reductive(r.iso)
     require_r_matrix(r)
-    W = r.image
-    C = _frame_constants(r, 0, ClosureFailure("[W, W]_m leaves W"))
-    _check_cocycle(C, r.omega, W.dim, NotACocycle)
-    return W, r.omega
+    _check_frame(r, 0, ClosureFailure("[W, W]_m leaves W"))
+    return r.image, Mat.from_ints(*r.omega)

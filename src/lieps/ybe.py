@@ -46,7 +46,7 @@ from .exact import (
     dot,
     from_ints,
     int_vectors,
-    inverse,
+    inverse_ints,
     to_ints,
     vec,
     vsub,
@@ -75,8 +75,8 @@ class Bivector:
     once, on first use, and shared by every check of the bivector: the
     integer tables of r_# and its l-operators (int_tables), which the
     tensor, l_operator, mstar_bracket and the connections read; the tensor;
-    Im r_#, omega_r on it and the q-brackets of the leaf frame (image,
-    omega, image_brackets); and the Fraction views coords and r_mat.
+    Im r_#, omega_r on it and the q-brackets of the leaf frame, in ints
+    (image, omega, image_brackets); and the Fraction views coords and r_mat.
     """
 
     iso: IsotropyModel
@@ -121,8 +121,8 @@ class Bivector:
         return Subspace._of_rows(self.iso.quotient_dim, [dict(col) for col in self.int_tables[0]])
 
     @cached_property
-    def omega(self) -> Mat:
-        """omega_r(w_i, w_j) = <xi_j, w_i> for any r_# xi_j = w_j, on the RREF basis w of Im r_#.
+    def omega(self) -> tuple:
+        """(N, e): omega_r(w_i, w_j) = <xi_j, w_i> = N_ij / e, r_# xi_j = w_j, on the RREF basis w of Im r_#.
 
         It is B^-1, B = r_#[P, P] on the pivots P of Im r_#: W = (w_j) has
         W[P] = I, so r_# = W K with K = r_#[P, :], and omega_r(r_# alpha, r_# beta)
@@ -130,12 +130,13 @@ class Bivector:
         B^T Omega B = B^T.  B is invertible: x on P with B x = 0 has r_# x =
         W B x = 0, so x annihilates Im r_#, and <x, w_i> = x_i.  Any xi_j will
         do, since ker r_# annihilates Im r_# (r_# is skew).  Off the basis
-        omega_r is the bilinear combination of this matrix.
+        omega_r is the bilinear combination of this matrix.  B = R[P, P] / d_r
+        is inverted in ints, over the least denominator e.
         """
         R, _, dr, _ = self.int_tables
         P = self.image.pivots
         cols = [dict(R[j]) for j in P]
-        return inverse(Mat.from_ints([[col.get(i, 0) for col in cols] for i in P], dr))
+        return inverse_ints([[col.get(i, 0) for col in cols] for i in P], dr)
 
     @cached_property
     def image_brackets(self) -> tuple:
@@ -145,7 +146,7 @@ class Bivector:
         M[i, j] = q[s w_i, s w_j] = [w_i, w_j]_m for i < j, off its m_table.
         Each is an integer vector over one denominator, tested once against
         the rows of Im r_# (the leaf layer's one membership test) and given
-        by its Im r_#-coordinates, its pivot entries, or None off Im r_#.
+        by its Im r_#-coordinates x / e, its pivot entries, as (x, e), or None off Im r_#.
         """
         iso = self.iso
         im = self.image
@@ -155,7 +156,7 @@ class Bivector:
             v = [sum(x[t] * y for t, y in R.items()) for x in N]
             if im.residual(dict(enumerate(v))):
                 return None
-            return from_ints([v[p] for p in im.pivots], dn * R[P])
+            return tuple(v[p] for p in im.pivots), dn * R[P]
 
         A = tuple(tuple(coords(op, row) for row in im.rows) for op in iso.action[: iso.h_basis.dim])
         ads = [(iso.m_ad_ints(R.items()), iso.m_table[1] * R[P]) for P, R in im.rows]

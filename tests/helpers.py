@@ -4,15 +4,28 @@ sparse code paths and the per-bivector tables."""
 
 import random
 import sys
+from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction as QQ
 from functools import cached_property
 from math import lcm
 
 from lieps import catalog
-from lieps.exact import Mat, Subspace, dot, int_vectors, inverse, kernel, kernel_of_rows, solve, vsub
+from lieps.exact import (
+    Mat,
+    Subspace,
+    dot,
+    from_ints,
+    int_vectors,
+    inverse,
+    kernel,
+    kernel_of_rows,
+    solve,
+    vsub,
+    zero_vec,
+)
 from lieps.invariants import fixed_quotient_covectors, invariant_bivectors
-from lieps.errors import GeneratorMovesH, NotAnAutomorphism
+from lieps.errors import ClosureFailure, GeneratorMovesH, NotACocycle, NotAnAutomorphism, RadicalMismatch
 from lieps.exact import _eliminate, _primitive, _rref_int_rows
 from lieps.liecore import (
     _sparse_bracket,
@@ -27,7 +40,16 @@ from lieps.liecore import (
     minus_scalar,
     wedge2_space,
 )
-from lieps.ybe import YBTensor, canonical_lift, hcirc_bracket, is_r_matrix, make_bivector, sharp
+from lieps.foliation import _check_cocycle, _not_invariant
+from lieps.ybe import (
+    YBTensor,
+    canonical_lift,
+    hcirc_bracket,
+    is_r_matrix,
+    make_bivector,
+    require_r_matrix,
+    sharp,
+)
 
 CATALOG_ENTRIES = (
     ("abelian-3", "abelian", {"n": 3}),
@@ -761,6 +783,75 @@ def omega_solve_oracle(r) -> Mat:
     w, _ = span_oracle([r.r_mat.col(j) for j in range(m)])
     xis = [solve(r.r_mat, y) for y in w]
     return Mat([[dot(xi, x) for xi in xis] for x in w], len(w))
+
+
+# ---------------------------------------------------------------------------
+# the leaf data by the Fraction-matrix route that foliation.leaf_cocycle took
+# before the frame, omega_r and their checks read the integer tables of r
+
+
+@dataclass(frozen=True)
+class ReferenceLeafData:
+    a_basis: Subspace
+    omega: Mat
+    frame: tuple
+    frame_omega: Mat
+
+
+def reference_omega(r) -> Mat:
+    """Bivector.omega as it was: the Fraction inverse of r_#[P, P], P the pivots of Im r_#."""
+    R, _, dr, _ = r.int_tables
+    P = r.image.pivots
+    cols = [dict(R[j]) for j in P]
+    return inverse(Mat.from_ints([[col.get(i, 0) for col in cols] for i in P], dr))
+
+
+def _reference_frame_constants(r, k, error) -> dict:
+    """foliation._frame_constants as it was, on the Fraction view of r.image_brackets."""
+    A, M = r.image_brackets
+    view = lambda c: None if c is None else from_ints(*c)
+    d = r.image.dim
+    out = {}
+    for a, b in wedge2_space(k + d):
+        c = zero_vec(d) if b < k else view(A[a][b - k]) if a < k else view(M[a - k, b - k])
+        if c is None:
+            raise error
+        out[a, b] = zero_vec(k) + c
+    return out
+
+
+def reference_leaf_cocycle(r) -> ReferenceLeafData:
+    """foliation.leaf_cocycle as it was, with the omega_r and frame constants it read.
+
+    The frame is h_basis.basis and the s_matrix lifts of the Fraction basis
+    of Im r_#; the cocycle identity runs on Fraction constants through
+    foliation._check_cocycle, the radical test is a kernel of the Fraction
+    omega_r, a_r is eliminated from the frame again, and omega_r on it is
+    P^T omega_r P by Mat products.  The new LeafData views must equal its
+    fields, and it must raise what leaf_cocycle raises.
+    """
+    require_r_matrix(r)
+    moved = _not_invariant(r)
+    if moved:
+        raise moved
+    iso = r.iso
+    im = r.image
+    omega_r = reference_omega(r)
+    k, d = iso.h_basis.dim, im.dim
+    frame = iso.h_basis.basis + tuple(iso.s_matrix @ w for w in im.basis)
+    frame_omega = Mat(
+        [zero_vec(k + d)] * k + [zero_vec(k) + row for row in omega_r.entries], k + d
+    )
+    closure = ClosureFailure("a bracket leaves a_r, against the leaf-algebra theorem")
+    C = _reference_frame_constants(r, k, closure)
+    _check_cocycle(C, frame_omega, k + d, NotACocycle)
+    if kernel(omega_r).dim:
+        raise RadicalMismatch("Rad(omega_r) differs from the isotropy subalgebra")
+
+    n = iso.L.dim
+    a = Subspace.from_vectors(n, frame)
+    P = Mat([iso.q_matrix[p] for p in im.pivots], n) @ Mat.from_cols(a.basis, n)
+    return ReferenceLeafData(a_basis=a, omega=P.T @ omega_r @ P, frame=frame, frame_omega=frame_omega)
 
 
 def omega_eval(a: Subspace, omega, x, y):

@@ -514,14 +514,15 @@ def test_connection_job_builds_no_fraction_matrix(monkeypatch, name, params, r_t
 def test_jobs_build_no_fraction_sharp_matrix(monkeypatch, name, n, argv):
     # a bivector is its integer wedge coordinates: the tensor, the leaf and
     # the connection read its integer tables, and the Fraction matrix r_mat
-    # and coordinate view coords are built only for the oracles.  A scan
-    # sums the integer rows of the invariant space, reads no Fraction basis
-    # of it and prints its integer coefficients with no Fraction; a
-    # connection prints its integer table, not the Fraction view b
+    # and coordinate view coords are built only for the oracles, as is every
+    # other Mat.  A scan sums the integer rows of the invariant space, reads
+    # no Fraction basis of it and prints its integer coefficients with no
+    # Fraction; a connection prints its integer table, not the Fraction view b
     from lieps.connections import ConnectionMap
-    from lieps.exact import Subspace
+    from lieps.exact import Mat, Subspace
     from lieps.ybe import Bivector
 
+    mats = [count_calls(monkeypatch, Mat, m) for m in ("__init__", "_trusted")]
     r_mats = count_cached(monkeypatch, Bivector, "r_mat")
     coords = count_cached(monkeypatch, Bivector, "coords")
     views = count_cached(monkeypatch, ConnectionMap, "b")
@@ -533,6 +534,7 @@ def test_jobs_build_no_fraction_sharp_matrix(monkeypatch, name, n, argv):
     code, out, err = run_cli(argv, _doc_text(name, n=n))
     assert code == 0, err
     assert r_mats == coords == views == []
+    assert mats == [[], []]
     if argv[0] == "scan":
         assert bases == fractions == []
 
@@ -540,8 +542,8 @@ def test_jobs_build_no_fraction_sharp_matrix(monkeypatch, name, n, argv):
 @pytest.mark.parametrize("name, n, nonzeros", [("abelian", 16, 120), ("heisenberg", 6, 12)])
 def test_text_invariants_builds_no_fraction(monkeypatch, name, n, nonzeros):
     # text output prints the integer rows of the space; only the JSON
-    # basis_coords payload builds a Fraction, one per nonzero coefficient
-    # (the patched name would fail the isinstance test of JSON output, so
+    # basis_coords payload builds a Fraction, one per coefficient that is
+    # not an integer (the patched name would fail the isinstance test of JSON output, so
     # only the text job runs under it)
     fractions = []
 
@@ -690,9 +692,8 @@ def test_tensor_calls_no_bracket(monkeypatch):
 )
 def test_jobs_read_the_isotropy_action_once_in_integers(monkeypatch, name, params, argv):
     # the invariant solve and the leaf read the model's integer action,
-    # built once per job: the invariance rows
-    # are integers, an invariants or scan job makes no Fraction matrix
-    # product, and a leaf job no solve
+    # built once per job: the invariance rows are integers, and no job
+    # makes a Fraction matrix product or a solve
     from lieps.exact import Mat
     from lieps.invariants import invariance_rows
 
@@ -702,26 +703,54 @@ def test_jobs_read_the_isotropy_action_once_in_integers(monkeypatch, name, param
     code, out, err = run_cli(argv, _doc_text(name, **params))
     assert code == 0, err
     (iso,) = actions
-    assert solves == []
-    if argv[0] != "leaf":
-        assert products == []
+    assert solves == products == []
     rows = [row for block in invariance_rows(iso) for row in block]
     assert rows and all(type(x) is int for row in rows for x in row.values())
 
 
 def test_leaf_inverts_one_block_of_r_sharp(monkeypatch):
     # omega_r is the inverse of r_# on the pivots of Im r_#, once per
-    # bivector, with no solve; a_r and the frame read it
+    # bivector, in ints and with no solve; the checks and the output read it
     text = _doc_text("double", of="heisenberg", n=2)
     solves = count_calls(monkeypatch, exact, "solve")
     inverses = count_calls(monkeypatch, exact, "inverse")
+    int_inverses = count_calls(monkeypatch, exact, "inverse_ints")
     code, out, err = run_cli(["leaf", "-", "--r", "m_u1^m_w", "--format", "json"], text)
     assert code == 0, err
     payload = json.loads(out)
     assert payload["a_dim"] == 7  # h of dim 5 plus Im r_# of dim 2
-    assert (len(solves), len(inverses)) == (0, 1)
-    ((block,),) = inverses
-    assert (block.rows, block.cols) == (2, 2)
+    assert (len(solves), len(inverses), len(int_inverses)) == (0, 0, 1)
+    ((block, d),) = int_inverses
+    assert (len(block), len(block[0]), d) == (2, 2, 1)
+    assert all(type(x) is int for row in block for x in row)
+
+
+@pytest.mark.parametrize(
+    "name, params, r",
+    [
+        ("heisenberg", {"n": 3}, "u1^w + v1^w"),
+        ("double", {"of": "heisenberg", "n": 2}, "m_u1^m_w + m_v1^m_w"),
+        ("so4_grassmann", {}, "(e1 - e4)^(e2 + e3)"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_leaf_job_builds_no_fraction_matrix(monkeypatch, name, params, r, fmt):
+    # the frame, omega_r and their checks read the integer tables of r: a
+    # leaf job builds no Mat, inverts no Fraction matrix, builds neither
+    # Fraction view q_matrix nor s_matrix of the model, and none of the
+    # Fraction views of its LeafData
+    from lieps.exact import Mat
+    from lieps.foliation import LeafData
+
+    mats = [count_calls(monkeypatch, Mat, m) for m in ("__init__", "_trusted", "__matmul__")]
+    inverses = count_calls(monkeypatch, exact, "inverse")
+    sections = [count_cached(monkeypatch, IsotropyModel, v) for v in ("q_matrix", "s_matrix")]
+    views = [count_cached(monkeypatch, LeafData, v) for v in ("a_basis", "omega", "frame", "frame_omega")]
+    code, out, err = run_cli(["leaf", "-", f"--r={r}", "--format", fmt], _doc_text(name, **params))
+    assert (code, err) == (0, "")
+    assert mats == [[]] * 3 and inverses == []
+    assert sections == [[]] * 2
+    assert views == [[]] * 4
 
 
 def test_connection_fedosov_heisenberg():
@@ -1257,6 +1286,58 @@ def test_non_integer_coefficients_print_as_pinned(name, fmt):
     code, out, err = run_cli(argv + ["--format", fmt], doc())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_NON_INTEGER_SHA256[name, fmt]
+
+
+# byte-identical leaf output where the integer frame and omega_r are
+# degenerate, pinned to the digests of the Fraction-matrix route: an empty
+# image with h = g, an empty frame, a zero block beside h, a full-rank
+# omega_r with no h, and an omega_r and a frame with denominators.  RD37 is
+# rd37-so3, drawn like the random-dense documents of perfbench/workloads.py
+# with random.Random(3)
+
+RD37 = json.dumps({
+    "name": "rd37-so3",
+    "dim": 3,
+    "brackets": [
+        {"i": 0, "j": 1, "coeffs": {"0": "-4/7", "1": "-2/7", "2": "-18/7"}},
+        {"i": 0, "j": 2, "coeffs": {"0": "-5/7", "1": "22/7", "2": "2/7"}},
+        {"i": 1, "j": 2, "coeffs": {"0": "-29/14", "1": "5/7", "2": "-4/7"}},
+    ],
+    "subalgebra": [["-3/14", "1/7", "2/7"]],
+})
+
+DEGENERATE_LEAF_CASES = {
+    "h = g, dim 2": (
+        '{"dim":2,"labels":["x","y"],"brackets":[{"i":0,"j":1,"coeffs":{"1":"1"}}],'
+        '"subalgebra":[[1,0],[0,1]]}',
+        "0",
+    ),
+    "abelian dim 1": (_doc_text("abelian", n=1), "0"),
+    "heisenberg, h = span{w}": ('{%s,"subalgebra":[[0,0,1]]}' % HEIS3, "0"),
+    "abelian dim 2": (_doc_text("abelian", n=2), "e1^e2"),
+    "rd37-so3": (RD37, "-3*e1^e2"),
+}
+
+PINNED_DEGENERATE_LEAF_SHA256 = {
+    ("h = g, dim 2", "text"): "0fd4d695c133c3d287a931c6f84871a2da524a9e7bc12394b31701cc42476862",
+    ("h = g, dim 2", "json"): "c73568e58b59c1b52013b16832a4b1f64abafa3540e24f109ecba0261c91122c",
+    ("abelian dim 1", "text"): "b265826fa402cb8ae219dba9b8645d5526438552a50cb6b40f985814c312eb97",
+    ("abelian dim 1", "json"): "a597349163d67ecf9a17e704e060ca2b0373661f3968876563be02077ccd9f3c",
+    ("heisenberg, h = span{w}", "text"): "e30d1d7a6f4de35e8a8b22653a541e43349fa7f450573ccfce7bc5438f7bdbcc",
+    ("heisenberg, h = span{w}", "json"): "1a7420f5aa76c2eb46277d6e4a869cea614e91b6b1baf89612c14a730aab8bdc",
+    ("abelian dim 2", "text"): "ce1810ef6b11c3e9f5ee3e6103d1d083c82e7cf8dc5dd87aba386bad113a470d",
+    ("abelian dim 2", "json"): "ddaa58ed50682883fc225d4a115f218ba78f763257c56f56fb40fcec27fcdf97",
+    ("rd37-so3", "text"): "b846a45849d862cac729d1e9bf705376b5aa9344593f22a4ecbac86bda27674a",
+    ("rd37-so3", "json"): "86cc64c54f40e23725cd13588c9508bfcc9b8d941a9ccb5e358dd97d799caa41",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(PINNED_DEGENERATE_LEAF_SHA256))
+def test_degenerate_leaf_output_is_pinned(name, fmt):
+    doc, r = DEGENERATE_LEAF_CASES[name]
+    code, out, err = run_cli(["leaf", "-", f"--r={r}", "--format", fmt], doc)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEGENERATE_LEAF_SHA256[name, fmt]
 
 
 # ---------------------------------------------------------------------------

@@ -422,7 +422,7 @@ def test_leaf_connection_reads_r_sharp_off_the_integer_tables():
     assert "r_mat" not in r.__dict__
     n, im = b.dim, r.image
     _, proj = complement_projection(im)
-    etas = (r.omega @ Mat([proj[p] for p in im.pivots], n)).entries
+    etas = (Mat.from_ints(*r.omega) @ Mat([proj[p] for p in im.pivots], n)).entries
     assert lc.br == tuple(
         tuple(tuple(r.r_mat @ b.apply(ei, ej)) for ej in etas) for ei in etas
     )

@@ -12,10 +12,13 @@ from helpers import (
     dense_leaf_symmetric,
     instance,
     omega_eval,
+    random_generator_instance,
     random_instances,
+    reference_leaf_cocycle,
 )
 from lieps.errors import (
     ClosureFailure,
+    LiepsError,
     NotACocycle,
     NotAnRMatrix,
     NotClosed,
@@ -99,17 +102,78 @@ def test_leaf_flags_match_the_g_bracket_oracles():
 
 
 def test_leaf_checks_surface_a_broken_bracket_table_or_omega():
-    # both hold by theorem for invariant r-matrices, so the tables are forced
+    # all hold by theorem for invariant r-matrices, so the integer tables of
+    # r are forced: omega_r = N / d, and the frame brackets x / e or None
     L, iso = instance("heisenberg", {"n": 1})
     r = make_bivector(iso, V(0, 1, 0))  # u1 wedge w, Im r_# = span{u1, w}
-    r.__dict__["omega"] = Mat.zero(2, 2)
-    with pytest.raises(RadicalMismatch):
+    assert r.omega == (((0, 1), (-1, 0)), 1)
+    r.__dict__["omega"] = (((0, 0), (0, 0)), 1)
+    with pytest.raises(RadicalMismatch, match="^Rad"):
         leaf_cocycle(r)
     r = make_bivector(iso, V(0, 1, 0))
     A, M = r.image_brackets
     r.__dict__["image_brackets"] = (A, {(0, 1): None})
     with pytest.raises(ClosureFailure):
         leaf_cocycle(r)
+    # so4_grassmann: h of dim 2 acts on Im r_# with trace 0, which the
+    # cocycle identity on (u_0, s w_0, s w_1) reads; a traced ad-bar breaks it
+    L, iso = instance("so4_grassmann")
+    r = make_bivector(iso, V(1, 1, 0, 0, 1, 1))
+    A, M = r.image_brackets
+    assert A[0] == (((0, -1), 1), ((1, 0), 1))
+    r.__dict__["image_brackets"] = ((((1, -1), 1), A[0][1]), A[1]), M
+    with pytest.raises(NotACocycle, match=r"^cocycle identity fails on basis triple \(0, 2, 3\)$"):
+        leaf_cocycle(r)
+    r = make_bivector(iso, V(1, 1, 0, 0, 1, 1))
+    r.__dict__["omega"] = (((0, 1), (1, 0)), 1)
+    with pytest.raises(NotACocycle, match="^omega must be a skew matrix"):
+        leaf_cocycle(r)
+
+
+@cache
+def _leaf_bivectors():
+    """Catalog r-matrices, the r-matrices among random_instances draws, and bivectors the leaf refuses."""
+    rs = [r for *_, r in catalog_r_matrices()]
+    rs += [r for _, _, iso, c in random_instances(29, 40) if is_r_matrix(r := make_bivector(iso, c))]
+    _, iso11 = instance("iso11")
+    _, heis2 = instance("heisenberg", {"n": 2})
+    rs.append(make_bivector(iso11, V(0, 1, -1)))  # not an r-matrix
+    rs.append(make_bivector(heis2, parse_bivector_expr("u1^u2", heis2.L.labels)))  # not invariant
+    rs += [make_bivector(iso, c) for _, _, iso, c in map(random_generator_instance, range(8))]
+    return rs
+
+
+def _leaf_outcome(leaf, r):
+    """The four views of leaf(r), or the type and message of what it raised."""
+    try:
+        data = leaf(r)
+    except LiepsError as e:
+        return type(e), str(e)
+    return data.a_basis, data.omega, data.frame, data.frame_omega
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_leaf_data_matches_the_fraction_route(data):
+    # a nonzero rational multiple of an r-matrix is one, and invariant when
+    # it is; each route reads its own copy of the bivector
+    r = data.draw(st.sampled_from(_leaf_bivectors()))
+    c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+    coords = [c * x for x in r.coords]
+    new = _leaf_outcome(leaf_cocycle, make_bivector(r.iso, coords))
+    assert new == _leaf_outcome(reference_leaf_cocycle, make_bivector(r.iso, coords))
+
+
+def test_leaf_refusals_match_the_fraction_route():
+    # every refusal in the pool, the two pinned ones among them, is the
+    # same error with the same message on both routes
+    kinds = set()
+    for r in _leaf_bivectors():
+        outcome = _leaf_outcome(leaf_cocycle, r)
+        if not isinstance(outcome[0], Subspace):
+            assert outcome == _leaf_outcome(reference_leaf_cocycle, r)
+            kinds.add(outcome[0])
+    assert kinds == {NotAnRMatrix, NotInvariant}
 
 
 def test_leaf_dimension_formula():

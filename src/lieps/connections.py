@@ -23,9 +23,11 @@ the bracket table C[a][c] = [eps_a, eps_c]_r, row a of L[c] minus row c
 of L[a], formed from them where it is read.  The four builders are one
 integer rule over them.  A ConnectionMap is stored as ints N over one
 denominator d: the builders write N directly, and a map given by rational
-entries is scaled once by ConnectionMap.from_entries.  M_eta, torsion,
-curvature and Poisson compatibility are integer contractions of N, C and
-r_#, and a Fraction is built only for a value that is returned or printed.
+entries is scaled once by ConnectionMap.from_entries.  N is a bilinear
+table like the structure constants: liecore._sparse_bracket and ad_rows
+read b(eta, xi) and M_eta off it.  Torsion, curvature and Poisson
+compatibility are integer contractions of N, C and r_# (Bivector.r_sharp),
+and a Fraction is built only for a value that is returned or printed.
 """
 
 from __future__ import annotations
@@ -36,7 +38,15 @@ from functools import cached_property
 
 from .errors import NotAnFConnection
 from .exact import Mat, from_ints, int_vectors, inverse, kernel, mat_lincomb, solve, vsub
-from .liecore import bracket, complement_projection, require_reductive, wedge2_space
+from .liecore import (
+    _sparse_bracket,
+    ad_rows,
+    bracket,
+    column_product,
+    complement_projection,
+    require_reductive,
+    wedge2_space,
+)
 from .ybe import Bivector, _covector, l_operator, mstar_bracket, require_r_matrix
 
 
@@ -84,10 +94,8 @@ class ConnectionMap:
         """b(alpha, beta) = sum_a,c x_a y_c N[a][c] / (d e^2) for alpha, beta = x / e, y / e."""
         n = self.dim
         (x, y), e = int_vectors((_covector(alpha, n), _covector(beta, n)))
-        out = [0] * n
-        for a, xa in x:
-            _add(out, 0, self.N[a], y, xa)
-        return from_ints(out, self.d * e * e)
+        out = _sparse_bracket(self.N, x, y)
+        return from_ints([out.get(k, 0) for k in range(n)], self.d * e * e)
 
     def matrix_for(self, eta) -> Mat:
         """M_eta with M_eta gamma = b(eta, gamma).
@@ -96,10 +104,7 @@ class ConnectionMap:
         """
         n = self.dim
         (x,), e = int_vectors([_covector(eta, n)])
-        v = [0] * (n * n)
-        for c in range(n):
-            _add(v, c * n, [plane[c] for plane in self.N], x, 1)
-        return Mat.from_ints([v[k::n] for k in range(n)], self.d * e)
+        return Mat.from_ints(ad_rows(self.N, x, n), self.d * e)
 
     def is_zero(self) -> bool:
         return not any(v for plane in self.N for v in plane)
@@ -208,7 +213,7 @@ def poisson_compat_failures(b: ConnectionMap) -> tuple:
     Triples are listed in (a, c, d) order with their nonzero values.
     """
     n = b.dim
-    R, _, dr, _ = b.r.int_tables
+    R, dr = b.r.r_sharp
     bad = []
     for a, plane in enumerate(b.N):
         P = [[0] * n for _ in plane]
@@ -240,7 +245,7 @@ def ad_invariance_check(b: ConnectionMap) -> bool:
     n = b.dim
     mats = [b.matrix_for(e) for e in Mat.identity(n).entries]
     for t, op in enumerate(iso.action):
-        A = Mat.from_ints(*op)
+        A = op.mat
         if t < iso.h_basis.dim:
             N = A.T
             if any(b.matrix_for(N.col(a)) + mats[a] @ N != N @ mats[a] for a in range(n)):
@@ -346,14 +351,12 @@ def induced_leaf_connection(b: ConnectionMap, complement_indices=None) -> LeafCo
     # pivots of the RREF basis w
     omega = Mat.from_ints(*r.omega)
     etas = (omega @ Mat([proj[p] for p in im.pivots], n)).entries
-    R, _, dr, _ = r.int_tables
 
     def sharp(v):
-        # r_# v = R x / (d_r e) for v = x / e, off the integer columns of r_#
+        # r_# v = R x / (d_r e) for v = x / e, off the integer columns R / d_r of r_#
         (x,), e = int_vectors([v])
-        out = [0] * n
-        _add(out, 0, R, x, 1)
-        return from_ints(out, dr * e)
+        out = column_product(r.r_sharp.cols, x)
+        return from_ints([out.get(i, 0) for i in range(n)], r.d * e)
 
     br = tuple(tuple(sharp(b.apply(etas[i], etas[j])) for j in range(d)) for i in range(d))
     # B[i] holds the Im(r_#)-coordinates of b^r(w_i, w_j) in column j: its

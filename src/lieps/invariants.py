@@ -5,8 +5,9 @@ the lexicographic pairs (i, j), i < j.  Invariance under the connected part
 of the isotropy group is the kernel condition of the derivation action of
 each ad-bar_u; invariance under explicit discrete generators is the fixed
 condition of the wedge-square action of each induced matrix, both in ints off
-iso.action.  A generator's rows are read off where it differs from the
-identity, so they cost what it moves.
+the Generators of iso.action, transposed once into sparse rows; their columns
+are the rows of the transposes the fixed covectors read.  A generator's rows
+are read off where it differs from the identity, so they cost what it moves.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ def invariance_rows(iso: IsotropyModel) -> tuple:
     and the identity gives an empty block.
     """
     k = iso.h_basis.dim
-    return tuple(wedge2_derivation_rows(N) for N, _ in iso.action[:k]) + tuple(
-        wedge2_moved_rows(N, d) for N, d in iso.action[k:]
+    return tuple(wedge2_derivation_rows(op.rows()) for op in iso.action[:k]) + tuple(
+        wedge2_moved_rows(op.rows(), op.d) for op in iso.action[k:]
     )
 
 
@@ -73,11 +74,11 @@ def fixed_quotient_covectors(iso: IsotropyModel) -> Subspace:
 
     In quotient coordinates a covector is fixed iff it kills every ad-bar_u
     image and is fixed by the transpose of each induced generator matrix: in
-    ints, the rows of N^T per ad-bar N / d of iso.action and N^T - d I per generator.
+    ints, the rows of N^T, the columns of N, per ad-bar N / d of iso.action and
+    N^T - d I per generator.
     """
     k = iso.h_basis.dim
     rows = []
-    for t, (N, d) in enumerate(iso.action):
-        NT = [{i: x for i, x in enumerate(col) if x} for col in zip(*N)]
-        rows += NT if t < k else minus_scalar(NT, d)
+    for t, (cols, d) in enumerate(iso.action):
+        rows += map(dict, cols) if t < k else minus_scalar(cols, d)
     return kernel_of_rows(rows, iso.quotient_dim)

@@ -17,17 +17,18 @@ standard basis vectors, both read off one integer elimination of the rows
 of h (`complement_projection`), which the model keeps and builds q and s
 from on first use.  (g/h)* is identified with the annihilator h° of
 h inside g* through q^T; h° is not stored, since eta lies in it exactly when
-<eta, u> = 0 for every h-basis vector u.  Off the integer columns of q the
-model reads, once and in integers, `action`, the isotropy action on g/h
-(each ad-bar q ad_u s from the brackets of u with the complement vectors
-alone, each q A s from the integer columns of a generator A), and `m_table`,
-the m-bracket [e_j, e_t]_m of every pair of quotient basis vectors.  A
-discrete generator is one integer form, `Generator` (its columns over one
-least denominator), which the automorphism check and `action` share; its
-Fraction matrix is a view for reconstruct_r and the oracles.  The automorphism
-check reads a generator A = N / d through its moved columns S, those with
-N e_m != d e_m: the S x S block for singularity, and only the pairs that
-meet S, directly or through `LieAlgebra.pairs_into`, for the brackets.
+<eta, u> = 0 for every h-basis vector u.
+
+Each exact table has one sparse integer form.  A linear map is a `Generator`
+N / d, the nonzeros of each column of N, applied by column_product: a
+discrete generator, q, and each operator of the model's `action` on g/h
+(ad-bar q ad_u s from the brackets of u with the complement vectors, q A s).
+A bilinear table lists the nonzeros of table(e_i, e_j) at nz[i][j]: the
+structure constants and `m_table`, the m-bracket on the quotient basis, read
+by _sparse_bracket and ad_rows.  The automorphism check reads A = N / d
+through its moved columns S, those with N e_m != d e_m: the S x S block for
+singularity, and only the pairs meeting S, directly or through
+`LieAlgebra.pairs_into`, for the brackets.
 """
 
 from __future__ import annotations
@@ -124,7 +125,11 @@ def _least_den(pairs) -> int:
 
 
 class Generator(NamedTuple):
-    """A discrete generator A = N / d, d least: cols[j] lists the nonzeros (i, N_ij) of column j of N."""
+    """A linear map A = N / d: cols[j] lists the nonzeros (i, N_ij) of column j of N, d least.
+
+    The form of a discrete generator, q, r_# and, with d not reduced, each
+    operator of IsotropyModel.action; column_product applies it.
+    """
 
     cols: tuple
     d: int
@@ -148,20 +153,34 @@ class Generator(NamedTuple):
             (i, j, x.numerator, x.denominator) for i, row in enumerate(A.entries) for j, x in enumerate(row) if x
         ])
 
+    def rows(self, m=None) -> list:
+        """The m rows {j: N_ij} of N, m = len(cols) unless given, transposed once from its columns."""
+        out = [{} for _ in range(len(self.cols) if m is None else m)]
+        for j, col in enumerate(self.cols):
+            for i, x in col:
+                out[i][j] = x
+        return out
+
     @property
     def mat(self) -> Mat:
         """A as a Fraction matrix: a view for reconstruct_r and the oracles."""
-        rows = [[0] * len(self.cols) for _ in self.cols]
-        for j, col in enumerate(self.cols):
-            for i, x in col:
-                rows[i][j] = x
-        return Mat.from_ints(rows, self.d)
+        n = len(self.cols)
+        return Mat.from_ints([[row.get(j, 0) for j in range(n)] for row in self.rows()], self.d)
+
+
+def column_product(cols, xs) -> dict:
+    """N x as {i: value}, zeros kept, from the nonzeros (j, x_j) of x and (i, N_ij) of the columns of N."""
+    out = {}
+    for j, x in xs:
+        for i, y in cols[j]:
+            out[i] = out.get(i, 0) + x * y
+    return out
 
 
 def _sparse_bracket(nz, xs, ys) -> dict:
-    """den [x, y] as {k: value} from the nonzero (index, coefficient) pairs of x and y.
+    """table(x, y) as {k: value} from the nonzero (index, coefficient) pairs of x and y.
 
-    On integer coordinates the values are integers.
+    nz[i][j] lists the nonzeros (k, n_ijk) of table(e_i, e_j): LieAlgebra.nz, m_table or a connection's N.
     """
     out = {}
     for i, xi in xs:
@@ -187,16 +206,20 @@ def bracket(L: LieAlgebra, x, y) -> tuple:
     return from_ints([out.get(k, 0) for k in range(L.dim)], L.den * dx * dy)
 
 
+def ad_rows(nz, xs, n) -> list:
+    """The n rows of table(x, .), column j = sum_i x_i nz[i][j], for a table nz as in _sparse_bracket."""
+    rows = [[0] * n for _ in range(n)]
+    for i, xi in xs:
+        for j, terms in enumerate(nz[i]):
+            for k, c in terms:
+                rows[k][j] += xi * c
+    return rows
+
+
 def ad_matrix(L: LieAlgebra, x) -> Mat:
     """Matrix of ad_x = [x, -] in the defining basis (columns are images)."""
     xs, dx = to_ints(_nonzeros(x))
-    n = L.dim
-    rows = [[0] * n for _ in range(n)]
-    for i, xi in xs:
-        for j, terms in enumerate(L.nz[i]):
-            for k, c in terms:
-                rows[k][j] += xi * c
-    return Mat.from_ints(rows, L.den * dx)
+    return Mat.from_ints(ad_rows(L.nz, xs, L.dim), L.den * dx)
 
 
 def structure_constants(space: Subspace, br, error) -> dict:
@@ -307,8 +330,8 @@ class IsotropyModel:
         return len(self.complement_indices)
 
     @cached_property
-    def _q_columns(self) -> tuple:
-        """(cols, d) with q = Q / d, Q integer; cols[k] lists the nonzeros (t, Q_tk).
+    def _q_columns(self) -> Generator:
+        """q = Q / d as a Generator: cols[k] lists the nonzeros (t, Q_tk).
 
         q e_j = eps_t for the t-th complement vector e_j, and
         q e_P = -sum_t (R_{j_t} / R_P) eps_t for each row (P, R) of h_rows.
@@ -321,16 +344,13 @@ class IsotropyModel:
         for P, R in self.h_rows:
             f = d // R[P]
             cols[P] = [(pos[i], -x * f) for i, x in R.items() if i != P]
-        return cols, d
+        return Generator(cols, d)
 
     @cached_property
     def q_matrix(self) -> Mat:
-        cols, d = self._q_columns
-        rows = [[0] * self.L.dim for _ in self.complement_indices]
-        for k, col in enumerate(cols):
-            for t, x in col:
-                rows[t][k] = x
-        return Mat._trusted(tuple(from_ints(row, d) for row in rows), self.L.dim)
+        q, n = self._q_columns, self.L.dim
+        rows = q.rows(self.quotient_dim)
+        return Mat._trusted(tuple(from_ints([row.get(k, 0) for k in range(n)], q.d) for row in rows), n)
 
     @cached_property
     def s_matrix(self) -> Mat:
@@ -341,66 +361,44 @@ class IsotropyModel:
     def m_table(self) -> tuple:
         """(mu, D): [e_j, e_t]_m = sum_i mu[j][t][i] / D e_i on the quotient basis, D = dq den.
 
-        mu[j][t] lists the nonzeros (i, mu_jti) of column t of the integer
-        q ad(e_j) s, e_j the j-th complement vector; m_ad_ints contracts it
-        with quotient vectors.
+        A bilinear table like LieAlgebra.nz: mu[j][t] lists the nonzeros
+        (i, mu_jti) of column t of the integer q ad(e_j) s, e_j the j-th
+        complement vector, which is what _quotient_ints returns.
         """
-        m = self.quotient_dim
         comp = self.complement_indices
-        ads = (self._quotient_ints(dict(self.L.nz[j][t]) for t in comp) for j in comp)
-        mu = tuple(
-            tuple(tuple((i, row[t]) for i, row in enumerate(rows) if row[t]) for t in range(m))
-            for rows in ads
-        )
-        return mu, self._q_columns[1] * self.L.den
+        mu = tuple(self._quotient_ints(self.L.nz[j][t] for t in comp) for j in comp)
+        return mu, self._q_columns.d * self.L.den
 
     def m_ad_ints(self, xs) -> list:
-        """Integer rows N of [x, .]_m = N / (dx D), x = sum_j (x_j / dx) e_j.
+        """Integer rows N of [x, .]_m = N / (dx D), x = sum_j (x_j / dx) e_j, xs its nonzeros (j, x_j).
 
-        xs lists the nonzeros (j, x_j), and N = sum_j x_j mu[j] contracts x
-        with m_table; for x = r_# eps_a it is the l-operator L[a] of r.
+        For x = r_# eps_a it is the l-operator L[a] of r.
         """
-        mu = self.m_table[0]
-        m = self.quotient_dim
-        rows = [[0] * m for _ in range(m)]
-        for j, x in xs:
-            for t, terms in enumerate(mu[j]):
-                for i, v in terms:
-                    rows[i][t] += x * v
-        return rows
+        return ad_rows(self.m_table[0], xs, self.quotient_dim)
 
     def _complement_brackets(self, xs) -> list:
-        """cols[t] = den [x, e_j] as {k: int}, e_j the t-th complement vector, x = sum x_i e_i."""
+        """cols[t] lists the (k, int) of den [x, e_j], e_j the t-th complement vector, x = sum x_i e_i."""
         nz = self.L.nz
-        return [_sparse_bracket(nz, xs, ((j, 1),)) for j in self.complement_indices]
+        return [_sparse_bracket(nz, xs, ((j, 1),)).items() for j in self.complement_indices]
 
-    def _quotient_ints(self, images) -> list:
-        """Integer rows of dq q M s from the images {k: int} of the complement vectors under M."""
-        qcols = self._q_columns[0]
-        m = self.quotient_dim
-        rows = [[0] * m for _ in range(m)]
-        for t, col in enumerate(images):
-            for k, v in col.items():
-                if v:
-                    for i, qik in qcols[k]:
-                        rows[i][t] += v * qik
-        return rows
+    def _quotient_ints(self, images) -> tuple:
+        """The columns of nonzeros of dq q M s, from the pairs (k, v) of the images of s under M."""
+        qcols = self._q_columns.cols
+        return tuple(tuple((i, x) for i, x in column_product(qcols, v).items() if x) for v in images)
 
     @cached_property
     def action(self) -> tuple:
-        """(N, d) per generator of the isotropy action on g/h: the operator N / d, N integer rows.
+        """The isotropy action on g/h, one Generator N / d per generator of it.
 
         First ad-bar_u = q ad_u s, N = dq den q ad_R s and d = dq den R_P, for
         each h-basis vector u = R / R_P, (P, R) a row of h; ad_u maps h to h,
         so ad-bar_u does not depend on the section.  Then q A s, N = dq q N_A s
-        and d = dq dA, for each discrete generator A = N_A / dA.
+        and d = dq dA, for each discrete generator A = N_A / dA.  These d are
+        not reduced against N.
         """
-        den = self.L.den
-        ops = [(self._complement_brackets(R.items()), den * R[P]) for P, R in self.h_basis.rows]
-        for cols, dA in self.generators:
-            ops.append(([dict(cols[j]) for j in self.complement_indices], dA))
-        dq = self._q_columns[1]
-        return tuple((self._quotient_ints(images), dq * d) for images, d in ops)
+        ops = [(self._complement_brackets(R.items()), self.L.den * R[P]) for P, R in self.h_basis.rows]
+        ops += [([cols[j] for j in self.complement_indices], dA) for cols, dA in self.generators]
+        return tuple(Generator(self._quotient_ints(images), self._q_columns.d * d) for images, d in ops)
 
     @cached_property
     def reductive(self) -> bool:
@@ -415,7 +413,7 @@ class IsotropyModel:
             k in comp or not v
             for _, R in self.h_basis.rows
             for col in self._complement_brackets(R.items())
-            for k, v in col.items()
+            for k, v in col
         )
 
     @cached_property
@@ -425,7 +423,7 @@ class IsotropyModel:
         h = ker q, so this is every m-bracket q[e_j, e_t] of two complement
         vectors vanishing; then [[r,r]] = 0 for every r (yang_baxter_tensor).
         """
-        return not any(any(col) for cols in self.m_table[0] for col in cols)
+        return not any(any(cols) for cols in self.m_table[0])
 
 
 def require_reductive(iso: IsotropyModel) -> None:
@@ -463,21 +461,15 @@ def _check_automorphism(L: LieAlgebra, A: Generator, h: Subspace):
     for i, j in sorted(pairs):
         # den [N e_i, N e_j] - dA N (den [e_i, e_j]), from nonzeros only
         diff = _sparse_bracket(nz, cols[i], cols[j])
-        for m, c in nz[i][j]:
-            c *= dA
-            for k, a in cols[m]:
-                diff[k] = diff.get(k, 0) - c * a
+        for k, a in column_product(cols, nz[i][j]).items():
+            diff[k] = diff.get(k, 0) - dA * a
         if any(diff.values()):
             raise NotAnAutomorphism(
                 f"A[e{i + 1}, e{j + 1}] != [Ae{i + 1}, Ae{j + 1}]"
             )
     # A h lies in h exactly when the image N R of each integer row R of h does
     for _, R in h.rows:
-        image = {}
-        for j, y in R.items():
-            for i, a in cols[j]:
-                image[i] = image.get(i, 0) + y * a
-        if h.residual(image):
+        if h.residual(column_product(cols, R.items())):
             raise GeneratorMovesH("generator does not preserve the isotropy subalgebra")
 
 
@@ -574,7 +566,7 @@ def induced_ad_bar(iso: IsotropyModel, u) -> Mat:
     basis of h.
     """
     try:
-        bars = [Mat.from_ints(*op) for op in iso.action[: iso.h_basis.dim]]
+        bars = [op.mat for op in iso.action[: iso.h_basis.dim]]
         return mat_lincomb(iso.h_basis.coords_of(u), bars, iso.quotient_dim)
     except NoSolution:
         raise NotInH("ad-bar is only defined for elements of the isotropy subalgebra") from None
@@ -616,14 +608,6 @@ def _wedge_index(n) -> dict:
     return {pair: t for t, pair in enumerate(wedge2_space(n))}
 
 
-def _sparse_square(A) -> list:
-    """The rows {j: x} of the nonzeros of a square A, a Mat or a list of rows."""
-    rows, n = (A.entries, A.cols) if isinstance(A, Mat) else (A, len(A))
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError("wedge-square needs a square operator")
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
-
-
 def _wedge_rows(n, terms, pairs) -> tuple:
     """Wedge-square rows on Q^n, one per wedge pair (i, j) of pairs, as {pair index: value} dicts.
 
@@ -661,26 +645,25 @@ def minus_scalar(rows, c) -> list:
 
 
 def wedge2_moved_rows(N, d) -> tuple:
-    """Nonzero rows of N^N - d^2 I, for a square integer N, as {pair index: value} dicts.
+    """Nonzero rows of N^N - d^2 I, N square with integer rows {j: N_ij}, as {pair index: value} dicts.
 
     With E = N - dI and e_i, E_i the rows of I and E, row (i, j) of N^N is
     (d e_i + E_i) ^ (d e_j + E_j), so its row of N^N - d^2 I is
     d (e_i ^ E_j + E_i ^ e_j) + E_i ^ E_j.  Only the pairs that meet a
     nonzero row of E are built, in order, and N = dI builds none.
     """
-    E = minus_scalar(_sparse_square(N), d)
+    E = minus_scalar(N, d)
     n = len(E)
     pairs = sorted(_pairs_meeting([i for i, row in enumerate(E) if row], n))
     rows = _wedge_rows(n, lambda i, j: (({i: d}, E[j]), (E[i], {j: d}), (E[i], E[j])), pairs)
     return tuple(row for row in rows if row)
 
 
-def wedge2_derivation_rows(B) -> tuple:
-    """Rows of the derivation extension of B as {pair index: value} dicts.
+def wedge2_derivation_rows(b) -> tuple:
+    """Rows of the derivation extension of a square B with rows b {j: B_ij}, as {pair index: value} dicts.
 
-    Row (i, j) is b_i ^ e_j + e_i ^ b_j for the rows b of B: the t-linear
-    part of (e_i + t b_i) ^ (e_j + t b_j), i.e. of the action of I + tB.
+    Row (i, j) is b_i ^ e_j + e_i ^ b_j: the t-linear part of
+    (e_i + t b_i) ^ (e_j + t b_j), i.e. of the action of I + tB.
     """
-    b = _sparse_square(B)
     n = len(b)
     return _wedge_rows(n, lambda i, j: ((b[i], {j: 1}), ({i: 1}, b[j])), wedge2_space(n))

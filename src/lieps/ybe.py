@@ -2,8 +2,8 @@
 
 A bivector r on g/h is stored by its wedge coordinates, ints over one
 denominator; its sharp map, <beta, r_# alpha> = r(alpha, beta), is read off
-them as ints R / d_r.  Its obstruction tensor [[r,r]] is read off the
-quotient, with C[a][b] = [eps_a, eps_b]_r the bracket table on the m* basis:
+them as the Generator R / d_r (Bivector.r_sharp).  Its obstruction tensor
+[[r,r]] is read off the quotient, with C[a][b] = [eps_a, eps_b]_r on m*:
 
     [[r,r]](eps_a, eps_b, eps_c) = <eps_c, r_# C[a][b] - [r_# eps_a, r_# eps_b]_m>,
 
@@ -12,9 +12,9 @@ Its vanishing is the invariant-Poisson condition, and bivectors passing it
 are r-matrices.  The l-operators, the table C and the tensor are integer
 contractions of R with the one m-bracket table of the model
 (IsotropyModel.m_table).  The l-operators exist only in that integer form
-(Bivector.int_tables), built on the support X of r_#; each reader forms C
-from them, the tensor once per pair in X.  l_operator and mstar_bracket
-contract them with covectors and build a Fraction only for a returned entry.
+(Bivector.int_tables), built on the support X of r_# and only for their
+readers; each forms C from them, the tensor once per pair in X.  The leaf
+frame reads r_sharp, the action and m_table alone, with no l-operator.
 
 The h° route is the independent oracle: over a lift r-tilde of r to g
 (`canonical_lift`, `sharp`), the bracket on h° (`hcirc_bracket`,
@@ -53,11 +53,14 @@ from .exact import (
 )
 from .invariants import bivector_matrix_from_coords, fixed_quotient_covectors
 from .liecore import (
+    Generator,
     IsotropyModel,
     LieAlgebra,
+    _sparse_bracket,
     ad_matrix,
     ann_to_covector,
     bracket,
+    column_product,
     covector_to_ann,
     make_lie_algebra,
     structure_constants,
@@ -72,9 +75,9 @@ class Bivector:
 
     Bivector(iso, coords) reads any rational sequence, one per pair of
     wedge2_space, and of_ints an integer row over a denominator.  Derived
-    once, on first use, and shared by every check of the bivector: the
-    integer tables of r_# and its l-operators (int_tables), which the
-    tensor, l_operator, mstar_bracket and the connections read; the tensor;
+    once, on first use, and shared by every check of the bivector: r_# as a
+    Generator (r_sharp); its l-operators (int_tables), which the tensor,
+    l_operator, mstar_bracket and the connection builders read; the tensor;
     Im r_#, omega_r on it and the q-brackets of the leaf frame, in ints
     (image, omega, image_brackets); and the Fraction views coords and r_mat.
     """
@@ -116,9 +119,21 @@ class Bivector:
         return yang_baxter_tensor(self)
 
     @cached_property
+    def r_sharp(self) -> Generator:
+        """r_# = R / d_r, d_r = d: pair k = (i, j) puts (j, N_k) in column i and (i, -N_k) in column j."""
+        n = self.iso.quotient_dim
+        pairs = wedge2_space(n)
+        R = [[] for _ in range(n)]
+        for k, c in self.nz:
+            i, j = pairs[k]
+            R[i].append((j, c))
+            R[j].append((i, -c))
+        return Generator(R, self.d)
+
+    @cached_property
     def image(self) -> Subspace:
         """Im r_# in quotient coordinates, the span of the integer columns of R = d_r r_#."""
-        return Subspace._of_rows(self.iso.quotient_dim, [dict(col) for col in self.int_tables[0]])
+        return Subspace._of_rows(self.iso.quotient_dim, [dict(col) for col in self.r_sharp.cols])
 
     @cached_property
     def omega(self) -> tuple:
@@ -133,57 +148,54 @@ class Bivector:
         omega_r is the bilinear combination of this matrix.  B = R[P, P] / d_r
         is inverted in ints, over the least denominator e.
         """
-        R, _, dr, _ = self.int_tables
         P = self.image.pivots
-        cols = [dict(R[j]) for j in P]
-        return inverse_ints([[col.get(i, 0) for col in cols] for i in P], dr)
+        rows = self.r_sharp.rows()
+        return inverse_ints([[rows[i].get(j, 0) for j in P] for i in P], self.d)
 
     @cached_property
     def image_brackets(self) -> tuple:
         """(A, M), the q-brackets of the leaf frame {h-basis u} + {s w}, w the RREF basis of Im r_#.
 
-        A[t][j] = q[u_t, s w_j] = ad-bar_{u_t} w_j, off the model's action;
-        M[i, j] = q[s w_i, s w_j] = [w_i, w_j]_m for i < j, off its m_table.
-        Each is an integer vector over one denominator, tested once against
-        the rows of Im r_# (the leaf layer's one membership test) and given
-        by its Im r_#-coordinates x / e, its pivot entries, as (x, e), or None off Im r_#.
+        With w_j = R_j / R_j[P_j] for the rows (P_j, R_j) of Im r_#:
+        A[t][j] = q[u_t, s w_j] = ad-bar_{u_t} w_j, the column product of the
+        model's action with R_j; M[i, j] = q[s w_i, s w_j] = [w_i, w_j]_m for
+        i < j, the m_table contracted with R_i and R_j.  Each is an integer
+        vector over one denominator, tested once against the rows of Im r_#
+        (the leaf layer's one membership test) and given by its
+        Im r_#-coordinates x / e, its pivot entries, as (x, e), or None off Im r_#.
         """
-        iso = self.iso
         im = self.image
 
-        def coords(op, row):
-            (N, dn), (P, R) = op, row
-            v = [sum(x[t] * y for t, y in R.items()) for x in N]
-            if im.residual(dict(enumerate(v))):
-                return None
-            return tuple(v[p] for p in im.pivots), dn * R[P]
+        def coords(v, e):
+            return None if im.residual(v) else (tuple(v.get(p, 0) for p in im.pivots), e)
 
-        A = tuple(tuple(coords(op, row) for row in im.rows) for op in iso.action[: iso.h_basis.dim])
-        ads = [(iso.m_ad_ints(R.items()), iso.m_table[1] * R[P]) for P, R in im.rows]
-        return A, {(i, j): coords(ads[i], im.rows[j]) for i, j in wedge2_space(im.dim)}
+        A = tuple(
+            tuple(coords(column_product(cols, R.items()), d * R[P]) for P, R in im.rows)
+            for cols, d in self.iso.action[: self.iso.h_basis.dim]
+        )
+        mu, D = self.iso.m_table
+        M = {}
+        for i, j in wedge2_space(im.dim):
+            (Pi, Ri), (Pj, Rj) = im.rows[i], im.rows[j]
+            M[i, j] = coords(_sparse_bracket(mu, Ri.items(), Rj.items()), D * Ri[Pi] * Rj[Pj])
+        return A, M
 
     @cached_property
     def int_tables(self) -> tuple:
-        """(R, L, d_r, d_c): r_# = R / d_r, and the l-operators L over d_c = d_r D.
+        """(R, L, d_r, d_c): r_# = R / d_r (r_sharp), and the l-operators L over d_c = d_r D.
 
-        R[a] lists the nonzeros (j, R_ja) of column a in row order: pair
-        k = (i, j) puts (j, N_k) in column i and (i, -N_k) in column j.
         L[a] = sum_j R_ja mu[j] contracts column a with the model's m_table
         (mu, D), so L[a] / d_c = q ad(s r_# eps_a) s, with L[a][c] its row c.
         It is built on the support X = {a : r_# eps_a != 0}; off X, L[a] = 0.
         C[a][c] = row a of L[c] minus row c of L[a], [eps_a, eps_c]_r = C[a][c] / d_c,
-        is formed from L where it is read.
+        is formed from L where it is read.  Only the tensor, the connection
+        builders and tables, l_operator and mstar_bracket read L.
         """
         n = self.iso.quotient_dim
-        pairs = wedge2_space(n)
-        R = [[] for _ in range(n)]
-        for k, c in self.nz:
-            i, j = pairs[k]
-            R[i].append((j, c))
-            R[j].append((i, -c))
+        R, dr = self.r_sharp
         zero = [[0] * n] * n
         L = [self.iso.m_ad_ints(col) if col else zero for col in R]
-        return R, L, self.d, self.d * self.iso.m_table[1]
+        return R, L, dr, dr * self.iso.m_table[1]
 
 
 def make_bivector(iso: IsotropyModel, coords) -> Bivector:

@@ -29,7 +29,6 @@ from lieps.errors import ClosureFailure, GeneratorMovesH, NotACocycle, NotAnAuto
 from lieps.exact import _eliminate, _primitive, _rref_int_rows
 from lieps.liecore import (
     _sparse_bracket,
-    _sparse_square,
     _wedge_rows,
     ad_matrix,
     bracket,
@@ -515,13 +514,15 @@ def dense_is_automorphism(L, A: Mat) -> bool:
     return True
 
 
-def wedge2_action_rows(A) -> tuple:
+def wedge2_action_rows(A: Mat) -> tuple:
     """Rows of the wedge-square action of A as {pair index: value} dicts, one per wedge pair.
 
     Row (i, j) is (row i of A) ^ (row j of A): the all-pairs builder whose
     rows minus d^2 I liecore.wedge2_moved_rows replaced.
     """
-    a = _sparse_square(A)
+    if A.rows != A.cols:
+        raise ValueError("wedge-square needs a square operator")
+    a = A.sparse_rows()
     return _wedge_rows(len(a), lambda i, j: ((a[i], a[j]),), wedge2_space(len(a)))
 
 

@@ -470,13 +470,15 @@ def test_connection_builds_one_m_table_and_no_isotropy_action(monkeypatch, kind)
     actions = count_cached(monkeypatch, IsotropyModel, "action")
     tables = count_cached(monkeypatch, IsotropyModel, "m_table")
     r_tables = count_cached(monkeypatch, Bivector, "int_tables")
+    sharps = count_cached(monkeypatch, Bivector, "r_sharp")
     text = _doc_text("heisenberg", n=3)
     code, out, err = run_cli(["connection", "-", "--r", "u1^w + v1^w", "--kind", kind], text)
     assert code == 0, err
     assert len(calls) == 7  # quotient_dim
     assert actions == []
     assert len(tables) == 1
-    assert len(r_tables) == 1
+    # r_# is read by the tables and the Poisson compatibility check alike
+    assert len(r_tables) == len(sharps) == 1
 
 
 @pytest.mark.parametrize("kind", ["canonical", "natural", "left_symmetric", "fedosov"])
@@ -666,6 +668,24 @@ def test_scan_builds_l_operators_on_the_support_alone(monkeypatch, name, params,
     code, out, err = run_cli(["scan", "-"], _doc_text(name, **params))
     assert (code, err) == (0, "")
     assert len(calls) == count
+
+
+@pytest.mark.parametrize(
+    "name, params, r",
+    [
+        ("so4_grassmann", {}, "e1^e2 + e3^e4"),
+        ("double", {"of": "heisenberg", "n": 2}, "m_u1^m_w + m_v1^m_w"),
+    ],
+)
+def test_leaf_on_a_symmetric_pair_builds_no_l_operator(monkeypatch, name, params, r):
+    # the tensor of a symmetric pair is zero with no l-operator, and Im r_#,
+    # omega_r and the leaf frame read r_# and the m_table alone; reading r_#
+    # through int_tables and the frame brackets through m_ad_ints built 8
+    # and 5 l-operators
+    calls = count_calls(monkeypatch, IsotropyModel, "m_ad_ints")
+    code, out, err = run_cli(["leaf", "-", f"--r={r}"], _doc_text(name, **params))
+    assert (code, err) == (0, "")
+    assert calls == []
 
 
 def test_tensor_calls_no_bracket(monkeypatch):
@@ -1338,6 +1358,68 @@ def test_degenerate_leaf_output_is_pinned(name, fmt):
     code, out, err = run_cli(["leaf", "-", f"--r={r}", "--format", fmt], doc)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEGENERATE_LEAF_SHA256[name, fmt]
+
+
+# byte-identical invariants and leaf output where the isotropy action has
+# denominators, pinned to the digests of the implementation that built each
+# operator of the action as dense integer rows: iso11's generator has entries
+# +-1/2, sl2+solv2#5 is random_generator_instance(5), generators with
+# denominators 9 and 198 acting beside a non-coordinate h, and "tilted" is
+# h = span{a + b} with the complement (b, c)
+
+
+def _transported_generator_document(seed):
+    _, L, iso, _ = random_generator_instance(seed)
+    return emit(AlgebraDocument(
+        name="transported",
+        algebra=L,
+        subalgebra=iso.h_basis.basis,
+        complement=iso.complement_indices,
+        ad_generators=iso.generators,
+    ))
+
+
+TILTED = json.dumps({
+    "name": "tilted",
+    "dim": 3,
+    "labels": ["a", "b", "c"],
+    "brackets": [{"i": 0, "j": 2, "coeffs": {"0": "1"}}, {"i": 1, "j": 2, "coeffs": {"1": "-1"}}],
+    "subalgebra": [[1, 1, 0]],
+    "complement": [[0, 1, 0], [0, 0, 1]],
+})
+
+ACTION_CASES = {
+    "iso11": (lambda: _doc_text("iso11"), "e1^e2"),
+    "sl2+solv2#5": (
+        lambda: _transported_generator_document(5),
+        "e1^e2 + e1^e3 + 1/3*e2^e3 + 1/3*e2^e4 + 1/3*e3^e4",
+    ),
+    "tilted": (lambda: TILTED, "b^c"),
+}
+
+PINNED_ACTION_SHA256 = {
+    ("iso11", "invariants", "text"): "c3386f04134704eddc615448a98acb58f197b8174eaa90ce6d77cab9da51392c",
+    ("iso11", "invariants", "json"): "9b52e1a3b4c17faba6cb0797dbb3a8fbfef5e1c7e34ae4ede552d53e3c6480fa",
+    ("iso11", "leaf", "text"): "ce1810ef6b11c3e9f5ee3e6103d1d083c82e7cf8dc5dd87aba386bad113a470d",
+    ("iso11", "leaf", "json"): "e42e85bcf8e0a4ab352d08dfaefab23b24da1843610384386fed5ff388e5bd60",
+    ("sl2+solv2#5", "invariants", "text"): "5a79c8fc9173e8959f99e66bd7ed6a6f4914092901dabcb25d2cd43a77190c70",
+    ("sl2+solv2#5", "invariants", "json"): "10dda4e2417a9db0072308add981930145b0b600f302a2b1caf48ccc7005ff3c",
+    ("sl2+solv2#5", "leaf", "text"): "fc486ac2c3f8a2690c53cfacceecba6ab8aa2c33f9710247f39aacc9b7143b97",
+    ("sl2+solv2#5", "leaf", "json"): "5b40050b963ed10e594cd21cf5adc7e1ad37ae0766146bfc0384f86dc8ee014e",
+    ("tilted", "invariants", "text"): "3ed3a5c84494768acf93236397fa83ffa27d7acb57a18f3c85c0bb3e9786573c",
+    ("tilted", "invariants", "json"): "401c9190a560111a6f14f06959116dfb684d15f48d48499a4310c5f411637629",
+    ("tilted", "leaf", "text"): "5fe7cda2aa575f9f9b72f1c42c8a236cd8375ea0715a619da19f463589026ea7",
+    ("tilted", "leaf", "json"): "3aca389eb42a3db9d2d06518065b7436f3c232f76433f0521a6c14052cf8d7f9",
+}
+
+
+@pytest.mark.parametrize("name, cmd, fmt", sorted(PINNED_ACTION_SHA256))
+def test_output_under_an_action_with_denominators_is_pinned(name, cmd, fmt):
+    doc, r = ACTION_CASES[name]
+    argv = [cmd, "-"] + ([f"--r={r}"] if cmd == "leaf" else []) + ["--format", fmt]
+    code, out, err = run_cli(argv, doc())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ACTION_SHA256[name, cmd, fmt]
 
 
 # ---------------------------------------------------------------------------

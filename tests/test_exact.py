@@ -361,6 +361,9 @@ def test_sparse_rref_matches_fraction_oracle(m):
 
 @settings(max_examples=60, deadline=None)
 @given(tall_sparse_matrices())
+# two constraint rows reach the free column 2: its kernel vector is (-1, -1, 1)
+@example(Mat([[1, 0, 1], [0, 1, 1]]))
+@example(Mat([[2, 0, 1], [0, 3, F(1, 2)]]))
 def test_sparse_kernel_matches_fraction_oracle(m):
     assert kernel(m).basis == kernel_oracle(m.entries, m.cols)
 

@@ -236,8 +236,8 @@ def test_transported_generators_match_the_dense_oracles(seed):
     assert iso.discrete_generators, tag
     _check_against_dense(iso)
     k = iso.h_basis.dim
-    assert tuple(Mat.from_ints(*op) for op in iso.action[:k]) == dense_ad_bars(iso), tag
-    assert tuple(Mat.from_ints(*op) for op in iso.action[k:]) == dense_generator_maps(iso), tag
+    assert tuple(op.mat for op in iso.action[:k]) == dense_ad_bars(iso), tag
+    assert tuple(op.mat for op in iso.action[k:]) == dense_generator_maps(iso), tag
     r = make_bivector(iso, coords)
     t = dense_first_mover(iso, r)
     h = iso.h_basis

@@ -1,9 +1,10 @@
 import random
 from itertools import combinations
 from fractions import Fraction as QQ
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     ALL_FAMILIES,
@@ -270,8 +271,8 @@ def test_cached_isotropy_action_matches_per_pair_loops():
     leaf_reductive_seen = set()
     for tag, iso, rs in _isotropy_models():
         k = iso.h_basis.dim
-        assert tuple(Mat.from_ints(*op) for op in iso.action[:k]) == dense_ad_bars(iso), tag
-        assert tuple(Mat.from_ints(*op) for op in iso.action[k:]) == dense_generator_maps(iso), tag
+        assert tuple(op.mat for op in iso.action[:k]) == dense_ad_bars(iso), tag
+        assert tuple(op.mat for op in iso.action[k:]) == dense_generator_maps(iso), tag
         assert iso.reductive == dense_is_reductive_complement(iso), tag
         reductive_seen.add(iso.reductive)
         # [m, m] in h off the m-bracket table, on non-reductive models too
@@ -366,7 +367,7 @@ def test_wedge2_derivation_is_linearization(B):
     eye = Mat.identity(3)
     plus = dense_wedge2_action(eye + B)
     minus = dense_wedge2_action(eye - B)
-    assert wedge2_derivation_rows(B) == (plus - minus).scale(QQ(1, 2)).sparse_rows()
+    assert wedge2_derivation_rows(B.sparse_rows()) == (plus - minus).scale(QQ(1, 2)).sparse_rows()
 
 
 # mostly zero, sometimes sparse-but-larger squares: the sparse builders read
@@ -383,14 +384,12 @@ def _sparse_square(n):
 @given(st.integers(0, 5).flatmap(_sparse_square))
 def test_sparse_wedge2_blocks_match_dense_formulas(A):
     assert wedge2_action_rows(A) == dense_wedge2_action(A).sparse_rows()
-    assert wedge2_derivation_rows(A) == dense_wedge2_derivation(A).sparse_rows()
+    assert wedge2_derivation_rows(A.sparse_rows()) == dense_wedge2_derivation(A).sparse_rows()
 
 
 def test_wedge2_blocks_reject_non_square():
     with pytest.raises(ValueError):
         wedge2_action_rows(Mat([[1, 2, 3], [4, 5, 6]]))
-    with pytest.raises(ValueError):
-        wedge2_derivation_rows(Mat([[1, 2, 3], [4, 5, 6]]))
 
 
 # ---------------------------------------------------------------------------
@@ -661,26 +660,31 @@ def test_moved_columns_check_raises_what_the_all_pairs_check_raises(case):
     assert _outcome(_check_automorphism, L, A, h) == _outcome(check_automorphism_all_pairs, L, A, h)
 
 
-def _all_pairs_invariance_rows(N, d) -> tuple:
-    """The nonzero rows of N^N - d^2 I by the all-pairs wedge square."""
-    return tuple(row for row in minus_scalar(wedge2_action_rows(N), d * d) if row)
+def _all_pairs_invariance_rows(A: Generator) -> tuple:
+    """The nonzero rows of N^N - d^2 I, A = N / d, by the all-pairs wedge square of the dense N."""
+    cols, d = A
+    N = [[0] * len(cols) for _ in cols]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            N[i][j] = x
+    return tuple(row for row in minus_scalar(wedge2_action_rows(Mat(N)), d * d) if row)
 
 
 @settings(max_examples=150, deadline=None)
 @given(moved_generators())
+@example((make_lie_algebra(3, {}), Subspace.zero(3), Generator.of_matrix(Mat.identity(3).scale(-1))))
 def test_moved_rows_are_the_nonzero_rows_of_the_all_pairs_block(case):
     # on the integer form N / d of I + E itself, any E: same rows, so the same kernel
-    _, _, (cols, d) = case
+    _, _, A = case
+    cols, d = A
     n = len(cols)
-    N = [[0] * n for _ in range(n)]
-    for j, col in enumerate(cols):
-        for i, x in col:
-            N[i][j] = x
-    moved, oracle = wedge2_moved_rows(N, d), _all_pairs_invariance_rows(N, d)
+    moved, oracle = wedge2_moved_rows(A.rows(), d), _all_pairs_invariance_rows(A)
     assert moved == oracle
     nwedge = len(wedge2_space(n))
     assert kernel_of_rows(moved, nwedge) == kernel_of_rows(oracle, nwedge)
-    assert (moved == ()) == all(dict(col) == {j: d} for j, col in enumerate(cols))
+    # on these algebras of dim 3 and 5, N^N = d^2 I exactly when N = +-dI: the identity
+    # gives no rows, and so does -I, which a product of a model's generators can be
+    assert (moved == ()) == any(all(dict(col) == {j: s} for j, col in enumerate(cols)) for s in (d, -d))
 
 
 @settings(max_examples=60, deadline=None)
@@ -689,10 +693,28 @@ def test_invariance_blocks_read_the_moved_rows_of_each_generator(seed):
     _, _, iso, _ = random_generator_instance(seed)
     k = iso.h_basis.dim
     nwedge = len(wedge2_space(iso.quotient_dim))
-    for block, (N, d) in zip(invariance_rows(iso)[k:], iso.action[k:], strict=True):
-        oracle = _all_pairs_invariance_rows(N, d)
+    for block, A in zip(invariance_rows(iso)[k:], iso.action[k:], strict=True):
+        oracle = _all_pairs_invariance_rows(A)
         assert block == oracle
         assert kernel_of_rows(block, nwedge) == kernel_of_rows(oracle, nwedge)
+
+
+def test_action_holds_one_generator_of_column_nonzeros_per_operator():
+    # each operator of the isotropy action is a Generator N / d holding the
+    # nonzeros of the columns of N alone; d = dq den R_P per row (P, R) of h
+    # and dq dA per discrete generator A = N_A / dA, not reduced against N:
+    # on sl2+solv2#5 they share 33, 22 and 2 with N
+    shared = []
+    for seed in range(12):
+        tag, L, iso, _ = random_generator_instance(seed)
+        m, dq = iso.quotient_dim, iso._q_columns.d
+        dens = [dq * L.den * R[P] for P, R in iso.h_basis.rows] + [dq * A.d for A in iso.generators]
+        assert [type(op) for op in iso.action] == [Generator] * len(dens), tag
+        assert [op.d for op in iso.action] == dens, tag
+        for op in iso.action:
+            assert len(op.cols) == m and all(x and 0 <= i < m for col in op.cols for i, x in col), tag
+        shared.append(tuple(gcd(op.d, *(x for col in op.cols for _, x in col)) for op in iso.action))
+    assert shared[5] == (33, 22, 2)
 
 
 @settings(max_examples=150, deadline=None)

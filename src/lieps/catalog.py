@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from typing import NamedTuple
 
 from .errors import DocumentError, LiepsError
 from .liecore import Generator, LieAlgebra, lie_algebra_of_terms, make_isotropy, make_lie_algebra
@@ -55,8 +54,7 @@ def read_rational(x, path, *where) -> tuple:
     raise DocumentError(path.format(*where), f"not a rational literal: {x!r}")
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
+class AlgebraDocument(NamedTuple):
     """Serializable description of an algebra plus isotropy data.
 
     algebra is the LieAlgebra of the document, built once by make_lie_algebra
@@ -66,9 +64,9 @@ class AlgebraDocument:
 
     name: str
     algebra: LieAlgebra
-    subalgebra: tuple = field(default=())
-    complement: tuple = field(default=())  # standard-basis indices
-    ad_generators: tuple = field(default=())  # of liecore.Generator
+    subalgebra: tuple = ()
+    complement: tuple = ()  # standard-basis indices
+    ad_generators: tuple = ()  # of liecore.Generator
 
     @property
     def dim(self) -> int:
@@ -431,7 +429,7 @@ def parse(text) -> AlgebraDocument:
     algebra = lie_algebra_of_terms(dim, labels, terms)
 
     values = {}  # string literal -> (p, q); generators repeat "0", "1" and "-1"
-    fraction = cache(Fraction)  # a vector entry's Fraction, once per (p, q)
+    fractions = {}  # a vector entry's Fraction, once per (p, q)
 
     def rational(x, path, *where):
         if type(x) is not str:
@@ -448,7 +446,14 @@ def parse(text) -> AlgebraDocument:
         for t, v in enumerate(raw):
             if not (isinstance(v, list) and len(v) == dim):
                 raise DocumentError(f"{key}[{t}]", f"must be a vector of length {dim}")
-            out.append(tuple(fraction(*rational(x, "{}[{}][{}]", key, t, c)) for c, x in enumerate(v)))
+            row = []
+            for c, x in enumerate(v):
+                pq = rational(x, "{}[{}][{}]", key, t, c)
+                f = fractions.get(pq)
+                if f is None:
+                    f = fractions[pq] = Fraction(*pq)
+                row.append(f)
+            out.append(tuple(row))
         return out
 
     subalgebra = parse_vectors("subalgebra")

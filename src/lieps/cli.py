@@ -20,12 +20,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from . import catalog
-from .connections import build_connection, poisson_compat
 from .errors import DocumentError, LiepsError
-from .foliation import leaf_cocycle, leaf_decomposition
 from .invariants import invariant_bivectors
 from .liecore import require_reductive, validate, wedge2_space
-from .ybe import Bivector, is_r_matrix, make_bivector, require_r_matrix
+
+# ybe, foliation and connections are imported by the handlers that use them,
+# so validate and invariants never load them
 
 
 class _Usage(Exception):
@@ -262,6 +262,8 @@ def _cmd_invariants(args, stdin_text):
 
 
 def _cmd_ybe(args, stdin_text):
+    from .ybe import make_bivector
+
     _, iso, qlabels = _model(args, stdin_text)
     r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
     nonzero = [
@@ -279,6 +281,8 @@ def _cmd_ybe(args, stdin_text):
 
 
 def _cmd_scan(args, stdin_text):
+    from .ybe import Bivector, is_r_matrix, make_bivector
+
     _, iso, qlabels = _model(args, stdin_text)
     inv = invariant_bivectors(iso)
     extra = [parse_bivector_expr(text, qlabels, "--candidate") for text in args.candidate or []]
@@ -310,6 +314,9 @@ def _cmd_scan(args, stdin_text):
 
 
 def _cmd_leaf(args, stdin_text):
+    from .foliation import leaf_cocycle, leaf_decomposition
+    from .ybe import make_bivector
+
     doc, iso, qlabels = _model(args, stdin_text)
     r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
     data = leaf_cocycle(r)
@@ -349,6 +356,9 @@ def _entry_lines(title, symbol, entries):
 
 
 def _cmd_connection(args, stdin_text):
+    from .connections import build_connection, poisson_compat
+    from .ybe import make_bivector, require_r_matrix
+
     _, iso, qlabels = _model(args, stdin_text)
     require_reductive(iso)
     r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))

@@ -32,13 +32,14 @@ and a Fraction is built only for a value that is returned or printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import NotAnFConnection
 from .exact import Mat, from_ints, int_vectors, inverse, kernel, mat_lincomb, solve, vsub
 from .liecore import (
+    Frozen,
     _sparse_bracket,
     ad_rows,
     bracket,
@@ -58,8 +59,7 @@ def _add(out, base, cols, v, f):
             out[base + i] += x * y
 
 
-@dataclass(frozen=True)
-class ConnectionMap:
+class ConnectionMap(Frozen):
     """Bilinear b: m* x m* -> m*, stored in ints as b = N / d over one denominator.
 
     r is the bivector the connection is built from; its model r.iso must be
@@ -67,12 +67,12 @@ class ConnectionMap:
     from_entries, and the dense Fraction array b is a view for the oracles.
     """
 
-    r: Bivector
-    N: list  # N[a][c] lists the nonzeros (k, x) of d b(eps_a, eps_c)
-    d: int
+    _fields = ("r", "N", "d")
 
-    def __post_init__(self):
-        require_reductive(self.r.iso)
+    def __init__(self, r: Bivector, N: list, d: int):
+        # N[a][c] lists the nonzeros (k, x) of d b(eps_a, eps_c)
+        require_reductive(r.iso)
+        self.__dict__.update(r=r, N=N, d=d)
 
     @classmethod
     def from_entries(cls, r: Bivector, b) -> "ConnectionMap":
@@ -265,8 +265,7 @@ def is_f_connection(b: ConnectionMap) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NomizuMap:
+class NomizuMap(NamedTuple):
     """Invariant covariant connection data: mu: m x m -> m.
 
     psi[t] is the matrix of mu_{e_t} (left argument the t-th standard basis
@@ -313,8 +312,7 @@ def nomizu_to_contravariant(psi: NomizuMap) -> ConnectionMap:
     return ConnectionMap.from_entries(psi.r, b)
 
 
-@dataclass(frozen=True)
-class LeafConnection:
+class LeafConnection(NamedTuple):
     """The induced covariant connection on the leaf direction Im(r_#).
 
     br[i][j] is b^r(w_i, w_j) in quotient coordinates, for the RREF basis

@@ -12,9 +12,9 @@ own g-brackets; both directions are exact and the roundtrip is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     ClosureFailure,
@@ -26,12 +26,11 @@ from .errors import (
 )
 from .exact import Mat, Subspace, dot, from_ints, inverse, kernel, solve, zero_vec
 from .invariants import bivector_coords_from_matrix, invariance_rows
-from .liecore import IsotropyModel, bracket, require_reductive, structure_constants, wedge2_space
+from .liecore import Frozen, IsotropyModel, bracket, require_reductive, structure_constants, wedge2_space
 from .ybe import Bivector, make_bivector, require_r_matrix
 
 
-@dataclass(frozen=True)
-class LeafData:
+class LeafData(Frozen):
     """(a_r, omega_r) of a checked r-matrix r, in ints on the frame h + s(Im r_#).
 
     rows[t] = (P, R) is frame vector t, R / R[P]: the integer rows of h, then those of Im r_#
@@ -40,8 +39,10 @@ class LeafData:
     frame_omega on the frame, and omega on a_basis, the RREF basis of a_r.
     """
 
-    r: Bivector
-    rows: tuple
+    _fields = ("r", "rows")
+
+    def __init__(self, r: Bivector, rows: tuple):
+        self.__dict__.update(r=r, rows=rows)
 
     @cached_property
     def frame(self) -> tuple:
@@ -218,8 +219,7 @@ def reconstruct_r(L, iso: IsotropyModel, a_basis, omega) -> Bivector:
     return make_bivector(iso, bivector_coords_from_matrix(iota @ omega_bar_inv @ iota.T))
 
 
-@dataclass(frozen=True)
-class LeafDecomposition:
+class LeafDecomposition(NamedTuple):
     reductive: bool
     symmetric: bool
 

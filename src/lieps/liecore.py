@@ -33,7 +33,6 @@ singularity, and only the pairs meeting S, directly or through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
 from math import gcd, lcm
@@ -50,20 +49,65 @@ from .errors import (
 from .exact import Mat, Subspace, _rref_int_rows, from_ints, mat_lincomb, to_ints
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
-    dim: int
-    labels: tuple
-    nz: tuple  # nz[i][j] = ((k, n_ijk), ...): the nonzeros of den [e_i, e_j], k increasing
-    den: int = 1  # c_ijk = n_ijk / den
+class Frozen:
+    """An immutable value: __init__ writes its fields straight into __dict__.
 
-    def __post_init__(self):
-        if len(self.labels) != self.dim or len(self.nz) != self.dim:
-            raise ValueError(f"labels and structure constants must have length {self.dim}")
-        if type(self.den) is not int or self.den <= 0:
-            raise ValueError(f"den must be a positive int, got {self.den!r}")
-        if any(type(c) is not int for row in self.nz for terms in row for _, c in terms):
+    Assigning or deleting an attribute raises AttributeError; a cached_property
+    writes __dict__ directly, so a cached view still fills in.  Equality and
+    hashing read the fields named in _fields, in order, between instances of
+    one class, and never a cached view.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        d = self.__dict__
+        return tuple(d[f] for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
+class LieAlgebra(Frozen):
+    """dim, labels, and nz[i][j] = ((k, n_ijk), ...), the nonzeros of den [e_i, e_j], k increasing.
+
+    c_ijk = n_ijk / den.  The constructor checks that the constants are ints
+    over a positive int den; _trusted wraps a table the normaliser has just made.
+    """
+
+    _fields = ("dim", "labels", "nz", "den")
+
+    def __init__(self, dim: int, labels: tuple, nz: tuple, den: int = 1):
+        if len(labels) != dim or len(nz) != dim:
+            raise ValueError(f"labels and structure constants must have length {dim}")
+        if type(den) is not int or den <= 0:
+            raise ValueError(f"den must be a positive int, got {den!r}")
+        if any(type(c) is not int for row in nz for terms in row for _, c in terms):
             raise ValueError("structure constants must be ints over den")
+        self.__dict__.update(dim=dim, labels=labels, nz=nz, den=den)
+
+    @classmethod
+    def _trusted(cls, dim, labels, nz, den) -> "LieAlgebra":
+        """Wrap dim labels and dim rows of int constants over a positive int den, not checked again."""
+        L = object.__new__(cls)
+        L.__dict__.update(dim=dim, labels=labels, nz=nz, den=den)
+        return L
 
     @cached_property
     def pairs_into(self) -> tuple:
@@ -107,6 +151,9 @@ def lie_algebra_of_terms(dim, labels, terms) -> LieAlgebra:
     den = D / gcd(D, all D p / q), D = lcm of the q, is the least common
     denominator, so equal brackets give equal algebras ("2/4" and "1/2" alike).
     """
+    labels = tuple(map(str, labels))
+    if len(labels) != dim:
+        raise ValueError(f"labels and structure constants must have length {dim}")
     # sorted by (i, j, k), so each row comes out with k increasing
     terms = sorted([term for term in terms if term[3]])
     den = _least_den([term[3:] for term in terms])
@@ -115,7 +162,7 @@ def lie_algebra_of_terms(dim, labels, terms) -> LieAlgebra:
         v = p * den // q
         nz[i][j].append((k, v))
         nz[j][i].append((k, -v))
-    return LieAlgebra(dim, tuple(map(str, labels)), tuple(tuple(map(tuple, row)) for row in nz), den)
+    return LieAlgebra._trusted(dim, labels, tuple(tuple(map(tuple, row)) for row in nz), den)
 
 
 def _least_den(pairs) -> int:
@@ -239,8 +286,7 @@ def structure_constants(space: Subspace, br, error) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     ok: bool
     antisymmetry_failures: tuple  # pairs (i, j) with c[i][j] != -c[j][i]
     jacobi_failures: tuple  # triples (i, j, k) with nonzero jacobiator
@@ -294,8 +340,7 @@ def validate(L: LieAlgebra) -> Report:
     return Report(not anti and not jac, tuple(anti), jac)
 
 
-@dataclass(frozen=True)
-class IsotropyModel:
+class IsotropyModel(Frozen):
     """Quotient model g/h with a preferred standard-basis complement.
 
     h_basis.rows is the integer elimination of h in the natural column
@@ -314,11 +359,15 @@ class IsotropyModel:
     m_table are derived once; validate reads none.
     """
 
-    L: LieAlgebra
-    h_basis: Subspace
-    complement_indices: tuple
-    h_rows: tuple = field(compare=False)  # derived from h_basis and the complement
-    generators: tuple = field(default=())  # of Generator, each checked by make_isotropy
+    # h_rows is derived from h_basis and the complement, so equality leaves it out
+    _fields = ("L", "h_basis", "complement_indices", "generators")
+
+    def __init__(self, L: LieAlgebra, h_basis: Subspace, complement_indices: tuple, h_rows: tuple,
+                 generators: tuple = ()):
+        # generators: of Generator, each checked by make_isotropy
+        self.__dict__.update(
+            L=L, h_basis=h_basis, complement_indices=complement_indices, h_rows=h_rows, generators=generators
+        )
 
     @cached_property
     def discrete_generators(self) -> tuple:
@@ -393,12 +442,21 @@ class IsotropyModel:
         First ad-bar_u = q ad_u s, N = dq den q ad_R s and d = dq den R_P, for
         each h-basis vector u = R / R_P, (P, R) a row of h; ad_u maps h to h,
         so ad-bar_u does not depend on the section.  Then q A s, N = dq q N_A s
-        and d = dq dA, for each discrete generator A = N_A / dA.  These d are
-        not reduced against N.
+        and d = dq dA, for each discrete generator A = N_A / dA; only the
+        columns A moves go through q, and the t-th complement vector e_j off
+        them maps to the unit column dq dA eps_t.  These d are not reduced
+        against N.
         """
-        ops = [(self._complement_brackets(R.items()), self.L.den * R[P]) for P, R in self.h_basis.rows]
-        ops += [([cols[j] for j in self.complement_indices], dA) for cols, dA in self.generators]
-        return tuple(Generator(self._quotient_ints(images), self._q_columns.d * d) for images, d in ops)
+        dq, comp = self._q_columns.d, self.complement_indices
+        out = [
+            Generator(self._quotient_ints(self._complement_brackets(R.items())), dq * self.L.den * R[P])
+            for P, R in self.h_basis.rows
+        ]
+        for A in self.generators:
+            S, d = _moved_columns(A), dq * A.d
+            moved = iter(self._quotient_ints(A.cols[j] for j in comp if j in S))
+            out.append(Generator(tuple(next(moved) if j in S else ((t, d),) for t, j in enumerate(comp)), d))
+        return tuple(out)
 
     @cached_property
     def reductive(self) -> bool:
@@ -445,12 +503,22 @@ def _check_subalgebra(L: LieAlgebra, h: Subspace):
             )
 
 
+def _moved_columns(A: Generator) -> set:
+    """The columns m that A = N / d moves, N e_m != d e_m; every other column of N is d e_m.
+
+    A column not spelled as the tuple ((m, d),) counts as moved, which costs
+    its readers time, not correctness.
+    """
+    cols, d = A
+    return {m for m, col in enumerate(cols) if col != ((m, d),)}
+
+
 def _check_automorphism(L: LieAlgebra, A: Generator, h: Subspace):
     # A = N / dA; N e_m = dA e_m off the moved columns S, so the singular and bracket tests read S alone
     cols, dA = A
     if len(cols) != L.dim:
         raise NotAnAutomorphism("generator has the wrong shape")
-    S = {m for m, col in enumerate(cols) if dict(col) != {m: dA}}
+    S = _moved_columns(A)
     # N is singular exactly when its S x S block is
     if len(_rref_int_rows([{i: a for i, a in cols[m] if i in S} for m in S], L.dim)[1]) < len(S):
         raise NotAnAutomorphism("generator is singular")

@@ -34,10 +34,10 @@ term by term; the oracle is the arbiter and the agreement is frozen in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd
+from typing import NamedTuple
 
 from .errors import JacobiFailure, NotAnRMatrix, NotInAnnihilator
 from .exact import (
@@ -53,6 +53,7 @@ from .exact import (
 )
 from .invariants import bivector_matrix_from_coords, fixed_quotient_covectors
 from .liecore import (
+    Frozen,
     Generator,
     IsotropyModel,
     LieAlgebra,
@@ -69,8 +70,7 @@ from .liecore import (
 )
 
 
-@dataclass(frozen=True, init=False)
-class Bivector:
+class Bivector(Frozen):
     """A bivector on g/h: its wedge coordinates N_k / d, nz the nonzeros (k, N_k), k increasing, d least.
 
     Bivector(iso, coords) reads any rational sequence, one per pair of
@@ -82,9 +82,7 @@ class Bivector:
     (image, omega, image_brackets); and the Fraction views coords and r_mat.
     """
 
-    iso: IsotropyModel
-    nz: tuple
-    d: int
+    _fields = ("iso", "nz", "d")
 
     def __init__(self, iso: IsotropyModel, coords):
         coords = vec(coords)
@@ -236,19 +234,19 @@ def mstar_bracket(r: Bivector, alpha, beta) -> tuple:
     return from_ints(out, d * d * dc)
 
 
-@dataclass(frozen=True)
-class Lift:
-    bivector: Bivector
-    rt_mat: Mat  # skew n x n on all of g
+class Lift(Frozen):
+    """A lift of the bivector to g: rt_mat is skew n x n on all of g with q rt q^T = r."""
 
-    def __post_init__(self):
-        iso = self.bivector.iso
+    _fields = ("bivector", "rt_mat")
+
+    def __init__(self, bivector: Bivector, rt_mat: Mat):
+        iso = bivector.iso
         n = iso.L.dim
-        if self.rt_mat.rows != n or not self.rt_mat.is_skew():
+        if rt_mat.rows != n or not rt_mat.is_skew():
             raise ValueError(f"lift matrix must be skew {n} x {n}")
-        projected = iso.q_matrix @ self.rt_mat @ iso.q_matrix.T
-        if projected != self.bivector.r_mat:
+        if iso.q_matrix @ rt_mat @ iso.q_matrix.T != bivector.r_mat:
             raise ValueError("not a lift: q rt q^T differs from r")
+        self.__dict__.update(bivector=bivector, rt_mat=rt_mat)
 
 
 def canonical_lift(r: Bivector) -> Lift:
@@ -280,16 +278,17 @@ def hcirc_bracket(lift: Lift, eta, xi) -> tuple:
     return vsub(ad_xi.apply_T(eta), ad_eta.apply_T(xi))
 
 
-@dataclass(frozen=True)
-class YBTensor:
+class YBTensor(Frozen):
     """Obstruction tensor over the canonical h° basis eta_t = q^T eps_t.
 
     Only the nonzero entries are stored, as {(a, b, c): value} in
     lexicographic order of the index triple; an absent triple is zero.
     """
 
-    dim: int
-    values: dict
+    _fields = ("dim", "values")
+
+    def __init__(self, dim: int, values: dict):
+        self.__dict__.update(dim=dim, values=values)
 
     def is_zero(self) -> bool:
         return not self.values
@@ -388,8 +387,7 @@ def quotient_hcirc(r: Bivector, alpha, beta, lift: Lift = None) -> tuple:
     return ann_to_covector(iso, hcirc_bracket(lift, eta, xi))
 
 
-@dataclass(frozen=True)
-class FixedSpaceLieAlgebra:
+class FixedSpaceLieAlgebra(NamedTuple):
     """The Lie algebra ((h°)^H, [.,.]_r) of an r-matrix, with its morphism.
 
     basis holds quotient covector coordinates of the RREF basis of (h°)^H;

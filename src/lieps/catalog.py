@@ -19,14 +19,14 @@ when its check fails.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DocumentError, LiepsError
 from .liecore import Generator, LieAlgebra, lie_algebra_of_terms, make_isotropy, make_lie_algebra
 
-_RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_FIELDS = frozenset(("name", "dim", "labels", "brackets", "subalgebra", "complement", "ad_generators"))
+_ITEM_FIELDS = frozenset(("i", "j", "coeffs"))
 
 
 def _is_int(x) -> bool:
@@ -37,18 +37,19 @@ def _is_int(x) -> bool:
 def read_rational(x, path, *where) -> tuple:
     """(p, q), q > 0, as written: a JSON integer or a stripped "p" / "p/q" string of decimal digits.
 
-    Lowest terms are taken later, once per bracket table and by Fraction for
-    a stored entry.  An error is located at path.format(*where), built only then.
+    The string is one optional sign, then decimal digits of any script (str.isdecimal,
+    Unicode category Nd), then optionally / and decimal digits.  Lowest terms are taken
+    later, once per bracket table and by Fraction for a stored entry.  An error is
+    located at path.format(*where), built only then.
     """
     if isinstance(x, str):
         x = x.strip()
-        m = _RATIONAL.match(x)
-        if m is not None:
-            p, q = m.groups()
-            q = int(q or 1)
+        num, slash, den = x.partition("/")
+        if (num[1:] if num[:1] in ("+", "-") else num).isdecimal() and (den.isdecimal() or not slash):
+            q = int(den or 1)
             if not q:
                 raise DocumentError(path.format(*where), "zero denominator")
-            return int(p), q
+            return int(num), q
     elif _is_int(x):
         return x, 1
     raise DocumentError(path.format(*where), f"not a rational literal: {x!r}")
@@ -361,9 +362,8 @@ def parse(text) -> AlgebraDocument:
     if not isinstance(data, dict):
         raise DocumentError("", "document must be a JSON object")
 
-    for k in data:
-        if k not in {"name", "dim", "labels", "brackets", "subalgebra", "complement", "ad_generators"}:
-            raise DocumentError(k, "unknown field")
+    if not data.keys() <= _FIELDS:
+        raise DocumentError(next(k for k in data if k not in _FIELDS), "unknown field")
 
     name = data.get("name", "")
     if not isinstance(name, str):
@@ -375,18 +375,20 @@ def parse(text) -> AlgebraDocument:
 
     labels = data.get("labels")
     if labels is None:
+        # distinct names by construction
         labels = [f"e{t + 1}" for t in range(dim)]
-    if not (isinstance(labels, list) and len(labels) == dim):
-        raise DocumentError("labels", f"must be a list of {dim} strings")
-    for t, lab in enumerate(labels):
-        if not (isinstance(lab, str) and lab):
-            raise DocumentError(f"labels[{t}]", "must be a nonempty string")
-        if not is_label(lab):
-            raise DocumentError(
-                f"labels[{t}]", "must be a name: a letter or _, then letters, digits or _"
-            )
-    if len(set(labels)) != dim:
-        raise DocumentError("labels", "must be distinct")
+    else:
+        if not (isinstance(labels, list) and len(labels) == dim):
+            raise DocumentError("labels", f"must be a list of {dim} strings")
+        for t, lab in enumerate(labels):
+            if not (isinstance(lab, str) and lab):
+                raise DocumentError(f"labels[{t}]", "must be a nonempty string")
+            if not is_label(lab):
+                raise DocumentError(
+                    f"labels[{t}]", "must be a name: a letter or _, then letters, digits or _"
+                )
+        if len(set(labels)) != dim:
+            raise DocumentError("labels", "must be distinct")
 
     raw_brackets = data.get("brackets", [])
     if not isinstance(raw_brackets, list):
@@ -394,12 +396,14 @@ def parse(text) -> AlgebraDocument:
     terms = []  # (i, j, k, p, q): c_ijk = p / q
     pairs = set()
     duplicate = None
+    # the canonical spelling of each basis index; any other key is checked in full
+    indices = {str(k): k for k in range(dim)} if raw_brackets else {}
     for t, item in enumerate(raw_brackets):
         if not isinstance(item, dict):
             raise DocumentError(f"brackets[{t}]", "must be an object")
-        for k in item:
-            if k not in {"i", "j", "coeffs"}:
-                raise DocumentError(f"brackets[{t}].{k}", "unknown field")
+        if not item.keys() <= _ITEM_FIELDS:
+            k = next(k for k in item if k not in _ITEM_FIELDS)
+            raise DocumentError(f"brackets[{t}].{k}", "unknown field")
         i = item.get("i")
         j = item.get("j")
         if not (_is_int(i) and _is_int(j)):
@@ -411,11 +415,13 @@ def parse(text) -> AlgebraDocument:
             raise DocumentError(f"brackets[{t}].coeffs", "must be an object")
         seen = set()
         for key, val in coeffs.items():
-            if not (isinstance(key, str) and key.isdecimal()):
-                raise DocumentError(f"brackets[{t}].coeffs.{key}", "key must be a basis index")
-            k = int(key)
-            if not 0 <= k < dim:
-                raise DocumentError(f"brackets[{t}].coeffs.{key}", f"index out of range 0..{dim - 1}")
+            k = indices.get(key)
+            if k is None:
+                if not (isinstance(key, str) and key.isdecimal()):
+                    raise DocumentError(f"brackets[{t}].coeffs.{key}", "key must be a basis index")
+                k = int(key)
+                if not 0 <= k < dim:
+                    raise DocumentError(f"brackets[{t}].coeffs.{key}", f"index out of range 0..{dim - 1}")
             if k in seen:
                 raise DocumentError(f"brackets[{t}].coeffs.{key}", f"repeated basis index {k}")
             seen.add(k)
@@ -471,12 +477,17 @@ def parse(text) -> AlgebraDocument:
     if not isinstance(raw_gens, list):
         raise DocumentError("ad_generators", "must be a list of matrices")
     gens = []
+    # row r of the identity, as emit spells it
+    units = [["0"] * r + ["1"] + ["0"] * (dim - r - 1) for r in range(dim)] if raw_gens else []
     for t, g in enumerate(raw_gens):
         if not (isinstance(g, list) and len(g) == dim):
             raise DocumentError(f"ad_generators[{t}]", f"must be a {dim}x{dim} matrix")
         # (r, c, p, q) per nonzero A_rc = p / q; "0" is skipped unread, a cached literal skips the call
         entries = []
         for r, row in enumerate(g):
+            if row == units[r]:
+                entries.append((r, r, 1, 1))
+                continue
             if not (isinstance(row, list) and len(row) == dim):
                 raise DocumentError(f"ad_generators[{t}][{r}]", f"must have {dim} entries")
             for c, x in enumerate(row):

@@ -22,7 +22,8 @@ from fractions import Fraction
 from . import catalog
 from .errors import DocumentError, LiepsError
 from .invariants import invariant_bivectors
-from .liecore import require_reductive, validate, wedge2_space
+from .exact import to_ints
+from .liecore import _wedge_index, require_reductive, validate, wedge2_space
 
 # ybe, foliation and connections are imported by the handlers that use them,
 # so validate and invariants never load them
@@ -51,7 +52,12 @@ class _ExprError(Exception):
 _TOKEN = re.compile(r"(?P<num>\d+(?:/\d*)?)|(?P<label>\w+)|(?P<op>[-+*^()])|(?P<bad>\S)")
 
 
-def _tokenize(text):
+def _tokenize(text, labels):
+    """The tokens of text: a number is an int, or a Fraction when its denominator does not divide it.
+
+    A word among labels, names every one of which passed catalog.is_label,
+    is a label unchecked; any other word goes through is_label.
+    """
     tokens = []
     for m in _TOKEN.finditer(text):
         kind, tok = m.lastgroup, m.group()
@@ -59,10 +65,11 @@ def _tokenize(text):
             num, slash, den = tok.partition("/")
             if slash and not den:
                 raise _ExprError(f"bad rational near {text[m.start():]!r}")
-            if slash and int(den) == 0:
+            p, q = int(num), int(den or 1)
+            if not q:
                 raise _ExprError(f"zero denominator in {tok!r}")
-            tokens.append(("num", Fraction(int(num), int(den or 1))))
-        elif kind == "label" and catalog.is_label(tok):
+            tokens.append(("num", Fraction(p, q) if p % q else p // q))
+        elif kind == "label" and (tok in labels or catalog.is_label(tok)):
             tokens.append(("label", tok))
         elif kind == "op":
             tokens.append((tok, tok))
@@ -73,12 +80,12 @@ def _tokenize(text):
 
 
 class _ExprParser:
-    """Recursive-descent parser producing wedge coordinates."""
+    """Recursive-descent parser producing wedge coordinates, ints unless a literal is not."""
 
     def __init__(self, text, labels):
-        self.tokens = _tokenize(text)
-        self.pos = 0
         self.labels = {lab: t for t, lab in enumerate(labels)}
+        self.tokens = _tokenize(text, self.labels)
+        self.pos = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -100,7 +107,7 @@ class _ExprParser:
             sign = -1 if self.peek() == "-" else 1
             if self.peek() in ("+", "-"):
                 self.take()
-            coeff = Fraction(1)
+            coeff = 1
             if self.peek() == "num":
                 coeff = self.take()
                 if self.peek() == "*":
@@ -118,7 +125,7 @@ class _ExprParser:
                 raise _ExprError(
                     f"unknown label {lab!r}; expected one of {sorted(self.labels)}"
                 )
-            return {self.labels[lab]: Fraction(1)}
+            return {self.labels[lab]: 1}
         if tk == "(":
             self.take("(")
             v = {}
@@ -135,9 +142,8 @@ class _ExprParser:
         return u, self.vector()
 
     def bivector(self):
-        pairs = wedge2_space(len(self.labels))
-        index = {p: t for t, p in enumerate(pairs)}
-        coords = [Fraction(0)] * len(pairs)
+        index = _wedge_index(len(self.labels))
+        coords = [0] * len(index)
         if [tk for tk, _ in self.tokens] == ["num", "end"] and self.tokens[0][1] == 0:
             # a lone 0 is the zero bivector, as format_terms prints it
             return tuple(coords)
@@ -147,21 +153,33 @@ class _ExprParser:
             for i, x in u.items():
                 for j, y in v.items():
                     if i < j:
-                        coords[index[(i, j)]] += c * x * y
+                        coords[index[i, j]] += c * x * y
                     elif i > j:
-                        coords[index[(j, i)]] -= c * x * y
+                        coords[index[j, i]] -= c * x * y
         if self.peek() != "end":
             raise _ExprError("expected + or - between terms")
         return tuple(coords)
 
 
 def parse_bivector_expr(text, labels, option="--r") -> tuple:
-    """Wedge coordinates of text; DocumentError at `option` when it is malformed."""
+    """Wedge coordinates of text; DocumentError at `option` when it is malformed.
+
+    A coordinate is an int, or a Fraction when a literal that is not an
+    integer enters it; labels are names catalog.is_label accepts.
+    """
     # argparse hands over the value of --r=-- as [], since it drops a "--"
     try:
         return _ExprParser(text or "", labels).bivector()
     except _ExprError as e:
         raise DocumentError(option, str(e)) from None
+
+
+def _bivector(iso, coords):
+    """The Bivector of wedge coordinates on iso, read through Bivector.of_ints off their nonzeros."""
+    from .ybe import Bivector
+
+    nz, d = to_ints((k, x) for k, x in enumerate(coords) if x)
+    return Bivector.of_ints(iso, dict(nz), d)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +280,8 @@ def _cmd_invariants(args, stdin_text):
 
 
 def _cmd_ybe(args, stdin_text):
-    from .ybe import make_bivector
-
     _, iso, qlabels = _model(args, stdin_text)
-    r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
+    r = _bivector(iso, parse_bivector_expr(args.r, qlabels))
     nonzero = [
         {"triple": [qlabels[a] + "*" for a in abc], "value": str(val)}
         for abc, val in r.tensor.nonzero_entries()
@@ -281,7 +297,7 @@ def _cmd_ybe(args, stdin_text):
 
 
 def _cmd_scan(args, stdin_text):
-    from .ybe import Bivector, is_r_matrix, make_bivector
+    from .ybe import Bivector, is_r_matrix
 
     _, iso, qlabels = _model(args, stdin_text)
     inv = invariant_bivectors(iso)
@@ -303,7 +319,7 @@ def _cmd_scan(args, stdin_text):
 
     out_rows = [scanned("basis", Bivector.of_ints(iso, *b), True) for b in basis]
     out_rows += [scanned("sum", Bivector.of_ints(iso, *b), True) for b in sums]
-    out_rows += [scanned("candidate", make_bivector(iso, c), inv.contains(c)) for c in extra]
+    out_rows += [scanned("candidate", _bivector(iso, c), inv.contains(c)) for c in extra]
     payload = {"rows": out_rows}
     lines = [f"{len(out_rows)} candidates"]
     for row in out_rows:
@@ -315,10 +331,9 @@ def _cmd_scan(args, stdin_text):
 
 def _cmd_leaf(args, stdin_text):
     from .foliation import leaf_cocycle, leaf_decomposition
-    from .ybe import make_bivector
 
     doc, iso, qlabels = _model(args, stdin_text)
-    r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
+    r = _bivector(iso, parse_bivector_expr(args.r, qlabels))
     data = leaf_cocycle(r)
     dec = leaf_decomposition(r)
     # frame vector t is R / R_P for row (P, R), and omega_r is blockdiag(0_h, N / d) on it
@@ -357,11 +372,11 @@ def _entry_lines(title, symbol, entries):
 
 def _cmd_connection(args, stdin_text):
     from .connections import build_connection, poisson_compat
-    from .ybe import make_bivector, require_r_matrix
+    from .ybe import require_r_matrix
 
     _, iso, qlabels = _model(args, stdin_text)
     require_reductive(iso)
-    r = make_bivector(iso, parse_bivector_expr(args.r, qlabels))
+    r = _bivector(iso, parse_bivector_expr(args.r, qlabels))
     require_r_matrix(r)
     b = build_connection(args.kind, r)
     stars = [lab + "*" for lab in qlabels]
@@ -447,17 +462,31 @@ def _build_parser():
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--of", default=None, help="base builtin for double")
 
+    parser.commands = sub.choices  # the sub-parser of each command, by name
     return parser
 
 
 def run_cli(argv, stdin_text=None):
-    """Dispatch a CLI invocation; returns (exit_code, stdout, stderr)."""
+    """Dispatch a CLI invocation; returns (exit_code, stdout, stderr).
+
+    A known command's arguments go straight to its sub-parser, as the top
+    parser would hand them on; its leftover strings are refused by the top
+    parser, in parse_args's words.  No command, an unknown one, and an
+    option before it are parsed by the top parser.
+    """
     parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
     cap_out = io.StringIO()
     cap_err = io.StringIO()
     try:
         with redirect_stdout(cap_out), redirect_stderr(cap_err):
-            args = parser.parse_args(argv)
+            if sub is None:
+                args = parser.parse_args(argv)
+            else:
+                args, extra = sub.parse_known_args(argv[1:])
+                if extra:
+                    parser.error(f"unrecognized arguments: {' '.join(extra)}")
+                args.command = argv[0]
     except _Usage as e:
         return 2, cap_out.getvalue(), cap_err.getvalue() + str(e) + "\n"
     except SystemExit as e:  # --help lands here

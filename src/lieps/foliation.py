@@ -25,7 +25,7 @@ from .errors import (
     RadicalMismatch,
 )
 from .exact import Mat, Subspace, dot, from_ints, inverse, kernel, solve, zero_vec
-from .invariants import bivector_coords_from_matrix, invariance_rows
+from .invariants import bivector_coords_from_matrix
 from .liecore import Frozen, IsotropyModel, bracket, require_reductive, structure_constants, wedge2_space
 from .ybe import Bivector, make_bivector, require_r_matrix
 
@@ -97,11 +97,36 @@ def _check_cocycle(C: dict, omega: Mat, dim: int, error):
 
 
 def _not_invariant(r: Bivector):
-    """NotInvariant naming the first generator whose invariance rows r fails, or None."""
-    h = r.iso.h_basis
-    coords = dict(r.nz)  # d r in ints; a zero test does not see the scale d
-    for t, rows in enumerate(invariance_rows(r.iso)):
-        if any(sum(x * coords.get(k, 0) for k, x in row.items()) for row in rows):
+    """NotInvariant naming the first operator N / d of iso.action that moves r, or None.
+
+    The block of invariance_rows applied to r, read off r's nonzeros c e_i ^ e_j (d r in
+    ints; a zero test does not see the scale) and the columns of N: the derivation of an
+    h-basis vector sends e_i ^ e_j to N e_i ^ e_j + e_i ^ N e_j, and a discrete generator
+    moves it by N e_i ^ N e_j - d^2 e_i ^ e_j.
+    """
+    iso = r.iso
+    h = iso.h_basis
+    pairs = wedge2_space(iso.quotient_dim)
+    terms = [(*pairs[p], c) for p, c in r.nz]
+
+    def wedge(image, u, v, c):  # adds c u ^ v to image, u and v sparse (index, value) lists
+        for a, x in u:
+            for b, y in v:
+                if a < b:
+                    image[a, b] = image.get((a, b), 0) + c * x * y
+                elif a > b:
+                    image[b, a] = image.get((b, a), 0) - c * x * y
+
+    for t, (cols, d) in enumerate(iso.action):
+        image = {}
+        for i, j, c in terms:
+            if t < h.dim:
+                wedge(image, cols[i], ((j, 1),), c)
+                wedge(image, ((i, 1),), cols[j], c)
+            else:
+                wedge(image, cols[i], cols[j], c)
+                image[i, j] = image.get((i, j), 0) - d * d * c
+        if any(image.values()):
             what = (
                 f"h-basis vector ({', '.join(str(x) for x in h.basis[t])})"
                 if t < h.dim

@@ -2,15 +2,18 @@
 generator of randomized quotient instances, and plain dense oracles for the
 sparse code paths and the per-bivector tables."""
 
+import io
 import random
+import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction as QQ
 from functools import cached_property
 from math import lcm
 
-from lieps import catalog
+from lieps import catalog, cli
 from lieps.exact import (
     Mat,
     Subspace,
@@ -24,8 +27,17 @@ from lieps.exact import (
     vsub,
     zero_vec,
 )
-from lieps.invariants import fixed_quotient_covectors, invariant_bivectors
-from lieps.errors import ClosureFailure, GeneratorMovesH, NotACocycle, NotAnAutomorphism, RadicalMismatch
+from lieps.invariants import fixed_quotient_covectors, invariance_rows, invariant_bivectors
+from lieps.errors import (
+    ClosureFailure,
+    DocumentError,
+    GeneratorMovesH,
+    LiepsError,
+    NotACocycle,
+    NotAnAutomorphism,
+    NotInvariant,
+    RadicalMismatch,
+)
 from lieps.exact import _eliminate, _primitive, _rref_int_rows
 from lieps.liecore import (
     _sparse_bracket,
@@ -1024,3 +1036,157 @@ def dense_poisson_compat_failures(r, b) -> tuple:
                 if val != 0:
                     bad.append(((a, c, d), val))
     return tuple(bad)
+
+
+# ---------------------------------------------------------------------------
+# the readers of a job's input as they were: the whole argv through the top
+# parser, the --r grammar in Fractions, and the invariance test by rows
+
+
+def reference_run_cli(argv, stdin_text=None):
+    """cli.run_cli as it was: every argv goes through the top parser's parse_args."""
+    parser = cli._build_parser()
+    cap_out = io.StringIO()
+    cap_err = io.StringIO()
+    try:
+        with redirect_stdout(cap_out), redirect_stderr(cap_err):
+            args = parser.parse_args(argv)
+    except cli._Usage as e:
+        return 2, cap_out.getvalue(), cap_err.getvalue() + str(e) + "\n"
+    except SystemExit as e:  # --help lands here
+        return int(e.code or 0), cap_out.getvalue(), cap_err.getvalue()
+    try:
+        code, out = args.handler(args, stdin_text)
+        return code, out, ""
+    except DocumentError as e:
+        return 2, "", f"parse error: {e}\n"
+    except LiepsError as e:
+        return 1, "", f"error: {e}\n"
+
+
+class _ReferenceExprError(Exception):
+    pass
+
+
+_REFERENCE_TOKEN = re.compile(r"(?P<num>\d+(?:/\d*)?)|(?P<label>\w+)|(?P<op>[-+*^()])|(?P<bad>\S)")
+
+
+def _reference_tokenize(text):
+    tokens = []
+    for m in _REFERENCE_TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "num":
+            num, slash, den = tok.partition("/")
+            if slash and not den:
+                raise _ReferenceExprError(f"bad rational near {text[m.start():]!r}")
+            if slash and int(den) == 0:
+                raise _ReferenceExprError(f"zero denominator in {tok!r}")
+            tokens.append(("num", QQ(int(num), int(den or 1))))
+        elif kind == "label" and catalog.is_label(tok):
+            tokens.append(("label", tok))
+        elif kind == "op":
+            tokens.append((tok, tok))
+        else:
+            raise _ReferenceExprError(f"unexpected character {tok[0]!r}")
+    tokens.append(("end", None))
+    return tokens
+
+
+class _ReferenceExprParser:
+    """The recursive-descent --r parser as it was, on Fraction coordinates."""
+
+    def __init__(self, text, labels):
+        self.tokens = _reference_tokenize(text)
+        self.pos = 0
+        self.labels = {lab: t for t, lab in enumerate(labels)}
+
+    def peek(self):
+        return self.tokens[self.pos][0]
+
+    def take(self, kind=None):
+        tk, val = self.tokens[self.pos]
+        if kind is not None and tk != kind:
+            raise _ReferenceExprError(f"expected {kind}, found {tk}")
+        self.pos += 1
+        return val
+
+    def terms(self, term):
+        out = []
+        while True:
+            sign = -1 if self.peek() == "-" else 1
+            if self.peek() in ("+", "-"):
+                self.take()
+            coeff = QQ(1)
+            if self.peek() == "num":
+                coeff = self.take()
+                if self.peek() == "*":
+                    self.take()
+            out.append((sign * coeff, term()))
+            if self.peek() not in ("+", "-"):
+                return out
+
+    def vector(self):
+        tk = self.peek()
+        if tk == "label":
+            lab = self.take()
+            if lab not in self.labels:
+                raise _ReferenceExprError(
+                    f"unknown label {lab!r}; expected one of {sorted(self.labels)}"
+                )
+            return {self.labels[lab]: QQ(1)}
+        if tk == "(":
+            self.take("(")
+            v = {}
+            for c, part in self.terms(self.vector):
+                for t, x in part.items():
+                    v[t] = v.get(t, 0) + c * x
+            self.take(")")
+            return v
+        raise _ReferenceExprError("expected a basis label or a parenthesized combination")
+
+    def wedge(self):
+        u = self.vector()
+        self.take("^")
+        return u, self.vector()
+
+    def bivector(self):
+        pairs = wedge2_space(len(self.labels))
+        index = {p: t for t, p in enumerate(pairs)}
+        coords = [QQ(0)] * len(pairs)
+        if [tk for tk, _ in self.tokens] == ["num", "end"] and self.tokens[0][1] == 0:
+            return tuple(coords)
+        if self.peek() == "end":
+            raise _ReferenceExprError("empty bivector expression")
+        for c, (u, v) in self.terms(self.wedge):
+            for i, x in u.items():
+                for j, y in v.items():
+                    if i < j:
+                        coords[index[(i, j)]] += c * x * y
+                    elif i > j:
+                        coords[index[(j, i)]] -= c * x * y
+        if self.peek() != "end":
+            raise _ReferenceExprError("expected + or - between terms")
+        return tuple(coords)
+
+
+def reference_parse_bivector_expr(text, labels, option="--r") -> tuple:
+    """cli.parse_bivector_expr as it was: Fraction coordinates, every word checked by catalog.is_label."""
+    try:
+        return _ReferenceExprParser(text or "", labels).bivector()
+    except _ReferenceExprError as e:
+        raise DocumentError(option, str(e)) from None
+
+
+def reference_not_invariant(r):
+    """foliation._not_invariant as it was: every row of every block of invariance_rows dotted with r."""
+    h = r.iso.h_basis
+    coords = dict(r.nz)
+    for t, rows in enumerate(invariance_rows(r.iso)):
+        if any(sum(x * coords.get(k, 0) for k, x in row.items()) for row in rows):
+            what = (
+                f"h-basis vector ({', '.join(str(x) for x in h.basis[t])})"
+                if t < h.dim
+                else f"discrete generator ad_generators[{t - h.dim}]"
+            )
+            return NotInvariant(f"r is not invariant: the {what} moves it")
+    return None

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as QQ
 
 import pytest
@@ -175,6 +176,73 @@ def test_rationals():
     with pytest.raises(DocumentError) as exc:
         catalog.read_rational("1/0", "v[{}][{}]", 2, "k")
     assert (exc.value.path, exc.value.msg) == ("v[2][k]", "zero denominator")
+
+
+# the language read_rational reads in a string, once stripped, as it was written first
+_RATIONAL_ORACLE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.sampled_from(["+", "-", "_", "²", "٣", "𝟙", " ", "/", "0", "1", "7", "\n", "x", "½"]), max_size=7))
+def test_read_rational_reads_the_language_of_the_regex(text):
+    m = _RATIONAL_ORACLE.match(text.strip())
+    if m is None:
+        with pytest.raises(DocumentError) as exc:
+            catalog.read_rational(text, "x")
+        assert exc.value.msg == f"not a rational literal: {text.strip()!r}"
+    elif int(m.group(2) or 1) == 0:
+        with pytest.raises(DocumentError, match="zero denominator"):
+            catalog.read_rational(text, "x")
+    else:
+        assert catalog.read_rational(text, "x") == (int(m.group(1)), int(m.group(2) or 1))
+
+
+_UNIT = ["1", "0", "0"]
+
+
+# documents with two faults: the one the reader meets first is reported, in
+# the words of the check that meets it
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dim": 2, "zeta": 1, "alpha": 2}', "zeta: unknown field"),
+        ('{"dim": 0, "zeta": 1}', "zeta: unknown field"),
+        ('{"dim": 3, "brackets": [{"i": 0, "j": "x", "k": 1}]}', "brackets[0].k: unknown field"),
+        ('{"dim": 3, "brackets": [{"k": 1, "i": 0, "j": "x", "l": 2}]}', "brackets[0].k: unknown field"),
+        ('{"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1", "02": "x"}}]}',
+         "brackets[0].coeffs.02: repeated basis index 2"),
+        ('{"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"02": "1", "2": "x"}}]}',
+         "brackets[0].coeffs.2: repeated basis index 2"),
+        ('{"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"3": "x"}}]}',
+         "brackets[0].coeffs.3: index out of range 0..2"),
+        (json.dumps({"dim": 3, "ad_generators": [[_UNIT, ["0", "1"], ["0", "0", "1"]]]}),
+         "ad_generators[0][1]: must have 3 entries"),
+        (json.dumps({"dim": 3, "ad_generators": [[[1, 0, 0], [0, 1, "x"], [0, 0, 1]]]}),
+         "ad_generators[0][1][2]: not a rational literal: 'x'"),
+        (json.dumps({"dim": 3, "ad_generators": [[[True, False, False], ["0", "1", "0"], ["0", "0", "1"]]]}),
+         "ad_generators[0][0][0]: not a rational literal: True"),
+        (json.dumps({"dim": 2, "ad_generators": [[[" 1", "0"], ["0", "1/0"]]]}),
+         "ad_generators[0][1][1]: zero denominator"),
+        ('{"dim": 2, "labels": ["a", "a"], "brackets": 3}', "labels: must be distinct"),
+    ],
+    ids=[
+        "two unknown fields", "unknown field and bad dim", "unknown item field after bad j",
+        "two unknown item fields", "02 after 2", "2 after 02", "index out of range and bad value",
+        "unit row then short row", "integer unit row then bad literal", "boolean unit row",
+        "padded unit row then zero denominator", "repeated labels and bad brackets",
+    ],
+)
+def test_the_first_fault_of_a_document_is_reported(text, message):
+    assert run_cli(["validate", "-"], text) == (2, "", f"parse error: {message}\n")
+
+
+def test_unit_generator_rows_read_into_the_unit_columns():
+    # rows spelled as emit spells the identity, as JSON integers, or padded
+    # give one form
+    rows = ([_UNIT, ["0", "1", "0"], ["0", "0", "1"]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[" 1", "0", "0"], ["0", "1/1", 0], ["0", "0", "2/2"]])
+    forms = {catalog.parse(json.dumps({"dim": 3, "ad_generators": [g]})).ad_generators for g in rows}
+    assert forms == {(Generator((((0, 1),), ((1, 1),), ((2, 1),)), 1),)}
 
 
 _ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")

@@ -17,8 +17,10 @@ from helpers import (
     dense_poisson_compat_failures,
     random_generator_instance,
     random_instances,
+    reference_parse_bivector_expr,
+    reference_run_cli,
 )
-from lieps import catalog, cli, exact, liecore
+from lieps import catalog, cli, exact, liecore, ybe
 from lieps.catalog import AlgebraDocument, builtin, emit, is_label
 from lieps.cli import format_terms, parse_bivector_expr, run_cli, wedge_words
 from lieps.errors import DocumentError
@@ -207,19 +209,27 @@ def test_labels_the_r_grammar_cannot_read_are_parse_errors(labels, t):
 @given(
     st.lists(
         st.sampled_from(
-            ["u1", "v1", "w", "x", "0", "1", "7", "²", "٣", "+", "-", "*", "^", "(", ")", "/", " "]
+            ["u1", "v1", "w", "x", "_", "0", "1", "7", "²", "٣", "+", "-", "*", "^", "(", ")", "/", " "]
         ),
         max_size=12,
     ).map("".join)
 )
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_r_parses_or_is_a_document_error(text):
+    # the coordinates, or the error text, of the Fraction parser the --r
+    # grammar was first read with
+    labels = ("u1", "v1", "w")
     try:
-        coords = parse_bivector_expr(text, ("u1", "v1", "w"))
+        coords = parse_bivector_expr(text, labels)
     except DocumentError as e:
         expected = (2, "", f"parse error: {e}\n")
+        with pytest.raises(DocumentError) as reference:
+            reference_parse_bivector_expr(text, labels)
+        assert str(reference.value) == str(e)
     else:
         assert isinstance(coords, tuple) and len(coords) == 3
+        assert coords == reference_parse_bivector_expr(text, labels)
+        assert "/" in text or all(type(x) is int for x in coords)
         expected = None
     code, out, err = run_cli(["ybe", "-", "--r", text], H1)
     assert code in (0, 1, 2)
@@ -242,6 +252,54 @@ def test_help_exits_zero():
     code, out, err = run_cli(["--help"])
     assert code == 0
     assert "usage" in out.lower()
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["validate", "-", "extra"], "extra"),
+        (["ybe", "-", "--r=u1^v1", "extra"], "extra"),
+        (["validate", "-", "--", "x"], "x"),
+        (["validate", "-", "a", "b"], "a b"),
+    ],
+)
+def test_leftover_arguments_are_refused_by_the_top_parser(argv, extra):
+    # a known command is parsed by its own sub-parser, but what that leaves
+    # over is reported as parse_args reports it, under the program's name
+    assert run_cli(argv, H1) == (2, "", f"lieps: error: unrecognized arguments: {extra}\n")
+
+
+DISPATCH_CORPUS = (
+    [],
+    ["bogus", "-"],
+    ["val", "-"],
+    ["-h"],
+    ["--help"],
+    ["validate", "-h"],
+    ["ybe", "--help"],
+    ["leaf", "-"],
+    ["connection", "-", "--r=u1^w", "--kind", "bad"],
+    ["validate", "-", "--form", "json"],
+    ["validate", "-", "--he"],
+    ["--format", "json", "validate", "-"],
+    ["-x", "validate", "-"],
+    ["ybe", "-", "--r", "u1^v1", "--r", "u1^w"],
+    ["ybe", "-", "--r=--"],
+    ["ybe", "-", "--r", "--", "u1^v1"],
+    ["ybe", "-", "--r", "-u1^v1"],
+    ["validate", "--", "-"],
+    ["validate", "-", "-", "-"],
+    ["scan", "-", "--candidate", "u1^w", "--candidate=-v1^w"],
+    ["example", "heisenberg", "--n", "2"],
+    ["example", "double", "--n", "1", "--of", "heisenberg"],
+    ["example", "--n", "2"],
+    ["connection", "-", "--r=u1^w", "--kind", "fedosov", "--format", "text", "--format", "json"],
+)
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=repr)
+def test_dispatch_gives_what_the_top_parser_gives(argv):
+    assert run_cli(argv, H1) == reference_run_cli(argv, H1)
 
 
 def test_consecutive_calls_capture_their_own_output():
@@ -539,6 +597,46 @@ def test_jobs_build_no_fraction_sharp_matrix(monkeypatch, name, n, argv):
     assert mats == [[], []]
     if argv[0] == "scan":
         assert bases == fractions == []
+
+
+@pytest.mark.parametrize(
+    "name, params, r",
+    [
+        ("heisenberg", {"n": 2}, "u1^w + u2^w - 3*v1^w - v2^w"),
+        ("heisenberg", {"n": 3}, "2*u1^w + u2^w + u3^w - v1^w + v2^w - v3^w"),
+        ("so4_grassmann", {}, "2*e1^e2 - 2*e1^e3 - 2*e2^e4 + 2*e3^e4"),
+        ("double", {"n": 2, "of": "heisenberg"}, "2*m_u1^m_w - 2*m_u2^m_w - m_v1^m_w - 2*m_v2^m_w"),
+    ],
+)
+def test_integer_r_is_read_without_a_fraction(monkeypatch, name, params, r):
+    # the documents and r-matrices of the rmatrix benchmark workload: an
+    # integer --r is tokenized and summed in ints, and its bivector is built
+    # off the nonzeros by Bivector.of_ints, not by Bivector(iso, coords)
+    reading, fractions = [], []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            if reading:
+                fractions.append(args)
+            return Fraction(*args)
+
+    real = cli.parse_bivector_expr
+
+    def parse(*args):
+        reading.append(args)
+        try:
+            return real(*args)
+        finally:
+            reading.pop()
+
+    text = _doc_text(name, **params)
+    inits = count_calls(monkeypatch, ybe.Bivector, "__init__")
+    monkeypatch.setattr(cli, "Fraction", Counted)
+    monkeypatch.setattr(cli, "parse_bivector_expr", parse)
+    for argv in (["ybe"], ["leaf"], ["connection", "--kind", "fedosov"]):
+        code, out, err = run_cli([*argv, "-", f"--r={r}"], text)
+        assert (code, err) == (0, ""), argv
+    assert (fractions, inits) == ([], [])
 
 
 @pytest.mark.parametrize("name, n, nonzeros", [("abelian", 16, 120), ("heisenberg", 6, 12)])

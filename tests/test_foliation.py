@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    CATALOG_ENTRIES,
     catalog_r_matrices,
     dense_is_cocycle,
     dense_leaf_reductive,
@@ -15,6 +16,7 @@ from helpers import (
     random_generator_instance,
     random_instances,
     reference_leaf_cocycle,
+    reference_not_invariant,
 )
 from lieps.errors import (
     ClosureFailure,
@@ -44,6 +46,7 @@ from lieps.liecore import (
     make_isotropy,
     make_lie_algebra,
     structure_constants,
+    wedge2_space,
 )
 from lieps.ybe import is_r_matrix, make_bivector
 
@@ -364,6 +367,33 @@ def test_not_invariant_names_the_generator_that_moves_r():
             assert str(err) == (
                 f"r is not invariant: the discrete generator ad_generators[{moved}] moves it"
             )
+
+
+_CATALOG_MODELS = {tag: instance(name, params)[1] for tag, name, params in CATALOG_ENTRIES}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_not_invariant_matches_the_row_check(data):
+    # the operator check of r's nonzeros against every row of invariance_rows,
+    # on the catalog and on transported models, whose h is no coordinate
+    # subspace and whose generators have denominators; r is an integer
+    # combination of the invariant basis, perhaps plus a rational bivector
+    # drawn at random
+    if data.draw(st.booleans()):
+        iso = _CATALOG_MODELS[data.draw(st.sampled_from(sorted(_CATALOG_MODELS)))]
+        m = len(wedge2_space(iso.quotient_dim))
+        noise = [QQ(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3))) for _ in range(m)]
+    else:
+        _, _, iso, noise = random_generator_instance(data.draw(st.integers(0, 2**20)))
+    basis = invariant_bivectors(iso).basis
+    coeffs = [data.draw(st.integers(-3, 3)) for _ in basis]
+    scale = data.draw(st.sampled_from((0, 0, 1, QQ(1, 2))))
+    coords = [sum((c * v[k] for c, v in zip(coeffs, basis)), QQ(0)) + scale * noise[k] for k in range(len(noise))]
+    r = make_bivector(iso, coords)
+    got, expected = _not_invariant(r), reference_not_invariant(r)
+    assert (got is None) == (expected is None) == (scale == 0 or invariant_bivectors(iso).contains(coords))
+    assert str(got) == str(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,7 @@ def parse(text) -> AlgebraDocument:
     if not isinstance(raw_brackets, list):
         raise DocumentError("brackets", "must be a list")
     terms = []  # (i, j, k, p, q): c_ijk = p / q
+    values = {}  # string literal -> (p, q), read once per document; literals repeat
     pairs = set()
     duplicate = None
     # the canonical spelling of each basis index; any other key is checked in full
@@ -425,7 +426,13 @@ def parse(text) -> AlgebraDocument:
             if k in seen:
                 raise DocumentError(f"brackets[{t}].coeffs.{key}", f"repeated basis index {k}")
             seen.add(k)
-            terms.append((i, j, k, *read_rational(val, "brackets[{}].coeffs.{}", t, key)))
+            if type(val) is str:
+                pq = values.get(val)
+                if pq is None:
+                    pq = values[val] = read_rational(val, "brackets[{}].coeffs.{}", t, key)
+            else:
+                pq = read_rational(val, "brackets[{}].coeffs.{}", t, key)
+            terms.append((i, j, k, *pq))
         if (i, j) in pairs and duplicate is None:
             duplicate = (i, j)
         pairs.add((i, j))
@@ -434,7 +441,6 @@ def parse(text) -> AlgebraDocument:
         raise DocumentError("brackets", f"duplicate pair {duplicate}")
     algebra = lie_algebra_of_terms(dim, labels, terms)
 
-    values = {}  # string literal -> (p, q); generators repeat "0", "1" and "-1"
     fractions = {}  # a vector entry's Fraction, once per (p, q)
 
     def rational(x, path, *where):

@@ -17,11 +17,14 @@ column c touches only the rows that lead there (bucket[c] is exactly the
 set of rows holding c, since every waiting row leads at c or later), and
 one back-substitution from the last pivot up clears each pivot row at the
 later pivots it holds.  The RREF is unique, so this order of work changes
-no output.  `kernel_of_rows` takes such rows directly, integer rows as they
-are, and builds its kernel vectors in ints, so a constraint system
-assembled from its nonzeros never becomes a dense matrix.  A
-subspace tests membership with the kernel's own row update `_eliminate`.
-The structure constants of `liecore` are stored in the same integer form.
+no output.  `kernel_of_rows` reads such rows as a stream and keeps the
+kernel rather than the row space: integer vectors, the unit vectors once a
+nonzero row arrives, each row cutting only the vectors it meets and a
+redundant row cutting none, so a constraint system assembled from its
+nonzeros never becomes a dense matrix and the rows after the kernel is zero
+are never read.  Every integer row update, in the elimination, the kernel
+cut and a subspace's membership test, is the one `_cancel`.  The structure
+constants of `liecore` are stored in the same integer form.
 """
 
 from __future__ import annotations
@@ -257,21 +260,28 @@ def _primitive(row):
     return row
 
 
-def _eliminate(row, piv_row, c):
-    """row with its entry in column c cleared against piv_row, made primitive."""
-    piv = piv_row[c]
-    f = row[c]
-    g = gcd(piv, f)
-    a = piv // g
+def _cancel(row, f, other, e):
+    """(e/g) row - (f/g) other with g = gcd(e, f), made primitive.
+
+    The one row update of the module: when a linear form takes the value f
+    on row and e on other, it vanishes on the result.  Values never leave Z.
+    """
+    g = gcd(e, f)
+    a = e // g
     b = f // g
     out = {j: a * x for j, x in row.items()}
-    for j, y in piv_row.items():
+    for j, y in other.items():
         v = out.get(j, 0) - b * y
         if v:
             out[j] = v
         else:
             del out[j]
     return _primitive(out)
+
+
+def _eliminate(row, piv_row, c):
+    """row with its entry in column c cleared against piv_row, made primitive."""
+    return _cancel(row, row[c], piv_row, piv_row[c])
 
 
 def _rref_int_rows(m, ncols):
@@ -482,34 +492,65 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
 
 
+def _unit_kernel(ncols):
+    """The unit vectors of Q^ncols keyed by their column, and the column -> keys index of their supports."""
+    return {j: {j: 1} for j in range(ncols)}, {j: {j} for j in range(ncols)}
+
+
 def kernel_of_rows(rows, ncols) -> Subspace:
     """RREF basis of {x in Q^ncols : sum_j row[j] x_j = 0 for every row}.
 
-    Rows are {column: value} dicts of rationals (absent entries are zero),
-    so a constraint system built from its nonzeros is solved without ever
-    being laid out as a dense matrix.  Integer rows are eliminated as they
-    are (Subspace._of_rows).  The kernel vector of a free column f is built
-    in ints: L at f and -R_p[f] L / R_p[p] at each pivot p, with L the lcm
-    of the R_p[p] of the constraint rows R_p that reach f.  Those rows are
-    gathered per free column in one pass over the nonzeros of the reduced
-    rows: a reduced row is zero at every other pivot, so each of its
-    nonzeros off its own pivot sits in a free column.  A free column that no
-    row reaches gets its unit vector (lcm() is 1).
+    rows is any iterable of {column: value} dicts of rationals (absent
+    entries are zero), read one at a time; a row holding a non-int is
+    scaled to ints on its own.  The kernel itself is kept and cut, not the
+    row space: integer vectors, the unit vectors once the first nonzero row
+    arrives, with an index from each column to the vectors holding it.  A
+    row is dotted only with the vectors its nonzeros meet; if every dot is
+    zero it is redundant and costs nothing more.  Otherwise the hit vector
+    k0 with the fewest nonzeros (ties to the smaller key) is dropped, and
+    each other hit vector k with dot s becomes _cancel(k, s, k0, s0): the
+    vectors stay independent and span the kernel of the rows read so far.
+    Once none is left the kernel is zero and no further row is read (on
+    Q^0, no row at all).  The survivors go to the unique RREF of
+    Subspace._of_rows, so the result does not depend on the order of the
+    rows or of the work.
     """
-    constraints = Subspace._of_rows(ncols, rows)
-    if not constraints.dim:
+    if not ncols:
+        return Subspace.zero(0)
+    vecs = None
+    for row in rows:
+        if not all(type(x) is int for x in row.values()):
+            row = dict(to_ints(row.items())[0])
+        if vecs is None:
+            if not any(row.values()):
+                continue
+            vecs, index = _unit_kernel(ncols)
+        dots = {}
+        for j, x in row.items():
+            if x:
+                for t in index[j]:
+                    dots[t] = dots.get(t, 0) + x * vecs[t][j]
+        hit = [t for t, s in dots.items() if s]
+        if not hit:
+            continue
+        t0 = hit[0] if len(hit) == 1 else min(hit, key=lambda t: (len(vecs[t]), t))
+        k0 = vecs.pop(t0)
+        s0 = dots[t0]
+        for j in k0:
+            index[j].discard(t0)
+        for t in hit:
+            if t != t0:
+                k = vecs[t]
+                vecs[t] = cut = _cancel(k, dots[t], k0, s0)
+                for j in cut.keys() - k.keys():
+                    index[j].add(t)
+                for j in k.keys() - cut.keys():
+                    index[j].discard(t)
+        if not vecs:
+            return Subspace.zero(ncols)
+    if vecs is None:
         return Subspace.full(ncols)
-    reach = {}
-    for p, R in constraints.rows:
-        for f in R:
-            if f != p:
-                reach.setdefault(f, []).append((p, R))
-    vecs = []
-    for f in sorted(set(range(ncols)).difference(constraints.pivots)):
-        hits = reach.get(f, ())
-        L = lcm(*(R[p] for p, R in hits))
-        vecs.append({f: L, **{p: -R[f] * (L // R[p]) for p, R in hits}})
-    return Subspace._of_rows(ncols, vecs)
+    return Subspace._of_rows(ncols, list(vecs.values()))
 
 
 def kernel(m: Mat) -> Subspace:

@@ -8,11 +8,14 @@ condition of the wedge-square action of each induced matrix, both in ints off
 the Generators of iso.action, transposed once into sparse rows; their columns
 are the rows of the transposes the fixed covectors read.  A generator's rows
 are read off where it differs from the identity, so they cost what it moves.
+The invariance rows are a stream of blocks, built as the kernel reads them,
+so a solve whose kernel is zero early builds none of the later blocks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .exact import Mat, Subspace, kernel_of_rows, vec
 from .liecore import IsotropyModel, minus_scalar, wedge2_derivation_rows, wedge2_moved_rows, wedge2_space
@@ -44,29 +47,29 @@ def bivector_coords_from_matrix(r_mat: Mat) -> tuple:
     return tuple(r_mat[j][i] for i, j in wedge2_space(r_mat.rows))
 
 
-def invariance_rows(iso: IsotropyModel) -> tuple:
-    """Sparse integer rows of the invariance conditions, one block per operator of iso.action.
+def invariance_rows(iso: IsotropyModel):
+    """Sparse integer rows of the invariance conditions, one block per operator of iso.action, built as read.
 
     Block t < dim h is the derivation block of N = d ad-bar_u for the t-th
     h-basis vector u (connected part): its kernel is the bivectors u kills.
     Each later block holds the nonzero rows of N^N - d^2 I = d^2 (A^A - I)
     for one discrete generator A = N / d, in order, built from N - dI on the
     pairs it moves (wedge2_moved_rows): its kernel is the bivectors A fixes,
-    and the identity gives an empty block.
+    and the identity gives an empty block.  A block is built only when the
+    one before it has been read.
     """
     k = iso.h_basis.dim
-    return tuple(wedge2_derivation_rows(op.rows()) for op in iso.action[:k]) + tuple(
-        wedge2_moved_rows(op.rows(), op.d) for op in iso.action[k:]
-    )
+    for t, op in enumerate(iso.action):
+        yield wedge2_derivation_rows(op.rows()) if t < k else wedge2_moved_rows(op.rows(), op.d)
 
 
 def invariant_bivectors(iso: IsotropyModel) -> Subspace:
     """Bivectors on g/h fixed by the full declared isotropy action, in wedge-square coordinates.
 
-    The common kernel of every block of invariance_rows.
+    The common kernel of every block of invariance_rows, streamed into
+    kernel_of_rows: once the kernel is zero, no further block is built.
     """
-    rows = [row for block in invariance_rows(iso) for row in block]
-    return kernel_of_rows(rows, len(wedge2_space(iso.quotient_dim)))
+    return kernel_of_rows(chain.from_iterable(invariance_rows(iso)), len(wedge2_space(iso.quotient_dim)))
 
 
 def fixed_quotient_covectors(iso: IsotropyModel) -> Subspace:

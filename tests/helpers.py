@@ -22,7 +22,6 @@ from lieps.exact import (
     int_vectors,
     inverse,
     kernel,
-    kernel_of_rows,
     solve,
     vsub,
     zero_vec,
@@ -48,7 +47,6 @@ from lieps.liecore import (
     induced_map,
     make_isotropy,
     make_lie_algebra,
-    minus_scalar,
     wedge2_space,
 )
 from lieps.foliation import _check_cocycle, _not_invariant
@@ -617,7 +615,7 @@ def dense_wedge2_derivation(B: Mat) -> Mat:
 
 
 def dense_invariant_bivectors(iso) -> Subspace:
-    """Kernel of the stacked dense blocks: derivations, then A^A - I."""
+    """Kernel of the stacked dense blocks, derivations then A^A - I, by kernel_oracle."""
     nwedge = len(wedge2_space(iso.quotient_dim))
     eye = Mat.identity(nwedge)
     rows = []
@@ -625,7 +623,7 @@ def dense_invariant_bivectors(iso) -> Subspace:
         rows += dense_wedge2_derivation(bar).entries
     for A in iso.discrete_generators:
         rows += (dense_wedge2_action(induced_map(iso, A)) - eye).entries
-    return kernel(Mat(rows, nwedge))
+    return Subspace.from_vectors(nwedge, kernel_oracle(rows, nwedge))
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +632,14 @@ def dense_invariant_bivectors(iso) -> Subspace:
 
 
 def fixed_vectors(ambient_dim, infinitesimal=(), discrete=()) -> Subspace:
-    """Common kernel of the infinitesimal operators and A - id for each A."""
+    """Common kernel of the infinitesimal operators and A - id for each A, by kernel_oracle."""
+    eye = Mat.identity(ambient_dim)
     rows = []
     for M in infinitesimal:
-        rows += (M if isinstance(M, Mat) else Mat(M)).sparse_rows()
+        rows += (M if isinstance(M, Mat) else Mat(M)).entries
     for A in discrete:
-        rows += minus_scalar((A if isinstance(A, Mat) else Mat(A)).sparse_rows(), 1)
-    return kernel_of_rows(rows, ambient_dim)
+        rows += ((A if isinstance(A, Mat) else Mat(A)) - eye).entries
+    return Subspace.from_vectors(ambient_dim, kernel_oracle(rows, ambient_dim))
 
 
 def fixed_covectors(ambient_dim, infinitesimal=(), discrete=()) -> Subspace:

@@ -415,12 +415,23 @@ def test_bracket_coefficients_build_no_fraction(monkeypatch):
     monkeypatch.setattr(catalog, "Fraction", Counted)
     monkeypatch.setattr(liecore, "Fraction", Counted)
     doc = catalog.parse(_TRANSPORTED)
-    # nine bracket coefficients, read into ints; the six subalgebra entries
-    # hold three distinct literals, each read and made a Fraction once
-    assert len(reads) == 9 + 3
+    # the nine bracket coefficients and six subalgebra entries hold seven
+    # distinct literals, each read into ints once; the subalgebra's three are
+    # among them, and each is made a Fraction once
+    assert sorted(reads) == sorted({"-2/9", "4/9", "1/9", "8/9", "-16/9", "-4/9", "-8/9"})
     assert sorted(fractions) == [(-2, 9), (1, 9), (4, 9)]
     assert doc.algebra.den == 9
 
+
+
+def test_a_repeated_bracket_literal_is_read_once_and_a_bad_one_raises_where_it_first_occurs():
+    good = {"i": 0, "j": 1, "coeffs": {"2": "3/6", "0": "3/6"}}
+    bad = [{"i": 0, "j": 2, "coeffs": {"1": "3/6", "0": "1/0"}}, {"i": 1, "j": 2, "coeffs": {"0": "1/0"}}]
+    algebra = catalog.parse({"dim": 3, "brackets": [good]}).algebra
+    assert (algebra.nz[0][1], algebra.den) == (((0, 1), (2, 1)), 2)
+    with pytest.raises(DocumentError) as exc:
+        catalog.parse({"dim": 3, "brackets": [good, *bad]})
+    assert (exc.value.path, exc.value.msg) == ("brackets[1].coeffs.0", "zero denominator")
 
 def _base_doc():
     return {

@@ -1662,6 +1662,30 @@ def test_generator_work_follows_the_moved_columns(monkeypatch):
     assert [len(block) for block in invariance_rows(iso)] == [11] * 12 + [0]
 
 
+
+_WIDE_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected_digests.json").read_text()
+)["wide"]
+
+
+@pytest.mark.parametrize(
+    "name, n, most_blocks, indexes",
+    # gl_sym n=4: h = so(4) gives 6 derivation blocks of 45 rows over the 45
+    # wedge columns, and the kernel is zero within the first 3; abelian n=16
+    # has h = 0, so no row and no kernel index
+    [("gl_sym", 4, 3, 1), ("abelian", 16, 0, 0)],
+)
+def test_invariant_solve_stops_building_rows_once_the_kernel_is_zero(
+    monkeypatch, name, n, most_blocks, indexes
+):
+    built = count_calls(monkeypatch, liecore, "wedge2_derivation_rows")
+    indexed = count_calls(monkeypatch, exact, "_unit_kernel")
+    code, out, err = run_cli(["invariants", "-"], _doc_text(name, n=n))
+    assert (code, err) == (0, "")
+    assert [0, hashlib.sha256(out.encode()).hexdigest()] == _WIDE_DIGESTS[f"{name}({n}) invariants"]
+    assert len(built) <= most_blocks
+    assert len(indexed) == indexes
+
 def test_generator_checks_survive_optimize_flag():
     # the integer automorphism check raises, it does not assert: under
     # python -O a singular generator and one that is no automorphism still

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    count_calls,
     gauss_jordan_oracle,
     instance,
     kernel_oracle,
@@ -361,7 +362,7 @@ def test_sparse_rref_matches_fraction_oracle(m):
 
 @settings(max_examples=60, deadline=None)
 @given(tall_sparse_matrices())
-# two constraint rows reach the free column 2: its kernel vector is (-1, -1, 1)
+# the second row cuts the vector the first row made: the kernel is (-1, -1, 1)
 @example(Mat([[1, 0, 1], [0, 1, 1]]))
 @example(Mat([[2, 0, 1], [0, 3, F(1, 2)]]))
 def test_sparse_kernel_matches_fraction_oracle(m):
@@ -370,7 +371,7 @@ def test_sparse_kernel_matches_fraction_oracle(m):
 
 @settings(max_examples=60, deadline=None)
 @given(tall_sparse_matrices(), st.booleans())
-# two constraint rows reach the free column 2: its kernel vector is (-1, -1, 1)
+# the second row cuts the vector the first row made: the kernel is (-1, -1, 1)
 @example(Mat([[1, 0, 1], [0, 1, 1]]), False)
 @example(Mat([[2, 0, 1], [0, 3, F(1, 2)]]), True)
 def test_kernel_of_rows_matches_dense_kernel(m, as_ints):
@@ -386,7 +387,7 @@ def test_kernel_of_rows_matches_dense_kernel(m, as_ints):
             row = {j: int(x * lcm) for j, x in row.items()}
         rows.append(row)
     # the oracle eliminates the dense rows with plain Fractions, apart from
-    # the integer kernel that kernel_of_rows and kernel(m) share
+    # the integer kernel cut that kernel_of_rows and kernel(m) share
     got = kernel_of_rows(rows, m.cols)
     assert got.basis == kernel_oracle(m.entries, m.cols)
     assert got.ambient == m.cols
@@ -399,6 +400,85 @@ def test_full_subspace_is_the_canonical_identity():
         assert full.pivots == tuple(range(n))
     assert kernel_of_rows([], 3) == Subspace.full(3)
     assert kernel_of_rows([{}, {1: 0}], 2) == Subspace.full(2)
+
+
+@st.composite
+def row_streams(draw):
+    """(rows, ncols): {column: value} rows as a stream meets them.
+
+    A few base rows of ints or Fractions, each repeated as it is and as
+    integer and rational multiples of itself, shuffled among empty rows and
+    rows of explicit zeros; ncols may be 0.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    ncols = rng.randint(0, 7)
+
+    def entry():
+        x = rng.randint(-6, 6)
+        return F(x, rng.randint(1, 4)) if rng.random() < 0.3 else x
+
+    base = [{j: entry() for j in range(ncols) if rng.random() < 0.5} for _ in range(rng.randint(0, 8))]
+    rows = []
+    for row in base:
+        rows.append(row)
+        for _ in range(rng.randint(0, 2)):
+            c = rng.choice((-1, 2, -3, F(1, 2), F(-2, 3)))
+            rows.append({j: c * x for j, x in row.items()})
+    for _ in range(rng.randint(0, 3)):
+        rows.append({})
+        if ncols:
+            rows.append({rng.randrange(ncols): 0})
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def _dense(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_streams())
+@example(([{0: 1, 1: 1}, {0: 2, 1: 2}, {1: F(1, 2)}, {}, {1: 0}], 3))
+@example(([{}, {}], 0))
+def test_kernel_of_a_row_stream_matches_the_fraction_oracle(system):
+    rows, ncols = system
+    before = [dict(r) for r in rows]
+    got = kernel_of_rows((row for row in rows), ncols)
+    assert got.basis == kernel_oracle(_dense(rows, ncols), ncols)
+    assert got.ambient == ncols
+    assert rows == before
+
+
+class _ReadTooFar(Exception):
+    pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_streams())
+@example(([{0: 1, 1: 1}, {0: 1, 1: -1}, {2: F(1, 2)}], 3))
+def test_kernel_of_rows_stops_reading_once_the_kernel_is_zero(system):
+    rows, ncols = system
+    # the unit rows close the stream, so some prefix has a zero kernel
+    rows = rows + [{j: 1} for j in range(ncols)]
+    stop = next(p for p in range(len(rows) + 1) if not kernel_oracle(_dense(rows[:p], ncols), ncols))
+
+    def stream():
+        yield from rows[:stop]
+        raise _ReadTooFar
+
+    assert kernel_of_rows(stream(), ncols) == Subspace.zero(ncols)
+
+
+def test_rows_without_a_nonzero_build_no_kernel_index(monkeypatch):
+    from lieps import exact
+
+    built = count_calls(monkeypatch, exact, "_unit_kernel")
+    assert kernel_of_rows(iter([{}, {0: 0}, {1: F(0)}]), 4) == Subspace.full(4)
+    assert kernel_of_rows(iter(()), 4) == Subspace.full(4)
+    assert built == []
+    units = Mat.identity(4).entries
+    assert kernel_of_rows(iter([{}, {2: F(1, 3)}]), 4) == Subspace.from_vectors(4, units[:2] + units[3:])
+    assert built == [(4,)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,9 +21,9 @@ from fractions import Fraction
 
 from . import catalog
 from .errors import DocumentError, LiepsError
-from .invariants import invariant_bivectors
+from .invariants import _wedge_index, add_wedge, invariant_bivectors
 from .exact import to_ints
-from .liecore import _wedge_index, require_reductive, validate, wedge2_space
+from .liecore import require_reductive, validate, wedge2_space
 
 # ybe, foliation and connections are imported by the handlers that use them,
 # so validate and invariants never load them
@@ -143,22 +143,17 @@ class _ExprParser:
 
     def bivector(self):
         index = _wedge_index(len(self.labels))
-        coords = [0] * len(index)
+        coords = dict.fromkeys(range(len(index)), 0)
         if [tk for tk, _ in self.tokens] == ["num", "end"] and self.tokens[0][1] == 0:
             # a lone 0 is the zero bivector, as format_terms prints it
-            return tuple(coords)
+            return tuple(coords.values())
         if self.peek() == "end":
             raise _ExprError("empty bivector expression")
         for c, (u, v) in self.terms(self.wedge):
-            for i, x in u.items():
-                for j, y in v.items():
-                    if i < j:
-                        coords[index[i, j]] += c * x * y
-                    elif i > j:
-                        coords[index[j, i]] -= c * x * y
+            add_wedge(coords, index, u.items(), v.items(), c)
         if self.peek() != "end":
             raise _ExprError("expected + or - between terms")
-        return tuple(coords)
+        return tuple(coords.values())
 
 
 def parse_bivector_expr(text, labels, option="--r") -> tuple:

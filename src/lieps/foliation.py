@@ -2,7 +2,9 @@
 
 The leaf through the base point is the homogeneous symplectic space of
 (a_r, omega_r): a_r = q^{-1}(Im r_#) = h + s(Im r_#) and omega_r(x, y) =
-omega(q x, q y), a 2-cocycle with radical h.  All of it, the leaf flags and
+omega(q x, q y), a 2-cocycle with radical h.  The r-matrix is first checked
+invariant by invariants._not_invariant, the rule of the invariant solve
+applied to r's nonzeros.  All of it, the leaf flags and
 (W, omega) are read in ints off the rows of h and of Im r_#, the
 Im r_#-coordinates of the q-brackets of the frame h + s(Im r_#),
 Bivector.image_brackets, since q kills h, and Bivector.omega.  Conversely a
@@ -25,7 +27,7 @@ from .errors import (
     RadicalMismatch,
 )
 from .exact import Mat, Subspace, dot, from_ints, inverse, kernel, solve, zero_vec
-from .invariants import bivector_coords_from_matrix
+from .invariants import _not_invariant, bivector_coords_from_matrix
 from .liecore import Frozen, IsotropyModel, bracket, require_reductive, structure_constants, wedge2_space
 from .ybe import Bivector, make_bivector, require_r_matrix
 
@@ -94,46 +96,6 @@ def _check_cocycle(C: dict, omega: Mat, dim: int, error):
         for k in range(j + 1, dim):
             if dot(cij, omega[k]) + dot(C[j, k], omega[i]) - dot(C[i, k], omega[j]):
                 raise error(f"cocycle identity fails on basis triple ({i}, {j}, {k})")
-
-
-def _not_invariant(r: Bivector):
-    """NotInvariant naming the first operator N / d of iso.action that moves r, or None.
-
-    The block of invariance_rows applied to r, read off r's nonzeros c e_i ^ e_j (d r in
-    ints; a zero test does not see the scale) and the columns of N: the derivation of an
-    h-basis vector sends e_i ^ e_j to N e_i ^ e_j + e_i ^ N e_j, and a discrete generator
-    moves it by N e_i ^ N e_j - d^2 e_i ^ e_j.
-    """
-    iso = r.iso
-    h = iso.h_basis
-    pairs = wedge2_space(iso.quotient_dim)
-    terms = [(*pairs[p], c) for p, c in r.nz]
-
-    def wedge(image, u, v, c):  # adds c u ^ v to image, u and v sparse (index, value) lists
-        for a, x in u:
-            for b, y in v:
-                if a < b:
-                    image[a, b] = image.get((a, b), 0) + c * x * y
-                elif a > b:
-                    image[b, a] = image.get((b, a), 0) - c * x * y
-
-    for t, (cols, d) in enumerate(iso.action):
-        image = {}
-        for i, j, c in terms:
-            if t < h.dim:
-                wedge(image, cols[i], ((j, 1),), c)
-                wedge(image, ((i, 1),), cols[j], c)
-            else:
-                wedge(image, cols[i], cols[j], c)
-                image[i, j] = image.get((i, j), 0) - d * d * c
-        if any(image.values()):
-            what = (
-                f"h-basis vector ({', '.join(str(x) for x in h.basis[t])})"
-                if t < h.dim
-                else f"discrete generator ad_generators[{t - h.dim}]"
-            )
-            return NotInvariant(f"r is not invariant: the {what} moves it")
-    return None
 
 
 def _check_frame(r: Bivector, k: int, closure):

@@ -28,7 +28,8 @@ structure constants and `m_table`, the m-bracket on the quotient basis, read
 by _sparse_bracket and ad_rows.  The automorphism check reads A = N / d
 through its moved columns S, those with N e_m != d e_m: the S x S block for
 singularity, and only the pairs meeting S, directly or through
-`LieAlgebra.pairs_into`, for the brackets.
+`LieAlgebra.pairs_into`, for the brackets.  How `action` moves a bivector
+is one rule, invariants.wedge2_image; this module has only the wedge basis.
 """
 
 from __future__ import annotations
@@ -669,69 +670,3 @@ def wedge2_space(dim) -> tuple:
 def _pairs_meeting(S, n) -> set:
     """The wedge pairs (i, j), i < j < n, with i or j in S."""
     return {(min(m, j), max(m, j)) for m in S for j in range(n) if j != m}
-
-
-@cache
-def _wedge_index(n) -> dict:
-    return {pair: t for t, pair in enumerate(wedge2_space(n))}
-
-
-def _wedge_rows(n, terms, pairs) -> tuple:
-    """Wedge-square rows on Q^n, one per wedge pair (i, j) of pairs, as {pair index: value} dicts.
-
-    terms(i, j) lists sparse vector pairs (u, v) whose wedges u ^ v, summed,
-    give row (i, j); (u ^ v) has entry u_k v_l - u_l v_k at the pair (k, l),
-    so each wedge costs nnz(u) * nnz(v).  Integer rows give integer rows.
-    """
-    index = _wedge_index(n)
-    out = []
-    for i, j in pairs:
-        row = {}
-        for u, v in terms(i, j):
-            for k, x in u.items():
-                for l, y in v.items():
-                    if k < l:
-                        t = index[k, l]
-                        row[t] = row.get(t, 0) + x * y
-                    elif k > l:
-                        t = index[l, k]
-                        row[t] = row.get(t, 0) - x * y
-        out.append({t: v for t, v in row.items() if v})
-    return tuple(out)
-
-
-def minus_scalar(rows, c) -> list:
-    """Sparse rows {j: x} of M - c I from the sparse rows of a square M."""
-    out = []
-    for t, row in enumerate(rows):
-        row = dict(row)
-        v = row.pop(t, 0) - c
-        if v:
-            row[t] = v
-        out.append(row)
-    return out
-
-
-def wedge2_moved_rows(N, d) -> tuple:
-    """Nonzero rows of N^N - d^2 I, N square with integer rows {j: N_ij}, as {pair index: value} dicts.
-
-    With E = N - dI and e_i, E_i the rows of I and E, row (i, j) of N^N is
-    (d e_i + E_i) ^ (d e_j + E_j), so its row of N^N - d^2 I is
-    d (e_i ^ E_j + E_i ^ e_j) + E_i ^ E_j.  Only the pairs that meet a
-    nonzero row of E are built, in order, and N = dI builds none.
-    """
-    E = minus_scalar(N, d)
-    n = len(E)
-    pairs = sorted(_pairs_meeting([i for i, row in enumerate(E) if row], n))
-    rows = _wedge_rows(n, lambda i, j: (({i: d}, E[j]), (E[i], {j: d}), (E[i], E[j])), pairs)
-    return tuple(row for row in rows if row)
-
-
-def wedge2_derivation_rows(b) -> tuple:
-    """Rows of the derivation extension of a square B with rows b {j: B_ij}, as {pair index: value} dicts.
-
-    Row (i, j) is b_i ^ e_j + e_i ^ b_j: the t-linear part of
-    (e_i + t b_i) ^ (e_j + t b_j), i.e. of the action of I + tB.
-    """
-    n = len(b)
-    return _wedge_rows(n, lambda i, j: ((b[i], {j: 1}), ({i: 1}, b[j])), wedge2_space(n))

@@ -26,7 +26,7 @@ from lieps.exact import (
     vsub,
     zero_vec,
 )
-from lieps.invariants import fixed_quotient_covectors, invariance_rows, invariant_bivectors
+from lieps.invariants import _not_invariant, fixed_quotient_covectors, invariant_bivectors
 from lieps.errors import (
     ClosureFailure,
     DocumentError,
@@ -34,13 +34,11 @@ from lieps.errors import (
     LiepsError,
     NotACocycle,
     NotAnAutomorphism,
-    NotInvariant,
     RadicalMismatch,
 )
 from lieps.exact import _eliminate, _primitive, _rref_int_rows
 from lieps.liecore import (
     _sparse_bracket,
-    _wedge_rows,
     ad_matrix,
     bracket,
     covector_to_ann,
@@ -49,7 +47,7 @@ from lieps.liecore import (
     make_lie_algebra,
     wedge2_space,
 )
-from lieps.foliation import _check_cocycle, _not_invariant
+from lieps.foliation import _check_cocycle
 from lieps.ybe import (
     YBTensor,
     canonical_lift,
@@ -522,18 +520,6 @@ def dense_is_automorphism(L, A: Mat) -> bool:
             if lhs != rhs:
                 return False
     return True
-
-
-def wedge2_action_rows(A: Mat) -> tuple:
-    """Rows of the wedge-square action of A as {pair index: value} dicts, one per wedge pair.
-
-    Row (i, j) is (row i of A) ^ (row j of A): the all-pairs builder whose
-    rows minus d^2 I liecore.wedge2_moved_rows replaced.
-    """
-    if A.rows != A.cols:
-        raise ValueError("wedge-square needs a square operator")
-    a = A.sparse_rows()
-    return _wedge_rows(len(a), lambda i, j: ((a[i], a[j]),), wedge2_space(len(a)))
 
 
 def check_automorphism_all_pairs(L, A, h):
@@ -1174,18 +1160,3 @@ def reference_parse_bivector_expr(text, labels, option="--r") -> tuple:
         return _ReferenceExprParser(text or "", labels).bivector()
     except _ReferenceExprError as e:
         raise DocumentError(option, str(e)) from None
-
-
-def reference_not_invariant(r):
-    """foliation._not_invariant as it was: every row of every block of invariance_rows dotted with r."""
-    h = r.iso.h_basis
-    coords = dict(r.nz)
-    for t, rows in enumerate(invariance_rows(r.iso)):
-        if any(sum(x * coords.get(k, 0) for k, x in row.items()) for row in rows):
-            what = (
-                f"h-basis vector ({', '.join(str(x) for x in h.basis[t])})"
-                if t < h.dim
-                else f"discrete generator ad_generators[{t - h.dim}]"
-            )
-            return NotInvariant(f"r is not invariant: the {what} moves it")
-    return None

@@ -20,7 +20,7 @@ from helpers import (
     reference_parse_bivector_expr,
     reference_run_cli,
 )
-from lieps import catalog, cli, exact, liecore, ybe
+from lieps import catalog, cli, exact, invariants, liecore, ybe
 from lieps.catalog import AlgebraDocument, builtin, emit, is_label
 from lieps.cli import format_terms, parse_bivector_expr, run_cli, wedge_words
 from lieps.errors import DocumentError
@@ -1670,15 +1670,15 @@ _WIDE_DIGESTS = json.loads(
 
 @pytest.mark.parametrize(
     "name, n, most_blocks, indexes",
-    # gl_sym n=4: h = so(4) gives 6 derivation blocks of 45 rows over the 45
-    # wedge columns, and the kernel is zero within the first 3; abelian n=16
-    # has h = 0, so no row and no kernel index
+    # gl_sym n=4: h = so(4) gives 6 derivation blocks of 40 nonzero rows over
+    # the 45 wedge columns, and the kernel is zero within the first 3; abelian
+    # n=16 has h = 0, so no block, no row and no kernel index
     [("gl_sym", 4, 3, 1), ("abelian", 16, 0, 0)],
 )
 def test_invariant_solve_stops_building_rows_once_the_kernel_is_zero(
     monkeypatch, name, n, most_blocks, indexes
 ):
-    built = count_calls(monkeypatch, liecore, "wedge2_derivation_rows")
+    built = count_calls(monkeypatch, invariants, "invariance_block")
     indexed = count_calls(monkeypatch, exact, "_unit_kernel")
     code, out, err = run_cli(["invariants", "-"], _doc_text(name, n=n))
     assert (code, err) == (0, "")

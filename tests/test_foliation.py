@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     CATALOG_ENTRIES,
     catalog_r_matrices,
+    dense_first_mover,
     dense_is_cocycle,
     dense_leaf_reductive,
     dense_leaf_symmetric,
@@ -16,7 +17,6 @@ from helpers import (
     random_generator_instance,
     random_instances,
     reference_leaf_cocycle,
-    reference_not_invariant,
 )
 from lieps.errors import (
     ClosureFailure,
@@ -32,14 +32,13 @@ from lieps.exact import Mat, Subspace, rref
 from lieps.cli import parse_bivector_expr
 from lieps.foliation import (
     _check_cocycle,
-    _not_invariant,
     leaf_algebra,
     leaf_cocycle,
     leaf_decomposition,
     reconstruct_r,
     w_omega_pair,
 )
-from lieps.invariants import bivector_coords_from_matrix, invariant_bivectors
+from lieps.invariants import _not_invariant, bivector_coords_from_matrix, invariant_bivectors
 from lieps.liecore import (
     bracket,
     complement_projection,
@@ -375,11 +374,11 @@ _CATALOG_MODELS = {tag: instance(name, params)[1] for tag, name, params in CATAL
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_not_invariant_matches_the_row_check(data):
-    # the operator check of r's nonzeros against every row of invariance_rows,
-    # on the catalog and on transported models, whose h is no coordinate
-    # subspace and whose generators have denominators; r is an integer
-    # combination of the invariant basis, perhaps plus a rational bivector
-    # drawn at random
+    # the operator check of r's nonzeros against the dense Fraction check
+    # B R + R B^T, A R A^T != R of each operator in order, on the catalog and
+    # on transported models, whose h is no coordinate subspace and whose
+    # generators have denominators; r is an integer combination of the
+    # invariant basis, perhaps plus a rational bivector drawn at random
     if data.draw(st.booleans()):
         iso = _CATALOG_MODELS[data.draw(st.sampled_from(sorted(_CATALOG_MODELS)))]
         m = len(wedge2_space(iso.quotient_dim))
@@ -391,9 +390,16 @@ def test_not_invariant_matches_the_row_check(data):
     scale = data.draw(st.sampled_from((0, 0, 1, QQ(1, 2))))
     coords = [sum((c * v[k] for c, v in zip(coeffs, basis)), QQ(0)) + scale * noise[k] for k in range(len(noise))]
     r = make_bivector(iso, coords)
-    got, expected = _not_invariant(r), reference_not_invariant(r)
-    assert (got is None) == (expected is None) == (scale == 0 or invariant_bivectors(iso).contains(coords))
-    assert str(got) == str(expected)
+    got, t = _not_invariant(r), dense_first_mover(iso, r)
+    assert (got is None) == (t is None) == (scale == 0 or invariant_bivectors(iso).contains(coords))
+    if t is not None:
+        h = iso.h_basis
+        what = (
+            f"h-basis vector ({', '.join(str(x) for x in h.basis[t])})"
+            if t < h.dim
+            else f"discrete generator ad_generators[{t - h.dim}]"
+        )
+        assert str(got) == f"r is not invariant: the {what} moves it"
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ from lieps.catalog import builtin, emit
 from lieps.cli import run_cli
 from lieps.errors import NotInvariant
 from lieps.exact import Mat, kernel
-from lieps.foliation import _not_invariant, leaf_cocycle
+from lieps.foliation import leaf_cocycle
 from lieps.invariants import (
+    _not_invariant,
     bivector_coords_from_matrix,
     bivector_matrix_from_coords,
     fixed_quotient_covectors,

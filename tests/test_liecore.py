@@ -32,7 +32,6 @@ from helpers import (
     random_instances,
     span_coords_oracle,
     span_oracle,
-    wedge2_action_rows,
 )
 from lieps import catalog, exact
 from lieps.errors import (
@@ -44,7 +43,7 @@ from lieps.errors import (
 )
 from lieps.exact import Mat, Subspace, inverse, kernel_of_rows, zero_vec
 from lieps.foliation import leaf_decomposition
-from lieps.invariants import invariance_rows
+from lieps.invariants import invariance_block, invariance_rows, moved_part, wedge2_image
 from lieps.liecore import (
     Generator,
     LieAlgebra,
@@ -60,11 +59,8 @@ from lieps.liecore import (
     induced_map,
     make_isotropy,
     make_lie_algebra,
-    minus_scalar,
     require_reductive,
     validate,
-    wedge2_derivation_rows,
-    wedge2_moved_rows,
     wedge2_space,
 )
 from lieps.ybe import is_r_matrix, make_bivector
@@ -350,14 +346,29 @@ def _square(n):
     ).map(lambda rows: Mat(tuple(tuple(r) for r in rows)))
 
 
+def _wedge2_by_rule(A: Mat, derivation: bool) -> Mat:
+    """The action of the square A on the wedge square as a Mat, column (i, j) the rule's image of e_i ^ e_j.
+
+    wedge2_image reads A = N / d through its moved_part; its image is d times that of the derivation,
+    or d^2 times that of A^A - I.
+    """
+    cols, d = Generator.of_matrix(A)
+    X = moved_part(cols, d, derivation)
+    pairs = wedge2_space(A.rows)
+    images = [wedge2_image(X, d, derivation, ((i, j, 1),)) for i, j in pairs]
+    M = Mat.from_ints([[image.get(t, 0) for image in images] for t in range(len(pairs))], d if derivation else d**2)
+    return M if derivation else M + Mat.identity(len(pairs))
+
+
 @given(_square(3), _square(3))
 def test_wedge2_action_is_functorial(A, B):
-    product = dense_wedge2_action(A) @ dense_wedge2_action(B)
-    assert wedge2_action_rows(A @ B) == product.sparse_rows()
+    assert _wedge2_by_rule(A @ B, False) == dense_wedge2_action(A) @ dense_wedge2_action(B)
 
 
 def test_wedge2_action_identity():
-    assert wedge2_action_rows(Mat.identity(4)) == Mat.identity(6).sparse_rows()
+    # the identity moves no column: every image is zero, and its invariance block is empty
+    assert _wedge2_by_rule(Mat.identity(4), False) == Mat.identity(6)
+    assert invariance_block(Generator.of_matrix(Mat.identity(4)), False) == ()
 
 
 @given(_square(3))
@@ -367,11 +378,11 @@ def test_wedge2_derivation_is_linearization(B):
     eye = Mat.identity(3)
     plus = dense_wedge2_action(eye + B)
     minus = dense_wedge2_action(eye - B)
-    assert wedge2_derivation_rows(B.sparse_rows()) == (plus - minus).scale(QQ(1, 2)).sparse_rows()
+    assert _wedge2_by_rule(B, True) == (plus - minus).scale(QQ(1, 2))
 
 
-# mostly zero, sometimes sparse-but-larger squares: the sparse builders read
-# only nonzeros, so the zero pattern is what needs exercising
+# mostly zero, sometimes sparse-but-larger squares: the rule reads only
+# nonzeros, so the zero pattern is what needs exercising
 sparse_entries = st.one_of(st.just(QQ(0)), st.just(QQ(0)), small_entries)
 
 
@@ -381,15 +392,32 @@ def _sparse_square(n):
     ).map(lambda rows: Mat(tuple(tuple(r) for r in rows)))
 
 
-@given(st.integers(0, 5).flatmap(_sparse_square))
-def test_sparse_wedge2_blocks_match_dense_formulas(A):
-    assert wedge2_action_rows(A) == dense_wedge2_action(A).sparse_rows()
-    assert wedge2_derivation_rows(A.sparse_rows()) == dense_wedge2_derivation(A).sparse_rows()
+def _sparse_square_and_terms(n):
+    """A sparse n x n square and a few terms ((i, j), c) of a sparse combination of the wedge basis."""
+    pairs = wedge2_space(n)
+    terms = st.lists(st.tuples(st.sampled_from(pairs), st.integers(-3, 3)), max_size=4) if pairs else st.just([])
+    return st.tuples(_sparse_square(n), terms)
 
 
-def test_wedge2_blocks_reject_non_square():
-    with pytest.raises(ValueError):
-        wedge2_action_rows(Mat([[1, 2, 3], [4, 5, 6]]))
+@given(st.integers(0, 5).flatmap(_sparse_square_and_terms))
+# d = 2 with N_00 = 3 != d, a moved off-diagonal entry and an unmoved column; the identity
+@example((Mat([[QQ(3, 2), QQ(1, 2), 0], [0, 1, 0], [0, 0, 1]]), [((0, 1), 1), ((0, 2), -2), ((1, 2), 3)]))
+@example((Mat.identity(4), [((0, 1), 2), ((2, 3), -1)]))
+def test_sparse_wedge2_blocks_match_dense_formulas(case):
+    A, terms = case
+    assert _wedge2_by_rule(A, False) == dense_wedge2_action(A)
+    assert _wedge2_by_rule(A, True) == dense_wedge2_derivation(A)
+    # the image of sum c e_i ^ e_j is the dense block applied to its coordinates
+    cols, d = Generator.of_matrix(A)
+    pairs = wedge2_space(A.rows)
+    x = [sum(c for p, c in terms if p == pair) for pair in pairs]
+    blocks = (
+        (True, dense_wedge2_derivation(A), d),
+        (False, dense_wedge2_action(A) - Mat.identity(len(pairs)), d**2),
+    )
+    for derivation, dense, scale in blocks:
+        image = wedge2_image(moved_part(cols, d, derivation), d, derivation, [(i, j, c) for (i, j), c in terms])
+        assert image == {t: scale * y for t, y in enumerate(dense @ x) if y}
 
 
 # ---------------------------------------------------------------------------
@@ -661,13 +689,14 @@ def test_moved_columns_check_raises_what_the_all_pairs_check_raises(case):
 
 
 def _all_pairs_invariance_rows(A: Generator) -> tuple:
-    """The nonzero rows of N^N - d^2 I, A = N / d, by the all-pairs wedge square of the dense N."""
+    """The nonzero rows of N^N - d^2 I, A = N / d, by the dense minors of every pair of rows of N."""
     cols, d = A
     N = [[0] * len(cols) for _ in cols]
     for j, col in enumerate(cols):
         for i, x in col:
             N[i][j] = x
-    return tuple(row for row in minus_scalar(wedge2_action_rows(Mat(N)), d * d) if row)
+    eye = Mat.identity(len(wedge2_space(len(cols))))
+    return tuple(row for row in (dense_wedge2_action(Mat(N)) - eye.scale(d * d)).sparse_rows() if row)
 
 
 @settings(max_examples=150, deadline=None)
@@ -678,7 +707,7 @@ def test_moved_rows_are_the_nonzero_rows_of_the_all_pairs_block(case):
     _, _, A = case
     cols, d = A
     n = len(cols)
-    moved, oracle = wedge2_moved_rows(A.rows(), d), _all_pairs_invariance_rows(A)
+    moved, oracle = invariance_block(A, False), _all_pairs_invariance_rows(A)
     assert moved == oracle
     nwedge = len(wedge2_space(n))
     assert kernel_of_rows(moved, nwedge) == kernel_of_rows(oracle, nwedge)

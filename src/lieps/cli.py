@@ -22,7 +22,6 @@ from fractions import Fraction
 from . import catalog
 from .errors import DocumentError, LiepsError
 from .invariants import _wedge_index, add_wedge, invariant_bivectors
-from .exact import to_ints
 from .liecore import require_reductive, validate, wedge2_space
 
 # ybe, foliation and connections are imported by the handlers that use them,
@@ -169,14 +168,6 @@ def parse_bivector_expr(text, labels, option="--r") -> tuple:
         raise DocumentError(option, str(e)) from None
 
 
-def _bivector(iso, coords):
-    """The Bivector of wedge coordinates on iso, read through Bivector.of_ints off their nonzeros."""
-    from .ybe import Bivector
-
-    nz, d = to_ints((k, x) for k, x in enumerate(coords) if x)
-    return Bivector.of_ints(iso, dict(nz), d)
-
-
 # ---------------------------------------------------------------------------
 # formatting
 
@@ -275,8 +266,10 @@ def _cmd_invariants(args, stdin_text):
 
 
 def _cmd_ybe(args, stdin_text):
+    from .ybe import Bivector
+
     _, iso, qlabels = _model(args, stdin_text)
-    r = _bivector(iso, parse_bivector_expr(args.r, qlabels))
+    r = Bivector(iso, parse_bivector_expr(args.r, qlabels))
     nonzero = [
         {"triple": [qlabels[a] + "*" for a in abc], "value": str(val)}
         for abc, val in r.tensor.nonzero_entries()
@@ -314,7 +307,7 @@ def _cmd_scan(args, stdin_text):
 
     out_rows = [scanned("basis", Bivector.of_ints(iso, *b), True) for b in basis]
     out_rows += [scanned("sum", Bivector.of_ints(iso, *b), True) for b in sums]
-    out_rows += [scanned("candidate", _bivector(iso, c), inv.contains(c)) for c in extra]
+    out_rows += [scanned("candidate", Bivector(iso, c), inv.contains(c)) for c in extra]
     payload = {"rows": out_rows}
     lines = [f"{len(out_rows)} candidates"]
     for row in out_rows:
@@ -326,9 +319,10 @@ def _cmd_scan(args, stdin_text):
 
 def _cmd_leaf(args, stdin_text):
     from .foliation import leaf_cocycle, leaf_decomposition
+    from .ybe import Bivector
 
     doc, iso, qlabels = _model(args, stdin_text)
-    r = _bivector(iso, parse_bivector_expr(args.r, qlabels))
+    r = Bivector(iso, parse_bivector_expr(args.r, qlabels))
     data = leaf_cocycle(r)
     dec = leaf_decomposition(r)
     # frame vector t is R / R_P for row (P, R), and omega_r is blockdiag(0_h, N / d) on it
@@ -367,11 +361,11 @@ def _entry_lines(title, symbol, entries):
 
 def _cmd_connection(args, stdin_text):
     from .connections import build_connection, poisson_compat
-    from .ybe import require_r_matrix
+    from .ybe import Bivector, require_r_matrix
 
     _, iso, qlabels = _model(args, stdin_text)
     require_reductive(iso)
-    r = _bivector(iso, parse_bivector_expr(args.r, qlabels))
+    r = Bivector(iso, parse_bivector_expr(args.r, qlabels))
     require_r_matrix(r)
     b = build_connection(args.kind, r)
     stars = [lab + "*" for lab in qlabels]

@@ -119,7 +119,7 @@ class ConnectionMap(Frozen):
         with entry (i, j) at j n + i.  Both are skew; only nonzero pairs are kept.
         """
         N, d = self.N, self.d
-        _, L, _, dc = self.r.int_tables
+        L, dc = self.r.int_tables
         n = self.dim
         cols = [[N[k][j] for k in range(n)] for j in range(n)]
         T, R = {}, {}
@@ -168,7 +168,7 @@ def build_connection(kind, r: Bivector) -> ConnectionMap:
     if kind not in _KINDS:
         raise ValueError(f"unknown connection kind {kind!r}")
     alpha, beta, k = _KINDS[kind]
-    _, L, _, dc = r.int_tables
+    L, dc = r.int_tables
 
     def entry(a, c):
         v = [alpha * (x - y) - beta * y for x, y in zip(L[c][a], L[a][c])]

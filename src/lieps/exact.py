@@ -364,15 +364,12 @@ def rref(m: Mat):
 
 
 def inverse(m: Mat) -> Mat:
-    """Exact inverse; raises ValueError on a singular input."""
+    """Exact inverse, m scaled to ints and inverted by inverse_ints; raises ValueError on a singular input."""
     n = m.rows
     if n != m.cols:
         raise ValueError(f"inverse of a non-square {n}x{m.cols} matrix")
-    aug = Mat._trusted(tuple(r + e for r, e in zip(m.entries, Mat.identity(n).entries)), 2 * n)
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return Mat._trusted(tuple(r[n:] for r in red.entries), n)
+    ints, d = to_ints(enumerate(x for row in m.entries for x in row))
+    return Mat.from_ints(*inverse_ints([[x for _, x in ints[i * n:(i + 1) * n]] for i in range(n)], d))
 
 
 def inverse_ints(rows, d) -> tuple:

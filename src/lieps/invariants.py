@@ -1,49 +1,31 @@
 """Invariant bivectors and fixed subspaces under the isotropy action.
 
 A bivector on the quotient g/h lives in wedge-square coordinates indexed by
-the lexicographic pairs (i, j), i < j.  How an operator N / d of iso.action
-moves a bivector is one rule, wedge2_image, on one sparse wedge, add_wedge:
-the derivation N^1 + 1^N for an h-basis vector (the connected part), and
-N^N - d^2 I for a discrete generator, read off E = N - dI so that it costs
-what the generator moves.  The invariant solve's rows are the images of
-single pairs under the transposed operators, streamed block by block into
-the kernel, so a solve whose kernel is zero early builds no later block;
-_not_invariant reads the image of one bivector, and the `--r` reader sums
-its terms with add_wedge.  The fixed covectors read the operators' columns.
+the lexicographic pairs (i, j), i < j.  Bivector.r_mat, the skew matrix of
+r_#, holds the coordinate c of (i, j) at (j, i) and -c at (i, j).  How an
+operator N / d of iso.action moves a bivector is one rule, wedge2_image, on
+one sparse wedge, add_wedge: the derivation N^1 + 1^N for an h-basis vector
+(the connected part), and N^N - d^2 I for a discrete generator, read off E =
+N - dI so that it costs what the generator moves.  The invariant solve's
+rows are the images of single pairs under the transposed operators, streamed
+block by block into the kernel, so a solve whose kernel is zero early builds
+no later block; _not_invariant reads the image of one bivector, and the
+`--r` reader sums its terms with add_wedge.  The fixed covectors read the
+operators' columns.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 
 from .errors import NotInvariant
-from .exact import Mat, Subspace, kernel_of_rows, vec
+from .exact import Mat, Subspace, kernel_of_rows
 from .liecore import IsotropyModel, _pairs_meeting, wedge2_space
 
 
-def bivector_matrix_from_coords(dim, coords) -> Mat:
-    """Skew matrix of the bivector with the given wedge coordinates.
-
-    The component convention: for r = e_i ^ e_j the matrix has +1 in row j,
-    column i, so that the sharp map is plain matrix-vector multiplication
-    and <beta, r_# alpha> = r(alpha, beta).
-    """
-    pairs = wedge2_space(dim)
-    coords = vec(coords)
-    if len(coords) != len(pairs):
-        raise ValueError(f"expected {len(pairs)} wedge coordinates, got {len(coords)}")
-    m = [[Fraction(0)] * dim for _ in range(dim)]
-    for (i, j), c in zip(pairs, coords):
-        m[j][i] = c
-        m[i][j] = -c
-    # the rows already hold Fractions, and the matrix is skew by construction
-    return Mat._trusted(tuple(map(tuple, m)), dim)
-
-
 def bivector_coords_from_matrix(r_mat: Mat) -> tuple:
-    """Wedge coordinates of a skew matrix; inverse of the builder above."""
+    """Wedge coordinates of a skew matrix, c = r_mat[j][i] at the pair (i, j): the inverse of Bivector.r_mat."""
     if not r_mat.is_skew():
         raise ValueError("bivector matrix must be skew")
     return tuple(r_mat[j][i] for i, j in wedge2_space(r_mat.rows))

@@ -2,8 +2,9 @@
 
 A bivector r on g/h is stored by its wedge coordinates, ints over one
 denominator; its sharp map, <beta, r_# alpha> = r(alpha, beta), is read off
-them as the Generator R / d_r (Bivector.r_sharp).  Its obstruction tensor
-[[r,r]] is read off the quotient, with C[a][b] = [eps_a, eps_b]_r on m*:
+them as the Generator R / d_r (Bivector.r_sharp; r_mat is its Fraction
+view).  Its obstruction tensor [[r,r]] is read off the quotient, with
+C[a][b] = [eps_a, eps_b]_r on m*:
 
     [[r,r]](eps_a, eps_b, eps_c) = <eps_c, r_# C[a][b] - [r_# eps_a, r_# eps_b]_m>,
 
@@ -11,10 +12,11 @@ the defect of r_# as a morphism from [.,.]_r to the m-bracket q[s x, s y].
 Its vanishing is the invariant-Poisson condition, and bivectors passing it
 are r-matrices.  The l-operators, the table C and the tensor are integer
 contractions of R with the one m-bracket table of the model
-(IsotropyModel.m_table).  The l-operators exist only in that integer form
-(Bivector.int_tables), built on the support X of r_# and only for their
-readers; each forms C from them, the tensor once per pair in X.  The leaf
-frame reads r_sharp, the action and m_table alone, with no l-operator.
+(IsotropyModel.m_table).  The l-operators L[a] = l_{eps_a^#} exist only
+in that integer form (Bivector.int_tables, the pair (L, d_c)), built on the
+support X of r_# and only for their readers; each forms C from them, the
+tensor once per pair in X.  l_operator(r, alpha) is the m-ad of r_# alpha.
+The leaf frame reads r_sharp, the action and m_table alone.
 
 The h° route is the independent oracle: over a lift r-tilde of r to g
 (`canonical_lift`, `sharp`), the bracket on h° (`hcirc_bracket`,
@@ -51,7 +53,7 @@ from .exact import (
     vec,
     vsub,
 )
-from .invariants import bivector_matrix_from_coords, fixed_quotient_covectors
+from .invariants import fixed_quotient_covectors
 from .liecore import (
     Frozen,
     Generator,
@@ -74,18 +76,18 @@ class Bivector(Frozen):
     """A bivector on g/h: its wedge coordinates N_k / d, nz the nonzeros (k, N_k), k increasing, d least.
 
     Bivector(iso, coords) reads any rational sequence, one per pair of
-    wedge2_space, and of_ints an integer row over a denominator.  Derived
-    once, on first use, and shared by every check of the bivector: r_# as a
-    Generator (r_sharp); its l-operators (int_tables), which the tensor,
-    l_operator, mstar_bracket and the connection builders read; the tensor;
-    Im r_#, omega_r on it and the q-brackets of the leaf frame, in ints
-    (image, omega, image_brackets); and the Fraction views coords and r_mat.
+    wedge2_space, ints kept as they are, and of_ints an integer row over a
+    denominator.  Derived once, on first use, and shared by every check of
+    the bivector: r_# as a Generator (r_sharp), and its Fraction view r_mat;
+    the l-operators (int_tables), which the tensor, mstar_bracket and the
+    connection builders read; the tensor; and Im r_#, omega_r on it and the
+    q-brackets of the leaf frame, in ints (image, omega, image_brackets).
     """
 
     _fields = ("iso", "nz", "d")
 
     def __init__(self, iso: IsotropyModel, coords):
-        coords = vec(coords)
+        coords = [x if type(x) is int else Fraction(x) for x in coords]
         m = len(wedge2_space(iso.quotient_dim))
         if len(coords) != m:
             raise ValueError(f"expected {m} wedge coordinates, got {len(coords)}")
@@ -101,15 +103,9 @@ class Bivector(Frozen):
         return r
 
     @cached_property
-    def coords(self) -> tuple:
-        """The wedge coordinates as Fractions: a view for the oracles."""
-        nz = dict(self.nz)
-        return from_ints([nz.get(k, 0) for k in range(len(wedge2_space(self.iso.quotient_dim)))], self.d)
-
-    @cached_property
     def r_mat(self) -> Mat:
-        """r_# as a skew Fraction matrix, read by the oracles and the Nomizu dictionary."""
-        return bivector_matrix_from_coords(self.iso.quotient_dim, self.coords)
+        """r_sharp.mat: r_# as a skew Fraction matrix, read by the oracles and the Nomizu dictionary."""
+        return self.r_sharp.mat
 
     @cached_property
     def tensor(self) -> "YBTensor":
@@ -180,20 +176,19 @@ class Bivector(Frozen):
 
     @cached_property
     def int_tables(self) -> tuple:
-        """(R, L, d_r, d_c): r_# = R / d_r (r_sharp), and the l-operators L over d_c = d_r D.
+        """(L, d_c): the l-operators L[a] = l_{eps_a^#} over d_c = d_r D, r_# = R / d_r (r_sharp).
 
-        L[a] = sum_j R_ja mu[j] contracts column a with the model's m_table
-        (mu, D), so L[a] / d_c = q ad(s r_# eps_a) s, with L[a][c] its row c.
-        It is built on the support X = {a : r_# eps_a != 0}; off X, L[a] = 0.
-        C[a][c] = row a of L[c] minus row c of L[a], [eps_a, eps_c]_r = C[a][c] / d_c,
-        is formed from L where it is read.  Only the tensor, the connection
-        builders and tables, l_operator and mstar_bracket read L.
+        L[a] = sum_j R_ja mu[j] contracts column a of R with the model's
+        m_table (mu, D), so L[a] / d_c = q ad(s r_# eps_a) s, with L[a][c] its
+        row c.  It is built on the support X = {a : r_# eps_a != 0}; off X,
+        L[a] = 0.  C[a][c] = row a of L[c] minus row c of L[a], [eps_a, eps_c]_r
+        = C[a][c] / d_c, is formed from L where it is read.  Only the tensor,
+        the connection builders and tables, and mstar_bracket read L.
         """
         n = self.iso.quotient_dim
         R, dr = self.r_sharp
         zero = [[0] * n] * n
-        L = [self.iso.m_ad_ints(col) if col else zero for col in R]
-        return R, L, dr, dr * self.iso.m_table[1]
+        return [self.iso.m_ad_ints(col) if col else zero for col in R], dr * self.iso.m_table[1]
 
 
 def make_bivector(iso: IsotropyModel, coords) -> Bivector:
@@ -208,15 +203,15 @@ def _covector(alpha, n) -> tuple:
 
 
 def l_operator(r: Bivector, alpha) -> Mat:
-    """l_{alpha^#}: m -> m, u -> [alpha^#, u]_m, on any model.
+    """l_{alpha^#}: m -> m, u -> [alpha^#, u]_m, on any model: the m-ad of r_# alpha.
 
-    With alpha = x / d it is sum_a x_a L[a] / (d d_c) over r.int_tables.
+    With alpha = x / d and r_# = R / d_r, r_# alpha = R x / (d d_r), and its
+    m-ad is m_ad_ints(R x) over d d_r D.
     """
-    n = r.iso.quotient_dim
-    (x,), d = int_vectors([_covector(alpha, n)])
-    _, L, _, dc = r.int_tables
-    rows = [[sum(xa * L[a][i][t] for a, xa in x) for t in range(n)] for i in range(n)]
-    return Mat.from_ints(rows, d * dc)
+    iso = r.iso
+    (x,), d = int_vectors([_covector(alpha, iso.quotient_dim)])
+    R, dr = r.r_sharp
+    return Mat.from_ints(iso.m_ad_ints(column_product(R, x).items()), d * dr * iso.m_table[1])
 
 
 def mstar_bracket(r: Bivector, alpha, beta) -> tuple:
@@ -229,7 +224,7 @@ def mstar_bracket(r: Bivector, alpha, beta) -> tuple:
     """
     n = r.iso.quotient_dim
     (x, y), d = int_vectors((_covector(alpha, n), _covector(beta, n)))
-    _, L, _, dc = r.int_tables
+    L, dc = r.int_tables
     out = [sum(xa * yc * (L[c][a][k] - L[a][c][k]) for a, xa in x for c, yc in y) for k in range(n)]
     return from_ints(out, d * d * dc)
 
@@ -311,7 +306,7 @@ def yang_baxter_tensor(r: Bivector) -> YBTensor:
     [r_# eps_a, r_# eps_b]_m, which is L[a] r_# eps_b for the l-operator
     L[a] = q ad(x_a) s.
 
-    Entries are read in integers (r_# = R / d_r, L and C over d_c = d_r D):
+    Entries are read in integers (r_# = R / d_r of r.r_sharp, L and C over d_c = d_r D):
     entry c of the defect of (a, b) is sum_t R_ct C[a][b]_t - sum_t L[a][c][t]
     R_tb over d_r d_c, and a Fraction is built only for a nonzero entry.
     Each entry is the totally antisymmetric cyclic Schouten sum, so one
@@ -326,7 +321,8 @@ def yang_baxter_tensor(r: Bivector) -> YBTensor:
     n = r.iso.quotient_dim
     if r.iso.symmetric:
         return YBTensor(n, {})
-    R, L, dr, dc = r.int_tables
+    R, dr = r.r_sharp
+    L, dc = r.int_tables
     X = [a for a in range(n) if R[a]]
     den = dr * dc
     values = {}

@@ -268,8 +268,9 @@ def count_calls(monkeypatch, owner, name):
 
     A module function is replaced under every lieps alias of it as well, so
     calls through `from .exact import solve` count.  On
-    IsotropyModel.quotient_ad the arguments are (model, x), one per q ad_x s
-    operator; on exact._rref_int_rows, one per elimination.
+    IsotropyModel._quotient_ints the arguments are (model, images), one per
+    integer operator taken through q: each operator of the action and each
+    q ad(e_j) s of the m_table; on exact._rref_int_rows, one per elimination.
     """
     calls = []
     real = getattr(owner, name)
@@ -798,7 +799,7 @@ class ReferenceLeafData:
 
 def reference_omega(r) -> Mat:
     """Bivector.omega as it was: the Fraction inverse of r_#[P, P], P the pivots of Im r_#."""
-    R, _, dr, _ = r.int_tables
+    R, dr = r.r_sharp
     P = r.image.pivots
     cols = [dict(R[j]) for j in P]
     return inverse(Mat.from_ints([[col.get(i, 0) for col in cols] for i in P], dr))

@@ -573,9 +573,9 @@ def test_connection_job_builds_no_fraction_matrix(monkeypatch, name, params, r_t
 )
 def test_jobs_build_no_fraction_sharp_matrix(monkeypatch, name, n, argv):
     # a bivector is its integer wedge coordinates: the tensor, the leaf and
-    # the connection read its integer tables, and the Fraction matrix r_mat
-    # and coordinate view coords are built only for the oracles, as is every
-    # other Mat.  A scan sums the integer rows of the invariant space, reads
+    # the connection read its integer tables, and the Fraction matrix r_mat,
+    # the view of r_sharp, is built only for the oracles, as is every other
+    # Mat.  A scan sums the integer rows of the invariant space, reads
     # no Fraction basis of it and prints its integer coefficients with no
     # Fraction; a connection prints its integer table, not the Fraction view b
     from lieps.connections import ConnectionMap
@@ -584,7 +584,6 @@ def test_jobs_build_no_fraction_sharp_matrix(monkeypatch, name, n, argv):
 
     mats = [count_calls(monkeypatch, Mat, m) for m in ("__init__", "_trusted")]
     r_mats = count_cached(monkeypatch, Bivector, "r_mat")
-    coords = count_cached(monkeypatch, Bivector, "coords")
     views = count_cached(monkeypatch, ConnectionMap, "b")
     bases = []
     basis = Subspace.basis
@@ -593,7 +592,7 @@ def test_jobs_build_no_fraction_sharp_matrix(monkeypatch, name, n, argv):
     monkeypatch.setattr(cli, "Fraction", lambda *args: fractions.append(args) or Fraction(*args))
     code, out, err = run_cli(argv, _doc_text(name, n=n))
     assert code == 0, err
-    assert r_mats == coords == views == []
+    assert r_mats == views == []
     assert mats == [[], []]
     if argv[0] == "scan":
         assert bases == fractions == []
@@ -610,14 +609,19 @@ def test_jobs_build_no_fraction_sharp_matrix(monkeypatch, name, n, argv):
 )
 def test_integer_r_is_read_without_a_fraction(monkeypatch, name, params, r):
     # the documents and r-matrices of the rmatrix benchmark workload: an
-    # integer --r is tokenized and summed in ints, and its bivector is built
-    # off the nonzeros by Bivector.of_ints, not by Bivector(iso, coords)
-    reading, fractions = [], []
+    # integer --r is tokenized and summed in ints, and Bivector keeps its
+    # int coordinates as they are: lieps.ybe builds no Fraction either
+    reading, fractions, coerced = [], [], []
 
     class Counted(Fraction):
         def __new__(cls, *args):
             if reading:
                 fractions.append(args)
+            return Fraction(*args)
+
+    class Coerced(Fraction):
+        def __new__(cls, *args):
+            coerced.append(args)
             return Fraction(*args)
 
     real = cli.parse_bivector_expr
@@ -630,13 +634,13 @@ def test_integer_r_is_read_without_a_fraction(monkeypatch, name, params, r):
             reading.pop()
 
     text = _doc_text(name, **params)
-    inits = count_calls(monkeypatch, ybe.Bivector, "__init__")
     monkeypatch.setattr(cli, "Fraction", Counted)
     monkeypatch.setattr(cli, "parse_bivector_expr", parse)
+    monkeypatch.setattr(ybe, "Fraction", Coerced)
     for argv in (["ybe"], ["leaf"], ["connection", "--kind", "fedosov"]):
         code, out, err = run_cli([*argv, "-", f"--r={r}"], text)
         assert (code, err) == (0, ""), argv
-    assert (fractions, inits) == ([], [])
+    assert fractions == coerced == []
 
 
 @pytest.mark.parametrize("name, n, nonzeros", [("abelian", 16, 120), ("heisenberg", 6, 12)])
@@ -729,7 +733,7 @@ def test_tensor_and_l_operators_build_only_the_m_table(monkeypatch):
     dots = count_calls(monkeypatch, exact, "dot")
     assert not r.tensor.is_zero()
     assert products == dots == []
-    _, L, _, _ = r.int_tables
+    L, _ = r.int_tables
     assert len(L) == iso.quotient_dim == 7
     assert len(calls) == 7
     assert len(tables) == 1

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as QQ
 from functools import cache, partial
 from itertools import combinations
@@ -29,7 +30,8 @@ from lieps.errors import (
     RadicalMismatch,
 )
 from lieps.exact import Mat, Subspace, rref
-from lieps.cli import parse_bivector_expr
+from lieps.catalog import parse, realize
+from lieps.cli import parse_bivector_expr, run_cli
 from lieps.foliation import (
     _check_cocycle,
     leaf_algebra,
@@ -161,7 +163,7 @@ def test_leaf_data_matches_the_fraction_route(data):
     # it is; each route reads its own copy of the bivector
     r = data.draw(st.sampled_from(_leaf_bivectors()))
     c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
-    coords = [c * x for x in r.coords]
+    coords = [c * x for x in bivector_coords_from_matrix(r.r_mat)]
     new = _leaf_outcome(leaf_cocycle, make_bivector(r.iso, coords))
     assert new == _leaf_outcome(reference_leaf_cocycle, make_bivector(r.iso, coords))
 
@@ -400,6 +402,21 @@ def test_not_invariant_matches_the_row_check(data):
             else f"discrete generator ad_generators[{t - h.dim}]"
         )
         assert str(got) == f"r is not invariant: the {what} moves it"
+
+
+def test_not_invariant_sees_a_generator_that_moves_r_by_its_wedge_square_alone():
+    # A = [[1, 1], [2, 1]] on abelian 2: E = A - I has trace 0, so
+    # d (E^1 + 1^E) sends e1^e2 to 0, and E^E = det E e1^e2 = -2 e1^e2 alone
+    # moves it; A r A^T = det A r = -r
+    text = json.dumps({"dim": 2, "ad_generators": [[["1", "1"], ["2", "1"]]]})
+    _, iso = realize(parse(text))
+    r = make_bivector(iso, (1,))
+    message = "r is not invariant: the discrete generator ad_generators[0] moves it"
+    assert dense_first_mover(iso, r) == 0
+    assert str(_not_invariant(r)) == message
+    assert invariant_bivectors(iso).dim == 0
+    assert run_cli(["invariants", "-"], text) == (0, "dim 0\n", "")
+    assert run_cli(["leaf", "-", "--r=e1^e2"], text) == (1, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

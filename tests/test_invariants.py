@@ -23,7 +23,6 @@ from lieps.foliation import leaf_cocycle
 from lieps.invariants import (
     _not_invariant,
     bivector_coords_from_matrix,
-    bivector_matrix_from_coords,
     fixed_quotient_covectors,
     invariant_bivectors,
 )
@@ -41,10 +40,23 @@ def V(*xs):
 
 @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=3), min_size=6, max_size=6))
 def test_bivector_coordinate_roundtrip(coords):
+    # r_mat holds the coordinate c of the pair (i, j) as +c at (j, i) and -c
+    # at (i, j), on abelian 4 with h = 0
     coords = tuple(coords)
-    m = bivector_matrix_from_coords(4, coords)
+    m = make_bivector(instance("abelian", {"n": 4})[1], coords).r_mat
     assert m.is_skew()
+    for (i, j), c in zip(wedge2_space(4), coords):
+        assert (m[j][i], m[i][j]) == (c, -c)
     assert bivector_coords_from_matrix(m) == coords
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**20))
+def test_bivector_coords_read_r_mat_back_on_transported_models(seed):
+    # q, h and the generators have denominators here; r_mat is a view of
+    # r_sharp, and bivector_coords_from_matrix gives r's coordinates back
+    tag, _, iso, coords = random_generator_instance(seed)
+    assert bivector_coords_from_matrix(make_bivector(iso, coords).r_mat) == coords, tag
 
 
 def test_bivector_coords_reject_non_skew_matrix():
@@ -55,7 +67,7 @@ def test_bivector_coords_reject_non_skew_matrix():
 def test_bivector_matrix_sign_convention():
     # r = e1 wedge e2 pairs covectors as r(e1*, e2*) = 1, and the matrix of
     # the sharp map sends e1* to e2
-    m = bivector_matrix_from_coords(2, (QQ(1),))
+    m = make_bivector(instance("abelian", {"n": 2})[1], (QQ(1),)).r_mat
     assert m @ V(1, 0) == V(0, 1)
     assert m @ V(0, 1) == V(-1, 0)
 
@@ -169,7 +181,7 @@ def test_invariant_r_intertwines_coadjoint_and_adjoint(name, params):
     inv = invariant_bivectors(iso)
     m = iso.quotient_dim
     for coords in inv.basis:
-        r_mat = bivector_matrix_from_coords(m, coords)
+        r_mat = make_bivector(iso, coords).r_mat
         for u in iso.h_basis.basis:
             ab = induced_ad_bar(iso, u)
             for a in range(m):

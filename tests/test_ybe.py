@@ -76,7 +76,7 @@ def _poincare():
 def test_bivector_matrix_frozen():
     _, _, s = _poincare()
     assert s.r_mat.entries == (V(0, 0, -1), V(0, 0, 1), V(1, -1, 0))
-    assert s.coords == V(0, 1, -1)
+    assert (s.nz, s.d) == (((1, 1), (2, -1)), 1)
 
 
 def test_sharp_values_frozen():
@@ -346,21 +346,24 @@ _RANDOM_MODELS = tuple((tag, iso) for tag, _, iso, _ in random_instances(seed=21
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_coordinate_route_matches_the_matrix_route(data):
-    # R / d_r, Im r_# and omega_r are read off the wedge coordinates; the
-    # Fraction matrix r_mat scaled back to ints, its row span and the solve
-    # oracle are the old route.  r = sum_t x_t ^ y_t over up to m / 2 + 1
-    # random pairs has every rank from 0 to full
+    # R / d_r, its view r_mat, Im r_# and omega_r are read off the wedge
+    # coordinates; the skew Fraction matrix of r built in the test, scaled
+    # to ints, its row span and the solve oracle are the matrix route.
+    # r = sum_t x_t ^ y_t over up to m / 2 + 1 random pairs has every rank
+    # from 0 to full
     tag, iso = data.draw(st.sampled_from(_RANDOM_MODELS))
     m = iso.quotient_dim
     vector = st.lists(
         st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=m, max_size=m
     )
     pairs = data.draw(st.lists(st.tuples(vector, vector), max_size=m // 2 + 1))
-    coords = [sum((x[i] * y[j] - x[j] * y[i] for x, y in pairs), QQ(0)) for i, j in wedge2_space(m)]
-    r = make_bivector(iso, coords)
-    R, _, dr, _ = r.int_tables
-    assert (R, dr) == int_vectors(r.r_mat.T.entries), tag
-    assert r.image == Subspace.from_vectors(m, r.r_mat.entries), tag
+    r_mat = Mat(
+        [[sum((y[i] * x[j] - x[i] * y[j] for x, y in pairs), QQ(0)) for j in range(m)] for i in range(m)], m
+    )
+    r = make_bivector(iso, bivector_coords_from_matrix(r_mat))
+    assert r.r_sharp == int_vectors(r_mat.T.entries), tag
+    assert r.r_mat == r_mat, tag
+    assert r.image == Subspace.from_vectors(m, r_mat.entries), tag
     assert Mat.from_ints(*r.omega) == omega_solve_oracle(r), tag
 
 
@@ -427,7 +430,6 @@ def test_bivector_skew_check_survives_optimize_flag():
         "    print('rejected')\n"
         # shape checks: without them zip truncates silently
         "from lieps.exact import dot, inverse, solve\n"
-        "from lieps.invariants import bivector_matrix_from_coords\n"
         "from lieps.liecore import LieAlgebra\n"
         "m = Mat([[1, 2]])\n"
         "cases = [\n"
@@ -439,7 +441,7 @@ def test_bivector_skew_check_survives_optimize_flag():
         "    lambda: m.apply_T((1, 2)),\n"
         "    lambda: inverse(m),\n"
         "    lambda: solve(m, (1, 2)),\n"
-        "    lambda: bivector_matrix_from_coords(3, (1, 2)),\n"
+        "    lambda: Bivector(iso, (1, 2)),\n"
         "    lambda: LieAlgebra(2, ('a',), ((), ())),\n"
         "]\n"
         "for case in cases:\n"
@@ -569,7 +571,7 @@ def test_fixed_space_lie_algebra_builds_the_model_tables_once(monkeypatch):
     r = make_bivector(iso, coords)
     out = fixed_space_lie_algebra(r)
     assert out.algebra.dim > 0
-    assert len(r.int_tables[1]) == iso.quotient_dim == 5
+    assert len(r.int_tables[0]) == iso.quotient_dim == 5
     assert (iso.h_basis.dim, len(iso.discrete_generators)) == (0, 5)
     assert len(calls) == 5 + 5
 

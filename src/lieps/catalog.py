@@ -11,9 +11,11 @@ parse reads each rational literal once into ints (read_rational): bracket
 coefficients go straight into the integer table of the LieAlgebra through
 liecore.lie_algebra_of_terms, the normaliser make_lie_algebra uses too,
 generator entries into the integer columns of a liecore.Generator (the
-builtins too), and subalgebra and complement entries become Fractions, once
-per distinct string literal.  A located error message is formatted only
-when its check fails.
+builtins too), and each subalgebra vector v into the integer row d v, d the
+least common denominator of its entries, which make_isotropy eliminates as
+it stands; a complement vector is checked on its (p, q) pairs.  No Fraction
+is built for h.  A located error message is formatted only when its check
+fails.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DocumentError, LiepsError
-from .liecore import Generator, LieAlgebra, lie_algebra_of_terms, make_isotropy, make_lie_algebra
+from .liecore import Generator, LieAlgebra, _least_den, lie_algebra_of_terms, make_isotropy, make_lie_algebra
 
 _FIELDS = frozenset(("name", "dim", "labels", "brackets", "subalgebra", "complement", "ad_generators"))
 _ITEM_FIELDS = frozenset(("i", "j", "coeffs"))
@@ -39,7 +41,7 @@ def read_rational(x, path, *where) -> tuple:
 
     The string is one optional sign, then decimal digits of any script (str.isdecimal,
     Unicode category Nd), then optionally / and decimal digits.  Lowest terms are taken
-    later, once per bracket table and by Fraction for a stored entry.  An error is
+    later, once per bracket table, generator and subalgebra vector.  An error is
     located at path.format(*where), built only then.
     """
     if isinstance(x, str):
@@ -65,7 +67,7 @@ class AlgebraDocument(NamedTuple):
 
     name: str
     algebra: LieAlgebra
-    subalgebra: tuple = ()
+    subalgebra: tuple = ()  # vectors spanning h; parse and the builtins give integer rows
     complement: tuple = ()  # standard-basis indices
     ad_generators: tuple = ()  # of liecore.Generator
 
@@ -82,7 +84,7 @@ def _doc(name, dim, labels, bracket_map, subalgebra=(), complement=(), ad_genera
     return AlgebraDocument(
         name=name,
         algebra=make_lie_algebra(dim, bracket_map, labels),
-        subalgebra=tuple(tuple(Fraction(x) for x in v) for v in subalgebra),
+        subalgebra=tuple(map(tuple, subalgebra)),
         complement=tuple(complement),
         ad_generators=tuple(ad_generators),
     )
@@ -94,7 +96,7 @@ def realize(doc: AlgebraDocument):
     try:
         iso = make_isotropy(
             L,
-            list(doc.subalgebra),
+            doc.subalgebra,
             discrete_generators=list(doc.ad_generators),
             complement_indices=list(doc.complement) if doc.complement else None,
         )
@@ -259,11 +261,7 @@ def double(base: AlgebraDocument) -> AlgebraDocument:
             put(i, n + j, c, n)  # [d_i, m_j] lands in the m part
 
     labels = [f"d_{x}" for x in base.labels] + [f"m_{x}" for x in base.labels]
-    sub = []
-    for i in range(n):
-        v = [Fraction(0)] * (2 * n)
-        v[i] = Fraction(1)
-        sub.append(v)
+    sub = [[int(t == i) for t in range(2 * n)] for i in range(n)]
     return _doc(f"double({base.name})", 2 * n, labels, brackets, subalgebra=sub)
 
 
@@ -441,8 +439,6 @@ def parse(text) -> AlgebraDocument:
         raise DocumentError("brackets", f"duplicate pair {duplicate}")
     algebra = lie_algebra_of_terms(dim, labels, terms)
 
-    fractions = {}  # a vector entry's Fraction, once per (p, q)
-
     def rational(x, path, *where):
         if type(x) is not str:
             return read_rational(x, path, *where)
@@ -451,6 +447,7 @@ def parse(text) -> AlgebraDocument:
         return values[x]
 
     def parse_vectors(key):
+        """The vectors at key, each as the (p, q) of its entries."""
         raw = data.get(key, [])
         if not isinstance(raw, list):
             raise DocumentError(key, "must be a list of vectors")
@@ -458,22 +455,20 @@ def parse(text) -> AlgebraDocument:
         for t, v in enumerate(raw):
             if not (isinstance(v, list) and len(v) == dim):
                 raise DocumentError(f"{key}[{t}]", f"must be a vector of length {dim}")
-            row = []
-            for c, x in enumerate(v):
-                pq = rational(x, "{}[{}][{}]", key, t, c)
-                f = fractions.get(pq)
-                if f is None:
-                    f = fractions[pq] = Fraction(*pq)
-                row.append(f)
-            out.append(tuple(row))
+            out.append([rational(x, "{}[{}][{}]", key, t, c) for c, x in enumerate(v)])
         return out
 
-    subalgebra = parse_vectors("subalgebra")
+    subalgebra = []
+    for v in parse_vectors("subalgebra"):
+        # d v for the least common denominator d of the entries, so equal vectors give equal rows
+        d = _least_den(v)
+        subalgebra.append(tuple(p * d // q for p, q in v))
 
     complement = []
     for t, v in enumerate(parse_vectors("complement")):
-        hits = [c for c, x in enumerate(v) if x != 0]
-        if not (len(hits) == 1 and v[hits[0]] == 1):
+        hits = [c for c, (p, _) in enumerate(v) if p]
+        # p / q = 1 exactly when p = q, q > 0
+        if not (len(hits) == 1 and v[hits[0]][0] == v[hits[0]][1]):
             raise DocumentError(f"complement[{t}]", "must be a standard basis vector")
         if hits[0] in complement:
             raise DocumentError(f"complement[{t}]", "repeated complement vector")

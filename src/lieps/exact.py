@@ -419,7 +419,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient, vectors) -> "Subspace":
-        vectors = [vec(v) for v in vectors]
+        """The span of vectors of ints and Fractions; integer vectors are eliminated as they stand."""
+        vectors = list(vectors)
         if any(len(v) != ambient for v in vectors):
             raise ValueError("ambient mismatch")
         return cls._of_rows(ambient, [{k: x for k, x in enumerate(v) if x} for v in vectors])

@@ -6,12 +6,15 @@ r_#, holds the coordinate c of (i, j) at (j, i) and -c at (i, j).  How an
 operator N / d of iso.action moves a bivector is one rule, wedge2_image, on
 one sparse wedge, add_wedge: the derivation N^1 + 1^N for an h-basis vector
 (the connected part), and N^N - d^2 I for a discrete generator, read off E =
-N - dI so that it costs what the generator moves.  The invariant solve's
-rows are the images of single pairs under the transposed operators, streamed
-block by block into the kernel, so a solve whose kernel is zero early builds
-no later block; _not_invariant reads the image of one bivector, and the
-`--r` reader sums its terms with add_wedge.  The fixed covectors read the
-operators' columns.
+N - dI so that it costs what the generator moves.  Every reader takes the
+operator's moved part X (N or E) from iso.action_moves, where a discrete
+generator's E holds only the columns it moves, so nothing here scans a
+whole operator for them.  The invariant solve's rows are the images of
+single pairs under the transposed operators, one call of the rule per
+operator, streamed block by block into the kernel, so a solve whose kernel
+is zero early builds no later block; _not_invariant reads the image of one
+bivector, and the `--r` reader sums its terms with add_wedge.  The fixed
+covectors read the columns of X.
 """
 
 from __future__ import annotations
@@ -52,58 +55,47 @@ def add_wedge(image, index, u, v, c) -> None:
                 image[t] = image.get(t, 0) - c * x * y
 
 
-def moved_part(cols, d, derivation) -> list:
-    """The nonzeros (k, x) of each column of the part X of an operator N / d that moves, from those of N.
+def wedge2_image(X, d, derivation, n, bivectors) -> list:
+    """The nonzeros {pair index: value} of the image of each bivector under an n x n operator N / d.
 
-    X = N for an h-basis operator, which acts by a derivation, and cols are
-    returned as they are; X = E = N - dI for a discrete generator, so a
-    column it does not move is empty.
-    """
-    if derivation:
-        return cols
-    out = []
-    for j, col in enumerate(cols):
-        col = dict(col)
-        if x := col.pop(j, 0) - d:
-            col[j] = x
-        out.append(col.items())
-    return out
-
-
-def wedge2_image(cols, d, derivation, terms) -> dict:
-    """The nonzeros {pair index: value} of the image of sum c e_i ^ e_j, terms (i, j, c), i < j, under N / d.
-
-    cols lists the nonzeros (k, x) of each column of the operator's
-    moved_part X.  The derivation of an h-basis operator, X = N, sends
-    e_i ^ e_j to X e_i ^ e_j + e_i ^ X e_j.  A discrete generator, X = E =
-    N - dI, moves it by N^N - d^2 I: d (X e_i ^ e_j + e_i ^ X e_j) +
+    A bivector is listed by its terms (i, j, c), i < j: sum c e_i ^ e_j.  X
+    maps a column to its nonzeros (k, x) in the operator's moved part, and
+    a column X lacks is zero.  The derivation of an h-basis operator, X = N,
+    sends e_i ^ e_j to X e_i ^ e_j + e_i ^ X e_j.  A discrete generator,
+    X = E = N - dI, moves it by N^N - d^2 I: d (X e_i ^ e_j + e_i ^ X e_j) +
     X e_i ^ X e_j, so a column the generator does not move costs nothing.
     """
-    index = _wedge_index(len(cols))
+    index = _wedge_index(n)
     s = 1 if derivation else d
-    image = {}
-    for i, j, c in terms:
-        x, y = cols[i], cols[j]
-        if x:
-            add_wedge(image, index, x, ((j, s),), c)
-        if y:
-            add_wedge(image, index, ((i, s),), y, c)
-        if x and y and not derivation:
-            add_wedge(image, index, x, y, c)
-    return {t: v for t, v in image.items() if v}
+    images = []
+    for terms in bivectors:
+        image = {}
+        for i, j, c in terms:
+            x, y = X.get(i), X.get(j)
+            if x:
+                add_wedge(image, index, x, ((j, s),), c)
+            if y:
+                add_wedge(image, index, ((i, s),), y, c)
+            if x and y and not derivation:
+                add_wedge(image, index, x, y, c)
+        images.append({t: v for t, v in image.items() if v})
+    return images
 
 
-def invariance_block(op, derivation) -> tuple:
-    """The nonzero rows {pair index: value} of the invariance condition of one operator op = N / d.
+def invariance_block(X, d, derivation, n) -> tuple:
+    """The nonzero rows {pair index: value} of the invariance condition of one operator N / d, moved part X.
 
     Row (i, j) of the action on the wedge square is the wedge of rows i and
-    j of N: the wedge2_image of e_i ^ e_j under the transpose, for a
-    discrete generator only on the pairs that meet a nonzero row of E.
+    j of N: the wedge2_image of e_i ^ e_j under the transpose, whose moved
+    part is the rows of X, read off the columns X holds.  For a discrete
+    generator only the pairs that meet a nonzero row of E are taken.
     """
-    rows = moved_part([row.items() for row in op.rows()], op.d, derivation)
-    n = len(rows)
-    pairs = wedge2_space(n) if derivation else sorted(_pairs_meeting([i for i, row in enumerate(rows) if row], n))
-    return tuple(filter(None, (wedge2_image(rows, op.d, derivation, ((i, j, 1),)) for i, j in pairs)))
+    rows = {}
+    for j, col in X.items():
+        for i, x in col:
+            rows.setdefault(i, []).append((j, x))
+    pairs = wedge2_space(n) if derivation else _pairs_meeting(rows, n)
+    return tuple(filter(None, wedge2_image(rows, d, derivation, n, [((i, j, 1),) for i, j in pairs])))
 
 
 def invariance_rows(iso: IsotropyModel):
@@ -114,9 +106,9 @@ def invariance_rows(iso: IsotropyModel):
     d^2 (A^A - I) for a discrete generator A = N / d, has for kernel the
     bivectors A fixes; the identity gives an empty block.
     """
-    k = iso.h_basis.dim
-    for t, op in enumerate(iso.action):
-        yield invariance_block(op, t < k)
+    k, n = iso.h_basis.dim, iso.quotient_dim
+    for t, (X, d) in enumerate(iso.action_moves):
+        yield invariance_block(X, d, t < k, n)
 
 
 def _not_invariant(r):
@@ -127,11 +119,12 @@ def _not_invariant(r):
     """
     iso = r.iso
     h = iso.h_basis
-    pairs = wedge2_space(iso.quotient_dim)
+    n = iso.quotient_dim
+    pairs = wedge2_space(n)
     terms = [(*pairs[p], c) for p, c in r.nz]
-    for t, (cols, d) in enumerate(iso.action):
+    for t, (X, d) in enumerate(iso.action_moves):
         derivation = t < h.dim
-        if wedge2_image(moved_part(cols, d, derivation), d, derivation, terms):
+        if wedge2_image(X, d, derivation, n, (terms,))[0]:
             what = (
                 f"h-basis vector ({', '.join(str(x) for x in h.basis[t])})"
                 if derivation
@@ -155,11 +148,7 @@ def fixed_quotient_covectors(iso: IsotropyModel) -> Subspace:
 
     In quotient coordinates a covector is fixed iff it kills every ad-bar_u
     image and is fixed by the transpose of each induced generator matrix: in
-    ints, the rows of N^T and N^T - d I, the columns of the moved_part of each
-    ad-bar and each generator N / d of iso.action.
+    ints, the rows of N^T and N^T - d I, the columns of the moved part X of
+    each ad-bar and each generator N / d of iso.action_moves.
     """
-    k = iso.h_basis.dim
-    rows = []
-    for t, (cols, d) in enumerate(iso.action):
-        rows += map(dict, moved_part(cols, d, t < k))
-    return kernel_of_rows(rows, iso.quotient_dim)
+    return kernel_of_rows([dict(col) for X, _ in iso.action_moves for col in X.values()], iso.quotient_dim)

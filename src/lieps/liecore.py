@@ -25,11 +25,15 @@ discrete generator, q, and each operator of the model's `action` on g/h
 (ad-bar q ad_u s from the brackets of u with the complement vectors, q A s).
 A bilinear table lists the nonzeros of table(e_i, e_j) at nz[i][j]: the
 structure constants and `m_table`, the m-bracket on the quotient basis, read
-by _sparse_bracket and ad_rows.  The automorphism check reads A = N / d
-through its moved columns S, those with N e_m != d e_m: the S x S block for
-singularity, and only the pairs meeting S, directly or through
-`LieAlgebra.pairs_into`, for the brackets.  How `action` moves a bivector
-is one rule, invariants.wedge2_image; this module has only the wedge basis.
+by _sparse_bracket and ad_rows.  A discrete generator A = N / d is read
+through its moved part (moved_part), found once per model: the columns S
+with N e_m != d e_m and the columns of E = N - dI there.  The automorphism
+check reads the S x S block for singularity and walks, in increasing order,
+only the pairs meeting S, directly or through `LieAlgebra.pairs_into`, for
+the brackets; the model keeps the moved parts, and `action_moves` maps each
+through q into the moved part of its operator on g/h, which the invariant
+solve reads.  How an operator moves a bivector is one rule,
+invariants.wedge2_image; this module has only the wedge basis.
 """
 
 from __future__ import annotations
@@ -355,19 +359,20 @@ class IsotropyModel(Frozen):
     q^T identifies a quotient covector with its representative in the
     annihilator h° of h, the working model of (g/h)*.
 
-    The integer columns of q, the isotropy action on g/h (`action`, its one
-    form), the reductive and symmetric flags and the integer m-bracket table
-    m_table are derived once; validate reads none.
+    The integer columns of q, the isotropy action on g/h (`action_moves`,
+    its sparse form, and `action`), the reductive and symmetric flags and
+    the integer m-bracket table m_table are derived once; validate reads none.
     """
 
-    # h_rows is derived from h_basis and the complement, so equality leaves it out
+    # h_rows and moves are derived from the other fields, so equality leaves them out
     _fields = ("L", "h_basis", "complement_indices", "generators")
 
     def __init__(self, L: LieAlgebra, h_basis: Subspace, complement_indices: tuple, h_rows: tuple,
-                 generators: tuple = ()):
-        # generators: of Generator, each checked by make_isotropy
+                 generators: tuple = (), moves: tuple = ()):
+        # generators: of Generator, each checked by make_isotropy; moves: the moved_part of each
         self.__dict__.update(
-            L=L, h_basis=h_basis, complement_indices=complement_indices, h_rows=h_rows, generators=generators
+            L=L, h_basis=h_basis, complement_indices=complement_indices, h_rows=h_rows, generators=generators,
+            moves=moves,
         )
 
     @cached_property
@@ -437,26 +442,47 @@ class IsotropyModel(Frozen):
         return tuple(tuple((i, x) for i, x in column_product(qcols, v).items() if x) for v in images)
 
     @cached_property
-    def action(self) -> tuple:
-        """The isotropy action on g/h, one Generator N / d per generator of it.
+    def action_moves(self) -> tuple:
+        """The isotropy action on g/h in its sparse form: (X, d) per operator N / d.
 
-        First ad-bar_u = q ad_u s, N = dq den q ad_R s and d = dq den R_P, for
-        each h-basis vector u = R / R_P, (P, R) a row of h; ad_u maps h to h,
-        so ad-bar_u does not depend on the section.  Then q A s, N = dq q N_A s
-        and d = dq dA, for each discrete generator A = N_A / dA; only the
-        columns A moves go through q, and the t-th complement vector e_j off
-        them maps to the unit column dq dA eps_t.  These d are not reduced
-        against N.
+        X maps each column j where X e_j != 0 to its nonzeros (i, x), in no
+        set order.  First X = N for ad-bar_u = q ad_u s, N = dq den q ad_R s
+        and d = dq den R_P, for each h-basis vector u = R / R_P, (P, R) a row
+        of h; ad_u maps h to h, so ad-bar_u does not depend on the section.
+        Then X = E = N - dI for q A s, N = dq q N_A s and d = dq dA, for each
+        discrete generator A = N_A / dA: with E_A = N_A - dA I its moved part
+        (moves), column t of E is dq q E_A e_j for the t-th complement vector
+        e_j, so only the moved columns of A go through q.  These d are not
+        reduced against N.
         """
-        dq, comp = self._q_columns.d, self.complement_indices
+        dq = self._q_columns.d
         out = [
-            Generator(self._quotient_ints(self._complement_brackets(R.items())), dq * self.L.den * R[P])
+            ({t: col for t, col in enumerate(self._quotient_ints(self._complement_brackets(R.items()))) if col},
+             dq * self.L.den * R[P])
             for P, R in self.h_basis.rows
         ]
-        for A in self.generators:
-            S, d = _moved_columns(A), dq * A.d
-            moved = iter(self._quotient_ints(A.cols[j] for j in comp if j in S))
-            out.append(Generator(tuple(next(moved) if j in S else ((t, d),) for t, j in enumerate(comp)), d))
+        pos = {j: t for t, j in enumerate(self.complement_indices)}
+        for A, moved in zip(self.generators, self.moves, strict=True):
+            js = [j for j in moved if j in pos]
+            X = {pos[j]: col for j, col in zip(js, self._quotient_ints(moved[j] for j in js)) if col}
+            out.append((X, dq * A.d))
+        return tuple(out)
+
+    @cached_property
+    def action(self) -> tuple:
+        """The isotropy action on g/h, one Generator N / d per operator (X, d) of action_moves.
+
+        N = X for an h-basis vector; N = X + dI for a discrete generator, so
+        a column X lacks is the unit column d eps_t.
+        """
+        k, m = self.h_basis.dim, self.quotient_dim
+        out = []
+        for t, (X, d) in enumerate(self.action_moves):
+            if t < k:
+                cols = [X.get(j, ()) for j in range(m)]
+            else:
+                cols = [_shift(X[j], j, d) if j in X else ((j, d),) for j in range(m)]
+            out.append(Generator(tuple(cols), d))
         return tuple(out)
 
     @cached_property
@@ -504,34 +530,47 @@ def _check_subalgebra(L: LieAlgebra, h: Subspace):
             )
 
 
-def _moved_columns(A: Generator) -> set:
-    """The columns m that A = N / d moves, N e_m != d e_m; every other column of N is d e_m.
+def _shift(col, j, c) -> tuple:
+    """The nonzeros (i, x) of the column col + c e_j, from those of col."""
+    col = dict(col)
+    col[j] = col.get(j, 0) + c
+    return tuple((i, x) for i, x in col.items() if x)
 
-    A column not spelled as the tuple ((m, d),) counts as moved, which costs
-    its readers time, not correctness.
+
+def moved_part(A: Generator) -> dict:
+    """{m: the nonzeros (i, x) of column m of E = N - dI} over the columns m that A = N / d moves, increasing.
+
+    Every other column of N is d e_m.  A column not spelled as the tuple
+    ((m, d),) counts as moved, which costs its readers time, not correctness.
     """
     cols, d = A
-    return {m for m, col in enumerate(cols) if col != ((m, d),)}
+    return {m: _shift(col, m, -d) for m, col in enumerate(cols) if col != ((m, d),)}
 
 
-def _check_automorphism(L: LieAlgebra, A: Generator, h: Subspace):
-    # A = N / dA; N e_m = dA e_m off the moved columns S, so the singular and bracket tests read S alone
+def _check_automorphism(L: LieAlgebra, A: Generator, h: Subspace) -> dict:
+    """NotAnAutomorphism or GeneratorMovesH unless A = N / dA is an automorphism keeping h; else A's moved_part.
+
+    N e_m = dA e_m off the moved columns S, so the singular and bracket tests read S alone.
+    """
     cols, dA = A
     if len(cols) != L.dim:
         raise NotAnAutomorphism("generator has the wrong shape")
-    S = _moved_columns(A)
+    S = moved_part(A)
     # N is singular exactly when its S x S block is
     if len(_rref_int_rows([{i: a for i, a in cols[m] if i in S} for m in S], L.dim)[1]) < len(S):
         raise NotAnAutomorphism("generator is singular")
     nz = L.nz
     # a pair off S whose bracket has no e_m-term, m in S, passes: both sides are dA^2 [e_i, e_j]
-    pairs = _pairs_meeting(S, L.dim).union(*(L.pairs_into[m] for m in S))
+    pairs = _pairs_meeting(S, L.dim)
+    if into := [p for m in S for p in L.pairs_into[m]]:
+        pairs = sorted(set(pairs).union(into))
     # both sides below are dA^2 den times [A e_i, A e_j] and A[e_i, e_j]
-    for i, j in sorted(pairs):
+    for i, j in pairs:
         # den [N e_i, N e_j] - dA N (den [e_i, e_j]), from nonzeros only
         diff = _sparse_bracket(nz, cols[i], cols[j])
-        for k, a in column_product(cols, nz[i][j]).items():
-            diff[k] = diff.get(k, 0) - dA * a
+        if nz[i][j]:
+            for k, a in column_product(cols, nz[i][j]).items():
+                diff[k] = diff.get(k, 0) - dA * a
         if any(diff.values()):
             raise NotAnAutomorphism(
                 f"A[e{i + 1}, e{j + 1}] != [Ae{i + 1}, Ae{j + 1}]"
@@ -540,6 +579,7 @@ def _check_automorphism(L: LieAlgebra, A: Generator, h: Subspace):
     for _, R in h.rows:
         if h.residual(column_product(cols, R.items())):
             raise GeneratorMovesH("generator does not preserve the isotropy subalgebra")
+    return S
 
 
 def _complement_rows(space: Subspace, indices=None) -> tuple:
@@ -559,7 +599,8 @@ def _complement_rows(space: Subspace, indices=None) -> tuple:
         if len(taken) != len(indices) or len(indices) != n - space.dim:
             raise ValueError("the standard vectors do not complete the subspace to a basis")
         order = tuple(j for j in range(n) if j not in taken) + indices
-    rows = [{k: R[j] for k, j in enumerate(order) if j in R} for _, R in space.rows]
+    pos = {j: k for k, j in enumerate(order)}
+    rows = [{pos[j]: x for j, x in R.items()} for _, R in space.rows]
     red, pivots = _rref_int_rows(rows, n) if rows else ((), [])
     if indices is None:
         on_space = {order[p] for p in pivots}
@@ -599,11 +640,13 @@ def complement_projection(space: Subspace, indices=None) -> tuple:
 def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement_indices=None) -> IsotropyModel:
     """Package a subalgebra h with an explicit quotient model.
 
-    The complement is scanned greedily through the standard basis unless
-    explicit indices are supplied; either way the chosen standard vectors
-    must complete a basis of g together with h, else ValueError.  q and s
-    are built on first use.  A generator (a Generator, a Mat or rows) is read
-    into its integer form once, which the automorphism check and `action` share.
+    h is the span of h_vectors (Subspace.from_vectors: integer vectors, as
+    parse gives them, are eliminated as they stand).  The complement is scanned greedily through the
+    standard basis unless explicit indices are supplied; either way the
+    chosen standard vectors must complete a basis of g together with h,
+    else ValueError.  q and s are built on first use.  A generator (a
+    Generator, a Mat or rows) is read into its integer form once, and its
+    moved_part found once, by the automorphism check, for `action_moves`.
     """
     n = L.dim
     h = Subspace.from_vectors(n, h_vectors)
@@ -612,9 +655,10 @@ def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement
     complement_indices, h_rows = _complement_rows(h, complement_indices)
 
     gens = []
+    moves = []
     for A in discrete_generators or ():
         A = A if isinstance(A, Generator) else Generator.of_matrix(A)
-        _check_automorphism(L, A, h)
+        moves.append(_check_automorphism(L, A, h))
         gens.append(A)
 
     return IsotropyModel(
@@ -623,6 +667,7 @@ def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement
         complement_indices=complement_indices,
         h_rows=h_rows,
         generators=tuple(gens),
+        moves=tuple(moves),
     )
 
 
@@ -667,6 +712,11 @@ def wedge2_space(dim) -> tuple:
     return tuple((i, j) for i in range(dim) for j in range(i + 1, dim))
 
 
-def _pairs_meeting(S, n) -> set:
-    """The wedge pairs (i, j), i < j < n, with i or j in S."""
-    return {(min(m, j), max(m, j)) for m in S for j in range(n) if j != m}
+def _pairs_meeting(S, n) -> list:
+    """The wedge pairs (i, j), i < j < n, with i or j in S, in increasing order, each once."""
+    pairs = []
+    for m in S:
+        pairs += [(i, m) for i in range(m) if i not in S]
+        pairs += [(m, j) for j in range(m + 1, n)]
+    pairs.sort()
+    return pairs

@@ -36,7 +36,7 @@ from lieps.errors import (
     NotAnAutomorphism,
     RadicalMismatch,
 )
-from lieps.exact import _eliminate, _primitive, _rref_int_rows
+from lieps.exact import _rref_int_rows
 from lieps.liecore import (
     _sparse_bracket,
     ad_matrix,
@@ -347,49 +347,6 @@ def gauss_jordan_oracle(rows):
         if r == nrows:
             break
     return rows, pivots
-
-
-def reference_rref_int_rows(m, ncols):
-    """exact._rref_int_rows as it was before its rows were bucketed by leading column.
-
-    Interleaved Gauss-Jordan: at every column it scans all remaining rows
-    for the pivot and clears the column from every row already reduced.  It
-    shares only the row update with the production kernel, and must return
-    the same (rows, pivots), the unique primitive integer RREF.
-    """
-    work = []
-    for r in m:
-        r = {j: x for j, x in r.items() if x}
-        if r:
-            work.append(_primitive(r))
-    reduced = []
-    pivots = []
-    for c in range(ncols):
-        if not work:
-            break
-        p = -1
-        for i, row in enumerate(work):
-            if c in row and (p < 0 or len(row) < len(work[p])):
-                p = i
-        if p < 0:
-            continue
-        piv_row = work.pop(p)
-        if piv_row[c] < 0:
-            piv_row = {j: -x for j, x in piv_row.items()}
-        rest = []
-        for row in work:
-            if c in row:
-                row = _eliminate(row, piv_row, c)
-                if not row:
-                    continue
-            rest.append(row)
-        work = rest
-        for t, row in enumerate(reduced):
-            if c in row:
-                reduced[t] = _eliminate(row, piv_row, c)
-        reduced.append(piv_row)
-        pivots.append(c)
-    return reduced, pivots
 
 
 def span_oracle(vectors) -> tuple:

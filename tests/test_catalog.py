@@ -1,11 +1,12 @@
 import json
 import re
 from fractions import Fraction as QQ
+from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import CATALOG_ENTRIES, count_cached
+from helpers import CATALOG_ENTRIES, count_cached, span_oracle
 from lieps import catalog, liecore
 from lieps.cli import run_cli
 from lieps.errors import DocumentError, LiepsError
@@ -290,11 +291,83 @@ def test_integer_route_matches_make_lie_algebra_on_any_spelling(data):
     expected = make_lie_algebra(dim, values, parsed.labels)
     assert (parsed.algebra.den, parsed.algebra.nz) == (expected.den, expected.nz)
     assert parsed.algebra == expected
-    stored = [x for v in parsed.subalgebra for x in v]
-    stored += [x for row in parsed.ad_generators[0].mat.entries for x in row]
-    literals = [x for v in sub for x, _ in v] + [x for row in gen for x, _ in row]
+    # each subalgebra vector v is the integer row d v, d the least common denominator of its entries
+    rows = []
+    for v in sub:
+        d = lcm(*(x.denominator for _, x in v))
+        rows.append(tuple(int(d * x) for _, x in v))
+    assert parsed.subalgebra == tuple(rows)
+    assert all(type(x) is int for v in parsed.subalgebra for x in v)
+    stored = [x for row in parsed.ad_generators[0].mat.entries for x in row]
     assert all(type(x) is QQ for x in stored)
-    assert stored == [QQ(x) for x in literals]
+    assert stored == [v for row in gen for _, v in row]
+
+
+_ROUTE_BASES = [("abelian", {"n": 3}), ("abelian", {"n": 4}), ("heisenberg", {"n": 1}), ("heisenberg", {"n": 2})]
+
+
+@st.composite
+def _rational_subalgebra_documents(draw):
+    """(document dict, the Fraction vectors its subalgebra literals spell).
+
+    The vectors have denominators (some written unreduced), and include zero
+    vectors and combinations of earlier ones; the complement is greedy, a
+    draw of the right size, which may fail to complete h, or one of any size.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    name, params = rng.choice(_ROUTE_BASES)
+    data = json.loads(catalog.emit(catalog.builtin(name, params)))
+    data.pop("ad_generators", None)
+    n = data["dim"]
+    vectors = []
+    for _ in range(rng.randint(0, n)):
+        kind = rng.choice(("random", "random", "zero", "combination"))
+        if kind == "zero":
+            v = [QQ(0)] * n
+        elif kind == "combination" and vectors:
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            x, y = QQ(rng.randint(-3, 3), rng.randint(1, 3)), QQ(rng.randint(-3, 3), rng.randint(1, 3))
+            v = [x * p + y * q for p, q in zip(a, b)]
+        else:
+            v = [QQ(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.6 else QQ(0) for _ in range(n)]
+        vectors.append(v)
+    k = len(span_oracle(vectors)[1]) if vectors else 0
+
+    def literal(x):
+        f = rng.randint(1, 3)
+        return rng.choice((str(x), f"{x.numerator * f}/{x.denominator * f}"))
+
+    data["subalgebra"] = [[literal(x) for x in v] for v in vectors]
+    how = rng.choice(("greedy", "sized", "any"))
+    if how != "greedy":
+        size = n - k if how == "sized" else rng.randint(1, n)
+        data["complement"] = [[int(t == j) for t in range(n)] for j in rng.sample(range(n), size)]
+    return data, vectors
+
+
+def _route_outcome(doc):
+    try:
+        _, iso = catalog.realize(doc)
+    except (DocumentError, LiepsError) as e:
+        return type(e), str(e)
+    return iso.h_basis.rows, iso.complement_indices, iso.h_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_subalgebra_documents())
+@example(({"dim": 3, "subalgebra": [["1/2", "1/2", 0]], "complement": [[1, 0, 0], [0, 1, 0]]},
+          [[QQ(1, 2), QQ(1, 2), QQ(0)]]))
+def test_integer_h_rows_give_the_model_of_the_fraction_vectors(case):
+    # realize on the parsed integer rows, and make_isotropy (through realize)
+    # on the Fraction vectors as written: the same eliminations, or the same
+    # error, "does not complete the subalgebra" included
+    data, vectors = case
+    doc = catalog.parse(json.dumps(data))
+    fractions = doc._replace(subalgebra=tuple(map(tuple, vectors)))
+    outcome = _route_outcome(doc)
+    assert outcome == _route_outcome(fractions)
+    if type(outcome[0]) is tuple:
+        assert catalog.realize(doc)[1].h_basis.basis == span_oracle(vectors)[0]
 
 
 def _int_form(rows):
@@ -417,9 +490,9 @@ def test_bracket_coefficients_build_no_fraction(monkeypatch):
     doc = catalog.parse(_TRANSPORTED)
     # the nine bracket coefficients and six subalgebra entries hold seven
     # distinct literals, each read into ints once; the subalgebra's three are
-    # among them, and each is made a Fraction once
+    # among them, and its vectors become integer rows, so no Fraction is made
     assert sorted(reads) == sorted({"-2/9", "4/9", "1/9", "8/9", "-16/9", "-4/9", "-8/9"})
-    assert sorted(fractions) == [(-2, 9), (1, 9), (4, 9)]
+    assert fractions == []
     assert doc.algebra.den == 9
 
 

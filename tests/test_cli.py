@@ -813,13 +813,13 @@ def test_tensor_calls_no_bracket(monkeypatch):
     ],
 )
 def test_jobs_read_the_isotropy_action_once_in_integers(monkeypatch, name, params, argv):
-    # the invariant solve and the leaf read the model's integer action,
-    # built once per job: the invariance rows are integers, and no job
-    # makes a Fraction matrix product or a solve
+    # the invariant solve and the leaf read the model's integer action in
+    # its sparse form, built once per job: the invariance rows are integers,
+    # and no job makes a Fraction matrix product or a solve
     from lieps.exact import Mat
     from lieps.invariants import invariance_rows
 
-    actions = count_cached(monkeypatch, IsotropyModel, "action")
+    actions = count_cached(monkeypatch, IsotropyModel, "action_moves")
     products = count_calls(monkeypatch, Mat, "__matmul__")
     solves = count_calls(monkeypatch, exact, "solve")
     code, out, err = run_cli(argv, _doc_text(name, **params))
@@ -1649,6 +1649,31 @@ def test_jobs_read_each_generator_once_into_ints(monkeypatch, argv):
     assert all(A is B for (_, A, _), B in zip(checks, iso.generators))
 
 
+def test_validate_reads_a_rational_subalgebra_without_a_fraction(monkeypatch):
+    # h = span{u1/2 + 2u2/3, w/3} on heisenberg n=2, kept by its lattice
+    # generators: parse reads each vector into an integer row, and the model
+    # eliminates those rows as they stand
+    fractions = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            fractions.append(args)
+            return Fraction(*args)
+
+    data = json.loads(_doc_text("heisenberg", n=2))
+    data["subalgebra"] = [["1/2", "2/3", "0", "0", "0"], ["0", "0", "0", "0", "1/3"]]
+    monkeypatch.setattr(catalog, "Fraction", Counted)
+    monkeypatch.setattr(liecore, "Fraction", Counted)
+    models = []
+    real = catalog.make_isotropy
+    monkeypatch.setattr(catalog, "make_isotropy", lambda *a, **k: models.append(real(*a, **k)) or models[-1])
+    code, out, err = run_cli(["validate", "-"], json.dumps(data))
+    assert (code, err) == (0, "")
+    (iso,) = models
+    assert iso.h_basis.rows == ((0, {0: 3, 1: 4}), (4, {4: 1}))
+    assert fractions == []
+
+
 def test_generator_work_follows_the_moved_columns(monkeypatch):
     # heisenberg n=6: each of the 12 lattice generators moves one column and
     # the 13th is the identity, so the automorphism check brackets the 12
@@ -1662,6 +1687,14 @@ def test_generator_work_follows_the_moved_columns(monkeypatch):
     code, out, err = run_cli(["validate", "-"], text)
     assert code == 0, err
     assert (len(checks), len(brackets)) == (13, 144)
+    # an invariants job finds each generator's moved columns once, in its
+    # check, and builds the blocks off them without transposing an operator
+    # (the parent read 13 transposes and 26 scans)
+    transposes = count_calls(monkeypatch, liecore.Generator, "rows")
+    scans = count_calls(monkeypatch, liecore, "moved_part")
+    code, out, err = run_cli(["invariants", "-"], text)
+    assert (code, err) == (0, "")
+    assert (len(transposes), len(scans)) == (0, 13)
     _, iso = catalog.realize(catalog.parse(text))
     assert [len(block) for block in invariance_rows(iso)] == [11] * 12 + [0]
 

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +10,6 @@ from helpers import (
     gauss_jordan_oracle,
     instance,
     kernel_oracle,
-    reference_rref_int_rows,
     span_coords_oracle,
     span_oracle,
 )
@@ -251,12 +250,31 @@ def int_row_systems(draw):
     return rows, ncols
 
 
+def oracle_int_rref(rows):
+    """(rows, pivots): the primitive integer RREF of {column: int} rows by the plain-Fraction gauss_jordan_oracle.
+
+    Each row is densified over the columns the rows hold (a column no row
+    holds is never a pivot and stays zero), and each pivot row is scaled by
+    the lcm of its denominators and divided by its content; its leading
+    entry, 1 in the RREF, stays positive.
+    """
+    support = sorted({j for r in rows for j, x in r.items() if x})
+    red, pivots = gauss_jordan_oracle([[F(r.get(j, 0)) for j in support] for r in rows]) if support else ([], [])
+    out = []
+    for row in red[: len(pivots)]:
+        d = lcm(*(x.denominator for x in row))
+        ints = [int(x * d) for x in row]
+        g = gcd(*ints)
+        out.append({support[k]: x // g for k, x in enumerate(ints) if x})
+    return out, [support[p] for p in pivots]
+
+
 @settings(max_examples=150, deadline=None)
 @given(int_row_systems())
 def test_bucketed_kernel_matches_reference_kernel(system):
     rows, ncols = system
     before = [dict(r) for r in rows]
-    expect = reference_rref_int_rows([dict(r) for r in rows], ncols)
+    expect = oracle_int_rref(rows)
     assert _rref_int_rows(rows, ncols) == expect
     assert rows == before
 
@@ -269,7 +287,7 @@ def test_bucketed_kernel_matches_reference_on_invariance_rows(name, n):
     _, iso = instance(name, {"n": n})
     rows = [row for block in invariance_rows(iso) for row in block]
     ncols = len(wedge2_space(iso.quotient_dim))
-    assert _rref_int_rows(rows, ncols) == reference_rref_int_rows(rows, ncols)
+    assert _rref_int_rows(rows, ncols) == oracle_int_rref(rows)
 
 
 @settings(max_examples=80, deadline=None)

@@ -43,7 +43,7 @@ from lieps.errors import (
 )
 from lieps.exact import Mat, Subspace, inverse, kernel_of_rows, zero_vec
 from lieps.foliation import leaf_decomposition
-from lieps.invariants import invariance_block, invariance_rows, moved_part, wedge2_image
+from lieps.invariants import invariance_block, invariance_rows, wedge2_image
 from lieps.liecore import (
     Generator,
     LieAlgebra,
@@ -58,6 +58,7 @@ from lieps.liecore import (
     induced_ad_bar,
     induced_map,
     make_isotropy,
+    moved_part,
     make_lie_algebra,
     require_reductive,
     validate,
@@ -349,13 +350,13 @@ def _square(n):
 def _wedge2_by_rule(A: Mat, derivation: bool) -> Mat:
     """The action of the square A on the wedge square as a Mat, column (i, j) the rule's image of e_i ^ e_j.
 
-    wedge2_image reads A = N / d through its moved_part; its image is d times that of the derivation,
-    or d^2 times that of A^A - I.
+    wedge2_image reads A = N / d through its moved part, the columns of N or of E = N - dI (moved_part);
+    its image is d times that of the derivation, or d^2 times that of A^A - I.
     """
     cols, d = Generator.of_matrix(A)
-    X = moved_part(cols, d, derivation)
+    X = dict(enumerate(cols)) if derivation else moved_part(Generator(cols, d))
     pairs = wedge2_space(A.rows)
-    images = [wedge2_image(X, d, derivation, ((i, j, 1),)) for i, j in pairs]
+    images = wedge2_image(X, d, derivation, A.rows, [((i, j, 1),) for i, j in pairs])
     M = Mat.from_ints([[image.get(t, 0) for image in images] for t in range(len(pairs))], d if derivation else d**2)
     return M if derivation else M + Mat.identity(len(pairs))
 
@@ -368,7 +369,7 @@ def test_wedge2_action_is_functorial(A, B):
 def test_wedge2_action_identity():
     # the identity moves no column: every image is zero, and its invariance block is empty
     assert _wedge2_by_rule(Mat.identity(4), False) == Mat.identity(6)
-    assert invariance_block(Generator.of_matrix(Mat.identity(4)), False) == ()
+    assert invariance_block(moved_part(Generator.of_matrix(Mat.identity(4))), 1, False, 4) == ()
 
 
 @given(_square(3))
@@ -409,6 +410,7 @@ def test_sparse_wedge2_blocks_match_dense_formulas(case):
     assert _wedge2_by_rule(A, True) == dense_wedge2_derivation(A)
     # the image of sum c e_i ^ e_j is the dense block applied to its coordinates
     cols, d = Generator.of_matrix(A)
+    moves = {True: dict(enumerate(cols)), False: moved_part(Generator(cols, d))}
     pairs = wedge2_space(A.rows)
     x = [sum(c for p, c in terms if p == pair) for pair in pairs]
     blocks = (
@@ -416,7 +418,7 @@ def test_sparse_wedge2_blocks_match_dense_formulas(case):
         (False, dense_wedge2_action(A) - Mat.identity(len(pairs)), d**2),
     )
     for derivation, dense, scale in blocks:
-        image = wedge2_image(moved_part(cols, d, derivation), d, derivation, [(i, j, c) for (i, j), c in terms])
+        (image,) = wedge2_image(moves[derivation], d, derivation, A.rows, [[(i, j, c) for (i, j), c in terms]])
         assert image == {t: scale * y for t, y in enumerate(dense @ x) if y}
 
 
@@ -680,8 +682,20 @@ def _outcome(check, L, A, h):
     return None
 
 
+# generators that move a column m with N_mm = 0, so E_mm = -d: the swap on abelian 2, the
+# automorphism u <-> v, w -> -w of heisenberg n=1, and u <-> v alone, which is none
+ZERO_DIAGONAL = [
+    (make_lie_algebra(2, {}), Subspace.zero(2), Generator.of_matrix(Mat([[0, 1], [1, 0]]))),
+    (catalog.heisenberg(1).algebra, Subspace.zero(3), Generator.of_matrix(Mat([[0, 1, 0], [1, 0, 0], [0, 0, -1]]))),
+    (catalog.heisenberg(1).algebra, Subspace.zero(3), Generator.of_matrix(Mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(moved_generators())
+@example(ZERO_DIAGONAL[0])
+@example(ZERO_DIAGONAL[1])
+@example(ZERO_DIAGONAL[2])
 def test_moved_columns_check_raises_what_the_all_pairs_check_raises(case):
     # singular S x S block, first failing pair and the h test: same exception, same message
     L, h, A = case
@@ -702,12 +716,14 @@ def _all_pairs_invariance_rows(A: Generator) -> tuple:
 @settings(max_examples=150, deadline=None)
 @given(moved_generators())
 @example((make_lie_algebra(3, {}), Subspace.zero(3), Generator.of_matrix(Mat.identity(3).scale(-1))))
+@example(ZERO_DIAGONAL[0])
+@example(ZERO_DIAGONAL[1])
 def test_moved_rows_are_the_nonzero_rows_of_the_all_pairs_block(case):
     # on the integer form N / d of I + E itself, any E: same rows, so the same kernel
     _, _, A = case
     cols, d = A
     n = len(cols)
-    moved, oracle = invariance_block(A, False), _all_pairs_invariance_rows(A)
+    moved, oracle = invariance_block(moved_part(A), d, False, n), _all_pairs_invariance_rows(A)
     assert moved == oracle
     nwedge = len(wedge2_space(n))
     assert kernel_of_rows(moved, nwedge) == kernel_of_rows(oracle, nwedge)

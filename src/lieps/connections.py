@@ -45,6 +45,8 @@ from .liecore import (
     bracket,
     column_product,
     complement_projection,
+    induced_ad_bar,
+    induced_map,
     require_reductive,
     wedge2_space,
 )
@@ -239,21 +241,20 @@ def ad_invariance_check(b: ConnectionMap) -> bool:
     b(N eta, xi) + b(eta, N xi) = N b(eta, xi); and for each discrete
     generator the group form with P = (induced(A)^{-1})^T.  On eta = eps_a
     these read M_{N eps_a} + M_a N = N M_a and M_{P eps_a} P = P M_a, column
-    c being the identity at xi = eps_c.
+    c being the identity at xi = eps_c, with ad-bar_u and induced(A) read off
+    their definitions q ad_u s (induced_ad_bar) and q A s (induced_map).
     """
     iso = b.r.iso
     n = b.dim
     mats = [b.matrix_for(e) for e in Mat.identity(n).entries]
-    for t, op in enumerate(iso.action):
-        A = op.mat
-        if t < iso.h_basis.dim:
-            N = A.T
-            if any(b.matrix_for(N.col(a)) + mats[a] @ N != N @ mats[a] for a in range(n)):
-                return False
-        else:
-            P = inverse(A).T
-            if any(b.matrix_for(P.col(a)) @ P != P @ mats[a] for a in range(n)):
-                return False
+    for u in iso.h_basis.basis:
+        N = induced_ad_bar(iso, u).T
+        if any(b.matrix_for(N.col(a)) + mats[a] @ N != N @ mats[a] for a in range(n)):
+            return False
+    for A in iso.discrete_generators:
+        P = inverse(induced_map(iso, A)).T
+        if any(b.matrix_for(P.col(a)) @ P != P @ mats[a] for a in range(n)):
+            return False
     return True
 
 

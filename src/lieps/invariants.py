@@ -3,18 +3,18 @@
 A bivector on the quotient g/h lives in wedge-square coordinates indexed by
 the lexicographic pairs (i, j), i < j.  Bivector.r_mat, the skew matrix of
 r_#, holds the coordinate c of (i, j) at (j, i) and -c at (i, j).  How an
-operator N / d of iso.action moves a bivector is one rule, wedge2_image, on
-one sparse wedge, add_wedge: the derivation N^1 + 1^N for an h-basis vector
-(the connected part), and N^N - d^2 I for a discrete generator, read off E =
-N - dI so that it costs what the generator moves.  Every reader takes the
-operator's moved part X (N or E) from iso.action_moves, where a discrete
-generator's E holds only the columns it moves, so nothing here scans a
-whole operator for them.  The invariant solve's rows are the images of
-single pairs under the transposed operators, one call of the rule per
-operator, streamed block by block into the kernel, so a solve whose kernel
-is zero early builds no later block; _not_invariant reads the image of one
-bivector, and the `--r` reader sums its terms with add_wedge.  The fixed
-covectors read the columns of X.
+operator N / d of the isotropy action moves a bivector is one rule,
+wedge2_image, on one sparse wedge, add_wedge: the derivation N^1 + 1^N for
+an h-basis vector (the connected part), and N^N - d^2 I for a discrete
+generator, read off E = N - dI so that it costs what the generator moves.
+Every reader takes the operator's moved part X (N or E) from
+iso.action_moves, where a discrete generator's E holds only the columns it
+moves, so nothing here scans a whole operator for them.  The invariant
+solve's rows are the images of single pairs under the transposed operators,
+one call of the rule per operator, streamed block by block into the kernel,
+so a solve whose kernel is zero early builds no later block; _not_invariant
+reads the image of one bivector, and the `--r` reader sums its terms with
+add_wedge.  The fixed covectors read the columns of X.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def invariance_block(X, d, derivation, n) -> tuple:
 
 
 def invariance_rows(iso: IsotropyModel):
-    """The invariance_block of each operator of iso.action in turn, built as read.
+    """The invariance_block of each operator (X, d) of iso.action_moves in turn, built as read.
 
     Block t < dim h is that of the derivation N = d ad-bar_u for the t-th
     h-basis vector u: its kernel is the bivectors u kills.  Each later block,
@@ -112,7 +112,7 @@ def invariance_rows(iso: IsotropyModel):
 
 
 def _not_invariant(r):
-    """NotInvariant naming the first operator N / d of iso.action that moves the Bivector r, or None.
+    """NotInvariant naming the first operator (X, d) of iso.action_moves that moves the Bivector r, or None.
 
     The wedge2_image of r's nonzeros under each operator in turn: d r in
     ints, since a zero test does not see the scale.

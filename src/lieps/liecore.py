@@ -21,8 +21,9 @@ h inside g* through q^T; h° is not stored, since eta lies in it exactly when
 
 Each exact table has one sparse integer form.  A linear map is a `Generator`
 N / d, the nonzeros of each column of N, applied by column_product: a
-discrete generator, q, and each operator of the model's `action` on g/h
-(ad-bar q ad_u s from the brackets of u with the complement vectors, q A s).
+discrete generator, q and r_#.  The isotropy action on g/h is the model's
+`action_moves`, one (X, d) per operator (ad-bar q ad_u s from the brackets
+of u with the complement vectors, q A s), X the nonzero columns of N or E.
 A bilinear table lists the nonzeros of table(e_i, e_j) at nz[i][j]: the
 structure constants and `m_table`, the m-bracket on the quotient basis, read
 by _sparse_bracket and ad_rows.  A discrete generator A = N / d is read
@@ -32,7 +33,7 @@ check reads the S x S block for singularity and walks, in increasing order,
 only the pairs meeting S, directly or through `LieAlgebra.pairs_into`, for
 the brackets; the model keeps the moved parts, and `action_moves` maps each
 through q into the moved part of its operator on g/h, which the invariant
-solve reads.  How an operator moves a bivector is one rule,
+solve and the leaf frame read.  How an operator moves a bivector is one rule,
 invariants.wedge2_image; this module has only the wedge basis.
 """
 
@@ -51,7 +52,7 @@ from .errors import (
     NotInH,
     NotReductive,
 )
-from .exact import Mat, Subspace, _rref_int_rows, from_ints, mat_lincomb, to_ints
+from .exact import Mat, Subspace, _rref_int_rows, from_ints, to_ints
 
 
 class Frozen:
@@ -179,8 +180,7 @@ def _least_den(pairs) -> int:
 class Generator(NamedTuple):
     """A linear map A = N / d: cols[j] lists the nonzeros (i, N_ij) of column j of N, d least.
 
-    The form of a discrete generator, q, r_# and, with d not reduced, each
-    operator of IsotropyModel.action; column_product applies it.
+    The form of a discrete generator, q and r_#; column_product applies it.
     """
 
     cols: tuple
@@ -349,7 +349,7 @@ class IsotropyModel(Frozen):
     """Quotient model g/h with a preferred standard-basis complement.
 
     h_basis.rows is the integer elimination of h in the natural column
-    order, which the model checks, `action` and the reductive flag read;
+    order, which the model checks, `action_moves` and the reductive flag read;
     h_rows is its elimination in the complement order, which picked the
     complement (_complement_rows); on first use the model builds off it
 
@@ -359,9 +359,9 @@ class IsotropyModel(Frozen):
     q^T identifies a quotient covector with its representative in the
     annihilator h° of h, the working model of (g/h)*.
 
-    The integer columns of q, the isotropy action on g/h (`action_moves`,
-    its sparse form, and `action`), the reductive and symmetric flags and
-    the integer m-bracket table m_table are derived once; validate reads none.
+    The integer columns of q, the isotropy action on g/h (`action_moves`),
+    the reductive and symmetric flags and the integer m-bracket table
+    m_table are derived once; validate reads none.
     """
 
     # h_rows and moves are derived from the other fields, so equality leaves them out
@@ -443,7 +443,7 @@ class IsotropyModel(Frozen):
 
     @cached_property
     def action_moves(self) -> tuple:
-        """The isotropy action on g/h in its sparse form: (X, d) per operator N / d.
+        """The isotropy action on g/h, in its one form: (X, d) per operator N / d.
 
         X maps each column j where X e_j != 0 to its nonzeros (i, x), in no
         set order.  First X = N for ad-bar_u = q ad_u s, N = dq den q ad_R s
@@ -453,7 +453,7 @@ class IsotropyModel(Frozen):
         discrete generator A = N_A / dA: with E_A = N_A - dA I its moved part
         (moves), column t of E is dq q E_A e_j for the t-th complement vector
         e_j, so only the moved columns of A go through q.  These d are not
-        reduced against N.
+        reduced against N.  A column X lacks is zero in N, or d e_t in N = E + dI.
         """
         dq = self._q_columns.d
         out = [
@@ -466,23 +466,6 @@ class IsotropyModel(Frozen):
             js = [j for j in moved if j in pos]
             X = {pos[j]: col for j, col in zip(js, self._quotient_ints(moved[j] for j in js)) if col}
             out.append((X, dq * A.d))
-        return tuple(out)
-
-    @cached_property
-    def action(self) -> tuple:
-        """The isotropy action on g/h, one Generator N / d per operator (X, d) of action_moves.
-
-        N = X for an h-basis vector; N = X + dI for a discrete generator, so
-        a column X lacks is the unit column d eps_t.
-        """
-        k, m = self.h_basis.dim, self.quotient_dim
-        out = []
-        for t, (X, d) in enumerate(self.action_moves):
-            if t < k:
-                cols = [X.get(j, ()) for j in range(m)]
-            else:
-                cols = [_shift(X[j], j, d) if j in X else ((j, d),) for j in range(m)]
-            out.append(Generator(tuple(cols), d))
         return tuple(out)
 
     @cached_property
@@ -530,13 +513,6 @@ def _check_subalgebra(L: LieAlgebra, h: Subspace):
             )
 
 
-def _shift(col, j, c) -> tuple:
-    """The nonzeros (i, x) of the column col + c e_j, from those of col."""
-    col = dict(col)
-    col[j] = col.get(j, 0) + c
-    return tuple((i, x) for i, x in col.items() if x)
-
-
 def moved_part(A: Generator) -> dict:
     """{m: the nonzeros (i, x) of column m of E = N - dI} over the columns m that A = N / d moves, increasing.
 
@@ -544,7 +520,13 @@ def moved_part(A: Generator) -> dict:
     ((m, d),) counts as moved, which costs its readers time, not correctness.
     """
     cols, d = A
-    return {m: _shift(col, m, -d) for m, col in enumerate(cols) if col != ((m, d),)}
+    out = {}
+    for m, col in enumerate(cols):
+        if col != ((m, d),):
+            E = dict(col)
+            E[m] = E.get(m, 0) - d
+            out[m] = tuple((i, x) for i, x in E.items() if x)
+    return out
 
 
 def _check_automorphism(L: LieAlgebra, A: Generator, h: Subspace) -> dict:
@@ -672,22 +654,19 @@ def make_isotropy(L: LieAlgebra, h_vectors, discrete_generators=None, complement
 
 
 def induced_ad_bar(iso: IsotropyModel, u) -> Mat:
-    """Matrix of the quotient action ad-bar_u = q ad_u s for u in h.
+    """Matrix of the quotient action ad-bar_u = q ad_u s for u in h, by Fraction products.
 
     Well defined because h is a subalgebra: ad_u maps h to h, so the result
-    does not depend on the choice of section.  It is linear in u: the
-    ad-bars of the model's action combined by the coordinates of u in the
-    basis of h.
+    does not depend on the choice of section.  Read off the definition, not
+    off action_moves, so it is the oracle of the h part of that table.
     """
-    try:
-        bars = [op.mat for op in iso.action[: iso.h_basis.dim]]
-        return mat_lincomb(iso.h_basis.coords_of(u), bars, iso.quotient_dim)
-    except NoSolution:
-        raise NotInH("ad-bar is only defined for elements of the isotropy subalgebra") from None
+    if not iso.h_basis.contains(u):
+        raise NotInH("ad-bar is only defined for elements of the isotropy subalgebra")
+    return induced_map(iso, ad_matrix(iso.L, u))
 
 
 def induced_map(iso: IsotropyModel, A: Mat) -> Mat:
-    """Quotient matrix q A s of an h-preserving A, by Fraction products: the oracle of `action`."""
+    """Quotient matrix q A s of an h-preserving A, by Fraction products: the oracle of action_moves."""
     return iso.q_matrix @ A @ iso.s_matrix
 
 

@@ -16,7 +16,7 @@ contractions of R with the one m-bracket table of the model
 in that integer form (Bivector.int_tables, the pair (L, d_c)), built on the
 support X of r_# and only for their readers; each forms C from them, the
 tensor once per pair in X.  l_operator(r, alpha) is the m-ad of r_# alpha.
-The leaf frame reads r_sharp, the action and m_table alone.
+The leaf frame reads r_sharp, the h part of action_moves and m_table alone.
 
 The h° route is the independent oracle: over a lift r-tilde of r to g
 (`canonical_lift`, `sharp`), the bracket on h° (`hcirc_bracket`,
@@ -151,12 +151,13 @@ class Bivector(Frozen):
         """(A, M), the q-brackets of the leaf frame {h-basis u} + {s w}, w the RREF basis of Im r_#.
 
         With w_j = R_j / R_j[P_j] for the rows (P_j, R_j) of Im r_#:
-        A[t][j] = q[u_t, s w_j] = ad-bar_{u_t} w_j, the column product of the
-        model's action with R_j; M[i, j] = q[s w_i, s w_j] = [w_i, w_j]_m for
-        i < j, the m_table contracted with R_i and R_j.  Each is an integer
-        vector over one denominator, tested once against the rows of Im r_#
-        (the leaf layer's one membership test) and given by its
-        Im r_#-coordinates x / e, its pivot entries, as (x, e), or None off Im r_#.
+        A[t][j] = q[u_t, s w_j] = ad-bar_{u_t} w_j, the column product of
+        X = N in the model's action_moves with the nonzeros of R_j on the
+        columns X holds (the others are zero); M[i, j] = q[s w_i, s w_j] =
+        [w_i, w_j]_m for i < j, the m_table contracted with R_i and R_j.
+        Each is an integer vector over one denominator, tested once against
+        the rows of Im r_# (the leaf layer's one membership test) and given
+        by its Im r_#-coordinates x / e, its pivot entries, as (x, e), or None off Im r_#.
         """
         im = self.image
 
@@ -164,8 +165,8 @@ class Bivector(Frozen):
             return None if im.residual(v) else (tuple(v.get(p, 0) for p in im.pivots), e)
 
         A = tuple(
-            tuple(coords(column_product(cols, R.items()), d * R[P]) for P, R in im.rows)
-            for cols, d in self.iso.action[: self.iso.h_basis.dim]
+            tuple(coords(column_product(X, [(j, x) for j, x in R.items() if j in X]), d * R[P]) for P, R in im.rows)
+            for X, d in self.iso.action_moves[: self.iso.h_basis.dim]
         )
         mu, D = self.iso.m_table
         M = {}

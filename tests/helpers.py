@@ -38,6 +38,7 @@ from lieps.errors import (
 )
 from lieps.exact import _rref_int_rows
 from lieps.liecore import (
+    Generator,
     _sparse_bracket,
     ad_matrix,
     bracket,
@@ -608,6 +609,18 @@ def dense_ad_bars(iso) -> tuple:
         Mat.from_cols([iso.q_matrix @ bracket(iso.L, u, e[j]) for j in iso.complement_indices])
         for u in iso.h_basis.basis
     )
+
+
+def expanded_action(iso) -> tuple:
+    """Each operator (X, d) of iso.action_moves as a Generator N / d: N = X on h, N = X + dI for a generator."""
+    k, m = iso.h_basis.dim, iso.quotient_dim
+    out = []
+    for t, (X, d) in enumerate(iso.action_moves):
+        cols = [dict(X.get(j, ())) for j in range(m)]
+        for j, col in enumerate(cols if t >= k else ()):
+            col[j] = col.get(j, 0) + d
+        out.append(Generator(tuple(tuple((i, x) for i, x in col.items() if x) for col in cols), d))
+    return tuple(out)
 
 
 def dense_generator_maps(iso) -> tuple:

@@ -525,7 +525,7 @@ def test_connection_builds_one_m_table_and_no_isotropy_action(monkeypatch, kind)
     from lieps.ybe import Bivector
 
     calls = count_calls(monkeypatch, IsotropyModel, "_quotient_ints")
-    actions = count_cached(monkeypatch, IsotropyModel, "action")
+    actions = count_cached(monkeypatch, IsotropyModel, "action_moves")
     tables = count_cached(monkeypatch, IsotropyModel, "m_table")
     r_tables = count_cached(monkeypatch, Bivector, "int_tables")
     sharps = count_cached(monkeypatch, Bivector, "r_sharp")
@@ -708,7 +708,7 @@ def test_leaf_runs_the_quotient_kernel_once_per_h_basis_vector_and_m_table_colum
     # invariance check and the leaf frame read them and build no other
     text = _doc_text("double", of="heisenberg", n=2)
     calls = count_calls(monkeypatch, IsotropyModel, "_quotient_ints")
-    actions = count_cached(monkeypatch, IsotropyModel, "action")
+    actions = count_cached(monkeypatch, IsotropyModel, "action_moves")
     code, out, err = run_cli(["leaf", "-", "--r", "m_u1^m_w"], text)
     assert code == 0, err
     (iso,) = actions

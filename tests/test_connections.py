@@ -347,6 +347,20 @@ def test_equivariance_fails_for_arbitrary_b():
     assert not ad_invariance_check(b)
 
 
+def test_equivariance_fails_on_the_infinitesimal_equation_alone():
+    # so4_grassmann has h = so2 x so2 and no discrete generator, so only
+    # the ad-bar equation can refuse b(eps_1, eps_2) = eps_1; the natural
+    # connection of the invariant r = e1^e2 + e3^e4 passes it
+    _, iso = instance("so4_grassmann", None)
+    assert iso.h_basis.dim == 2 and not iso.discrete_generators
+    r = make_bivector(iso, V(1, 0, 0, 0, 0, 1))
+    z = V(0, 0, 0, 0)
+    b4 = [[z] * 4 for _ in range(4)]
+    b4[0][1] = V(1, 0, 0, 0)
+    assert not ad_invariance_check(ConnectionMap.from_entries(r, b4))
+    assert ad_invariance_check(build_connection("natural", r))
+
+
 # ---------------------------------------------------------------------------
 # F-connections and Nomizu maps
 

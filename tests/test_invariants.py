@@ -9,6 +9,7 @@ from helpers import (
     dense_first_mover,
     dense_generator_maps,
     dense_invariant_bivectors,
+    expanded_action,
     fixed_covectors,
     fixed_vectors,
     instance,
@@ -247,8 +248,9 @@ def test_transported_generators_match_the_dense_oracles(seed):
     assert iso.discrete_generators, tag
     _check_against_dense(iso)
     k = iso.h_basis.dim
-    assert tuple(op.mat for op in iso.action[:k]) == dense_ad_bars(iso), tag
-    assert tuple(op.mat for op in iso.action[k:]) == dense_generator_maps(iso), tag
+    ops = tuple(op.mat for op in expanded_action(iso))
+    assert ops[:k] == dense_ad_bars(iso), tag
+    assert ops[k:] == dense_generator_maps(iso), tag
     r = make_bivector(iso, coords)
     t = dense_first_mover(iso, r)
     h = iso.h_basis

@@ -23,6 +23,7 @@ from helpers import (
     dense_validate,
     dense_wedge2_action,
     dense_wedge2_derivation,
+    expanded_action,
     gauss_jordan_oracle,
     greedy_complement_scan,
     instance,
@@ -41,7 +42,7 @@ from lieps.errors import (
     NotInH,
     NotReductive,
 )
-from lieps.exact import Mat, Subspace, inverse, kernel_of_rows, zero_vec
+from lieps.exact import Mat, Subspace, inverse, kernel_of_rows, mat_lincomb, zero_vec
 from lieps.foliation import leaf_decomposition
 from lieps.invariants import invariance_block, invariance_rows, wedge2_image
 from lieps.liecore import (
@@ -268,8 +269,9 @@ def test_cached_isotropy_action_matches_per_pair_loops():
     leaf_reductive_seen = set()
     for tag, iso, rs in _isotropy_models():
         k = iso.h_basis.dim
-        assert tuple(op.mat for op in iso.action[:k]) == dense_ad_bars(iso), tag
-        assert tuple(op.mat for op in iso.action[k:]) == dense_generator_maps(iso), tag
+        ops = tuple(op.mat for op in expanded_action(iso))
+        assert ops[:k] == dense_ad_bars(iso), tag
+        assert ops[k:] == dense_generator_maps(iso), tag
         assert iso.reductive == dense_is_reductive_complement(iso), tag
         reductive_seen.add(iso.reductive)
         # [m, m] in h off the m-bracket table, on non-reductive models too
@@ -738,28 +740,48 @@ def test_invariance_blocks_read_the_moved_rows_of_each_generator(seed):
     _, _, iso, _ = random_generator_instance(seed)
     k = iso.h_basis.dim
     nwedge = len(wedge2_space(iso.quotient_dim))
-    for block, A in zip(islice(invariance_rows(iso), k, None), iso.action[k:], strict=True):
+    for block, A in zip(islice(invariance_rows(iso), k, None), expanded_action(iso)[k:], strict=True):
         oracle = _all_pairs_invariance_rows(A)
         assert block == oracle
         assert kernel_of_rows(block, nwedge) == kernel_of_rows(oracle, nwedge)
 
 
-def test_action_holds_one_generator_of_column_nonzeros_per_operator():
-    # each operator of the isotropy action is a Generator N / d holding the
-    # nonzeros of the columns of N alone; d = dq den R_P per row (P, R) of h
-    # and dq dA per discrete generator A = N_A / dA, not reduced against N:
-    # on sl2+solv2#5 they share 33, 22 and 2 with N
+def test_action_moves_holds_the_nonzero_columns_of_each_operator():
+    # each operator of the isotropy action is (X, d): X holds the nonzero
+    # columns of N = d ad-bar_u, or of E = N - dI for a discrete generator;
+    # d = dq den R_P per row (P, R) of h and dq dA per discrete generator
+    # A = N_A / dA, not reduced against X: on sl2+solv2#5 they share 33, 22
+    # and 2 with it, as with N, since gcd(d, E) = gcd(d, N)
     shared = []
     for seed in range(12):
         tag, L, iso, _ = random_generator_instance(seed)
         m, dq = iso.quotient_dim, iso._q_columns.d
         dens = [dq * L.den * R[P] for P, R in iso.h_basis.rows] + [dq * A.d for A in iso.generators]
-        assert [type(op) for op in iso.action] == [Generator] * len(dens), tag
-        assert [op.d for op in iso.action] == dens, tag
-        for op in iso.action:
-            assert len(op.cols) == m and all(x and 0 <= i < m for col in op.cols for i, x in col), tag
-        shared.append(tuple(gcd(op.d, *(x for col in op.cols for _, x in col)) for op in iso.action))
+        assert [d for _, d in iso.action_moves] == dens, tag
+        for X, _ in iso.action_moves:
+            assert all(0 <= j < m and col for j, col in X.items()), tag
+            assert all(x and 0 <= i < m for col in X.values() for i, x in col), tag
+        shared.append(tuple(gcd(d, *(x for col in X.values() for _, x in col)) for X, d in iso.action_moves))
     assert shared[5] == (33, 22, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**20), st.randoms(use_true_random=False))
+def test_induced_ad_bar_is_linear_on_transported_h(seed, rng):
+    # u a rational combination of the h basis of a transported model, with
+    # denominators and a non-coordinate h: q ad_u s is the same combination
+    # of the h part of action_moves, and u plus a complement vector is not in h
+    _, L, iso, _ = random_generator_instance(seed)
+    k, m = iso.h_basis.dim, iso.quotient_dim
+    cs = [QQ(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+    u = tuple(sum((c * b[i] for c, b in zip(cs, iso.h_basis.basis)), QQ(0)) for i in range(L.dim))
+    ops = expanded_action(iso)[:k]
+    assert induced_ad_bar(iso, u) == mat_lincomb(cs, [op.mat for op in ops], m)
+    if m:
+        j = rng.choice(iso.complement_indices)
+        outside = tuple(x + QQ(int(i == j), rng.randint(1, 3)) for i, x in enumerate(u))
+        with pytest.raises(NotInH):
+            induced_ad_bar(iso, outside)
 
 
 @settings(max_examples=150, deadline=None)

@@ -53,8 +53,6 @@ TEST_ONLY = {
     "ybe.py fixed_space_lie_algebra",
     # oracles of the integer forms
     "connections.py ad_invariance_check",
-    "liecore.py induced_ad_bar",
-    "liecore.py induced_map",
     "liecore.py m_bracket",
     "ybe.py quotient_hcirc",
 }
